@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .error_model import ErrorParams, GateCostModel, fft2d_error_bound, fft_erro
 from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
 from .fft import fft_1d, fft_2d, input_signal, read_signal
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
-from .harness import format_report_table, reference_fft, reference_fft2d, run_1d_experiment, run_2d_experiment
+from .harness import error_stats, format_report_table, reference_fft, reference_fft2d, run_1d_experiment, run_2d_experiment
 
 _PRESETS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS}
 
@@ -72,10 +73,8 @@ def cmd_fft(args) -> int:
     # evaluation needs no key material: ciphertexts in, ciphertexts out
     probe_params = fileio.read_ciphertext_params(args.ciphertext)
     scheme = GswScheme(probe_params)
-    engine = FheEngine(scheme, threads=args.threads)
+    engine = FheEngine(scheme)
     signal, fmt = fileio.read_ciphertext_signal(args.ciphertext, engine)
-    if args.frac_override is not None and args.frac_override != fmt.frac_bits:
-        raise UsageError("twiddle precision must match the encrypted format")
     out = fft_2d(signal) if isinstance(signal.dims, tuple) else fft_1d(signal)
     fileio.write_ciphertext_signal(args.out, probe_params, engine, out, fmt)
     stats: GateStats = engine.stats
@@ -109,6 +108,10 @@ def cmd_verify(args) -> int:
     frac = meta.frac_bits if meta.frac_bits is not None else args.frac
     delta = 2.0 ** -frac
     dims = meta.dims if meta.dims is not None else len(spectrum)
+    points = dims[0] * dims[1] if isinstance(dims, tuple) else dims
+    if not len(plain) == len(spectrum) == points:
+        raise UsageError(f"{len(plain)} plain points, {len(spectrum)} spectrum "
+                         f"points and dims {dims} do not agree")
     if isinstance(dims, tuple):
         rows, cols = dims
         oracle = reference_fft2d(plain.reshape(rows, cols)).ravel()
@@ -119,19 +122,13 @@ def cmd_verify(args) -> int:
         x_bound = args.xb if args.xb else float(
             max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
         bound = fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
-    diff = spectrum - oracle
-    errs = np.abs(np.concatenate([diff.real, diff.imag]))
     report = {
         "size": list(dims) if isinstance(dims, tuple) else dims,
-        "total_error": float(errs.sum()),
-        "mean_error": float(errs.mean()),
-        "variance": float(errs.var()),
-        "std_dev": float(errs.std()),
-        "max_error": float(errs.max()),
+        **error_stats(spectrum, oracle),
         "error_bound": bound,
     }
     print(json.dumps(report, indent=2))
-    if errs.max() > bound:
+    if report["max_error"] > bound:
         print("bound violated", file=sys.stderr)
         return 4
     return 0
@@ -156,18 +153,23 @@ def cmd_bound(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    reports = []
-    for m in sizes:
-        if args.dims == 2:
-            side = int(np.sqrt(m))
-            reports.append(run_2d_experiment(images=args.trials, shape=(side, side),
-                                             fmt=FixedFormat(args.bits, args.frac),
-                                             seed=args.seed))
-        else:
-            reports.append(run_1d_experiment(
-                m, fmt=FixedFormat(args.bits, args.frac), trials=args.trials,
-                seed=args.seed, backend=args.backend))
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--sizes must be comma-separated integers: {exc}") from exc
+    fmt = FixedFormat(args.bits, args.frac)
+    if args.dims == 2:
+        if args.backend != "clear":
+            raise UsageError("2D experiments run on the cleartext backend only")
+        sides = [math.isqrt(max(m, 0)) for m in sizes]
+        for m, side in zip(sizes, sides):
+            if side < 1 or side * side != m or side & (side - 1):
+                raise UsageError(f"2D size {m} is not the square of a power of two")
+        reports = [run_2d_experiment(images=args.trials, shape=(side, side), fmt=fmt,
+                                     seed=args.seed) for side in sides]
+    else:
+        reports = [run_1d_experiment(m, fmt=fmt, trials=args.trials, seed=args.seed,
+                                     backend=args.backend) for m in sizes]
     print(format_report_table(reports))
     if args.json:
         for r in reports:
@@ -201,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fft", help="transform an encrypted signal (server side)")
     p.add_argument("ciphertext")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--frac-override", type=int, default=None,
-                   help="assert the twiddle precision (must match the file)")
     p.add_argument("--stats", action="store_true", help="print gate stats as JSON")
     p.set_defaults(func=cmd_fft)
 

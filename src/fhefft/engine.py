@@ -24,8 +24,6 @@ bit-exact reference, not a floating-point emulation.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,27 +123,22 @@ class FheEngine:
     """Bit engine evaluating gates homomorphically.
 
     Holds the public key (enough to encrypt inputs and run circuits); give
-    it the full ``KeyPair`` to enable ``read_back``.  Gate evaluation on
-    independent handles is thread safe; ``threads`` > 1 lets circuit
-    drivers run independent gates concurrently via ``map_parallel``.
+    it the full ``KeyPair`` to enable ``read_back``.  Gates are evaluated
+    one at a time, in the order the circuit driver issues them.
     """
 
     batch_size = 1
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
-                 public_key=None, rng=None, threads: int = 1):
+                 public_key=None, rng=None):
         # with no key material at all the engine can still evaluate circuits
         # over imported ciphertexts and fold constants (the server role)
         self.scheme = scheme
         self.public_key = keys.public_key if keys is not None else public_key
         self.secret_key = keys.secret_key if keys is not None else None
         self.rng = rng if rng is not None else np.random.default_rng()
-        if threads < 1:
-            raise UsageError("threads must be >= 1")
-        self.threads = threads
         self.nand_count = 0
         self.max_depth = 0
-        self._lock = threading.Lock()
 
     @property
     def stats(self) -> GateStats:
@@ -161,8 +154,7 @@ class FheEngine:
             raise UsageError(f"input bit must be 0 or 1, got {bit!r}")
         if self.public_key is None:
             raise CapabilityError("encrypting inputs needs the public key")
-        with self._lock:
-            ct = self.scheme.encrypt_bit(self.public_key, bit, self.rng)
+        ct = self.scheme.encrypt_bit(self.public_key, bit, self.rng)
         return FheBit(self, ct, None, False)
 
     def nand(self, a: FheBit, b: FheBit) -> FheBit:
@@ -171,10 +163,9 @@ class FheEngine:
         if a.const or b.const:
             return self._fold(a, b)
         out = self.scheme.hom_nand(a.ct, b.ct)
-        with self._lock:
-            self.nand_count += 1
-            if out.level > self.max_depth:
-                self.max_depth = out.level
+        self.nand_count += 1
+        if out.level > self.max_depth:
+            self.max_depth = out.level
         return FheBit(self, out, None, False)
 
     def _fold(self, a, b):
@@ -205,18 +196,3 @@ class FheEngine:
 
     def import_ct(self, ct: Ciphertext) -> FheBit:
         return FheBit(self, ct, None, False)
-
-    def map_parallel(self, fn, items):
-        items = list(items)
-        if self.threads <= 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
-
-
-def map_circuit(engine, fn, items):
-    """Run fn over items with the engine's parallelism, if it has any."""
-    mapper = getattr(engine, "map_parallel", None)
-    if mapper is None:
-        return [fn(x) for x in items]
-    return mapper(fn, items)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub
-from .engine import map_circuit
 from .errors import UsageError
 
 
@@ -138,9 +137,8 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    Butterflies within a stage are independent and are dispatched through
-    the engine's parallel map when it offers one.  ``on_butterfly(size, i, j)``
-    is invoked once per butterfly (instrumentation hook).
+    Butterflies run one at a time, stage by stage.  ``on_butterfly(size, i, j)``
+    is invoked right after each butterfly (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
@@ -151,25 +149,17 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
         table = TwiddleTable(m, signal.points[0].fmt)
     elif table.m_points != m:
         raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
-    engine = signal.points[0].re.engine
     pts = list(bit_reverse_permute(signal).points)
 
     size = 2
     while size <= m:
         half = size // 2
-        tasks = []
         for start in range(0, m, size):
             for k in range(half):
-                tasks.append((start + k, start + k + half, table.twiddle(size, k)))
-
-        def run(task):
-            i, j, w = task
-            return butterfly(pts[i], pts[j], w)
-
-        for (i, j, _w), (hi, lo) in zip(tasks, map_circuit(engine, run, tasks)):
-            pts[i], pts[j] = hi, lo
-            if on_butterfly is not None:
-                on_butterfly(size, i, j)
+                i, j = start + k, start + k + half
+                pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
+                if on_butterfly is not None:
+                    on_butterfly(size, i, j)
         size *= 2
     return SignalBuffer(tuple(pts), m)
 

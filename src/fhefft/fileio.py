@@ -98,11 +98,15 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), path=path, line=exc.lineno) from exc
-    if data.get("format") != "fhefft-keys-v1":
-        raise ParseError(f"not a key file (format={data.get('format')!r})", path=path)
-    params = params_from_dict(data["params"], path=path)
-    return params, KeyPair(public_key=_decode_matrix(data["public_key"], path),
-                           secret_key=_decode_matrix(data["secret_key"], path))
+    kind = data.get("format") if isinstance(data, dict) else None
+    if kind != "fhefft-keys-v1":
+        raise ParseError(f"not a key file (format={kind!r})", path=path)
+    try:
+        params = params_from_dict(data["params"], path=path)
+        return params, KeyPair(public_key=_decode_matrix(data["public_key"], path),
+                               secret_key=_decode_matrix(data["secret_key"], path))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad key file field: {exc!r}", path=path) from exc
 
 
 # -- encrypted signal container ----------------------------------------------
@@ -137,69 +141,95 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
             fh.write(np.packbits(ct.matrix.astype(np.uint8).ravel()).tobytes())
 
 
-def _read_container_header(path):
+@dataclass(frozen=True)
+class _ContainerHeader:
+    params: SchemeParams
+    fmt: FixedFormat
+    dims: int | tuple[int, int]
+    points: int
+    levels: tuple[int, ...]
+
+
+def _read_container(path) -> tuple[_ContainerHeader, bytes]:
+    """Validated header and payload of an encrypted-signal container."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ParseError("not an encrypted-signal container (bad magic)",
                          path=path, offset=0)
+    if len(blob) < 12:
+        raise ParseError("container ends inside its preamble", path=path, offset=len(blob))
     version, head_len = struct.unpack("<II", blob[4:12])
     if version != CONTAINER_VERSION:
         raise ParseError(f"unsupported container version {version}", path=path, offset=4)
+    if len(blob) < 12 + head_len:
+        raise ParseError(f"container ends inside its {head_len}-byte header",
+                         path=path, offset=len(blob))
     try:
         header = json.loads(blob[12:12 + head_len])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad container header: {exc}", path=path, offset=12) from exc
-    return header, blob[12 + head_len:]
+    try:
+        params = params_from_dict(header["params"], path=path)
+        digest = header["params_digest"]
+        fmt = FixedFormat(int(header["fixed_format"]["total_bits"]),
+                          int(header["fixed_format"]["frac_bits"]))
+        dims = header["dims"]
+        if isinstance(dims, list) and len(dims) == 2:
+            dims = (int(dims[0]), int(dims[1]))
+        else:
+            dims = int(dims)
+        points = int(header["points"])
+        ct_side = int(header["ct_side"])
+        levels = tuple(int(v) for v in header["levels"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad container header field: {exc!r}", path=path, offset=12) from exc
+    if params.digest() != digest:
+        raise ParseError("parameter digest mismatch", path=path)
+    if ct_side != params.n_ct:
+        raise ParseError(f"ct_side {ct_side} does not match the parameters' {params.n_ct}",
+                         path=path)
+    count = points * 2 * fmt.total_bits
+    if len(levels) != count:
+        raise ParseError(f"{len(levels)} levels for {points} points of "
+                         f"{fmt.total_bits}-bit words", path=path)
+    payload = blob[12 + head_len:]
+    expected = count * math.ceil(ct_side * ct_side / 8)
+    if len(payload) != expected:
+        raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}",
+                         path=path)
+    return _ContainerHeader(params, fmt, dims, points, levels), payload
 
 
 def read_ciphertext_params(path) -> SchemeParams:
     """Scheme parameters recorded in a container, without loading matrices."""
-    header, _ = _read_container_header(path)
-    params = params_from_dict(header["params"], path=path)
-    if params.digest() != header["params_digest"]:
-        raise ParseError("parameter digest mismatch", path=path)
-    return params
+    return _read_container(path)[0].params
 
 
 def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
     """Load an encrypted signal onto an FHE engine bound to matching params."""
-    header, payload = _read_container_header(path)
-    params = params_from_dict(header["params"], path=path)
-    if params.digest() != header["params_digest"]:
-        raise ParseError("parameter digest mismatch", path=path)
+    header, payload = _read_container(path)
+    params, fmt = header.params, header.fmt
     if engine.scheme.params != params:
         raise UsageError(
             f"engine parameters {engine.scheme.params} do not match the file's {params}")
-    fmt = FixedFormat(header["fixed_format"]["total_bits"],
-                      header["fixed_format"]["frac_bits"])
-    n_ct = header["ct_side"]
+    n_ct = params.n_ct
     stride = math.ceil(n_ct * n_ct / 8)
-    expected = header["points"] * 2 * fmt.total_bits
-    if len(payload) != expected * stride:
-        raise ParseError(
-            f"payload holds {len(payload)} bytes, expected {expected * stride}",
-            path=path)
-
-    levels = header["levels"]
     handles = []
-    for idx in range(expected):
+    for idx, level in enumerate(header.levels):
         bits = np.unpackbits(
             np.frombuffer(payload[idx * stride:(idx + 1) * stride], dtype=np.uint8))
         matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct).astype(np.float64)
-        handles.append(engine.import_ct(
-            Ciphertext(matrix=matrix, level=int(levels[idx]))))
+        handles.append(engine.import_ct(Ciphertext(matrix=matrix, level=level)))
 
     points = []
     per_word = fmt.total_bits
-    for p in range(header["points"]):
+    for p in range(header.points):
         base = p * 2 * per_word
         re = FixedWord(tuple(handles[base:base + per_word]), fmt)
         im = FixedWord(tuple(handles[base + per_word:base + 2 * per_word]), fmt)
         points.append(ComplexFixed(re, im))
-    dims = header["dims"]
-    dims = tuple(dims) if isinstance(dims, list) else int(dims)
-    return SignalBuffer(tuple(points), dims), fmt
+    return SignalBuffer(tuple(points), header.dims), fmt
 
 
 # -- plain signals -------------------------------------------------------------
@@ -260,6 +290,8 @@ def _parse_meta(text, path, lineno) -> SignalMeta:
         try:
             if key == "dims":
                 dims = tuple(int(d) for d in val.split("x"))
+                if len(dims) > 2 or min(dims) < 1:
+                    raise ValueError(val)
                 dims = dims[0] if len(dims) == 1 else dims
             elif key == "bits":
                 bits = int(val)
@@ -281,7 +313,8 @@ def read_pgm(path) -> np.ndarray:
     while len(tokens) < 4 and pos < len(blob):
         # comments run to end of line; whitespace separates header tokens
         if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            newline = blob.find(b"\n", pos)
+            pos = len(blob) if newline < 0 else newline + 1
             continue
         if blob[pos:pos + 1].isspace():
             pos += 1
@@ -297,21 +330,21 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ParseError(f"bad PGM header: {exc}", path=path, offset=0) from exc
-    if maxval < 1:
-        raise ParseError("PGM maxval must be positive", path=path)
+    if width < 1 or height < 1 or maxval < 1:
+        raise ParseError("PGM width, height and maxval must be positive", path=path)
     if tokens[0] == b"P2":
         try:
             data = np.array(blob[pos:].split(), dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad P2 raster: {exc}", path=path, offset=pos) from exc
     else:
         pos += 1  # single whitespace after maxval
-        if maxval < 256:
-            data = np.frombuffer(blob[pos:pos + width * height], dtype=np.uint8)
-        else:
-            data = np.frombuffer(blob[pos:pos + 2 * width * height],
-                                 dtype=">u2")
-        data = data.astype(np.int64)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        raster = blob[pos:pos + dtype.itemsize * width * height]
+        # a short 16-bit raster may end mid-pixel; drop the odd byte so the
+        # size check below reports it
+        raster = raster[:len(raster) - len(raster) % dtype.itemsize]
+        data = np.frombuffer(raster, dtype=dtype).astype(np.int64)
     if data.size != width * height:
         raise ParseError(f"raster holds {data.size} pixels, expected "
                          f"{width * height}", path=path, offset=pos)

@@ -31,6 +31,7 @@ from .fft import TwiddleTable, fft_1d, fft_2d, input_signal, read_signal
 from .fhe import EXACT_PARAMS, GswScheme
 
 DEFAULT_FORMAT = FixedFormat(32, 16)
+MAX_FHE_POINTS = 8  # size guard on encrypted runs, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ def reference_fft2d(image) -> np.ndarray:
 
 # -- experiments --------------------------------------------------------------
 
-def _error_stats(spectra: np.ndarray, oracle: np.ndarray) -> dict:
+def error_stats(spectra: np.ndarray, oracle: np.ndarray) -> dict:
+    """Statistics of |error| over every real and imaginary component."""
     diff = spectra - oracle
     errs = np.abs(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
     return {
@@ -119,11 +121,18 @@ def _warn_on_headroom(fmt, m_points, x_bound):
             stacklevel=3)
 
 
+def _check_count(name, n):
+    if n < 1:
+        raise UsageError(f"{name} must be >= 1, got {n}")
+
+
 def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
-                      trials: int = 100, seed: int = 0, backend: str = "clear",
-                      scheme: GswScheme | None = None, keys=None,
-                      max_fhe_points: int = 8) -> ErrorReport:
+                      trials: int = 100, seed: int = 0,
+                      backend: str = "clear") -> ErrorReport:
     """Transform `trials` random signals of length m_points and report errors."""
+    _check_count("trials", trials)
+    if m_points < 1 or m_points & (m_points - 1):
+        raise UsageError(f"signal length {m_points} is not a power of two")
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
@@ -137,14 +146,12 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
         spectra = read_signal(engine, fft_1d(input_signal(engine, signals, fmt)))
         nand_count = engine.nand_count
     elif backend == "fhe":
-        if m_points > max_fhe_points:
+        if m_points > MAX_FHE_POINTS:
             raise UsageError(
                 f"encrypted transform of {m_points} points refused: gate cost "
-                f"is infeasible at desk scale (raise max_fhe_points to force)")
-        if scheme is None:
-            scheme = GswScheme(EXACT_PARAMS)
-        if keys is None:
-            keys = scheme.keygen(seed=seed)
+                f"is infeasible at desk scale (limit {MAX_FHE_POINTS})")
+        scheme = GswScheme(EXACT_PARAMS)
+        keys = scheme.keygen(seed=seed)
         table = TwiddleTable(m_points, fmt)
         rows = []
         nand_count = 0
@@ -161,25 +168,24 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
     bound = fft_error_bound(ErrorParams(2.0**-fmt.frac_bits, x_bound, m_points))
     return ErrorReport(size=m_points, trials=trials, error_bound=bound,
                        nand_count=nand_count, wall_time=elapsed,
-                       backend=backend, **_error_stats(spectra, oracle))
+                       backend=backend, **error_stats(spectra, oracle))
 
 
 def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORMAT,
-                      seed: int = 0, backend: str = "clear") -> ErrorReport:
+                      seed: int = 0) -> ErrorReport:
     """Transform grayscale images (values in [0, 1], zero imaginary part).
 
     ``images`` is a count of random images to draw, or an iterable of 2D
     arrays; all must share ``shape``.
     """
     if isinstance(images, int):
+        _check_count("images", images)
         rng = np.random.default_rng(seed)
         stack = rng.uniform(0, 1, (images, *shape))
     else:
         stack = np.asarray(list(images), dtype=float)
         if stack.shape[1:] != tuple(shape):
             raise UsageError(f"images of shape {stack.shape[1:]} for {shape}")
-    if backend != "clear":
-        raise UsageError("2D experiments run on the cleartext backend only")
     rows, cols = shape
     x_bound = float(np.abs(stack).max())
     _warn_on_headroom(fmt, rows * cols, x_bound)
@@ -195,7 +201,7 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     bound = fft2d_error_bound(rows, cols, 2.0**-fmt.frac_bits, x_bound)
     return ErrorReport(size=(rows, cols), trials=len(stack), error_bound=bound,
                        nand_count=engine.nand_count, wall_time=elapsed,
-                       backend=backend, **_error_stats(spectra, oracle))
+                       backend="clear", **error_stats(spectra, oracle))
 
 
 def format_report_table(reports) -> str:

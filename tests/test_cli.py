@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -100,11 +102,78 @@ def test_verify_bound_violation_exits_4(tmp_path, capsys):
     assert run_cli("verify", plain, spec) == 4
 
 
-def test_malformed_signal_exits_2(tmp_path, keys_file):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("this is not a signal\n")
-    assert run_cli("encrypt", bad, "--keys", keys_file, "--out",
-                   tmp_path / "x.eft") == 2
+def _container(header: dict) -> bytes:
+    """EFT1 bytes with the payload of one 16-bit point at the exact preset."""
+    head = json.dumps(header).encode()
+    payload = bytes(32 * math.ceil(EXACT_PARAMS.n_ct ** 2 / 8))
+    return fileio.MAGIC + struct.pack("<II", fileio.CONTAINER_VERSION, len(head)) + \
+        head + payload
+
+
+def _spectrum_of_4(d):
+    path = d / "spec4.txt"
+    fileio.write_signal_text(path, np.zeros(4))
+    return path
+
+
+def _plain_of_8(d):
+    path = d / "plain8.txt"
+    fileio.write_signal_text(path, np.zeros(8))
+    return path
+
+
+def _file(path, data):
+    path.write_bytes(data)
+    return path
+
+
+_HEADER = {"params": fileio.params_to_dict(EXACT_PARAMS),
+           "params_digest": EXACT_PARAMS.digest(),
+           "fixed_format": {"total_bits": 16, "frac_bits": 8},
+           "dims": 1, "points": 1, "ct_side": EXACT_PARAMS.n_ct, "levels": [0] * 32}
+
+# each case builds the argv of one CLI call on a malformed input
+MALFORMED = {
+    "signal-text": lambda d, keys: [
+        "encrypt", _file(d / "bad.txt", b"this is not a signal\n"),
+        "--keys", keys, "--out", d / "x.eft"],
+    "pgm-comment-without-newline": lambda d, keys: [
+        "encrypt", _file(d / "bad.pgm", b"P2 # c"), "--keys", keys, "--out", d / "x.eft"],
+    "pgm-16bit-raster-ends-mid-pixel": lambda d, keys: [
+        "encrypt", _file(d / "bad.pgm", b"P5\n2 2\n65535\n\x01\x02\x03"),
+        "--keys", keys, "--out", d / "x.eft"],
+    "keys-without-params": lambda d, keys: [
+        "decrypt", d / "x.eft", "--out", d / "x.txt",
+        "--keys", _file(d / "bad.json", b'{"format": "fhefft-keys-v1"}')],
+    "keys-not-an-object": lambda d, keys: [
+        "decrypt", d / "x.eft", "--out", d / "x.txt", "--keys", _file(d / "bad.json", b"[1]")],
+    "truncated-container": lambda d, keys: [
+        "fft", _file(d / "bad.eft", b"EFT1\x01"), "--out", d / "x.eft"],
+    "container-without-params": lambda d, keys: [
+        "fft", _file(d / "bad.eft", _container(
+            {k: v for k, v in _HEADER.items() if k != "params"})), "--out", d / "x.eft"],
+    "container-without-levels": lambda d, keys: [
+        "fft", _file(d / "bad.eft", _container(
+            {k: v for k, v in _HEADER.items() if k != "levels"})), "--out", d / "x.eft"],
+    "verify-length-mismatch": lambda d, keys: [
+        "verify", _plain_of_8(d), _spectrum_of_4(d)],
+    "bench-zero-trials": lambda d, keys: ["bench", "--sizes", 8, "--trials", 0],
+    "bench-2d-zero-images": lambda d, keys: [
+        "bench", "--dims", 2, "--sizes", 16, "--trials", 0],
+    "bench-sizes-not-integers": lambda d, keys: ["bench", "--sizes", "8,abc"],
+    "bench-2d-size-not-square": lambda d, keys: [
+        "bench", "--dims", 2, "--sizes", 8, "--trials", 1],
+    "bench-2d-on-fhe": lambda d, keys: [
+        "bench", "--dims", 2, "--backend", "fhe", "--sizes", 4, "--trials", 1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(case, tmp_path, keys_file, capsys):
+    capsys.readouterr()
+    assert run_cli(*MALFORMED[case](tmp_path, keys_file)) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines()), err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -138,7 +207,7 @@ def test_pipeline_m8_full_format_error_level(tmp_path, keys_file, capsys):
     ct, ct2, spec = tmp_path / "a.eft", tmp_path / "b.eft", tmp_path / "s.txt"
     assert run_cli("encrypt", plain, "--keys", keys_file, "--bits", 32,
                    "--frac", 16, "--seed", 2, "--out", ct) == 0
-    assert run_cli("fft", ct, "--out", ct2, "--threads", 2) == 0
+    assert run_cli("fft", ct, "--out", ct2) == 0
     assert run_cli("decrypt", ct2, "--keys", keys_file, "--out", spec) == 0
     capsys.readouterr()
     assert run_cli("verify", plain, spec) == 0

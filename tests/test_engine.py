@@ -122,7 +122,3 @@ def test_backend_equivalence_random_circuits(exact_scheme, exact_keys):
         for hc, hf in zip(pool_c, pool_f):
             assert clear.read_back(hc) == fhe.read_back(hf)
 
-
-def test_map_parallel_preserves_order(exact_scheme, exact_keys, rng):
-    fhe = FheEngine(exact_scheme, keys=exact_keys, rng=rng, threads=4)
-    assert fhe.map_parallel(lambda x: x * x, range(10)) == [x * x for x in range(10)]

@@ -178,3 +178,24 @@ def test_fft_backend_equivalence_m2(exact_scheme, exact_keys, rng):
     fhe = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     spec_fhe = lane0(fhe, fft_1d(input_signal(fhe, vals, F16)))
     assert list(spec_clear) == list(spec_fhe)  # decoded values identical bit for bit
+
+
+
+# (nand_count, max_depth) of each transform circuit; a change to these is a
+# change to the circuit itself, not to how it is evaluated
+@pytest.mark.parametrize("bits,frac,m,golden", [
+    (16, 8, 2, (701, 41)), (16, 8, 4, (4_991, 84)),
+    (16, 8, 8, (28_401, 148)), (16, 8, 16, (103_915, 211)),
+    (32, 16, 2, (1_421, 73)), (32, 16, 4, (14_729, 122)),
+    (32, 16, 8, (100_533, 211)), (32, 16, 16, (379_009, 298)),
+])
+def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
+    eng = CleartextEngine()
+    fft_1d(input_signal(eng, [0.5] * m, FixedFormat(bits, frac)))
+    assert (eng.nand_count, eng.max_depth) == golden
+
+
+def test_fft2d_gate_count_and_depth_golden():
+    eng = CleartextEngine()
+    fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
+    assert (eng.nand_count, eng.max_depth) == (39_928, 138)

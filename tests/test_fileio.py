@@ -1,10 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fhefft import fileio
 from fhefft.arith import FixedFormat
 from fhefft.engine import FheEngine
-from fhefft.errors import ParseError, UsageError
+from fhefft.errors import FhefftError, ParseError, UsageError
 from fhefft.fft import input_signal, read_signal
 from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 
@@ -89,6 +94,64 @@ def test_ciphertext_engine_params_mismatch(tmp_path, exact_scheme, exact_keys, r
     other = FheEngine(GswScheme(DEFAULT_PARAMS), public_key=np.zeros((1, 9)))
     with pytest.raises(UsageError):
         fileio.read_ciphertext_signal(path, other)
+
+
+@pytest.fixture(scope="module")
+def valid_container(tmp_path_factory, exact_scheme, exact_keys):
+    """Bytes of a one-point 16.8 container, and a scratch path to rewrite."""
+    engine = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(3))
+    path = tmp_path_factory.mktemp("fuzz") / "sig.eft"
+    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine,
+                                   input_signal(engine, [0.5 - 0.25j], F16), F16)
+    return path.read_bytes(), path
+
+
+def _load_or_typed_error(path, scheme):
+    """The reader's contract: a signal, or an FhefftError."""
+    try:
+        fileio.read_ciphertext_params(path)
+        fileio.read_ciphertext_signal(path, FheEngine(scheme))
+    except FhefftError:
+        pass
+
+
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_fuzz
+@given(data=st.data())
+def test_container_reader_fuzzed_bytes(valid_container, exact_scheme, data):
+    """Random bytes after a valid prefix (at least the magic) load or raise."""
+    blob, path = valid_container
+    cut = data.draw(st.integers(min_value=4, max_value=len(blob)))
+    path.write_bytes(blob[:cut] + data.draw(st.binary(max_size=64)))
+    _load_or_typed_error(path, exact_scheme)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@_fuzz
+@given(data=st.data())
+def test_container_reader_fuzzed_header_fields(valid_container, exact_scheme, data):
+    """A header field deleted or replaced by any JSON value loads or raises."""
+    blob, path = valid_container
+    head_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + head_len])
+    field = data.draw(st.sampled_from(sorted(header)))
+    value = data.draw(_json_values | st.just(...))
+    if value is ...:
+        del header[field]
+    else:
+        header[field] = value
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:])
+    _load_or_typed_error(path, exact_scheme)
 
 
 def test_signal_text_round_trip(tmp_path):
