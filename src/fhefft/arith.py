@@ -62,7 +62,11 @@ class FixedWord:
 
 def encode_int(x: float, fmt: FixedFormat) -> int:
     """Nearest fixed-point integer round(x * 2^f); raises when out of range."""
-    ix = round(x * fmt.scale)
+    try:
+        ix = round(float(x) * fmt.scale)  # a Python float overflows to inf silently
+    except (OverflowError, ValueError) as exc:  # x * 2^f is inf or NaN
+        raise RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} "
+                         f"fixed point") from exc
     half = 1 << (fmt.total_bits - 1)
     if not -half <= ix < half:
         raise RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} "

@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
         "error_bound": bound,
     }
     print(json.dumps(report, indent=2))
-    if report["max_error"] > bound:
+    if not report["max_error"] <= bound:  # a NaN error fails too
         print("bound violated", file=sys.stderr)
         return 4
     return 0
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frac", type=int, default=16)
     p.add_argument("--xb", type=float, default=1.0)
     p.add_argument("--bits", type=int, default=32)
-    p.add_argument("--ct-side", type=int, default=GswScheme(DEFAULT_PARAMS).params.n_ct)
+    p.add_argument("--ct-side", type=int, default=DEFAULT_PARAMS.n_ct)
     p.add_argument("--total", type=int, default=None,
                    help="total stored points L (defaults to --points)")
     p.set_defaults(func=cmd_bound)

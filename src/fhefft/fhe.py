@@ -1,19 +1,18 @@
-"""Leveled fully homomorphic encryption over Z_q with matrix ciphertexts.
+"""Leveled fully homomorphic encryption of bits with matrix ciphertexts.
 
 The scheme is the matrix-flattening variant of LWE-based FHE (Gentry,
 Sahai, Waters 2013).  A ciphertext is an N x N binary matrix over Z_q
 with N = (n+1) * ceil(log2 q); the secret key s has its last coordinate
 fixed to 1, and v = powers_of_2(s) satisfies  C @ v = mu * v + e (mod q)
-for a small error vector e.  Keeping every ciphertext in flattened
-(bit-decomposed) form means all homomorphic matrix products multiply
-binary matrices, which this module evaluates exactly with float64 BLAS.
+for a bit mu and a small error vector e.  Keeping every ciphertext in
+flattened (bit-decomposed) form means all homomorphic matrix products
+multiply binary matrices, which this module evaluates exactly with
+float64 BLAS.
 
-Supported homomorphic operations:
+Homomorphic operations, on bits only:
 
-* ``hom_nand``       -- Flatten(I - C1 @ C2), bits only
-* ``hom_add``        -- Flatten(C1 + C2), Z_q plaintexts
-* ``hom_const_mult`` -- Flatten(Flatten(k * I) @ C), Z_q plaintexts
-* ``hom_mult``       -- Flatten(C1 @ C2), Z_q plaintexts
+* ``hom_nand`` -- Flatten(I - C1 @ C2)
+* ``hom_not``  -- Flatten(I - C), no matrix product
 
 Noise model: a fresh ciphertext carries error at most m * noise_bound;
 one NAND maps errors (e1, e2) to at most |e1| + N * |e2|, so worst-case
@@ -110,29 +109,6 @@ DEFAULT_PARAMS = SchemeParams(n=8, q=2**29 - 3, m=32, noise_bound=2, depth_budge
 EXACT_PARAMS = SchemeParams(n=2, q=2**16 + 1, m=8, noise_bound=0, depth_budget=10**9)
 
 
-def decode_gadget_samples(xs: list[int], q: int, error_bound: int) -> int:
-    """Solve x_j = mu * 2^j + e_j (mod q) for mu, given |e_j| <= error_bound.
-
-    Row 0 pins mu within +-error_bound; each refinement step picks the
-    highest row whose wrap count is still determined by the current
-    estimate (2^(j-shift) * halfwidth + error_bound < q/2), unwinds it,
-    and divides the uncertainty by the extra power of two, until the
-    estimate isolates one integer.
-    """
-    ell = len(xs)
-    error_bound = max(error_bound, 1)
-    est, shift = xs[0], 0  # mu ~ est / 2^shift, halfwidth error_bound / 2^shift
-    while (1 << shift) <= 2 * error_bound:
-        room = (q // 2 - error_bound - 1) // error_bound
-        step = max(1, room.bit_length() - 1)
-        j = min(ell - 1, shift + step)
-        wraps = (2 * ((est << (j - shift)) - xs[j]) + q) // (2 * q)
-        est, shift = wraps * q + xs[j], j
-        if j == ell - 1:
-            break
-    return ((est + (1 << (shift - 1))) >> shift) % q
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """Public m x (n+1) matrix A and secret (n+1)-vector s with s[-1] = 1.
@@ -147,7 +123,7 @@ class KeyPair:
 
 @dataclass(eq=False)
 class Ciphertext:
-    """Flattened N x N binary matrix encrypting one bit or one Z_q value.
+    """Flattened N x N binary matrix encrypting one bit.
 
     ``matrix`` is float64 holding 0.0/1.0 entries (float keeps the matrix
     products on the BLAS fast path; all values stay exact integers).
@@ -224,22 +200,15 @@ class GswScheme:
         secret = np.concatenate([(p.q - t) % p.q, np.array([1], dtype=np.int64)])
         return KeyPair(public_key=public, secret_key=secret)
 
-    def _encrypt(self, public_key: np.ndarray, mu: int, rng) -> Ciphertext:
-        p = self.params
-        r_mat = rng.integers(0, 2, (p.n_ct, p.m)).astype(np.float64)
-        masked = r_mat @ public_key.astype(np.float64)
-        body = np.mod(masked + self._scaled_gadget(mu % p.q), p.q).astype(np.int64)
-        return Ciphertext(matrix=self._decompose(body), level=0,
-                          noise_est=p.m * p.noise_bound)
-
     def encrypt_bit(self, public_key: np.ndarray, bit: int, rng) -> Ciphertext:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        return self._encrypt(public_key, bit, rng)
-
-    def encrypt_value(self, public_key: np.ndarray, value: int, rng) -> Ciphertext:
-        """Encrypt an arbitrary Z_q value (for the ring operations)."""
-        return self._encrypt(public_key, value % self.params.q, rng)
+        p = self.params
+        r_mat = rng.integers(0, 2, (p.n_ct, p.m)).astype(np.float64)
+        masked = r_mat @ public_key.astype(np.float64)
+        body = np.mod(masked + self._scaled_gadget(bit), p.q).astype(np.int64)
+        return Ciphertext(matrix=self._decompose(body), level=0,
+                          noise_est=p.m * p.noise_bound)
 
     def trivial_encrypt_bit(self, bit: int) -> Ciphertext:
         """Noiseless deterministic encoding of a public constant."""
@@ -285,25 +254,6 @@ class GswScheme:
                 f"noise {noise} at or above decryption threshold q/8={p.q / 8:.0f}")
         return mu, noise
 
-    def decrypt_value(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
-        """Recover a Z_q plaintext by successive gadget refinement.
-
-        Exact whenever every gadget-row error stays below q/8.
-        """
-        p = self.params
-        self._check_level(ct)
-        xs = self._gadget_rows(secret_key, ct)
-        mu = decode_gadget_samples(xs, p.q, p.q // 8)
-        self._check_residuals(xs, mu)
-        return mu
-
-    def _check_residuals(self, xs: list[int], mu: int):
-        p = self.params
-        worst = self._max_residual(xs, mu)
-        if worst >= (p.q + 7) // 8:
-            raise NoiseOverflowError(
-                f"noise {worst} at or above decryption threshold q/8={p.q / 8:.0f}")
-
     def _max_residual(self, xs: list[int], mu: int) -> int:
         p = self.params
         worst = 0
@@ -317,7 +267,7 @@ class GswScheme:
     def measure_noise(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
         """Measured max error magnitude across the gadget rows (diagnostic)."""
         xs = self._gadget_rows(secret_key, ct)
-        mu = self.decrypt_value(secret_key, ct)
+        mu = self.decrypt_bit(secret_key, ct)
         return self._max_residual(xs, mu)
 
     # -- homomorphic evaluation ------------------------------------------
@@ -348,32 +298,3 @@ class GswScheme:
         """
         return Ciphertext(matrix=self.flatten(self._identity - ct.matrix),
                           level=ct.level, noise_est=ct.noise_est)
-
-    def hom_add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-        """Encrypts (m1 + m2) mod q; errors add."""
-        return Ciphertext(matrix=self.flatten(ct1.matrix + ct2.matrix),
-                          level=max(ct1.level, ct2.level),
-                          noise_est=min(ct1.noise_est + ct2.noise_est, self.params.q))
-
-    def hom_const_mult(self, ct: Ciphertext, k: int) -> Ciphertext:
-        """Encrypts (k * m) mod q; error grows by at most N regardless of k."""
-        p = self.params
-        mk = self._decompose(np.mod(self._scaled_gadget(k % p.q), p.q).astype(np.int64))
-        return Ciphertext(matrix=self.flatten(mk @ ct.matrix),
-                          level=ct.level,
-                          noise_est=min(p.n_ct * ct.noise_est, p.q))
-
-    def hom_mult(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-        """Encrypts (m1 * m2) mod q.
-
-        The right operand's error gains a factor N; the left one is scaled
-        by the right plaintext, so noise is message-dependent and only small
-        messages multiply reliably.  noise_est cannot see plaintexts and is
-        a heuristic here.
-        """
-        p = self.params
-        if ct2.noise_est > ct1.noise_est:
-            ct1, ct2 = ct2, ct1
-        est = min(ct1.noise_est + p.n_ct * ct2.noise_est, p.q)
-        return Ciphertext(matrix=self.flatten(ct1.matrix @ ct2.matrix),
-                          level=max(ct1.level, ct2.level), noise_est=est)

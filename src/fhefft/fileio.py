@@ -58,13 +58,17 @@ def write_params(path, params: SchemeParams):
         fh.write("\n")
 
 
+def _load_json(path):
+    """Parsed JSON file; bad JSON or text that is not UTF-8 raises ParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(str(exc), path=path, line=getattr(exc, "lineno", None)) from exc
+
+
 def read_params(path) -> SchemeParams:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), path=path, line=exc.lineno) from exc
-    return params_from_dict(data, path=path)
+    return params_from_dict(_load_json(path), path=path)
 
 
 def _encode_matrix(arr: np.ndarray) -> dict:
@@ -93,11 +97,7 @@ def write_keys(path, params: SchemeParams, keys: KeyPair):
 
 
 def read_keys(path) -> tuple[SchemeParams, KeyPair]:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), path=path, line=exc.lineno) from exc
+    data = _load_json(path)
     kind = data.get("format") if isinstance(data, dict) else None
     if kind != "fhefft-keys-v1":
         raise ParseError(f"not a key file (format={kind!r})", path=path)
@@ -186,6 +186,9 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
         raise ParseError(f"bad container header field: {exc!r}", path=path, offset=12) from exc
     if params.digest() != digest:
         raise ParseError("parameter digest mismatch", path=path)
+    sides = dims if isinstance(dims, tuple) else (dims,)
+    if points < 1 or min(sides) < 1 or math.prod(sides) != points:
+        raise ParseError(f"dims {dims} do not hold {points} points", path=path)
     if ct_side != params.n_ct:
         raise ParseError(f"ct_side {ct_side} does not match the parameters' {params.n_ct}",
                          path=path)
@@ -261,23 +264,30 @@ def write_signal_text(path, values, dims=None, fmt: FixedFormat | None = None):
 def read_signal_text(path) -> tuple[np.ndarray, SignalMeta]:
     values = []
     meta = SignalMeta()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if text.startswith("# fhefft"):
-                    meta = _parse_meta(text, path, lineno)
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected `re,im`, got {text!r}",
-                                 path=path, line=lineno)
-            try:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc), path=path) from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            if text.startswith("# fhefft"):
+                meta = _parse_meta(text, path, lineno)
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected `re,im`, got {text!r}",
+                             path=path, line=lineno)
+        try:
+            real, imag = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from exc
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise ParseError(f"non-finite component in {text!r}", path=path, line=lineno)
+        values.append(complex(real, imag))
     if not values:
         raise ParseError("no signal points found", path=path)
     return np.array(values, dtype=complex), meta

@@ -47,8 +47,9 @@ def test_encode_minus_one_twos_complement():
 
 
 def test_encode_out_of_range():
-    with pytest.raises(RangeError):
-        encode(2.0**15, F32)
+    for x in (2.0**15, 1e308, float("inf"), float("nan")):
+        with pytest.raises(RangeError):
+            encode(x, F32)
 
 
 def test_format_validation():

@@ -9,8 +9,9 @@ from fhefft import fileio
 from fhefft.arith import FixedFormat
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine
+from fhefft.errors import ParseError
 from fhefft.fft import fft_1d, input_signal, read_signal
-from fhefft.fhe import EXACT_PARAMS
+from fhefft.fhe import EXACT_PARAMS, SchemeParams
 from fhefft.harness import reference_fft
 
 
@@ -102,10 +103,10 @@ def test_verify_bound_violation_exits_4(tmp_path, capsys):
     assert run_cli("verify", plain, spec) == 4
 
 
-def _container(header: dict) -> bytes:
-    """EFT1 bytes with the payload of one 16-bit point at the exact preset."""
+def _container(header: dict, cts=32) -> bytes:
+    """EFT1 bytes with the payload of `cts` exact-preset ciphertexts (one 16-bit point)."""
     head = json.dumps(header).encode()
-    payload = bytes(32 * math.ceil(EXACT_PARAMS.n_ct ** 2 / 8))
+    payload = bytes(cts * math.ceil(EXACT_PARAMS.n_ct ** 2 / 8))
     return fileio.MAGIC + struct.pack("<II", fileio.CONTAINER_VERSION, len(head)) + \
         head + payload
 
@@ -127,6 +128,13 @@ def _file(path, data):
     return path
 
 
+def _signal(d, text):
+    return _file(d / "sig.txt", text.encode())
+
+
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
 _HEADER = {"params": fileio.params_to_dict(EXACT_PARAMS),
            "params_digest": EXACT_PARAMS.digest(),
            "fixed_format": {"total_bits": 16, "frac_bits": 8},
@@ -142,6 +150,21 @@ MALFORMED = {
     "pgm-16bit-raster-ends-mid-pixel": lambda d, keys: [
         "encrypt", _file(d / "bad.pgm", b"P5\n2 2\n65535\n\x01\x02\x03"),
         "--keys", keys, "--out", d / "x.eft"],
+    "signal-text-nan": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\nnan,0\n"), "--keys", keys, "--out", d / "x.eft"],
+    "signal-text-inf": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n0,-inf\n"), "--keys", keys, "--out", d / "x.eft"],
+    "signal-text-overflows-fixed-point": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n1e308,0\n"), "--keys", keys, "--out", d / "x.eft"],
+    "verify-nan-spectrum": lambda d, keys: [
+        "verify", _signal(d, "0.5,0\n0.25,0\n"), _file(d / "spec.txt", b"nan,nan\nnan,nan\n")],
+    "params-not-utf8": lambda d, keys: [
+        "keygen", "--params", _file(d / "bad.json", NOT_UTF8), "--out", d / "k.json"],
+    "keys-not-utf8": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n"), "--keys", _file(d / "bad.json", NOT_UTF8),
+        "--out", d / "x.eft"],
+    "verify-not-utf8": lambda d, keys: [
+        "verify", _file(d / "bad.txt", NOT_UTF8), _spectrum_of_4(d)],
     "keys-without-params": lambda d, keys: [
         "decrypt", d / "x.eft", "--out", d / "x.txt",
         "--keys", _file(d / "bad.json", b'{"format": "fhefft-keys-v1"}')],
@@ -174,6 +197,32 @@ def test_malformed_input_exits_2(case, tmp_path, keys_file, capsys):
     assert run_cli(*MALFORMED[case](tmp_path, keys_file)) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+_HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)
+
+
+@pytest.mark.parametrize("header, cts", [
+    ({**_HEADER, "params": fileio.params_to_dict(_HUGE), "params_digest": _HUGE.digest(),
+      "ct_side": _HUGE.n_ct, "dims": 0, "points": 0, "levels": []}, 0),
+    ({**_HEADER, "dims": 2}, 32),
+    ({**_HEADER, "dims": [2, 2]}, 32),
+], ids=["zero-points", "dims-2", "dims-2x2"])
+def test_container_dims_must_hold_points(header, cts, tmp_path):
+    """The header's points must be positive and match dims, before any scheme is built."""
+    path = _file(tmp_path / "bad.eft", _container(header, cts))
+    with pytest.raises(ParseError):
+        fileio.read_ciphertext_params(path)
+    assert run_cli("fft", path, "--out", tmp_path / "x.eft") == 2
+
+
+def test_verify_fails_closed_on_overflowing_oracle(tmp_path):
+    """Components near 1e308 overflow the oracle to NaN; verify must not pass."""
+    plain, spec = tmp_path / "p.txt", tmp_path / "s.txt"
+    fileio.write_signal_text(plain, np.full(4, 1e308 + 1e308j))
+    fileio.write_signal_text(spec, np.zeros(4), dims=4, fmt=FixedFormat(16, 8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("verify", plain, spec) == 4
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -179,6 +179,15 @@ def test_signal_text_bad_line_reports_location(tmp_path):
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("line", ["nan,0", "0,inf", "-inf,0", "1e400,0"])
+def test_signal_text_non_finite_reports_location(tmp_path, line):
+    path = tmp_path / "sig.txt"
+    path.write_text(f"0.5,0.5\n{line}\n")
+    with pytest.raises(ParseError) as info:
+        fileio.read_signal_text(path)
+    assert info.value.line == 2
+
+
 def test_signal_text_empty_rejected(tmp_path):
     path = tmp_path / "sig.txt"
     path.write_text("# fhefft dims=4\n")
