@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RangeError, UsageError
 from .gates import and_, not_, xor_
 
@@ -106,14 +108,15 @@ def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
         values = [values] * engine.batch_size
     if len(values) != engine.batch_size:
         raise UsageError(f"got {len(values)} values for {engine.batch_size} lanes")
-    ints = [encode_int(v, fmt) % (1 << fmt.total_bits) for v in values]
-    handles = []
-    for bit in range(fmt.total_bits):
-        lanes = 0
-        for lane, iv in enumerate(ints):
-            lanes |= ((iv >> bit) & 1) << lane
-        handles.append(engine.input_bit(lanes))
-    return FixedWord(tuple(handles), fmt)
+    width = fmt.total_bits
+    size = -(-width // 8)
+    raw = b"".join((encode_int(v, fmt) % (1 << width)).to_bytes(size, "little")
+                   for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size),
+                         axis=1, count=width, bitorder="little")  # (lanes, width)
+    planes = np.packbits(bits.T, axis=1, bitorder="little")  # one lane mask per bit
+    return FixedWord(tuple(engine.input_bit(int.from_bytes(p.tobytes(), "little"))
+                           for p in planes), fmt)
 
 
 def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
@@ -123,11 +126,17 @@ def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
 
 def read_word(engine, word: FixedWord) -> list[float]:
     """Decoded value of a word in every lane (FHE readout needs the secret key)."""
-    masks = [engine.read_back(h) for h in word.bits]
-    out = []
-    for lane in range(engine.batch_size):
-        out.append(decode([(m >> lane) & 1 for m in masks], word.fmt))
-    return out
+    lanes, width = engine.batch_size, word.fmt.total_bits
+    size = -(-lanes // 8)
+    masks = b"".join(engine.read_back(h).to_bytes(size, "little") for h in word.bits)
+    bits = np.unpackbits(np.frombuffer(masks, dtype=np.uint8).reshape(width, size),
+                         axis=1, count=lanes, bitorder="little")  # (width, lanes)
+    # each lane's bits, sign-extended to whole bytes: a two's-complement integer
+    ext = np.repeat(bits[-1:], 8 * -(-width // 8), axis=0)
+    ext[:width] = bits
+    words = np.packbits(ext.T, axis=1, bitorder="little")
+    scale = word.fmt.scale
+    return [int.from_bytes(w.tobytes(), "little", signed=True) / scale for w in words]
 
 
 # -- adders ---------------------------------------------------------------

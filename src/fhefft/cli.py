@@ -122,6 +122,10 @@ def cmd_verify(args) -> int:
         x_bound = args.xb if args.xb else float(
             max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
         bound = fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
+    if not (np.isfinite(oracle).all() and math.isfinite(bound)):
+        raise UsageError(f"{args.plain}: the reference transform or its error bound "
+                         f"overflows double precision; the plain signal is too large "
+                         f"to verify")
     report = {
         "size": list(dims) if isinstance(dims, tuple) else dims,
         **error_stats(spectrum, oracle),

@@ -9,6 +9,16 @@ A circuit is a composition of ``engine.nand`` calls over opaque
   all trials of an experiment) while counting each gate once.
 * ``FheEngine`` evaluates bits as ciphertexts of a ``GswScheme``.
 
+Besides gate-by-gate ``nand``, each engine evaluates a recorded
+``netlist.Netlist`` over many operand sets at once with ``run``.  Operands
+and results are the engine's wire arrays (``wires`` turns handles into one,
+``handles`` turns it back): structured arrays whose ``c`` field holds each
+wire's public constant (-1 for a variable wire).  On the cleartext engine
+the other fields are packed lane bytes and depths, evaluated level by
+level as numpy bit-planes; on the FHE engine it is the handle, replayed
+gate by gate through ``nand``, so the ciphertexts, operation counts and
+levels are those of the gate-by-gate circuit.
+
 Both engines fold gates where an operand is a public constant:
 NAND(x, 1) = NOT x (realized without a gate: bit flip in cleartext, the
 linear ciphertext complement under FHE), NAND(x, 0) = 1.  Folded gates do
@@ -67,6 +77,9 @@ class FheBit:
 class CleartextEngine:
     """Exact plaintext bit engine with lane packing and gate counting."""
 
+    butterfly_batch = None  # ``fft_1d`` hands ``run`` a whole stage at once
+    CHUNK_BYTES = 1 << 18  # bound on the working arrays of one ``run`` evaluation
+
     def __init__(self, batch_size: int = 1):
         if batch_size < 1:
             raise UsageError("batch_size must be >= 1")
@@ -74,6 +87,9 @@ class CleartextEngine:
         self.mask = (1 << batch_size) - 1
         self.nand_count = 0
         self.max_depth = 0
+        self.lane_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
+        self.wire_dtype = np.dtype([("v", np.uint8, (self.lane_bytes,)), ("d", np.int32),
+                                    ("c", np.int8)])
 
     @property
     def stats(self) -> GateStats:
@@ -118,6 +134,52 @@ class CleartextEngine:
             raise UsageError("handle belongs to a different engine")
         return h.value
 
+    def wires(self, handles) -> np.ndarray:
+        """Wire array of handles."""
+        _check_owner(self, handles)
+        n, size = len(handles), self.lane_bytes
+        out = np.empty(n, self.wire_dtype)
+        out["v"] = np.frombuffer(b"".join(h.value.to_bytes(size, "little") for h in handles),
+                                 dtype=np.uint8).reshape(n, size)
+        out["d"] = np.fromiter((h.depth for h in handles), np.int32, n)
+        out["c"] = np.fromiter(((1 if h.value else 0) if h.const else -1 for h in handles),
+                               np.int8, n)
+        return out
+
+    def handles(self, wires: np.ndarray) -> list[ClearBit]:
+        """Handles of a wire array (inverse of ``wires``)."""
+        lanes = np.ascontiguousarray(wires["v"])
+        mask = self.mask
+        return [ClearBit(self, int.from_bytes(v.tobytes(), "little") & mask, int(d), c >= 0)
+                for v, d, c in zip(lanes, wires["d"], wires["c"])]
+
+    def run(self, net, operands: np.ndarray) -> np.ndarray:
+        """Evaluate a netlist on each row of a (count, n_inputs) wire array.
+
+        Counts ``net.nand_count`` gates per row and tracks depth exactly as
+        gate-by-gate evaluation would.
+        """
+        count = len(operands)
+        self.nand_count += net.nand_count * count
+        if count:
+            deepest = int((operands["d"] + net.gate_path).max())
+            self.max_depth = max(self.max_depth, deepest)
+        out = np.empty((count, len(net.outputs)), self.wire_dtype)
+        out["c"] = net.out_const
+        # bounded working arrays: the lane bytes of every netlist row (plus
+        # both operands of the widest level), and the (inputs x outputs)
+        # path sums the output depths are taken from
+        rows = net.n_rows + _spare_rows(net)
+        step = max(1, self.CHUNK_BYTES // (self.lane_bytes * rows))
+        work = np.empty(rows * self.lane_bytes * min(step, count), dtype=np.uint8)
+        for lo in range(0, count, step):
+            out["v"][lo:lo + step] = _evaluate(net, operands["v"][lo:lo + step], work)
+        step = max(1, self.CHUNK_BYTES // (16 * net.out_path.size))
+        for lo in range(0, count, step):
+            sums = operands["d"][lo:lo + step, :, None] + net.out_path
+            out["d"][lo:lo + step] = np.maximum(sums.max(axis=1), 0)
+        return out
+
 
 class FheEngine:
     """Bit engine evaluating gates homomorphically.
@@ -128,6 +190,9 @@ class FheEngine:
     """
 
     batch_size = 1
+    # one butterfly per ``run`` batch: a whole stage would keep every
+    # butterfly's intermediate words alive at once
+    butterfly_batch = 1
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
                  public_key=None, rng=None):
@@ -139,6 +204,7 @@ class FheEngine:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nand_count = 0
         self.max_depth = 0
+        self._plans = {}  # netlist -> _replay_plan(netlist)
 
     @property
     def stats(self) -> GateStats:
@@ -196,3 +262,100 @@ class FheEngine:
 
     def import_ct(self, ct: Ciphertext) -> FheBit:
         return FheBit(self, ct, None, False)
+
+    def wires(self, handles) -> np.ndarray:
+        """Wire array of handles."""
+        _check_owner(self, handles)
+        out = np.empty(len(handles), _FHE_WIRE)
+        out["h"] = handles
+        out["c"] = [h.plain if h.const else -1 for h in handles]
+        return out
+
+    def handles(self, wires: np.ndarray) -> list[FheBit]:
+        return list(wires["h"])
+
+    def run(self, net, operands: np.ndarray) -> np.ndarray:
+        """Replay a netlist through ``nand`` on each row of a (count, n_inputs) array.
+
+        Gates run in row order (level by level) and each wire is dropped
+        after its last use; for the FFT's word operations that holds no
+        more ciphertexts at once than gate-by-gate evaluation does.
+        """
+        plan = self._plans.get(net)
+        if plan is None:
+            plan = self._plans[net] = _replay_plan(net)
+        a, b, dead, outputs = plan
+        first = net.one + 1
+        out = np.empty((len(operands), len(outputs)), _FHE_WIRE)
+        out["c"] = net.out_const
+        for n, ins in enumerate(operands["h"]):
+            w = list(ins) + [self.constant(1)] + [None] * len(a)
+            for g in range(len(a)):
+                w[first + g] = self.nand(w[a[g]], w[b[g]])  # NAND(x, ONE) folds to NOT
+                for row in dead[g]:
+                    w[row] = None
+            out["h"][n] = [w[row] if c < 0 else self.constant(c) for row, c in outputs]
+        return out
+
+
+_FHE_WIRE = np.dtype([("h", object), ("c", np.int8)])
+
+
+def _replay_plan(net):
+    """Operand rows of each gate in row order, the rows whose last use
+    each gate is, and the (row, constant) of each output."""
+    a, b = [], []
+    for _, ops in net.levels():
+        width = len(ops) // 2
+        a += ops[:width].tolist()
+        b += ops[width:].tolist()
+    first = net.one + 1
+    last = {first + g: g for g in range(len(a))}  # an unread row goes at once
+    for g in range(len(a)):
+        last[a[g]] = last[b[g]] = g
+    for row in net.outputs.tolist():
+        last.pop(row, None)
+    dead = [[] for _ in a]
+    for row, g in last.items():
+        if row >= first:
+            dead[g].append(row)
+    return a, b, dead, list(zip(net.outputs.tolist(), net.out_const.tolist()))
+
+
+def _check_owner(engine, handles):
+    if any(h.engine is not engine for h in handles):
+        raise UsageError("cannot mix handles from different engines")
+
+
+def _spare_rows(net) -> int:
+    """Rows of ``_evaluate``'s workspace beyond the netlist's own: both
+    operands of the widest level, or the outputs."""
+    return max(2 * net.widest, len(net.outputs))
+
+
+def _evaluate(net, lanes: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Output lane bytes of a netlist for a (count, n_inputs, lane bytes) block.
+
+    ``work`` holds at least (n_rows + spare rows) * count * lane bytes bytes;
+    the result is a view into it.
+    """
+    count, n_in, width = lanes.shape
+    cols = count * width
+    end = net.n_rows * cols
+    values = work[:end].reshape(net.n_rows, cols)
+    spare = work[end:end + _spare_rows(net) * cols].reshape(-1, cols)
+    values[:n_in].reshape(n_in, count, width)[...] = lanes.transpose(1, 0, 2)
+    values[net.one] = 0xFF
+    for lo, ops in net.levels():
+        gates = len(ops) // 2
+        pair = spare[:2 * gates]
+        # mode="clip" skips numpy's copy of ``out`` (indices are in range)
+        values.take(ops, axis=0, out=pair, mode="clip")
+        rows = values[lo:lo + gates]
+        np.bitwise_and(pair[:gates], pair[gates:], out=rows)
+        np.invert(rows, out=rows)
+    res = spare[:len(net.outputs)]
+    values.take(net.outputs, axis=0, out=res, mode="clip")
+    res[net.out_const == 0] = 0
+    res[net.out_const == 1] = 0xFF
+    return res.reshape(-1, count, width).transpose(1, 0, 2)

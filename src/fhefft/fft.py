@@ -1,12 +1,19 @@
 """Radix-2 decimation-in-time FFT over fixed-point complex signals.
 
-The driver runs entirely on bit-engine handles: a forward, unnormalized
-transform of a power-of-two signal as log2(M) stages of M/2 butterflies
-after an index bit-reversal.  Twiddle factors are public constants
-quantized to the word format (round to nearest), so each butterfly is
-four constant multiplications plus one subtraction and one addition for
-t = W * x_j, followed by x_i + t and x_i - t: six real sequences of
-word arithmetic per butterfly.
+A forward, unnormalized transform of a power-of-two signal as log2(M)
+stages of M/2 butterflies after an index bit-reversal.  Twiddle factors
+are public constants quantized to the word format (round to nearest), so
+each butterfly is four constant multiplications plus one subtraction and
+one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
+sequences of word arithmetic per butterfly.
+
+``butterfly`` builds one butterfly gate by gate on bit-engine handles;
+it is the reference the stage loop is tested against.  ``fft_1d``
+evaluates a stage's word operations together instead: each operation is
+a netlist recorded once (``netlist.word_op``), and every operand set that
+shares one goes to a single ``engine.run``.  The gates, counts, depths
+and output bits are those of ``butterfly`` applied one butterfly at a
+time.
 
 The index permutation touches no gates; only butterflies cost NANDs.
 Two-dimensional transforms decompose into row passes then column passes
@@ -22,6 +29,7 @@ import numpy as np
 
 from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub
 from .errors import UsageError
+from .netlist import word_op
 
 
 def _is_pow2(n: int) -> bool:
@@ -137,31 +145,92 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    Butterflies run one at a time, stage by stage.  ``on_butterfly(size, i, j)``
-    is invoked right after each butterfly (instrumentation hook).
+    Each stage evaluates the word operations of its butterflies together:
+    operations that share a recorded netlist run as one ``engine.run``
+    (the FHE engine takes one butterfly at a time, see
+    ``engine.butterfly_batch``).  The gates, counts and output bits equal
+    those of ``butterfly`` applied one butterfly at a time.
+    ``on_butterfly(size, i, j)`` is invoked for each butterfly, in stage
+    order, once its batch has run (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
     m = signal.dims
     if m == 1:
         return signal
+    fmt = signal.points[0].fmt
     if table is None:
-        table = TwiddleTable(m, signal.points[0].fmt)
+        table = TwiddleTable(m, fmt)
     elif table.m_points != m:
         raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
-    pts = list(bit_reverse_permute(signal).points)
+    pts = bit_reverse_permute(signal).points
+    if any(pt.fmt != fmt for pt in pts):
+        raise UsageError("all points of a signal must share one format")
+    engine = pts[0].re.engine
+    wires = engine.wires([h for pt in pts for word in (pt.re, pt.im) for h in word.bits])
+    wires = wires.reshape(m, 2, fmt.total_bits)
+    del signal, pts  # the handles go once their values are in the wire array
 
     size = 2
     while size <= m:
         half = size // 2
-        for start in range(0, m, size):
-            for k in range(half):
-                i, j = start + k, start + k + half
-                pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
-                if on_butterfly is not None:
+        flies = [(start + k, start + k + half, table.twiddle(size, k))
+                 for start in range(0, m, size) for k in range(half)]
+        batch = engine.butterfly_batch or len(flies)
+        for lo in range(0, len(flies), batch):
+            part = flies[lo:lo + batch]
+            _butterflies(engine, fmt, wires, part)
+            if on_butterfly is not None:
+                for i, j, _ in part:
                     on_butterfly(size, i, j)
         size *= 2
-    return SignalBuffer(tuple(pts), m)
+
+    handles = engine.handles(wires.reshape(-1))
+    width = fmt.total_bits
+    words = [FixedWord(tuple(handles[k:k + width]), fmt)
+             for k in range(0, len(handles), width)]
+    return SignalBuffer(tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2])),
+                        m)
+
+
+def _butterflies(engine, fmt, wires, flies):
+    """``butterfly`` on each (i, j, w) of one stage, in place on the wire
+    array of shape (points, 2, bits) (real and imaginary words)."""
+    i = [f[0] for f in flies]
+    j = [f[1] for f in flies]
+    wre = [f[2][0] for f in flies]
+    wim = [f[2][1] for f in flies]
+    xj = wires[j]
+    # t = W * x_j: the four constant products (xj.re*wre, xj.im*wim,
+    # xj.re*wim, xj.im*wre), then t_re = p0 - p1 and t_im = p2 + p3
+    prods = _word_ops(engine, "mul_const", fmt,
+                      np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]]),
+                      consts=wre + wim + wim + wre)
+    n = len(flies)
+    p = [prods[k * n:(k + 1) * n] for k in range(4)]
+    t = np.stack([_word_ops(engine, "sub", fmt, p[0], p[1]),
+                  _word_ops(engine, "add", fmt, p[2], p[3])], axis=1).reshape(2 * n, -1)
+    # (x_i + t, x_i - t) on the real and imaginary words together
+    xi = wires[i].reshape(2 * n, -1)
+    wires[i] = _word_ops(engine, "add", fmt, xi, t).reshape(n, 2, -1)
+    wires[j] = _word_ops(engine, "sub", fmt, xi, t).reshape(n, 2, -1)
+
+
+def _word_ops(engine, op, fmt, x, y=None, consts=None):
+    """``op`` on every row of word arrays x (and y), as a wire array.
+
+    Rows that share a netlist (same constant multiplier and pattern of
+    constant bits) are evaluated by one ``engine.run``.
+    """
+    operands = x if y is None else np.concatenate([x, y], axis=1)
+    groups: dict[tuple, list[int]] = {}
+    for row, pattern in enumerate(operands["c"]):
+        key = (None if consts is None else consts[row], pattern.tobytes())
+        groups.setdefault(key, []).append(row)
+    out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
+    for (c, _), rows in groups.items():
+        out[rows] = engine.run(word_op(op, fmt, operands["c"][rows[0]], c), operands[rows])
+    return out
 
 
 def fft_2d(image: SignalBuffer, on_butterfly=None) -> SignalBuffer:
@@ -208,9 +277,8 @@ def input_signal(engine, values, fmt: FixedFormat,
 
 def read_signal(engine, signal: SignalBuffer) -> np.ndarray:
     """Decoded complex array of shape (batch, M) (needs key material on FHE)."""
-    cols = []
-    for pt in signal.points:
-        res = read_word(engine, pt.re)
-        ims = read_word(engine, pt.im)
-        cols.append([complex(r, i) for r, i in zip(res, ims)])
-    return np.array(cols, dtype=complex).T
+    out = np.empty((engine.batch_size, len(signal.points)), dtype=complex)
+    for col, pt in enumerate(signal.points):
+        out.real[:, col] = read_word(engine, pt.re)
+        out.imag[:, col] = read_word(engine, pt.im)
+    return out

@@ -11,10 +11,11 @@ Encrypted signals use a binary container:
     bytes 12..    UTF-8 JSON header of H bytes, then the payload
 
 The header records the scheme parameters and their digest, the fixed
-format, signal dims, and one NAND level per ciphertext.  The payload is
-the bit matrices of every ciphertext packed 8 bits per byte, row major:
-points in signal order, real word then imaginary word, word bits LSB
-first.  Plain signals are text, one ``re,im`` pair per line, with an
+format, signal dims, and per ciphertext its NAND level and its noise
+estimate (``Ciphertext.noise_est``, which orders the operands of a
+homomorphic NAND).  The payload is the bit matrices of every ciphertext
+packed 8 bits per byte, row major: points in signal order, real word
+then imaginary word, word bits LSB first.  Plain signals are text, one ``re,im`` pair per line, with an
 optional ``# fhefft`` metadata comment carrying dims and format.
 """
 
@@ -114,13 +115,8 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
 def write_ciphertext_signal(path, params: SchemeParams, engine,
                             signal: SignalBuffer, fmt: FixedFormat):
     """Serialize every word of a signal buffer through engine.export_ct."""
-    cts, levels = [], []
-    for pt in signal.points:
-        for word in (pt.re, pt.im):
-            for handle in word.bits:
-                ct = engine.export_ct(handle)
-                cts.append(ct)
-                levels.append(ct.level)
+    cts = [engine.export_ct(handle) for pt in signal.points
+           for word in (pt.re, pt.im) for handle in word.bits]
     n_ct = params.n_ct
     header = {
         "kind": "fhefft-signal",
@@ -130,7 +126,8 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
         "dims": list(signal.dims) if isinstance(signal.dims, tuple) else signal.dims,
         "points": len(signal.points),
         "ct_side": n_ct,
-        "levels": levels,
+        "levels": [ct.level for ct in cts],
+        "noise": [ct.noise_est for ct in cts],
     }
     head = json.dumps(header).encode()
     with open(path, "wb") as fh:
@@ -148,6 +145,7 @@ class _ContainerHeader:
     dims: int | tuple[int, int]
     points: int
     levels: tuple[int, ...]
+    noise: tuple[int, ...]
 
 
 def _read_container(path) -> tuple[_ContainerHeader, bytes]:
@@ -182,6 +180,7 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
         points = int(header["points"])
         ct_side = int(header["ct_side"])
         levels = tuple(int(v) for v in header["levels"])
+        noise = tuple(int(v) for v in header["noise"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad container header field: {exc!r}", path=path, offset=12) from exc
     if params.digest() != digest:
@@ -193,15 +192,18 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
         raise ParseError(f"ct_side {ct_side} does not match the parameters' {params.n_ct}",
                          path=path)
     count = points * 2 * fmt.total_bits
-    if len(levels) != count:
-        raise ParseError(f"{len(levels)} levels for {points} points of "
-                         f"{fmt.total_bits}-bit words", path=path)
+    for name, values in (("levels", levels), ("noise", noise)):
+        if len(values) != count:
+            raise ParseError(f"{len(values)} {name} entries for {points} points of "
+                             f"{fmt.total_bits}-bit words", path=path)
+    if not all(0 <= v <= params.q for v in noise):
+        raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
     payload = blob[12 + head_len:]
     expected = count * math.ceil(ct_side * ct_side / 8)
     if len(payload) != expected:
         raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}",
                          path=path)
-    return _ContainerHeader(params, fmt, dims, points, levels), payload
+    return _ContainerHeader(params, fmt, dims, points, levels, noise), payload
 
 
 def read_ciphertext_params(path) -> SchemeParams:
@@ -219,11 +221,12 @@ def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
     n_ct = params.n_ct
     stride = math.ceil(n_ct * n_ct / 8)
     handles = []
-    for idx, level in enumerate(header.levels):
+    for idx, (level, noise) in enumerate(zip(header.levels, header.noise)):
         bits = np.unpackbits(
             np.frombuffer(payload[idx * stride:(idx + 1) * stride], dtype=np.uint8))
         matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct).astype(np.float64)
-        handles.append(engine.import_ct(Ciphertext(matrix=matrix, level=level)))
+        handles.append(engine.import_ct(Ciphertext(matrix=matrix, level=level,
+                                                   noise_est=noise)))
 
     points = []
     per_word = fmt.total_bits

@@ -283,3 +283,37 @@ def test_constant_word_folds_for_free():
     out = add(x, constant_word(eng, 0.25, F32))
     assert read_word(eng, out) == [0.875]
     assert eng.nand_count < 9 * 32 - 5  # constant bits fold away gates
+
+
+def _loop_input_lanes(values, fmt):
+    """Per-bit lane masks of input_word, built one lane and bit at a time."""
+    ints = [encode_int(v, fmt) % (1 << fmt.total_bits) for v in values]
+    return [sum(((iv >> bit) & 1) << lane for lane, iv in enumerate(ints))
+            for bit in range(fmt.total_bits)]
+
+
+def _loop_read(masks, fmt, lanes):
+    return [decode([(m >> lane) & 1 for m in masks], fmt) for lane in range(lanes)]
+
+
+@pytest.mark.parametrize("fmt", [FixedFormat(8, 4), FixedFormat(16, 8), F32, FixedFormat(12, 3)],
+                         ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
+@pytest.mark.parametrize("lanes", [1, 7, 8, 9, 63, 64, 65, 100])
+def test_word_io_matches_the_per_lane_loop(fmt, lanes, rng):
+    """input_word and read_word work on bit-planes; their bits equal those
+    of a lane-by-lane, bit-by-bit reference loop."""
+    top = (1 << (fmt.total_bits - 1)) / fmt.scale
+    values = list(rng.uniform(-top, top - 1 / fmt.scale, lanes))
+    values[0] = -top  # the most negative word
+    values[-1] = top - 1 / fmt.scale  # the most positive word
+    eng = CleartextEngine(batch_size=lanes)
+    word = input_word(eng, values, fmt)
+    masks = [eng.read_back(h) for h in word.bits]
+    assert masks == _loop_input_lanes(values, fmt)
+    assert read_word(eng, word) == _loop_read(masks, fmt, lanes)
+
+
+def test_word_io_on_fhe_backend(exact_scheme, exact_keys, rng):
+    eng = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
+    for x in (-8.0, -0.0625, 0.0, 7.9375):
+        assert read_word(eng, input_word(eng, x, F8)) == [x]

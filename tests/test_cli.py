@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -64,6 +65,22 @@ def test_pipeline_m4_matches_in_process_circuit(tmp_path, keys_file, capsys):
     assert list(got) == list(expected)
 
     assert run_cli("verify", plain, spec) == 0
+
+
+def test_pipeline_ciphertexts_golden(tmp_path):
+    """Fixed seeds give the same output ciphertexts and levels, bit for bit,
+    whatever order the server evaluates the gates in."""
+    plain, keys = tmp_path / "p.txt", tmp_path / "k.json"
+    ct, out = tmp_path / "in.eft", tmp_path / "out.eft"
+    fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j])
+    assert run_cli("keygen", "--preset", "exact", "--seed", 11, "--out", keys) == 0
+    assert run_cli("encrypt", plain, "--keys", keys, "--bits", 16, "--frac", 8,
+                   "--seed", 12, "--out", ct) == 0
+    assert run_cli("fft", ct, "--out", out) == 0
+    header, payload = fileio._read_container(out)
+    assert hashlib.sha256(payload).hexdigest()[:16] == "66e756d0ebd55dde"
+    assert hashlib.sha256(json.dumps(list(header.levels)).encode()).hexdigest()[:16] == \
+        "7e5916274adf2973"
 
 
 def test_verify_report_fields(tmp_path, keys_file, capsys):
@@ -138,7 +155,8 @@ NOT_UTF8 = b"\xff\xfe\x00"
 _HEADER = {"params": fileio.params_to_dict(EXACT_PARAMS),
            "params_digest": EXACT_PARAMS.digest(),
            "fixed_format": {"total_bits": 16, "frac_bits": 8},
-           "dims": 1, "points": 1, "ct_side": EXACT_PARAMS.n_ct, "levels": [0] * 32}
+           "dims": 1, "points": 1, "ct_side": EXACT_PARAMS.n_ct, "levels": [0] * 32,
+           "noise": [0] * 32}
 
 # each case builds the argv of one CLI call on a malformed input
 MALFORMED = {
@@ -204,7 +222,7 @@ _HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)
 
 @pytest.mark.parametrize("header, cts", [
     ({**_HEADER, "params": fileio.params_to_dict(_HUGE), "params_digest": _HUGE.digest(),
-      "ct_side": _HUGE.n_ct, "dims": 0, "points": 0, "levels": []}, 0),
+      "ct_side": _HUGE.n_ct, "dims": 0, "points": 0, "levels": [], "noise": []}, 0),
     ({**_HEADER, "dims": 2}, 32),
     ({**_HEADER, "dims": [2, 2]}, 32),
 ], ids=["zero-points", "dims-2", "dims-2x2"])
@@ -216,13 +234,17 @@ def test_container_dims_must_hold_points(header, cts, tmp_path):
     assert run_cli("fft", path, "--out", tmp_path / "x.eft") == 2
 
 
-def test_verify_fails_closed_on_overflowing_oracle(tmp_path):
-    """Components near 1e308 overflow the oracle to NaN; verify must not pass."""
+def test_verify_fails_closed_on_overflowing_oracle(tmp_path, capsys):
+    """Components near 1e308 overflow the oracle; verify must not pass, and
+    must blame the plain signal, not the spectrum."""
     plain, spec = tmp_path / "p.txt", tmp_path / "s.txt"
     fileio.write_signal_text(plain, np.full(4, 1e308 + 1e308j))
     fileio.write_signal_text(spec, np.zeros(4), dims=4, fmt=FixedFormat(16, 8))
+    capsys.readouterr()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli("verify", plain, spec) == 4
+        assert run_cli("verify", plain, spec) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plain) in err
 
 
 def test_missing_file_exits_2(tmp_path):

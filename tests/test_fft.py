@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from fhefft.arith import FixedFormat
+from fhefft import netlist
+from fhefft.arith import FixedFormat, constant_word
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, butterfly_error, fft_error_bound
 from fhefft.errors import UsageError
 from fhefft.fft import (
+    ComplexFixed,
     SignalBuffer,
     TwiddleTable,
     bit_reverse_permute,
@@ -135,6 +137,15 @@ def test_fft_butterfly_count_instrumented():
         assert len(seen) == (m // 2) * int(np.log2(m))
 
 
+def test_fft_hook_fires_in_butterfly_order():
+    eng = CleartextEngine()
+    seen = []
+    fft_1d(input_signal(eng, [0.5] * 8, F32),
+           on_butterfly=lambda size, i, j: seen.append((size, i, j)))
+    assert seen == [(size, start + k, start + k + size // 2) for size in (2, 4, 8)
+                    for start in range(0, 8, size) for k in range(size // 2)]
+
+
 def test_fft_linearity_within_twice_bound(rng):
     a = rng.uniform(0, 0.5, 8) + 1j * rng.uniform(0, 0.5, 8)
     b = rng.uniform(0, 0.5, 8) + 1j * rng.uniform(0, 0.5, 8)
@@ -199,3 +210,81 @@ def test_fft2d_gate_count_and_depth_golden():
     eng = CleartextEngine()
     fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
     assert (eng.nand_count, eng.max_depth) == (39_928, 138)
+
+
+def _gate_by_gate_fft(signal, table):
+    """fft_1d as a plain composition of ``butterfly``, one at a time."""
+    pts = list(bit_reverse_permute(signal).points)
+    m = len(pts)
+    size = 2
+    while size <= m:
+        half = size // 2
+        for start in range(0, m, size):
+            for k in range(half):
+                i, j = start + k, start + k + half
+                pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
+        size *= 2
+    return SignalBuffer(tuple(pts), m)
+
+
+def _wires(signal):
+    return [(h.value, h.depth, h.const) for pt in signal.points
+            for word in (pt.re, pt.im) for h in word.bits]
+
+
+@pytest.mark.parametrize("fmt", [F16, F32], ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 100])
+def test_batched_fft_equals_gate_by_gate(fmt, batch, rng):
+    """Stage-batched netlists give the bits, depths and counts of butterfly()."""
+    m = 8
+    values = rng.uniform(-1, 1, (batch, m)) + 1j * rng.uniform(-1, 1, (batch, m))
+    results = []
+    for transform in (fft_1d, _gate_by_gate_fft):
+        eng = CleartextEngine(batch_size=batch)
+        sig = input_signal(eng, values, fmt)
+        # one point with a public constant word, so operand patterns vary
+        pts = list(sig.points)
+        pts[3] = ComplexFixed(pts[3].re, constant_word(eng, -0.375, fmt))
+        out = transform(SignalBuffer(tuple(pts), m), TwiddleTable(m, fmt))
+        results.append((_wires(out), eng.nand_count, eng.max_depth))
+    assert results[0] == results[1]
+
+
+def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
+    """The FHE replay makes the gate-by-gate circuit's hom_nand and hom_not
+    calls, and its ciphertexts."""
+    values = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
+    calls = {"hom_nand": 0, "hom_not": 0}
+
+    class Counting(type(exact_scheme)):
+        def hom_nand(self, a, b):
+            calls["hom_nand"] += 1
+            return super().hom_nand(a, b)
+
+        def hom_not(self, a):
+            calls["hom_not"] += 1
+            return super().hom_not(a)
+
+    scheme = Counting(exact_scheme.params)
+    seen = []
+    for transform in (fft_1d, _gate_by_gate_fft):
+        eng = FheEngine(scheme, keys=exact_keys, rng=np.random.default_rng(4))
+        out = transform(input_signal(eng, values, F16), TwiddleTable(4, F16))
+        cts = [eng.export_ct(h) for pt in out.points for w in (pt.re, pt.im) for h in w.bits]
+        seen.append((dict(calls), eng.stats, [ct.level for ct in cts],
+                     [ct.noise_est for ct in cts], np.array([ct.matrix for ct in cts])))
+        calls.update(hom_nand=0, hom_not=0)
+    (calls_a, stats_a, levels_a, noise_a, mats_a), (calls_b, stats_b, levels_b, noise_b,
+                                                     mats_b) = seen
+    assert calls_a == calls_b and calls_a["hom_not"] > 0
+    assert stats_a == stats_b
+    assert levels_a == levels_b and noise_a == noise_b
+    assert np.array_equal(mats_a, mats_b)
+
+
+def test_netlist_cache_stays_small():
+    """The netlists of an M = 128 transform at 32.16 hold at most 2 MB."""
+    eng = CleartextEngine()
+    fft_1d(input_signal(eng, [0.5] * 128, F32))
+    held = sum(net.nbytes for key, net in netlist.CACHE.items() if key[1] == F32)
+    assert 0 < held <= 2 * 2**20

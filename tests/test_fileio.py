@@ -7,10 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fhefft import fileio
-from fhefft.arith import FixedFormat
+from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import FheEngine
 from fhefft.errors import FhefftError, ParseError, UsageError
-from fhefft.fft import input_signal, read_signal
+from fhefft.fft import ComplexFixed, SignalBuffer, input_signal, read_signal
 from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 
 F16 = FixedFormat(16, 8)
@@ -96,6 +96,30 @@ def test_ciphertext_engine_params_mismatch(tmp_path, exact_scheme, exact_keys, r
         fileio.read_ciphertext_signal(path, other)
 
 
+def test_ciphertext_noise_survives_the_container(tmp_path, default_scheme, default_keys, rng):
+    """Noise estimates travel with the ciphertexts, so a server orders the
+    operands of a homomorphic NAND as the client would."""
+    client = FheEngine(default_scheme, keys=default_keys, rng=rng)
+    point = input_signal(client, [0.5 + 0.25j], F16).points[0]
+    bits = list(point.re.bits)
+    bits[0] = client.nand(bits[0], bits[1])  # noisier and deeper than a fresh bit
+    bits[1] = client.constant(1)  # exported as a noiseless trivial ciphertext
+    sig = SignalBuffer((ComplexFixed(FixedWord(tuple(bits), F16), point.im),), 1)
+    path = tmp_path / "sig.eft"
+    fileio.write_ciphertext_signal(path, DEFAULT_PARAMS, client, sig, F16)
+
+    server = FheEngine(default_scheme)
+    loaded, _ = fileio.read_ciphertext_signal(path, server)
+    got = loaded.points[0].re.bits
+    sent = [client.export_ct(h) for h in bits]
+    assert len({ct.noise_est for ct in sent[:3]}) == 3
+    assert [h.ct.noise_est for h in got] == [ct.noise_est for ct in sent]
+    assert [h.ct.level for h in got] == [ct.level for ct in sent]
+    # the noisier operand goes left on both sides, so the products agree
+    assert np.array_equal(server.nand(got[2], got[0]).ct.matrix,
+                          client.nand(bits[2], bits[0]).ct.matrix)
+
+
 @pytest.fixture(scope="module")
 def valid_container(tmp_path_factory, exact_scheme, exact_keys):
     """Bytes of a one-point 16.8 container, and a scratch path to rewrite."""
@@ -152,6 +176,25 @@ def test_container_reader_fuzzed_header_fields(valid_container, exact_scheme, da
     head = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:])
     _load_or_typed_error(path, exact_scheme)
+
+
+def _with_header(blob, **fields):
+    head_len = struct.unpack("<I", blob[8:12])[0]
+    header = {**json.loads(blob[12:12 + head_len]), **fields}
+    head = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:]
+
+
+@pytest.mark.parametrize("noise", [
+    [0] * 31, [0] * 33, [-1] + [0] * 31, [EXACT_PARAMS.q + 1] + [0] * 31,
+    ["x"] + [0] * 31, 0, None,
+], ids=["short", "long", "negative", "above-q", "not-a-number", "not-a-list", "null"])
+def test_container_rejects_bad_noise(valid_container, exact_scheme, noise):
+    """The per-ciphertext noise estimates are checked like the levels."""
+    blob, path = valid_container
+    path.write_bytes(_with_header(blob, noise=noise))
+    with pytest.raises(ParseError):
+        fileio.read_ciphertext_signal(path, FheEngine(exact_scheme))
 
 
 def test_signal_text_round_trip(tmp_path):
