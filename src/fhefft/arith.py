@@ -11,9 +11,13 @@ layers, and finishes with one ripple add; the fixed-point variant keeps
 bits [f, f + F) of the double-width product, an implicit division by
 the scale.  High-order bits beyond the kept window are never computed.
 
-Multiplying by a plaintext constant uses the same construction with the
-constant's bits baked in, so zero bits cost nothing and the result is
-bit-identical to multiplying by an encryption of the same constant.
+Multiplying by a plaintext constant adds one partial-product row per
+nonzero digit of the constant's canonical signed-digit (CSD) recoding
+instead of one per 1 bit of its two's-complement pattern: a digit -1
+adds the complemented row (free NOTs of the input bits) plus a constant
+folded into one correction word.  The product modulo 2**(f + F) is the
+same either way, so the result is bit-identical to multiplying by an
+encryption of the same constant.
 """
 
 from __future__ import annotations
@@ -254,16 +258,48 @@ def _product_bits(x: FixedWord, y: FixedWord, hi: int) -> list:
     return _final_add(x.engine, _reduce_columns(cols))
 
 
+def csd_digits(v: int, width: int) -> list[int]:
+    """Canonical signed digits of v modulo 2**width, LSB first.
+
+    The non-adjacent form of v's signed representative: digits in
+    {-1, 0, 1}, no two adjacent digits nonzero, sum(d_j 2**j) = v mod
+    2**width, and at most ``width`` digits.
+    """
+    v %= 1 << width
+    if v >> (width - 1):
+        v -= 1 << width
+    digits = []
+    while v:
+        d = 2 - (v & 3) if v & 1 else 0
+        digits.append(d)
+        v = (v - d) >> 1
+    return digits
+
+
 def _product_bits_const(x: FixedWord, c_int: int, hi: int) -> list:
-    """Like _product_bits with one operand's bits known; zero bits vanish."""
-    xb = _sign_extend(x.bits, hi)
-    pattern = c_int % (1 << hi)  # two's complement, sign bits included
+    """Like _product_bits with one operand known: one row per CSD digit.
+
+    A digit +1 at j adds x << j.  A digit -1 adds -x << j = (~x << j) + 2**j
+    (mod 2**hi): the row of complemented bits, each a folded NAND(x_i, 1)
+    made once, and all the 2**j go into one constant of ``constant(1)`` bits.
+    """
+    eng = x.engine
+    digits = csd_digits(c_int, hi)
+    rows = {1: _sign_extend(x.bits, hi)}
+    if -1 in digits:
+        one = eng.constant(1)
+        rows[-1] = _sign_extend([eng.nand(b, one) for b in x.bits], hi)
     cols = [[] for _ in range(hi)]
-    for j in range(hi):
-        if (pattern >> j) & 1:
+    for j, d in enumerate(digits):
+        if d:
+            row = rows[d]
             for i in range(hi - j):
-                cols[i + j].append(xb[i])
-    return _final_add(x.engine, _reduce_columns(cols))
+                cols[i + j].append(row[i])
+    correction = sum(1 << j for j, d in enumerate(digits) if d < 0) % (1 << hi)
+    for j in range(hi):
+        if (correction >> j) & 1:
+            cols[j].append(eng.constant(1))
+    return _final_add(eng, _reduce_columns(cols))
 
 
 def mul_integer(x: FixedWord, y: FixedWord) -> FixedWord:
@@ -288,10 +324,10 @@ def mul_fixed(x: FixedWord, y: FixedWord) -> FixedWord:
 def mul_const(x: FixedWord, c: float) -> FixedWord:
     """Fixed-point product with a plaintext constant.
 
-    Bit-identical to ``mul_fixed(x, <encryption of c>)``; the constant's
-    binary expansion is public circuit structure (partially traceable by
-    an observer of the evaluation, which is the accepted cost/secrecy
-    trade of constant multiplication).
+    Bit-identical to ``mul_fixed(x, <encryption of c>)``.  Only the
+    nonzero CSD digits of c cost partial-product rows; the digits are
+    public circuit structure (traceable by an observer of the evaluation,
+    which is the accepted cost/secrecy trade of constant multiplication).
     """
     fmt = x.fmt
     bits = _product_bits_const(x, encode_int(c, fmt), fmt.frac_bits + fmt.total_bits)

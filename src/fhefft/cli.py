@@ -106,6 +106,8 @@ def cmd_verify(args) -> int:
     plain, _ = fileio.read_signal_text(args.plain)
     spectrum, meta = fileio.read_signal_text(args.spectrum)
     frac = meta.frac_bits if meta.frac_bits is not None else args.frac
+    if frac < 1:
+        raise UsageError(f"--frac must be positive, got {frac}")
     delta = 2.0 ** -frac
     dims = meta.dims if meta.dims is not None else len(spectrum)
     points = dims[0] * dims[1] if isinstance(dims, tuple) else dims
@@ -139,9 +141,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    delta = 2.0 ** -args.frac
+    fmt = FixedFormat(args.bits, args.frac)
+    delta = 2.0 ** -fmt.frac_bits
     params = ErrorParams(delta, args.xb, args.points)
-    model = GateCostModel(fixed_width=args.bits, ct_side=args.ct_side,
+    model = GateCostModel(fixed_width=fmt.total_bits, ct_side=args.ct_side,
                           signal_len=args.points,
                           signal_total=args.total or args.points)
     out = {

@@ -313,6 +313,13 @@ def _parse_meta(text, path, lineno) -> SignalMeta:
         except ValueError as exc:
             raise ParseError(f"bad metadata token {token!r}",
                              path=path, line=lineno) from exc
+    if (bits is None) != (frac is None):
+        raise ParseError("metadata needs both bits= and frac=", path=path, line=lineno)
+    if bits is not None:
+        try:
+            FixedFormat(bits, frac)
+        except UsageError as exc:
+            raise ParseError(f"bad metadata format: {exc}", path=path, line=lineno) from exc
     return SignalMeta(dims=dims, total_bits=bits, frac_bits=frac)
 
 
@@ -343,8 +350,9 @@ def read_pgm(path) -> np.ndarray:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise ParseError(f"bad PGM header: {exc}", path=path, offset=0) from exc
-    if width < 1 or height < 1 or maxval < 1:
-        raise ParseError("PGM width, height and maxval must be positive", path=path)
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ParseError("PGM width and height must be positive and maxval in "
+                         "[1, 65535]", path=path)
     if tokens[0] == b"P2":
         try:
             data = np.array(blob[pos:].split(), dtype=np.int64)
@@ -361,4 +369,7 @@ def read_pgm(path) -> np.ndarray:
     if data.size != width * height:
         raise ParseError(f"raster holds {data.size} pixels, expected "
                          f"{width * height}", path=path, offset=pos)
+    if data.min() < 0 or data.max() > maxval:
+        raise ParseError(f"PGM samples must lie in [0, maxval = {maxval}]",
+                         path=path, offset=pos)
     return data.reshape(height, width) / float(maxval)

@@ -10,6 +10,7 @@ from fhefft.arith import (
     add,
     bits_to_int,
     constant_word,
+    csd_digits,
     decode,
     encode,
     encode_int,
@@ -24,6 +25,7 @@ from fhefft.arith import (
 )
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.errors import RangeError, UsageError
+from fhefft.fft import TwiddleTable
 
 F32 = FixedFormat(32, 16)
 F8 = FixedFormat(8, 4)
@@ -213,15 +215,39 @@ def test_mul_const_identity_and_annihilator():
 
 
 def test_mul_const_matches_mul_fixed_bit_for_bit(rng):
-    for _ in range(20):
-        c = float(rng.uniform(-1, 1))
-        xs = list(rng.uniform(-1, 1, 5))
-        eng = CleartextEngine(batch_size=5)
-        x = input_word(eng, xs, F32)
-        via_const = mul_const(x, c)
-        via_ct = mul_fixed(x, input_word(eng, [c] * 5, F32))
-        assert [eng.read_back(b) for b in via_const.bits] == \
-            [eng.read_back(b) for b in via_ct.bits]
+    """mul_const equals mul_fixed by an input word of the same constant, for
+    every twiddle component of the M = 128 table at 32.16 and the M = 16
+    table at 16.8, for the edge constants and for random constants."""
+    for fmt, m in ((F32, 128), (FixedFormat(16, 8), 16)):
+        step = 1 / fmt.scale
+        top = (1 << (fmt.total_bits - 1)) * step  # magnitude of the most negative word
+        table = TwiddleTable(m, fmt)
+        consts = sorted({c for size in (2 ** e for e in range(1, m.bit_length()))
+                         for k in range(size // 2) for c in table.twiddle(size, k)}
+                        | {0.0, 1.0, -1.0, step, -step, -top}
+                        | {float(c) for c in rng.uniform(-1, 1, 20)})
+        xs = [-top, top - step, *rng.uniform(-1, 1, 4), *rng.uniform(-top, top - step, 2)]
+        lanes = len(xs)
+        # the reference: one mul_fixed with a lane for every (constant, x) pair
+        ref = CleartextEngine(batch_size=len(consts) * lanes)
+        want = [ref.read_back(b) for b in mul_fixed(
+            input_word(ref, xs * len(consts), fmt),
+            input_word(ref, [c for c in consts for _ in xs], fmt)).bits]
+        for n, c in enumerate(consts):
+            eng = CleartextEngine(batch_size=lanes)
+            got = [eng.read_back(b) for b in mul_const(input_word(eng, xs, fmt), c).bits]
+            assert got == [(w >> (n * lanes)) & eng.mask for w in want], (fmt, c)
+
+
+@given(st.integers(min_value=1, max_value=80).flatmap(
+    lambda width: st.tuples(st.integers(), st.just(width))))
+def test_csd_digits_are_canonical(v_width):
+    v, width = v_width
+    digits = csd_digits(v, width)
+    assert len(digits) <= width
+    assert set(digits) <= {-1, 0, 1}
+    assert not any(a and b for a, b in zip(digits, digits[1:]))  # non-adjacent
+    assert sum(d << j for j, d in enumerate(digits)) % (1 << width) == v % (1 << width)
 
 
 @given(st.integers(min_value=-128, max_value=127),

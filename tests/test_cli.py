@@ -69,18 +69,22 @@ def test_pipeline_m4_matches_in_process_circuit(tmp_path, keys_file, capsys):
 
 def test_pipeline_ciphertexts_golden(tmp_path):
     """Fixed seeds give the same output ciphertexts and levels, bit for bit,
-    whatever order the server evaluates the gates in."""
+    whatever order the server evaluates the gates in, and the spectrum
+    they decrypt to."""
     plain, keys = tmp_path / "p.txt", tmp_path / "k.json"
-    ct, out = tmp_path / "in.eft", tmp_path / "out.eft"
+    ct, out, spec = tmp_path / "in.eft", tmp_path / "out.eft", tmp_path / "s.txt"
     fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j])
     assert run_cli("keygen", "--preset", "exact", "--seed", 11, "--out", keys) == 0
     assert run_cli("encrypt", plain, "--keys", keys, "--bits", 16, "--frac", 8,
                    "--seed", 12, "--out", ct) == 0
     assert run_cli("fft", ct, "--out", out) == 0
     header, payload = fileio._read_container(out)
-    assert hashlib.sha256(payload).hexdigest()[:16] == "66e756d0ebd55dde"
+    assert hashlib.sha256(payload).hexdigest()[:16] == "36d7a54d9912502d"
     assert hashlib.sha256(json.dumps(list(header.levels)).encode()).hexdigest()[:16] == \
-        "7e5916274adf2973"
+        "7566c19dbb6bdcef"
+    assert run_cli("decrypt", out, "--keys", keys, "--out", spec) == 0
+    assert list(fileio.read_signal_text(spec)[0]) == \
+        [0.875 - 0.25j, 0.875 + 3.0j, 0.375 - 1.25j, -0.125 - 0.5j]
 
 
 def test_verify_report_fields(tmp_path, keys_file, capsys):
@@ -198,6 +202,15 @@ MALFORMED = {
             {k: v for k, v in _HEADER.items() if k != "levels"})), "--out", d / "x.eft"],
     "verify-length-mismatch": lambda d, keys: [
         "verify", _plain_of_8(d), _spectrum_of_4(d)],
+    "verify-meta-frac-overflows": lambda d, keys: [
+        "verify", _signal(d, "0.5,0\n"),
+        _file(d / "spec.txt", b"# fhefft bits=32 frac=-2000\n0.5,0\n")],
+    "verify-negative-frac-option": lambda d, keys: [
+        "verify", _signal(d, "0.5,0\n"), _file(d / "spec.txt", b"0.5,0\n"), "--frac", -2000],
+    "bound-negative-frac": lambda d, keys: ["bound", "--points", 8, "--frac", -2000],
+    "verify-meta-negative-bits": lambda d, keys: [
+        "verify", _signal(d, "0.5,0\n"),
+        _file(d / "spec.txt", b"# fhefft bits=-3 frac=99\n0.5,0\n")],
     "bench-zero-trials": lambda d, keys: ["bench", "--sizes", 8, "--trials", 0],
     "bench-2d-zero-images": lambda d, keys: [
         "bench", "--dims", 2, "--sizes", 16, "--trials", 0],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -195,10 +197,10 @@ def test_fft_backend_equivalence_m2(exact_scheme, exact_keys, rng):
 # (nand_count, max_depth) of each transform circuit; a change to these is a
 # change to the circuit itself, not to how it is evaluated
 @pytest.mark.parametrize("bits,frac,m,golden", [
-    (16, 8, 2, (701, 41)), (16, 8, 4, (4_991, 84)),
-    (16, 8, 8, (28_401, 148)), (16, 8, 16, (103_915, 211)),
-    (32, 16, 2, (1_421, 73)), (32, 16, 4, (14_729, 122)),
-    (32, 16, 8, (100_533, 211)), (32, 16, 16, (379_009, 298)),
+    (16, 8, 2, (701, 41)), (16, 8, 4, (2_897, 52)),
+    (16, 8, 8, (15_439, 102)), (16, 8, 16, (52_319, 152)),
+    (32, 16, 2, (1_421, 73)), (32, 16, 4, (5_873, 84)),
+    (32, 16, 8, (37_201, 156)), (32, 16, 16, (132_049, 225)),
 ])
 def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
     eng = CleartextEngine()
@@ -209,7 +211,28 @@ def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
 def test_fft2d_gate_count_and_depth_golden():
     eng = CleartextEngine()
     fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
-    assert (eng.nand_count, eng.max_depth) == (39_928, 138)
+    assert (eng.nand_count, eng.max_depth) == (23_176, 75)
+
+
+# sha256 (first 16 hex digits) of the decoded spectra of fixed-seed signals
+# with lanes uniform in [-1, 1]; a circuit change may move the NAND counts
+# above, but never these bits
+@pytest.mark.parametrize("bits,frac,dims,lanes,digest", [
+    (32, 16, 8, 100, "06678018f72f5a10"), (32, 16, 16, 100, "32d47f389ae577e5"),
+    (32, 16, 32, 100, "8a8ecc6956e00a89"), (32, 16, 64, 100, "76153d2b7fbf5c9b"),
+    (32, 16, 128, 100, "ace4a7ad4eb8f899"),
+    (16, 8, 2, 100, "d85d819339b2e5df"), (16, 8, 4, 100, "e44e3351924f4dc9"),
+    (16, 8, 8, 100, "3d6e091f268fb35b"), (16, 8, 16, 100, "e3a07cb46802d5df"),
+    (32, 16, (16, 16), 10, "5d3d66e4c9ab1ca4"),
+])
+def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
+    m = dims if isinstance(dims, int) else dims[0] * dims[1]
+    gen = np.random.default_rng(m + bits)
+    values = gen.uniform(-1, 1, (lanes, m)) + 1j * gen.uniform(-1, 1, (lanes, m))
+    eng = CleartextEngine(batch_size=lanes)
+    sig = input_signal(eng, values, FixedFormat(bits, frac), dims=dims)
+    spec = read_signal(eng, fft_1d(sig) if isinstance(dims, int) else fft_2d(sig))
+    assert hashlib.sha256(spec.tobytes()).hexdigest()[:16] == digest
 
 
 def _gate_by_gate_fft(signal, table):

@@ -268,3 +268,108 @@ def test_pgm_short_raster(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(ParseError):
         fileio.read_pgm(path)
+
+
+@pytest.mark.parametrize("blob", [
+    b"P2\n2 1\n255\n-5 300\n",  # samples below 0 and above maxval
+    b"P2\n2 1\n7\n3 8\n",
+    b"P5\n2 1\n100\n" + bytes([50, 200]),
+    b"P5\n1 1\n70000\n" + bytes(2),  # maxval past 16 bits
+    b"P2\n1 1\n65536\n0\n",
+])
+def test_pgm_rejects_samples_outside_maxval(tmp_path, blob):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError):
+        fileio.read_pgm(path)
+
+
+def test_pgm_16bit_maxval_loads(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n2 1\n65535\n" + bytes([0, 0, 255, 255]))
+    assert fileio.read_pgm(path).tolist() == [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("meta", ["bits=32 frac=-2000", "bits=-3 frac=99", "bits=16 frac=16",
+                                  "bits=16 frac=0", "frac=8", "bits=16"])
+def test_signal_text_rejects_bad_format_metadata(tmp_path, meta):
+    path = tmp_path / "sig.txt"
+    path.write_text(f"# fhefft dims=1 {meta}\n0.5,0\n")
+    with pytest.raises(ParseError) as info:
+        fileio.read_signal_text(path)
+    assert info.value.line == 1
+
+
+_header_ints = st.sampled_from([-1, 0, 1, 2, 255, 256, 65535, 65536]) | st.integers()
+
+
+@_fuzz
+@given(data=st.data())
+def test_pgm_reader_fuzzed(tmp_path, data):
+    """A PGM with any header numbers and raster loads into [0, 1] or raises."""
+    magic = data.draw(st.sampled_from([b"P2", b"P5"]))
+    width, height = (data.draw(st.integers(1, 3) | _header_ints) for _ in range(2))
+    maxval = data.draw(_header_ints)
+    n = width * height if 0 < width * height <= 9 else data.draw(st.integers(0, 9))
+    if magic == b"P2":
+        raster = b" ".join(b"%d" % v for v in data.draw(
+            st.lists(_header_ints, min_size=n, max_size=n)))
+    else:
+        raster = data.draw(st.binary(min_size=n, max_size=2 * n))
+    blob = b"%s\n%d %d\n%d\n%s" % (magic, width, height, maxval, raster)
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data.draw(st.sampled_from([blob, blob[:len(blob) // 2]])))
+    try:
+        img = fileio.read_pgm(path)
+    except FhefftError:
+        return
+    assert img.shape == (height, width)
+    assert 0 <= img.min() and img.max() <= 1
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_signal_lines = st.one_of(
+    st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+    st.lists(st.sampled_from(["dims", "bits", "frac", "x"]).flatmap(
+        lambda key: st.tuples(st.just(key), _header_ints | _text)), max_size=3).map(
+        lambda tokens: "# fhefft " + " ".join(f"{k}={v}" for k, v in tokens)),
+    _text)
+
+
+@_fuzz
+@given(lines=st.lists(_signal_lines, max_size=5))
+def test_signal_text_reader_fuzzed(tmp_path, lines):
+    """Any mix of value, metadata and junk lines loads or raises."""
+    path = tmp_path / "sig.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        values, meta = fileio.read_signal_text(path)
+    except FhefftError:
+        return
+    assert len(values) and np.isfinite(values).all()
+    if meta.frac_bits is not None:
+        FixedFormat(meta.total_bits, meta.frac_bits)
+
+
+@_fuzz
+@given(data=st.data())
+def test_key_reader_fuzzed(tmp_path, exact_keys, data):
+    """A key file with a field (or a params field) deleted or replaced by any
+    JSON value, or cut short, loads or raises."""
+    path = tmp_path / "keys.json"
+    fileio.write_keys(path, EXACT_PARAMS, exact_keys)
+    doc = json.loads(path.read_text())
+    target = data.draw(st.sampled_from([doc, doc["params"], doc["public_key"]]))
+    field = data.draw(st.sampled_from(sorted(target)))
+    value = data.draw(_json_values | st.just(...))
+    if value is ...:
+        del target[field]
+    else:
+        target[field] = value
+    text = json.dumps(doc)
+    cut = data.draw(st.just(len(text)) | st.integers(min_value=0, max_value=len(text)))
+    path.write_text(text[:cut])
+    try:
+        fileio.read_keys(path)
+    except FhefftError:
+        pass
