@@ -4,15 +4,17 @@ The scheme is the matrix-flattening variant of LWE-based FHE (Gentry,
 Sahai, Waters 2013).  A ciphertext is an N x N binary matrix over Z_q
 with N = (n+1) * ceil(log2 q); the secret key s has its last coordinate
 fixed to 1, and v = powers_of_2(s) satisfies  C @ v = mu * v + e (mod q)
-for a bit mu and a small error vector e.  Keeping every ciphertext in
-flattened (bit-decomposed) form means all homomorphic matrix products
-multiply binary matrices, which this module evaluates exactly with
-float64 BLAS.
+for a bit mu and a small error vector e.  Every ciphertext is kept in
+flattened form: Flatten(M) is the row-wise bit decomposition of the
+words R(M) = M @ G mod q, where G is the N x (n+1) gadget matrix of
+powers of two (Micciancio, Peikert 2012).  R is linear, so a NAND never
+forms the N x N product C1 @ C2: it multiplies the binary C1 by the
+N x (n+1) words R(C2), exactly in float64 BLAS.
 
 Homomorphic operations, on bits only:
 
-* ``hom_nand`` -- Flatten(I - C1 @ C2)
-* ``hom_not``  -- Flatten(I - C), no matrix product
+* ``hom_nand`` -- Flatten(I - C1 @ C2), computed as decompose(G - C1 @ R(C2))
+* ``hom_not``  -- Flatten(I - C), computed as decompose(G - R(C)); no product
 
 Noise model: a fresh ciphertext carries error at most m * noise_bound;
 one NAND maps errors (e1, e2) to at most |e1| + N * |e2|, so worst-case
@@ -33,8 +35,9 @@ import numpy as np
 
 from .errors import NoiseOverflowError, ParameterError
 
-# float64 matrix products stay exact only while every intermediate
-# integer is below 2**52; params validation enforces this.
+# float64 arithmetic stays exact only while every intermediate integer is
+# below 2**52.  The largest is C1 @ R(C2) in hom_nand, at most N * (2^ell - 1)
+# in magnitude; params validation requires (N+1) * 2^ell < 2^52.
 _EXACT_BITS = 52
 
 
@@ -99,8 +102,9 @@ class SchemeParams:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# Defaults sized so a NAND is a 261^3 binary matrix product (~1 ms) and the
-# params invariant admits depth 3, enough for every derived logic gate.
+# Defaults sized so a NAND multiplies a 261 x 261 binary matrix by 261 x 9
+# gadget words (~0.2 ms) and the params invariant admits depth 3, enough for
+# every derived logic gate.
 DEFAULT_PARAMS = SchemeParams(n=8, q=2**29 - 3, m=32, noise_bound=2, depth_budget=3)
 
 # Noise-free toy parameters: every ciphertext decrypts exactly at any depth,
@@ -125,8 +129,9 @@ class KeyPair:
 class Ciphertext:
     """Flattened N x N binary matrix encrypting one bit.
 
-    ``matrix`` is float64 holding 0.0/1.0 entries (float keeps the matrix
-    products on the BLAS fast path; all values stay exact integers).
+    ``matrix`` is float64 holding 0.0/1.0 entries (float keeps the
+    (N x N) @ (N x (n+1)) product of ``hom_nand`` on the BLAS fast path;
+    all values stay exact integers).
     ``level`` counts accumulated NAND depth; ``noise_est`` is a worst-case
     error-magnitude bound used for operand ordering and fail-fast checks,
     never for correctness.
@@ -143,45 +148,40 @@ class GswScheme:
     def __init__(self, params: SchemeParams = DEFAULT_PARAMS):
         self.params = params
         p = params
-        self._identity = np.eye(p.n_ct)
         self._pow2 = (1 << np.arange(p.ell, dtype=np.int64)).astype(np.float64)
+        # G: row i*ell + j holds 2^j in column i; 2^(ell-1) < q, so G = G mod q
+        self._gadget = np.kron(np.eye(p.n + 1), self._pow2[:, None])
+        self._secret_powers: dict[bytes, np.ndarray] = {}
 
     # -- gadget plumbing ------------------------------------------------
 
-    def _decompose(self, mat: np.ndarray) -> np.ndarray:
-        """Row-wise binary decomposition of an (r, n+1) int64 matrix in [0, q)."""
+    def _decompose(self, words: np.ndarray) -> np.ndarray:
+        """Row-wise binary decomposition of an (r, n+1) integer matrix in [0, q)."""
         p = self.params
-        bits = (mat[:, :, None] >> np.arange(p.ell, dtype=np.int64)) & 1
-        return bits.reshape(mat.shape[0], p.n_ct).astype(np.float64)
+        octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
+        bits = np.unpackbits(octets.reshape(-1, 8), axis=-1, count=p.ell, bitorder="little")
+        return bits.reshape(words.shape[0], p.n_ct).astype(np.float64)
 
     def _recompose(self, mat: np.ndarray) -> np.ndarray:
-        """Inverse of _decompose up to mod q; accepts any integer-valued rows."""
+        """R(M) = M @ G: the (r, n+1) integer words of an (r, N) matrix, not reduced."""
         p = self.params
-        vals = mat.reshape(mat.shape[0], p.n + 1, p.ell) @ self._pow2
-        return np.mod(vals, p.q).astype(np.int64)
+        return (mat.reshape(-1, p.ell) @ self._pow2).reshape(mat.shape[0], p.n + 1)
 
-    def flatten(self, mat: np.ndarray) -> np.ndarray:
-        """Map any integer-valued N x N matrix to its binary canonical form."""
-        return self._decompose(self._recompose(mat))
+    def flatten(self, words: np.ndarray) -> np.ndarray:
+        """decompose(words mod q) for any integer-valued (r, n+1) words (exact in int64)."""
+        return self._decompose(np.asarray(words, dtype="<i8") % self.params.q)
 
     def _powers_of_secret(self, secret_key: np.ndarray) -> np.ndarray:
-        p = self.params
-        v = np.empty(p.n_ct, dtype=np.float64)
-        for i in range(p.n + 1):
-            s = int(secret_key[i])
-            for j in range(p.ell):
-                v[i * p.ell + j] = (s << j) % p.q
+        key = np.asarray(secret_key, dtype=np.int64).tobytes()
+        v = self._secret_powers.get(key)
+        if v is None:
+            p = self.params
+            # python ints: the int64 shift overflows near the parameter limit
+            v = np.array([(int(s) << j) % p.q for s in secret_key for j in range(p.ell)],
+                         dtype=np.float64)
+            v.flags.writeable = False
+            self._secret_powers[key] = v
         return v
-
-    def _scaled_gadget(self, mu: int) -> np.ndarray:
-        """The (N, n+1) matrix whose flattening encodes mu * I_N."""
-        p = self.params
-        g = np.zeros((p.n_ct, p.n + 1), dtype=np.int64)
-        cols = np.repeat(np.arange(p.n + 1), p.ell)
-        rows = np.arange(p.n_ct)
-        vals = np.array([(mu << j) % p.q for j in range(p.ell)], dtype=np.int64)
-        g[rows, cols] = np.tile(vals, p.n + 1)
-        return g
 
     # -- key generation and encryption ----------------------------------
 
@@ -206,16 +206,14 @@ class GswScheme:
         p = self.params
         r_mat = rng.integers(0, 2, (p.n_ct, p.m)).astype(np.float64)
         masked = r_mat @ public_key.astype(np.float64)
-        body = np.mod(masked + self._scaled_gadget(bit), p.q).astype(np.int64)
-        return Ciphertext(matrix=self._decompose(body), level=0,
+        return Ciphertext(matrix=self.flatten(masked + bit * self._gadget), level=0,
                           noise_est=p.m * p.noise_bound)
 
     def trivial_encrypt_bit(self, bit: int) -> Ciphertext:
         """Noiseless deterministic encoding of a public constant."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        body = np.mod(self._scaled_gadget(bit), self.params.q).astype(np.int64)
-        return Ciphertext(matrix=self._decompose(body), level=0, noise_est=0)
+        return Ciphertext(matrix=self.flatten(bit * self._gadget), level=0, noise_est=0)
 
     # -- decryption ------------------------------------------------------
 
@@ -285,16 +283,15 @@ class GswScheme:
                 f"NAND at level {level} would exceed depth budget {p.depth_budget}")
         if ct2.noise_est > ct1.noise_est:
             ct1, ct2 = ct2, ct1
-        prod = ct1.matrix @ ct2.matrix
+        words = self._gadget - ct1.matrix @ self._recompose(ct2.matrix)
         est = min(ct1.noise_est + p.n_ct * ct2.noise_est, p.q)
-        return Ciphertext(matrix=self.flatten(self._identity - prod),
-                          level=level, noise_est=est)
+        return Ciphertext(matrix=self.flatten(words), level=level, noise_est=est)
 
     def hom_not(self, ct: Ciphertext) -> Ciphertext:
-        """Complement without a matrix product: Flatten(I - C).
+        """Complement without a ciphertext product: Flatten(I - C) = decompose(G - R(C)).
 
         Linear, so noise magnitude and level are unchanged.  This backs the
         engine's free simplification of NAND against a known constant 1.
         """
-        return Ciphertext(matrix=self.flatten(self._identity - ct.matrix),
+        return Ciphertext(matrix=self.flatten(self._gadget - self._recompose(ct.matrix)),
                           level=ct.level, noise_est=ct.noise_est)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhefft.errors import NoiseOverflowError, ParameterError
-from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme, SchemeParams
+from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, Ciphertext, GswScheme, SchemeParams
 
 
 def test_params_derived_sizes():
@@ -184,3 +184,67 @@ def test_golden_ciphertexts(preset):
                           for ct in (zero, one, *nands)],
     }
     assert got == GOLDEN[preset]
+
+
+# (N+1) * 2^ell just under 2^52: the largest C1 @ R(C2) entries a float64 NAND allows
+EDGE_PARAMS = SchemeParams(n=1, q=2**45 - 55, m=4, noise_bound=0, depth_budget=10**9)
+REFERENCE_PARAMS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS, "edge": EDGE_PARAMS}
+
+
+def _recompose_reference(p: SchemeParams, mat: np.ndarray) -> np.ndarray:
+    """R(mat) = mat @ G over python ints, for an integer (r, N) matrix."""
+    return mat.astype(object).reshape(mat.shape[0], p.n + 1, p.ell) @ \
+        np.array([1 << j for j in range(p.ell)], dtype=object)
+
+
+def _flatten_reference(p: SchemeParams, mat: np.ndarray) -> np.ndarray:
+    """Flatten of an integer N x N matrix over python ints: bits of R(mat) mod q."""
+    return np.array([[(int(w) % p.q >> j) & 1 for w in row for j in range(p.ell)]
+                     for row in _recompose_reference(p, mat)], dtype=np.float64)
+
+
+def test_edge_params_sit_at_the_exactness_limit():
+    """One more bit of q, or one more lattice dimension, is rejected."""
+    p = EDGE_PARAMS
+    assert (p.n_ct + 1) << p.ell > 1 << 51
+    for bigger in ({"q": 2**46 - 57}, {"n": 2}):
+        with pytest.raises(ParameterError):
+            SchemeParams(**{**vars(p), **bigger})
+
+
+@pytest.mark.parametrize("preset", sorted(REFERENCE_PARAMS))
+def test_hom_gates_match_integer_reference(preset):
+    """hom_nand / hom_not equal Flatten(I - C1 @ C2) / Flatten(I - C) over exact integers."""
+    p = REFERENCE_PARAMS[preset]
+    scheme = GswScheme(p)
+    rng = np.random.default_rng(31)
+    shape = (p.n_ct, p.n_ct)
+    mats = {"ones": np.ones(shape, dtype=np.int64), "zeros": np.zeros(shape, dtype=np.int64),
+            "rand1": rng.integers(0, 2, shape), "rand2": rng.integers(0, 2, shape)}
+    cts = {k: Ciphertext(m.astype(np.float64)) for k, m in mats.items()}
+    eye = np.eye(p.n_ct, dtype=np.int64)
+    for a, b in (("ones", "ones"), ("zeros", "zeros"), ("ones", "zeros"),
+                 ("zeros", "ones"), ("rand1", "rand2"), ("ones", "rand1"),
+                 ("rand2", "ones")):
+        # the int64 product of binary matrices is exact (entries <= N)
+        want = _flatten_reference(p, eye - mats[a] @ mats[b])
+        assert np.array_equal(scheme.hom_nand(cts[a], cts[b]).matrix, want), (a, b)
+    for a in mats:
+        want = _flatten_reference(p, eye - mats[a])
+        assert np.array_equal(scheme.hom_not(cts[a]).matrix, want), a
+
+
+@pytest.mark.parametrize("preset", sorted(REFERENCE_PARAMS))
+def test_decompose_round_trip(preset):
+    p = REFERENCE_PARAMS[preset]
+    scheme = GswScheme(p)
+    rng = np.random.default_rng(32)
+    words = rng.integers(0, p.q, (5, p.n + 1), dtype=np.int64)
+    words[0, 0], words[-1, -1] = 0, p.q - 1
+    bits = scheme._decompose(words)
+    assert bits.shape == (5, p.n_ct)
+    assert set(np.unique(bits)) <= {0.0, 1.0}
+    assert bits[0, :p.ell].sum() == 0
+    assert np.array_equal(bits[-1, -p.ell:], [(p.q - 1) >> j & 1 for j in range(p.ell)])
+    assert np.array_equal(_recompose_reference(p, bits.astype(np.int64)).astype(np.int64), words)
+    assert np.array_equal(scheme._recompose(bits), words.astype(np.float64))
