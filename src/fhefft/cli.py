@@ -165,9 +165,14 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--sizes must be comma-separated integers: {exc}") from exc
     fmt = FixedFormat(args.bits, args.frac)
-    if args.dims == 2:
-        if args.backend != "clear":
-            raise UsageError("2D experiments run on the cleartext backend only")
+    if args.dims == 2 and args.backend != "clear":
+        raise UsageError("2D experiments run on the cleartext backend only")
+    if args.images:
+        if args.dims != 2:
+            raise UsageError("PGM images are transformed with --dims 2 only")
+        stack = [fileio.read_pgm(path) for path in args.images]
+        reports = [run_2d_experiment(images=stack, shape=stack[0].shape, fmt=fmt)]
+    elif args.dims == 2:
         sides = [math.isqrt(max(m, 0)) for m in sizes]
         for m, side in zip(sizes, sides):
             if side < 1 or side * side != m or side & (side - 1):
@@ -237,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total stored points L (defaults to --points)")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("bench", help="run the random-signal experiments")
+    p = sub.add_parser("bench", help="run the random-signal or image experiments")
+    p.add_argument("images", nargs="*",
+                   help="PGM images of one shape to transform instead of random "
+                        "ones (with --dims 2)")
     p.add_argument("--sizes", default="8,16,32,64,128")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--backend", choices=("clear", "fhe"), default="clear")

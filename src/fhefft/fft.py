@@ -8,7 +8,7 @@ one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
 sequences of word arithmetic per butterfly.
 
 ``butterfly`` builds one butterfly gate by gate on bit-engine handles;
-it is the reference the stage loop is tested against.  ``fft_1d``
+it is the reference the stage driver is tested against.  The driver
 evaluates a stage's word operations together instead: each operation is
 a netlist recorded once (``netlist.word_op``), and every operand set that
 shares one goes to a single ``engine.run``.  The gates, counts, depths
@@ -16,8 +16,10 @@ and output bits are those of ``butterfly`` applied one butterfly at a
 time.
 
 The index permutation touches no gates; only butterflies cost NANDs.
-Two-dimensional transforms decompose into row passes then column passes
-at the same word format.
+``fft_1d`` runs the driver on one signal.  ``fft_2d`` runs it on all rows
+of an image in one pass, then on all columns in a second, at the same
+word format.  Either transform turns its handles into one wire array on
+the way in and back into handles once on the way out.
 """
 
 from __future__ import annotations
@@ -117,17 +119,18 @@ class TwiddleTable:
         return total
 
 
+def _bit_reversal(m: int) -> list[int]:
+    """reverse_bits(k) for k < m: entry k is the input index of output k."""
+    width = m.bit_length() - 1
+    return [int(f"{k:0{width}b}"[::-1], 2) if width else 0 for k in range(m)]
+
+
 def bit_reverse_permute(signal: SignalBuffer) -> SignalBuffer:
     """Reorder point i to index reverse_bits(i); a free plaintext shuffle."""
     if not isinstance(signal.dims, int):
         raise UsageError("bit reversal applies to 1D signals")
-    m = signal.dims
-    width = m.bit_length() - 1
-    out = [None] * m
-    for i, pt in enumerate(signal.points):
-        rev = int(f"{i:0{width}b}"[::-1], 2) if width else 0
-        out[rev] = pt
-    return SignalBuffer(tuple(out), m)
+    return SignalBuffer(tuple(signal.points[r] for r in _bit_reversal(signal.dims)),
+                        signal.dims)
 
 
 def butterfly(xi: ComplexFixed, xj: ComplexFixed,
@@ -145,52 +148,80 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    Each stage evaluates the word operations of its butterflies together:
-    operations that share a recorded netlist run as one ``engine.run``
-    (the FHE engine takes one butterfly at a time, see
-    ``engine.butterfly_batch``).  The gates, counts and output bits equal
-    those of ``butterfly`` applied one butterfly at a time.
     ``on_butterfly(size, i, j)`` is invoked for each butterfly, in stage
     order, once its batch has run (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
     m = signal.dims
-    if m == 1:
-        return signal
-    fmt = signal.points[0].fmt
+    engine, fmt, wires = _to_wires(signal)
+    del signal  # the handles go once their values are in the wire array
     if table is None:
         table = TwiddleTable(m, fmt)
-    elif table.m_points != m:
-        raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
-    pts = bit_reverse_permute(signal).points
-    if any(pt.fmt != fmt for pt in pts):
+    return _from_wires(engine, fmt, _stages(engine, fmt, wires[None], table, on_butterfly), m)
+
+
+def fft_2d(image: SignalBuffer) -> SignalBuffer:
+    """Row-column transform of a 2D buffer at a fixed word format."""
+    if isinstance(image.dims, int):
+        raise UsageError("fft_2d expects a 2D signal")
+    rows, cols = dims = image.dims
+    engine, fmt, wires = _to_wires(image)
+    del image
+    grid = _stages(engine, fmt, wires.reshape(rows, cols, 2, -1), TwiddleTable(cols, fmt))
+    grid = _stages(engine, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt))
+    return _from_wires(engine, fmt, grid.swapaxes(0, 1), dims)
+
+
+def _to_wires(signal: SignalBuffer):
+    """(engine, format, wire array of shape (points, 2, bits)) of a signal."""
+    fmt = signal.points[0].fmt
+    if any(pt.fmt != fmt for pt in signal.points):
         raise UsageError("all points of a signal must share one format")
-    engine = pts[0].re.engine
-    wires = engine.wires([h for pt in pts for word in (pt.re, pt.im) for h in word.bits])
-    wires = wires.reshape(m, 2, fmt.total_bits)
-    del signal, pts  # the handles go once their values are in the wire array
+    engine = signal.points[0].re.engine
+    wires = engine.wires([h for pt in signal.points for word in (pt.re, pt.im)
+                          for h in word.bits])
+    return engine, fmt, wires.reshape(len(signal.points), 2, fmt.total_bits)
 
-    size = 2
-    while size <= m:
-        half = size // 2
-        flies = [(start + k, start + k + half, table.twiddle(size, k))
-                 for start in range(0, m, size) for k in range(half)]
-        batch = engine.butterfly_batch or len(flies)
-        for lo in range(0, len(flies), batch):
-            part = flies[lo:lo + batch]
-            _butterflies(engine, fmt, wires, part)
-            if on_butterfly is not None:
-                for i, j, _ in part:
-                    on_butterfly(size, i, j)
-        size *= 2
 
+def _from_wires(engine, fmt, wires, dims) -> SignalBuffer:
+    """Signal of a wire array whose points are in row-major order."""
     handles = engine.handles(wires.reshape(-1))
     width = fmt.total_bits
     words = [FixedWord(tuple(handles[k:k + width]), fmt)
              for k in range(0, len(handles), width)]
     return SignalBuffer(tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2])),
-                        m)
+                        dims)
+
+
+def _stages(engine, fmt, wires, table, on_butterfly=None):
+    """Bit reversal and radix-2 stages of every row of a (transforms, M, 2,
+    bits) wire array; returns the transformed array.
+
+    Each stage evaluates the word operations of all rows' butterflies
+    together: operations that share a recorded netlist run as one
+    ``engine.run`` (the FHE engine takes one butterfly at a time, see
+    ``engine.butterfly_batch``).  ``on_butterfly`` sees the indices of the
+    flattened (transforms * M) points.
+    """
+    count, m = wires.shape[:2]
+    if table.m_points != m:
+        raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
+    flat = wires[:, _bit_reversal(m)].reshape(count * m, 2, fmt.total_bits)
+    size = 2
+    while size <= m:
+        half = size // 2
+        flies = [(base + k, base + k + half, table.twiddle(size, k))
+                 for base in range(0, count * m, size) for k in range(half)]
+        batch = engine.butterfly_batch or len(flies)
+        for lo in range(0, len(flies), batch):
+            part = flies[lo:lo + batch]
+            _butterflies(engine, fmt, flat, part)
+            if on_butterfly is not None:
+                for i, j, _ in part:
+                    on_butterfly(size, i, j)
+        size *= 2
+    return flat.reshape(count, m, 2, fmt.total_bits)
 
 
 def _butterflies(engine, fmt, wires, flies):
@@ -231,26 +262,6 @@ def _word_ops(engine, op, fmt, x, y=None, consts=None):
     for (c, _), rows in groups.items():
         out[rows] = engine.run(word_op(op, fmt, operands["c"][rows[0]], c), operands[rows])
     return out
-
-
-def fft_2d(image: SignalBuffer, on_butterfly=None) -> SignalBuffer:
-    """Row-column transform of a 2D buffer at a fixed word format."""
-    if isinstance(image.dims, int):
-        raise UsageError("fft_2d expects a 2D signal")
-    rows, cols = image.dims
-    fmt = image.points[0].fmt
-    row_table = TwiddleTable(cols, fmt)
-    col_table = TwiddleTable(rows, fmt)
-    pts = list(image.points)
-    for r in range(rows):
-        row = SignalBuffer(tuple(pts[r * cols:(r + 1) * cols]), cols)
-        pts[r * cols:(r + 1) * cols] = fft_1d(row, row_table, on_butterfly).points
-    for c in range(cols):
-        col = SignalBuffer(tuple(pts[r * cols + c] for r in range(rows)), rows)
-        out = fft_1d(col, col_table, on_butterfly).points
-        for r in range(rows):
-            pts[r * cols + c] = out[r]
-    return SignalBuffer(tuple(pts), image.dims)
 
 
 # -- signal construction and readout ---------------------------------------

@@ -152,6 +152,8 @@ class GswScheme:
         # G: row i*ell + j holds 2^j in column i; 2^(ell-1) < q, so G = G mod q
         self._gadget = np.kron(np.eye(p.n + 1), self._pow2[:, None])
         self._secret_powers: dict[bytes, np.ndarray] = {}
+        # decryption reads gadget row j, 2^j the largest power of two <= q/2 (so > q/4)
+        self._mu_row = (p.q // 2).bit_length() - 1
 
     # -- gadget plumbing ------------------------------------------------
 
@@ -223,11 +225,13 @@ class GswScheme:
                 f"ciphertext level {ct.level} exceeds depth budget "
                 f"{self.params.depth_budget}")
 
-    def _gadget_rows(self, secret_key: np.ndarray, ct: Ciphertext) -> list[int]:
-        """x_j = mu * 2^j + e_j (mod q) for the rows paired with s[-1] = 1."""
+    def _gadget_rows(self, secret_key: np.ndarray, ct: Ciphertext,
+                     rows=slice(None)) -> list[int]:
+        """x_j = mu * 2^j + e_j (mod q) for the rows paired with s[-1] = 1
+        (all ell of them, or the slice ``rows``)."""
         p = self.params
         v = self._powers_of_secret(secret_key)
-        block = ct.matrix[p.n * p.ell:(p.n + 1) * p.ell]
+        block = ct.matrix[p.n * p.ell:(p.n + 1) * p.ell][rows]
         xs = np.mod(block @ v, p.q).astype(np.int64)
         return [int(x) for x in xs]
 
@@ -238,13 +242,16 @@ class GswScheme:
 
     def decrypt_bit_with_noise(self, secret_key, ct) -> tuple[int, int]:
         """Decrypt a bit and report the measured noise magnitude."""
-        p = self.params
         self._check_level(ct)
-        j = (p.q // 2).bit_length() - 1  # largest power of two <= q/2 (so > q/4)
-        x = self._gadget_rows(secret_key, ct)[j]
+        j = self._mu_row
+        return self._decode(self._gadget_rows(secret_key, ct, slice(j, j + 1))[0])
+
+    def _decode(self, x: int) -> tuple[int, int]:
+        """(mu, noise) of gadget row ``_mu_row``; raises once noise reaches q/8."""
+        p = self.params
         if x > p.q // 2:
             x -= p.q
-        scale = 1 << j
+        scale = 1 << self._mu_row
         mu = (2 * x + scale) // (2 * scale)
         noise = abs(x - mu * scale)
         if mu not in (0, 1) or noise >= (p.q + 7) // 8:
@@ -264,8 +271,9 @@ class GswScheme:
 
     def measure_noise(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
         """Measured max error magnitude across the gadget rows (diagnostic)."""
+        self._check_level(ct)
         xs = self._gadget_rows(secret_key, ct)
-        mu = self.decrypt_bit(secret_key, ct)
+        mu, _ = self._decode(xs[self._mu_row])
         return self._max_residual(xs, mu)
 
     # -- homomorphic evaluation ------------------------------------------

@@ -10,8 +10,8 @@ with the analytical bound for the run.
 On the cleartext backend all trials of one experiment ride the engine's
 batch lanes, so the circuit is built and counted exactly once.  FHE runs
 are size-guarded: gate costs grow with M * log M * F^2 * log F times an
-N^3 matrix product per NAND, so only small fully-encrypted transforms
-are sensible on a desk machine.
+(N x N) by (N x (n+1)) matrix product per NAND, so only small
+fully-encrypted transforms are sensible on a desk machine.
 """
 
 from __future__ import annotations
@@ -126,13 +126,17 @@ def _check_count(name, n):
         raise UsageError(f"{name} must be >= 1, got {n}")
 
 
+def _check_pow2(name, n):
+    if n < 1 or n & (n - 1):
+        raise UsageError(f"{name} {n} is not a power of two")
+
+
 def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
                       trials: int = 100, seed: int = 0,
                       backend: str = "clear") -> ErrorReport:
     """Transform `trials` random signals of length m_points and report errors."""
     _check_count("trials", trials)
-    if m_points < 1 or m_points & (m_points - 1):
-        raise UsageError(f"signal length {m_points} is not a power of two")
+    _check_pow2("signal length", m_points)
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
@@ -176,17 +180,22 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     """Transform grayscale images (values in [0, 1], zero imaginary part).
 
     ``images`` is a count of random images to draw, or an iterable of 2D
-    arrays; all must share ``shape``.
+    arrays; all must share ``shape``, whose sides are powers of two.
     """
+    rows, cols = shape
+    for side in shape:
+        _check_pow2("image side", side)
     if isinstance(images, int):
         _check_count("images", images)
         rng = np.random.default_rng(seed)
         stack = rng.uniform(0, 1, (images, *shape))
     else:
-        stack = np.asarray(list(images), dtype=float)
-        if stack.shape[1:] != tuple(shape):
-            raise UsageError(f"images of shape {stack.shape[1:]} for {shape}")
-    rows, cols = shape
+        stack = [np.asarray(img, dtype=float) for img in images]
+        _check_count("images", len(stack))
+        if any(img.shape != (rows, cols) for img in stack):
+            raise UsageError(f"images of shapes {sorted({img.shape for img in stack})}, "
+                             f"expected all {rows}x{cols}")
+        stack = np.array(stack)
     x_bound = float(np.abs(stack).max())
     _warn_on_headroom(fmt, rows * cols, x_bound)
     oracle = np.array([reference_fft2d(img) for img in stack])

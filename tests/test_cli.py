@@ -153,6 +153,11 @@ def _signal(d, text):
     return _file(d / "sig.txt", text.encode())
 
 
+def _pgm(path, cols, rows):
+    """A P5 image of the given size with pixels 0, 1, 2, ..."""
+    return _file(path, b"P5\n%d %d\n255\n" % (cols, rows) + bytes(range(rows * cols)))
+
+
 NOT_UTF8 = b"\xff\xfe\x00"
 
 
@@ -219,6 +224,11 @@ MALFORMED = {
         "bench", "--dims", 2, "--sizes", 8, "--trials", 1],
     "bench-2d-on-fhe": lambda d, keys: [
         "bench", "--dims", 2, "--backend", "fhe", "--sizes", 4, "--trials", 1],
+    "bench-pgm-shapes-differ": lambda d, keys: [
+        "bench", _pgm(d / "a.pgm", 4, 4), _pgm(d / "b.pgm", 2, 2), "--dims", 2],
+    "bench-pgm-side-not-power-of-two": lambda d, keys: [
+        "bench", _pgm(d / "a.pgm", 3, 2), "--dims", 2],
+    "bench-pgm-without-dims-2": lambda d, keys: ["bench", _pgm(d / "a.pgm", 2, 2)],
 }
 
 
@@ -279,6 +289,15 @@ def test_bench_table_and_json(capsys):
     record = json.loads(out.strip().splitlines()[-1])
     assert record["size"] == 8
     assert record["mean_error"] <= record["error_bound"]
+
+
+def test_bench_2d_on_pgm_images(tmp_path, capsys):
+    """PGM paths replace the random images: one report over both images."""
+    images = [_pgm(tmp_path / "a.pgm", 4, 2), _pgm(tmp_path / "b.pgm", 4, 2)]
+    assert run_cli("bench", *images, "--dims", 2, "--bits", 16, "--frac", 8, "--json") == 0
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["size"] == [2, 4] and record["trials"] == 2
+    assert 0 < record["max_error"] <= record["error_bound"]
 
 
 @pytest.mark.slow

@@ -250,32 +250,81 @@ def _gate_by_gate_fft(signal, table):
     return SignalBuffer(tuple(pts), m)
 
 
+def _gate_by_gate_fft2d(image):
+    """fft_2d as ``_gate_by_gate_fft`` on each row, then on each column."""
+    rows, cols = image.dims
+    pts = list(image.points)
+    fmt = pts[0].fmt
+    for r in range(rows):
+        row = SignalBuffer(tuple(pts[r * cols:(r + 1) * cols]), cols)
+        pts[r * cols:(r + 1) * cols] = _gate_by_gate_fft(row, TwiddleTable(cols, fmt)).points
+    for c in range(cols):
+        col = SignalBuffer(tuple(pts[c::cols]), rows)
+        pts[c::cols] = _gate_by_gate_fft(col, TwiddleTable(rows, fmt)).points
+    return SignalBuffer(tuple(pts), image.dims)
+
+
+def _transforms(dims, fmt):
+    """(the batched transform, its gate-by-gate reference) for a signal shape."""
+    if isinstance(dims, int):
+        table = TwiddleTable(dims, fmt)
+        return (lambda sig: fft_1d(sig, table)), (lambda sig: _gate_by_gate_fft(sig, table))
+    return fft_2d, _gate_by_gate_fft2d
+
+
 def _wires(signal):
     return [(h.value, h.depth, h.const) for pt in signal.points
             for word in (pt.re, pt.im) for h in word.bits]
 
 
-@pytest.mark.parametrize("fmt", [F16, F32], ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
-@pytest.mark.parametrize("batch", [1, 63, 64, 65, 100])
-def test_batched_fft_equals_gate_by_gate(fmt, batch, rng):
-    """Stage-batched netlists give the bits, depths and counts of butterfly()."""
-    m = 8
+class _ConversionCounting(CleartextEngine):
+    """A cleartext engine that logs its handle <-> wire conversions."""
+
+    def __init__(self, batch_size):
+        super().__init__(batch_size)
+        self.conversions = []
+
+    def wires(self, handles):
+        self.conversions.append("wires")
+        return super().wires(handles)
+
+    def handles(self, wires):
+        self.conversions.append("handles")
+        return super().handles(wires)
+
+
+# 1D cases at M = 8 (ids "<lanes>-<format>"), and 2D cases whose sides
+# differ, so swapped row and column tables cannot pass
+_BATCHED_CASES = [
+    *(pytest.param(fmt, batch, 8, id=f"{batch}-{name}")
+      for batch in (1, 63, 64, 65, 100) for fmt, name in ((F16, "16.8"), (F32, "32.16"))),
+    *(pytest.param(F16, batch, dims, id=f"{batch}-16.8-{dims[0]}x{dims[1]}")
+      for dims in ((2, 8), (8, 2), (1, 8), (8, 1)) for batch in (1, 63, 64, 65)),
+]
+
+
+@pytest.mark.parametrize("fmt,batch,dims", _BATCHED_CASES)
+def test_batched_fft_equals_gate_by_gate(fmt, batch, dims, rng):
+    """Stage-batched netlists give the bits, depths and counts of butterfly(),
+    with one handle -> wire conversion in and one out."""
+    m = dims if isinstance(dims, int) else dims[0] * dims[1]
     values = rng.uniform(-1, 1, (batch, m)) + 1j * rng.uniform(-1, 1, (batch, m))
     results = []
-    for transform in (fft_1d, _gate_by_gate_fft):
-        eng = CleartextEngine(batch_size=batch)
+    for transform in _transforms(dims, fmt):
+        eng = _ConversionCounting(batch)
         sig = input_signal(eng, values, fmt)
         # one point with a public constant word, so operand patterns vary
         pts = list(sig.points)
         pts[3] = ComplexFixed(pts[3].re, constant_word(eng, -0.375, fmt))
-        out = transform(SignalBuffer(tuple(pts), m), TwiddleTable(m, fmt))
-        results.append((_wires(out), eng.nand_count, eng.max_depth))
-    assert results[0] == results[1]
+        out = transform(SignalBuffer(tuple(pts), dims))
+        results.append((_wires(out), eng.nand_count, eng.max_depth, eng.conversions))
+    assert results[0][3] == ["wires", "handles"] and results[1][3] == []
+    assert results[0][:3] == results[1][:3]
 
 
 def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
     """The FHE replay makes the gate-by-gate circuit's hom_nand and hom_not
-    calls, and its ciphertexts."""
+    calls, and its ciphertexts, in 1D and 2D."""
     values = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
     calls = {"hom_nand": 0, "hom_not": 0}
 
@@ -289,20 +338,22 @@ def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
             return super().hom_not(a)
 
     scheme = Counting(exact_scheme.params)
-    seen = []
-    for transform in (fft_1d, _gate_by_gate_fft):
-        eng = FheEngine(scheme, keys=exact_keys, rng=np.random.default_rng(4))
-        out = transform(input_signal(eng, values, F16), TwiddleTable(4, F16))
-        cts = [eng.export_ct(h) for pt in out.points for w in (pt.re, pt.im) for h in w.bits]
-        seen.append((dict(calls), eng.stats, [ct.level for ct in cts],
-                     [ct.noise_est for ct in cts], np.array([ct.matrix for ct in cts])))
-        calls.update(hom_nand=0, hom_not=0)
-    (calls_a, stats_a, levels_a, noise_a, mats_a), (calls_b, stats_b, levels_b, noise_b,
-                                                     mats_b) = seen
-    assert calls_a == calls_b and calls_a["hom_not"] > 0
-    assert stats_a == stats_b
-    assert levels_a == levels_b and noise_a == noise_b
-    assert np.array_equal(mats_a, mats_b)
+    for dims in (4, (1, 4), (4, 1), (2, 2)):
+        seen = []
+        for transform in _transforms(dims, F16):
+            eng = FheEngine(scheme, keys=exact_keys, rng=np.random.default_rng(4))
+            out = transform(input_signal(eng, values, F16, dims=dims))
+            cts = [eng.export_ct(h) for pt in out.points for w in (pt.re, pt.im)
+                   for h in w.bits]
+            seen.append((dict(calls), eng.stats, [ct.level for ct in cts],
+                         [ct.noise_est for ct in cts], np.array([ct.matrix for ct in cts])))
+            calls.update(hom_nand=0, hom_not=0)
+        (calls_a, stats_a, levels_a, noise_a, mats_a), (calls_b, stats_b, levels_b, noise_b,
+                                                         mats_b) = seen
+        assert calls_a == calls_b and calls_a["hom_not"] > 0, dims
+        assert stats_a == stats_b, dims
+        assert levels_a == levels_b and noise_a == noise_b, dims
+        assert np.array_equal(mats_a, mats_b), dims
 
 
 def test_netlist_cache_stays_small():
