@@ -15,9 +15,12 @@ and results are the engine's wire arrays (``wires`` turns handles into one,
 ``handles`` turns it back): structured arrays whose ``c`` field holds each
 wire's public constant (-1 for a variable wire).  On the cleartext engine
 the other fields are packed lane bytes and depths, evaluated level by
-level as numpy bit-planes; on the FHE engine it is the handle, replayed
-gate by gate through ``nand``, so the ciphertexts, operation counts and
-levels are those of the gate-by-gate circuit.
+level as numpy bit-planes.  On the FHE engine the other field is the
+handle; ``run`` also goes level by level, over the ciphertexts' gadget
+words: each level's NANDs for every operand set are one batched
+``GswScheme.nand_words`` product, and only the netlist's inputs and
+outputs are handles.  The ciphertexts, operation counts, levels and noise
+estimates are those of the gate-by-gate circuit.
 
 Both engines fold gates where an operand is a public constant:
 NAND(x, 1) = NOT x (realized without a gate: bit flip in cleartext, the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, NoiseOverflowError, UsageError
 from .fhe import Ciphertext, GswScheme, KeyPair
 
 
@@ -77,7 +80,6 @@ class FheBit:
 class CleartextEngine:
     """Exact plaintext bit engine with lane packing and gate counting."""
 
-    butterfly_batch = None  # ``fft_1d`` hands ``run`` a whole stage at once
     CHUNK_BYTES = 1 << 18  # bound on the working arrays of one ``run`` evaluation
 
     def __init__(self, batch_size: int = 1):
@@ -185,14 +187,13 @@ class FheEngine:
     """Bit engine evaluating gates homomorphically.
 
     Holds the public key (enough to encrypt inputs and run circuits); give
-    it the full ``KeyPair`` to enable ``read_back``.  Gates are evaluated
-    one at a time, in the order the circuit driver issues them.
+    it the full ``KeyPair`` to enable ``read_back``.  ``nand`` evaluates
+    one gate; ``run`` evaluates a netlist level by level for every operand
+    set at once, on the ciphertexts' gadget words.
     """
 
     batch_size = 1
-    # one butterfly per ``run`` batch: a whole stage would keep every
-    # butterfly's intermediate words alive at once
-    butterfly_batch = 1
+    CHUNK_BYTES = 1 << 20  # bound on the decomposed float64 bits of one kernel call
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
                  public_key=None, rng=None):
@@ -204,7 +205,6 @@ class FheEngine:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nand_count = 0
         self.max_depth = 0
-        self._plans = {}  # netlist -> _replay_plan(netlist)
 
     @property
     def stats(self) -> GateStats:
@@ -275,51 +275,124 @@ class FheEngine:
         return list(wires["h"])
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
-        """Replay a netlist through ``nand`` on each row of a (count, n_inputs) array.
+        """Evaluate a netlist on each row of a (count, n_inputs) wire array.
 
-        Gates run in row order (level by level) and each wire is dropped
-        after its last use; for the FFT's word operations that holds no
-        more ciphertexts at once than gate-by-gate evaluation does.
+        Level by level, for all rows at once: the words of every live wire
+        sit in one slab, each level's NANDs are one gather and one
+        ``nand_words`` call per ``CHUNK_BYTES`` of decomposed bits, and its
+        folded NOTs one ``not_words`` call.  Operand order, levels, noise
+        estimates, counts and ciphertexts are those of gate-by-gate
+        ``nand``; a level past the depth budget raises before it runs.
         """
-        plan = self._plans.get(net)
+        plan = _PLANS.get(net)
         if plan is None:
-            plan = self._plans[net] = _replay_plan(net)
-        a, b, dead, outputs = plan
-        first = net.one + 1
-        out = np.empty((len(operands), len(outputs)), _FHE_WIRE)
+            plan = _PLANS[net] = _slot_plan(net)
+        n_slots, inputs, input_slots, levels, output_slots = plan
+        count = len(operands)
+        out = np.empty((count, len(net.outputs)), _FHE_WIRE)
         out["c"] = net.out_const
-        for n, ins in enumerate(operands["h"]):
-            w = list(ins) + [self.constant(1)] + [None] * len(a)
-            for g in range(len(a)):
-                w[first + g] = self.nand(w[a[g]], w[b[g]])  # NAND(x, ONE) folds to NOT
-                for row in dead[g]:
-                    w[row] = None
-            out["h"][n] = [w[row] if c < 0 else self.constant(c) for row, c in outputs]
+        if not count:
+            return out
+        if (operands["c"][:, inputs] >= 0).any():
+            raise UsageError("a constant operand where the netlist reads a wire")
+        scheme = self.scheme
+        n_ct, q, budget = scheme.n_ct, scheme.params.q, scheme.params.depth_budget
+        # the words, level and noise estimate of the wire in each slot, per row
+        shape = (n_ct, scheme.params.n + 1)  # the words of one ciphertext
+        words = np.empty((n_slots, count, *shape), np.int64)
+        level = np.empty((n_slots, count), np.int64)
+        noise = np.empty((n_slots, count), np.int64)
+        cts = [h.ct for h in operands["h"][:, inputs].T.ravel()]
+        n_in = len(inputs)
+        words[input_slots] = np.reshape([ct.words for ct in cts], (n_in, count, *shape))
+        level[input_slots] = np.reshape([ct.level for ct in cts], (n_in, count))
+        noise[input_slots] = np.reshape([ct.noise_est for ct in cts], (n_in, count))
+        step = max(1, self.CHUNK_BYTES // (8 * n_ct * n_ct))
+        for a, b, dst, src, not_dst in levels:
+            if len(a):
+                lvl = np.maximum(level[a], level[b]) + 1
+                top = int(lvl.max())
+                if top > budget:
+                    raise NoiseOverflowError(
+                        f"NAND at level {top} would exceed depth budget {budget}")
+                left, right, n_left, n_right = words[a], words[b], noise[a], noise[b]
+                swap = n_right > n_left  # the noisier operand goes left
+                if swap.any():
+                    left[swap], right[swap] = right[swap], left[swap]
+                    n_left, n_right = np.maximum(n_left, n_right), np.minimum(n_left, n_right)
+                left, right = left.reshape(-1, *shape), right.reshape(-1, *shape)
+                words[dst] = np.concatenate([
+                    scheme.nand_words(left[lo:lo + step], right[lo:lo + step])
+                    for lo in range(0, len(left), step)]).reshape(len(a), count, *shape)
+                level[dst] = lvl
+                noise[dst] = np.minimum(n_left + n_ct * n_right, q)
+                self.nand_count += len(left)
+                self.max_depth = max(self.max_depth, top)
+            if len(src):
+                nots = scheme.not_words(words[src].reshape(-1, *shape))
+                words[not_dst] = nots.reshape(len(src), count, *shape)
+                level[not_dst], noise[not_dst] = level[src], noise[src]
+        res = zip(words[output_slots].reshape(-1, *shape), level[output_slots].ravel().tolist(),
+                  noise[output_slots].ravel().tolist())
+        wired = np.empty(len(output_slots) * count, object)
+        wired[:] = [FheBit(self, Ciphertext(w, lv, ns), None, False) for w, lv, ns in res]
+        is_wire = net.out_const < 0
+        out["h"][:, is_wire] = wired.reshape(-1, count).T
+        for k in np.flatnonzero(~is_wire):
+            out["h"][:, k] = self.constant(int(net.out_const[k]))
         return out
 
 
 _FHE_WIRE = np.dtype([("h", object), ("c", np.int8)])
 
+# netlist -> its _slot_plan; like ``netlist.CACHE``, which holds every netlist
+# for the life of the process, a memo of a pure function of the key
+_PLANS: dict = {}
 
-def _replay_plan(net):
-    """Operand rows of each gate in row order, the rows whose last use
-    each gate is, and the (row, constant) of each output."""
-    a, b = [], []
-    for _, ops in net.levels():
+
+def _slot_plan(net):
+    """Where ``FheEngine.run`` keeps each wire of a netlist: (slot count,
+    operand columns loaded, their slots, levels, slot of each wire output).
+
+    Each of ``levels`` holds the slots of its NANDs' ``a`` and ``b``
+    operands and of their results, then those of its folded NOTs' sources
+    and results.  A slot is reused once the last level that reads its wire
+    has run; output wires keep theirs.
+    """
+    one = net.one
+    last = {}  # row -> index of the last level that reads it
+    for k, (_, ops) in enumerate(net.levels()):
+        last.update(dict.fromkeys(ops.tolist(), k))
+    outputs = net.outputs[net.out_const < 0].tolist()
+    kept = set(outputs)
+    slot, free, fresh = {}, [], iter(range(net.n_rows))
+
+    def place(rows):
+        for row in rows:
+            slot[row] = free.pop() if free else next(fresh)
+        return np.array([slot[row] for row in rows], dtype=np.int64)
+
+    def release(rows):
+        free.extend(slot[row] for row in rows if row not in kept)
+
+    inputs = sorted(row for row in set(last) | kept if row < one)
+    input_slots = place(inputs)
+    levels = []
+    for k, (lo, ops) in enumerate(net.levels()):
         width = len(ops) // 2
-        a += ops[:width].tolist()
-        b += ops[width:].tolist()
-    first = net.one + 1
-    last = {first + g: g for g in range(len(a))}  # an unread row goes at once
-    for g in range(len(a)):
-        last[a[g]] = last[b[g]] = g
-    for row in net.outputs.tolist():
-        last.pop(row, None)
-    dead = [[] for _ in a]
-    for row, g in last.items():
-        if row >= first:
-            dead[g].append(row)
-    return a, b, dead, list(zip(net.outputs.tolist(), net.out_const.tolist()))
+        a, b = ops[:width].tolist(), ops[width:].tolist()
+        gates = [g for g in range(width) if b[g] != one]
+        nots = [g for g in range(width) if b[g] == one]
+        reads = [np.array([slot[x[g]] for g in which], dtype=np.int64)
+                 for x, which in ((a, gates), (b, gates), (a, nots))]
+        dst, not_dst = place([lo + g for g in gates]), place([lo + g for g in nots])
+        levels.append((reads[0], reads[1], dst, reads[2], not_dst))
+        # slots free up after the level that reads their wire last (or that
+        # writes a wire nothing reads), so a level never writes a slot it reads
+        release(sorted(row for row in set(a + b) - {one} if last[row] == k))
+        release([row for row in range(lo, lo + width) if row not in last])
+    return (max(slot.values(), default=-1) + 1, np.array(inputs, dtype=np.int64), input_slots,
+            levels, np.array([slot[row] for row in outputs], dtype=np.int64))
 
 
 def _check_owner(engine, handles):

@@ -149,7 +149,7 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
     ``on_butterfly(size, i, j)`` is invoked for each butterfly, in stage
-    order, once its batch has run (instrumentation hook).
+    order, once its stage has run (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
@@ -199,9 +199,8 @@ def _stages(engine, fmt, wires, table, on_butterfly=None):
     bits) wire array; returns the transformed array.
 
     Each stage evaluates the word operations of all rows' butterflies
-    together: operations that share a recorded netlist run as one
-    ``engine.run`` (the FHE engine takes one butterfly at a time, see
-    ``engine.butterfly_batch``).  ``on_butterfly`` sees the indices of the
+    together, on either engine: operations that share a recorded netlist
+    run as one ``engine.run``.  ``on_butterfly`` sees the indices of the
     flattened (transforms * M) points.
     """
     count, m = wires.shape[:2]
@@ -213,13 +212,10 @@ def _stages(engine, fmt, wires, table, on_butterfly=None):
         half = size // 2
         flies = [(base + k, base + k + half, table.twiddle(size, k))
                  for base in range(0, count * m, size) for k in range(half)]
-        batch = engine.butterfly_batch or len(flies)
-        for lo in range(0, len(flies), batch):
-            part = flies[lo:lo + batch]
-            _butterflies(engine, fmt, flat, part)
-            if on_butterfly is not None:
-                for i, j, _ in part:
-                    on_butterfly(size, i, j)
+        _butterflies(engine, fmt, flat, flies)
+        if on_butterfly is not None:
+            for i, j, _ in flies:
+                on_butterfly(size, i, j)
         size *= 2
     return flat.reshape(count, m, 2, fmt.total_bits)
 

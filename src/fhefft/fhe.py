@@ -1,20 +1,23 @@
 """Leveled fully homomorphic encryption of bits with matrix ciphertexts.
 
 The scheme is the matrix-flattening variant of LWE-based FHE (Gentry,
-Sahai, Waters 2013).  A ciphertext is an N x N binary matrix over Z_q
+Sahai, Waters 2013).  A ciphertext is an N x N binary matrix C over Z_q
 with N = (n+1) * ceil(log2 q); the secret key s has its last coordinate
 fixed to 1, and v = powers_of_2(s) satisfies  C @ v = mu * v + e (mod q)
-for a bit mu and a small error vector e.  Every ciphertext is kept in
-flattened form: Flatten(M) is the row-wise bit decomposition of the
-words R(M) = M @ G mod q, where G is the N x (n+1) gadget matrix of
-powers of two (Micciancio, Peikert 2012).  R is linear, so a NAND never
-forms the N x N product C1 @ C2: it multiplies the binary C1 by the
-N x (n+1) words R(C2), exactly in float64 BLAS.
+for a bit mu and a small error vector e.  Every ciphertext is flattened:
+C is the row-wise bit decomposition of its words W = R(C) = C @ G, where
+G is the N x (n+1) gadget matrix of powers of two (Micciancio, Peikert
+2012).  W determines C, so a ``Ciphertext`` stores only the N x (n+1)
+int64 words, and the bits of C are produced where a product reads them.
+R is linear, so a NAND never forms the N x N product C1 @ C2: it
+multiplies the binary C1 by the words W2, exactly in float64 BLAS.
 
-Homomorphic operations, on bits only:
+Homomorphic operations, on bits only, as word arithmetic:
 
-* ``hom_nand`` -- Flatten(I - C1 @ C2), computed as decompose(G - C1 @ R(C2))
-* ``hom_not``  -- Flatten(I - C), computed as decompose(G - R(C)); no product
+* ``nand_words`` -- the words of Flatten(I - C1 @ C2), (G - C1 @ W2) mod q,
+  for a stack of operand pairs; ``hom_nand`` is one pair
+* ``not_words``  -- the words of Flatten(I - C), (G - W) mod q; no product;
+  ``hom_not`` is one ciphertext
 
 Noise model: a fresh ciphertext carries error at most m * noise_bound;
 one NAND maps errors (e1, e2) to at most |e1| + N * |e2|, so worst-case
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import NoiseOverflowError, ParameterError
 
 # float64 arithmetic stays exact only while every intermediate integer is
-# below 2**52.  The largest is C1 @ R(C2) in hom_nand, at most N * (2^ell - 1)
+# below 2**52.  The largest is C1 @ W2 in nand_words, at most N * (2^ell - 1)
 # in magnitude; params validation requires (N+1) * 2^ell < 2^52.
 _EXACT_BITS = 52
 
@@ -125,32 +128,54 @@ class KeyPair:
     secret_key: np.ndarray
 
 
+def _bits(words: np.ndarray, ell: int) -> np.ndarray:
+    """uint8 bit decomposition, ``ell`` bits per word, of an (..., r, k) integer
+    array with entries in [0, 2^ell): shape (..., r, k * ell), LSB first."""
+    octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
+    bits = np.unpackbits(octets.reshape(*words.shape, 8), axis=-1, count=ell,
+                         bitorder="little")
+    return bits.reshape(*words.shape[:-1], words.shape[-1] * ell)
+
+
 @dataclass(eq=False)
 class Ciphertext:
-    """Flattened N x N binary matrix encrypting one bit.
+    """One encrypted bit, stored as the words W = R(C) = C @ G of its
+    flattened N x N binary matrix C.
 
-    ``matrix`` is float64 holding 0.0/1.0 entries (float keeps the
-    (N x N) @ (N x (n+1)) product of ``hom_nand`` on the BLAS fast path;
-    all values stay exact integers).
+    ``words`` is an N x (n+1) int64 array with entries in [0, 2^ell): those
+    the scheme makes are reduced mod q, and those read from a container
+    are the unreduced words of whatever binary matrix it held, so
+    ``matrix`` gives every such matrix back bit for bit.
     ``level`` counts accumulated NAND depth; ``noise_est`` is a worst-case
     error-magnitude bound used for operand ordering and fail-fast checks,
     never for correctness.
     """
 
-    matrix: np.ndarray
+    words: np.ndarray
     level: int = 0
     noise_est: int = 0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N x N binary matrix C (uint8), decomposed from the words."""
+        rows, cols = self.words.shape
+        bits = _bits(self.words, rows // cols)
+        bits.flags.writeable = False
+        return bits
 
 
 class GswScheme:
     """Operations of the scheme for one fixed parameter set."""
 
     def __init__(self, params: SchemeParams = DEFAULT_PARAMS):
-        self.params = params
-        p = params
-        self._pow2 = (1 << np.arange(p.ell, dtype=np.int64)).astype(np.float64)
+        self.params = p = params
+        # SchemeParams computes these on every access; the hot paths read them here
+        self.ell, self.n_ct = p.ell, p.n_ct
+        pow2 = 1 << np.arange(self.ell, dtype=np.int64)
+        self._pow2 = pow2.astype(np.float64)
         # G: row i*ell + j holds 2^j in column i; 2^(ell-1) < q, so G = G mod q
-        self._gadget = np.kron(np.eye(p.n + 1), self._pow2[:, None])
+        self._gadget = np.kron(np.eye(p.n + 1, dtype=np.int64), pow2[:, None])
+        self._gadget_f = self._gadget.astype(np.float64)
         self._secret_powers: dict[bytes, np.ndarray] = {}
         # decryption reads gadget row j, 2^j the largest power of two <= q/2 (so > q/4)
         self._mu_row = (p.q // 2).bit_length() - 1
@@ -158,20 +183,25 @@ class GswScheme:
     # -- gadget plumbing ------------------------------------------------
 
     def _decompose(self, words: np.ndarray) -> np.ndarray:
-        """Row-wise binary decomposition of an (r, n+1) integer matrix in [0, q)."""
-        p = self.params
-        octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
-        bits = np.unpackbits(octets.reshape(-1, 8), axis=-1, count=p.ell, bitorder="little")
-        return bits.reshape(words.shape[0], p.n_ct).astype(np.float64)
+        """float64 bit decomposition of (..., r, n+1) integer words in [0, 2^ell)."""
+        return _bits(words, self.ell).astype(np.float64)
 
     def _recompose(self, mat: np.ndarray) -> np.ndarray:
-        """R(M) = M @ G: the (r, n+1) integer words of an (r, N) matrix, not reduced."""
-        p = self.params
-        return (mat.reshape(-1, p.ell) @ self._pow2).reshape(mat.shape[0], p.n + 1)
+        """R(M) = M @ G: the (r, n+1) int64 words of an (r, N) binary matrix, not reduced."""
+        words = np.asarray(mat, dtype=np.float64).reshape(-1, self.ell) @ self._pow2
+        return words.astype(np.int64).reshape(len(mat), self.params.n + 1)
 
     def flatten(self, words: np.ndarray) -> np.ndarray:
-        """decompose(words mod q) for any integer-valued (r, n+1) words (exact in int64)."""
+        """decompose(words mod q) for any integer-valued (r, n+1) words (exact in int64).
+
+        Evaluation never needs it: ciphertexts keep their words.
+        """
         return self._decompose(np.asarray(words, dtype="<i8") % self.params.q)
+
+    def from_matrix(self, matrix: np.ndarray, level: int = 0,
+                    noise_est: int = 0) -> Ciphertext:
+        """Ciphertext of an N x N binary matrix (its words R(C), not reduced mod q)."""
+        return Ciphertext(self._recompose(matrix), level, noise_est)
 
     def _powers_of_secret(self, secret_key: np.ndarray) -> np.ndarray:
         key = np.asarray(secret_key, dtype=np.int64).tobytes()
@@ -179,7 +209,7 @@ class GswScheme:
         if v is None:
             p = self.params
             # python ints: the int64 shift overflows near the parameter limit
-            v = np.array([(int(s) << j) % p.q for s in secret_key for j in range(p.ell)],
+            v = np.array([(int(s) << j) % p.q for s in secret_key for j in range(self.ell)],
                          dtype=np.float64)
             v.flags.writeable = False
             self._secret_powers[key] = v
@@ -206,16 +236,17 @@ class GswScheme:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         p = self.params
-        r_mat = rng.integers(0, 2, (p.n_ct, p.m)).astype(np.float64)
-        masked = r_mat @ public_key.astype(np.float64)
-        return Ciphertext(matrix=self.flatten(masked + bit * self._gadget), level=0,
+        r_mat = rng.integers(0, 2, (self.n_ct, p.m)).astype(np.float64)
+        # entries of the float64 product stay below m * q < 2^52, so it is exact
+        masked = (r_mat @ public_key.astype(np.float64)).astype(np.int64)
+        return Ciphertext((masked + bit * self._gadget) % p.q, level=0,
                           noise_est=p.m * p.noise_bound)
 
     def trivial_encrypt_bit(self, bit: int) -> Ciphertext:
         """Noiseless deterministic encoding of a public constant."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        return Ciphertext(matrix=self.flatten(bit * self._gadget), level=0, noise_est=0)
+        return Ciphertext(bit * self._gadget, level=0, noise_est=0)
 
     # -- decryption ------------------------------------------------------
 
@@ -229,10 +260,10 @@ class GswScheme:
                      rows=slice(None)) -> list[int]:
         """x_j = mu * 2^j + e_j (mod q) for the rows paired with s[-1] = 1
         (all ell of them, or the slice ``rows``)."""
-        p = self.params
+        n, ell = self.params.n, self.ell
         v = self._powers_of_secret(secret_key)
-        block = ct.matrix[p.n * p.ell:(p.n + 1) * p.ell][rows]
-        xs = np.mod(block @ v, p.q).astype(np.int64)
+        block = self._decompose(ct.words[n * ell:(n + 1) * ell][rows])
+        xs = np.mod(block @ v, self.params.q).astype(np.int64)
         return [int(x) for x in xs]
 
     def decrypt_bit(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
@@ -278,6 +309,22 @@ class GswScheme:
 
     # -- homomorphic evaluation ------------------------------------------
 
+    def nand_words(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Words of Flatten(I - C1 @ C2) for stacked (k, N, n+1) operand words.
+
+        Only the left operand is decomposed, to (k, N, N) float64 bits; the
+        product C1 @ W2 is exact (entries below N * 2^ell < 2^52), and the
+        result is (G - C1 @ W2) mod q in int64, never decomposed.
+        """
+        prod = self._decompose(left) @ right.astype(np.float64)
+        words = np.subtract(self._gadget_f, prod, out=prod).astype(np.int64)
+        words %= self.params.q  # int64: several times faster than a float64 mod
+        return words
+
+    def not_words(self, words: np.ndarray) -> np.ndarray:
+        """Words of Flatten(I - C) for stacked (k, N, n+1) words: (G - W) mod q."""
+        return (self._gadget - words) % self.params.q
+
     def hom_nand(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """NOT(b1 AND b2) as Flatten(I - C1 @ C2); level = max + 1.
 
@@ -291,15 +338,15 @@ class GswScheme:
                 f"NAND at level {level} would exceed depth budget {p.depth_budget}")
         if ct2.noise_est > ct1.noise_est:
             ct1, ct2 = ct2, ct1
-        words = self._gadget - ct1.matrix @ self._recompose(ct2.matrix)
-        est = min(ct1.noise_est + p.n_ct * ct2.noise_est, p.q)
-        return Ciphertext(matrix=self.flatten(words), level=level, noise_est=est)
+        words = self.nand_words(ct1.words[None], ct2.words[None])[0]
+        est = min(ct1.noise_est + self.n_ct * ct2.noise_est, p.q)
+        return Ciphertext(words, level=level, noise_est=est)
 
     def hom_not(self, ct: Ciphertext) -> Ciphertext:
-        """Complement without a ciphertext product: Flatten(I - C) = decompose(G - R(C)).
+        """Complement without a ciphertext product: Flatten(I - C), words (G - W) mod q.
 
         Linear, so noise magnitude and level are unchanged.  This backs the
         engine's free simplification of NAND against a known constant 1.
         """
-        return Ciphertext(matrix=self.flatten(self._gadget - self._recompose(ct.matrix)),
-                          level=ct.level, noise_est=ct.noise_est)
+        return Ciphertext(self.not_words(ct.words[None])[0], level=ct.level,
+                          noise_est=ct.noise_est)

@@ -32,7 +32,7 @@ import numpy as np
 from .arith import FixedFormat, FixedWord
 from .errors import ParseError, UsageError
 from .fft import ComplexFixed, SignalBuffer
-from .fhe import Ciphertext, KeyPair, SchemeParams
+from .fhe import KeyPair, SchemeParams
 
 MAGIC = b"EFT1"
 CONTAINER_VERSION = 1
@@ -135,7 +135,7 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(head)))
         fh.write(head)
         for ct in cts:
-            fh.write(np.packbits(ct.matrix.astype(np.uint8).ravel()).tobytes())
+            fh.write(np.packbits(ct.matrix).tobytes())
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,8 @@ def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
     for idx, (level, noise) in enumerate(zip(header.levels, header.noise)):
         bits = np.unpackbits(
             np.frombuffer(payload[idx * stride:(idx + 1) * stride], dtype=np.uint8))
-        matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct).astype(np.float64)
-        handles.append(engine.import_ct(Ciphertext(matrix=matrix, level=level,
-                                                   noise_est=noise)))
+        matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct)
+        handles.append(engine.import_ct(engine.scheme.from_matrix(matrix, level, noise)))
 
     points = []
     per_word = fmt.total_bits

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fhefft.engine import CleartextEngine, FheEngine
-from fhefft.errors import CapabilityError, UsageError
-from fhefft import gates
+from fhefft.errors import CapabilityError, NoiseOverflowError, UsageError
+from fhefft import gates, netlist
 
 
 def clear_engine():
@@ -122,3 +122,57 @@ def test_backend_equivalence_random_circuits(exact_scheme, exact_keys):
         for hc, hf in zip(pool_c, pool_f):
             assert clear.read_back(hc) == fhe.read_back(hf)
 
+
+def _record(n_inputs, build):
+    """Netlist of ``build(wires)``, recorded on the symbolic engine."""
+    rec = netlist._Recorder(n_inputs)
+    return rec.compile(build([netlist._Wire(rec, i, None) for i in range(n_inputs)]))
+
+
+def _gate_mix(w):
+    a, b, c = w
+    return [gates.xor_(a, b), gates.and_(b, c), gates.or_(a, c), gates.not_(c)]
+
+
+def test_fhe_run_equals_gate_by_gate_at_noisy_preset(default_scheme, default_keys):
+    """At the default preset, where noise estimates differ, a batched run
+    swaps operands, grows noise and counts gates as gate-by-gate NANDs do."""
+    rng = np.random.default_rng(8)
+    pk = default_keys.public_key
+    rows = []
+    for r in range(3):
+        cts = [default_scheme.encrypt_bit(pk, int(bit), rng) for bit in rng.integers(0, 2, 3)]
+        if r:  # a pre-NANDed c: one level deeper and far noisier than a fresh bit
+            cts[2] = default_scheme.hom_nand(cts[2], cts[r - 1])
+        rows.append(cts)
+    net = _record(3, _gate_mix)
+    batched, serial = FheEngine(default_scheme), FheEngine(default_scheme)
+    wires = np.stack([batched.wires([batched.import_ct(ct) for ct in cts]) for cts in rows])
+    got = [batched.handles(row) for row in batched.run(net, wires)]
+    want = [_gate_mix([serial.import_ct(ct) for ct in cts]) for cts in rows]
+    assert batched.stats == serial.stats
+    assert serial.stats.nand_count == 30 and serial.stats.max_depth == 3
+    noise = [h.ct.noise_est for hs in want for h in hs]
+    assert len(set(noise)) > 2
+    for hs_got, hs_want in zip(got, want):
+        for g, w in zip(hs_got, hs_want):
+            assert (g.ct.level, g.ct.noise_est) == (w.ct.level, w.ct.noise_est)
+            assert np.array_equal(g.ct.words, w.ct.words)
+    bits = [[default_scheme.decrypt_bit(default_keys.secret_key, ct) for ct in cts]
+            for cts in rows]
+    for (a, b, c), hs in zip(bits, got):
+        assert [default_scheme.decrypt_bit(default_keys.secret_key, h.ct) for h in hs] == \
+            [a ^ b, b & c, a | c, 1 - c]
+
+
+def test_fhe_run_past_depth_budget_raises(default_scheme, default_keys):
+    """A netlist deeper than the depth budget fails on both paths."""
+    rng = np.random.default_rng(9)
+    cts = [default_scheme.encrypt_bit(default_keys.public_key, 1, rng) for _ in range(3)]
+    build = lambda w: [gates.and_(gates.xor_(w[0], w[1]), w[2])]  # noqa: E731 (depth 5)
+    batched, serial = FheEngine(default_scheme), FheEngine(default_scheme)
+    wires = batched.wires([batched.import_ct(ct) for ct in cts])[None]
+    with pytest.raises(NoiseOverflowError):
+        batched.run(_record(3, build), wires)
+    with pytest.raises(NoiseOverflowError):
+        build([serial.import_ct(ct) for ct in cts])

@@ -323,19 +323,20 @@ def test_batched_fft_equals_gate_by_gate(fmt, batch, dims, rng):
 
 
 def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
-    """The FHE replay makes the gate-by-gate circuit's hom_nand and hom_not
-    calls, and its ciphertexts, in 1D and 2D."""
+    """The batched FHE run makes the gate-by-gate circuit's NANDs and NOTs,
+    counted in the word kernels both paths share, and its ciphertexts, in
+    1D and 2D."""
     values = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
     calls = {"hom_nand": 0, "hom_not": 0}
 
     class Counting(type(exact_scheme)):
-        def hom_nand(self, a, b):
-            calls["hom_nand"] += 1
-            return super().hom_nand(a, b)
+        def nand_words(self, left, right):
+            calls["hom_nand"] += len(left)
+            return super().nand_words(left, right)
 
-        def hom_not(self, a):
-            calls["hom_not"] += 1
-            return super().hom_not(a)
+        def not_words(self, words):
+            calls["hom_not"] += len(words)
+            return super().not_words(words)
 
     scheme = Counting(exact_scheme.params)
     for dims in (4, (1, 4), (4, 1), (2, 2)):

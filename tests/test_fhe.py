@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhefft.errors import NoiseOverflowError, ParameterError
-from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, Ciphertext, GswScheme, SchemeParams
+from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme, SchemeParams
 
 
 def test_params_derived_sizes():
@@ -221,7 +221,7 @@ def test_hom_gates_match_integer_reference(preset):
     shape = (p.n_ct, p.n_ct)
     mats = {"ones": np.ones(shape, dtype=np.int64), "zeros": np.zeros(shape, dtype=np.int64),
             "rand1": rng.integers(0, 2, shape), "rand2": rng.integers(0, 2, shape)}
-    cts = {k: Ciphertext(m.astype(np.float64)) for k, m in mats.items()}
+    cts = {k: scheme.from_matrix(m) for k, m in mats.items()}
     eye = np.eye(p.n_ct, dtype=np.int64)
     for a, b in (("ones", "ones"), ("zeros", "zeros"), ("ones", "zeros"),
                  ("zeros", "ones"), ("rand1", "rand2"), ("ones", "rand1"),
