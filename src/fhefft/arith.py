@@ -71,13 +71,16 @@ def encode_int(x: float, fmt: FixedFormat) -> int:
     try:
         ix = round(float(x) * fmt.scale)  # a Python float overflows to inf silently
     except (OverflowError, ValueError) as exc:  # x * 2^f is inf or NaN
-        raise RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} "
-                         f"fixed point") from exc
+        raise _range_error(x, fmt) from exc
     half = 1 << (fmt.total_bits - 1)
     if not -half <= ix < half:
-        raise RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} "
-                         f"fixed point (integer {ix})")
+        raise _range_error(x, fmt, ix)
     return ix
+
+
+def _range_error(x, fmt: FixedFormat, ix: int | None = None) -> RangeError:
+    at = "" if ix is None else f" (integer {ix})"
+    return RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} fixed point{at}")
 
 
 def encode(x: float, fmt: FixedFormat) -> list[int]:
@@ -107,17 +110,42 @@ def bits_to_int(bits, signed: bool = True) -> int:
 # -- word construction and readout ---------------------------------------
 
 def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
-    """Encode one value per engine lane into a word of variable wires."""
-    if isinstance(values, (int, float)):
-        values = [values] * engine.batch_size
-    if len(values) != engine.batch_size:
-        raise UsageError(f"got {len(values)} values for {engine.batch_size} lanes")
-    width = fmt.total_bits
-    size = -(-width // 8)
-    raw = b"".join((encode_int(v, fmt) % (1 << width)).to_bytes(size, "little")
-                   for v in values)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size),
-                         axis=1, count=width, bitorder="little")  # (lanes, width)
+    """Encode one value per engine lane into a word of variable wires.
+
+    ``values`` holds one real number per lane, or one real scalar for all
+    lanes.  Every lane is rounded and range-checked exactly as
+    ``encode_int`` does it; the first value out of range raises its
+    ``RangeError``.
+    """
+    lanes, width = engine.batch_size, fmt.total_bits
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # e.g. ragged nesting
+        raise UsageError(f"word values must be real numbers: {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise UsageError(f"word values must be real numbers, got dtype {arr.dtype}")
+    if arr.ndim == 0:
+        arr = np.broadcast_to(arr, (lanes,))
+    if arr.shape != (lanes,):
+        raise UsageError(f"got values of shape {arr.shape} for {lanes} lanes")
+    half = 2.0 ** (width - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ints = np.rint(arr.astype(float) * fmt.scale)  # round half to even, as round()
+        bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
+    if bad.any():
+        lane = int(bad.argmax())
+        raise _range_error(arr[lane], fmt,
+                           int(ints[lane]) if np.isfinite(ints[lane]) else None)
+    # two's complement in 32-bit limbs, LSB first: every split is exact on
+    # integer-valued floats, and the signed top limb wraps into its pattern
+    limbs = np.empty((lanes, -(-width // 32)), dtype=np.int64)
+    for k in range(limbs.shape[1] - 1):
+        high = np.floor(ints / 2.0**32)
+        limbs[:, k] = ints - high * 2.0**32
+        ints = high
+    limbs[:, -1] = ints
+    raw = limbs.astype("<u4").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")  # (lanes, width)
     planes = np.packbits(bits.T, axis=1, bitorder="little")  # one lane mask per bit
     return FixedWord(tuple(engine.input_bit(int.from_bytes(p.tobytes(), "little"))
                            for p in planes), fmt)
@@ -129,18 +157,26 @@ def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
 
 
 def read_word(engine, word: FixedWord) -> list[float]:
-    """Decoded value of a word in every lane (FHE readout needs the secret key)."""
+    """Decoded value of a word in every lane (FHE readout needs the secret key).
+
+    Equal to ``decode`` of each lane's bits for words of up to 85 bits
+    (one 32-bit limb past the float64 significand); wider words are
+    rounded twice, so a lane can differ from it in the last place.
+    """
     lanes, width = engine.batch_size, word.fmt.total_bits
     size = -(-lanes // 8)
     masks = b"".join(engine.read_back(h).to_bytes(size, "little") for h in word.bits)
     bits = np.unpackbits(np.frombuffer(masks, dtype=np.uint8).reshape(width, size),
                          axis=1, count=lanes, bitorder="little")  # (width, lanes)
-    # each lane's bits, sign-extended to whole bytes: a two's-complement integer
-    ext = np.repeat(bits[-1:], 8 * -(-width // 8), axis=0)
-    ext[:width] = bits
-    words = np.packbits(ext.T, axis=1, bitorder="little")
-    scale = word.fmt.scale
-    return [int.from_bytes(w.tobytes(), "little", signed=True) / scale for w in words]
+    # each lane's bits, sign-extended to whole 32-bit limbs
+    ext = np.empty((lanes, 32 * -(-width // 32)), dtype=np.uint8)
+    ext[:, :width] = bits.T
+    ext[:, width:] = bits[-1, :, None]
+    limbs = np.packbits(ext, axis=1, bitorder="little").view("<u4")  # (lanes, limbs)
+    value = limbs[:, -1].view("<i4").astype(float)
+    for k in range(limbs.shape[1] - 2, -1, -1):
+        value = value * 2.0**32 + limbs[:, k]
+    return (value / word.fmt.scale).tolist()
 
 
 # -- adders ---------------------------------------------------------------

@@ -250,12 +250,16 @@ def _word_ops(engine, op, fmt, x, y=None, consts=None):
     constant bits) are evaluated by one ``engine.run``.
     """
     operands = x if y is None else np.concatenate([x, y], axis=1)
-    groups: dict[tuple, list[int]] = {}
-    for row, pattern in enumerate(operands["c"]):
-        key = (None if consts is None else consts[row], pattern.tobytes())
-        groups.setdefault(key, []).append(row)
+    keys = np.ascontiguousarray(operands["c"])  # one int8 per operand bit
+    if consts is not None:  # prefix each row with the bytes of its multiplier
+        keys = np.concatenate([np.asarray(consts, dtype=np.float64)[:, None].view(np.int8),
+                               keys], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")  # equal keys adjacent, in row order
+    ordered = keys[order]
     out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
-    for (c, _), rows in groups.items():
+    for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
+        c = None if consts is None else consts[rows[0]]
         out[rows] = engine.run(word_op(op, fmt, operands["c"][rows[0]], c), operands[rows])
     return out
 
@@ -276,8 +280,8 @@ def input_signal(engine, values, fmt: FixedFormat,
         raise UsageError(f"{arr.shape[0]} signals for {engine.batch_size} lanes")
     points = []
     for col in range(arr.shape[1]):
-        re = input_word(engine, list(arr[:, col].real), fmt)
-        im = input_word(engine, list(arr[:, col].imag), fmt)
+        re = input_word(engine, arr[:, col].real, fmt)
+        im = input_word(engine, arr[:, col].imag, fmt)
         points.append(ComplexFixed(re, im))
     return SignalBuffer(tuple(points), dims if dims is not None else arr.shape[1])
 

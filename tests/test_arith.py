@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from circuit_util import pack_int_word, unpack_int_word, wrap_signed
 from fhefft.arith import (
     FixedFormat,
+    FixedWord,
     add,
     bits_to_int,
     constant_word,
@@ -311,32 +313,81 @@ def test_constant_word_folds_for_free():
     assert eng.nand_count < 9 * 32 - 5  # constant bits fold away gates
 
 
-def _loop_input_lanes(values, fmt):
-    """Per-bit lane masks of input_word, built one lane and bit at a time."""
-    ints = [encode_int(v, fmt) % (1 << fmt.total_bits) for v in values]
+def _lane_masks(ints, width):
+    """Per-bit lane masks of raw integers, built one lane and bit at a time."""
+    ints = [iv % (1 << width) for iv in ints]
     return [sum(((iv >> bit) & 1) << lane for lane, iv in enumerate(ints))
-            for bit in range(fmt.total_bits)]
+            for bit in range(width)]
 
 
 def _loop_read(masks, fmt, lanes):
     return [decode([(m >> lane) & 1 for m in masks], fmt) for lane in range(lanes)]
 
 
-@pytest.mark.parametrize("fmt", [FixedFormat(8, 4), FixedFormat(16, 8), F32, FixedFormat(12, 3)],
-                         ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
+CODEC_FORMATS = [FixedFormat(8, 4), FixedFormat(12, 3), FixedFormat(16, 8), F32,
+                 FixedFormat(64, 32), FixedFormat(72, 40)]
+
+
+@pytest.mark.parametrize("fmt", CODEC_FORMATS, ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
 @pytest.mark.parametrize("lanes", [1, 7, 8, 9, 63, 64, 65, 100])
 def test_word_io_matches_the_per_lane_loop(fmt, lanes, rng):
-    """input_word and read_word work on bit-planes; their bits equal those
-    of a lane-by-lane, bit-by-bit reference loop."""
+    """input_word and read_word work on whole lane arrays; their bits and
+    values equal those of ``encode_int`` and ``decode`` lane by lane."""
     top = (1 << (fmt.total_bits - 1)) / fmt.scale
-    values = list(rng.uniform(-top, top - 1 / fmt.scale, lanes))
-    values[0] = -top  # the most negative word
-    values[-1] = top - 1 / fmt.scale  # the most positive word
+    step = 1 / fmt.scale
+    # the largest float that still encodes (top - step rounds to top past 53 bits)
+    most_positive = top - step if top - step < top else float(np.nextafter(top, 0))
+    special = [-top, most_positive, -0.0,
+               0.5 * step, 1.5 * step, 2.5 * step, -0.5 * step, -1.5 * step,  # ties
+               -top + 0.5 * step]  # rounds to even: the most negative word
+    values = list(rng.uniform(-top, top - step, lanes))
+    values[:len(special)] = special[:lanes]
     eng = CleartextEngine(batch_size=lanes)
     word = input_word(eng, values, fmt)
     masks = [eng.read_back(h) for h in word.bits]
-    assert masks == _loop_input_lanes(values, fmt)
+    assert masks == _lane_masks([encode_int(v, fmt) for v in values], fmt.total_bits)
     assert read_word(eng, word) == _loop_read(masks, fmt, lanes)
+
+
+@pytest.mark.parametrize("fmt", CODEC_FORMATS + [FixedFormat(85, 10)],
+                         ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
+def test_read_word_of_any_bits_matches_decode(fmt, rng):
+    """Words no float input encodes to (all 64 or 72 bits significant)
+    decode like ``decode``, correctly rounded."""
+    width, lanes = fmt.total_bits, 65
+    ints = [int.from_bytes(rng.bytes(11), "little") for _ in range(lanes)]
+    ints[:3] = [1 << (width - 1), (1 << (width - 1)) - 1, -1]  # min, max, -1
+    eng = CleartextEngine(batch_size=lanes)
+    masks = _lane_masks(ints, width)
+    word = FixedWord(tuple(eng.input_bit(m) for m in masks), fmt)
+    assert read_word(eng, word) == _loop_read(masks, fmt, lanes)
+
+
+@pytest.mark.parametrize("bad", [2.0**15, 2.0**15 - 2.0**-17, -2.0**15 - 2.0**-16, 1e308,
+                                 float("inf"), float("-inf"), float("nan")])
+def test_input_word_range_errors_match_encode_int(bad):
+    with pytest.raises(RangeError) as want:
+        encode_int(bad, F32)
+    eng = CleartextEngine(batch_size=4)
+    for values in (bad, [0.5, bad, 0.25, 2.0**20]):
+        with pytest.raises(RangeError) as got:
+            input_word(eng, values, F32)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("scalar", [np.float32(0.5), np.int64(2), np.float64(-1.25), 3, True],
+                         ids=repr)
+def test_input_word_broadcasts_real_scalars(scalar):
+    eng = CleartextEngine(batch_size=3)
+    assert read_word(eng, input_word(eng, scalar, F32)) == [float(scalar)] * 3
+
+
+@pytest.mark.parametrize("values", ["0.5", None, 1 + 2j, [0.5, "x", 1.0], [0.5, None, 1.0],
+                                    [[0.5], [1.0, 2.0], [3.0]], [0.5, 1.0], [[0.5, 1.0, 2.0]]],
+                         ids=repr)
+def test_input_word_rejects_values_that_are_not_one_real_per_lane(values):
+    with pytest.raises(UsageError):
+        input_word(CleartextEngine(batch_size=3), values, F32)
 
 
 def test_word_io_on_fhe_backend(exact_scheme, exact_keys, rng):

@@ -183,6 +183,8 @@ MALFORMED = {
         "encrypt", _signal(d, "0.5,0\n0,-inf\n"), "--keys", keys, "--out", d / "x.eft"],
     "signal-text-overflows-fixed-point": lambda d, keys: [
         "encrypt", _signal(d, "0.5,0\n1e308,0\n"), "--keys", keys, "--out", d / "x.eft"],
+    "signal-text-out-of-range": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n0,40000\n"), "--keys", keys, "--out", d / "x.eft"],
     "verify-nan-spectrum": lambda d, keys: [
         "verify", _signal(d, "0.5,0\n0.25,0\n"), _file(d / "spec.txt", b"nan,nan\nnan,nan\n")],
     "params-not-utf8": lambda d, keys: [

@@ -22,14 +22,32 @@ def test_oracle_matches_numpy(m, rng):
     assert np.allclose(reference_fft(x), np.fft.fft(x), atol=1e-9)
 
 
+@pytest.mark.parametrize("m", [1, 2, 8, 128])
+def test_batched_oracle_equals_row_by_row(m, rng):
+    x = rng.uniform(0, 1, (100, m)) + 1j * rng.uniform(0, 1, (100, m))
+    batch = reference_fft(x)
+    assert batch.shape == (100, m)
+    assert np.allclose(batch, [reference_fft(row) for row in x], rtol=0, atol=1e-12)
+    assert np.allclose(batch, np.fft.fft(x), rtol=0, atol=1e-9 * m)
+
+
 def test_oracle_2d_matches_numpy(rng):
     img = rng.normal(size=(8, 8))
     assert np.allclose(reference_fft2d(img), np.fft.fft2(img), atol=1e-9)
 
 
+def test_oracle_2d_of_a_stack_equals_image_by_image(rng):
+    stack = rng.uniform(0, 1, (3, 4, 16))
+    want = [np.array([reference_fft(c) for c in np.array([reference_fft(r) for r in img]).T]).T
+            for img in stack]
+    assert np.allclose(reference_fft2d(stack), want, rtol=0, atol=1e-12)
+    assert np.allclose(reference_fft2d(stack), np.fft.fft2(stack), rtol=0, atol=1e-9)
+
+
 def test_oracle_rejects_non_power_of_two():
-    with pytest.raises(UsageError):
-        reference_fft([1.0, 2.0, 3.0])
+    for values in ([1.0, 2.0, 3.0], np.ones((4, 3)), np.ones((2, 6))):
+        with pytest.raises(UsageError):
+            reference_fft(values)
 
 
 def test_report_invariants_single_trial():
