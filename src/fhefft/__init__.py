@@ -11,7 +11,7 @@ from .errors import (
     RangeError,
     UsageError,
 )
-from .fft import ComplexFixed, SignalBuffer, TwiddleTable, bit_reverse_permute, butterfly, fft_1d, fft_2d
+from .fft import ComplexFixed, SignalBuffer, TwiddleTable, fft_1d, fft_2d
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, Ciphertext, GswScheme, KeyPair, SchemeParams
 from .harness import ErrorReport, run_1d_experiment, run_2d_experiment
 
@@ -39,8 +39,6 @@ __all__ = [
     "TwiddleTable",
     "UsageError",
     "add",
-    "bit_reverse_permute",
-    "butterfly",
     "decode",
     "encode",
     "fft_1d",

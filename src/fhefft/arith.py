@@ -45,6 +45,9 @@ class FixedFormat:
         if not 0 < self.frac_bits < self.total_bits:
             raise UsageError(
                 f"need 0 < frac_bits < total_bits, got {self.frac_bits}/{self.total_bits}")
+        if self.total_bits > 1024:  # the range of wider words is past float64's
+            raise UsageError(f"words of {self.total_bits} bits are wider than the "
+                             f"float64 range (at most 1024 bits)")
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plain, _ = fileio.read_signal_text(args.plain)
+    plain, _ = fileio.read_signal_text(args.plain_file)
     spectrum, meta = fileio.read_signal_text(args.spectrum)
     frac = meta.frac_bits if meta.frac_bits is not None else args.frac
     if frac < 1:
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
             max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
         bound = fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
     if not (np.isfinite(oracle).all() and math.isfinite(bound)):
-        raise UsageError(f"{args.plain}: the reference transform or its error bound "
+        raise UsageError(f"{args.plain_file}: the reference transform or its error bound "
                          f"overflows double precision; the plain signal is too large "
                          f"to verify")
     report = {
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("verify", help="compare a decrypted spectrum to the oracle")
-    p.add_argument("plain", help="original plaintext signal file")
+    p.add_argument("plain_file", metavar="plain", help="original plaintext signal file")
     p.add_argument("spectrum", help="decrypted spectrum file")
     p.add_argument("--frac", type=int, default=16,
                    help="fractional bits when the spectrum file lacks metadata")

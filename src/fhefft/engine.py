@@ -22,13 +22,16 @@ words: each level's NANDs for every operand set are one batched
 outputs are handles.  The ciphertexts, operation counts, levels and noise
 estimates are those of the gate-by-gate circuit.
 
-Both engines fold gates where an operand is a public constant:
-NAND(x, 1) = NOT x (realized without a gate: bit flip in cleartext, the
-linear ciphertext complement under FHE), NAND(x, 0) = 1.  Folded gates do
-not increment the NAND counter.  Because constants are public circuit
-structure (e.g. twiddle bits), this mirrors the cost treatment of
-constant multiplication, at the price of leaking which result bits are
-forced; see README.
+A handle's ``const`` is ``None`` for a variable wire, else its public
+bit, which a wire array's ``c`` holds as -1, 0 or 1.  A NAND with a
+constant operand is folded by ``fold``, the one rule every engine (and
+``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
+without a gate (each engine's ``free_not``: a bit flip in cleartext, the
+linear ciphertext complement under FHE), and two constants give a
+constant.  Folded gates do not increment the NAND counter.  Because
+constants are public circuit structure (e.g. twiddle bits), this mirrors
+the cost treatment of constant multiplication, at the price of leaking
+which result bits are forced; see README.
 
 Decryption below the noise threshold is exact, so any circuit evaluated
 on both engines yields identical bits; the cleartext engine is the
@@ -53,6 +56,16 @@ class GateStats:
     max_depth: int
 
 
+def fold(engine, a, b):
+    """NAND of two handles of which at least one is a public constant."""
+    if a.const is not None and b.const is not None:
+        return engine.constant(1 - (a.const & b.const))
+    if b.const is not None:
+        a, b = b, a
+    # a is the constant: NAND(x, 0) = 1, NAND(x, 1) = NOT x (gate-free)
+    return engine.constant(1) if a.const == 0 else engine.free_not(b)
+
+
 class ClearBit:
     """One circuit wire on the cleartext engine (``batch_size`` lanes)."""
 
@@ -66,14 +79,13 @@ class ClearBit:
 
 
 class FheBit:
-    """One circuit wire on the FHE engine: a ciphertext, or a tagged constant."""
+    """One circuit wire on the FHE engine: a ciphertext, or a public constant."""
 
-    __slots__ = ("engine", "ct", "plain", "const")
+    __slots__ = ("engine", "ct", "const")
 
-    def __init__(self, engine, ct, plain, const):
+    def __init__(self, engine, ct, const):
         self.engine = engine
         self.ct = ct
-        self.plain = plain
         self.const = const
 
 
@@ -100,35 +112,28 @@ class CleartextEngine:
     def constant(self, bit: int) -> ClearBit:
         if bit not in (0, 1):
             raise UsageError(f"constant must be 0 or 1, got {bit!r}")
-        return ClearBit(self, self.mask if bit else 0, 0, True)
+        return ClearBit(self, self.mask if bit else 0, 0, bit)
 
     def input_bit(self, lanes: int) -> ClearBit:
         """New variable wire; ``lanes`` packs one bit per lane (0/1 if batch 1)."""
         if not 0 <= lanes <= self.mask:
             raise UsageError(f"lane value {lanes:#x} out of range for "
                              f"batch_size={self.batch_size}")
-        return ClearBit(self, lanes, 0, False)
+        return ClearBit(self, lanes, 0, None)
 
     def nand(self, a: ClearBit, b: ClearBit) -> ClearBit:
         if a.engine is not self or b.engine is not self:
             raise UsageError("cannot mix handles from different engines")
-        if a.const or b.const:
-            return self._fold(a, b)
+        if a.const is not None or b.const is not None:
+            return fold(self, a, b)
         self.nand_count += 1
         depth = (a.depth if a.depth >= b.depth else b.depth) + 1
         if depth > self.max_depth:
             self.max_depth = depth
-        return ClearBit(self, self.mask ^ (a.value & b.value), depth, False)
+        return ClearBit(self, self.mask ^ (a.value & b.value), depth, None)
 
-    def _fold(self, a, b):
-        if a.const and b.const:
-            return self.constant(0 if (a.value and b.value) else 1)
-        if b.const:
-            a, b = b, a
-        # a is the constant: NAND(x, 0) = 1, NAND(x, 1) = NOT x (gate-free)
-        if a.value == 0:
-            return self.constant(1)
-        return ClearBit(self, self.mask ^ b.value, b.depth, False)
+    def free_not(self, h: ClearBit) -> ClearBit:
+        return ClearBit(self, self.mask ^ h.value, h.depth, None)
 
     def read_back(self, h: ClearBit) -> int:
         """Packed lane values of a wire (an int in [0, 2**batch_size))."""
@@ -144,16 +149,16 @@ class CleartextEngine:
         out["v"] = np.frombuffer(b"".join(h.value.to_bytes(size, "little") for h in handles),
                                  dtype=np.uint8).reshape(n, size)
         out["d"] = np.fromiter((h.depth for h in handles), np.int32, n)
-        out["c"] = np.fromiter(((1 if h.value else 0) if h.const else -1 for h in handles),
-                               np.int8, n)
+        out["c"] = np.fromiter((-1 if h.const is None else h.const for h in handles), np.int8, n)
         return out
 
     def handles(self, wires: np.ndarray) -> list[ClearBit]:
         """Handles of a wire array (inverse of ``wires``)."""
         lanes = np.ascontiguousarray(wires["v"])
         mask = self.mask
-        return [ClearBit(self, int.from_bytes(v.tobytes(), "little") & mask, int(d), c >= 0)
-                for v, d, c in zip(lanes, wires["d"], wires["c"])]
+        return [ClearBit(self, int.from_bytes(v.tobytes(), "little") & mask, d,
+                         None if c < 0 else c)
+                for v, d, c in zip(lanes, wires["d"].tolist(), wires["c"].tolist())]
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
         """Evaluate a netlist on each row of a (count, n_inputs) wire array.
@@ -213,7 +218,7 @@ class FheEngine:
     def constant(self, bit: int) -> FheBit:
         if bit not in (0, 1):
             raise UsageError(f"constant must be 0 or 1, got {bit!r}")
-        return FheBit(self, None, bit, True)
+        return FheBit(self, None, bit)
 
     def input_bit(self, bit: int) -> FheBit:
         if bit not in (0, 1):
@@ -221,33 +226,27 @@ class FheEngine:
         if self.public_key is None:
             raise CapabilityError("encrypting inputs needs the public key")
         ct = self.scheme.encrypt_bit(self.public_key, bit, self.rng)
-        return FheBit(self, ct, None, False)
+        return FheBit(self, ct, None)
 
     def nand(self, a: FheBit, b: FheBit) -> FheBit:
         if a.engine is not self or b.engine is not self:
             raise UsageError("cannot mix handles from different engines")
-        if a.const or b.const:
-            return self._fold(a, b)
+        if a.const is not None or b.const is not None:
+            return fold(self, a, b)
         out = self.scheme.hom_nand(a.ct, b.ct)
         self.nand_count += 1
         if out.level > self.max_depth:
             self.max_depth = out.level
-        return FheBit(self, out, None, False)
+        return FheBit(self, out, None)
 
-    def _fold(self, a, b):
-        if a.const and b.const:
-            return self.constant(0 if (a.plain and b.plain) else 1)
-        if b.const:
-            a, b = b, a
-        if a.plain == 0:
-            return self.constant(1)
-        return FheBit(self, self.scheme.hom_not(b.ct), None, False)
+    def free_not(self, h: FheBit) -> FheBit:
+        return FheBit(self, self.scheme.hom_not(h.ct), None)
 
     def read_back(self, h: FheBit) -> int:
         if h.engine is not self:
             raise UsageError("handle belongs to a different engine")
-        if h.const:
-            return h.plain
+        if h.const is not None:
+            return h.const
         if self.secret_key is None:
             raise CapabilityError("read_back needs the secret key")
         return self.scheme.decrypt_bit(self.secret_key, h.ct)
@@ -256,19 +255,19 @@ class FheEngine:
         """Ciphertext of a wire (constants become trivial ciphertexts)."""
         if h.engine is not self:
             raise UsageError("handle belongs to a different engine")
-        if h.const:
-            return self.scheme.trivial_encrypt_bit(h.plain)
+        if h.const is not None:
+            return self.scheme.trivial_encrypt_bit(h.const)
         return h.ct
 
     def import_ct(self, ct: Ciphertext) -> FheBit:
-        return FheBit(self, ct, None, False)
+        return FheBit(self, ct, None)
 
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
         _check_owner(self, handles)
         out = np.empty(len(handles), _FHE_WIRE)
         out["h"] = handles
-        out["c"] = [h.plain if h.const else -1 for h in handles]
+        out["c"] = [-1 if h.const is None else h.const for h in handles]
         return out
 
     def handles(self, wires: np.ndarray) -> list[FheBit]:
@@ -335,7 +334,7 @@ class FheEngine:
         res = zip(words[output_slots].reshape(-1, *shape), level[output_slots].ravel().tolist(),
                   noise[output_slots].ravel().tolist())
         wired = np.empty(len(output_slots) * count, object)
-        wired[:] = [FheBit(self, Ciphertext(w, lv, ns), None, False) for w, lv, ns in res]
+        wired[:] = [FheBit(self, Ciphertext(w, lv, ns), None) for w, lv, ns in res]
         is_wire = net.out_const < 0
         out["h"][:, is_wire] = wired.reshape(-1, count).T
         for k in np.flatnonzero(~is_wire):

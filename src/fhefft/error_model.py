@@ -25,29 +25,20 @@ class ErrorParams:
 
     delta    per-value representation error (2^-f for f fractional bits)
     x_bound  bound on |Re| and |Im| of every signal point
-    m_points signal length
-    w_sum    summed twiddle magnitudes over all butterflies, when known
-             exactly; defaults to the (M/2) * log2(M) ceiling
+    m_points signal length, a power of two (the radix-2 transform's)
     """
 
     delta: float
     x_bound: float
     m_points: int
-    w_sum: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.delta < 1:
             raise ParameterError("delta must lie in [0, 1)")
-        if self.x_bound < 0:
-            raise ParameterError("x_bound must be >= 0")
-        if self.m_points < 1:
-            raise ParameterError("m_points must be >= 1")
-        if self.w_sum is not None and \
-                self.w_sum > self._w_ceiling() + 1e-9:
-            raise ParameterError("w_sum exceeds the (M/2) log2 M ceiling")
-
-    def _w_ceiling(self) -> float:
-        return (self.m_points / 2) * math.log2(self.m_points)
+        if not 0 <= self.x_bound < math.inf:  # NaN fails too
+            raise ParameterError(f"x_bound must be finite and >= 0, got {self.x_bound}")
+        if self.m_points < 1 or self.m_points & (self.m_points - 1):
+            raise ParameterError(f"m_points must be a power of two, got {self.m_points}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,12 @@ def butterfly_error(w: complex, xj: complex, delta: float,
 def fft_error_bound(p: ErrorParams) -> float:
     """Processing-error bound of a full 1D transform.
 
-    delta * (W_S + (M/2) * (X_b + 1)); with the twiddle-sum ceiling for
-    W_S this is the closed form delta * (M/2) * (log2 M + X_b + 1).
+    delta * (W_S + (M/2) * (X_b + 1)), with the summed twiddle magnitudes
+    W_S at their ceiling (M/2) * log2 M: the closed form
+    delta * (M/2) * (log2 M + X_b + 1).
     """
-    w_sum = p.w_sum if p.w_sum is not None else p._w_ceiling()
-    return p.delta * (w_sum + (p.m_points / 2) * (p.x_bound + 1))
+    half = p.m_points / 2
+    return p.delta * (half * math.log2(p.m_points) + half * (p.x_bound + 1))
 
 
 def fft2d_error_bound(rows: int, cols: int, delta: float, x_bound: float) -> float:

@@ -7,19 +7,19 @@ each butterfly is four constant multiplications plus one subtraction and
 one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
 sequences of word arithmetic per butterfly.
 
-``butterfly`` builds one butterfly gate by gate on bit-engine handles;
-it is the reference the stage driver is tested against.  The driver
-evaluates a stage's word operations together instead: each operation is
-a netlist recorded once (``netlist.word_op``), and every operand set that
-shares one goes to a single ``engine.run``.  The gates, counts, depths
-and output bits are those of ``butterfly`` applied one butterfly at a
-time.
+The stage driver evaluates a stage's word operations together: each
+operation is a netlist recorded once (``netlist.word_op``), and every
+operand set that shares one goes to a single ``engine.run``.  The gates,
+counts, depths and output bits are those of the butterflies built gate
+by gate from ``arith.add``, ``arith.sub`` and ``arith.mul_const``, one
+butterfly at a time (the reference the tests hold the driver to).
 
 The index permutation touches no gates; only butterflies cost NANDs.
 ``fft_1d`` runs the driver on one signal.  ``fft_2d`` runs it on all rows
 of an image in one pass, then on all columns in a second, at the same
 word format.  Either transform turns its handles into one wire array on
-the way in and back into handles once on the way out.
+the way in and back into handles once on the way out, in the bit layout
+of ``SignalBuffer.bits``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub
+# add, sub and mul_const are not called here, but bench/tracing.py wraps
+# them by name in this module
+from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub  # noqa: F401
 from .errors import UsageError
 from .netlist import word_op
 
@@ -74,6 +76,20 @@ class SignalBuffer:
         if len(self.points) != total:
             raise UsageError(f"{len(self.points)} points for dims {self.dims}")
 
+    def bits(self) -> list:
+        """Every bit handle: points in order, each point's real word before
+        its imaginary word, each word LSB first (the EFT1 payload order)."""
+        return [h for pt in self.points for word in (pt.re, pt.im) for h in word.bits]
+
+    @classmethod
+    def from_bits(cls, handles, fmt: FixedFormat, dims) -> SignalBuffer:
+        """Signal of bit handles in the layout of ``bits``."""
+        width = fmt.total_bits
+        words = [FixedWord(tuple(handles[k:k + width]), fmt)
+                 for k in range(0, len(handles), width)]
+        return cls(tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2])),
+                   dims)
+
 
 class TwiddleTable:
     """Quantized twiddle constants W = exp(-2*pi*i*k/size) for all stages.
@@ -106,42 +122,11 @@ class TwiddleTable:
     def twiddle(self, size: int, k: int) -> tuple[float, float]:
         return self._entries[(size, k)]
 
-    def w_sum(self) -> float:
-        """Summed twiddle magnitudes over every butterfly application.
-
-        Each distinct (size, k) twiddle drives m_points/size butterflies in
-        its stage.  Magnitudes are clipped to 1 so rounding cannot push the
-        sum past the (M/2) * log2(M) ceiling.
-        """
-        total = 0.0
-        for (size, _k), (re, im) in self._entries.items():
-            total += (self.m_points // size) * min(1.0, abs(complex(re, im)))
-        return total
-
 
 def _bit_reversal(m: int) -> list[int]:
     """reverse_bits(k) for k < m: entry k is the input index of output k."""
     width = m.bit_length() - 1
     return [int(f"{k:0{width}b}"[::-1], 2) if width else 0 for k in range(m)]
-
-
-def bit_reverse_permute(signal: SignalBuffer) -> SignalBuffer:
-    """Reorder point i to index reverse_bits(i); a free plaintext shuffle."""
-    if not isinstance(signal.dims, int):
-        raise UsageError("bit reversal applies to 1D signals")
-    return SignalBuffer(tuple(signal.points[r] for r in _bit_reversal(signal.dims)),
-                        signal.dims)
-
-
-def butterfly(xi: ComplexFixed, xj: ComplexFixed,
-              w: tuple[float, float]) -> tuple[ComplexFixed, ComplexFixed]:
-    """(x_i + W*x_j, x_i - W*x_j) for a plaintext twiddle W."""
-    wre, wim = w
-    t_re = sub(mul_const(xj.re, wre), mul_const(xj.im, wim))
-    t_im = add(mul_const(xj.re, wim), mul_const(xj.im, wre))
-    hi = ComplexFixed(add(xi.re, t_re), add(xi.im, t_im))
-    lo = ComplexFixed(sub(xi.re, t_re), sub(xi.im, t_im))
-    return hi, lo
 
 
 def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
@@ -179,19 +164,13 @@ def _to_wires(signal: SignalBuffer):
     if any(pt.fmt != fmt for pt in signal.points):
         raise UsageError("all points of a signal must share one format")
     engine = signal.points[0].re.engine
-    wires = engine.wires([h for pt in signal.points for word in (pt.re, pt.im)
-                          for h in word.bits])
+    wires = engine.wires(signal.bits())
     return engine, fmt, wires.reshape(len(signal.points), 2, fmt.total_bits)
 
 
 def _from_wires(engine, fmt, wires, dims) -> SignalBuffer:
     """Signal of a wire array whose points are in row-major order."""
-    handles = engine.handles(wires.reshape(-1))
-    width = fmt.total_bits
-    words = [FixedWord(tuple(handles[k:k + width]), fmt)
-             for k in range(0, len(handles), width)]
-    return SignalBuffer(tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2])),
-                        dims)
+    return SignalBuffer.from_bits(engine.handles(wires.reshape(-1)), fmt, dims)
 
 
 def _stages(engine, fmt, wires, table, on_butterfly=None):
@@ -221,8 +200,9 @@ def _stages(engine, fmt, wires, table, on_butterfly=None):
 
 
 def _butterflies(engine, fmt, wires, flies):
-    """``butterfly`` on each (i, j, w) of one stage, in place on the wire
-    array of shape (points, 2, bits) (real and imaginary words)."""
+    """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, W) of one
+    stage, in place on the wire array of shape (points, 2, bits) (real and
+    imaginary words)."""
     i = [f[0] for f in flies]
     j = [f[1] for f in flies]
     wre = [f[2][0] for f in flies]

@@ -14,9 +14,11 @@ The header records the scheme parameters and their digest, the fixed
 format, signal dims, and per ciphertext its NAND level and its noise
 estimate (``Ciphertext.noise_est``, which orders the operands of a
 homomorphic NAND).  The payload is the bit matrices of every ciphertext
-packed 8 bits per byte, row major: points in signal order, real word
-then imaginary word, word bits LSB first.  Plain signals are text, one ``re,im`` pair per line, with an
-optional ``# fhefft`` metadata comment carrying dims and format.
+packed 8 bits per byte, row major, in the bit layout of
+``SignalBuffer.bits`` (points in signal order, real word then imaginary
+word, word bits LSB first); ``SignalBuffer.from_bits`` reads it back.
+Plain signals are text, one ``re,im`` pair per line, with an optional
+``# fhefft`` metadata comment carrying dims and format.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FixedFormat, FixedWord
+from .arith import FixedFormat
 from .errors import ParseError, UsageError
-from .fft import ComplexFixed, SignalBuffer
+from .fft import SignalBuffer
 from .fhe import KeyPair, SchemeParams
 
 MAGIC = b"EFT1"
@@ -115,8 +117,7 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
 def write_ciphertext_signal(path, params: SchemeParams, engine,
                             signal: SignalBuffer, fmt: FixedFormat):
     """Serialize every word of a signal buffer through engine.export_ct."""
-    cts = [engine.export_ct(handle) for pt in signal.points
-           for word in (pt.re, pt.im) for handle in word.bits]
+    cts = [engine.export_ct(handle) for handle in signal.bits()]
     n_ct = params.n_ct
     header = {
         "kind": "fhefft-signal",
@@ -226,15 +227,7 @@ def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
             np.frombuffer(payload[idx * stride:(idx + 1) * stride], dtype=np.uint8))
         matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct)
         handles.append(engine.import_ct(engine.scheme.from_matrix(matrix, level, noise)))
-
-    points = []
-    per_word = fmt.total_bits
-    for p in range(header.points):
-        base = p * 2 * per_word
-        re = FixedWord(tuple(handles[base:base + per_word]), fmt)
-        im = FixedWord(tuple(handles[base + per_word:base + 2 * per_word]), fmt)
-        points.append(ComplexFixed(re, im))
-    return SignalBuffer(tuple(points), header.dims), fmt
+    return SignalBuffer.from_bits(handles, fmt, header.dims), fmt
 
 
 # -- plain signals -------------------------------------------------------------

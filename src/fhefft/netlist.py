@@ -3,10 +3,11 @@
 ``arith.add``, ``arith.sub`` and ``arith.mul_const`` build the same gates
 for every operand whose bits share one pattern of public constants, so
 each (operation, format, constant, pattern) is traced once on a symbolic
-engine and kept in memory.  The recording folds constants exactly as the
-bit engines do (NAND(x, 0) = 1, NAND(x, 1) = NOT x with no gate), so an
-engine that evaluates the netlist makes the same gates, folded NOTs and
-constant outputs as one that runs the word operation gate by gate.
+engine and kept in memory.  The recording folds constants with
+``engine.fold``, the rule the bit engines apply (NAND(x, 0) = 1,
+NAND(x, 1) = NOT x with no gate), so an engine that evaluates the
+netlist makes the same gates, folded NOTs and constant outputs as one
+that runs the word operation gate by gate.
 
 A netlist has one row per wire: rows ``0 .. n_inputs-1`` are the operand
 bits (x then y, LSB first; rows of constant bits are never read), row
@@ -40,6 +41,7 @@ import numpy as np
 
 from . import arith
 from .arith import FixedFormat, FixedWord, encode_int
+from .engine import fold
 from .errors import UsageError
 
 OPS = ("add", "sub", "mul_const")
@@ -96,7 +98,7 @@ class _Wire:
 
 
 class _Recorder:
-    """Symbolic bit engine: folds constants like the real engines, records gates.
+    """Symbolic bit engine: folds constants with ``fold``, records gates.
 
     Each row's level and its seat among the rows of that level are kept as
     it is recorded, so the level sort is a counting sort done on the way.
@@ -114,17 +116,11 @@ class _Recorder:
 
     def nand(self, x: _Wire, y: _Wire) -> _Wire:
         if x.const is not None or y.const is not None:
-            return self._fold(x, y)
+            return fold(self, x, y)
         return self._row(x.row, y.row)
 
-    def _fold(self, x, y):
-        if x.const is not None and y.const is not None:
-            return self.constant(0 if (x.const and y.const) else 1)
-        if y.const is not None:
-            x, y = y, x
-        if x.const == 0:
-            return self.constant(1)
-        return self._row(y.row, self.n_inputs)  # NOT y = NAND(y, ONE)
+    def free_not(self, x: _Wire) -> _Wire:
+        return self._row(x.row, self.n_inputs)  # NOT x = NAND(x, ONE)
 
     def _row(self, a, b) -> _Wire:
         self.a.append(a)

@@ -1,6 +1,9 @@
-"""Helpers for driving integer-level circuits from tests."""
+"""Helpers for driving integer-level circuits from tests, and the
+gate-by-gate FFT pieces the batched stage driver is checked against."""
 
-from fhefft.arith import FixedFormat, FixedWord, bits_to_int
+from fhefft.arith import FixedFormat, FixedWord, add, bits_to_int, mul_const, sub
+from fhefft.errors import UsageError
+from fhefft.fft import ComplexFixed, SignalBuffer, _bit_reversal
 
 
 def pack_int_word(engine, ints, width, frac_bits=1):
@@ -31,3 +34,22 @@ def wrap_signed(v, width):
     if v >= 1 << (width - 1):
         v -= 1 << width
     return v
+
+
+def bit_reverse_permute(signal: SignalBuffer) -> SignalBuffer:
+    """Reorder point i to index reverse_bits(i); a free plaintext shuffle."""
+    if not isinstance(signal.dims, int):
+        raise UsageError("bit reversal applies to 1D signals")
+    return SignalBuffer(tuple(signal.points[r] for r in _bit_reversal(signal.dims)),
+                        signal.dims)
+
+
+def butterfly(xi: ComplexFixed, xj: ComplexFixed,
+              w: tuple[float, float]) -> tuple[ComplexFixed, ComplexFixed]:
+    """(x_i + W*x_j, x_i - W*x_j) for a plaintext twiddle W, gate by gate."""
+    wre, wim = w
+    t_re = sub(mul_const(xj.re, wre), mul_const(xj.im, wim))
+    t_im = add(mul_const(xj.re, wim), mul_const(xj.im, wre))
+    hi = ComplexFixed(add(xi.re, t_re), add(xi.im, t_im))
+    lo = ComplexFixed(sub(xi.re, t_re), sub(xi.im, t_im))
+    return hi, lo

@@ -61,6 +61,9 @@ def test_format_validation():
         FixedFormat(8, 8)
     with pytest.raises(UsageError):
         FixedFormat(8, 0)
+    assert FixedFormat(1024, 8).total_bits == 1024
+    with pytest.raises(UsageError, match="float64"):  # 2.0 ** 1024 overflows
+        FixedFormat(1025, 8)
 
 
 @given(st.floats(min_value=-32767.0, max_value=32767.0,

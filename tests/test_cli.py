@@ -215,6 +215,14 @@ MALFORMED = {
     "verify-negative-frac-option": lambda d, keys: [
         "verify", _signal(d, "0.5,0\n"), _file(d / "spec.txt", b"0.5,0\n"), "--frac", -2000],
     "bound-negative-frac": lambda d, keys: ["bound", "--points", 8, "--frac", -2000],
+    "bound-points-not-power-of-two": lambda d, keys: ["bound", "--points", 3],
+    "bound-xb-nan": lambda d, keys: ["bound", "--points", 8, "--xb", "nan"],
+    "bound-xb-inf": lambda d, keys: ["bound", "--points", 8, "--xb", "inf"],
+    "encrypt-bits-past-float64": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--bits", 1100, "--frac", 8,
+        "--out", d / "x.eft"],
+    "bench-bits-past-float64": lambda d, keys: [
+        "bench", "--sizes", 8, "--trials", 1, "--bits", 1100, "--frac", 8],
     "verify-meta-negative-bits": lambda d, keys: [
         "verify", _signal(d, "0.5,0\n"),
         _file(d / "spec.txt", b"# fhefft bits=-3 frac=99\n0.5,0\n")],

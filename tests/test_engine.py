@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fhefft.engine import CleartextEngine, FheEngine
+from fhefft.engine import CleartextEngine, FheBit, FheEngine
 from fhefft.errors import CapabilityError, NoiseOverflowError, UsageError
 from fhefft import gates, netlist
 
@@ -24,16 +24,6 @@ def test_nand_count_is_number_of_calls():
     for k in range(1, 8):
         eng.nand(a, b)
         assert eng.nand_count == k
-
-
-def test_constant_folding_not_counted():
-    eng = clear_engine()
-    x = eng.input_bit(1)
-    one, zero = eng.constant(1), eng.constant(0)
-    assert eng.read_back(eng.nand(x, one)) == 0      # NOT x
-    assert eng.read_back(eng.nand(x, zero)) == 1
-    assert eng.read_back(eng.nand(one, zero)) == 1
-    assert eng.nand_count == 0
 
 
 def test_cross_engine_mixing_rejected():
@@ -89,12 +79,37 @@ def test_fhe_export_import_round_trip(exact_scheme, exact_keys, rng):
     assert exact_scheme.decrypt_bit(exact_keys.secret_key, ct) == 1
 
 
-def test_fhe_folding_not_counted(exact_scheme, exact_keys, rng):
-    fhe = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
-    x = fhe.input_bit(1)
-    inv = fhe.nand(x, fhe.constant(1))
-    assert fhe.nand_count == 0
-    assert fhe.read_back(inv) == 0
+def _depth(h):
+    """Depth of a cleartext wire, level of a ciphertext; 0 for a constant."""
+    if isinstance(h, FheBit):
+        return 0 if h.ct is None else h.ct.level
+    return h.depth
+
+
+@pytest.mark.parametrize("right", ["x", 0, 1])
+@pytest.mark.parametrize("left", ["x", 0, 1])
+@pytest.mark.parametrize("backend", ["clear", "fhe"])
+def test_nand_folds_constant_operands(backend, left, right, exact_scheme, exact_keys, rng):
+    """Both engines fold a NAND with a public constant operand the same way:
+    NAND(x, 0) = 1 and two constants give a constant, with no gate;
+    NAND(x, 1) = NOT x, a wire at x's depth, with no gate; and the constant
+    survives a trip through a wire array."""
+    eng = clear_engine() if backend == "clear" else \
+        FheEngine(exact_scheme, keys=exact_keys, rng=rng)
+    x = eng.nand(eng.input_bit(0), eng.input_bit(0))  # a wire holding 1 at depth 1
+    before = eng.nand_count
+    out = eng.nand(*(x if v == "x" else eng.constant(v) for v in (left, right)))
+    pair = (left, right)
+    value = 1 - ((1 if left == "x" else left) & (1 if right == "x" else right))
+    const = None if "x" in pair and 0 not in pair else value
+    assert eng.read_back(out) == value
+    assert out.const == const
+    assert _depth(out) == (0 if const is not None else 2 if pair == ("x", "x") else 1)
+    assert eng.nand_count - before == (1 if pair == ("x", "x") else 0)
+    wired = eng.wires([out])
+    assert wired["c"][0] == (-1 if const is None else const)
+    back = eng.handles(wired)[0]
+    assert (back.const, eng.read_back(back), _depth(back)) == (const, value, _depth(out))
 
 
 def test_backend_equivalence_random_circuits(exact_scheme, exact_keys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,15 +68,16 @@ def test_fft_error_bound_size_ratio():
     assert b128 / b8 == pytest.approx(28.8)
 
 
-def test_fft_error_bound_uses_exact_twiddle_sum():
-    loose = fft_error_bound(ErrorParams(DELTA16, 1.0, 8))
-    tight = fft_error_bound(ErrorParams(DELTA16, 1.0, 8, w_sum=10.0))
-    assert tight < loose
+@pytest.mark.parametrize("m_points", [0, 3, 6, 12, -8])
+def test_m_points_must_be_a_power_of_two(m_points):
+    with pytest.raises(ParameterError, match="power of two"):
+        ErrorParams(DELTA16, 1.0, m_points)
 
 
-def test_w_sum_above_ceiling_rejected():
-    with pytest.raises(ParameterError):
-        ErrorParams(DELTA16, 1.0, 8, w_sum=13.0)
+@pytest.mark.parametrize("x_bound", [math.nan, math.inf, -math.inf, -1.0])
+def test_x_bound_must_be_finite_and_non_negative(x_bound):
+    with pytest.raises(ParameterError, match="x_bound"):
+        ErrorParams(DELTA16, x_bound, 8)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=10),

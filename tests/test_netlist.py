@@ -15,7 +15,7 @@ def _operands(eng, pattern, rng):
     else random lane bits at random depths."""
     return [eng.constant(int(p)) if p >= 0 else
             ClearBit(eng, int.from_bytes(rng.bytes(9), "little") & eng.mask,
-                     int(rng.integers(0, 9)), False)
+                     int(rng.integers(0, 9)), None)
             for p in pattern]
 
 
