@@ -146,7 +146,7 @@ def cmd_bound(args) -> int:
     params = ErrorParams(delta, args.xb, args.points)
     model = GateCostModel(fixed_width=fmt.total_bits, ct_side=args.ct_side,
                           signal_len=args.points,
-                          signal_total=args.total or args.points)
+                          signal_total=args.points if args.total is None else args.total)
     out = {
         "points": args.points,
         "delta": delta,

@@ -20,7 +20,11 @@ handle; ``run`` also goes level by level, over the ciphertexts' gadget
 words: each level's NANDs for every operand set are one batched
 ``GswScheme.nand_words`` product, and only the netlist's inputs and
 outputs are handles.  The ciphertexts, operation counts, levels and noise
-estimates are those of the gate-by-gate circuit.
+estimates are those of the gate-by-gate circuit.  A ``netlist.union`` runs
+like any netlist; the cleartext engine takes output depths from each of
+its parts' paths.  ``wire_bytes`` (a wire's packed lanes, or a
+ciphertext's words) and ``CHUNK_BYTES`` tell a caller how large a netlist
+fits one evaluation workspace.
 
 A handle's ``const`` is ``None`` for a variable wire, else its public
 bit, which a wire array's ``c`` holds as -1, 0 or 1.  A NAND with a
@@ -92,7 +96,7 @@ class FheBit:
 class CleartextEngine:
     """Exact plaintext bit engine with lane packing and gate counting."""
 
-    CHUNK_BYTES = 1 << 18  # bound on the working arrays of one ``run`` evaluation
+    CHUNK_BYTES = 1 << 20  # bound on the working arrays of one ``run`` evaluation
 
     def __init__(self, batch_size: int = 1):
         if batch_size < 1:
@@ -101,8 +105,8 @@ class CleartextEngine:
         self.mask = (1 << batch_size) - 1
         self.nand_count = 0
         self.max_depth = 0
-        self.lane_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
-        self.wire_dtype = np.dtype([("v", np.uint8, (self.lane_bytes,)), ("d", np.int32),
+        self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
+        self.wire_dtype = np.dtype([("v", np.uint8, (self.wire_bytes,)), ("d", np.int32),
                                     ("c", np.int8)])
 
     @property
@@ -144,7 +148,7 @@ class CleartextEngine:
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
         _check_owner(self, handles)
-        n, size = len(handles), self.lane_bytes
+        n, size = len(handles), self.wire_bytes
         out = np.empty(n, self.wire_dtype)
         out["v"] = np.frombuffer(b"".join(h.value.to_bytes(size, "little") for h in handles),
                                  dtype=np.uint8).reshape(n, size)
@@ -164,27 +168,30 @@ class CleartextEngine:
         """Evaluate a netlist on each row of a (count, n_inputs) wire array.
 
         Counts ``net.nand_count`` gates per row and tracks depth exactly as
-        gate-by-gate evaluation would.
+        gate-by-gate evaluation would, from each part's paths for a union.
         """
         count = len(operands)
         self.nand_count += net.nand_count * count
-        if count:
-            deepest = int((operands["d"] + net.gate_path).max())
-            self.max_depth = max(self.max_depth, deepest)
         out = np.empty((count, len(net.outputs)), self.wire_dtype)
         out["c"] = net.out_const
-        # bounded working arrays: the lane bytes of every netlist row (plus
-        # both operands of the widest level), and the (inputs x outputs)
-        # path sums the output depths are taken from
-        rows = net.n_rows + _spare_rows(net)
-        step = max(1, self.CHUNK_BYTES // (self.lane_bytes * rows))
-        work = np.empty(rows * self.lane_bytes * min(step, count), dtype=np.uint8)
+        # bounded working arrays: the lane bytes of the workspace rows, and
+        # the (inputs x outputs) path sums the output depths are taken from
+        rows = net.work_rows
+        step = max(1, self.CHUNK_BYTES // (self.wire_bytes * rows))
+        work = np.empty(rows * self.wire_bytes * min(step, count), dtype=np.uint8)
         for lo in range(0, count, step):
             out["v"][lo:lo + step] = _evaluate(net, operands["v"][lo:lo + step], work)
-        step = max(1, self.CHUNK_BYTES // (16 * net.out_path.size))
-        for lo in range(0, count, step):
-            sums = operands["d"][lo:lo + step, :, None] + net.out_path
-            out["d"][lo:lo + step] = np.maximum(sums.max(axis=1), 0)
+        at_input = at_output = 0
+        for part in net.members:
+            depths = operands["d"][:, at_input:at_input + part.n_inputs]
+            outs = out["d"][:, at_output:at_output + len(part.outputs)]
+            at_input, at_output = at_input + part.n_inputs, at_output + len(part.outputs)
+            if count:
+                self.max_depth = max(self.max_depth, int((depths + part.gate_path).max()))
+            step = max(1, self.CHUNK_BYTES // (16 * part.out_path.size))
+            for lo in range(0, count, step):
+                sums = depths[lo:lo + step, :, None] + part.out_path
+                outs[lo:lo + step] = np.maximum(sums.max(axis=1), 0)
         return out
 
 
@@ -198,7 +205,9 @@ class FheEngine:
     """
 
     batch_size = 1
-    CHUNK_BYTES = 1 << 20  # bound on the decomposed float64 bits of one kernel call
+    # bound on the decomposed float64 bits of one kernel call, and on the
+    # words of one operand set of the netlists ``fft`` merges into one ``run``
+    CHUNK_BYTES = 1 << 20
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
                  public_key=None, rng=None):
@@ -210,6 +219,7 @@ class FheEngine:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.nand_count = 0
         self.max_depth = 0
+        self.wire_bytes = 8 * scheme.n_ct * (scheme.params.n + 1)  # a ciphertext's words
 
     @property
     def stats(self) -> GateStats:
@@ -399,23 +409,17 @@ def _check_owner(engine, handles):
         raise UsageError("cannot mix handles from different engines")
 
 
-def _spare_rows(net) -> int:
-    """Rows of ``_evaluate``'s workspace beyond the netlist's own: both
-    operands of the widest level, or the outputs."""
-    return max(2 * net.widest, len(net.outputs))
-
-
 def _evaluate(net, lanes: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Output lane bytes of a netlist for a (count, n_inputs, lane bytes) block.
 
-    ``work`` holds at least (n_rows + spare rows) * count * lane bytes bytes;
+    ``work`` holds at least ``net.work_rows`` * count * lane bytes bytes;
     the result is a view into it.
     """
     count, n_in, width = lanes.shape
     cols = count * width
     end = net.n_rows * cols
     values = work[:end].reshape(net.n_rows, cols)
-    spare = work[end:end + _spare_rows(net) * cols].reshape(-1, cols)
+    spare = work[end:net.work_rows * cols].reshape(-1, cols)
     values[:n_in].reshape(n_in, count, width)[...] = lanes.transpose(1, 0, 2)
     values[net.one] = 0xFF
     for lo, ops in net.levels():

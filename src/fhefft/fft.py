@@ -8,8 +8,10 @@ one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
 sequences of word arithmetic per butterfly.
 
 The stage driver evaluates a stage's word operations together: each
-operation is a netlist recorded once (``netlist.word_op``), and every
-operand set that shares one goes to a single ``engine.run``.  The gates,
+operation is a netlist recorded once (``netlist.word_op``), the operand
+sets that share one form a group, and groups of the same size run side by
+side as one ``netlist.union``, one ``engine.run`` per piece that fits the
+engine's workspace bound.  The gates,
 counts, depths and output bits are those of the butterflies built gate
 by gate from ``arith.add``, ``arith.sub`` and ``arith.mul_const``, one
 butterfly at a time (the reference the tests hold the driver to).
@@ -33,7 +35,7 @@ import numpy as np
 # them by name in this module
 from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub  # noqa: F401
 from .errors import UsageError
-from .netlist import word_op
+from .netlist import union, word_op
 
 
 def _is_pow2(n: int) -> bool:
@@ -227,7 +229,13 @@ def _word_ops(engine, op, fmt, x, y=None, consts=None):
     """``op`` on every row of word arrays x (and y), as a wire array.
 
     Rows that share a netlist (same constant multiplier and pattern of
-    constant bits) are evaluated by one ``engine.run``.
+    constant bits) form a group.  Groups with the same row count run side
+    by side as one ``netlist.union``, one ``engine.run`` per piece of it.
+    A piece is cut so that the workspace of one of its rows
+    (``work_rows`` * ``engine.wire_bytes``) fits in ``engine.CHUNK_BYTES``;
+    the cleartext engine evaluates the rows in chunks that fit.  The cut
+    does not depend on the row count, so every transform size that runs a
+    stage shares its unions.
     """
     operands = x if y is None else np.concatenate([x, y], axis=1)
     keys = np.ascontiguousarray(operands["c"])  # one int8 per operand bit
@@ -237,11 +245,32 @@ def _word_ops(engine, op, fmt, x, y=None, consts=None):
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")  # equal keys adjacent, in row order
     ordered = keys[order]
-    out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
+    by_count = {}
     for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
         c = None if consts is None else consts[rows[0]]
-        out[rows] = engine.run(word_op(op, fmt, operands["c"][rows[0]], c), operands[rows])
+        net = word_op(op, fmt, operands["c"][rows[0]], c)
+        by_count.setdefault(len(rows), []).append((rows, net))
+    out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
+    fits = engine.CHUNK_BYTES // engine.wire_bytes
+    for count, groups in by_count.items():
+        for piece in _pieces(groups, fits):
+            rows = np.stack([r for r, _ in piece])  # (parts, count)
+            res = engine.run(union(net for _, net in piece), operands[rows.T].reshape(count, -1))
+            out[rows] = res.reshape(count, len(piece), -1).swapaxes(0, 1)
     return out
+
+
+def _pieces(groups, fits):
+    """Runs of (rows, netlist) groups whose summed ``work_rows`` stay within
+    ``fits``; a group that alone exceeds it is a piece of its own."""
+    piece, rows = [], 0
+    for group in groups:
+        if piece and rows + group[1].work_rows > fits:
+            yield piece
+            piece, rows = [], 0
+        piece.append(group)
+        rows += group[1].work_rows
+    yield piece
 
 
 # -- signal construction and readout ---------------------------------------

@@ -29,6 +29,14 @@ longest path from input i through any gate (that gate included);
 below 2**15 leaves it negative.  An output's depth is the maximum over
 inputs of input depth plus path (0 if that is negative: a constant), and
 the deepest gate bounds an engine's ``max_depth``.
+
+``union`` merges netlists into one that evaluates them side by side: its
+rows are every part's inputs, part after part, then one shared ONE, then
+the parts' gates level by level (level k holds each part's level-k gates,
+part after part), so one gather and one NAND step evaluate a level of
+every part.  Its depth paths stay with its parts (``members``), which an
+engine reads over each part's slice of inputs and outputs; no path matrix
+of the whole union is built.
 """
 
 from __future__ import annotations
@@ -59,9 +67,11 @@ class Netlist:
     widest: int  # most gates in one level
     outputs: np.ndarray  # row of each output bit (0 where the output is constant)
     out_const: np.ndarray  # int8: -1 for a wire, else the output's constant bit
-    out_path: np.ndarray  # int16 (n_inputs, n_outputs)
-    gate_path: np.ndarray  # int16 (n_inputs,)
+    out_path: np.ndarray | None  # int16 (n_inputs, n_outputs); None for a union
+    gate_path: np.ndarray | None  # int16 (n_inputs,); None for a union
     nand_count: int
+    key: tuple | None = None  # the ``CACHE`` key it was recorded under
+    parts: tuple = ()  # a union's netlists, in the order of its inputs and outputs
 
     @property
     def one(self) -> int:
@@ -73,9 +83,21 @@ class Netlist:
         return self.n_inputs + 1 + len(self.ops) // 2
 
     @property
+    def work_rows(self) -> int:
+        """Rows of an evaluation workspace: every row, plus room to gather
+        both operands of the widest level or the outputs."""
+        return self.n_rows + max(2 * self.widest, len(self.outputs))
+
+    @property
+    def members(self) -> tuple:
+        """The netlists whose depth paths apply: a union's parts, else itself."""
+        return self.parts or (self,)
+
+    @property
     def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs,
-                                          self.out_const, self.out_path, self.gate_path))
+        """Bytes of its own arrays (a union shares its parts' paths)."""
+        return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs, self.out_const,
+                                          self.out_path, self.gate_path) if arr is not None)
 
     def levels(self):
         """(first row, operand rows) of each level after level 0.
@@ -134,10 +156,10 @@ class _Recorder:
         width[lvl] += 1
         return _Wire(self, len(level) - 1, None)
 
-    def compile(self, outputs) -> Netlist:
+    def compile(self, outputs, key=None) -> Netlist:
         n_in, n_rows = self.n_inputs, len(self.level)
         first = n_in + 1  # the first gate row
-        index = np.uint16 if n_rows <= 1 << 16 else np.uint32
+        index = np.uint16 if n_rows < 1 << 16 else np.uint32  # bounds hold n_rows
         edges = list(accumulate(self.width, initial=0))
         bounds = np.array(edges, dtype=np.int64)
         level = np.frombuffer(self.level, dtype=np.int32)
@@ -161,7 +183,7 @@ class _Recorder:
             arr.flags.writeable = False
         return Netlist(n_inputs=n_in, widest=max(self.width[1:], default=0),
                        nand_count=int((np.frombuffer(self.b, dtype=np.int32) != n_in).sum()),
-                       **arrays)
+                       key=key, **arrays)
 
 
 def _longest_paths(ops, edges, n_in, out_rows, out_const):
@@ -202,8 +224,10 @@ def _longest_paths(ops, edges, n_in, out_rows, out_const):
 
 # A memo of pure functions of the key: every caller gets the same netlist
 # for the same key, so sharing it across the process changes no result.
-# It is not bounded: an M-point transform adds about one netlist per
-# distinct twiddle component (71 netlists, 0.6 MB, for M = 8..128 at 32.16).
+# The key's format sits at index 1.  It is not bounded: an M-point transform
+# adds about one netlist per distinct twiddle component, and its stages a few
+# unions of them (for M = 8..128 at 32.16 and 100 lanes: 71 netlists,
+# 0.6 MB, and 13 unions, 0.8 MB).
 CACHE: dict[tuple, Netlist] = {}
 
 
@@ -221,11 +245,70 @@ def word_op(op: str, fmt: FixedFormat, pattern: np.ndarray, c: float | None = No
     key = (op, fmt, c_int, pattern.tobytes())
     net = CACHE.get(key)
     if net is None:
-        net = CACHE[key] = _record(op, fmt, c, pattern)
+        net = CACHE[key] = _record(op, fmt, c, pattern, key)
     return net
 
 
-def _record(op, fmt, c, pattern) -> Netlist:
+def union(nets) -> Netlist:
+    """One netlist that evaluates ``nets`` side by side (a single netlist is
+    its own union).
+
+    Its inputs are the parts' inputs and its outputs the parts' outputs,
+    part after part; its gates are every part's, merged level by level.
+    """
+    nets = tuple(nets)
+    if len(nets) == 1:
+        return nets[0]
+    # parts are keyed by identity: the key holds them, so no id is reused
+    key = ("union", nets[0].key[1] if nets[0].key else None, nets)
+    net = CACHE.get(key)
+    if net is None:
+        net = CACHE[key] = _merge(nets)
+    return net
+
+
+def _merge(nets) -> Netlist:
+    n_in = sum(net.n_inputs for net in nets)
+    first = n_in + 1  # the first gate row
+    levels = max(len(net.bounds) for net in nets) - 1  # level 0 included
+    gates = np.zeros((len(nets), levels), dtype=np.int64)  # per part and level
+    for k, net in enumerate(nets):
+        gates[k, 1:len(net.bounds) - 1] = np.diff(net.bounds.astype(np.int64))[1:]
+    width = gates.sum(axis=0)
+    width[0] = first
+    bounds = np.concatenate([[0], np.cumsum(width)])
+    n_rows = int(bounds[-1])
+    index = np.uint16 if n_rows < 1 << 16 else np.uint32  # bounds hold n_rows
+    # a level holds each part's gates of that level, part after part
+    starts = bounds[:-1] + np.cumsum(gates, axis=0) - gates
+    ops = np.empty(2 * (n_rows - first), dtype=index)
+    outputs, at_input = [], 0
+    for k, net in enumerate(nets):
+        # each row of the part and its row in the union; a gate at sorted row r
+        # of level L has its a operand at r + bounds[L] - 2 * first (see above)
+        part_bounds = net.bounds.astype(np.int64)
+        level = np.repeat(np.arange(1, len(part_bounds) - 1), np.diff(part_bounds)[1:])
+        row = np.arange(net.one + 1, net.n_rows)
+        shift = starts[k, :len(part_bounds) - 1] - part_bounds[:-1]
+        to_union = np.concatenate([np.arange(at_input, at_input + net.n_inputs), [n_in],
+                                   row + shift[level]])
+        a_part = row + part_bounds[level] - 2 * (net.one + 1)
+        a_union = to_union[row] + bounds[level] - 2 * first
+        ops[a_union] = to_union[net.ops[a_part]]
+        ops[a_union + width[level]] = to_union[net.ops[a_part + gates[k, level]]]
+        outputs.append(np.where(net.out_const < 0, to_union[net.outputs], 0))
+        at_input += net.n_inputs
+    arrays = dict(ops=ops, bounds=bounds.astype(index),
+                  outputs=np.concatenate(outputs).astype(index),
+                  out_const=np.concatenate([net.out_const for net in nets]))
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return Netlist(n_inputs=n_in, widest=int(width[1:].max(initial=0)), out_path=None,
+                   gate_path=None, nand_count=sum(net.nand_count for net in nets),
+                   parts=nets, **arrays)
+
+
+def _record(op, fmt, c, pattern, key) -> Netlist:
     width = fmt.total_bits
     if len(pattern) != (width if op == "mul_const" else 2 * width):
         raise UsageError(f"{len(pattern)} operand bits for {op} at {width} bits")
@@ -237,4 +320,4 @@ def _record(op, fmt, c, pattern) -> Netlist:
         out = arith.mul_const(x, c)
     else:
         out = getattr(arith, op)(x, FixedWord(tuple(bits[width:]), fmt))
-    return rec.compile(out.bits)
+    return rec.compile(out.bits, key)

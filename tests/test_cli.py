@@ -218,6 +218,7 @@ MALFORMED = {
     "bound-points-not-power-of-two": lambda d, keys: ["bound", "--points", 3],
     "bound-xb-nan": lambda d, keys: ["bound", "--points", 8, "--xb", "nan"],
     "bound-xb-inf": lambda d, keys: ["bound", "--points", 8, "--xb", "inf"],
+    "bound-total-zero": lambda d, keys: ["bound", "--points", 8, "--total", 0],
     "encrypt-bits-past-float64": lambda d, keys: [
         "encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--bits", 1100, "--frac", 8,
         "--out", d / "x.eft"],

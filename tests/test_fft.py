@@ -374,3 +374,34 @@ def test_netlist_cache_stays_small():
     fft_1d(input_signal(eng, [0.5] * 128, F32))
     held = sum(net.nbytes for key, net in netlist.CACHE.items() if key[1] == F32)
     assert 0 < held <= 2 * 2**20
+
+
+def test_stage_driver_cuts_unions_to_the_engine_bound(monkeypatch):
+    """With a smaller workspace bound the stage driver runs more, smaller
+    pieces and gets the same wires, counts and depths, in 1D and 2D; a piece
+    whose one row exceeds the bound holds a single netlist."""
+    values = np.random.default_rng(13).uniform(-1, 1, (9, 32, 2)) @ [1, 1j]
+
+    class Logging(CleartextEngine):
+        def run(self, net, operands):
+            self.pieces.append(net)
+            return super().run(net, operands)
+
+    def transform(dims):
+        eng = Logging(batch_size=9)
+        eng.pieces = []
+        sig = input_signal(eng, values, F32, dims=dims)
+        out = fft_1d(sig) if dims == 32 else fft_2d(sig)
+        return _wires(out), eng.stats, eng.pieces
+
+    for dims in (32, (4, 8)):
+        want, stats, pieces = transform(dims)
+        monkeypatch.setattr(CleartextEngine, "CHUNK_BYTES", 1 << 12)
+        got, got_stats, small = transform(dims)
+        monkeypatch.undo()
+        assert got == want and got_stats == stats, dims
+        assert len(small) > len(pieces), dims
+        fits = (1 << 12) // CleartextEngine(batch_size=9).wire_bytes
+        assert any(len(net.members) > 1 for net in small), dims
+        assert all(len(net.members) == 1 or net.work_rows <= fits for net in small), dims
+        assert any(net.work_rows > fits for net in pieces), dims

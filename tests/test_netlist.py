@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fhefft import arith
+from fhefft import arith, gates, netlist
 from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import ClearBit, CleartextEngine, FheEngine
 from fhefft.errors import UsageError
-from fhefft.netlist import word_op
+from fhefft.netlist import union, word_op
 
 F8 = FixedFormat(8, 4)
 
@@ -59,6 +59,16 @@ def test_netlists_are_recorded_once():
         word_op("mul_const", F8, pattern[:8], 0.5 + 2**-7)
 
 
+def test_row_indices_hold_the_row_count():
+    """Level bounds end at the row count, so 2**16 rows need uint32."""
+    for n_rows in (2**16 - 1, 2**16):
+        rec = netlist._Recorder(2)
+        x, y = netlist._Wire(rec, 0, None), netlist._Wire(rec, 1, None)
+        net = rec.compile([rec.nand(x, y) for _ in range(n_rows - 3)])
+        assert int(net.bounds[-1]) == net.n_rows == n_rows
+        assert net.ops.dtype == (np.uint16 if n_rows < 2**16 else np.uint32)
+
+
 def test_word_op_rejects_bad_requests():
     with pytest.raises(UsageError):
         word_op("mul", F8, np.full(16, -1, dtype=np.int8))
@@ -76,3 +86,81 @@ def test_fhe_replay_folds_not_rows(exact_scheme, exact_keys):
     out = eng.handles(eng.run(net, wires[None])[0])
     assert arith.read_word(eng, FixedWord(tuple(out), F8)) == [0.3125]
     assert eng.nand_count == net.nand_count
+
+
+def _columns(parts):
+    """(part, its input columns, its output columns) of a union's parts."""
+    ins, outs = np.cumsum([[p.n_inputs, len(p.outputs)] for p in parts], axis=0).T.tolist()
+    return [(p, slice(i - p.n_inputs, i), slice(o - len(p.outputs), o))
+            for p, i, o in zip(parts, ins, outs)]
+
+
+def test_union_equals_its_parts_run_alone():
+    """A union of netlists with different row counts and constant bits,
+    multiplication by 0 and by 1 among them, gives the bits, depths,
+    constants and gate counts of each part run alone, in one level sweep."""
+    rng = np.random.default_rng(11)
+    parts, patterns = [], []
+    for op, c, constants in [("add", None, 0.0), ("mul_const", 0.6875, 0.3),
+                             ("mul_const", 0.0, 0.0), ("sub", None, 0.7),
+                             ("mul_const", 1.0, 0.2), ("mul_const", -0.9375, 0.0)]:
+        n_in = F8.total_bits * (1 if op == "mul_const" else 2)
+        pattern = np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in), -1)
+        patterns.append(pattern.astype(np.int8))
+        parts.append(word_op(op, F8, patterns[-1], c))
+    assert len({part.n_rows for part in parts}) == len(parts)
+    merged = union(parts)
+    assert union(parts) is merged and merged.members == tuple(parts)
+    assert netlist.CACHE[("union", F8, tuple(parts))] is merged  # the format at index 1
+    assert len(merged.bounds) == max(len(part.bounds) for part in parts)
+    together, alone = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
+    wires = np.stack([together.wires([h for pattern in patterns
+                                      for h in _operands(together, pattern, rng)])
+                      for _ in range(5)])
+    out = together.run(merged, wires)
+    for part, ins, outs in _columns(parts):
+        want = alone.run(part, wires[:, ins])
+        for field in ("v", "d", "c"):
+            assert np.array_equal(out[field][:, outs], want[field])
+    assert together.stats == alone.stats and together.nand_count == 5 * merged.nand_count
+
+
+def test_fhe_union_equals_its_parts_at_noisy_preset(default_scheme, default_keys):
+    """At the default preset a union gives the ciphertext words, levels and
+    noise estimates, and the counts, of each part run alone, with inputs of
+    different levels and noise."""
+    rng = np.random.default_rng(12)
+    rec = netlist._Recorder(3)
+    w = [netlist._Wire(rec, i, None) for i in range(3)]
+    mix = rec.compile([gates.xor_(w[0], w[1]), gates.and_(w[1], w[2]), gates.not_(w[2])])
+    rec = netlist._Recorder(2)
+    w = [netlist._Wire(rec, i, None) for i in range(2)]
+    single = rec.compile([rec.nand(w[0], w[1]), rec.nand(w[1], w[0])])
+    every = np.full(8, -1, dtype=np.int8)
+    parts = [mix, word_op("mul_const", F8, every, 1.0), single, word_op("mul_const", F8, every, 0.0)]
+    merged = union(parts)
+    together, alone = FheEngine(default_scheme), FheEngine(default_scheme)
+    pk = default_keys.public_key
+    rows = []
+    for r in range(3):
+        cts = [default_scheme.encrypt_bit(pk, int(bit), rng)
+               for bit in rng.integers(0, 2, merged.n_inputs)]
+        # single's first input a level deeper and far noisier than a fresh bit
+        at = mix.n_inputs + 8
+        cts[at] = default_scheme.hom_nand(cts[at], cts[r])
+        rows.append([together.import_ct(ct) for ct in cts])
+    wires = np.stack([together.wires(hs) for hs in rows])
+    out = together.run(merged, wires)
+    noise = set()
+    for part, ins, outs in _columns(parts):
+        want = alone.run(part, wires[:, ins])
+        assert np.array_equal(out["c"][:, outs], want["c"])
+        for got_h, want_h, const in zip(out["h"][:, outs].ravel(), want["h"].ravel(),
+                                        want["c"].ravel()):
+            if const < 0:
+                assert (got_h.ct.level, got_h.ct.noise_est) == \
+                    (want_h.ct.level, want_h.ct.noise_est)
+                assert np.array_equal(got_h.ct.words, want_h.ct.words)
+                noise.add(got_h.ct.noise_est)
+    assert together.stats == alone.stats and together.stats.max_depth == 3
+    assert len(noise) > 2
