@@ -18,6 +18,12 @@ adds the complemented row (free NOTs of the input bits) plus a constant
 folded into one correction word.  The product modulo 2**(f + F) is the
 same either way, so the result is bit-identical to multiplying by an
 encryption of the same constant.
+
+The lane codec is ``encode_bits`` (real values of any shape to
+two's-complement bits on a new last axis, rounded half to even and
+range-checked like ``encode_int``) and ``decode_bits`` (its inverse, in
+32-bit limbs).  ``fft.input_signal`` and ``fft.read_signal`` run a whole
+signal through it; ``input_word`` and ``read_word`` are the one-word case.
 """
 
 from __future__ import annotations
@@ -110,17 +116,66 @@ def bits_to_int(bits, signed: bool = True) -> int:
     return raw
 
 
+# -- lane codec -------------------------------------------------------------
+
+def encode_bits(values, fmt: FixedFormat) -> np.ndarray:
+    """Two's-complement bits, LSB first on a new last axis, of real values of
+    any shape (uint8, ``values.shape + (total_bits,)``).
+
+    Every value is rounded and range-checked exactly as ``encode_int`` does
+    it; the first value out of range, in C order, raises its ``RangeError``.
+    """
+    arr = np.asarray(values)
+    width = fmt.total_bits
+    half = 2.0 ** (width - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ints = np.rint(arr.astype(float) * fmt.scale)  # round half to even, as round()
+        bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        raise _range_error(arr[at], fmt, int(ints[at]) if np.isfinite(ints[at]) else None)
+    # two's complement in 32-bit limbs, LSB first: every split is exact on
+    # integer-valued floats, and the signed top limb wraps into its pattern
+    limbs = np.empty((*arr.shape, -(-width // 32)), dtype=np.int64)
+    for k in range(limbs.shape[-1] - 1):
+        high = np.floor(ints / 2.0**32)
+        limbs[..., k] = ints - high * 2.0**32
+        ints = high
+    limbs[..., -1] = ints
+    raw = limbs.astype("<u4").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=width, bitorder="little")
+
+
+def decode_bits(bits, fmt: FixedFormat) -> np.ndarray:
+    """Values of two's-complement bits, LSB first on the last axis (the
+    inverse of ``encode_bits``).
+
+    Equal to ``decode`` of each bit vector for words of up to 85 bits (one
+    32-bit limb past the float64 significand); wider words are rounded
+    twice, so a value can differ from it in the last place.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    width = bits.shape[-1]
+    # sign-extended to whole 32-bit limbs
+    ext = np.empty((*bits.shape[:-1], 32 * -(-width // 32)), dtype=np.uint8)
+    ext[..., :width] = bits
+    ext[..., width:] = bits[..., -1:]
+    limbs = np.packbits(ext, axis=-1, bitorder="little").view("<u4")
+    value = limbs[..., -1].view("<i4").astype(float)
+    for k in range(limbs.shape[-1] - 2, -1, -1):
+        value = value * 2.0**32 + limbs[..., k]
+    return value / fmt.scale
+
+
 # -- word construction and readout ---------------------------------------
 
 def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
     """Encode one value per engine lane into a word of variable wires.
 
     ``values`` holds one real number per lane, or one real scalar for all
-    lanes.  Every lane is rounded and range-checked exactly as
-    ``encode_int`` does it; the first value out of range raises its
-    ``RangeError``.
+    lanes; they go through ``encode_bits`` and ``engine.input_wires``.
     """
-    lanes, width = engine.batch_size, fmt.total_bits
+    lanes = engine.batch_size
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError) as exc:  # e.g. ragged nesting
@@ -131,27 +186,8 @@ def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
         arr = np.broadcast_to(arr, (lanes,))
     if arr.shape != (lanes,):
         raise UsageError(f"got values of shape {arr.shape} for {lanes} lanes")
-    half = 2.0 ** (width - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ints = np.rint(arr.astype(float) * fmt.scale)  # round half to even, as round()
-        bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
-    if bad.any():
-        lane = int(bad.argmax())
-        raise _range_error(arr[lane], fmt,
-                           int(ints[lane]) if np.isfinite(ints[lane]) else None)
-    # two's complement in 32-bit limbs, LSB first: every split is exact on
-    # integer-valued floats, and the signed top limb wraps into its pattern
-    limbs = np.empty((lanes, -(-width // 32)), dtype=np.int64)
-    for k in range(limbs.shape[1] - 1):
-        high = np.floor(ints / 2.0**32)
-        limbs[:, k] = ints - high * 2.0**32
-        ints = high
-    limbs[:, -1] = ints
-    raw = limbs.astype("<u4").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")  # (lanes, width)
-    planes = np.packbits(bits.T, axis=1, bitorder="little")  # one lane mask per bit
-    return FixedWord(tuple(engine.input_bit(int.from_bytes(p.tobytes(), "little"))
-                           for p in planes), fmt)
+    wires = engine.input_wires(encode_bits(arr, fmt).T)  # one wire per bit
+    return FixedWord(tuple(engine.handles(wires)), fmt)
 
 
 def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
@@ -160,26 +196,9 @@ def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
 
 
 def read_word(engine, word: FixedWord) -> list[float]:
-    """Decoded value of a word in every lane (FHE readout needs the secret key).
-
-    Equal to ``decode`` of each lane's bits for words of up to 85 bits
-    (one 32-bit limb past the float64 significand); wider words are
-    rounded twice, so a lane can differ from it in the last place.
-    """
-    lanes, width = engine.batch_size, word.fmt.total_bits
-    size = -(-lanes // 8)
-    masks = b"".join(engine.read_back(h).to_bytes(size, "little") for h in word.bits)
-    bits = np.unpackbits(np.frombuffer(masks, dtype=np.uint8).reshape(width, size),
-                         axis=1, count=lanes, bitorder="little")  # (width, lanes)
-    # each lane's bits, sign-extended to whole 32-bit limbs
-    ext = np.empty((lanes, 32 * -(-width // 32)), dtype=np.uint8)
-    ext[:, :width] = bits.T
-    ext[:, width:] = bits[-1, :, None]
-    limbs = np.packbits(ext, axis=1, bitorder="little").view("<u4")  # (lanes, limbs)
-    value = limbs[:, -1].view("<i4").astype(float)
-    for k in range(limbs.shape[1] - 2, -1, -1):
-        value = value * 2.0**32 + limbs[:, k]
-    return (value / word.fmt.scale).tolist()
+    """Decoded value of a word in every lane (FHE readout needs the secret
+    key), through ``engine.read_wires`` and ``decode_bits``."""
+    return decode_bits(engine.read_wires(engine.wires(word.bits)).T, word.fmt).tolist()
 
 
 # -- adders ---------------------------------------------------------------

@@ -37,10 +37,18 @@ def _load_params(args):
     return _PRESETS[getattr(args, "preset", "default")]
 
 
+def _seed(args):
+    """The ``--seed`` option, which numpy's generators need non-negative."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def cmd_keygen(args) -> int:
+    seed = _seed(args)
     params = _load_params(args)
     scheme = GswScheme(params)
-    keys = scheme.keygen(seed=args.seed)
+    keys = scheme.keygen(seed=seed)
     fileio.write_keys(args.out, params, keys)
     print(f"wrote key pair for n={params.n}, q={params.q} to {args.out}")
     if params.noise_bound == 0:
@@ -49,22 +57,16 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    seed = _seed(args)
     params, keys = fileio.read_keys(args.keys)
     scheme = GswScheme(params)
     fmt = FixedFormat(args.bits, args.frac)
-    if args.signal.endswith(".pgm"):
-        image = fileio.read_pgm(args.signal)
-        values = image.astype(complex).ravel()
-        dims = image.shape
-    else:
-        values, meta = fileio.read_signal_text(args.signal)
-        dims = meta.dims if meta.dims is not None else len(values)
+    values, dims = fileio.plain_input(args.signal)
     engine = FheEngine(scheme, public_key=keys.public_key,
-                       rng=np.random.default_rng(args.seed))
+                       rng=np.random.default_rng(seed))
     signal = input_signal(engine, values, fmt, dims=dims)
     fileio.write_ciphertext_signal(args.out, params, engine, signal, fmt)
-    n_pts = len(signal.points)
-    print(f"encrypted {n_pts} points ({dims}) at {fmt.total_bits}.{fmt.frac_bits} "
+    print(f"encrypted {len(signal.wires)} points ({dims}) at {fmt.total_bits}.{fmt.frac_bits} "
           f"fixed point into {args.out}")
     return 0
 
@@ -103,13 +105,13 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plain, _ = fileio.read_signal_text(args.plain_file)
+    plain, plain_dims = fileio.plain_input(args.plain_file)
     spectrum, meta = fileio.read_signal_text(args.spectrum)
     frac = meta.frac_bits if meta.frac_bits is not None else args.frac
     if frac < 1:
         raise UsageError(f"--frac must be positive, got {frac}")
     delta = 2.0 ** -frac
-    dims = meta.dims if meta.dims is not None else len(spectrum)
+    dims = meta.dims if meta.dims is not None else plain_dims
     points = dims[0] * dims[1] if isinstance(dims, tuple) else dims
     if not len(plain) == len(spectrum) == points:
         raise UsageError(f"{len(plain)} plain points, {len(spectrum)} spectrum "
@@ -117,11 +119,11 @@ def cmd_verify(args) -> int:
     if isinstance(dims, tuple):
         rows, cols = dims
         oracle = reference_fft2d(plain.reshape(rows, cols)).ravel()
-        x_bound = args.xb if args.xb else float(np.abs(plain).max())
+        x_bound = args.xb if args.xb is not None else float(np.abs(plain).max())
         bound = fft2d_error_bound(rows, cols, delta, x_bound)
     else:
         oracle = np.array(reference_fft(plain))
-        x_bound = args.xb if args.xb else float(
+        x_bound = args.xb if args.xb is not None else float(
             max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
         bound = fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
     if not (np.isfinite(oracle).all() and math.isfinite(bound)):
@@ -160,6 +162,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    seed = _seed(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
@@ -178,9 +181,9 @@ def cmd_bench(args) -> int:
             if side < 1 or side * side != m or side & (side - 1):
                 raise UsageError(f"2D size {m} is not the square of a power of two")
         reports = [run_2d_experiment(images=args.trials, shape=(side, side), fmt=fmt,
-                                     seed=args.seed) for side in sides]
+                                     seed=seed) for side in sides]
     else:
-        reports = [run_1d_experiment(m, fmt=fmt, trials=args.trials, seed=args.seed,
+        reports = [run_1d_experiment(m, fmt=fmt, trials=args.trials, seed=seed,
                                      backend=args.backend) for m in sizes]
     print(format_report_table(reports))
     if args.json:
@@ -225,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("verify", help="compare a decrypted spectrum to the oracle")
-    p.add_argument("plain_file", metavar="plain", help="original plaintext signal file")
+    p.add_argument("plain_file", metavar="plain",
+                   help="original plaintext signal file or .pgm image")
     p.add_argument("spectrum", help="decrypted spectrum file")
     p.add_argument("--frac", type=int, default=16,
                    help="fractional bits when the spectrum file lacks metadata")

@@ -13,7 +13,12 @@ Besides gate-by-gate ``nand``, each engine evaluates a recorded
 ``netlist.Netlist`` over many operand sets at once with ``run``.  Operands
 and results are the engine's wire arrays (``wires`` turns handles into one,
 ``handles`` turns it back): structured arrays whose ``c`` field holds each
-wire's public constant (-1 for a variable wire).  On the cleartext engine
+wire's public constant (-1 for a variable wire).  ``input_wires`` makes
+variable wires straight from an array of lane bits and ``read_wires``
+reads lane bits back, so a signal is encoded and decoded without a handle
+per bit: the cleartext engine packs and unpacks the lane bytes in numpy,
+the FHE engine makes one ``encrypt_bit`` per bit in C order and one
+``read_back`` per wire.  On the cleartext engine
 the other fields are packed lane bytes and depths, evaluated level by
 level as numpy bit-planes.  On the FHE engine the other field is the
 handle; ``run`` also goes level by level, over the ciphertexts' gadget
@@ -145,6 +150,27 @@ class CleartextEngine:
             raise UsageError("handle belongs to a different engine")
         return h.value
 
+    def input_wires(self, lane_bits) -> np.ndarray:
+        """New variable wires of a (..., batch_size) array of lane bits (0/1),
+        each wire's lanes packed LSB first; the result has shape ``...``."""
+        lane_bits = np.asarray(lane_bits, dtype=np.uint8)
+        if lane_bits.shape[-1:] != (self.batch_size,):
+            raise UsageError(f"lane bits of shape {lane_bits.shape} for "
+                             f"batch_size={self.batch_size}")
+        out = np.empty(lane_bits.shape[:-1], self.wire_dtype)
+        out["v"] = np.packbits(lane_bits, axis=-1, bitorder="little")
+        out["d"] = 0
+        out["c"] = -1
+        return out
+
+    def read_wires(self, wires: np.ndarray) -> np.ndarray:
+        """Lane bits of a wire array, shape ``wires.shape + (batch_size,)``
+        (the inverse of ``input_wires``; a constant wire reads its ``c``)."""
+        bits = np.unpackbits(wires["v"], axis=-1, count=self.batch_size, bitorder="little")
+        for bit in (0, 1):
+            bits[wires["c"] == bit] = bit
+        return bits
+
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
         _check_owner(self, handles)
@@ -271,6 +297,23 @@ class FheEngine:
 
     def import_ct(self, ct: Ciphertext) -> FheBit:
         return FheBit(self, ct, None)
+
+    def input_wires(self, lane_bits) -> np.ndarray:
+        """Fresh encryptions of a (..., 1) array of bits, one ``encrypt_bit``
+        per bit in C order; the result has shape ``...``."""
+        lane_bits = np.asarray(lane_bits)
+        if lane_bits.shape[-1:] != (1,):
+            raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
+        out = np.empty(lane_bits[..., 0].size, _FHE_WIRE)
+        out["h"] = [self.input_bit(int(b)) for b in lane_bits.reshape(-1)]
+        out["c"] = -1
+        return out.reshape(lane_bits.shape[:-1])
+
+    def read_wires(self, wires: np.ndarray) -> np.ndarray:
+        """Decrypted bits of a wire array, shape ``wires.shape + (1,)``: one
+        ``read_back`` per wire."""
+        bits = [self.read_back(h) for h in wires["h"].reshape(-1)]
+        return np.array(bits, dtype=np.uint8).reshape(*wires.shape, 1)
 
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""

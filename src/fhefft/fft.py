@@ -19,21 +19,28 @@ butterfly at a time (the reference the tests hold the driver to).
 The index permutation touches no gates; only butterflies cost NANDs.
 ``fft_1d`` runs the driver on one signal.  ``fft_2d`` runs it on all rows
 of an image in one pass, then on all columns in a second, at the same
-word format.  Either transform turns its handles into one wire array on
-the way in and back into handles once on the way out, in the bit layout
-of ``SignalBuffer.bits``.
+word format.
+
+A ``SignalBuffer`` is one wire array of shape (points, 2, bits) from
+encoding to decoding: ``input_signal`` encodes every word of every lane in
+one ``arith.encode_bits`` call and makes its wires in one
+``engine.input_wires`` call, the transforms hand the array to the stage
+driver and wrap its result, and ``read_signal`` reads it back through
+``engine.read_wires`` and ``arith.decode_bits``.  Bit handles
+(``SignalBuffer.points`` and ``bits``) are made only when asked for.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# add, sub and mul_const are not called here, but bench/tracing.py wraps
-# them by name in this module
-from .arith import FixedFormat, FixedWord, add, decode, encode, input_word, mul_const, read_word, sub  # noqa: F401
+from .arith import FixedFormat, FixedWord, decode, decode_bits, encode, encode_bits
+# not called here, but bench/tracing.py wraps these names in this module
+from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
 from .errors import UsageError
 from .netlist import union, word_op
 
@@ -58,12 +65,21 @@ class ComplexFixed:
         return self.re.fmt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalBuffer:
-    """A 1D signal (dims = M) or row-major 2D image (dims = (rows, cols))."""
+    """A 1D signal (dims = M) or row-major 2D image (dims = (rows, cols)).
 
-    points: tuple
+    The signal is one wire array of ``engine`` of shape (points, 2, bits):
+    points in order, each point's real word before its imaginary word, each
+    word's bits LSB first (the EFT1 payload order).  ``points`` and ``bits``
+    are handle views of it, made on first use; ``from_bits`` builds a
+    signal from handles in that layout.
+    """
+
+    engine: object
+    fmt: FixedFormat
     dims: int | tuple[int, int]
+    wires: np.ndarray
 
     def __post_init__(self):
         if isinstance(self.dims, int):
@@ -75,22 +91,40 @@ class SignalBuffer:
             if not (_is_pow2(rows) and _is_pow2(cols)):
                 raise UsageError(f"image dims {self.dims} must be powers of two")
             total = rows * cols
-        if len(self.points) != total:
-            raise UsageError(f"{len(self.points)} points for dims {self.dims}")
+        if self.wires.shape != (total, 2, self.fmt.total_bits):
+            raise UsageError(f"wires of shape {self.wires.shape} for dims {self.dims} "
+                             f"at {self.fmt.total_bits} bits")
+
+    def __eq__(self, other):
+        if not isinstance(other, SignalBuffer):
+            return NotImplemented
+        return (self.engine is other.engine and self.fmt == other.fmt
+                and self.dims == other.dims
+                and all(np.array_equal(self.wires[f], other.wires[f])
+                        for f in self.wires.dtype.names))
+
+    @cached_property
+    def points(self) -> tuple[ComplexFixed, ...]:
+        """The points as words of bit handles."""
+        handles = self.engine.handles(self.wires.reshape(-1))
+        width = self.fmt.total_bits
+        words = [FixedWord(tuple(handles[k:k + width]), self.fmt)
+                 for k in range(0, len(handles), width)]
+        return tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2]))
 
     def bits(self) -> list:
-        """Every bit handle: points in order, each point's real word before
-        its imaginary word, each word LSB first (the EFT1 payload order)."""
+        """Every bit handle, in the layout of ``wires``."""
         return [h for pt in self.points for word in (pt.re, pt.im) for h in word.bits]
 
     @classmethod
     def from_bits(cls, handles, fmt: FixedFormat, dims) -> SignalBuffer:
         """Signal of bit handles in the layout of ``bits``."""
         width = fmt.total_bits
-        words = [FixedWord(tuple(handles[k:k + width]), fmt)
-                 for k in range(0, len(handles), width)]
-        return cls(tuple(ComplexFixed(re, im) for re, im in zip(words[::2], words[1::2])),
-                   dims)
+        if not handles or len(handles) % (2 * width):
+            raise UsageError(f"{len(handles)} bits do not make whole points of "
+                             f"{width}-bit words")
+        engine = handles[0].engine
+        return cls(engine, fmt, dims, engine.wires(handles).reshape(-1, 2, width))
 
 
 class TwiddleTable:
@@ -140,39 +174,22 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
-    m = signal.dims
-    engine, fmt, wires = _to_wires(signal)
-    del signal  # the handles go once their values are in the wire array
+    engine, fmt, m = signal.engine, signal.fmt, signal.dims
     if table is None:
         table = TwiddleTable(m, fmt)
-    return _from_wires(engine, fmt, _stages(engine, fmt, wires[None], table, on_butterfly), m)
+    out = _stages(engine, fmt, signal.wires[None], table, on_butterfly)
+    return SignalBuffer(engine, fmt, m, out[0])
 
 
 def fft_2d(image: SignalBuffer) -> SignalBuffer:
     """Row-column transform of a 2D buffer at a fixed word format."""
     if isinstance(image.dims, int):
         raise UsageError("fft_2d expects a 2D signal")
+    engine, fmt = image.engine, image.fmt
     rows, cols = dims = image.dims
-    engine, fmt, wires = _to_wires(image)
-    del image
-    grid = _stages(engine, fmt, wires.reshape(rows, cols, 2, -1), TwiddleTable(cols, fmt))
+    grid = _stages(engine, fmt, image.wires.reshape(rows, cols, 2, -1), TwiddleTable(cols, fmt))
     grid = _stages(engine, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt))
-    return _from_wires(engine, fmt, grid.swapaxes(0, 1), dims)
-
-
-def _to_wires(signal: SignalBuffer):
-    """(engine, format, wire array of shape (points, 2, bits)) of a signal."""
-    fmt = signal.points[0].fmt
-    if any(pt.fmt != fmt for pt in signal.points):
-        raise UsageError("all points of a signal must share one format")
-    engine = signal.points[0].re.engine
-    wires = engine.wires(signal.bits())
-    return engine, fmt, wires.reshape(len(signal.points), 2, fmt.total_bits)
-
-
-def _from_wires(engine, fmt, wires, dims) -> SignalBuffer:
-    """Signal of a wire array whose points are in row-major order."""
-    return SignalBuffer.from_bits(engine.handles(wires.reshape(-1)), fmt, dims)
+    return SignalBuffer(engine, fmt, dims, grid.swapaxes(0, 1).reshape(rows * cols, 2, -1))
 
 
 def _stages(engine, fmt, wires, table, on_butterfly=None):
@@ -280,25 +297,28 @@ def input_signal(engine, values, fmt: FixedFormat,
     """Encode complex values into variable words (one signal per lane).
 
     ``values`` is array-like of shape (M,) to broadcast one signal across
-    all lanes, or (batch, M) with one signal per lane.
+    all lanes, or (batch, M) with one signal per lane.  The whole signal
+    goes through ``encode_bits`` and ``engine.input_wires`` at once, with
+    the bits, range errors and encryptions of ``input_word`` on each word
+    in layout order.
     """
     arr = np.atleast_2d(np.asarray(values, dtype=complex))
     if arr.shape[0] == 1 and engine.batch_size > 1:
         arr = np.repeat(arr, engine.batch_size, axis=0)
-    if arr.shape[0] != engine.batch_size:
-        raise UsageError(f"{arr.shape[0]} signals for {engine.batch_size} lanes")
-    points = []
-    for col in range(arr.shape[1]):
-        re = input_word(engine, arr[:, col].real, fmt)
-        im = input_word(engine, arr[:, col].imag, fmt)
-        points.append(ComplexFixed(re, im))
-    return SignalBuffer(tuple(points), dims if dims is not None else arr.shape[1])
+    if arr.ndim != 2 or arr.shape[0] != engine.batch_size:
+        raise UsageError(f"signals of shape {arr.shape} for {engine.batch_size} lanes")
+    parts = np.stack([arr.real.T, arr.imag.T], axis=1)  # (points, 2, lanes)
+    wires = engine.input_wires(encode_bits(parts, fmt).swapaxes(-1, -2))
+    return SignalBuffer(engine, fmt, dims if dims is not None else arr.shape[1], wires)
 
 
 def read_signal(engine, signal: SignalBuffer) -> np.ndarray:
-    """Decoded complex array of shape (batch, M) (needs key material on FHE)."""
-    out = np.empty((engine.batch_size, len(signal.points)), dtype=complex)
-    for col, pt in enumerate(signal.points):
-        out.real[:, col] = read_word(engine, pt.re)
-        out.imag[:, col] = read_word(engine, pt.im)
+    """Decoded complex array of shape (batch, M) (needs key material on FHE),
+    equal to ``read_word`` of each word."""
+    if signal.engine is not engine:
+        raise UsageError("signal belongs to a different engine")
+    bits = engine.read_wires(signal.wires)  # (points, 2, bits, lanes)
+    parts = decode_bits(np.moveaxis(bits, -1, 0), signal.fmt)  # (lanes, points, 2)
+    out = np.empty(parts.shape[:2], dtype=complex)
+    out.real, out.imag = parts[..., 0], parts[..., 1]
     return out

@@ -125,7 +125,7 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
         "params_digest": params.digest(),
         "fixed_format": {"total_bits": fmt.total_bits, "frac_bits": fmt.frac_bits},
         "dims": list(signal.dims) if isinstance(signal.dims, tuple) else signal.dims,
-        "points": len(signal.points),
+        "points": len(signal.wires),
         "ct_side": n_ct,
         "levels": [ct.level for ct in cts],
         "noise": [ct.noise_est for ct in cts],
@@ -313,6 +313,17 @@ def _parse_meta(text, path, lineno) -> SignalMeta:
         except UsageError as exc:
             raise ParseError(f"bad metadata format: {exc}", path=path, line=lineno) from exc
     return SignalMeta(dims=dims, total_bits=bits, frac_bits=frac)
+
+
+def plain_input(path) -> tuple[np.ndarray, int | tuple[int, int]]:
+    """Complex values and dims of a client's plain input: a ``.pgm`` image
+    (row major, zero imaginary part) or a text signal (dims from its
+    metadata, else its length)."""
+    if str(path).endswith(".pgm"):
+        image = read_pgm(path)
+        return image.astype(complex).ravel(), image.shape
+    values, meta = read_signal_text(path)
+    return values, meta.dims if meta.dims is not None else len(values)
 
 
 # -- PGM images -----------------------------------------------------------------

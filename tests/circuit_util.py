@@ -1,6 +1,8 @@
 """Helpers for driving integer-level circuits from tests, and the
 gate-by-gate FFT pieces the batched stage driver is checked against."""
 
+from dataclasses import replace
+
 from fhefft.arith import FixedFormat, FixedWord, add, bits_to_int, mul_const, sub
 from fhefft.errors import UsageError
 from fhefft.fft import ComplexFixed, SignalBuffer, _bit_reversal
@@ -40,8 +42,13 @@ def bit_reverse_permute(signal: SignalBuffer) -> SignalBuffer:
     """Reorder point i to index reverse_bits(i); a free plaintext shuffle."""
     if not isinstance(signal.dims, int):
         raise UsageError("bit reversal applies to 1D signals")
-    return SignalBuffer(tuple(signal.points[r] for r in _bit_reversal(signal.dims)),
-                        signal.dims)
+    return replace(signal, wires=signal.wires[_bit_reversal(signal.dims)])
+
+
+def signal_of(points, dims) -> SignalBuffer:
+    """Signal of handle points, through ``SignalBuffer.from_bits``."""
+    bits = [h for pt in points for word in (pt.re, pt.im) for h in word.bits]
+    return SignalBuffer.from_bits(bits, points[0].fmt, dims)
 
 
 def butterfly(xi: ComplexFixed, xj: ComplexFixed,

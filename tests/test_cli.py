@@ -10,6 +10,7 @@ from fhefft import fileio
 from fhefft.arith import FixedFormat
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine
+from fhefft.error_model import fft2d_error_bound
 from fhefft.errors import ParseError
 from fhefft.fft import fft_1d, input_signal, read_signal
 from fhefft.fhe import EXACT_PARAMS, SchemeParams
@@ -240,6 +241,12 @@ MALFORMED = {
     "bench-pgm-side-not-power-of-two": lambda d, keys: [
         "bench", _pgm(d / "a.pgm", 3, 2), "--dims", 2],
     "bench-pgm-without-dims-2": lambda d, keys: ["bench", _pgm(d / "a.pgm", 2, 2)],
+    "keygen-negative-seed": lambda d, keys: [
+        "keygen", "--preset", "exact", "--seed", -1, "--out", d / "k.json"],
+    "encrypt-negative-seed": lambda d, keys: [
+        "encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--seed", -1, "--out", d / "x.eft"],
+    "bench-negative-seed": lambda d, keys: [
+        "bench", "--sizes", 8, "--trials", 1, "--seed", -1],
 }
 
 
@@ -266,6 +273,44 @@ def test_container_dims_must_hold_points(header, cts, tmp_path):
     with pytest.raises(ParseError):
         fileio.read_ciphertext_params(path)
     assert run_cli("fft", path, "--out", tmp_path / "x.eft") == 2
+
+
+def test_verify_xb_zero_is_a_bound_not_a_default(tmp_path, capsys):
+    """``--xb 0`` bounds the signal by 0; only a missing ``--xb`` falls back
+    to the data's largest component."""
+    plain, spec = tmp_path / "p.txt", tmp_path / "s.txt"
+    values = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
+    fileio.write_signal_text(plain, values)
+    fileio.write_signal_text(spec, reference_fft(values), dims=4, fmt=FixedFormat(16, 8))
+    bounds = {}
+    for xb in ("0", "1e-9", None):
+        capsys.readouterr()
+        assert run_cli("verify", plain, spec, *(("--xb", xb) if xb else ())) == 0
+        bounds[xb] = json.loads(capsys.readouterr().out)["error_bound"]
+    assert bounds["0"] == 0.0234375
+    assert bounds["0"] < bounds["1e-9"] < bounds[None] == 0.03125
+
+
+def test_pgm_image_pipeline_verifies(tmp_path, keys_file, capsys):
+    """encrypt -> fft -> decrypt -> verify on a 2x2 PGM: verify reads the
+    image it was encrypted from and checks the 2D bound, also on a spectrum
+    file without metadata."""
+    pgm, ct, ct2, spec = (tmp_path / f for f in ("img.pgm", "a.eft", "b.eft", "s.txt"))
+    pgm.write_bytes(b"P2\n2 2\n255\n0 64\n128 255\n")
+    assert run_cli("encrypt", pgm, "--keys", keys_file, "--bits", 16,
+                   "--frac", 8, "--seed", 4, "--out", ct) == 0
+    assert run_cli("fft", ct, "--out", ct2) == 0
+    assert run_cli("decrypt", ct2, "--keys", keys_file, "--out", spec) == 0
+    bare = tmp_path / "bare.txt"  # the spectrum without its metadata line
+    bare.write_text(spec.read_text().split("\n", 1)[1])
+    assert spec.read_text().startswith("# fhefft dims=2x2") and "#" not in bare.read_text()
+    for spectrum, frac in ((spec, ()), (bare, ("--frac", 8))):
+        capsys.readouterr()
+        assert run_cli("verify", pgm, spectrum, *frac) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["size"] == [2, 2]  # the image's dims when the spectrum has none
+        assert report["error_bound"] == fft2d_error_bound(2, 2, 2.0**-8, 1.0)
+        assert report["max_error"] <= report["error_bound"]
 
 
 def test_verify_fails_closed_on_overflowing_oracle(tmp_path, capsys):

@@ -3,16 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from circuit_util import bit_reverse_permute, butterfly
-from fhefft import netlist
-from fhefft.arith import FixedFormat, constant_word
+from circuit_util import bit_reverse_permute, butterfly, signal_of
+from fhefft import fft, netlist
+from fhefft.arith import FixedFormat, constant_word, encode_int, input_word, read_word
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, butterfly_error, fft_error_bound
-from fhefft.errors import UsageError
+from fhefft.errors import RangeError, UsageError
 from fhefft.fft import (
     ComplexFixed,
     SignalBuffer,
     TwiddleTable,
+    _bit_reversal,
     fft_1d,
     fft_2d,
     input_signal,
@@ -55,7 +56,7 @@ def test_butterfly_unit_twiddle():
     eng = CleartextEngine()
     sig = input_signal(eng, [0.0, 0.5], F32)
     hi, lo = butterfly(sig.points[0], sig.points[1], (1.0, 0.0))
-    spec = lane0(eng, SignalBuffer((hi, lo), 2))
+    spec = lane0(eng, signal_of((hi, lo), 2))
     assert spec[0] == pytest.approx(0.5)
     assert spec[1] == pytest.approx(-0.5)
 
@@ -65,7 +66,7 @@ def test_butterfly_axis_rotation():
     eng = CleartextEngine()
     sig = input_signal(eng, [0.0 + 0.0j, 0.0 + 1.0j], F32)
     hi, lo = butterfly(sig.points[0], sig.points[1], (0.0, -1.0))
-    spec = lane0(eng, SignalBuffer((hi, lo), 2))
+    spec = lane0(eng, signal_of((hi, lo), 2))
     assert spec[0] == pytest.approx(1.0)
     assert spec[1] == pytest.approx(-1.0)
 
@@ -81,7 +82,7 @@ def test_butterfly_error_within_analytical_bound(rng):
         eng = CleartextEngine()
         sig = input_signal(eng, [xi, xj], F32)
         hi, lo = butterfly(sig.points[0], sig.points[1], (wq.real, wq.imag))
-        got = lane0(eng, SignalBuffer((hi, lo), 2))
+        got = lane0(eng, signal_of((hi, lo), 2))
         exact_hi = xi + wq * xj
         exact_lo = xi - wq * xj
         # the analytical per-output bound holds component-wise with the
@@ -105,6 +106,141 @@ def test_signal_bit_layout_round_trips():
     for short in (bits[:-1], bits[:-16]):
         with pytest.raises(UsageError):
             SignalBuffer.from_bits(short, F16, (2, 2))
+
+
+# formats up to 96.48, past the 85 bits where read_word rounds twice
+CODEC_FORMATS = [F16, F32, FixedFormat(64, 32), FixedFormat(96, 48)]
+
+
+def _fmt_id(fmt):
+    return f"{fmt.total_bits}.{fmt.frac_bits}"
+
+
+def _per_word_signal(engine, values, fmt):
+    """input_signal as one input_word per word, in layout order."""
+    arr = np.broadcast_to(np.atleast_2d(np.asarray(values, dtype=complex)),
+                          (engine.batch_size, np.shape(values)[-1]))
+    words = [input_word(engine, part, fmt) for col in arr.T for part in (col.real, col.imag)]
+    return SignalBuffer.from_bits([h for w in words for h in w.bits], fmt, arr.shape[1])
+
+
+def _per_word_read(engine, signal):
+    """read_signal as one read_word per word."""
+    out = np.empty((engine.batch_size, len(signal.points)), dtype=complex)
+    for col, pt in enumerate(signal.points):
+        out.real[:, col] = read_word(engine, pt.re)
+        out.imag[:, col] = read_word(engine, pt.im)
+    return out
+
+
+def _codec_values(rng, fmt, lanes, m):
+    """(lanes, m) complex values over the whole range of a format, with its
+    extremes and rounding ties in the first components."""
+    top = (1 << (fmt.total_bits - 1)) / fmt.scale
+    step = 1 / fmt.scale
+    parts = rng.uniform(-top, top, (lanes, m, 2))
+    special = [-top, float(np.nextafter(top, 0)) if top - step == top else top - step,
+               0.5 * step, 2.5 * step, -1.5 * step, -top + 0.5 * step]
+    parts.reshape(-1)[:len(special)] = special[:parts.size]
+    return parts @ [1, 1j]
+
+
+def _constant_outputs(engine, signal):
+    """A 2-point transform whose imaginary output words are all constant bits:
+    of a point with a constant imaginary word, and a constant point."""
+    fmt = signal.fmt
+    x = ComplexFixed(signal.points[0].re, constant_word(engine, -1, fmt))
+    c = ComplexFixed(constant_word(engine, 0.5, fmt), constant_word(engine, 0.25, fmt))
+    return fft_1d(signal_of((x, c), 2))
+
+
+@pytest.mark.parametrize("fmt", CODEC_FORMATS, ids=_fmt_id)
+@pytest.mark.parametrize("lanes", [1, 7, 8, 9, 100])
+def test_signal_codec_matches_the_per_word_loop(fmt, lanes, rng):
+    """input_signal and read_signal make the wires and values of
+    input_word and read_word on each word, for encoded values, for any lane
+    bits, and for transform outputs with constant bits."""
+    eng = CleartextEngine(batch_size=lanes)
+    values = _codec_values(rng, fmt, lanes, 4)
+    sig = input_signal(eng, values, fmt)
+    assert sig == _per_word_signal(eng, values, fmt)
+    raw = SignalBuffer(eng, fmt, 4, eng.input_wires(
+        rng.integers(0, 2, (4, 2, fmt.total_bits, lanes))))
+    out = _constant_outputs(eng, sig)
+    assert (out.wires["c"] >= 0).any() and (out.wires["c"] < 0).any()
+    for s in (sig, raw, out):
+        assert read_signal(eng, s).tobytes() == _per_word_read(eng, s).tobytes()
+
+
+@pytest.mark.parametrize("fmt", CODEC_FORMATS, ids=_fmt_id)
+def test_signal_codec_matches_the_per_word_loop_on_fhe(fmt, exact_scheme, exact_keys):
+    """On the FHE engine the signal codec makes one encrypt_bit per bit in
+    layout order, so its ciphertexts are the per-word loop's; its readout
+    equals read_word's, constant bits included."""
+    values = _codec_values(np.random.default_rng(5), fmt, 1, 2)
+    sigs = [make(FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(9)),
+                 values, fmt) for make in (input_signal, _per_word_signal)]
+    got, want = ([h.ct for h in s.bits()] for s in sigs)
+    assert [(ct.level, ct.noise_est) for ct in got] == [(ct.level, ct.noise_est) for ct in want]
+    assert np.array_equal([ct.words for ct in got], [ct.words for ct in want])
+    eng = sigs[0].engine
+    c = ComplexFixed(constant_word(eng, 0.5, fmt), sigs[0].points[0].im)
+    for s in (sigs[0], signal_of((sigs[0].points[1], c), 2)):
+        assert read_signal(eng, s).tobytes() == _per_word_read(eng, s).tobytes()
+
+
+@pytest.mark.parametrize("bad", [2.0**15, -2.0**15 - 2.0**-16, 1e308, float("inf"),
+                                 float("nan")])
+def test_signal_range_error_names_the_per_word_loop_value(bad):
+    """Out of range, input_signal names the value the per-word loop names:
+    the first bad point, its real word before its imaginary, then the first
+    bad lane."""
+    values = np.full((3, 4), 0.25 - 0.5j)  # (lanes, points)
+    values[0, 1] = complex(0.5, 4e4)  # point 1 imaginary, lane 0
+    values[1, 1] = complex(0.5, -5e4)  # point 1 imaginary, lane 1
+    values[2, 1] = complex(bad, 0.5)  # point 1 real, lane 2: the first
+    values[0, 3] = complex(6e4, 0)  # a later point, lane 0
+    messages = []
+    for make in (input_signal, _per_word_signal):
+        with pytest.raises(RangeError) as err:
+            make(CleartextEngine(batch_size=3), values, F32)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == str(_range_message(bad))
+
+
+def _range_message(bad):
+    with pytest.raises(RangeError) as err:
+        encode_int(bad, F32)
+    return err.value
+
+
+def test_read_signal_rejects_another_engines_signal():
+    sig = input_signal(CleartextEngine(batch_size=2), [0.5, 0.25], F16)
+    with pytest.raises(UsageError):
+        read_signal(CleartextEngine(batch_size=2), sig)
+
+
+def test_wire_backed_signal_keeps_the_tracer_interface():
+    """What bench/tracing.py reads and wraps: the engine behind
+    ``signal.points[0].re``, the hook of ``fft_1d(signal, table,
+    on_butterfly)`` in stage order after each stage, and the word-level
+    names in ``fft``."""
+    eng = CleartextEngine(batch_size=3)
+    sig = input_signal(eng, np.full((3, 8), 0.5 - 0.25j), F32)
+    assert sig.points[0].re.engine is eng
+    seen = []
+    out = fft_1d(sig, TwiddleTable(8, F32),
+                 lambda size, i, j: seen.append((size, i, j, eng.nand_count)))
+    assert [s[:3] for s in seen] == [(size, start + k, start + k + size // 2)
+                                     for size in (2, 4, 8) for start in range(0, 8, size)
+                                     for k in range(size // 2)]
+    counts = {size: {n for s, _, _, n in seen if s == size} for size in (2, 4, 8)}
+    assert all(len(c) == 1 for c in counts.values())  # a stage runs before its hooks
+    assert 0 < min(counts[2]) < min(counts[4]) < min(counts[8]) == eng.nand_count
+    assert out.engine is eng and out.points[0].re.engine is eng
+    for name in ("input_word", "read_word", "add", "sub", "mul_const"):
+        assert callable(vars(fft)[name])
 
 
 def test_twiddle_table_components_bounded():
@@ -246,10 +382,11 @@ def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
     assert hashlib.sha256(spec.tobytes()).hexdigest()[:16] == digest
 
 
-def _gate_by_gate_fft(signal, table):
-    """fft_1d as a plain composition of ``butterfly``, one at a time."""
-    pts = list(bit_reverse_permute(signal).points)
+def _gate_by_gate_fft(pts, table):
+    """fft_1d as a plain composition of ``butterfly`` over handle points,
+    one butterfly at a time."""
     m = len(pts)
+    pts = [pts[r] for r in _bit_reversal(m)]
     size = 2
     while size <= m:
         half = size // 2
@@ -258,33 +395,35 @@ def _gate_by_gate_fft(signal, table):
                 i, j = start + k, start + k + half
                 pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
         size *= 2
-    return SignalBuffer(tuple(pts), m)
+    return pts
 
 
-def _gate_by_gate_fft2d(image):
+def _gate_by_gate_fft2d(pts, dims):
     """fft_2d as ``_gate_by_gate_fft`` on each row, then on each column."""
-    rows, cols = image.dims
-    pts = list(image.points)
+    rows, cols = dims
+    pts = list(pts)
     fmt = pts[0].fmt
     for r in range(rows):
-        row = SignalBuffer(tuple(pts[r * cols:(r + 1) * cols]), cols)
-        pts[r * cols:(r + 1) * cols] = _gate_by_gate_fft(row, TwiddleTable(cols, fmt)).points
+        pts[r * cols:(r + 1) * cols] = _gate_by_gate_fft(pts[r * cols:(r + 1) * cols],
+                                                         TwiddleTable(cols, fmt))
     for c in range(cols):
-        col = SignalBuffer(tuple(pts[c::cols]), rows)
-        pts[c::cols] = _gate_by_gate_fft(col, TwiddleTable(rows, fmt)).points
-    return SignalBuffer(tuple(pts), image.dims)
+        pts[c::cols] = _gate_by_gate_fft(pts[c::cols], TwiddleTable(rows, fmt))
+    return pts
 
 
 def _transforms(dims, fmt):
-    """(the batched transform, its gate-by-gate reference) for a signal shape."""
+    """(the batched transform, its gate-by-gate reference) for a signal
+    shape, each from a list of handle points to a sequence of them."""
     if isinstance(dims, int):
         table = TwiddleTable(dims, fmt)
-        return (lambda sig: fft_1d(sig, table)), (lambda sig: _gate_by_gate_fft(sig, table))
-    return fft_2d, _gate_by_gate_fft2d
+        return ((lambda pts: fft_1d(signal_of(pts, dims), table).points),
+                (lambda pts: _gate_by_gate_fft(pts, table)))
+    return (lambda pts: fft_2d(signal_of(pts, dims)).points), \
+        (lambda pts: _gate_by_gate_fft2d(pts, dims))
 
 
-def _wires(signal):
-    return [(h.value, h.depth, h.const) for pt in signal.points
+def _wires(points):
+    return [(h.value, h.depth, h.const) for pt in points
             for word in (pt.re, pt.im) for h in word.bits]
 
 
@@ -323,11 +462,11 @@ def test_batched_fft_equals_gate_by_gate(fmt, batch, dims, rng):
     results = []
     for transform in _transforms(dims, fmt):
         eng = _ConversionCounting(batch)
-        sig = input_signal(eng, values, fmt)
         # one point with a public constant word, so operand patterns vary
-        pts = list(sig.points)
+        pts = list(input_signal(eng, values, fmt).points)
         pts[3] = ComplexFixed(pts[3].re, constant_word(eng, -0.375, fmt))
-        out = transform(SignalBuffer(tuple(pts), dims))
+        eng.conversions.clear()  # count from the handle points on
+        out = transform(pts)
         results.append((_wires(out), eng.nand_count, eng.max_depth, eng.conversions))
     assert results[0][3] == ["wires", "handles"] and results[1][3] == []
     assert results[0][:3] == results[1][:3]
@@ -354,9 +493,8 @@ def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
         seen = []
         for transform in _transforms(dims, F16):
             eng = FheEngine(scheme, keys=exact_keys, rng=np.random.default_rng(4))
-            out = transform(input_signal(eng, values, F16, dims=dims))
-            cts = [eng.export_ct(h) for pt in out.points for w in (pt.re, pt.im)
-                   for h in w.bits]
+            out = transform(list(input_signal(eng, values, F16, dims=dims).points))
+            cts = [eng.export_ct(h) for pt in out for w in (pt.re, pt.im) for h in w.bits]
             seen.append((dict(calls), eng.stats, [ct.level for ct in cts],
                          [ct.noise_est for ct in cts], np.array([ct.matrix for ct in cts])))
             calls.update(hom_nand=0, hom_not=0)
@@ -392,7 +530,7 @@ def test_stage_driver_cuts_unions_to_the_engine_bound(monkeypatch):
         eng.pieces = []
         sig = input_signal(eng, values, F32, dims=dims)
         out = fft_1d(sig) if dims == 32 else fft_2d(sig)
-        return _wires(out), eng.stats, eng.pieces
+        return _wires(out.points), eng.stats, eng.pieces
 
     for dims in (32, (4, 8)):
         want, stats, pieces = transform(dims)

@@ -7,10 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fhefft import fileio
-from fhefft.arith import FixedFormat, FixedWord
+from fhefft.arith import FixedFormat
 from fhefft.engine import FheEngine
 from fhefft.errors import FhefftError, ParseError, UsageError
-from fhefft.fft import ComplexFixed, SignalBuffer, input_signal, read_signal
+from fhefft.fft import SignalBuffer, input_signal, read_signal
 from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 
 F16 = FixedFormat(16, 8)
@@ -104,7 +104,7 @@ def test_ciphertext_noise_survives_the_container(tmp_path, default_scheme, defau
     bits = list(point.re.bits)
     bits[0] = client.nand(bits[0], bits[1])  # noisier and deeper than a fresh bit
     bits[1] = client.constant(1)  # exported as a noiseless trivial ciphertext
-    sig = SignalBuffer((ComplexFixed(FixedWord(tuple(bits), F16), point.im),), 1)
+    sig = SignalBuffer.from_bits(bits + list(point.im.bits), F16, 1)
     path = tmp_path / "sig.eft"
     fileio.write_ciphertext_signal(path, DEFAULT_PARAMS, client, sig, F16)
 
