@@ -27,9 +27,11 @@ words: each level's NANDs for every operand set are one batched
 outputs are handles.  The ciphertexts, operation counts, levels and noise
 estimates are those of the gate-by-gate circuit.  A ``netlist.union`` runs
 like any netlist; the cleartext engine takes output depths from each of
-its parts' paths.  ``wire_bytes`` (a wire's packed lanes, or a
+its parts' paths, once per distinct row of input depths (most rows of a
+stage repeat one).  ``wire_bytes`` (a wire's packed lanes, or a
 ciphertext's words) and ``CHUNK_BYTES`` tell a caller how large a netlist
-fits one evaluation workspace.
+fits one evaluation workspace.  Each engine's ``wire_dtype`` is the
+structured dtype of its wire arrays.
 
 A handle's ``const`` is ``None`` for a variable wire, else its public
 bit, which a wire array's ``c`` holds as -1, 0 or 1.  A NAND with a
@@ -195,6 +197,8 @@ class CleartextEngine:
 
         Counts ``net.nand_count`` gates per row and tracks depth exactly as
         gate-by-gate evaluation would, from each part's paths for a union.
+        Output depths are a function of the row's input depths, so they are
+        taken once per distinct row of input depths of the whole union.
         """
         count = len(operands)
         self.nand_count += net.nand_count * count
@@ -207,17 +211,23 @@ class CleartextEngine:
         work = np.empty(rows * self.wire_bytes * min(step, count), dtype=np.uint8)
         for lo in range(0, count, step):
             out["v"][lo:lo + step] = _evaluate(net, operands["v"][lo:lo + step], work)
+        depths = np.ascontiguousarray(operands["d"])
+        keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        depths = depths[first]
+        out_depths = np.empty((len(depths), len(net.outputs)), np.int32)
         at_input = at_output = 0
         for part in net.members:
-            depths = operands["d"][:, at_input:at_input + part.n_inputs]
-            outs = out["d"][:, at_output:at_output + len(part.outputs)]
+            ins = depths[:, at_input:at_input + part.n_inputs]
+            outs = out_depths[:, at_output:at_output + len(part.outputs)]
             at_input, at_output = at_input + part.n_inputs, at_output + len(part.outputs)
             if count:
-                self.max_depth = max(self.max_depth, int((depths + part.gate_path).max()))
+                self.max_depth = max(self.max_depth, int((ins + part.gate_path).max()))
             step = max(1, self.CHUNK_BYTES // (16 * part.out_path.size))
-            for lo in range(0, count, step):
-                sums = depths[lo:lo + step, :, None] + part.out_path
+            for lo in range(0, len(ins), step):
+                sums = ins[lo:lo + step, :, None] + part.out_path
                 outs[lo:lo + step] = np.maximum(sums.max(axis=1), 0)
+        out["d"] = out_depths[inverse.ravel()]
         return out
 
 
@@ -231,6 +241,7 @@ class FheEngine:
     """
 
     batch_size = 1
+    wire_dtype = np.dtype([("h", object), ("c", np.int8)])
     # bound on the decomposed float64 bits of one kernel call, and on the
     # words of one operand set of the netlists ``fft`` merges into one ``run``
     CHUNK_BYTES = 1 << 20
@@ -304,7 +315,7 @@ class FheEngine:
         lane_bits = np.asarray(lane_bits)
         if lane_bits.shape[-1:] != (1,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
-        out = np.empty(lane_bits[..., 0].size, _FHE_WIRE)
+        out = np.empty(lane_bits[..., 0].size, self.wire_dtype)
         out["h"] = [self.input_bit(int(b)) for b in lane_bits.reshape(-1)]
         out["c"] = -1
         return out.reshape(lane_bits.shape[:-1])
@@ -318,7 +329,7 @@ class FheEngine:
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
         _check_owner(self, handles)
-        out = np.empty(len(handles), _FHE_WIRE)
+        out = np.empty(len(handles), self.wire_dtype)
         out["h"] = handles
         out["c"] = [-1 if h.const is None else h.const for h in handles]
         return out
@@ -341,7 +352,7 @@ class FheEngine:
             plan = _PLANS[net] = _slot_plan(net)
         n_slots, inputs, input_slots, levels, output_slots = plan
         count = len(operands)
-        out = np.empty((count, len(net.outputs)), _FHE_WIRE)
+        out = np.empty((count, len(net.outputs)), self.wire_dtype)
         out["c"] = net.out_const
         if not count:
             return out
@@ -394,8 +405,6 @@ class FheEngine:
             out["h"][:, k] = self.constant(int(net.out_const[k]))
         return out
 
-
-_FHE_WIRE = np.dtype([("h", object), ("c", np.int8)])
 
 # netlist -> its _slot_plan; like ``netlist.CACHE``, which holds every netlist
 # for the life of the process, a memo of a pure function of the key

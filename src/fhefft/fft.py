@@ -11,7 +11,12 @@ The stage driver evaluates a stage's word operations together: each
 operation is a netlist recorded once (``netlist.word_op``), the operand
 sets that share one form a group, and groups of the same size run side by
 side as one ``netlist.union``, one ``engine.run`` per piece that fits the
-engine's workspace bound.  The gates,
+engine's workspace bound.  Between runs the driver gathers, stacks and
+scatters cleartext wire records as raw bytes (a void view, which numpy
+copies whole rather than field by field) and views them as the engine's
+``wire_dtype`` only where fields are read: the constant bits that key the
+netlists and the operands of ``engine.run``.  FHE wire arrays hold handle
+objects, which cannot be viewed as bytes, and move as they are.  The gates,
 counts, depths and output bits are those of the butterflies built gate
 by gate from ``arith.add``, ``arith.sub`` and ``arith.mul_const``, one
 butterfly at a time (the reference the tests hold the driver to).
@@ -204,7 +209,7 @@ def _stages(engine, fmt, wires, table, on_butterfly=None):
     count, m = wires.shape[:2]
     if table.m_points != m:
         raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
-    flat = wires[:, _bit_reversal(m)].reshape(count * m, 2, fmt.total_bits)
+    flat = _raw(wires)[:, _bit_reversal(m)].reshape(count * m, 2, fmt.total_bits)
     size = 2
     while size <= m:
         half = size // 2
@@ -215,13 +220,13 @@ def _stages(engine, fmt, wires, table, on_butterfly=None):
             for i, j, _ in flies:
                 on_butterfly(size, i, j)
         size *= 2
-    return flat.reshape(count, m, 2, fmt.total_bits)
+    return flat.view(engine.wire_dtype).reshape(count, m, 2, fmt.total_bits)
 
 
 def _butterflies(engine, fmt, wires, flies):
     """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, W) of one
-    stage, in place on the wire array of shape (points, 2, bits) (real and
-    imaginary words)."""
+    stage, in place on the ``_raw`` wire array of shape (points, 2, bits)
+    (real and imaginary words)."""
     i = [f[0] for f in flies]
     j = [f[1] for f in flies]
     wre = [f[2][0] for f in flies]
@@ -243,7 +248,8 @@ def _butterflies(engine, fmt, wires, flies):
 
 
 def _word_ops(engine, op, fmt, x, y=None, consts=None):
-    """``op`` on every row of word arrays x (and y), as a wire array.
+    """``op`` on every row of word arrays x (and y) of ``_raw`` wire records,
+    as an array of them.
 
     Rows that share a netlist (same constant multiplier and pattern of
     constant bits) form a group.  Groups with the same row count run side
@@ -255,26 +261,35 @@ def _word_ops(engine, op, fmt, x, y=None, consts=None):
     stage shares its unions.
     """
     operands = x if y is None else np.concatenate([x, y], axis=1)
-    keys = np.ascontiguousarray(operands["c"])  # one int8 per operand bit
-    if consts is not None:  # prefix each row with the bytes of its multiplier
-        keys = np.concatenate([np.asarray(consts, dtype=np.float64)[:, None].view(np.int8),
-                               keys], axis=1)
+    pattern = np.ascontiguousarray(operands.view(engine.wire_dtype)["c"])  # an int8 per bit
+    keys = pattern if consts is None else np.concatenate(  # the multiplier's bytes first
+        [np.asarray(consts, dtype=np.float64)[:, None].view(np.int8), pattern], axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")  # equal keys adjacent, in row order
     ordered = keys[order]
     by_count = {}
     for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
         c = None if consts is None else consts[rows[0]]
-        net = word_op(op, fmt, operands["c"][rows[0]], c)
+        net = word_op(op, fmt, pattern[rows[0]], c)
         by_count.setdefault(len(rows), []).append((rows, net))
     out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
     fits = engine.CHUNK_BYTES // engine.wire_bytes
     for count, groups in by_count.items():
         for piece in _pieces(groups, fits):
             rows = np.stack([r for r, _ in piece])  # (parts, count)
-            res = engine.run(union(net for _, net in piece), operands[rows.T].reshape(count, -1))
-            out[rows] = res.reshape(count, len(piece), -1).swapaxes(0, 1)
+            res = engine.run(union(net for _, net in piece),
+                             operands[rows.T].reshape(count, -1).view(engine.wire_dtype))
+            out[rows] = _raw(res).reshape(count, len(piece), -1).swapaxes(0, 1)
     return out
+
+
+def _raw(wires):
+    """A wire array as records of raw bytes, which numpy gathers, stacks and
+    scatters whole rather than field by field; an array of FHE handles
+    (object fields) cannot be viewed as bytes and stays as it is."""
+    if wires.dtype.hasobject:
+        return wires
+    return wires.view(np.dtype((np.void, wires.dtype.itemsize)))
 
 
 def _pieces(groups, fits):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circuit_util import bit_reverse_permute, butterfly, signal_of
-from fhefft import fft, netlist
+from fhefft import fft, fileio, netlist
 from fhefft.arith import FixedFormat, constant_word, encode_int, input_word, read_word
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, butterfly_error, fft_error_bound
@@ -382,6 +382,22 @@ def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
     assert hashlib.sha256(spec.tobytes()).hexdigest()[:16] == digest
 
 
+# sha256 (first 16 hex digits) of every output wire's depth, for the signals
+# above at the benchmark's sizes; how the engine takes depths may change, but
+# never these
+@pytest.mark.parametrize("dims,lanes,digest", [
+    (128, 100, "d48847a207723e95"), ((16, 16), 10, "f4174779231c8afb"),
+])
+def test_fft_output_depths_golden(dims, lanes, digest):
+    m = dims if isinstance(dims, int) else dims[0] * dims[1]
+    gen = np.random.default_rng(m + 32)
+    values = gen.uniform(-1, 1, (lanes, m)) + 1j * gen.uniform(-1, 1, (lanes, m))
+    eng = CleartextEngine(batch_size=lanes)
+    sig = input_signal(eng, values, F32, dims=dims)
+    out = fft_1d(sig) if isinstance(dims, int) else fft_2d(sig)
+    assert hashlib.sha256(out.wires["d"].astype("<i4").tobytes()).hexdigest()[:16] == digest
+
+
 def _gate_by_gate_fft(pts, table):
     """fft_1d as a plain composition of ``butterfly`` over handle points,
     one butterfly at a time."""
@@ -504,6 +520,38 @@ def test_batched_fft_on_fhe_makes_the_same_operations(exact_scheme, exact_keys):
         assert stats_a == stats_b, dims
         assert levels_a == levels_b and noise_a == noise_b, dims
         assert np.array_equal(mats_a, mats_b), dims
+
+
+def test_transforms_return_the_engines_wire_dtype(exact_scheme, exact_keys, tmp_path):
+    """The stage driver moves cleartext wire records as raw bytes; the
+    signals it returns hold the engine's structured wires, which read,
+    give handles and (on FHE) write EFT1 containers as the gate-by-gate
+    transform's do, in 1D and 2D."""
+    values = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
+    engines = {"clear": lambda: CleartextEngine(batch_size=3),
+               "fhe": lambda: FheEngine(exact_scheme, keys=exact_keys,
+                                        rng=np.random.default_rng(4))}
+    for name, make in engines.items():
+        for dims in (4, (2, 2)):
+            eng, ref = make(), make()
+            sig = input_signal(eng, values, F16, dims=dims)
+            out = fft_1d(sig) if dims == 4 else fft_2d(sig)
+            assert out.wires.dtype == eng.wire_dtype, (name, dims)
+            gate_by_gate = _transforms(dims, F16)[1]
+            want = signal_of(gate_by_gate(list(input_signal(ref, values, F16, dims=dims).points)),
+                             dims)
+            assert np.array_equal(read_signal(eng, out), read_signal(ref, want)), (name, dims)
+            assert out.points[0].re.engine is eng
+            if name == "clear":
+                assert _wires(out.points) == _wires(want.points), dims
+                continue
+            assert [eng.read_back(h) for h in out.bits()] == \
+                [ref.read_back(h) for h in want.bits()], dims
+            for signal, engine, path in ((out, eng, "batched.eft"), (want, ref, "serial.eft")):
+                fileio.write_ciphertext_signal(tmp_path / path, exact_scheme.params, engine,
+                                               signal, F16)
+            assert (tmp_path / "batched.eft").read_bytes() == \
+                (tmp_path / "serial.eft").read_bytes(), dims
 
 
 def test_netlist_cache_stays_small():

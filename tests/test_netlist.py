@@ -125,6 +125,48 @@ def test_union_equals_its_parts_run_alone():
     assert together.stats == alone.stats and together.nand_count == 5 * merged.nand_count
 
 
+def test_union_depths_from_distinct_rows_equal_gate_by_gate():
+    """Output depths taken once per distinct row of input depths are the
+    gate-by-gate depths: for rows that repeat a whole depth vector, rows
+    that differ only inside one part's inputs, and no rows at all."""
+    rng = np.random.default_rng(21)
+    specs = [("add", None, 0.0), ("mul_const", -0.9375, 0.0), ("sub", None, 0.4),
+             ("mul_const", 0.6875, 0.3)]
+    parts, patterns = [], []
+    for op, c, constants in specs:
+        n_in = F8.total_bits * (1 if op == "mul_const" else 2)
+        pattern = np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in), -1)
+        patterns.append(pattern.astype(np.int8))
+        parts.append(word_op(op, F8, patterns[-1], c))
+    assert len({part.n_inputs for part in parts}) == 2
+    merged = union(parts)
+    every = np.concatenate(patterns)
+    base = np.where(every < 0, rng.integers(0, 9, len(every)), 0)
+    moved = []  # base with new depths on the variable inputs of one part
+    for _, ins, _ in _columns(parts):
+        depths = base.copy()
+        depths[ins] = np.where(every[ins] < 0, (base[ins] + rng.integers(1, 5)) % 9, 0)
+        moved.append(depths)
+    rows = [moved[2], base, moved[0], base, moved[3], moved[2], moved[1], base, moved[0]]
+    together, alone = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
+    handles = [[together.constant(int(p)) if p >= 0 else
+                ClearBit(together, int.from_bytes(rng.bytes(9), "little") & together.mask,
+                         int(d), None) for p, d in zip(every, depths)] for depths in rows]
+    wires = np.stack([together.wires(hs) for hs in handles])
+    out = together.run(merged, wires)
+    for (op, c, _), (_, ins, outs) in zip(specs, _columns(parts)):
+        for got, hs in zip(out[:, outs], handles):
+            want = _gate_by_gate(op, [ClearBit(alone, h.value, h.depth, h.const)
+                                      for h in hs[ins]], c)
+            assert got["d"].tolist() == [h.depth for h in want]
+            assert got["c"].tolist() == [-1 if h.const is None else h.const for h in want]
+            assert [h.value for h in together.handles(got)] == [h.value for h in want]
+    assert together.stats == alone.stats
+    assert together.nand_count == len(rows) * merged.nand_count
+    empty = together.run(merged, wires[:0])
+    assert empty.shape == (0, len(merged.outputs)) and together.stats == alone.stats
+
+
 def test_fhe_union_equals_its_parts_at_noisy_preset(default_scheme, default_keys):
     """At the default preset a union gives the ciphertext words, levels and
     noise estimates, and the counts, of each part run alone, with inputs of
