@@ -17,8 +17,9 @@ wire's public constant (-1 for a variable wire).  ``input_wires`` makes
 variable wires straight from an array of lane bits and ``read_wires``
 reads lane bits back, so a signal is encoded and decoded without a handle
 per bit: the cleartext engine packs and unpacks the lane bytes in numpy,
-the FHE engine makes one ``encrypt_bit`` per bit in C order and one
-``read_back`` per wire.  On the cleartext engine
+the FHE engine encrypts all bits, and decrypts all wires, in stacked
+products (the ciphertexts of one ``encrypt_bit`` per bit in C order, the
+bits of one ``read_back`` per wire).  On the cleartext engine
 the other fields are packed lane bytes and depths, evaluated level by
 level as numpy bit-planes.  On the FHE engine the other field is the
 handle; ``run`` also goes level by level, over the ciphertexts' gadget
@@ -242,8 +243,9 @@ class FheEngine:
 
     batch_size = 1
     wire_dtype = np.dtype([("h", object), ("c", np.int8)])
-    # bound on the decomposed float64 bits of one kernel call, and on the
-    # words of one operand set of the netlists ``fft`` merges into one ``run``
+    # bound on the largest array of one stacked kernel call (decomposed bits
+    # of a NAND or a decryption, masks of an encryption, container bits), and
+    # on the words of one operand set of the netlists ``fft`` merges into one ``run``
     CHUNK_BYTES = 1 << 20
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
@@ -310,21 +312,56 @@ class FheEngine:
         return FheBit(self, ct, None)
 
     def input_wires(self, lane_bits) -> np.ndarray:
-        """Fresh encryptions of a (..., 1) array of bits, one ``encrypt_bit``
-        per bit in C order; the result has shape ``...``."""
+        """Fresh encryptions of a (..., 1) array of bits, the ciphertexts of
+        one ``input_bit`` per bit in C order, made by one ``encrypt_words``
+        call per ``CHUNK_BYTES`` of masks; the result has shape ``...``."""
         lane_bits = np.asarray(lane_bits)
         if lane_bits.shape[-1:] != (1,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
-        out = np.empty(lane_bits[..., 0].size, self.wire_dtype)
-        out["h"] = [self.input_bit(int(b)) for b in lane_bits.reshape(-1)]
+        bits = lane_bits.reshape(-1).astype(np.int64)
+        bad = (bits != 0) & (bits != 1)
+        if len(bits) and (self.public_key is None or bad.any()):
+            # input_bit raises for the first bit the per-bit loop rejects: the
+            # first bit when there is no public key, else the first non-0/1 one
+            self.input_bit(int(bits[0 if self.public_key is None else np.argmax(bad)]))
+        scheme = self.scheme
+        step = max(1, self.CHUNK_BYTES // (8 * scheme.n_ct * scheme.params.m))
+        out = np.empty(len(bits), self.wire_dtype)
+        out["h"] = [FheBit(self, Ciphertext(words, 0, scheme.fresh_noise), None)
+                    for lo in range(0, len(bits), step)
+                    for words in scheme.encrypt_words(self.public_key, bits[lo:lo + step],
+                                                      self.rng)]
         out["c"] = -1
         return out.reshape(lane_bits.shape[:-1])
 
     def read_wires(self, wires: np.ndarray) -> np.ndarray:
-        """Decrypted bits of a wire array, shape ``wires.shape + (1,)``: one
-        ``read_back`` per wire."""
-        bits = [self.read_back(h) for h in wires["h"].reshape(-1)]
-        return np.array(bits, dtype=np.uint8).reshape(*wires.shape, 1)
+        """Decrypted bits of a wire array, shape ``wires.shape + (1,)``: the
+        bits of one ``read_back`` per wire, from one ``decrypt_rows`` call per
+        ``CHUNK_BYTES`` of decomposed bits.  The first wire ``read_back``
+        rejects raises its error."""
+        handles = wires["h"].reshape(-1).tolist()
+        bits = np.empty(len(handles), np.int64)
+        at, cts = [], []
+        for i, h in enumerate(handles):
+            if h.engine is not self or (h.const is None and self.secret_key is None):
+                bits[i:] = -1  # read_back raises here
+                break
+            if h.const is None:
+                at.append(i)
+                cts.append(h.ct)
+            else:
+                bits[i] = h.const
+        scheme = self.scheme
+        step = max(1, self.CHUNK_BYTES // (scheme.dtype.itemsize * scheme.n_ct))
+        for lo in range(0, len(cts), step):
+            piece = cts[lo:lo + step]
+            rows = np.array([ct.words[scheme.mu_index] for ct in piece])
+            bits[at[lo:lo + step]] = scheme.decrypt_rows(self.secret_key, rows,
+                                                         [ct.level for ct in piece])
+        bad = np.flatnonzero(bits < 0)
+        if len(bad):
+            self.read_back(handles[bad[0]])  # raises that wire's error
+        return bits.astype(np.uint8).reshape(*wires.shape, 1)
 
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
@@ -370,7 +407,7 @@ class FheEngine:
         words[input_slots] = np.reshape([ct.words for ct in cts], (n_in, count, *shape))
         level[input_slots] = np.reshape([ct.level for ct in cts], (n_in, count))
         noise[input_slots] = np.reshape([ct.noise_est for ct in cts], (n_in, count))
-        step = max(1, self.CHUNK_BYTES // (8 * n_ct * n_ct))
+        step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)
         for a, b, dst, src, not_dst in levels:
             if len(a):
                 lvl = np.maximum(level[a], level[b]) + 1

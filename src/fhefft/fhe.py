@@ -10,7 +10,14 @@ G is the N x (n+1) gadget matrix of powers of two (Micciancio, Peikert
 2012).  W determines C, so a ``Ciphertext`` stores only the N x (n+1)
 int64 words, and the bits of C are produced where a product reads them.
 R is linear, so a NAND never forms the N x N product C1 @ C2: it
-multiplies the binary C1 by the words W2, exactly in float64 BLAS.
+multiplies the binary C1 by the words W2 in BLAS.  Every entry of that
+product, every partial sum of it in any summation order, and G - C1 @ W2
+are integers below (N+1) * 2^ell in magnitude, so the product is exact in
+any float type that holds those integers: ``GswScheme.dtype`` is float32
+when (N+1) * 2^ell < 2^24 (the ``exact`` preset: 52 * 2^17 < 2^24), else
+float64 (the ``default`` preset), decided from the parameters alone.
+Decryption's product, decomposed bits times powers of the secret below
+q < 2^ell, is bounded by the same rule.
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -42,6 +49,9 @@ from .errors import NoiseOverflowError, ParameterError
 # below 2**52.  The largest is C1 @ W2 in nand_words, at most N * (2^ell - 1)
 # in magnitude; params validation requires (N+1) * 2^ell < 2^52.
 _EXACT_BITS = 52
+# float32 holds every integer below 2**24 exactly; parameters with
+# (N+1) * 2^ell below it multiply in float32
+_EXACT_BITS_FLOAT32 = 24
 
 
 def _ceil_log2(q: int) -> int:
@@ -128,13 +138,27 @@ class KeyPair:
     secret_key: np.ndarray
 
 
-def _bits(words: np.ndarray, ell: int) -> np.ndarray:
+# word_bits and bit_words go through all 64 bits of every word: one flat
+# unpackbits or packbits, where numpy's call along an axis costs about 16 ns
+# per word whatever its length
+WORD_BITS_BYTES = 64  # bytes of their intermediate array per word
+
+
+def word_bits(words: np.ndarray, ell: int) -> np.ndarray:
     """uint8 bit decomposition, ``ell`` bits per word, of an (..., r, k) integer
     array with entries in [0, 2^ell): shape (..., r, k * ell), LSB first."""
     octets = np.ascontiguousarray(words, dtype="<i8").view(np.uint8)
-    bits = np.unpackbits(octets.reshape(*words.shape, 8), axis=-1, count=ell,
-                         bitorder="little")
+    bits = np.unpackbits(octets, bitorder="little").reshape(*words.shape, 64)[..., :ell]
     return bits.reshape(*words.shape[:-1], words.shape[-1] * ell)
+
+
+def bit_words(bits: np.ndarray, ell: int) -> np.ndarray:
+    """int64 words of an (..., r, k * ell) 0/1 array, ``ell`` bits per word LSB
+    first: the inverse of ``word_bits``, in integers (ell < 52)."""
+    *lead, cols = bits.shape
+    padded = np.zeros((*lead, cols // ell, 64), np.uint8)
+    padded[..., :ell] = bits.reshape(*lead, cols // ell, ell)
+    return np.packbits(padded, bitorder="little").view("<i8").reshape(padded.shape[:-1])
 
 
 @dataclass(eq=False)
@@ -159,37 +183,51 @@ class Ciphertext:
     def matrix(self) -> np.ndarray:
         """The N x N binary matrix C (uint8), decomposed from the words."""
         rows, cols = self.words.shape
-        bits = _bits(self.words, rows // cols)
+        bits = word_bits(self.words, rows // cols)
         bits.flags.writeable = False
         return bits
 
 
 class GswScheme:
-    """Operations of the scheme for one fixed parameter set."""
+    """Operations of the scheme for one fixed parameter set.
+
+    ``dtype`` is the float type of the products of NAND and decryption:
+    float32 when (N+1) * 2^ell < 2^24, else float64 (see the module
+    docstring); both are exact, so the choice changes no bit.
+    """
 
     def __init__(self, params: SchemeParams = DEFAULT_PARAMS):
         self.params = p = params
         # SchemeParams computes these on every access; the hot paths read them here
         self.ell, self.n_ct = p.ell, p.n_ct
-        pow2 = 1 << np.arange(self.ell, dtype=np.int64)
-        self._pow2 = pow2.astype(np.float64)
+        self.dtype = np.dtype(np.float32 if (p.n_ct + 1) << p.ell < 1 << _EXACT_BITS_FLOAT32
+                              else np.float64)
+        self.fresh_noise = p.m * p.noise_bound  # noise estimate of a fresh encryption
         # G: row i*ell + j holds 2^j in column i; 2^(ell-1) < q, so G = G mod q
-        self._gadget = np.kron(np.eye(p.n + 1, dtype=np.int64), pow2[:, None])
-        self._gadget_f = self._gadget.astype(np.float64)
+        self._gadget = np.kron(np.eye(p.n + 1, dtype=np.int64),
+                               (1 << np.arange(self.ell, dtype=np.int64))[:, None])
+        self._gadget_f = self._gadget.astype(self.dtype)
         self._secret_powers: dict[bytes, np.ndarray] = {}
-        # decryption reads gadget row j, 2^j the largest power of two <= q/2 (so > q/4)
+        # decryption reads gadget row j, 2^j the largest power of two <= q/2 (so > q/4),
+        # of the block of rows paired with s[-1] = 1: ciphertext row ``mu_index``
         self._mu_row = (p.q // 2).bit_length() - 1
+        self.mu_index = p.n * self.ell + self._mu_row
+        # nand_words reads each word's ceil(ell/8) low bytes, all their bits
+        self._low_bytes = np.dtype({"names": ["low"], "formats": [f"V{-(-self.ell // 8)}"],
+                                    "offsets": [0], "itemsize": 8})
+        self._byte_bits = 8 * self._low_bytes["low"].itemsize
+        self.nand_bytes = self.dtype.itemsize * self.n_ct * (p.n + 1) * self._byte_bits
 
     # -- gadget plumbing ------------------------------------------------
 
     def _decompose(self, words: np.ndarray) -> np.ndarray:
-        """float64 bit decomposition of (..., r, n+1) integer words in [0, 2^ell)."""
-        return _bits(words, self.ell).astype(np.float64)
+        """``dtype`` bit decomposition of (..., r, n+1) integer words in [0, 2^ell)."""
+        return word_bits(words, self.ell).astype(self.dtype)
 
     def _recompose(self, mat: np.ndarray) -> np.ndarray:
-        """R(M) = M @ G: the (r, n+1) int64 words of an (r, N) binary matrix, not reduced."""
-        words = np.asarray(mat, dtype=np.float64).reshape(-1, self.ell) @ self._pow2
-        return words.astype(np.int64).reshape(len(mat), self.params.n + 1)
+        """R(M) = M @ G: the (..., r, n+1) int64 words of an (..., r, N) binary
+        matrix, not reduced."""
+        return bit_words(mat, self.ell)
 
     def flatten(self, words: np.ndarray) -> np.ndarray:
         """decompose(words mod q) for any integer-valued (r, n+1) words (exact in int64).
@@ -210,7 +248,7 @@ class GswScheme:
             p = self.params
             # python ints: the int64 shift overflows near the parameter limit
             v = np.array([(int(s) << j) % p.q for s in secret_key for j in range(self.ell)],
-                         dtype=np.float64)
+                         dtype=self.dtype)
             v.flags.writeable = False
             self._secret_powers[key] = v
         return v
@@ -235,12 +273,22 @@ class GswScheme:
     def encrypt_bit(self, public_key: np.ndarray, bit: int, rng) -> Ciphertext:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        words = self.encrypt_words(public_key, np.array([bit]), rng)[0]
+        return Ciphertext(words, level=0, noise_est=self.fresh_noise)
+
+    def encrypt_words(self, public_key: np.ndarray, bits: np.ndarray, rng) -> np.ndarray:
+        """(k, N, n+1) words of fresh encryptions of k bits (0/1): one draw of
+        the k binary N x m masks R, in the order of k ``encrypt_bit`` calls,
+        and one product R @ A."""
         p = self.params
-        r_mat = rng.integers(0, 2, (self.n_ct, p.m)).astype(np.float64)
+        k = len(bits)
+        r_mat = rng.integers(0, 2, (k * self.n_ct, p.m)).astype(np.float64)
         # entries of the float64 product stay below m * q < 2^52, so it is exact
-        masked = (r_mat @ public_key.astype(np.float64)).astype(np.int64)
-        return Ciphertext((masked + bit * self._gadget) % p.q, level=0,
-                          noise_est=p.m * p.noise_bound)
+        words = (r_mat @ public_key.astype(np.float64)).astype(np.int64)
+        words = words.reshape(k, self.n_ct, p.n + 1)
+        words += np.asarray(bits, dtype=np.int64)[:, None, None] * self._gadget
+        words %= p.q
+        return words
 
     def trivial_encrypt_bit(self, bit: int) -> Ciphertext:
         """Noiseless deterministic encoding of a public constant."""
@@ -256,15 +304,11 @@ class GswScheme:
                 f"ciphertext level {ct.level} exceeds depth budget "
                 f"{self.params.depth_budget}")
 
-    def _gadget_rows(self, secret_key: np.ndarray, ct: Ciphertext,
-                     rows=slice(None)) -> list[int]:
-        """x_j = mu * 2^j + e_j (mod q) for the rows paired with s[-1] = 1
-        (all ell of them, or the slice ``rows``)."""
-        n, ell = self.params.n, self.ell
+    def _gadget_values(self, secret_key: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(decomposed rows) @ v mod q for (..., n+1) words of ciphertext rows:
+        row n*ell + j, paired with s[-1] = 1, gives x_j = mu * 2^j + e_j (mod q)."""
         v = self._powers_of_secret(secret_key)
-        block = self._decompose(ct.words[n * ell:(n + 1) * ell][rows])
-        xs = np.mod(block @ v, self.params.q).astype(np.int64)
-        return [int(x) for x in xs]
+        return (self._decompose(rows) @ v).astype(np.int64) % self.params.q
 
     def decrypt_bit(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
         """Recover an encrypted bit; raises once noise reaches q/8."""
@@ -274,20 +318,34 @@ class GswScheme:
     def decrypt_bit_with_noise(self, secret_key, ct) -> tuple[int, int]:
         """Decrypt a bit and report the measured noise magnitude."""
         self._check_level(ct)
-        j = self._mu_row
-        return self._decode(self._gadget_rows(secret_key, ct, slice(j, j + 1))[0])
+        return self._decode_one(int(self._gadget_values(secret_key, ct.words[self.mu_index])))
 
-    def _decode(self, x: int) -> tuple[int, int]:
-        """(mu, noise) of gadget row ``_mu_row``; raises once noise reaches q/8."""
-        p = self.params
-        if x > p.q // 2:
-            x -= p.q
+    def decrypt_rows(self, secret_key: np.ndarray, rows: np.ndarray, levels) -> np.ndarray:
+        """Bits of k ciphertexts from the (k, n+1) words of their row
+        ``mu_index`` and their levels, in one product: int64, -1 for each
+        ciphertext ``decrypt_bit`` rejects (level past the budget, or noise
+        at or above q/8)."""
+        mu, _, valid = self._decode(self._gadget_values(secret_key, rows))
+        return np.where(valid & (np.asarray(levels) <= self.params.depth_budget), mu, -1)
+
+    def _decode(self, x):
+        """(mu, noise, valid) of gadget row ``_mu_row`` values x in [0, q), a
+        python int or an int64 array alike; not valid where mu is not a bit
+        or the noise reaches q/8."""
+        q = self.params.q
+        x = x - q * (x > q // 2)
         scale = 1 << self._mu_row
         mu = (2 * x + scale) // (2 * scale)
         noise = abs(x - mu * scale)
-        if mu not in (0, 1) or noise >= (p.q + 7) // 8:
-            raise NoiseOverflowError(
-                f"noise {noise} at or above decryption threshold q/8={p.q / 8:.0f}")
+        return mu, noise, ((mu == 0) | (mu == 1)) & (noise < (q + 7) // 8)
+
+    def _decode_one(self, x: int) -> tuple[int, int]:
+        """(mu, noise) of one gadget row ``_mu_row`` value; raises once noise
+        reaches q/8."""
+        mu, noise, valid = self._decode(x)
+        if not valid:
+            raise NoiseOverflowError(f"noise {noise} at or above decryption threshold "
+                                     f"q/8={self.params.q / 8:.0f}")
         return mu, noise
 
     def _max_residual(self, xs: list[int], mu: int) -> int:
@@ -303,8 +361,9 @@ class GswScheme:
     def measure_noise(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
         """Measured max error magnitude across the gadget rows (diagnostic)."""
         self._check_level(ct)
-        xs = self._gadget_rows(secret_key, ct)
-        mu, _ = self._decode(xs[self._mu_row])
+        n, ell, j = self.params.n, self.ell, self._mu_row
+        xs = self._gadget_values(secret_key, ct.words[n * ell:(n + 1) * ell]).tolist()
+        mu, _ = self._decode_one(xs[j])
         return self._max_residual(xs, mu)
 
     # -- homomorphic evaluation ------------------------------------------
@@ -312,13 +371,24 @@ class GswScheme:
     def nand_words(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Words of Flatten(I - C1 @ C2) for stacked (k, N, n+1) operand words.
 
-        Only the left operand is decomposed, to (k, N, N) float64 bits; the
-        product C1 @ W2 is exact (entries below N * 2^ell < 2^52), and the
-        result is (G - C1 @ W2) mod q in int64, never decomposed.
+        Only the left operand is decomposed, to bits of ``dtype``; the
+        product C1 @ W2 and G - C1 @ W2 are exact in it (see the module
+        docstring), and the result is (G - C1 @ W2) mod q in int64, never
+        decomposed.  The bits are those of every word's ceil(ell/8) low
+        bytes, one flat ``unpackbits`` (``nand_bytes`` per operand pair):
+        C1 with a zero column for each bit at or above ell, which meets a
+        zero row spread into W2.
         """
-        prod = self._decompose(left) @ right.astype(np.float64)
+        k, rows, cols = left.shape
+        low = np.ascontiguousarray(left, "<i8").view(self._low_bytes)["low"]  # a strided view
+        bits = np.unpackbits(np.ascontiguousarray(low).view(np.uint8), bitorder="little")
+        bits = bits.reshape(k, rows, cols * self._byte_bits).astype(self.dtype)
+        spread = np.zeros((k, cols, self._byte_bits, cols), self.dtype)
+        spread[:, :, :self.ell] = right.reshape(k, cols, self.ell, cols)
+        prod = bits @ spread.reshape(k, cols * self._byte_bits, cols)
         words = np.subtract(self._gadget_f, prod, out=prod).astype(np.int64)
-        words %= self.params.q  # int64: several times faster than a float64 mod
+        q = self.params.q
+        words -= words // q * q  # mod q: numpy divides an int64 by a scalar faster than %
         return words
 
     def not_words(self, words: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ homomorphic NAND).  The payload is the bit matrices of every ciphertext
 packed 8 bits per byte, row major, in the bit layout of
 ``SignalBuffer.bits`` (points in signal order, real word then imaginary
 word, word bits LSB first); ``SignalBuffer.from_bits`` reads it back.
+Both directions convert whole stacks of ciphertexts at once, with at most
+``FheEngine.CHUNK_BYTES`` in the largest array of one piece.
 Plain signals are text, one ``re,im`` pair per line, with an optional
 ``# fhefft`` metadata comment carrying dims and format.
 """
@@ -34,7 +36,7 @@ import numpy as np
 from .arith import FixedFormat
 from .errors import ParseError, UsageError
 from .fft import SignalBuffer
-from .fhe import KeyPair, SchemeParams
+from .fhe import WORD_BITS_BYTES, Ciphertext, KeyPair, SchemeParams, bit_words, word_bits
 
 MAGIC = b"EFT1"
 CONTAINER_VERSION = 1
@@ -117,7 +119,7 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
 def write_ciphertext_signal(path, params: SchemeParams, engine,
                             signal: SignalBuffer, fmt: FixedFormat):
     """Serialize every word of a signal buffer through engine.export_ct."""
-    cts = [engine.export_ct(handle) for handle in signal.bits()]
+    cts = [engine.export_ct(handle) for handle in engine.handles(signal.wires.reshape(-1))]
     n_ct = params.n_ct
     header = {
         "kind": "fhefft-signal",
@@ -135,8 +137,10 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(head)))
         fh.write(head)
-        for ct in cts:
-            fh.write(np.packbits(ct.matrix).tobytes())
+        step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * n_ct * (params.n + 1)))
+        for lo in range(0, len(cts), step):
+            bits = word_bits(np.array([ct.words for ct in cts[lo:lo + step]]), params.ell)
+            fh.write(np.packbits(bits.reshape(len(bits), -1), axis=1).tobytes())
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,8 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
                              f"{fmt.total_bits}-bit words", path=path)
     if not all(0 <= v <= params.q for v in noise):
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
+    if min(levels) < 0:
+        raise ParseError("levels must be >= 0", path=path)
     payload = blob[12 + head_len:]
     expected = count * math.ceil(ct_side * ct_side / 8)
     if len(payload) != expected:
@@ -220,13 +226,14 @@ def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
         raise UsageError(
             f"engine parameters {engine.scheme.params} do not match the file's {params}")
     n_ct = params.n_ct
-    stride = math.ceil(n_ct * n_ct / 8)
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(header.levels), -1)
+    step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * n_ct * (params.n + 1)))
     handles = []
-    for idx, (level, noise) in enumerate(zip(header.levels, header.noise)):
-        bits = np.unpackbits(
-            np.frombuffer(payload[idx * stride:(idx + 1) * stride], dtype=np.uint8))
-        matrix = bits[:n_ct * n_ct].reshape(n_ct, n_ct)
-        handles.append(engine.import_ct(engine.scheme.from_matrix(matrix, level, noise)))
+    for lo in range(0, len(packed), step):
+        bits = np.unpackbits(packed[lo:lo + step], axis=1, count=n_ct * n_ct)
+        words = bit_words(bits.reshape(-1, n_ct, n_ct), params.ell)
+        handles += [engine.import_ct(Ciphertext(w, level, noise)) for w, level, noise in
+                    zip(words, header.levels[lo:lo + step], header.noise[lo:lo + step])]
     return SignalBuffer.from_bits(handles, fmt, header.dims), fmt
 
 

@@ -69,15 +69,16 @@ def test_pipeline_m4_matches_in_process_circuit(tmp_path, keys_file, capsys):
 
 
 def test_pipeline_ciphertexts_golden(tmp_path):
-    """Fixed seeds give the same output ciphertexts and levels, bit for bit,
-    whatever order the server evaluates the gates in, and the spectrum
-    they decrypt to."""
+    """Fixed seeds give the same input ciphertexts, the same output
+    ciphertexts and levels, bit for bit, whatever order the server
+    evaluates the gates in, and the spectrum they decrypt to."""
     plain, keys = tmp_path / "p.txt", tmp_path / "k.json"
     ct, out, spec = tmp_path / "in.eft", tmp_path / "out.eft", tmp_path / "s.txt"
     fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j])
     assert run_cli("keygen", "--preset", "exact", "--seed", 11, "--out", keys) == 0
     assert run_cli("encrypt", plain, "--keys", keys, "--bits", 16, "--frac", 8,
                    "--seed", 12, "--out", ct) == 0
+    assert hashlib.sha256(fileio._read_container(ct)[1]).hexdigest()[:16] == "dac634c6420b5b5b"
     assert run_cli("fft", ct, "--out", out) == 0
     header, payload = fileio._read_container(out)
     assert hashlib.sha256(payload).hexdigest()[:16] == "36d7a54d9912502d"
@@ -208,6 +209,9 @@ MALFORMED = {
     "container-without-levels": lambda d, keys: [
         "fft", _file(d / "bad.eft", _container(
             {k: v for k, v in _HEADER.items() if k != "levels"})), "--out", d / "x.eft"],
+    "container-negative-levels": lambda d, keys: [
+        "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [-7] * 32})),
+        "--out", d / "x.eft"],
     "verify-length-mismatch": lambda d, keys: [
         "verify", _plain_of_8(d), _spectrum_of_4(d)],
     "verify-meta-frac-overflows": lambda d, keys: [
@@ -256,6 +260,23 @@ def test_malformed_input_exits_2(case, tmp_path, keys_file, capsys):
     assert run_cli(*MALFORMED[case](tmp_path, keys_file)) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+def test_container_levels_past_the_budget_exit_3(tmp_path, keys_file):
+    """Levels are only parsed as counts; one past the depth budget fails
+    where it is used, in the server's NANDs and in decryption."""
+    plain, ct, over = tmp_path / "p.txt", tmp_path / "a.eft", tmp_path / "over.eft"
+    fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j])
+    assert run_cli("encrypt", plain, "--keys", keys_file, "--bits", 16, "--frac", 8,
+                   "--seed", 5, "--out", ct) == 0
+    blob = ct.read_bytes()
+    head_len = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + head_len])
+    header["levels"] = [EXACT_PARAMS.depth_budget + 1] * len(header["levels"])
+    head = json.dumps(header).encode()
+    over.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:])
+    assert run_cli("fft", over, "--out", tmp_path / "b.eft") == 3
+    assert run_cli("decrypt", over, "--keys", keys_file, "--out", tmp_path / "s.txt") == 3
 
 
 _HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)

@@ -3,6 +3,7 @@ import pytest
 
 from fhefft.engine import CleartextEngine, FheBit, FheEngine
 from fhefft.errors import CapabilityError, NoiseOverflowError, UsageError
+from fhefft.fhe import Ciphertext
 from fhefft import gates, netlist
 
 
@@ -191,3 +192,90 @@ def test_fhe_run_past_depth_budget_raises(default_scheme, default_keys):
         batched.run(_record(3, build), wires)
     with pytest.raises(NoiseOverflowError):
         build([serial.import_ct(ct) for ct in cts])
+
+
+def _raised(call):
+    """(type, message) of the error ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("preset", ["exact", "default"])
+def test_input_wires_equal_the_encrypt_bit_loop(preset, request):
+    """One stacked encryption per piece gives the ciphertexts, levels and
+    noise estimates of an ``encrypt_bit`` loop on an identically seeded rng,
+    across piece boundaries, and leaves the rng where the loop leaves it."""
+    scheme = request.getfixturevalue(f"{preset}_scheme")
+    keys = request.getfixturevalue(f"{preset}_keys")
+    step = FheEngine.CHUNK_BYTES // (8 * scheme.n_ct * scheme.params.m)
+    bits = np.random.default_rng(40).integers(0, 2, (2 * step + 3, 1))
+    engine = FheEngine(scheme, public_key=keys.public_key, rng=np.random.default_rng(41))
+    loop_rng = np.random.default_rng(41)
+    wires = engine.input_wires(bits.reshape(-1, 1, 1))
+    assert wires.shape == (len(bits), 1) and (wires["c"] == -1).all()
+    want = [scheme.encrypt_bit(keys.public_key, int(b), loop_rng) for b in bits[:, 0]]
+    for h, ct in zip(wires["h"].ravel(), want):
+        assert h.engine is engine and h.const is None
+        assert (h.ct.level, h.ct.noise_est) == (ct.level, ct.noise_est)
+        assert h.ct.words.dtype == np.int64 and np.array_equal(h.ct.words, ct.words)
+    assert engine.rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
+
+
+@pytest.mark.parametrize("preset", ["exact", "default"])
+def test_read_wires_equal_read_back(preset, request):
+    """Stacked decryption reads the bits ``read_back`` reads, constants
+    included, in pieces of a few ciphertexts and in one."""
+    scheme = request.getfixturevalue(f"{preset}_scheme")
+    engine = FheEngine(scheme, keys=request.getfixturevalue(f"{preset}_keys"),
+                       rng=np.random.default_rng(42))
+    fresh = engine.handles(engine.input_wires(np.random.default_rng(43).integers(0, 2, (9, 1))))
+    deeper = [engine.nand(a, b) for a, b in zip(fresh, fresh[1:])]
+    handles = [engine.constant(1), *fresh, engine.constant(0), *deeper, engine.constant(1)]
+    wires = engine.wires(handles).reshape(4, 5)
+    want = np.array([engine.read_back(h) for h in handles]).reshape(4, 5, 1)
+    assert np.array_equal(engine.read_wires(wires), want)
+    engine.CHUNK_BYTES = 3 * scheme.dtype.itemsize * scheme.n_ct  # pieces of 3 ciphertexts
+    got = engine.read_wires(wires)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def test_batched_client_steps_raise_the_per_bit_loops_first_error(default_scheme, default_keys):
+    """For the first wire the per-bit loop rejects, the stacked steps raise
+    the same error: missing key, wrong engine, non-0/1 bit, level past the
+    budget, noise overflow."""
+    p = default_scheme.params
+    pk = default_keys.public_key
+    client = FheEngine(default_scheme, keys=default_keys, rng=np.random.default_rng(44))
+    good = client.handles(client.input_wires([[1], [0]]))
+    too_deep = client.import_ct(Ciphertext(good[0].ct.words, p.depth_budget + 1, 0))
+    garbage = np.random.default_rng(45).integers(0, p.q, good[0].ct.words.shape)
+    noisy = client.import_ct(Ciphertext(garbage, 0, 0))
+    assert _raised(lambda: client.read_back(noisy))[0] is NoiseOverflowError
+    other = FheEngine(default_scheme, keys=default_keys).constant(1)
+    server = FheEngine(default_scheme, public_key=pk)
+    keyless = FheEngine(default_scheme)
+    read_cases = [
+        (server, [server.constant(0), server.import_ct(good[0].ct), other], CapabilityError),
+        (client, [good[1], client.constant(1), other, too_deep], UsageError),
+        (client, [good[0], too_deep, noisy, other], NoiseOverflowError),
+        (client, [client.constant(0), noisy, too_deep], NoiseOverflowError),
+    ]
+    for engine, handles, kind in read_cases:
+        wires = np.empty(len(handles), engine.wire_dtype)
+        wires["h"], wires["c"] = handles, [-1 if h.const is None else h.const for h in handles]
+        want = _raised(lambda: [engine.read_back(h) for h in handles])
+        assert want[0] is kind
+        assert _raised(lambda: engine.read_wires(wires)) == want
+    input_cases = [
+        (client, [[1], [0], [2], [3]], UsageError),
+        (keyless, [[1], [2]], CapabilityError),
+        (keyless, [[5], [0]], UsageError),
+    ]
+    for engine, bits, kind in input_cases:
+        want = _raised(lambda: [engine.input_bit(int(b)) for b in np.ravel(bits)])
+        assert want[0] is kind
+        assert _raised(lambda: engine.input_wires(bits)) == want
+    assert keyless.input_wires(np.zeros((0, 1))).shape == (0,)

@@ -248,3 +248,38 @@ def test_decompose_round_trip(preset):
     assert np.array_equal(bits[-1, -p.ell:], [(p.q - 1) >> j & 1 for j in range(p.ell)])
     assert np.array_equal(_recompose_reference(p, bits.astype(np.int64)).astype(np.int64), words)
     assert np.array_equal(scheme._recompose(bits), words.astype(np.float64))
+
+
+# either side of (N+1) * 2^ell = 2^24, the float32 bound: N = 240 and 256 at ell = 16
+BELOW_FLOAT32 = SchemeParams(n=14, q=2**16 - 15, m=4, noise_bound=0, depth_budget=10**9)
+ABOVE_FLOAT32 = SchemeParams(n=15, q=2**16 - 15, m=4, noise_bound=0, depth_budget=10**9)
+DTYPE_PARAMS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS,
+                "below-2^24": BELOW_FLOAT32, "above-2^24": ABOVE_FLOAT32}
+
+
+@pytest.mark.parametrize("preset", sorted(DTYPE_PARAMS))
+def test_nand_words_dtype_and_integer_reference(preset):
+    """float32 exactly when (N+1) * 2^ell < 2^24, and either way nand_words
+    equals (G - C1 @ W2) mod q over python ints, words at 2^ell - 1 included."""
+    p = DTYPE_PARAMS[preset]
+    scheme = GswScheme(p)
+    small = (p.n_ct + 1) << p.ell < 1 << 24
+    assert small == (preset in ("exact", "below-2^24"))
+    assert scheme.dtype == (np.float32 if small else np.float64)
+    rng = np.random.default_rng(33)
+    top = (1 << p.ell) - 1
+    shape = (p.n_ct, p.n + 1)
+    left = np.stack([np.full(shape, top), rng.integers(0, 1 << p.ell, shape),
+                     np.where(rng.integers(0, 2, shape) == 1, top, 0)])
+    right = np.stack([np.full(shape, top), np.full(shape, top), rng.integers(0, 1 << p.ell, shape)])
+    gadget = np.zeros(shape, dtype=object)
+    for i in range(p.n + 1):
+        for j in range(p.ell):
+            gadget[i * p.ell + j, i] = 1 << j
+    got = scheme.nand_words(left, right)
+    assert got.dtype == np.int64
+    for k in range(len(left)):
+        bits = np.array([[(int(w) >> j) & 1 for w in row for j in range(p.ell)]
+                         for row in left[k]], dtype=object)
+        want = (gadget - bits @ right[k].astype(object)) % p.q
+        assert np.array_equal(got[k], want.astype(np.int64)), k

@@ -197,6 +197,16 @@ def test_container_rejects_bad_noise(valid_container, exact_scheme, noise):
         fileio.read_ciphertext_signal(path, FheEngine(exact_scheme))
 
 
+@pytest.mark.parametrize("levels", [[-1] + [0] * 31, [-7] * 32],
+                         ids=["one-negative", "all-negative"])
+def test_container_rejects_negative_levels(valid_container, exact_scheme, levels):
+    """A NAND level counts gates on a path, so a negative one is malformed."""
+    blob, path = valid_container
+    path.write_bytes(_with_header(blob, levels=levels))
+    with pytest.raises(ParseError):
+        fileio.read_ciphertext_signal(path, FheEngine(exact_scheme))
+
+
 def test_signal_text_round_trip(tmp_path):
     path = tmp_path / "sig.txt"
     values = np.array([1 + 2j, -0.5 + 0.25j, 0j])
