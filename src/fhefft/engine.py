@@ -9,35 +9,45 @@ A circuit is a composition of ``engine.nand`` calls over opaque
   all trials of an experiment) while counting each gate once.
 * ``FheEngine`` evaluates bits as ciphertexts of a ``GswScheme``.
 
-Besides gate-by-gate ``nand``, each engine evaluates a recorded
-``netlist.Netlist`` over many operand sets at once with ``run``.  Operands
-and results are the engine's wire arrays (``wires`` turns handles into one,
-``handles`` turns it back): structured arrays whose ``c`` field holds each
-wire's public constant (-1 for a variable wire).  ``input_wires`` makes
-variable wires straight from an array of lane bits and ``read_wires``
-reads lane bits back, so a signal is encoded and decoded without a handle
-per bit: the cleartext engine packs and unpacks the lane bytes in numpy,
-the FHE engine encrypts all bits, and decrypts all wires, in stacked
-products (the ciphertexts of one ``encrypt_bit`` per bit in C order, the
-bits of one ``read_back`` per wire).  On the cleartext engine
-the other fields are packed lane bytes and depths, evaluated level by
-level as numpy bit-planes.  On the FHE engine the other field is the
-handle; ``run`` also goes level by level, over the ciphertexts' gadget
-words: each level's NANDs for every operand set are one batched
-``GswScheme.nand_words`` product, and only the netlist's inputs and
-outputs are handles.  The ciphertexts, operation counts, levels and noise
-estimates are those of the gate-by-gate circuit.  A ``netlist.union`` runs
-like any netlist; the cleartext engine takes output depths from each of
-its parts' paths, once per distinct row of input depths (most rows of a
-stage repeat one).  ``wire_bytes`` (a wire's packed lanes, or a
-ciphertext's words) and ``CHUNK_BYTES`` tell a caller how large a netlist
-fits one evaluation workspace.  Each engine's ``wire_dtype`` is the
-structured dtype of its wire arrays.
+Besides gate-by-gate ``nand``, each engine replays compiled plans
+(``plan``): a plan's structure (which netlist runs on which wires, and
+every wire's constant, depth, level and noise estimate) is worked out once
+by the plan compiler, so an engine does gate work only.  ``load`` puts a
+wire array's values in a flat register of slots (packed lane bytes in
+cleartext, a ciphertext's gadget words under FHE), ``evaluate`` runs one
+plan piece on it (one gather of its operand bits, one evaluation, one
+scatter of its results), and ``unload`` makes a wire array of slots with
+the plan's constants and depths (or levels and noise estimates), which
+``wire_meta`` reads from wire arrays.  The cleartext engine evaluates a
+piece level by level as numpy bit-planes, in chunks of operand sets that
+fit ``CHUNK_BYTES``.  The FHE engine evaluates it level by level on a
+scratch register of the piece's slot plan: each level's NANDs for every
+operand set are one batched ``GswScheme.nand_words`` product per
+``CHUNK_BYTES`` of decomposed bits, its folded NOTs one ``not_words``
+call, and an FHE plan deeper than the depth budget is refused before any
+of them.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
+over many operand sets through a one-piece plan.  The ciphertexts,
+operation counts, levels and noise estimates are those of the
+gate-by-gate circuit.
+
+Operands and results are the engine's wire arrays (``wires`` turns
+handles into one, ``handles`` turns it back): structured arrays, of
+``wire_dtype``, whose ``c`` field holds each wire's public constant (-1
+for a variable wire); the other fields are packed lane bytes and depths
+in cleartext, the handle under FHE.  ``input_wires`` makes variable wires
+straight from an array of lane bits and ``read_wires`` reads lane bits
+back, so a signal is encoded and decoded without a handle per bit: the
+cleartext engine packs and unpacks the lane bytes in numpy, the FHE
+engine encrypts all bits, and decrypts all wires, in stacked products
+(the ciphertexts of one ``encrypt_bit`` per bit in C order, the bits of
+one ``read_back`` per wire).  ``wire_bytes`` (a wire's packed lanes, or a
+ciphertext's words) and ``CHUNK_BYTES`` bound how large a netlist fits one
+evaluation workspace.
 
 A handle's ``const`` is ``None`` for a variable wire, else its public
 bit, which a wire array's ``c`` holds as -1, 0 or 1.  A NAND with a
-constant operand is folded by ``fold``, the one rule every engine (and
-``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
+constant operand is folded by ``gates.fold``, the one rule every engine
+(and ``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
 without a gate (each engine's ``free_not``: a bit flip in cleartext, the
 linear ciphertext complement under FHE), and two constants give a
 constant.  Folded gates do not increment the NAND counter.  Because
@@ -56,8 +66,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, NoiseOverflowError, UsageError
+from .errors import CapabilityError, UsageError
 from .fhe import Ciphertext, GswScheme, KeyPair
+from .gates import fold
+from .plan import CLEAR, FheRules, run_netlist, slots
 
 
 @dataclass(frozen=True)
@@ -66,16 +78,6 @@ class GateStats:
 
     nand_count: int
     max_depth: int
-
-
-def fold(engine, a, b):
-    """NAND of two handles of which at least one is a public constant."""
-    if a.const is not None and b.const is not None:
-        return engine.constant(1 - (a.const & b.const))
-    if b.const is not None:
-        a, b = b, a
-    # a is the constant: NAND(x, 0) = 1, NAND(x, 1) = NOT x (gate-free)
-    return engine.constant(1) if a.const == 0 else engine.free_not(b)
 
 
 class ClearBit:
@@ -104,7 +106,7 @@ class FheBit:
 class CleartextEngine:
     """Exact plaintext bit engine with lane packing and gate counting."""
 
-    CHUNK_BYTES = 1 << 20  # bound on the working arrays of one ``run`` evaluation
+    CHUNK_BYTES = 1 << 20  # bound on the working arrays of one piece's evaluation
 
     def __init__(self, batch_size: int = 1):
         if batch_size < 1:
@@ -116,6 +118,8 @@ class CleartextEngine:
         self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
         self.wire_dtype = np.dtype([("v", np.uint8, (self.wire_bytes,)), ("d", np.int32),
                                     ("c", np.int8)])
+        self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
+        self.rules = CLEAR  # how the plan compiler treats this engine's wires
 
     @property
     def stats(self) -> GateStats:
@@ -194,41 +198,43 @@ class CleartextEngine:
                 for v, d, c in zip(lanes, wires["d"].tolist(), wires["c"].tolist())]
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
-        """Evaluate a netlist on each row of a (count, n_inputs) wire array.
+        """Evaluate a netlist on each row of a (count, n_inputs) wire array,
+        with the counts, depths and constants of gate-by-gate evaluation."""
+        return run_netlist(self, net, operands)
 
-        Counts ``net.nand_count`` gates per row and tracks depth exactly as
-        gate-by-gate evaluation would, from each part's paths for a union.
-        Output depths are a function of the row's input depths, so they are
-        taken once per distinct row of input depths of the whole union.
-        """
-        count = len(operands)
-        self.nand_count += net.nand_count * count
-        out = np.empty((count, len(net.outputs)), self.wire_dtype)
-        out["c"] = net.out_const
-        # bounded working arrays: the lane bytes of the workspace rows, and
-        # the (inputs x outputs) path sums the output depths are taken from
-        rows = net.work_rows
-        step = max(1, self.CHUNK_BYTES // (self.wire_bytes * rows))
-        work = np.empty(rows * self.wire_bytes * min(step, count), dtype=np.uint8)
+    def wire_meta(self, wires: np.ndarray) -> np.ndarray:
+        """Constant and depth of each wire, as ``CLEAR.meta_dtype`` records."""
+        meta = np.empty(wires.shape, self.rules.meta_dtype)
+        meta["c"], meta["d"] = wires["c"], wires["d"]
+        return meta
+
+    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+        """A register of ``n_slots`` wires' lane bytes, with ``wires`` in ``slots``."""
+        register = np.empty((n_slots, self.wire_bytes), np.uint8)
+        register[slots] = wires["v"]
+        return register
+
+    def evaluate(self, piece, register: np.ndarray):
+        """Gather, evaluate and scatter one plan piece, in chunks of operand
+        sets whose workspace fits ``CHUNK_BYTES``."""
+        net, count = piece.net, piece.count
+        ins, outs = slots(piece.ins, piece.width), slots(piece.outs, piece.width)
+        step = max(1, self.CHUNK_BYTES // (self.wire_bytes * net.work_rows))
+        work = np.empty(net.work_rows * self.wire_bytes * min(step, count), dtype=np.uint8)
+        # numpy scatters whole records far faster than rows of bytes
+        records = register.view(self._record).reshape(-1)
         for lo in range(0, count, step):
-            out["v"][lo:lo + step] = _evaluate(net, operands["v"][lo:lo + step], work)
-        depths = np.ascontiguousarray(operands["d"])
-        keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        depths = depths[first]
-        out_depths = np.empty((len(depths), len(net.outputs)), np.int32)
-        at_input = at_output = 0
-        for part in net.members:
-            ins = depths[:, at_input:at_input + part.n_inputs]
-            outs = out_depths[:, at_output:at_output + len(part.outputs)]
-            at_input, at_output = at_input + part.n_inputs, at_output + len(part.outputs)
-            if count:
-                self.max_depth = max(self.max_depth, int((ins + part.gate_path).max()))
-            step = max(1, self.CHUNK_BYTES // (16 * part.out_path.size))
-            for lo in range(0, len(ins), step):
-                sums = ins[lo:lo + step, :, None] + part.out_path
-                outs[lo:lo + step] = np.maximum(sums.max(axis=1), 0)
-        out["d"] = out_depths[inverse.ravel()]
+            res = _evaluate(net, register, ins[:, lo:lo + step], work)
+            records[outs[:, lo:lo + step]] = res.view(self._record)[..., 0]
+
+    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
+        """Wire array of the wires in ``slots`` with the constants and depths
+        of ``meta`` (a constant wire's lanes are all its bit)."""
+        out = np.empty(len(slots), self.wire_dtype)
+        out["v"] = register[slots]
+        out["v"][meta["c"] == 0] = 0
+        out["v"][meta["c"] == 1] = 0xFF
+        out["d"], out["c"] = meta["d"], meta["c"]
         return out
 
 
@@ -237,15 +243,15 @@ class FheEngine:
 
     Holds the public key (enough to encrypt inputs and run circuits); give
     it the full ``KeyPair`` to enable ``read_back``.  ``nand`` evaluates
-    one gate; ``run`` evaluates a netlist level by level for every operand
-    set at once, on the ciphertexts' gadget words.
+    one gate; ``evaluate`` runs a plan piece level by level for every
+    operand set at once, on the ciphertexts' gadget words.
     """
 
     batch_size = 1
     wire_dtype = np.dtype([("h", object), ("c", np.int8)])
     # bound on the largest array of one stacked kernel call (decomposed bits
     # of a NAND or a decryption, masks of an encryption, container bits), and
-    # on the words of one operand set of the netlists ``fft`` merges into one ``run``
+    # on the words of one operand set of the netlists a plan merges into one piece
     CHUNK_BYTES = 1 << 20
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
@@ -259,6 +265,7 @@ class FheEngine:
         self.nand_count = 0
         self.max_depth = 0
         self.wire_bytes = 8 * scheme.n_ct * (scheme.params.n + 1)  # a ciphertext's words
+        self.rules = FheRules(scheme.params)  # how the plan compiler treats its wires
 
     @property
     def stats(self) -> GateStats:
@@ -375,122 +382,64 @@ class FheEngine:
         return list(wires["h"])
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
-        """Evaluate a netlist on each row of a (count, n_inputs) wire array.
+        """Evaluate a netlist on each row of a (count, n_inputs) wire array,
+        with the ciphertexts, operation counts, levels and noise estimates
+        of gate-by-gate ``nand``; a netlist past the depth budget raises
+        before any gate runs."""
+        return run_netlist(self, net, operands)
 
-        Level by level, for all rows at once: the words of every live wire
-        sit in one slab, each level's NANDs are one gather and one
-        ``nand_words`` call per ``CHUNK_BYTES`` of decomposed bits, and its
-        folded NOTs one ``not_words`` call.  Operand order, levels, noise
-        estimates, counts and ciphertexts are those of gate-by-gate
-        ``nand``; a level past the depth budget raises before it runs.
-        """
-        plan = _PLANS.get(net)
-        if plan is None:
-            plan = _PLANS[net] = _slot_plan(net)
-        n_slots, inputs, input_slots, levels, output_slots = plan
-        count = len(operands)
-        out = np.empty((count, len(net.outputs)), self.wire_dtype)
-        out["c"] = net.out_const
-        if not count:
-            return out
-        if (operands["c"][:, inputs] >= 0).any():
-            raise UsageError("a constant operand where the netlist reads a wire")
+    def wire_meta(self, wires: np.ndarray) -> np.ndarray:
+        """Constant, level and noise estimate of each wire, as
+        ``FheRules.meta_dtype`` records (0 and 0 for a constant)."""
+        meta = np.zeros(wires.shape, self.rules.meta_dtype)
+        meta["c"] = wires["c"]
+        wired = meta["c"] < 0
+        cts = [h.ct for h in wires["h"][wired]]
+        meta["d"][wired] = [ct.level for ct in cts]
+        meta["noise"][wired] = [ct.noise_est for ct in cts]
+        return meta
+
+    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+        """A register of ``n_slots`` ciphertexts' words, with the wired
+        ``wires`` in their ``slots``."""
         scheme = self.scheme
-        n_ct, q, budget = scheme.n_ct, scheme.params.q, scheme.params.depth_budget
-        # the words, level and noise estimate of the wire in each slot, per row
-        shape = (n_ct, scheme.params.n + 1)  # the words of one ciphertext
-        words = np.empty((n_slots, count, *shape), np.int64)
-        level = np.empty((n_slots, count), np.int64)
-        noise = np.empty((n_slots, count), np.int64)
-        cts = [h.ct for h in operands["h"][:, inputs].T.ravel()]
-        n_in = len(inputs)
-        words[input_slots] = np.reshape([ct.words for ct in cts], (n_in, count, *shape))
-        level[input_slots] = np.reshape([ct.level for ct in cts], (n_in, count))
-        noise[input_slots] = np.reshape([ct.noise_est for ct in cts], (n_in, count))
+        register = np.empty((n_slots, scheme.n_ct, scheme.params.n + 1), np.int64)
+        wired = wires["c"] < 0
+        if wired.any():
+            register[slots[wired]] = [h.ct.words for h in wires["h"][wired]]
+        return register
+
+    def evaluate(self, piece, register: np.ndarray):
+        """Gather, evaluate and scatter one plan piece: its operands go to a
+        scratch register, each level's NANDs are one ``nand_words`` call per
+        ``CHUNK_BYTES`` of decomposed bits and its folded NOTs one
+        ``not_words`` call, and the wired outputs go back."""
+        scheme, plan = self.scheme, piece.scratch
+        scratch = np.empty((plan.size, *register.shape[1:]), np.int64)
+        ins = slots(piece.ins, piece.width)[plan.read].ravel()
+        scratch[:len(ins)] = register[ins]
         step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)
-        for a, b, dst, src, not_dst in levels:
-            if len(a):
-                lvl = np.maximum(level[a], level[b]) + 1
-                top = int(lvl.max())
-                if top > budget:
-                    raise NoiseOverflowError(
-                        f"NAND at level {top} would exceed depth budget {budget}")
-                left, right, n_left, n_right = words[a], words[b], noise[a], noise[b]
-                swap = n_right > n_left  # the noisier operand goes left
-                if swap.any():
-                    left[swap], right[swap] = right[swap], left[swap]
-                    n_left, n_right = np.maximum(n_left, n_right), np.minimum(n_left, n_right)
-                left, right = left.reshape(-1, *shape), right.reshape(-1, *shape)
-                words[dst] = np.concatenate([
-                    scheme.nand_words(left[lo:lo + step], right[lo:lo + step])
-                    for lo in range(0, len(left), step)]).reshape(len(a), count, *shape)
-                level[dst] = lvl
-                noise[dst] = np.minimum(n_left + n_ct * n_right, q)
-                self.nand_count += len(left)
-                self.max_depth = max(self.max_depth, top)
+        for left, right, dst, src, not_dst in plan.levels:
+            for lo in range(0, len(left), step):
+                scratch[dst[lo:lo + step]] = scheme.nand_words(scratch[left[lo:lo + step]],
+                                                               scratch[right[lo:lo + step]])
             if len(src):
-                nots = scheme.not_words(words[src].reshape(-1, *shape))
-                words[not_dst] = nots.reshape(len(src), count, *shape)
-                level[not_dst], noise[not_dst] = level[src], noise[src]
-        res = zip(words[output_slots].reshape(-1, *shape), level[output_slots].ravel().tolist(),
-                  noise[output_slots].ravel().tolist())
-        wired = np.empty(len(output_slots) * count, object)
-        wired[:] = [FheBit(self, Ciphertext(w, lv, ns), None) for w, lv, ns in res]
-        is_wire = net.out_const < 0
-        out["h"][:, is_wire] = wired.reshape(-1, count).T
-        for k in np.flatnonzero(~is_wire):
-            out["h"][:, k] = self.constant(int(net.out_const[k]))
+                scratch[not_dst] = scheme.not_words(scratch[src])
+        register[slots(piece.outs, piece.width)[plan.wired].ravel()] = scratch[plan.outs]
+
+    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
+        """Wire array of new handles of the wires in ``slots``, with the
+        constants, levels and noise estimates of ``meta``."""
+        out = np.empty(len(slots), self.wire_dtype)
+        out["c"] = meta["c"]
+        wired = meta["c"] < 0
+        words = register[slots[wired]]
+        out["h"][wired] = [FheBit(self, Ciphertext(w, level, noise), None) for w, level, noise
+                           in zip(words, meta["d"][wired].tolist(),
+                                  meta["noise"][wired].tolist())]
+        for bit in (0, 1):
+            out["h"][meta["c"] == bit] = self.constant(bit)
         return out
-
-
-# netlist -> its _slot_plan; like ``netlist.CACHE``, which holds every netlist
-# for the life of the process, a memo of a pure function of the key
-_PLANS: dict = {}
-
-
-def _slot_plan(net):
-    """Where ``FheEngine.run`` keeps each wire of a netlist: (slot count,
-    operand columns loaded, their slots, levels, slot of each wire output).
-
-    Each of ``levels`` holds the slots of its NANDs' ``a`` and ``b``
-    operands and of their results, then those of its folded NOTs' sources
-    and results.  A slot is reused once the last level that reads its wire
-    has run; output wires keep theirs.
-    """
-    one = net.one
-    last = {}  # row -> index of the last level that reads it
-    for k, (_, ops) in enumerate(net.levels()):
-        last.update(dict.fromkeys(ops.tolist(), k))
-    outputs = net.outputs[net.out_const < 0].tolist()
-    kept = set(outputs)
-    slot, free, fresh = {}, [], iter(range(net.n_rows))
-
-    def place(rows):
-        for row in rows:
-            slot[row] = free.pop() if free else next(fresh)
-        return np.array([slot[row] for row in rows], dtype=np.int64)
-
-    def release(rows):
-        free.extend(slot[row] for row in rows if row not in kept)
-
-    inputs = sorted(row for row in set(last) | kept if row < one)
-    input_slots = place(inputs)
-    levels = []
-    for k, (lo, ops) in enumerate(net.levels()):
-        width = len(ops) // 2
-        a, b = ops[:width].tolist(), ops[width:].tolist()
-        gates = [g for g in range(width) if b[g] != one]
-        nots = [g for g in range(width) if b[g] == one]
-        reads = [np.array([slot[x[g]] for g in which], dtype=np.int64)
-                 for x, which in ((a, gates), (b, gates), (a, nots))]
-        dst, not_dst = place([lo + g for g in gates]), place([lo + g for g in nots])
-        levels.append((reads[0], reads[1], dst, reads[2], not_dst))
-        # slots free up after the level that reads their wire last (or that
-        # writes a wire nothing reads), so a level never writes a slot it reads
-        release(sorted(row for row in set(a + b) - {one} if last[row] == k))
-        release([row for row in range(lo, lo + width) if row not in last])
-    return (max(slot.values(), default=-1) + 1, np.array(inputs, dtype=np.int64), input_slots,
-            levels, np.array([slot[row] for row in outputs], dtype=np.int64))
 
 
 def _check_owner(engine, handles):
@@ -498,20 +447,22 @@ def _check_owner(engine, handles):
         raise UsageError("cannot mix handles from different engines")
 
 
-def _evaluate(net, lanes: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Output lane bytes of a netlist for a (count, n_inputs, lane bytes) block.
+def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Output lane bytes (outputs, count, lane bytes) of a netlist whose
+    operand bits are the register rows ``gather`` (inputs, count).
 
     ``work`` holds at least ``net.work_rows`` * count * lane bytes bytes;
     the result is a view into it.
     """
-    count, n_in, width = lanes.shape
+    n_in, count = gather.shape
+    width = register.shape[1]
     cols = count * width
     end = net.n_rows * cols
     values = work[:end].reshape(net.n_rows, cols)
     spare = work[end:net.work_rows * cols].reshape(-1, cols)
-    values[:n_in].reshape(n_in, count, width)[...] = lanes.transpose(1, 0, 2)
+    register.take(gather, axis=0, out=values[:n_in].reshape(n_in, count, width), mode="clip")
     values[net.one] = 0xFF
-    for lo, ops in net.levels():
+    for lo, ops in net.levels:
         gates = len(ops) // 2
         pair = spare[:2 * gates]
         # mode="clip" skips numpy's copy of ``out`` (indices are in range)
@@ -523,4 +474,4 @@ def _evaluate(net, lanes: np.ndarray, work: np.ndarray) -> np.ndarray:
     values.take(net.outputs, axis=0, out=res, mode="clip")
     res[net.out_const == 0] = 0
     res[net.out_const == 1] = 0xFF
-    return res.reshape(-1, count, width).transpose(1, 0, 2)
+    return res.reshape(-1, count, width)

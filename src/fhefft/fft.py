@@ -7,30 +7,31 @@ each butterfly is four constant multiplications plus one subtraction and
 one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
 sequences of word arithmetic per butterfly.
 
-The stage driver evaluates a stage's word operations together: each
-operation is a netlist recorded once (``netlist.word_op``), the operand
-sets that share one form a group, and groups of the same size run side by
-side as one ``netlist.union``, one ``engine.run`` per piece that fits the
-engine's workspace bound.  Between runs the driver gathers, stacks and
-scatters cleartext wire records as raw bytes (a void view, which numpy
-copies whole rather than field by field) and views them as the engine's
-``wire_dtype`` only where fields are read: the constant bits that key the
-netlists and the operands of ``engine.run``.  FHE wire arrays hold handle
-objects, which cannot be viewed as bytes, and move as they are.  The gates,
-counts, depths and output bits are those of the butterflies built gate
-by gate from ``arith.add``, ``arith.sub`` and ``arith.mul_const``, one
-butterfly at a time (the reference the tests hold the driver to).
+A transform runs as a compiled plan (``plan``).  The first transform of
+a key (engine kind and wire size, piece bound, format, dims, and the
+constants and depths, or levels and noise estimates, of the input wires)
+compiles it: the bit reversal, and each stage's butterflies as word
+operations on compiled words, which the plan compiler groups by netlist
+(``netlist.word_op``), runs side by side as ``netlist.union`` pieces
+within the engine's workspace bound, and places in a register whose
+slots are reused once dead.  The plan is kept in ``netlist.PLANS``.
+Every transform, the first included, then replays it: one gather,
+evaluation and scatter per piece, with each stage's NANDs and depth added
+to the engine's after it runs.  The gates, counts, depths and output bits
+are those of the butterflies built gate by gate from ``arith.add``,
+``arith.sub`` and ``arith.mul_const``, one butterfly at a time (the
+reference the tests hold the plans to).
 
 The index permutation touches no gates; only butterflies cost NANDs.
-``fft_1d`` runs the driver on one signal.  ``fft_2d`` runs it on all rows
-of an image in one pass, then on all columns in a second, at the same
-word format.
+``fft_1d`` transforms one signal.  ``fft_2d`` transforms all rows of an
+image in one pass, then all columns in a second, at the same word format,
+in one plan.
 
 A ``SignalBuffer`` is one wire array of shape (points, 2, bits) from
 encoding to decoding: ``input_signal`` encodes every word of every lane in
 one ``arith.encode_bits`` call and makes its wires in one
-``engine.input_wires`` call, the transforms hand the array to the stage
-driver and wrap its result, and ``read_signal`` reads it back through
+``engine.input_wires`` call, the transforms replay their plan on the
+array and wrap its result, and ``read_signal`` reads it back through
 ``engine.read_wires`` and ``arith.decode_bits``.  Bit handles
 (``SignalBuffer.points`` and ``bits``) are made only when asked for.
 """
@@ -38,16 +39,18 @@ driver and wrap its result, and ``read_signal`` reads it back through
 from __future__ import annotations
 
 import cmath
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .arith import FixedFormat, FixedWord, decode, decode_bits, encode, encode_bits
+from .arith import FixedFormat, FixedWord, decode_bits, encode_bits, encode_int
 # not called here, but bench/tracing.py wraps these names in this module
 from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
 from .errors import UsageError
-from .netlist import union, word_op
+from .netlist import PLANS
+from .plan import Compiler, replay
 
 
 def _is_pow2(n: int) -> bool:
@@ -135,9 +138,9 @@ class SignalBuffer:
 class TwiddleTable:
     """Quantized twiddle constants W = exp(-2*pi*i*k/size) for all stages.
 
-    Values are stored rounded to the word format's grid, which is exactly
-    what ``mul_const`` will consume; components never exceed 1 in
-    magnitude before quantization.
+    Values are stored rounded to the word format's grid (``encode_int``
+    over the scale), which is exactly what ``mul_const`` will consume;
+    components never exceed 1 in magnitude before quantization.
     """
 
     def __init__(self, m_points: int, fmt: FixedFormat):
@@ -150,10 +153,8 @@ class TwiddleTable:
         while size <= m_points:
             for k in range(size // 2):
                 w = cmath.exp(-2j * cmath.pi * k / size)
-                self._entries[(size, k)] = (
-                    decode(encode(w.real, fmt), fmt),
-                    decode(encode(w.imag, fmt), fmt),
-                )
+                self._entries[(size, k)] = (encode_int(w.real, fmt) / fmt.scale,
+                                            encode_int(w.imag, fmt) / fmt.scale)
             size *= 2
         # digit-cancellation guard: quantization must not move any component
         # across the representable range
@@ -174,135 +175,111 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    ``on_butterfly(size, i, j)`` is invoked for each butterfly, in stage
-    order, once its stage has run (instrumentation hook).
+    ``table`` must be the signal's size and format; by default the plan's
+    own is used.  ``on_butterfly(size, i, j)`` is invoked for each
+    butterfly, in stage order, once its stage has run and its NANDs are
+    counted (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
-    engine, fmt, m = signal.engine, signal.fmt, signal.dims
-    if table is None:
-        table = TwiddleTable(m, fmt)
-    out = _stages(engine, fmt, signal.wires[None], table, on_butterfly)
-    return SignalBuffer(engine, fmt, m, out[0])
+    m = signal.dims
+    if table is not None and (table.m_points, table.fmt) != (m, signal.fmt):
+        raise UsageError(f"twiddle table for {table.m_points} points at {table.fmt} "
+                         f"used on {m} at {signal.fmt}")
+    on_stage = None
+    if on_butterfly is not None:
+        def on_stage(stage):
+            half = stage.size // 2
+            for base in range(0, m, stage.size):
+                for k in range(half):
+                    on_butterfly(stage.size, base + k, base + k + half)
+    return _transform(signal, table, on_stage)
 
 
 def fft_2d(image: SignalBuffer) -> SignalBuffer:
     """Row-column transform of a 2D buffer at a fixed word format."""
     if isinstance(image.dims, int):
         raise UsageError("fft_2d expects a 2D signal")
-    engine, fmt = image.engine, image.fmt
-    rows, cols = dims = image.dims
-    grid = _stages(engine, fmt, image.wires.reshape(rows, cols, 2, -1), TwiddleTable(cols, fmt))
-    grid = _stages(engine, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt))
-    return SignalBuffer(engine, fmt, dims, grid.swapaxes(0, 1).reshape(rows * cols, 2, -1))
+    return _transform(image)
 
 
-def _stages(engine, fmt, wires, table, on_butterfly=None):
-    """Bit reversal and radix-2 stages of every row of a (transforms, M, 2,
-    bits) wire array; returns the transformed array.
+def _transform(signal, table=None, on_stage=None) -> SignalBuffer:
+    """The transform of a signal, from its plan in ``netlist.PLANS``.
 
-    Each stage evaluates the word operations of all rows' butterflies
-    together, on either engine: operations that share a recorded netlist
-    run as one ``engine.run``.  ``on_butterfly`` sees the indices of the
-    flattened (transforms * M) points.
+    A plan is a pure function of its key: the engine kind and wire size,
+    the piece bound, the format and dims, and the constants and depths (or
+    levels and noise estimates) of the input wires, which one digest
+    stands for.  The first transform of a key compiles it.
     """
-    count, m = wires.shape[:2]
-    if table.m_points != m:
-        raise UsageError(f"twiddle table for {table.m_points} points used on {m}")
-    flat = _raw(wires)[:, _bit_reversal(m)].reshape(count * m, 2, fmt.total_bits)
+    engine, fmt, dims = signal.engine, signal.fmt, signal.dims
+    meta = engine.wire_meta(signal.wires)
+    fits = engine.CHUNK_BYTES // engine.wire_bytes
+    key = (engine.rules.key, engine.wire_bytes, fits, fmt, dims,
+           hashlib.blake2b(meta.tobytes(), digest_size=16).digest())
+    plan = PLANS.get(key)
+    if plan is None:
+        plan = PLANS[key] = _compile(Compiler(engine.rules, fmt.total_bits, fits, meta),
+                                     fmt, dims, table)
+    out = replay(engine, plan, signal.wires, on_stage)
+    return SignalBuffer(engine, fmt, dims, out.reshape(signal.wires.shape))
+
+
+def _compile(comp, fmt, dims, table):
+    """The plan of ``fft_1d`` (``table`` or the signal's own) or ``fft_2d``:
+    every row's stages, then (2D) every column's."""
+    words = comp.inputs.reshape(-1, 2)  # (points, 2): real and imaginary words
+    if isinstance(dims, int):
+        out = _stages(comp, fmt, words[None], table or TwiddleTable(dims, fmt))
+    else:
+        rows, cols = dims
+        grid = _stages(comp, fmt, words.reshape(rows, cols, 2), TwiddleTable(cols, fmt))
+        out = _stages(comp, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt)).swapaxes(0, 1)
+    return comp.finish(out.reshape(-1))
+
+
+def _stages(comp, fmt, words, table):
+    """Bit reversal and radix-2 stages of every row of a (transforms, M, 2)
+    array of compiled words; returns the transformed array.  Each stage
+    compiles the word operations of all rows' butterflies together."""
+    count, m = words.shape[:2]
+    flat = words[:, _bit_reversal(m)].reshape(count * m, 2)
     size = 2
     while size <= m:
         half = size // 2
         flies = [(base + k, base + k + half, table.twiddle(size, k))
                  for base in range(0, count * m, size) for k in range(half)]
-        _butterflies(engine, fmt, flat, flies)
-        if on_butterfly is not None:
-            for i, j, _ in flies:
-                on_butterfly(size, i, j)
+        _butterflies(comp, fmt, flat, flies)
+        comp.stage(size)
         size *= 2
-    return flat.view(engine.wire_dtype).reshape(count, m, 2, fmt.total_bits)
+    return flat.reshape(count, m, 2)
 
 
-def _butterflies(engine, fmt, wires, flies):
+def _butterflies(comp, fmt, words, flies):
     """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, W) of one
-    stage, in place on the ``_raw`` wire array of shape (points, 2, bits)
-    (real and imaginary words)."""
+    stage, in place on the compiled words of shape (points, 2) (real and
+    imaginary words); each word's block is released once nothing reads it."""
     i = [f[0] for f in flies]
     j = [f[1] for f in flies]
     wre = [f[2][0] for f in flies]
     wim = [f[2][1] for f in flies]
-    xj = wires[j]
+    xj = words[j]
     # t = W * x_j: the four constant products (xj.re*wre, xj.im*wim,
     # xj.re*wim, xj.im*wre), then t_re = p0 - p1 and t_im = p2 + p3
-    prods = _word_ops(engine, "mul_const", fmt,
-                      np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]]),
-                      consts=wre + wim + wim + wre)
+    prods = comp.word_ops("mul_const", fmt,
+                          np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]]),
+                          consts=wre + wim + wim + wre)
+    comp.release(xj)
     n = len(flies)
     p = [prods[k * n:(k + 1) * n] for k in range(4)]
-    t = np.stack([_word_ops(engine, "sub", fmt, p[0], p[1]),
-                  _word_ops(engine, "add", fmt, p[2], p[3])], axis=1).reshape(2 * n, -1)
+    t = np.stack([comp.word_ops("sub", fmt, p[0], p[1]),
+                  comp.word_ops("add", fmt, p[2], p[3])], axis=1).reshape(2 * n)
+    comp.release(prods)
     # (x_i + t, x_i - t) on the real and imaginary words together
-    xi = wires[i].reshape(2 * n, -1)
-    wires[i] = _word_ops(engine, "add", fmt, xi, t).reshape(n, 2, -1)
-    wires[j] = _word_ops(engine, "sub", fmt, xi, t).reshape(n, 2, -1)
-
-
-def _word_ops(engine, op, fmt, x, y=None, consts=None):
-    """``op`` on every row of word arrays x (and y) of ``_raw`` wire records,
-    as an array of them.
-
-    Rows that share a netlist (same constant multiplier and pattern of
-    constant bits) form a group.  Groups with the same row count run side
-    by side as one ``netlist.union``, one ``engine.run`` per piece of it.
-    A piece is cut so that the workspace of one of its rows
-    (``work_rows`` * ``engine.wire_bytes``) fits in ``engine.CHUNK_BYTES``;
-    the cleartext engine evaluates the rows in chunks that fit.  The cut
-    does not depend on the row count, so every transform size that runs a
-    stage shares its unions.
-    """
-    operands = x if y is None else np.concatenate([x, y], axis=1)
-    pattern = np.ascontiguousarray(operands.view(engine.wire_dtype)["c"])  # an int8 per bit
-    keys = pattern if consts is None else np.concatenate(  # the multiplier's bytes first
-        [np.asarray(consts, dtype=np.float64)[:, None].view(np.int8), pattern], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")  # equal keys adjacent, in row order
-    ordered = keys[order]
-    by_count = {}
-    for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
-        c = None if consts is None else consts[rows[0]]
-        net = word_op(op, fmt, pattern[rows[0]], c)
-        by_count.setdefault(len(rows), []).append((rows, net))
-    out = np.empty((len(operands), fmt.total_bits), dtype=operands.dtype)
-    fits = engine.CHUNK_BYTES // engine.wire_bytes
-    for count, groups in by_count.items():
-        for piece in _pieces(groups, fits):
-            rows = np.stack([r for r, _ in piece])  # (parts, count)
-            res = engine.run(union(net for _, net in piece),
-                             operands[rows.T].reshape(count, -1).view(engine.wire_dtype))
-            out[rows] = _raw(res).reshape(count, len(piece), -1).swapaxes(0, 1)
-    return out
-
-
-def _raw(wires):
-    """A wire array as records of raw bytes, which numpy gathers, stacks and
-    scatters whole rather than field by field; an array of FHE handles
-    (object fields) cannot be viewed as bytes and stays as it is."""
-    if wires.dtype.hasobject:
-        return wires
-    return wires.view(np.dtype((np.void, wires.dtype.itemsize)))
-
-
-def _pieces(groups, fits):
-    """Runs of (rows, netlist) groups whose summed ``work_rows`` stay within
-    ``fits``; a group that alone exceeds it is a piece of its own."""
-    piece, rows = [], 0
-    for group in groups:
-        if piece and rows + group[1].work_rows > fits:
-            yield piece
-            piece, rows = [], 0
-        piece.append(group)
-        rows += group[1].work_rows
-    yield piece
+    xi = words[i].reshape(2 * n)
+    words[i] = comp.word_ops("add", fmt, xi, t).reshape(n, 2)
+    words[j] = comp.word_ops("sub", fmt, xi, t).reshape(n, 2)
+    comp.release(xi)
+    comp.release(t)
 
 
 # -- signal construction and readout ---------------------------------------

@@ -3,7 +3,20 @@
 NAND counts per gate (asserted in the test suite):
 NOT 1, AND 2, OR 3, XOR 4, NOR 4, XNOR 5.  NOR and XNOR are unused by the
 FFT circuits but included for completeness.
+
+``fold`` is the one rule for a NAND with a public constant operand, which
+both engines and ``netlist``'s recorder apply (see ``engine``).
 """
+
+
+def fold(engine, a, b):
+    """NAND of two handles of which at least one is a public constant."""
+    if a.const is not None and b.const is not None:
+        return engine.constant(1 - (a.const & b.const))
+    if b.const is not None:
+        a, b = b, a
+    # a is the constant: NAND(x, 0) = 1, NAND(x, 1) = NOT x (gate-free)
+    return engine.constant(1) if a.const == 0 else engine.free_not(b)
 
 
 def not_(a):

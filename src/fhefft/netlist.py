@@ -4,7 +4,7 @@
 for every operand whose bits share one pattern of public constants, so
 each (operation, format, constant, pattern) is traced once on a symbolic
 engine and kept in memory.  The recording folds constants with
-``engine.fold``, the rule the bit engines apply (NAND(x, 0) = 1,
+``gates.fold``, the rule the bit engines apply (NAND(x, 0) = 1,
 NAND(x, 1) = NOT x with no gate), so an engine that evaluates the
 netlist makes the same gates, folded NOTs and constant outputs as one
 that runs the word operation gate by gate.
@@ -28,29 +28,31 @@ longest path from input i through any gate (that gate included);
 ``NO_PATH`` marks none, and is so negative that adding any input depth
 below 2**15 leaves it negative.  An output's depth is the maximum over
 inputs of input depth plus path (0 if that is negative: a constant), and
-the deepest gate bounds an engine's ``max_depth``.
+the deepest gate bounds an engine's ``max_depth``; the plan compiler
+(``plan.out_depths``) takes them so, for depths and FHE levels alike.
 
 ``union`` merges netlists into one that evaluates them side by side: its
 rows are every part's inputs, part after part, then one shared ONE, then
 the parts' gates level by level (level k holds each part's level-k gates,
 part after part), so one gather and one NAND step evaluate a level of
-every part.  Its depth paths stay with its parts (``members``), which an
-engine reads over each part's slice of inputs and outputs; no path matrix
-of the whole union is built.
+every part.  Its depth paths stay with its parts (``members``), which the
+plan compiler reads over each part's slice of inputs and outputs; no path
+matrix of the whole union is built.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from . import arith
 from .arith import FixedFormat, FixedWord, encode_int
-from .engine import fold
 from .errors import UsageError
+from .gates import fold
 
 OPS = ("add", "sub", "mul_const")
 NO_PATH = np.iinfo(np.int16).min
@@ -99,15 +101,17 @@ class Netlist:
         return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs, self.out_const,
                                           self.out_path, self.gate_path) if arr is not None)
 
-    def levels(self):
-        """(first row, operand rows) of each level after level 0.
+    @cached_property
+    def levels(self) -> tuple:
+        """(first row, operand rows) of each level after level 0, made once
+        (an engine walks them on every evaluation).
 
         The operand rows of a level of w gates are its w ``a`` rows, then
         its w ``b`` rows.
         """
         bounds, first = self.bounds.tolist(), self.one + 1
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            yield lo, self.ops[2 * (lo - first):2 * (hi - first)]
+        return tuple((lo, self.ops[2 * (lo - first):2 * (hi - first)])
+                     for lo, hi in zip(bounds[1:-1], bounds[2:]))
 
 
 class _Wire:
@@ -222,13 +226,17 @@ def _longest_paths(ops, edges, n_in, out_rows, out_const):
     return out_path, gate_path
 
 
-# A memo of pure functions of the key: every caller gets the same netlist
-# for the same key, so sharing it across the process changes no result.
-# The key's format sits at index 1.  It is not bounded: an M-point transform
-# adds about one netlist per distinct twiddle component, and its stages a few
-# unions of them (for M = 8..128 at 32.16 and 100 lanes: 71 netlists,
-# 0.6 MB, and 13 unions, 0.8 MB).
+# Memos of pure functions of the key: every caller gets the same netlist or
+# plan for the same key, so sharing them across the process changes no
+# result.  Neither is bounded.  ``CACHE`` holds netlists (the key's format
+# sits at index 1): an M-point transform adds about one per distinct
+# twiddle component, and its stages a few unions of them.  ``PLANS`` holds
+# ``fft``'s transform plans (``plan.Plan``), one per key of
+# ``fft._transform``: engine kind, format, dims and input pattern.  For
+# M = 8..128 at 32.16 and 100 lanes: 71 netlists, 0.65 MB, 13 unions,
+# 0.88 MB, and 5 plans, 0.12 MB; ten 16x16 images add a plan of 0.14 MB.
 CACHE: dict[tuple, Netlist] = {}
+PLANS: dict[tuple, object] = {}
 
 
 def word_op(op: str, fmt: FixedFormat, pattern: np.ndarray, c: float | None = None) -> Netlist:

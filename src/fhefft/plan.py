@@ -1,0 +1,433 @@
+"""Evaluation plans: a circuit's structure worked out once, replayed by
+the engines with gate work only.
+
+A plan runs a sequence of pieces on one flat register of wire values,
+which the engine allocates per replay: a slot holds a wire's packed lane
+bytes on the cleartext engine, a ciphertext's gadget words under FHE.
+Wires come in words, blocks of ``width`` consecutive slots (a fixed-point
+word's bits in a transform, single bits in ``run_netlist``), so a plan
+holds one block number per word.  A piece is one ``netlist.union`` over
+``count`` operand sets, with the blocks of its input and output words;
+an engine replays it as one gather of its operand bits, one evaluation
+and one scatter of its results (``evaluate``).  A block is reused once
+the word in it is dead.
+
+The ``Compiler`` works out everything about a wire but its value, from
+the netlists and rules that depend only on the engine kind:
+
+* its public constant, from the netlists' ``out_const``;
+* its depth, which is also its FHE level, since a folded NOT is free in
+  both engines: an output's is the largest input depth plus path over the
+  netlist's ``out_path``, taken once per distinct row of input depths,
+  and the deepest gate (input depth plus ``gate_path``) bounds the
+  engine's ``max_depth``;
+* under FHE (``FheRules``), its noise estimate, NAND by NAND as
+  ``GswScheme.hom_nand`` grows it, and each piece's slot plan: its
+  gates' results go to slots of a scratch register that are reused once
+  dead, and each NAND's noisier operand is gathered on the left.
+
+It also groups word operations (``word_ops``): operand sets that share a
+netlist (same operation, multiplier and pattern of constant bits) form a
+group, and groups of the same size run side by side as one union, cut
+into pieces whose workspace row (``work_rows`` wires) fits the engine's
+``CHUNK_BYTES``.  So a plan holds, per stage, its pieces, NAND count and
+deepest gate, and every output wire's constant, depth and noise; an FHE
+plan deeper than the depth budget raises before a gate runs.  ``replay``
+runs a plan on an engine; ``fft`` keys and memoizes its plans in
+``netlist.PLANS``.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import NoiseOverflowError, UsageError
+from .netlist import NO_PATH, union, word_op
+
+# bound on the (rows x inputs x outputs) path sums of one depth step
+_PATH_BYTES = 1 << 20
+
+
+def _narrow(ids) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned type holding them."""
+    ids = np.asarray(ids)
+    top = int(ids.max(initial=0))
+    out = ids.astype(np.uint16 if top < 1 << 16 else np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+class _Blocks:
+    """Numbers of blocks in use: ``take`` reuses released ones first."""
+
+    def __init__(self, n: int = 0):
+        self.free, self.n = [], n
+
+    def take(self, k: int) -> list:
+        reuse = min(k, len(self.free))
+        ids = self.free[len(self.free) - reuse:] + list(range(self.n, self.n + k - reuse))
+        del self.free[len(self.free) - reuse:]
+        self.n += k - reuse
+        return ids
+
+    def release(self, ids):
+        self.free += list(ids)
+
+
+def slots(blocks, width: int) -> np.ndarray:
+    """Register slot of each bit of the words in ``blocks`` (words, ...):
+    an array of shape (words * width, ...), each word's bits in order."""
+    blocks = np.asarray(blocks, dtype=np.intp)
+    bit = np.arange(width).reshape(width, *[1] * (blocks.ndim - 1))
+    return (blocks[:, None] * width + bit).reshape(len(blocks) * width, *blocks.shape[1:])
+
+
+class SlotPlan(NamedTuple):
+    """Where an FHE piece keeps its wires on a scratch register of ``size``
+    ciphertexts.  The operand sets of the input bit columns ``read`` are
+    gathered to slots 0, 1, ...; each of ``levels`` is the flat slots of
+    its NANDs' left and right operands and results, then of its folded
+    NOTs' sources and results; ``outs`` holds the slot of each output bit
+    column in ``wired`` (its wires), per column and operand set."""
+
+    read: np.ndarray
+    levels: tuple
+    wired: np.ndarray
+    outs: np.ndarray
+    size: int
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.read, self.wired, self.outs)) + \
+            sum(a.nbytes for level in self.levels for a in level)
+
+
+class Piece(NamedTuple):
+    """One netlist over ``count`` operand sets: the blocks of its input and
+    output words, each of shape (words, count), and under FHE its slot
+    plan."""
+
+    net: object
+    width: int
+    ins: np.ndarray
+    outs: np.ndarray
+    scratch: SlotPlan | None = None
+
+    @property
+    def count(self) -> int:
+        return self.ins.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.ins.nbytes + self.outs.nbytes + (self.scratch.nbytes if self.scratch else 0)
+
+
+class Stage(NamedTuple):
+    """Pieces that run in order, their NANDs and deepest gate (``size`` is
+    an FFT stage's butterfly span, 0 elsewhere)."""
+
+    size: int
+    pieces: tuple
+    nand_count: int
+    max_depth: int
+
+
+class Plan(NamedTuple):
+    """Stages on a register of ``n_slots`` wires: the blocks the input and
+    output words take, and each output bit's constant, depth (and noise),
+    in the layout of the wire arrays."""
+
+    width: int
+    n_slots: int
+    inputs: np.ndarray
+    outputs: np.ndarray
+    meta: np.ndarray
+    stages: tuple
+
+    @property
+    def max_depth(self) -> int:
+        return max((s.max_depth for s in self.stages), default=0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of its own arrays (the netlists are ``netlist.CACHE``'s)."""
+        return self.inputs.nbytes + self.outputs.nbytes + self.meta.nbytes + \
+            sum(p.nbytes for s in self.stages for p in s.pieces)
+
+
+def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
+    """Output depths (count, outputs) of a netlist for each row of input
+    depths (count, inputs), and its deepest gate (0 without rows).
+
+    An output's depth is the largest input depth plus path, over the
+    inputs of its part of a union, and 0 where no input reaches it (a
+    constant).  It is a function of the row of input depths, so it is
+    taken once per distinct row.
+    """
+    count = len(depths)
+    if not count:
+        return np.zeros((0, len(net.outputs)), np.int64), 0
+    # sums of an input depth and "no path" stay negative in the narrower type
+    # while input depths are below 2**30
+    kind = np.int32 if int(depths.max(initial=0)) < 1 << 30 else np.int64
+    never = kind(np.iinfo(kind).min // 2)
+    depths = np.ascontiguousarray(depths, dtype=kind)
+    keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    depths = depths[first]
+    out = np.empty((len(depths), len(net.outputs)), kind)
+    top = at_input = at_output = 0
+    for part in net.members:
+        ins = depths[:, at_input:at_input + part.n_inputs]
+        outs = out[:, at_output:at_output + len(part.outputs)]
+        at_input, at_output = at_input + part.n_inputs, at_output + len(part.outputs)
+        gate_path = np.where(part.gate_path == NO_PATH, never, part.gate_path)
+        top = max(top, int((ins + gate_path).max(initial=0)))
+        path = np.where(part.out_path == NO_PATH, never, part.out_path)
+        step = max(1, _PATH_BYTES // (depths.itemsize * path.size))
+        for lo in range(0, len(ins), step):
+            sums = ins[lo:lo + step, :, None] + path
+            outs[lo:lo + step] = np.maximum(sums.max(axis=1), 0)
+    return out[inverse.ravel()], top
+
+
+class ClearRules:
+    """Compile rules of the cleartext engine: constants and depths."""
+
+    key = "clear"
+    meta_dtype = np.dtype([("c", np.int8), ("d", np.int32)])  # of a wire
+
+    def check(self, depth: int):
+        pass
+
+    def piece(self, net, width, words, out) -> Piece:
+        return Piece(net, width, _narrow(words["block"].T), _narrow(out["block"].T))
+
+
+CLEAR = ClearRules()
+
+
+class FheRules:
+    """Compile rules of an FHE engine over one parameter set: levels are
+    depths, noise estimates grow NAND by NAND, and a plan deeper than the
+    depth budget is refused."""
+
+    meta_dtype = np.dtype([("c", np.int8), ("d", np.int64), ("noise", np.int64)])
+
+    def __init__(self, params):
+        self.key = ("fhe", params)
+        self.n_ct, self.q, self.budget = params.n_ct, params.q, params.depth_budget
+
+    def check(self, depth: int):
+        if depth > self.budget:
+            raise NoiseOverflowError(
+                f"NAND at level {depth} would exceed depth budget {self.budget}")
+
+    def piece(self, net, width, words, out) -> Piece:
+        """The slot plan of a netlist over the operand sets of ``words``,
+        and the noise estimates of its outputs, written to ``out``.
+
+        A row's block of ``count`` slots (one per operand set) is reused
+        once the last level that reads the row has run, or right after its
+        own level if nothing reads it; output rows keep theirs.  So a level
+        never writes a slot it reads.  Noise estimates are followed level
+        by level only if some input's is not 0: a NAND of two estimates of
+        0 has an estimate of 0, so nothing swaps.
+        """
+        count, one, first = len(words), net.one, net.one + 1
+        bounds = net.bounds.astype(np.intp)
+        spans = list(zip(bounds[1:-1].tolist(), bounds[2:].tolist()))  # levels after 0
+        widths = np.diff(bounds)[1:]
+        level = np.repeat(np.arange(len(spans)), widths)  # of each gate row
+        a_at = (bounds[1:-1] - first)[level] + np.arange(len(level))  # see ``Netlist.ops``
+        a, b = net.ops[a_at].astype(np.intp), net.ops[a_at + widths[level]].astype(np.intp)
+        gate = b != one  # a NAND, else a folded NOT of a
+        last = np.full(net.n_rows, -1)  # the last level that reads each row
+        np.maximum.at(last, np.concatenate([a, b[gate]]), np.concatenate([level, level[gate]]))
+        wired = np.flatnonzero(net.out_const < 0)
+        out_rows = net.outputs[wired].astype(np.intp)
+        kept = np.zeros(net.n_rows, bool)
+        kept[out_rows] = True
+        read = np.flatnonzero((last[:net.n_inputs] >= 0) | kept[:net.n_inputs])
+        if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
+            raise UsageError("a constant operand where the netlist reads a wire")
+        # the inputs read take the first blocks; a gate row takes one at its
+        # level and gives it back after the level that reads it last (its own
+        # if none does), unless it is an output
+        block = np.full(net.n_rows, -1)
+        block[read] = np.arange(len(read))
+        placed = np.concatenate([read, np.arange(first, net.n_rows)])
+        placed = placed[~kept[placed]]
+        dies = np.where(last[placed] >= 0, last[placed], level[np.maximum(placed - first, 0)])
+        order = np.argsort(dies, kind="stable")
+        placed, ends = placed[order], np.searchsorted(dies[order], np.arange(len(spans)), "right")
+        blocks = _Blocks(len(read))
+        for k, (lo, hi) in enumerate(spans):
+            block[lo:hi] = blocks.take(hi - lo)
+            blocks.release(block[placed[ends[k - 1] if k else 0:ends[k]]].tolist())
+        sets = np.arange(count)
+        a_slots, b_slots = block[a][:, None] * count + sets, block[b][:, None] * count + sets
+        dst = block[first:][:, None] * count + sets
+        noise = np.zeros((net.n_rows, count), np.int64)
+        noise[read] = words["noise"].reshape(count, net.n_inputs)[:, read].T
+        swap = np.zeros(a_slots.shape, bool)
+        if noise.any():  # else every estimate stays 0 and nothing swaps
+            for lo, hi in spans:
+                at = np.arange(lo - first, hi - first)
+                nand, free = at[gate[at]], at[~gate[at]]
+                na, nb = noise[a[nand]], noise[b[nand]]
+                swap[nand] = nb > na  # the noisier operand goes left
+                noise[first + nand] = np.minimum(np.maximum(na, nb) +
+                                                 self.n_ct * np.minimum(na, nb), self.q)
+                noise[first + free] = noise[a[free]]
+        noise_out = np.zeros((count, len(net.outputs)), np.int64)
+        noise_out[:, wired] = noise[out_rows].T
+        out["noise"] = noise_out.reshape(out["noise"].shape)
+        # each level's slots are views of one narrow array per kind
+        left, right, results = (_narrow(x[gate].ravel()) for x in (
+            np.where(swap, b_slots, a_slots), np.where(swap, a_slots, b_slots), dst))
+        sources, not_results = (_narrow(x[~gate].ravel()) for x in (a_slots, dst))
+        nands = np.concatenate([[0], np.cumsum(gate)[bounds[2:] - first - 1] * count])
+        nots = np.concatenate([[0], np.cumsum(~gate)[bounds[2:] - first - 1] * count])
+        steps = tuple((left[n0:n1], right[n0:n1], results[n0:n1], sources[f0:f1],
+                       not_results[f0:f1])
+                      for n0, n1, f0, f1 in zip(nands[:-1].tolist(), nands[1:].tolist(),
+                                                nots[:-1].tolist(), nots[1:].tolist()))
+        scratch = SlotPlan(_narrow(read), steps, _narrow(wired),
+                           _narrow((block[out_rows][:, None] * count + sets).ravel()),
+                           blocks.n * count)
+        return Piece(net, width, _narrow(words["block"].T), _narrow(out["block"].T), scratch)
+
+
+class Compiler:
+    """Builds a plan from the constants, depths (and noise) of its input
+    wires, given as ``meta`` records in wire-array layout (words of
+    ``width`` bits), for an engine of the given rules whose pieces hold at
+    most ``fits`` workspace rows.
+
+    ``inputs`` is the input signal as compiled words: records of a
+    ``block`` and each bit's constant, depth (and noise).  ``word_ops`` and
+    ``piece`` compile evaluations and return their output words;
+    ``release`` hands back the blocks of words nothing reads any more;
+    ``stage`` closes a stage and ``finish`` the plan.
+    """
+
+    def __init__(self, rules, width: int, fits: int, meta: np.ndarray):
+        self.rules, self.width, self.fits = rules, width, fits
+        kinds = rules.meta_dtype
+        self.dtype = np.dtype([("block", np.int64),
+                               *((name, kinds[name], (width,)) for name in kinds.names)])
+        self.blocks = _Blocks()
+        self.pieces, self.stages, self.nand_count, self.max_depth = [], [], 0, 0
+        bits = meta.reshape(-1, width)
+        self.inputs = np.empty(len(bits), self.dtype)
+        self.inputs["block"] = self.blocks.take(len(bits))
+        for name in kinds.names:
+            self.inputs[name] = bits[name]
+
+    def release(self, words: np.ndarray):
+        self.blocks.release(words["block"].ravel().tolist())
+
+    def piece(self, net, words: np.ndarray) -> np.ndarray:
+        """Compile ``net`` over each row of operand words (count, words);
+        returns its output words (count, words)."""
+        count, width = len(words), self.width
+        out = np.empty((count, len(net.outputs) // width), self.dtype)
+        out["block"] = np.reshape(self.blocks.take(out.size), out.shape)
+        out["c"] = net.out_const.reshape(-1, width)
+        depths, top = out_depths(net, words["d"].reshape(count, net.n_inputs))
+        out["d"] = depths.reshape(out["d"].shape)
+        self.pieces.append(self.rules.piece(net, width, words, out))
+        self.nand_count += net.nand_count * count
+        self.max_depth = max(self.max_depth, top)
+        return out
+
+    def word_ops(self, op: str, fmt, x: np.ndarray, y: np.ndarray | None = None,
+                 consts=None) -> np.ndarray:
+        """``op`` on every row of words x (and y): the output words.
+
+        Rows that share a netlist (same constant multiplier and pattern of
+        constant bits) form a group.  Groups with the same row count run
+        side by side as one union, one piece per run of them whose
+        ``work_rows`` fit ``fits``.  The cut does not depend on the row
+        count, so every transform size that runs a stage shares its unions.
+        """
+        operands = x[:, None] if y is None else np.stack([x, y], axis=1)
+        pattern = np.ascontiguousarray(operands["c"]).reshape(len(operands), -1)
+        keys = pattern if consts is None else np.concatenate(  # the multiplier's bytes first
+            [np.asarray(consts, dtype=np.float64)[:, None].view(np.int8), pattern], axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        order = np.argsort(keys, kind="stable")  # equal keys adjacent, in row order
+        ordered = keys[order]
+        by_count = {}
+        for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
+            c = None if consts is None else consts[rows[0]]
+            net = word_op(op, fmt, pattern[rows[0]], c)
+            by_count.setdefault(len(rows), []).append((rows, net))
+        out = np.empty(len(operands), self.dtype)
+        for count, groups in by_count.items():
+            for piece in _pieces(groups, self.fits):
+                rows = np.stack([r for r, _ in piece])  # (parts, count)
+                res = self.piece(union(net for _, net in piece),
+                                 operands[rows.T].reshape(count, -1))
+                out[rows] = res.T
+        return out
+
+    def stage(self, size: int = 0):
+        self.stages.append(Stage(size, tuple(self.pieces), self.nand_count, self.max_depth))
+        self.pieces, self.nand_count, self.max_depth = [], 0, 0
+
+    def finish(self, outputs: np.ndarray) -> Plan:
+        """The plan whose output is the words ``outputs``, in layout order."""
+        if self.pieces:
+            self.stage()
+        bits = outputs.reshape(-1)
+        meta = np.empty(bits.size * self.width, self.rules.meta_dtype)
+        for name in meta.dtype.names:
+            meta[name] = bits[name].reshape(-1)
+        meta.flags.writeable = False
+        return Plan(self.width, self.blocks.n * self.width, _narrow(self.inputs["block"]),
+                    _narrow(bits["block"]), meta, tuple(self.stages))
+
+
+def _pieces(groups, fits):
+    """Runs of (rows, netlist) groups whose summed ``work_rows`` stay within
+    ``fits``; a group that alone exceeds it is a piece of its own."""
+    piece, rows = [], 0
+    for group in groups:
+        if piece and rows + group[1].work_rows > fits:
+            yield piece
+            piece, rows = [], 0
+        piece.append(group)
+        rows += group[1].work_rows
+    yield piece
+
+
+def replay(engine, plan: Plan, wires: np.ndarray, on_stage=None) -> np.ndarray:
+    """Run a plan on an engine from a wire array of its inputs; returns the
+    flat wire array of its outputs.
+
+    The depth is checked first (an FHE budget), then each stage's pieces
+    run and its NANDs and depth are added to the engine's, before
+    ``on_stage(stage)`` is called.
+    """
+    engine.rules.check(plan.max_depth)
+    register = engine.load(wires.reshape(-1), slots(plan.inputs, plan.width), plan.n_slots)
+    for stage in plan.stages:
+        for piece in stage.pieces:
+            engine.evaluate(piece, register)
+        engine.nand_count += stage.nand_count
+        engine.max_depth = max(engine.max_depth, stage.max_depth)
+        if on_stage is not None:
+            on_stage(stage)
+    return engine.unload(register, slots(plan.outputs, plan.width), plan.meta)
+
+
+def run_netlist(engine, net, operands: np.ndarray) -> np.ndarray:
+    """``engine.run``: a netlist on each row of a (count, inputs) wire array,
+    compiled as a one-piece plan of single-bit words and replayed."""
+    comp = Compiler(engine.rules, 1, 0, engine.wire_meta(operands))
+    out = comp.piece(net, comp.inputs.reshape(operands.shape))
+    return replay(engine, comp.finish(out), operands).reshape(out.shape)

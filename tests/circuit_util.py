@@ -60,3 +60,19 @@ def butterfly(xi: ComplexFixed, xj: ComplexFixed,
     hi = ComplexFixed(add(xi.re, t_re), add(xi.im, t_im))
     lo = ComplexFixed(sub(xi.re, t_re), sub(xi.im, t_im))
     return hi, lo
+
+
+def gate_by_gate_fft(pts, table):
+    """fft_1d as a plain composition of ``butterfly`` over handle points,
+    one butterfly at a time."""
+    m = len(pts)
+    pts = [pts[r] for r in _bit_reversal(m)]
+    size = 2
+    while size <= m:
+        half = size // 2
+        for start in range(0, m, size):
+            for k in range(half):
+                i, j = start + k, start + k + half
+                pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
+        size *= 2
+    return pts

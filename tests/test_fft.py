@@ -3,17 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from circuit_util import bit_reverse_permute, butterfly, signal_of
+from circuit_util import bit_reverse_permute, butterfly, gate_by_gate_fft, signal_of
 from fhefft import fft, fileio, netlist
 from fhefft.arith import FixedFormat, constant_word, encode_int, input_word, read_word
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, butterfly_error, fft_error_bound
-from fhefft.errors import RangeError, UsageError
+from fhefft.errors import NoiseOverflowError, RangeError, UsageError
 from fhefft.fft import (
     ComplexFixed,
     SignalBuffer,
     TwiddleTable,
-    _bit_reversal,
     fft_1d,
     fft_2d,
     input_signal,
@@ -398,32 +397,16 @@ def test_fft_output_depths_golden(dims, lanes, digest):
     assert hashlib.sha256(out.wires["d"].astype("<i4").tobytes()).hexdigest()[:16] == digest
 
 
-def _gate_by_gate_fft(pts, table):
-    """fft_1d as a plain composition of ``butterfly`` over handle points,
-    one butterfly at a time."""
-    m = len(pts)
-    pts = [pts[r] for r in _bit_reversal(m)]
-    size = 2
-    while size <= m:
-        half = size // 2
-        for start in range(0, m, size):
-            for k in range(half):
-                i, j = start + k, start + k + half
-                pts[i], pts[j] = butterfly(pts[i], pts[j], table.twiddle(size, k))
-        size *= 2
-    return pts
-
-
 def _gate_by_gate_fft2d(pts, dims):
-    """fft_2d as ``_gate_by_gate_fft`` on each row, then on each column."""
+    """fft_2d as ``gate_by_gate_fft`` on each row, then on each column."""
     rows, cols = dims
     pts = list(pts)
     fmt = pts[0].fmt
     for r in range(rows):
-        pts[r * cols:(r + 1) * cols] = _gate_by_gate_fft(pts[r * cols:(r + 1) * cols],
+        pts[r * cols:(r + 1) * cols] = gate_by_gate_fft(pts[r * cols:(r + 1) * cols],
                                                          TwiddleTable(cols, fmt))
     for c in range(cols):
-        pts[c::cols] = _gate_by_gate_fft(pts[c::cols], TwiddleTable(rows, fmt))
+        pts[c::cols] = gate_by_gate_fft(pts[c::cols], TwiddleTable(rows, fmt))
     return pts
 
 
@@ -433,7 +416,7 @@ def _transforms(dims, fmt):
     if isinstance(dims, int):
         table = TwiddleTable(dims, fmt)
         return ((lambda pts: fft_1d(signal_of(pts, dims), table).points),
-                (lambda pts: _gate_by_gate_fft(pts, table)))
+                (lambda pts: gate_by_gate_fft(pts, table)))
     return (lambda pts: fft_2d(signal_of(pts, dims)).points), \
         (lambda pts: _gate_by_gate_fft2d(pts, dims))
 
@@ -562,6 +545,38 @@ def test_netlist_cache_stays_small():
     assert 0 < held <= 2 * 2**20
 
 
+def test_transform_plans_stay_small(monkeypatch):
+    """The plans of the Table 1 transforms (M = 8..128 at 32.16, 100 lanes)
+    and of ten 16x16 images hold at most 320 KiB (258,288 bytes measured)."""
+    monkeypatch.setattr(fft, "PLANS", {})
+    for m in (8, 16, 32, 64, 128):
+        eng = CleartextEngine(batch_size=100)
+        fft_1d(input_signal(eng, np.full((100, m), 0.5), F32))
+    eng = CleartextEngine(batch_size=10)
+    fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
+    assert len(fft.PLANS) == 6
+    assert 0 < sum(plan.nbytes for plan in fft.PLANS.values()) <= 320 * 2**10
+
+
+def test_fhe_plan_past_the_depth_budget_raises_before_any_nand(default_scheme, default_keys):
+    """On the default preset (depth budget 3) a 2-point transform, 41 NANDs
+    deep, is refused before its first NAND kernel call."""
+    calls = []
+
+    class Counting(type(default_scheme)):
+        def nand_words(self, left, right):
+            calls.append(len(left))
+            return super().nand_words(left, right)
+
+    eng = FheEngine(Counting(default_scheme.params), keys=default_keys,
+                    rng=np.random.default_rng(3))
+    sig = input_signal(eng, [0.5 + 0.25j, -0.75 + 0.5j], F16)
+    for _ in range(2):  # compiling the plan, then finding it
+        with pytest.raises(NoiseOverflowError, match="depth budget 3"):
+            fft_1d(sig)
+    assert calls == [] and (eng.nand_count, eng.max_depth) == (0, 0)
+
+
 def test_stage_driver_cuts_unions_to_the_engine_bound(monkeypatch):
     """With a smaller workspace bound the stage driver runs more, smaller
     pieces and gets the same wires, counts and depths, in 1D and 2D; a piece
@@ -569,9 +584,9 @@ def test_stage_driver_cuts_unions_to_the_engine_bound(monkeypatch):
     values = np.random.default_rng(13).uniform(-1, 1, (9, 32, 2)) @ [1, 1j]
 
     class Logging(CleartextEngine):
-        def run(self, net, operands):
-            self.pieces.append(net)
-            return super().run(net, operands)
+        def evaluate(self, piece, register):
+            self.pieces.append(piece.net)
+            return super().evaluate(piece, register)
 
     def transform(dims):
         eng = Logging(batch_size=9)

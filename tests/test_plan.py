@@ -1,0 +1,111 @@
+"""Transform plans: compiled once per key, replayed bit for bit."""
+
+import numpy as np
+import pytest
+
+from circuit_util import gate_by_gate_fft, signal_of
+from fhefft import fft
+from fhefft.arith import FixedFormat, constant_word
+from fhefft.engine import CleartextEngine, FheEngine
+from fhefft.fft import ComplexFixed, SignalBuffer, TwiddleTable, fft_1d, fft_2d, input_signal
+from fhefft.fhe import Ciphertext
+
+F16 = FixedFormat(16, 8)
+VALUES = [0.5 + 0.25j, -0.75 + 0.5j, 0.125 - 1j, 1.0 + 0.0j]
+
+
+@pytest.fixture()
+def compiles(monkeypatch):
+    """An empty plan memo, and the list of the dims of every plan compiled."""
+    seen = []
+    compile_plan = fft._compile
+
+    def counted(comp, fmt, dims, table):
+        seen.append(dims)
+        return compile_plan(comp, fmt, dims, table)
+
+    monkeypatch.setattr(fft, "PLANS", {})
+    monkeypatch.setattr(fft, "_compile", counted)
+    return seen
+
+
+def _transform(signal):
+    return fft_1d(signal) if isinstance(signal.dims, int) else fft_2d(signal)
+
+
+def _clear(engine_class, dims):
+    eng = engine_class(batch_size=3)
+    out = _transform(input_signal(eng, np.tile(VALUES, (3, 1)), F16, dims=dims))
+    return [out.wires[f].tobytes() for f in ("v", "d", "c")], eng.stats
+
+
+def _fhe(scheme, keys, dims):
+    eng = FheEngine(scheme, keys=keys, rng=np.random.default_rng(4))
+    out = _transform(input_signal(eng, VALUES, F16, dims=dims))
+    cts = [eng.export_ct(h) for h in out.bits()]
+    return ([ct.level for ct in cts], [ct.noise_est for ct in cts],
+            np.array([ct.words for ct in cts]).tobytes(), out.wires["c"].tobytes()), eng.stats
+
+
+@pytest.mark.parametrize("dims", [4, (2, 2)])
+def test_warm_replay_equals_the_cold_run(dims, compiles, exact_scheme, exact_keys):
+    """A replayed plan gives the wires, depths, constants, counts and depth
+    of the run that compiled it, and on FHE its ciphertexts, levels and
+    noise estimates."""
+    for run in (lambda: _clear(CleartextEngine, dims),
+                lambda: _fhe(exact_scheme, exact_keys, dims)):
+        before = len(compiles)
+        cold, warm = run(), run()
+        assert len(compiles) == before + 1
+        assert cold == warm
+
+
+def test_an_engine_class_per_call_reuses_the_plan(compiles):
+    """Plans are keyed on the engine kind, not its class: a new
+    ``CleartextEngine`` subclass per call, as the benchmark makes, finds
+    the plan of the first."""
+    results = [_clear(type("Recording", (CleartextEngine,), {}), 4) for _ in range(3)]
+    assert compiles == [4]
+    assert results[0] == results[1] == results[2] == _clear(CleartextEngine, 4)
+
+
+def test_piece_bound_and_constants_key_their_own_plans(compiles, monkeypatch):
+    """A smaller workspace bound, and a signal with a constant word, each
+    compile a plan of their own; the same inputs find it again."""
+    _clear(CleartextEngine, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(CleartextEngine, "CHUNK_BYTES", 1 << 12)
+        _clear(CleartextEngine, 4)
+        _clear(CleartextEngine, 4)
+    assert len(compiles) == 2
+    eng = CleartextEngine(batch_size=3)
+    pts = list(input_signal(eng, np.tile(VALUES, (3, 1)), F16).points)
+    pts[1] = ComplexFixed(pts[1].re, constant_word(eng, -0.375, F16))
+    for _ in range(2):
+        fft_1d(signal_of(pts, 4))
+    _clear(CleartextEngine, 4)
+    assert len(compiles) == 3
+
+
+def test_fft_of_fhe_output_matches_gate_by_gate(compiles, exact_scheme, exact_keys):
+    """A transform of ciphertexts past level 0, with noise estimates that
+    send some NANDs' operands left and others right, makes the words,
+    levels, noise estimates and counts of gate-by-gate ``nand``."""
+    first = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(6))
+    cts = [first.export_ct(h) for h in fft_1d(input_signal(first, VALUES, F16)).bits()]
+    noise = np.random.default_rng(7).integers(0, 40, len(cts))
+    cts = [Ciphertext(ct.words, ct.level, int(n)) for ct, n in zip(cts, noise)]
+    assert min(ct.level for ct in cts) > 0 and len(set(noise.tolist())) > 2
+    results = []
+    for batched in (True, False):
+        eng = FheEngine(exact_scheme, keys=exact_keys)
+        signal = SignalBuffer.from_bits([eng.import_ct(ct) for ct in cts], F16, 4)
+        pts = fft_1d(signal).points if batched else \
+            gate_by_gate_fft(list(signal.points), TwiddleTable(4, F16))
+        out = [eng.export_ct(h) for pt in pts for w in (pt.re, pt.im) for h in w.bits]
+        results.append(([ct.level for ct in out], [ct.noise_est for ct in out],
+                         np.array([ct.words for ct in out]), eng.stats))
+    (levels, noise, words, stats), want = results
+    assert compiles == [4, 4]
+    assert (levels, noise, stats) == (want[0], want[1], want[3])
+    assert np.array_equal(words, want[2])
