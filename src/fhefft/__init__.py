@@ -1,6 +1,6 @@
 """FFT on encrypted data via NAND circuits over a lattice FHE scheme."""
 
-from .arith import FixedFormat, FixedWord, add, decode, encode, mul_const, mul_fixed, mul_integer, sub
+from .arith import FixedFormat, FixedWord, add, mul_const, mul_fixed, mul_integer, sub
 from .engine import CleartextEngine, FheEngine, GateStats
 from .errors import (
     CapabilityError,
@@ -39,8 +39,6 @@ __all__ = [
     "TwiddleTable",
     "UsageError",
     "add",
-    "decode",
-    "encode",
     "fft_1d",
     "fft_2d",
     "mul_const",

@@ -92,30 +92,6 @@ def _range_error(x, fmt: FixedFormat, ix: int | None = None) -> RangeError:
     return RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} fixed point{at}")
 
 
-def encode(x: float, fmt: FixedFormat) -> list[int]:
-    """Plaintext bit vector (LSB first, two's complement) for a real x."""
-    return int_to_bits(encode_int(x, fmt), fmt.total_bits)
-
-
-def decode(bits, fmt: FixedFormat) -> float:
-    """Real value of a plaintext bit vector; exact inverse of encode."""
-    return bits_to_int(bits, signed=True) / fmt.scale
-
-
-def int_to_bits(v: int, width: int) -> list[int]:
-    pattern = v % (1 << width)
-    return [(pattern >> i) & 1 for i in range(width)]
-
-
-def bits_to_int(bits, signed: bool = True) -> int:
-    raw = 0
-    for i, b in enumerate(bits):
-        raw |= (b & 1) << i
-    if signed and bits and (raw >> (len(bits) - 1)) & 1:
-        raw -= 1 << len(bits)
-    return raw
-
-
 # -- lane codec -------------------------------------------------------------
 
 def encode_bits(values, fmt: FixedFormat) -> np.ndarray:
@@ -150,9 +126,9 @@ def decode_bits(bits, fmt: FixedFormat) -> np.ndarray:
     """Values of two's-complement bits, LSB first on the last axis (the
     inverse of ``encode_bits``).
 
-    Equal to ``decode`` of each bit vector for words of up to 85 bits (one
-    32-bit limb past the float64 significand); wider words are rounded
-    twice, so a value can differ from it in the last place.
+    Each value is the word's integer over the scale, correctly rounded, for
+    words of up to 85 bits (one 32-bit limb past the float64 significand);
+    wider words are rounded twice, so a value can differ in the last place.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     width = bits.shape[-1]
@@ -192,7 +168,7 @@ def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
 
 def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:
     """Word of public constant bits (foldable, costs no gates downstream)."""
-    return FixedWord(tuple(engine.constant(b) for b in encode(x, fmt)), fmt)
+    return FixedWord(tuple(engine.constant(b) for b in encode_bits(x, fmt).tolist()), fmt)
 
 
 def read_word(engine, word: FixedWord) -> list[float]:

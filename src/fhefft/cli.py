@@ -65,7 +65,7 @@ def cmd_encrypt(args) -> int:
     engine = FheEngine(scheme, public_key=keys.public_key,
                        rng=np.random.default_rng(seed))
     signal = input_signal(engine, values, fmt, dims=dims)
-    fileio.write_ciphertext_signal(args.out, params, engine, signal, fmt)
+    fileio.write_ciphertext_signal(args.out, signal)
     print(f"encrypted {len(signal.wires)} points ({dims}) at {fmt.total_bits}.{fmt.frac_bits} "
           f"fixed point into {args.out}")
     return 0
@@ -73,12 +73,10 @@ def cmd_encrypt(args) -> int:
 
 def cmd_fft(args) -> int:
     # evaluation needs no key material: ciphertexts in, ciphertexts out
-    probe_params = fileio.read_ciphertext_params(args.ciphertext)
-    scheme = GswScheme(probe_params)
-    engine = FheEngine(scheme)
-    signal, fmt = fileio.read_ciphertext_signal(args.ciphertext, engine)
+    engine = FheEngine(GswScheme(fileio.read_ciphertext_params(args.ciphertext)))
+    signal = fileio.read_ciphertext_signal(args.ciphertext, engine)
     out = fft_2d(signal) if isinstance(signal.dims, tuple) else fft_1d(signal)
-    fileio.write_ciphertext_signal(args.out, probe_params, engine, out, fmt)
+    fileio.write_ciphertext_signal(args.out, out)
     stats: GateStats = engine.stats
     print(f"transformed {signal.dims} -> {args.out}; "
           f"NANDs={stats.nand_count} depth={stats.max_depth}")
@@ -92,14 +90,14 @@ def cmd_decrypt(args) -> int:
     params, keys = fileio.read_keys(args.keys)
     scheme = GswScheme(params)
     engine = FheEngine(scheme, keys=keys)
-    signal, fmt = fileio.read_ciphertext_signal(args.ciphertext, engine)
+    signal = fileio.read_ciphertext_signal(args.ciphertext, engine)
     try:
         values = read_signal(engine, signal)[0]
     except NoiseOverflowError as exc:
         raise NoiseOverflowError(
             f"{exc} (wrong key file, or the circuit exceeded the depth "
             f"budget of the chosen parameters)") from exc
-    fileio.write_signal_text(args.out, values, dims=signal.dims, fmt=fmt)
+    fileio.write_signal_text(args.out, values, dims=signal.dims, fmt=signal.fmt)
     print(f"decrypted {len(values)} points to {args.out}")
     return 0
 

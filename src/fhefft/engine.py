@@ -13,12 +13,12 @@ Besides gate-by-gate ``nand``, each engine replays compiled plans
 (``plan``): a plan's structure (which netlist runs on which wires, and
 every wire's constant, depth, level and noise estimate) is worked out once
 by the plan compiler, so an engine does gate work only.  ``load`` puts a
-wire array's values in a flat register of slots (packed lane bytes in
-cleartext, a ciphertext's gadget words under FHE), ``evaluate`` runs one
+wire array's values in a flat register of slots, ``evaluate`` runs one
 plan piece on it (one gather of its operand bits, one evaluation, one
 scatter of its results), and ``unload`` makes a wire array of slots with
 the plan's constants and depths (or levels and noise estimates), which
-``wire_meta`` reads from wire arrays.  The cleartext engine evaluates a
+``wire_meta`` reads from wire arrays; one ``load``, ``unload`` and
+``wire_meta`` serve both engines.  The cleartext engine evaluates a
 piece level by level as numpy bit-planes, in chunks of operand sets that
 fit ``CHUNK_BYTES``.  The FHE engine evaluates it level by level on a
 scratch register of the piece's slot plan: each level's NANDs for every
@@ -31,16 +31,20 @@ operation counts, levels and noise estimates are those of the
 gate-by-gate circuit.
 
 Operands and results are the engine's wire arrays (``wires`` turns
-handles into one, ``handles`` turns it back): structured arrays, of
-``wire_dtype``, whose ``c`` field holds each wire's public constant (-1
-for a variable wire); the other fields are packed lane bytes and depths
-in cleartext, the handle under FHE.  ``input_wires`` makes variable wires
-straight from an array of lane bits and ``read_wires`` reads lane bits
-back, so a signal is encoded and decoded without a handle per bit: the
-cleartext engine packs and unpacks the lane bytes in numpy, the FHE
-engine encrypts all bits, and decrypts all wires, in stacked products
-(the ciphertexts of one ``encrypt_bit`` per bit in C order, the bits of
-one ``read_back`` per wire).  ``wire_bytes`` (a wire's packed lanes, or a
+handles into one, ``handles`` turns it back): record arrays of
+``wire_dtype`` holding each wire's value ``v`` (its packed lane bytes in
+cleartext, its ciphertext's N x (n+1) gadget words under FHE) beside the
+fields of the engine's ``rules.meta_dtype``: its public constant ``c``
+(-1 for a variable wire), its depth ``d`` (under FHE its level) and,
+under FHE, its noise estimate ``noise``.  A constant wire's value is its
+bit in every lane, or the words of its trivial ciphertext at level 0 and
+noise 0 (``export_ct``).  ``input_wires`` makes variable wires straight
+from an array of lane bits and ``read_wires`` reads lane bits back, so a
+signal is encoded and decoded without a handle per bit: the cleartext
+engine packs and unpacks the lane bytes in numpy, the FHE engine
+encrypts all bits, and decrypts all wires, in stacked products (the
+ciphertexts of one ``encrypt_bit`` per bit in C order, the bits of one
+``read_back`` per wire).  ``wire_bytes`` (a wire's packed lanes, or a
 ciphertext's words) and ``CHUNK_BYTES`` bound how large a netlist fits one
 evaluation workspace.
 
@@ -103,7 +107,54 @@ class FheBit:
         self.const = const
 
 
-class CleartextEngine:
+class _Engine:
+    """What both engines share: gate accounting and wire-array plumbing.
+    An engine sets ``rules`` (its plan compiler rules) and ``const_values``,
+    the value ``v`` of a constant 0 and of a constant 1, whose dtype and
+    shape are a wire's."""
+
+    def _init_wires(self, rules, const_values: np.ndarray):
+        self.rules, self.const_values = rules, const_values
+        self.wire_dtype = np.dtype([("v", const_values.dtype, const_values.shape[1:]),
+                                    *rules.meta_dtype.descr], align=True)
+
+    @property
+    def stats(self) -> GateStats:
+        return GateStats(self.nand_count, self.max_depth)
+
+    def run(self, net, operands: np.ndarray) -> np.ndarray:
+        """Evaluate a netlist on each row of a (count, n_inputs) wire array,
+        with the counts, depths (FHE: ciphertexts, levels and noise
+        estimates) and constants of gate-by-gate ``nand``; an FHE netlist
+        past the depth budget raises before any gate runs."""
+        return run_netlist(self, net, operands)
+
+    def wire_meta(self, wires: np.ndarray) -> np.ndarray:
+        """Packed copy of the ``rules.meta_dtype`` fields of a wire array."""
+        meta = np.empty(wires.shape, self.rules.meta_dtype)
+        for name in meta.dtype.names:
+            meta[name] = wires[name]
+        return meta
+
+    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+        """A register of ``n_slots`` wire values, with ``wires`` in ``slots``."""
+        register = np.empty((n_slots, *self.const_values.shape[1:]), self.const_values.dtype)
+        register[slots] = wires["v"]
+        return register
+
+    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
+        """Wire array of the wires in ``slots`` with the meta fields of
+        ``meta`` (a constant wire's value is its bit's ``const_values``)."""
+        out = np.empty(len(slots), self.wire_dtype)
+        out["v"] = register[slots]
+        for bit in (0, 1):
+            out["v"][meta["c"] == bit] = self.const_values[bit]
+        for name in meta.dtype.names:
+            out[name] = meta[name]
+        return out
+
+
+class CleartextEngine(_Engine):
     """Exact plaintext bit engine with lane packing and gate counting."""
 
     CHUNK_BYTES = 1 << 20  # bound on the working arrays of one piece's evaluation
@@ -116,14 +167,9 @@ class CleartextEngine:
         self.nand_count = 0
         self.max_depth = 0
         self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
-        self.wire_dtype = np.dtype([("v", np.uint8, (self.wire_bytes,)), ("d", np.int32),
-                                    ("c", np.int8)])
+        self._init_wires(CLEAR, np.array([[0] * self.wire_bytes, [0xFF] * self.wire_bytes],
+                                         np.uint8))
         self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
-        self.rules = CLEAR  # how the plan compiler treats this engine's wires
-
-    @property
-    def stats(self) -> GateStats:
-        return GateStats(self.nand_count, self.max_depth)
 
     def constant(self, bit: int) -> ClearBit:
         if bit not in (0, 1):
@@ -197,23 +243,6 @@ class CleartextEngine:
                          None if c < 0 else c)
                 for v, d, c in zip(lanes, wires["d"].tolist(), wires["c"].tolist())]
 
-    def run(self, net, operands: np.ndarray) -> np.ndarray:
-        """Evaluate a netlist on each row of a (count, n_inputs) wire array,
-        with the counts, depths and constants of gate-by-gate evaluation."""
-        return run_netlist(self, net, operands)
-
-    def wire_meta(self, wires: np.ndarray) -> np.ndarray:
-        """Constant and depth of each wire, as ``CLEAR.meta_dtype`` records."""
-        meta = np.empty(wires.shape, self.rules.meta_dtype)
-        meta["c"], meta["d"] = wires["c"], wires["d"]
-        return meta
-
-    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
-        """A register of ``n_slots`` wires' lane bytes, with ``wires`` in ``slots``."""
-        register = np.empty((n_slots, self.wire_bytes), np.uint8)
-        register[slots] = wires["v"]
-        return register
-
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece, in chunks of operand
         sets whose workspace fits ``CHUNK_BYTES``."""
@@ -227,18 +256,8 @@ class CleartextEngine:
             res = _evaluate(net, register, ins[:, lo:lo + step], work)
             records[outs[:, lo:lo + step]] = res.view(self._record)[..., 0]
 
-    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
-        """Wire array of the wires in ``slots`` with the constants and depths
-        of ``meta`` (a constant wire's lanes are all its bit)."""
-        out = np.empty(len(slots), self.wire_dtype)
-        out["v"] = register[slots]
-        out["v"][meta["c"] == 0] = 0
-        out["v"][meta["c"] == 1] = 0xFF
-        out["d"], out["c"] = meta["d"], meta["c"]
-        return out
 
-
-class FheEngine:
+class FheEngine(_Engine):
     """Bit engine evaluating gates homomorphically.
 
     Holds the public key (enough to encrypt inputs and run circuits); give
@@ -248,7 +267,6 @@ class FheEngine:
     """
 
     batch_size = 1
-    wire_dtype = np.dtype([("h", object), ("c", np.int8)])
     # bound on the largest array of one stacked kernel call (decomposed bits
     # of a NAND or a decryption, masks of an encryption, container bits), and
     # on the words of one operand set of the netlists a plan merges into one piece
@@ -265,11 +283,8 @@ class FheEngine:
         self.nand_count = 0
         self.max_depth = 0
         self.wire_bytes = 8 * scheme.n_ct * (scheme.params.n + 1)  # a ciphertext's words
-        self.rules = FheRules(scheme.params)  # how the plan compiler treats its wires
-
-    @property
-    def stats(self) -> GateStats:
-        return GateStats(self.nand_count, self.max_depth)
+        self._init_wires(FheRules(scheme.params),
+                             np.stack([scheme.trivial_encrypt_bit(b).words for b in (0, 1)]))
 
     def constant(self, bit: int) -> FheBit:
         if bit not in (0, 1):
@@ -334,11 +349,10 @@ class FheEngine:
         scheme = self.scheme
         step = max(1, self.CHUNK_BYTES // (8 * scheme.n_ct * scheme.params.m))
         out = np.empty(len(bits), self.wire_dtype)
-        out["h"] = [FheBit(self, Ciphertext(words, 0, scheme.fresh_noise), None)
-                    for lo in range(0, len(bits), step)
-                    for words in scheme.encrypt_words(self.public_key, bits[lo:lo + step],
-                                                      self.rng)]
-        out["c"] = -1
+        for lo in range(0, len(bits), step):
+            out["v"][lo:lo + step] = scheme.encrypt_words(self.public_key, bits[lo:lo + step],
+                                                         self.rng)
+        out["c"], out["d"], out["noise"] = -1, 0, scheme.fresh_noise
         return out.reshape(lane_bits.shape[:-1])
 
     def read_wires(self, wires: np.ndarray) -> np.ndarray:
@@ -346,68 +360,39 @@ class FheEngine:
         bits of one ``read_back`` per wire, from one ``decrypt_rows`` call per
         ``CHUNK_BYTES`` of decomposed bits.  The first wire ``read_back``
         rejects raises its error."""
-        handles = wires["h"].reshape(-1).tolist()
-        bits = np.empty(len(handles), np.int64)
-        at, cts = [], []
-        for i, h in enumerate(handles):
-            if h.engine is not self or (h.const is None and self.secret_key is None):
-                bits[i:] = -1  # read_back raises here
-                break
-            if h.const is None:
-                at.append(i)
-                cts.append(h.ct)
-            else:
-                bits[i] = h.const
-        scheme = self.scheme
-        step = max(1, self.CHUNK_BYTES // (scheme.dtype.itemsize * scheme.n_ct))
-        for lo in range(0, len(cts), step):
-            piece = cts[lo:lo + step]
-            rows = np.array([ct.words[scheme.mu_index] for ct in piece])
-            bits[at[lo:lo + step]] = scheme.decrypt_rows(self.secret_key, rows,
-                                                         [ct.level for ct in piece])
+        flat = wires.reshape(-1)
+        bits = flat["c"].astype(np.int64)
+        wired = np.flatnonzero(bits < 0)
+        if self.secret_key is not None:
+            scheme = self.scheme
+            step = max(1, self.CHUNK_BYTES // (scheme.dtype.itemsize * scheme.n_ct))
+            for lo in range(0, len(wired), step):
+                at = wired[lo:lo + step]
+                bits[at] = scheme.decrypt_rows(self.secret_key, flat["v"][at, scheme.mu_index],
+                                               flat["d"][at])
         bad = np.flatnonzero(bits < 0)
         if len(bad):
-            self.read_back(handles[bad[0]])  # raises that wire's error
+            self.read_back(self.handles(flat[bad[:1]])[0])  # raises that wire's error
         return bits.astype(np.uint8).reshape(*wires.shape, 1)
 
     def wires(self, handles) -> np.ndarray:
-        """Wire array of handles."""
+        """Wire array of handles (a constant's value is its ``export_ct``)."""
         _check_owner(self, handles)
+        cts = [self.export_ct(h) for h in handles]
         out = np.empty(len(handles), self.wire_dtype)
-        out["h"] = handles
+        out["v"] = np.reshape([ct.words for ct in cts], out["v"].shape)  # also for no handles
+        out["d"] = [ct.level for ct in cts]
+        out["noise"] = [ct.noise_est for ct in cts]
         out["c"] = [-1 if h.const is None else h.const for h in handles]
         return out
 
     def handles(self, wires: np.ndarray) -> list[FheBit]:
-        return list(wires["h"])
-
-    def run(self, net, operands: np.ndarray) -> np.ndarray:
-        """Evaluate a netlist on each row of a (count, n_inputs) wire array,
-        with the ciphertexts, operation counts, levels and noise estimates
-        of gate-by-gate ``nand``; a netlist past the depth budget raises
-        before any gate runs."""
-        return run_netlist(self, net, operands)
-
-    def wire_meta(self, wires: np.ndarray) -> np.ndarray:
-        """Constant, level and noise estimate of each wire, as
-        ``FheRules.meta_dtype`` records (0 and 0 for a constant)."""
-        meta = np.zeros(wires.shape, self.rules.meta_dtype)
-        meta["c"] = wires["c"]
-        wired = meta["c"] < 0
-        cts = [h.ct for h in wires["h"][wired]]
-        meta["d"][wired] = [ct.level for ct in cts]
-        meta["noise"][wired] = [ct.noise_est for ct in cts]
-        return meta
-
-    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
-        """A register of ``n_slots`` ciphertexts' words, with the wired
-        ``wires`` in their ``slots``."""
-        scheme = self.scheme
-        register = np.empty((n_slots, scheme.n_ct, scheme.params.n + 1), np.int64)
-        wired = wires["c"] < 0
-        if wired.any():
-            register[slots[wired]] = [h.ct.words for h in wires["h"][wired]]
-        return register
+        """Handles of a wire array (inverse of ``wires``), with their own
+        copy of its words."""
+        words = np.array(wires["v"])
+        return [FheBit(self, Ciphertext(w, d, noise), None) if c < 0 else self.constant(c)
+                for w, d, noise, c in zip(words, wires["d"].tolist(), wires["noise"].tolist(),
+                                          wires["c"].tolist())]
 
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece: its operands go to a
@@ -426,20 +411,6 @@ class FheEngine:
             if len(src):
                 scratch[not_dst] = scheme.not_words(scratch[src])
         register[slots(piece.outs, piece.width)[plan.wired].ravel()] = scratch[plan.outs]
-
-    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
-        """Wire array of new handles of the wires in ``slots``, with the
-        constants, levels and noise estimates of ``meta``."""
-        out = np.empty(len(slots), self.wire_dtype)
-        out["c"] = meta["c"]
-        wired = meta["c"] < 0
-        words = register[slots[wired]]
-        out["h"][wired] = [FheBit(self, Ciphertext(w, level, noise), None) for w, level, noise
-                           in zip(words, meta["d"][wired].tolist(),
-                                  meta["noise"][wired].tolist())]
-        for bit in (0, 1):
-            out["h"][meta["c"] == bit] = self.constant(bit)
-        return out
 
 
 def _check_owner(engine, handles):

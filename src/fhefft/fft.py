@@ -32,7 +32,10 @@ encoding to decoding: ``input_signal`` encodes every word of every lane in
 one ``arith.encode_bits`` call and makes its wires in one
 ``engine.input_wires`` call, the transforms replay their plan on the
 array and wrap its result, and ``read_signal`` reads it back through
-``engine.read_wires`` and ``arith.decode_bits``.  Bit handles
+``engine.read_wires`` and ``arith.decode_bits``.  The array holds each
+engine's wire records (lane bytes and depths in cleartext, ciphertext
+words, levels and noise estimates under FHE), which the EFT1 containers
+(``fileio``) write and read as they are.  Bit handles
 (``SignalBuffer.points`` and ``bits``) are made only when asked for.
 """
 
@@ -80,8 +83,8 @@ class SignalBuffer:
     The signal is one wire array of ``engine`` of shape (points, 2, bits):
     points in order, each point's real word before its imaginary word, each
     word's bits LSB first (the EFT1 payload order).  ``points`` and ``bits``
-    are handle views of it, made on first use; ``from_bits`` builds a
-    signal from handles in that layout.
+    are handle views of it, made on first use; ``engine.wires`` of handles
+    in that layout, reshaped, builds a signal back.
     """
 
     engine: object
@@ -123,16 +126,6 @@ class SignalBuffer:
     def bits(self) -> list:
         """Every bit handle, in the layout of ``wires``."""
         return [h for pt in self.points for word in (pt.re, pt.im) for h in word.bits]
-
-    @classmethod
-    def from_bits(cls, handles, fmt: FixedFormat, dims) -> SignalBuffer:
-        """Signal of bit handles in the layout of ``bits``."""
-        width = fmt.total_bits
-        if not handles or len(handles) % (2 * width):
-            raise UsageError(f"{len(handles)} bits do not make whole points of "
-                             f"{width}-bit words")
-        engine = handles[0].engine
-        return cls(engine, fmt, dims, engine.wires(handles).reshape(-1, 2, width))
 
 
 class TwiddleTable:

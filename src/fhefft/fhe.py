@@ -109,6 +109,22 @@ class SchemeParams:
                     f"q={self.q} too small for noise_bound={self.noise_bound} at "
                     f"depth_budget={self.depth_budget}: need q > 8*nb*(N+1)^depth")
 
+    def check_nand_level(self, level: int):
+        """Refuse a NAND whose result would sit at ``level``, past the depth budget."""
+        if level > self.depth_budget:
+            raise NoiseOverflowError(
+                f"NAND at level {level} would exceed depth budget {self.depth_budget}")
+
+    def nand_noise(self, a, b):
+        """(swap, estimate) of a NAND of operands with noise estimates a and
+        b: the left operand's error enters the result unscaled and the right
+        one's N times, so the noisier goes left (``swap`` where b is), and
+        the estimate is min(max + N * min, q).  Plain arithmetic, the same
+        for one gate's Python ints and a plan level's int64 arrays."""
+        swap = b > a
+        est = a + b + (self.n_ct - 1) * (b - (b - a) * swap)  # max + N * min
+        return swap, est - (est - self.q) * (est > self.q)
+
     def digest(self) -> str:
         """Stable short hash identifying this parameter set."""
         text = f"{self.n},{self.q},{self.m},{self.noise_bound},{self.depth_budget}"
@@ -396,20 +412,14 @@ class GswScheme:
         return (self._gadget - words) % self.params.q
 
     def hom_nand(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
-        """NOT(b1 AND b2) as Flatten(I - C1 @ C2); level = max + 1.
-
-        The left operand's error enters the result unscaled while the right
-        one picks up a factor N, so the noisier ciphertext goes left.
-        """
-        p = self.params
+        """NOT(b1 AND b2) as Flatten(I - C1 @ C2); level = max + 1, and the
+        noisier ciphertext goes left (``SchemeParams.nand_noise``)."""
         level = max(ct1.level, ct2.level) + 1
-        if level > p.depth_budget:
-            raise NoiseOverflowError(
-                f"NAND at level {level} would exceed depth budget {p.depth_budget}")
-        if ct2.noise_est > ct1.noise_est:
+        self.params.check_nand_level(level)
+        swap, est = self.params.nand_noise(ct1.noise_est, ct2.noise_est)
+        if swap:
             ct1, ct2 = ct2, ct1
         words = self.nand_words(ct1.words[None], ct2.words[None])[0]
-        est = min(ct1.noise_est + self.n_ct * ct2.noise_est, p.q)
         return Ciphertext(words, level=level, noise_est=est)
 
     def hom_not(self, ct: Ciphertext) -> Ciphertext:

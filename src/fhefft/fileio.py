@@ -15,10 +15,12 @@ format, signal dims, and per ciphertext its NAND level and its noise
 estimate (``Ciphertext.noise_est``, which orders the operands of a
 homomorphic NAND).  The payload is the bit matrices of every ciphertext
 packed 8 bits per byte, row major, in the bit layout of
-``SignalBuffer.bits`` (points in signal order, real word then imaginary
-word, word bits LSB first); ``SignalBuffer.from_bits`` reads it back.
-Both directions convert whole stacks of ciphertexts at once, with at most
-``FheEngine.CHUNK_BYTES`` in the largest array of one piece.
+``SignalBuffer.wires`` (points in signal order, real word then imaginary
+word, word bits LSB first); a constant wire is written as its trivial
+ciphertext.  Both directions move the FHE engine's wire records (words,
+level, noise) with no object per ciphertext, converting whole stacks at
+once, with at most ``FheEngine.CHUNK_BYTES`` in the largest array of one
+piece.
 Plain signals are text, one ``re,im`` pair per line, with an optional
 ``# fhefft`` metadata comment carrying dims and format.
 """
@@ -36,10 +38,13 @@ import numpy as np
 from .arith import FixedFormat
 from .errors import ParseError, UsageError
 from .fft import SignalBuffer
-from .fhe import WORD_BITS_BYTES, Ciphertext, KeyPair, SchemeParams, bit_words, word_bits
+from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 
 MAGIC = b"EFT1"
 CONTAINER_VERSION = 1
+# a plan sums levels and path lengths in int64 beside a "no path" of -2^62
+# (``plan.out_depths``), which holds for levels below this
+_LEVEL_LIMIT = 1 << 62
 
 
 def params_to_dict(params: SchemeParams) -> dict:
@@ -116,11 +121,11 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
 
 # -- encrypted signal container ----------------------------------------------
 
-def write_ciphertext_signal(path, params: SchemeParams, engine,
-                            signal: SignalBuffer, fmt: FixedFormat):
-    """Serialize every word of a signal buffer through engine.export_ct."""
-    cts = [engine.export_ct(handle) for handle in engine.handles(signal.wires.reshape(-1))]
-    n_ct = params.n_ct
+def write_ciphertext_signal(path, signal: SignalBuffer):
+    """Serialize every wire of a signal on an FHE engine."""
+    engine, fmt = signal.engine, signal.fmt
+    params = engine.scheme.params
+    wires = signal.wires.reshape(-1)
     header = {
         "kind": "fhefft-signal",
         "params": params_to_dict(params),
@@ -128,18 +133,18 @@ def write_ciphertext_signal(path, params: SchemeParams, engine,
         "fixed_format": {"total_bits": fmt.total_bits, "frac_bits": fmt.frac_bits},
         "dims": list(signal.dims) if isinstance(signal.dims, tuple) else signal.dims,
         "points": len(signal.wires),
-        "ct_side": n_ct,
-        "levels": [ct.level for ct in cts],
-        "noise": [ct.noise_est for ct in cts],
+        "ct_side": params.n_ct,
+        "levels": wires["d"].tolist(),
+        "noise": wires["noise"].tolist(),
     }
     head = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(head)))
         fh.write(head)
-        step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * n_ct * (params.n + 1)))
-        for lo in range(0, len(cts), step):
-            bits = word_bits(np.array([ct.words for ct in cts[lo:lo + step]]), params.ell)
+        step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * params.n_ct * (params.n + 1)))
+        for lo in range(0, len(wires), step):
+            bits = word_bits(wires["v"][lo:lo + step], params.ell)
             fh.write(np.packbits(bits.reshape(len(bits), -1), axis=1).tobytes())
 
 
@@ -203,8 +208,8 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
                              f"{fmt.total_bits}-bit words", path=path)
     if not all(0 <= v <= params.q for v in noise):
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
-    if min(levels) < 0:
-        raise ParseError("levels must be >= 0", path=path)
+    if not all(0 <= v < _LEVEL_LIMIT for v in levels):
+        raise ParseError("levels must lie in [0, 2^62)", path=path)
     payload = blob[12 + head_len:]
     expected = count * math.ceil(ct_side * ct_side / 8)
     if len(payload) != expected:
@@ -218,7 +223,7 @@ def read_ciphertext_params(path) -> SchemeParams:
     return _read_container(path)[0].params
 
 
-def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
+def read_ciphertext_signal(path, engine) -> SignalBuffer:
     """Load an encrypted signal onto an FHE engine bound to matching params."""
     header, payload = _read_container(path)
     params, fmt = header.params, header.fmt
@@ -226,15 +231,14 @@ def read_ciphertext_signal(path, engine) -> tuple[SignalBuffer, FixedFormat]:
         raise UsageError(
             f"engine parameters {engine.scheme.params} do not match the file's {params}")
     n_ct = params.n_ct
-    packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(header.levels), -1)
+    wires = np.empty(len(header.levels), engine.wire_dtype)
+    wires["c"], wires["d"], wires["noise"] = -1, header.levels, header.noise
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(wires), -1)
     step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * n_ct * (params.n + 1)))
-    handles = []
-    for lo in range(0, len(packed), step):
+    for lo in range(0, len(wires), step):
         bits = np.unpackbits(packed[lo:lo + step], axis=1, count=n_ct * n_ct)
-        words = bit_words(bits.reshape(-1, n_ct, n_ct), params.ell)
-        handles += [engine.import_ct(Ciphertext(w, level, noise)) for w, level, noise in
-                    zip(words, header.levels[lo:lo + step], header.noise[lo:lo + step])]
-    return SignalBuffer.from_bits(handles, fmt, header.dims), fmt
+        wires["v"][lo:lo + step] = bit_words(bits.reshape(-1, n_ct, n_ct), params.ell)
+    return SignalBuffer(engine, fmt, header.dims, wires.reshape(-1, 2, fmt.total_bits))
 
 
 # -- plain signals -------------------------------------------------------------

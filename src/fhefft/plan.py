@@ -21,10 +21,11 @@ the netlists and rules that depend only on the engine kind:
   netlist's ``out_path``, taken once per distinct row of input depths,
   and the deepest gate (input depth plus ``gate_path``) bounds the
   engine's ``max_depth``;
-* under FHE (``FheRules``), its noise estimate, NAND by NAND as
-  ``GswScheme.hom_nand`` grows it, and each piece's slot plan: its
-  gates' results go to slots of a scratch register that are reused once
-  dead, and each NAND's noisier operand is gathered on the left.
+* under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
+  ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), and each
+  piece's slot plan: its gates' results go to slots of a scratch register
+  that are reused once dead, and each NAND's noisier operand is gathered
+  on the left.
 
 It also groups word operations (``word_ops``): operand sets that share a
 netlist (same operation, multiplier and pattern of constant bits) form a
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoiseOverflowError, UsageError
+from .errors import UsageError
 from .netlist import NO_PATH, union, word_op
 
 # bound on the (rows x inputs x outputs) path sums of one depth step
@@ -212,18 +213,13 @@ CLEAR = ClearRules()
 class FheRules:
     """Compile rules of an FHE engine over one parameter set: levels are
     depths, noise estimates grow NAND by NAND, and a plan deeper than the
-    depth budget is refused."""
+    depth budget is refused (``check``), by the rules of ``SchemeParams``."""
 
     meta_dtype = np.dtype([("c", np.int8), ("d", np.int64), ("noise", np.int64)])
 
     def __init__(self, params):
-        self.key = ("fhe", params)
-        self.n_ct, self.q, self.budget = params.n_ct, params.q, params.depth_budget
-
-    def check(self, depth: int):
-        if depth > self.budget:
-            raise NoiseOverflowError(
-                f"NAND at level {depth} would exceed depth budget {self.budget}")
+        self.key, self.params = ("fhe", params), params
+        self.check = params.check_nand_level
 
     def piece(self, net, width, words, out) -> Piece:
         """The slot plan of a netlist over the operand sets of ``words``,
@@ -277,10 +273,8 @@ class FheRules:
             for lo, hi in spans:
                 at = np.arange(lo - first, hi - first)
                 nand, free = at[gate[at]], at[~gate[at]]
-                na, nb = noise[a[nand]], noise[b[nand]]
-                swap[nand] = nb > na  # the noisier operand goes left
-                noise[first + nand] = np.minimum(np.maximum(na, nb) +
-                                                 self.n_ct * np.minimum(na, nb), self.q)
+                swap[nand], noise[first + nand] = self.params.nand_noise(noise[a[nand]],
+                                                                         noise[b[nand]])
                 noise[first + free] = noise[a[free]]
         noise_out = np.zeros((count, len(net.outputs)), np.int64)
         noise_out[:, wired] = noise[out_rows].T

@@ -1,11 +1,28 @@
-"""Helpers for driving integer-level circuits from tests, and the
-gate-by-gate FFT pieces the batched stage driver is checked against."""
+"""Helpers for driving integer-level circuits from tests, the list-of-bits
+codec the lane codec is checked against, and the gate-by-gate FFT pieces
+the batched stage driver is checked against."""
 
 from dataclasses import replace
 
-from fhefft.arith import FixedFormat, FixedWord, add, bits_to_int, mul_const, sub
+from fhefft.arith import FixedFormat, FixedWord, add, mul_const, sub
 from fhefft.errors import UsageError
 from fhefft.fft import ComplexFixed, SignalBuffer, _bit_reversal
+
+
+def bits_to_int(bits, signed=True):
+    """Integer of LSB-first bits, two's complement when ``signed``."""
+    raw = 0
+    for i, b in enumerate(bits):
+        raw |= (b & 1) << i
+    if signed and bits and (raw >> (len(bits) - 1)) & 1:
+        raw -= 1 << len(bits)
+    return raw
+
+
+def decode(bits, fmt):
+    """Real value of LSB-first two's-complement bits, one Python int exactly
+    over the scale."""
+    return bits_to_int(bits, signed=True) / fmt.scale
 
 
 def pack_int_word(engine, ints, width, frac_bits=1):
@@ -45,10 +62,20 @@ def bit_reverse_permute(signal: SignalBuffer) -> SignalBuffer:
     return replace(signal, wires=signal.wires[_bit_reversal(signal.dims)])
 
 
+def signal_from_bits(handles, fmt, dims) -> SignalBuffer:
+    """Signal of bit handles in the layout of ``SignalBuffer.bits``."""
+    width = fmt.total_bits
+    if not handles or len(handles) % (2 * width):
+        raise UsageError(f"{len(handles)} bits do not make whole points of "
+                         f"{width}-bit words")
+    engine = handles[0].engine
+    return SignalBuffer(engine, fmt, dims, engine.wires(handles).reshape(-1, 2, width))
+
+
 def signal_of(points, dims) -> SignalBuffer:
-    """Signal of handle points, through ``SignalBuffer.from_bits``."""
+    """Signal of handle points, through ``signal_from_bits``."""
     bits = [h for pt in points for word in (pt.re, pt.im) for h in word.bits]
-    return SignalBuffer.from_bits(bits, points[0].fmt, dims)
+    return signal_from_bits(bits, points[0].fmt, dims)
 
 
 def butterfly(xi: ComplexFixed, xj: ComplexFixed,

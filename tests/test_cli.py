@@ -212,6 +212,14 @@ MALFORMED = {
     "container-negative-levels": lambda d, keys: [
         "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [-7] * 32})),
         "--out", d / "x.eft"],
+    # a plan sums levels in int64 beside a "no path" of -2^62: 2^62 cancels it,
+    # 2^70 does not fit
+    "container-level-2^62": lambda d, keys: [
+        "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [2**62] + [0] * 31})),
+        "--out", d / "x.eft"],
+    "container-level-2^70": lambda d, keys: [
+        "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [2**70] + [0] * 31})),
+        "--out", d / "x.eft"],
     "verify-length-mismatch": lambda d, keys: [
         "verify", _plain_of_8(d), _spectrum_of_4(d)],
     "verify-meta-frac-overflows": lambda d, keys: [

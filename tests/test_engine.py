@@ -217,11 +217,43 @@ def test_input_wires_equal_the_encrypt_bit_loop(preset, request):
     wires = engine.input_wires(bits.reshape(-1, 1, 1))
     assert wires.shape == (len(bits), 1) and (wires["c"] == -1).all()
     want = [scheme.encrypt_bit(keys.public_key, int(b), loop_rng) for b in bits[:, 0]]
-    for h, ct in zip(wires["h"].ravel(), want):
+    for h, ct in zip(engine.handles(wires.ravel()), want):
         assert h.engine is engine and h.const is None
         assert (h.ct.level, h.ct.noise_est) == (ct.level, ct.noise_est)
         assert h.ct.words.dtype == np.int64 and np.array_equal(h.ct.words, ct.words)
     assert engine.rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
+
+
+@pytest.mark.parametrize("preset, shape", [("exact", (51, 3)), ("default", (261, 9))])
+def test_fhe_wire_dtype_follows_the_parameters(preset, shape, request):
+    """An FHE wire is a record of its ciphertext's N x (n+1) words and the
+    plan compiler's meta fields, with no object field."""
+    engine = FheEngine(request.getfixturevalue(f"{preset}_scheme"))
+    dtype = engine.wire_dtype
+    assert dtype["v"].shape == shape and dtype["v"].base == np.int64
+    assert set(dtype.names) == {"v", *engine.rules.meta_dtype.names} == {"v", "c", "d", "noise"}
+    assert not dtype.hasobject and engine.wire_bytes == dtype["v"].itemsize
+
+
+def test_fhe_wires_and_handles_round_trip(exact_scheme, exact_keys):
+    """``wires`` and ``handles`` are inverses; a constant's record holds its
+    trivial ciphertext's words (``bit * G``) at level 0 and noise 0."""
+    engine = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(46))
+    a, b = engine.handles(engine.input_wires([[1], [0]]))
+    handles = [engine.constant(0), a, engine.nand(a, b), engine.constant(1)]
+    wires = engine.wires(handles)
+    assert wires["c"].tolist() == [0, -1, -1, 1]
+    for bit, record in ((0, wires[0]), (1, wires[3])):
+        assert np.array_equal(record["v"], exact_scheme.trivial_encrypt_bit(bit).words)
+        assert (record["d"], record["noise"]) == (0, 0)
+    back = engine.handles(wires)
+    assert [h.const for h in back] == [0, None, None, 1]
+    for got, want in zip(back[1:3], handles[1:3]):
+        assert (got.ct.level, got.ct.noise_est) == (want.ct.level, want.ct.noise_est)
+        assert type(got.ct.level) is int and type(got.ct.noise_est) is int
+        assert np.array_equal(got.ct.words, want.ct.words)
+    assert np.array_equal(engine.wires(back), wires)
+    assert engine.read_wires(wires).ravel().tolist() == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("preset", ["exact", "default"])
@@ -264,11 +296,13 @@ def test_batched_client_steps_raise_the_per_bit_loops_first_error(default_scheme
         (client, [client.constant(0), noisy, too_deep], NoiseOverflowError),
     ]
     for engine, handles, kind in read_cases:
-        wires = np.empty(len(handles), engine.wire_dtype)
-        wires["h"], wires["c"] = handles, [-1 if h.const is None else h.const for h in handles]
         want = _raised(lambda: [engine.read_back(h) for h in handles])
         assert want[0] is kind
-        assert _raised(lambda: engine.read_wires(wires)) == want
+        if kind is UsageError:  # a wire array holds no engine, so wires() refuses
+            assert _raised(lambda: engine.wires(handles))[0] is UsageError
+        else:  # another engine's handle, past the first failure, cannot be a wire
+            wires = engine.wires([h for h in handles if h.engine is engine])
+            assert _raised(lambda: engine.read_wires(wires)) == want
     input_cases = [
         (client, [[1], [0], [2], [3]], UsageError),
         (keyless, [[1], [2]], CapabilityError),

@@ -3,7 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from circuit_util import bit_reverse_permute, butterfly, gate_by_gate_fft, signal_of
+from circuit_util import (
+    bit_reverse_permute,
+    butterfly,
+    gate_by_gate_fft,
+    signal_from_bits,
+    signal_of,
+)
 from fhefft import fft, fileio, netlist
 from fhefft.arith import FixedFormat, constant_word, encode_int, input_word, read_word
 from fhefft.engine import CleartextEngine, FheEngine
@@ -96,15 +102,15 @@ def test_butterfly_error_within_analytical_bound(rng):
 
 def test_signal_bit_layout_round_trips():
     """``bits`` lists points in order, real word before imaginary, LSB
-    first; ``from_bits`` rebuilds the same signal from that list."""
+    first; ``signal_from_bits`` rebuilds the same signal from that list."""
     eng = CleartextEngine()
     sig = input_signal(eng, [0.5 + 0.25j, -0.75j, 1.0, 0.125], F16, dims=(2, 2))
     bits = sig.bits()
     assert bits == [h for pt in sig.points for word in (pt.re, pt.im) for h in word.bits]
-    assert SignalBuffer.from_bits(bits, F16, (2, 2)) == sig
+    assert signal_from_bits(bits, F16, (2, 2)) == sig
     for short in (bits[:-1], bits[:-16]):
         with pytest.raises(UsageError):
-            SignalBuffer.from_bits(short, F16, (2, 2))
+            signal_from_bits(short, F16, (2, 2))
 
 
 # formats up to 96.48, past the 85 bits where read_word rounds twice
@@ -120,7 +126,7 @@ def _per_word_signal(engine, values, fmt):
     arr = np.broadcast_to(np.atleast_2d(np.asarray(values, dtype=complex)),
                           (engine.batch_size, np.shape(values)[-1]))
     words = [input_word(engine, part, fmt) for col in arr.T for part in (col.real, col.imag)]
-    return SignalBuffer.from_bits([h for w in words for h in w.bits], fmt, arr.shape[1])
+    return signal_from_bits([h for w in words for h in w.bits], fmt, arr.shape[1])
 
 
 def _per_word_read(engine, signal):
@@ -530,9 +536,8 @@ def test_transforms_return_the_engines_wire_dtype(exact_scheme, exact_keys, tmp_
                 continue
             assert [eng.read_back(h) for h in out.bits()] == \
                 [ref.read_back(h) for h in want.bits()], dims
-            for signal, engine, path in ((out, eng, "batched.eft"), (want, ref, "serial.eft")):
-                fileio.write_ciphertext_signal(tmp_path / path, exact_scheme.params, engine,
-                                               signal, F16)
+            for signal, path in ((out, "batched.eft"), (want, "serial.eft")):
+                fileio.write_ciphertext_signal(tmp_path / path, signal)
             assert (tmp_path / "batched.eft").read_bytes() == \
                 (tmp_path / "serial.eft").read_bytes(), dims
 

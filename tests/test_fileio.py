@@ -6,11 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from circuit_util import signal_from_bits
 from fhefft import fileio
 from fhefft.arith import FixedFormat
 from fhefft.engine import FheEngine
 from fhefft.errors import FhefftError, ParseError, UsageError
-from fhefft.fft import SignalBuffer, input_signal, read_signal
+from fhefft.fft import input_signal, read_signal
 from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 
 F16 = FixedFormat(16, 8)
@@ -50,12 +51,12 @@ def test_ciphertext_signal_round_trip(tmp_path, exact_scheme, exact_keys, rng):
     values = [0.5 + 0.25j, -0.75 + 0.125j, 0.0 + 0.0j, 1.5 - 1.0j]
     sig = input_signal(engine, values, F16)
     path = tmp_path / "sig.eft"
-    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine, sig, F16)
+    fileio.write_ciphertext_signal(path, sig)
 
     assert fileio.read_ciphertext_params(path) == EXACT_PARAMS
     engine2 = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
-    loaded, fmt = fileio.read_ciphertext_signal(path, engine2)
-    assert fmt == F16
+    loaded = fileio.read_ciphertext_signal(path, engine2)
+    assert loaded.fmt == F16
     assert loaded.dims == 4
     assert list(read_signal(engine2, loaded)[0]) == values
 
@@ -64,8 +65,8 @@ def test_ciphertext_signal_2d_dims(tmp_path, exact_scheme, exact_keys, rng):
     engine = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     sig = input_signal(engine, [0.25] * 4, F16, dims=(2, 2))
     path = tmp_path / "img.eft"
-    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine, sig, F16)
-    loaded, _ = fileio.read_ciphertext_signal(path, FheEngine(exact_scheme, keys=exact_keys))
+    fileio.write_ciphertext_signal(path, sig)
+    loaded = fileio.read_ciphertext_signal(path, FheEngine(exact_scheme, keys=exact_keys))
     assert loaded.dims == (2, 2)
 
 
@@ -80,7 +81,7 @@ def test_ciphertext_truncated_payload(tmp_path, exact_scheme, exact_keys, rng):
     engine = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     sig = input_signal(engine, [0.5, 0.5], F16)
     path = tmp_path / "sig.eft"
-    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine, sig, F16)
+    fileio.write_ciphertext_signal(path, sig)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ParseError):
         fileio.read_ciphertext_signal(path, FheEngine(exact_scheme, keys=exact_keys))
@@ -90,7 +91,7 @@ def test_ciphertext_engine_params_mismatch(tmp_path, exact_scheme, exact_keys, r
     engine = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     sig = input_signal(engine, [0.5, 0.5], F16)
     path = tmp_path / "sig.eft"
-    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine, sig, F16)
+    fileio.write_ciphertext_signal(path, sig)
     other = FheEngine(GswScheme(DEFAULT_PARAMS), public_key=np.zeros((1, 9)))
     with pytest.raises(UsageError):
         fileio.read_ciphertext_signal(path, other)
@@ -104,12 +105,12 @@ def test_ciphertext_noise_survives_the_container(tmp_path, default_scheme, defau
     bits = list(point.re.bits)
     bits[0] = client.nand(bits[0], bits[1])  # noisier and deeper than a fresh bit
     bits[1] = client.constant(1)  # exported as a noiseless trivial ciphertext
-    sig = SignalBuffer.from_bits(bits + list(point.im.bits), F16, 1)
+    sig = signal_from_bits(bits + list(point.im.bits), F16, 1)
     path = tmp_path / "sig.eft"
-    fileio.write_ciphertext_signal(path, DEFAULT_PARAMS, client, sig, F16)
+    fileio.write_ciphertext_signal(path, sig)
 
     server = FheEngine(default_scheme)
-    loaded, _ = fileio.read_ciphertext_signal(path, server)
+    loaded = fileio.read_ciphertext_signal(path, server)
     got = loaded.points[0].re.bits
     sent = [client.export_ct(h) for h in bits]
     assert len({ct.noise_est for ct in sent[:3]}) == 3
@@ -125,8 +126,7 @@ def valid_container(tmp_path_factory, exact_scheme, exact_keys):
     """Bytes of a one-point 16.8 container, and a scratch path to rewrite."""
     engine = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(3))
     path = tmp_path_factory.mktemp("fuzz") / "sig.eft"
-    fileio.write_ciphertext_signal(path, EXACT_PARAMS, engine,
-                                   input_signal(engine, [0.5 - 0.25j], F16), F16)
+    fileio.write_ciphertext_signal(path, input_signal(engine, [0.5 - 0.25j], F16))
     return path.read_bytes(), path
 
 
@@ -197,10 +197,12 @@ def test_container_rejects_bad_noise(valid_container, exact_scheme, noise):
         fileio.read_ciphertext_signal(path, FheEngine(exact_scheme))
 
 
-@pytest.mark.parametrize("levels", [[-1] + [0] * 31, [-7] * 32],
-                         ids=["one-negative", "all-negative"])
+@pytest.mark.parametrize("levels", [[-1] + [0] * 31, [-7] * 32, [2**62] + [0] * 31,
+                                    [0] * 31 + [2**70]],
+                         ids=["one-negative", "all-negative", "2^62", "2^70"])
 def test_container_rejects_negative_levels(valid_container, exact_scheme, levels):
-    """A NAND level counts gates on a path, so a negative one is malformed."""
+    """A NAND level counts gates on a path, so a negative one is malformed;
+    so is one from 2^62 up, which a plan's int64 depth sums cannot hold."""
     blob, path = valid_container
     path.write_bytes(_with_header(blob, levels=levels))
     with pytest.raises(ParseError):

@@ -197,8 +197,8 @@ def test_fhe_union_equals_its_parts_at_noisy_preset(default_scheme, default_keys
     for part, ins, outs in _columns(parts):
         want = alone.run(part, wires[:, ins])
         assert np.array_equal(out["c"][:, outs], want["c"])
-        for got_h, want_h, const in zip(out["h"][:, outs].ravel(), want["h"].ravel(),
-                                        want["c"].ravel()):
+        for got_h, want_h, const in zip(together.handles(out[:, outs].ravel()),
+                                        alone.handles(want.ravel()), want["c"].ravel()):
             if const < 0:
                 assert (got_h.ct.level, got_h.ct.noise_est) == \
                     (want_h.ct.level, want_h.ct.noise_est)

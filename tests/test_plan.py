@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from circuit_util import gate_by_gate_fft, signal_of
+from circuit_util import gate_by_gate_fft, signal_from_bits, signal_of
 from fhefft import fft
 from fhefft.arith import FixedFormat, constant_word
 from fhefft.engine import CleartextEngine, FheEngine
-from fhefft.fft import ComplexFixed, SignalBuffer, TwiddleTable, fft_1d, fft_2d, input_signal
+from fhefft.fft import ComplexFixed, TwiddleTable, fft_1d, fft_2d, input_signal
 from fhefft.fhe import Ciphertext
 
 F16 = FixedFormat(16, 8)
@@ -99,7 +99,7 @@ def test_fft_of_fhe_output_matches_gate_by_gate(compiles, exact_scheme, exact_ke
     results = []
     for batched in (True, False):
         eng = FheEngine(exact_scheme, keys=exact_keys)
-        signal = SignalBuffer.from_bits([eng.import_ct(ct) for ct in cts], F16, 4)
+        signal = signal_from_bits([eng.import_ct(ct) for ct in cts], F16, 4)
         pts = fft_1d(signal).points if batched else \
             gate_by_gate_fft(list(signal.points), TwiddleTable(4, F16))
         out = [eng.export_ct(h) for pt in pts for w in (pt.re, pt.im) for h in w.bits]
