@@ -167,8 +167,8 @@ class CleartextEngine(_Engine):
         self.nand_count = 0
         self.max_depth = 0
         self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
-        self._init_wires(CLEAR, np.array([[0] * self.wire_bytes, [0xFF] * self.wire_bytes],
-                                         np.uint8))
+        lanes = np.packbits(np.ones(batch_size, np.uint8), bitorder="little")
+        self._init_wires(CLEAR, np.stack([np.zeros_like(lanes), lanes]))
         self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
 
     def constant(self, bit: int) -> ClearBit:
@@ -242,6 +242,13 @@ class CleartextEngine(_Engine):
         return [ClearBit(self, int.from_bytes(v.tobytes(), "little") & mask, d,
                          None if c < 0 else c)
                 for v, d, c in zip(lanes, wires["d"].tolist(), wires["c"].tolist())]
+
+    def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
+        """``_Engine.unload`` with the bits past ``batch_size`` cleared, as
+        ``input_wires`` leaves them (``evaluate`` inverts whole bytes)."""
+        out = super().unload(register, slots, meta)
+        out["v"] &= self.const_values[1]
+        return out
 
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece, in chunks of operand

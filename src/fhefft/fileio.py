@@ -42,8 +42,8 @@ from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 
 MAGIC = b"EFT1"
 CONTAINER_VERSION = 1
-# a plan sums levels and path lengths in int64 beside a "no path" of -2^62
-# (``plan.out_depths``), which holds for levels below this
+# levels are int64, and a plan adds a circuit's NAND depth to them
+# (``plan.out_depths``): below this, any circuit's depth fits
 _LEVEL_LIMIT = 1 << 62
 
 

@@ -22,22 +22,15 @@ recording order.  ``ops`` holds the operands level by level: for the
 gates of a level, all their ``a`` rows, then all their ``b`` rows, so one
 gather fetches both operands of a whole level.
 
-Depth is read without tracking it per wire: ``out_path[i, o]`` is the
-longest NAND path from input i to output o and ``gate_path[i]`` the
-longest path from input i through any gate (that gate included);
-``NO_PATH`` marks none, and is so negative that adding any input depth
-below 2**15 leaves it negative.  An output's depth is the maximum over
-inputs of input depth plus path (0 if that is negative: a constant), and
-the deepest gate bounds an engine's ``max_depth``; the plan compiler
-(``plan.out_depths``) takes them so, for depths and FHE levels alike.
-
 ``union`` merges netlists into one that evaluates them side by side: its
 rows are every part's inputs, part after part, then one shared ONE, then
 the parts' gates level by level (level k holds each part's level-k gates,
 part after part), so one gather and one NAND step evaluate a level of
-every part.  Its depth paths stay with its parts (``members``), which the
-plan compiler reads over each part's slice of inputs and outputs; no path
-matrix of the whole union is built.
+every part.  It keeps its parts, in order, as ``parts`` (``members``).
+
+Depths, which are also FHE levels, are not stored: the plan compiler
+(``plan.out_depths``) walks a netlist's levels with the rule the engines
+apply gate by gate.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,7 +47,6 @@ from .errors import UsageError
 from .gates import fold
 
 OPS = ("add", "sub", "mul_const")
-NO_PATH = np.iinfo(np.int16).min
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +60,6 @@ class Netlist:
     widest: int  # most gates in one level
     outputs: np.ndarray  # row of each output bit (0 where the output is constant)
     out_const: np.ndarray  # int8: -1 for a wire, else the output's constant bit
-    out_path: np.ndarray | None  # int16 (n_inputs, n_outputs); None for a union
-    gate_path: np.ndarray | None  # int16 (n_inputs,); None for a union
     nand_count: int
     key: tuple | None = None  # the ``CACHE`` key it was recorded under
     parts: tuple = ()  # a union's netlists, in the order of its inputs and outputs
@@ -92,14 +81,13 @@ class Netlist:
 
     @property
     def members(self) -> tuple:
-        """The netlists whose depth paths apply: a union's parts, else itself."""
+        """The netlists it evaluates: a union's parts, else itself."""
         return self.parts or (self,)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of its own arrays (a union shares its parts' paths)."""
-        return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs, self.out_const,
-                                          self.out_path, self.gate_path) if arr is not None)
+        """Bytes of its own arrays."""
+        return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs, self.out_const))
 
     @cached_property
     def levels(self) -> tuple:
@@ -164,8 +152,7 @@ class _Recorder:
         n_in, n_rows = self.n_inputs, len(self.level)
         first = n_in + 1  # the first gate row
         index = np.uint16 if n_rows < 1 << 16 else np.uint32  # bounds hold n_rows
-        edges = list(accumulate(self.width, initial=0))
-        bounds = np.array(edges, dtype=np.int64)
+        bounds = np.concatenate([[0], np.cumsum(self.width)])
         level = np.frombuffer(self.level, dtype=np.int32)
         seat = np.frombuffer(self.seat, dtype=np.int32)
         rank = bounds[level] + seat  # recorded row -> sorted row
@@ -180,50 +167,12 @@ class _Recorder:
                             dtype=index)
         out_const = np.array([-1 if w.const is None else w.const for w in outputs],
                              dtype=np.int8)
-        out_path, gate_path = _longest_paths(ops, edges, n_in, out_rows, out_const)
-        arrays = dict(ops=ops, bounds=bounds.astype(index), outputs=out_rows,
-                      out_const=out_const, out_path=out_path, gate_path=gate_path)
+        arrays = dict(ops=ops, bounds=bounds.astype(index), outputs=out_rows, out_const=out_const)
         for arr in arrays.values():
             arr.flags.writeable = False
         return Netlist(n_inputs=n_in, widest=max(self.width[1:], default=0),
                        nand_count=int((np.frombuffer(self.b, dtype=np.int32) != n_in).sum()),
                        key=key, **arrays)
-
-
-def _longest_paths(ops, edges, n_in, out_rows, out_const):
-    """``out_path`` and ``gate_path`` of a level-sorted netlist (see above).
-
-    Paths are found level by level for a block of inputs at a time, in
-    preallocated arrays, which keeps the working memory small.  A row no
-    input reaches holds a large negative number (adding the level count
-    leaves it negative).
-    """
-    first, n_rows = n_in + 1, edges[-1]
-    levels = list(zip(edges[1:-1], edges[2:]))
-    step = np.empty(n_rows - first, dtype=np.int16)  # 1 for a NAND, 0 for a folded NOT
-    for lo, hi in levels:
-        step[lo - first:hi - first] = ops[2 * lo - 2 * first + hi - lo:2 * (hi - first)] != n_in
-    out_path = np.empty((n_in, len(out_rows)), dtype=np.int16)
-    gate_path = np.empty(n_in, dtype=np.int16)
-    block = min(n_in, max(1, (1 << 16) // n_rows))
-    path = np.empty((n_rows, block), dtype=np.int16)
-    pair = np.empty((2 * max((hi - lo for lo, hi in levels), default=0), block),
-                    dtype=np.int16)
-    for i0 in range(0, n_in, block):
-        cols = np.arange(i0, min(i0 + block, n_in))
-        path.fill(NO_PATH // 2)
-        path[cols, cols - i0] = 0
-        for lo, hi in levels:
-            both = pair[:2 * (hi - lo)]
-            path.take(ops[2 * (lo - first):2 * (hi - first)], axis=0, out=both, mode="clip")
-            rows = path[lo:hi]
-            np.maximum(both[:hi - lo], both[hi - lo:], out=rows)
-            rows += step[lo - first:hi - first, None]
-        gate_path[cols] = path[first:].max(axis=0, where=step[:, None] == 1,
-                                           initial=NO_PATH)[:len(cols)]
-        out_path[cols] = np.where(out_const < 0, path[out_rows].T, NO_PATH)[:len(cols)]
-    out_path[out_path < 0] = gate_path[gate_path < 0] = NO_PATH
-    return out_path, gate_path
 
 
 # Memos of pure functions of the key: every caller gets the same netlist or
@@ -233,7 +182,7 @@ def _longest_paths(ops, edges, n_in, out_rows, out_const):
 # twiddle component, and its stages a few unions of them.  ``PLANS`` holds
 # ``fft``'s transform plans (``plan.Plan``), one per key of
 # ``fft._transform``: engine kind, format, dims and input pattern.  For
-# M = 8..128 at 32.16 and 100 lanes: 71 netlists, 0.65 MB, 13 unions,
+# M = 8..128 at 32.16 and 100 lanes: 71 netlists, 0.49 MB, 13 unions,
 # 0.88 MB, and 5 plans, 0.12 MB; ten 16x16 images add a plan of 0.14 MB.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
@@ -311,9 +260,8 @@ def _merge(nets) -> Netlist:
                   out_const=np.concatenate([net.out_const for net in nets]))
     for arr in arrays.values():
         arr.flags.writeable = False
-    return Netlist(n_inputs=n_in, widest=int(width[1:].max(initial=0)), out_path=None,
-                   gate_path=None, nand_count=sum(net.nand_count for net in nets),
-                   parts=nets, **arrays)
+    return Netlist(n_inputs=n_in, widest=int(width[1:].max(initial=0)),
+                   nand_count=sum(net.nand_count for net in nets), parts=nets, **arrays)
 
 
 def _record(op, fmt, c, pattern, key) -> Netlist:

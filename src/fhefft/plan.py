@@ -16,11 +16,11 @@ The ``Compiler`` works out everything about a wire but its value, from
 the netlists and rules that depend only on the engine kind:
 
 * its public constant, from the netlists' ``out_const``;
-* its depth, which is also its FHE level, since a folded NOT is free in
-  both engines: an output's is the largest input depth plus path over the
-  netlist's ``out_path``, taken once per distinct row of input depths,
-  and the deepest gate (input depth plus ``gate_path``) bounds the
-  engine's ``max_depth``;
+* its depth, which is also its FHE level: ``out_depths`` walks the
+  netlist's levels by the rule both engines apply gate by gate (a NAND is
+  one deeper than its deeper operand, a folded NOT is free), once per
+  distinct row of input depths, and the deepest NAND bounds the engine's
+  ``max_depth``;
 * under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
   ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), and each
   piece's slot plan: its gates' results go to slots of a scratch register
@@ -45,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .netlist import NO_PATH, union, word_op
+from .netlist import union, word_op
 
-# bound on the (rows x inputs x outputs) path sums of one depth step
+# bound on the depth workspace of one walk over a netlist's levels
 _PATH_BYTES = 1 << 20
 
 
@@ -159,38 +159,46 @@ class Plan(NamedTuple):
 
 
 def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
-    """Output depths (count, outputs) of a netlist for each row of input
-    depths (count, inputs), and its deepest gate (0 without rows).
+    """Output depths (count, outputs) of a netlist for each row of
+    non-negative input depths (count, inputs), and its deepest gate (0
+    without rows).
 
-    An output's depth is the largest input depth plus path, over the
-    inputs of its part of a union, and 0 where no input reaches it (a
-    constant).  It is a function of the row of input depths, so it is
-    taken once per distinct row.
+    Depths follow the NAND rule, level by level over ``net.levels``: a
+    NAND is one deeper than its deeper operand, a folded NOT
+    (``NAND(src, ONE)``, with ONE at depth 0) keeps its source's depth, and
+    a constant output is 0.  The deepest gate is the deepest NAND.  Depths
+    are a function of the row of input depths, so they are taken once per
+    distinct row, in chunks of rows whose workspace fits ``_PATH_BYTES``
+    (one row at least).
     """
-    count = len(depths)
-    if not count:
-        return np.zeros((0, len(net.outputs)), np.int64), 0
-    # sums of an input depth and "no path" stay negative in the narrower type
-    # while input depths are below 2**30
-    kind = np.int32 if int(depths.max(initial=0)) < 1 << 30 else np.int64
-    never = kind(np.iinfo(kind).min // 2)
-    depths = np.ascontiguousarray(depths, dtype=kind)
+    depths = np.ascontiguousarray(depths, dtype=np.int64)
     keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     depths = depths[first]
-    out = np.empty((len(depths), len(net.outputs)), kind)
-    top = at_input = at_output = 0
-    for part in net.members:
-        ins = depths[:, at_input:at_input + part.n_inputs]
-        outs = out[:, at_output:at_output + len(part.outputs)]
-        at_input, at_output = at_input + part.n_inputs, at_output + len(part.outputs)
-        gate_path = np.where(part.gate_path == NO_PATH, never, part.gate_path)
-        top = max(top, int((ins + gate_path).max(initial=0)))
-        path = np.where(part.out_path == NO_PATH, never, part.out_path)
-        step = max(1, _PATH_BYTES // (depths.itemsize * path.size))
-        for lo in range(0, len(ins), step):
-            sums = ins[lo:lo + step, :, None] + path
-            outs[lo:lo + step] = np.maximum(sums.max(axis=1), 0)
+    start = net.one + 1  # the first gate row
+    ops = net.ops.astype(np.intp)  # take converts narrower indices on every call
+    # per gate row, 1 for a NAND and 0 for a folded NOT (whose b row is ONE)
+    step = (np.concatenate([level[len(level) // 2:] for _, level in net.levels] + [ops[:0]])
+            != net.one).astype(np.int64)[:, None]
+    out = np.empty((len(depths), len(net.outputs)), np.int64)
+    chunk = max(1, _PATH_BYTES // (8 * net.work_rows))
+    work = np.empty(net.work_rows * min(chunk, len(depths)), np.int64)
+    top = 0
+    for lo in range(0, len(depths), chunk):
+        rows = depths[lo:lo + chunk]
+        values = work[:net.n_rows * len(rows)].reshape(net.n_rows, len(rows))
+        spare = work[net.n_rows * len(rows):net.work_rows * len(rows)].reshape(-1, len(rows))
+        values[:net.n_inputs] = rows.T
+        values[net.one] = 0
+        for row, level in net.levels:
+            at, gates = 2 * (row - start), len(level) // 2
+            values.take(ops[at:at + 2 * gates], axis=0, out=spare[:2 * gates], mode="clip")
+            res = values[row:row + gates]
+            np.maximum(spare[:gates], spare[gates:2 * gates], out=res)
+            res += step[row - start:row - start + gates]
+        top = max(top, int(values[start:].max(where=step == 1, initial=0)))
+        out[lo:lo + chunk] = values[net.outputs].T
+    out[:, net.out_const >= 0] = 0
     return out[inverse.ravel()], top
 
 

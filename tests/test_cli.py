@@ -212,8 +212,8 @@ MALFORMED = {
     "container-negative-levels": lambda d, keys: [
         "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [-7] * 32})),
         "--out", d / "x.eft"],
-    # a plan sums levels in int64 beside a "no path" of -2^62: 2^62 cancels it,
-    # 2^70 does not fit
+    # a plan adds NAND depths to int64 levels, so levels stop below 2^62;
+    # 2^70 does not fit int64 at all
     "container-level-2^62": lambda d, keys: [
         "fft", _file(d / "bad.eft", _container({**_HEADER, "levels": [2**62] + [0] * 31})),
         "--out", d / "x.eft"],
@@ -271,8 +271,9 @@ def test_malformed_input_exits_2(case, tmp_path, keys_file, capsys):
 
 
 def test_container_levels_past_the_budget_exit_3(tmp_path, keys_file):
-    """Levels are only parsed as counts; one past the depth budget fails
-    where it is used, in the server's NANDs and in decryption."""
+    """Levels are only parsed as counts; one past the depth budget, up to
+    2^62 - 1, the largest a container accepts, fails where it is used, in
+    the server's NANDs and in decryption."""
     plain, ct, over = tmp_path / "p.txt", tmp_path / "a.eft", tmp_path / "over.eft"
     fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j])
     assert run_cli("encrypt", plain, "--keys", keys_file, "--bits", 16, "--frac", 8,
@@ -280,11 +281,12 @@ def test_container_levels_past_the_budget_exit_3(tmp_path, keys_file):
     blob = ct.read_bytes()
     head_len = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12:12 + head_len])
-    header["levels"] = [EXACT_PARAMS.depth_budget + 1] * len(header["levels"])
-    head = json.dumps(header).encode()
-    over.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:])
-    assert run_cli("fft", over, "--out", tmp_path / "b.eft") == 3
-    assert run_cli("decrypt", over, "--keys", keys_file, "--out", tmp_path / "s.txt") == 3
+    for level in (EXACT_PARAMS.depth_budget + 1, 2**62 - 1):
+        header["levels"] = [level] * len(header["levels"])
+        head = json.dumps(header).encode()
+        over.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len:])
+        assert run_cli("fft", over, "--out", tmp_path / "b.eft") == 3
+        assert run_cli("decrypt", over, "--keys", keys_file, "--out", tmp_path / "s.txt") == 3
 
 
 def test_fft_past_the_depth_budget_exits_3(tmp_path):

@@ -202,7 +202,7 @@ def test_container_rejects_bad_noise(valid_container, exact_scheme, noise):
                          ids=["one-negative", "all-negative", "2^62", "2^70"])
 def test_container_rejects_negative_levels(valid_container, exact_scheme, levels):
     """A NAND level counts gates on a path, so a negative one is malformed;
-    so is one from 2^62 up, which a plan's int64 depth sums cannot hold."""
+    so is one from 2^62 up: a plan adds NAND depths to levels in int64."""
     blob, path = valid_container
     path.write_bytes(_with_header(blob, levels=levels))
     with pytest.raises(ParseError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fhefft import arith, gates, netlist
+from fhefft import arith, gates, netlist, plan
 from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import ClearBit, CleartextEngine, FheEngine
 from fhefft.errors import UsageError
@@ -165,6 +165,40 @@ def test_union_depths_from_distinct_rows_equal_gate_by_gate():
     assert together.nand_count == len(rows) * merged.nand_count
     empty = together.run(merged, wires[:0])
     assert empty.shape == (0, len(merged.outputs)) and together.stats == alone.stats
+
+
+@pytest.mark.parametrize("base", [0, 2**15, 2**31, 2**62 - 2**10])
+def test_out_depths_follow_the_nand_rule_at_any_depth(base):
+    """``plan.out_depths`` of recorded netlists and of their union, on
+    input depths from ``base`` up, gives the output depths and deepest
+    gate of gate-by-gate ``nand`` on Python-int depths."""
+    rng = np.random.default_rng(31)
+    specs = [("add", None, 0.0), ("sub", None, 0.5), ("mul_const", 0.6875, 0.0),
+             ("mul_const", -0.9375, 0.25)]
+    patterns = []
+    for op, _, constants in specs:
+        n_in = F8.total_bits * (1 if op == "mul_const" else 2)
+        patterns.append(np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in),
+                                 -1).astype(np.int8))
+    parts = [word_op(op, F8, pattern, c) for (op, c, _), pattern in zip(specs, patterns)]
+    merged = union(parts)
+    cases = [(part, [spec], [pattern]) for part, spec, pattern in zip(parts, specs, patterns)]
+    for net, net_specs, net_patterns in cases + [(merged, specs, patterns)]:
+        every = np.concatenate(net_patterns)
+        rows = [np.where(every < 0, base + rng.integers(0, 40, len(every)), 0)
+                for _ in range(3)]
+        rows.append(rows[0])  # a repeated row
+        got, top = plan.out_depths(net, np.array(rows, dtype=np.int64))
+        eng = CleartextEngine(batch_size=1)
+        for depths, got_row in zip(rows, got.tolist()):
+            handles = [eng.constant(int(p)) if p >= 0 else ClearBit(eng, 1, int(d), None)
+                       for p, d in zip(every, depths.tolist())]
+            want, at = [], 0
+            for (op, c, _), pattern in zip(net_specs, net_patterns):
+                want += [h.depth for h in _gate_by_gate(op, handles[at:at + len(pattern)], c)]
+                at += len(pattern)
+            assert got_row == want
+        assert top == eng.max_depth > base
 
 
 def test_fhe_union_equals_its_parts_at_noisy_preset(default_scheme, default_keys):

@@ -109,3 +109,17 @@ def test_fft_of_fhe_output_matches_gate_by_gate(compiles, exact_scheme, exact_ke
     assert compiles == [4, 4]
     assert (levels, noise, stats) == (want[0], want[1], want[3])
     assert np.array_equal(words, want[2])
+
+
+def test_replayed_wires_clear_the_bits_past_the_batch():
+    """A replay leaves no lane bit past ``batch_size`` set, constant-1
+    wires included, so its output equals the same wires rebuilt from
+    handles, byte for byte."""
+    eng = CleartextEngine(batch_size=3)
+    x = ComplexFixed(input_signal(eng, np.tile(VALUES[:1], (3, 1)), F16).points[0].re,
+                     constant_word(eng, -0.375, F16))
+    c = ComplexFixed(constant_word(eng, 0.5, F16), constant_word(eng, -0.25, F16))
+    out = fft_1d(signal_of([x, c], 2))
+    assert (out.wires["c"] == 1).any()
+    assert not np.unpackbits(out.wires["v"], axis=-1, bitorder="little")[..., 3:].any()
+    assert out == fft.SignalBuffer(eng, F16, 2, eng.wires(out.bits()).reshape(out.wires.shape))
