@@ -244,6 +244,16 @@ def sub(x: FixedWord, y: FixedWord) -> FixedWord:
     return FixedWord(tuple(_ripple(x.bits, inverted, cin=one)), x.fmt)
 
 
+def butterfly_sums(x_re: FixedWord, x_im: FixedWord, p0: FixedWord, p1: FixedWord,
+                   p2: FixedWord, p3: FixedWord) -> tuple[FixedWord, ...]:
+    """The sums of a radix-2 butterfly from the four twiddle products of x_j:
+    t = (p0 - p1, p2 + p3), then (x_re + t_re, x_im + t_im, x_re - t_re,
+    x_im - t_im); the gates of those ``sub`` and ``add`` calls, 57F - 24
+    NANDs."""
+    t_re, t_im = sub(p0, p1), add(p2, p3)
+    return add(x_re, t_re), add(x_im, t_im), sub(x_re, t_re), sub(x_im, t_im)
+
+
 # -- multipliers -----------------------------------------------------------
 
 def _reduce_columns(cols):

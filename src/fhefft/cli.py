@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse or usage error, 3 noise overflow
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -190,6 +191,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: each parse makes its own namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fhefft",

@@ -58,6 +58,9 @@ class GateCostModel:
         for name in ("fixed_width", "ct_side", "signal_len", "signal_total"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive")
+        if self.signal_total < self.signal_len:
+            raise ParameterError(f"total stored points {self.signal_total} are fewer than "
+                                 f"the transform's {self.signal_len}")
 
 
 def cpmult_error(a: float, b: float, c: float, d: float,

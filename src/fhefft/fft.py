@@ -5,7 +5,11 @@ stages of M/2 butterflies after an index bit-reversal.  Twiddle factors
 are public constants quantized to the word format (round to nearest), so
 each butterfly is four constant multiplications plus one subtraction and
 one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
-sequences of word arithmetic per butterfly.
+sequences of word arithmetic per butterfly.  A stage compiles them as two
+word-op phases: the products (``arith.mul_const``), then the sums
+(``arith.butterfly_sums``, the two steps of adds and subtracts recorded
+as one netlist, whose second ripples start as soon as the first ones'
+low bits are ready).
 
 A transform runs as a compiled plan (``plan``).  The first transform of
 a key (engine kind and wire size, piece bound, format, dims, and the
@@ -250,29 +254,26 @@ def _stages(comp, fmt, words, table):
 def _butterflies(comp, fmt, words, flies):
     """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, W) of one
     stage, in place on the compiled words of shape (points, 2) (real and
-    imaginary words); each word's block is released once nothing reads it."""
+    imaginary words), as two word-op phases: the four constant products
+    of W * x_j, then ``butterfly_sums`` of x_i and the products.  Each
+    word's block is released once nothing reads it."""
     i = [f[0] for f in flies]
     j = [f[1] for f in flies]
     wre = [f[2][0] for f in flies]
     wim = [f[2][1] for f in flies]
     xj = words[j]
-    # t = W * x_j: the four constant products (xj.re*wre, xj.im*wim,
-    # xj.re*wim, xj.im*wre), then t_re = p0 - p1 and t_im = p2 + p3
+    # p = (xj.re*wre, xj.im*wim, xj.re*wim, xj.im*wre), so that
+    # W * x_j = (p0 - p1, p2 + p3)
     prods = comp.word_ops("mul_const", fmt,
-                          np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]]),
+                          np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]])[:, None],
                           consts=wre + wim + wim + wre)
     comp.release(xj)
-    n = len(flies)
-    p = [prods[k * n:(k + 1) * n] for k in range(4)]
-    t = np.stack([comp.word_ops("sub", fmt, p[0], p[1]),
-                  comp.word_ops("add", fmt, p[2], p[3])], axis=1).reshape(2 * n)
+    xi = words[i]
+    sums = comp.word_ops("butterfly_sums", fmt,
+                         np.concatenate([xi, prods.reshape(4, len(flies)).T], axis=1))
     comp.release(prods)
-    # (x_i + t, x_i - t) on the real and imaginary words together
-    xi = words[i].reshape(2 * n)
-    words[i] = comp.word_ops("add", fmt, xi, t).reshape(n, 2)
-    words[j] = comp.word_ops("sub", fmt, xi, t).reshape(n, 2)
     comp.release(xi)
-    comp.release(t)
+    words[i], words[j] = sums[:, :2], sums[:, 2:]
 
 
 # -- signal construction and readout ---------------------------------------

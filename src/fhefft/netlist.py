@@ -1,26 +1,29 @@
 """Word operations recorded once as level-sorted NAND netlists.
 
-``arith.add``, ``arith.sub`` and ``arith.mul_const`` build the same gates
-for every operand whose bits share one pattern of public constants, so
-each (operation, format, constant, pattern) is traced once on a symbolic
-engine and kept in memory.  The recording folds constants with
-``gates.fold``, the rule the bit engines apply (NAND(x, 0) = 1,
-NAND(x, 1) = NOT x with no gate), so an engine that evaluates the
-netlist makes the same gates, folded NOTs and constant outputs as one
-that runs the word operation gate by gate.
+``arith.add``, ``arith.sub``, ``arith.mul_const`` and
+``arith.butterfly_sums`` build the same gates for every operand whose
+bits share one pattern of public constants, so each (operation, format,
+constant, pattern) is traced once on a symbolic engine and kept in
+memory.  ``butterfly_sums`` records a butterfly's two steps of adds and
+subtracts as one netlist, so each second ripple follows the carries it
+reads instead of the first ripple's last level.  The recording folds
+constants with ``gates.fold``, the rule the bit engines apply
+(NAND(x, 0) = 1, NAND(x, 1) = NOT x with no gate), so an engine that
+evaluates the netlist makes the same gates, folded NOTs and constant
+outputs as one that runs the word operation gate by gate.
 
 A netlist has one row per wire: rows ``0 .. n_inputs-1`` are the operand
-bits (x then y, LSB first; rows of constant bits are never read), row
-``n_inputs`` is the constant 1, and every later row is
-``NAND(row a, row b)``.  A folded NOT is stored as ``NAND(src, ONE)``:
-on bit-planes that is the complement, and an engine that folds constants
-takes it as the free NOT it is, so it adds no gate and no depth.  Rows
-are sorted by evaluation level (a folded NOT sits one level after its
-source), so each level is a contiguous slice whose operands are all in
-earlier levels.  The sort is stable: within a level, rows keep their
-recording order.  ``ops`` holds the operands level by level: for the
-gates of a level, all their ``a`` rows, then all their ``b`` rows, so one
-gather fetches both operands of a whole level.
+bits (word after word in argument order, each LSB first; rows of
+constant bits are never read), row ``n_inputs`` is the constant 1, and
+every later row is ``NAND(row a, row b)``.  A folded NOT is stored as
+``NAND(src, ONE)``: on bit-planes that is the complement, and an engine
+that folds constants takes it as the free NOT it is, so it adds no gate
+and no depth.  Rows are sorted by evaluation level (a folded NOT sits
+one level after its source), so each level is a contiguous slice whose
+operands are all in earlier levels.  The sort is stable: within a level,
+rows keep their recording order.  ``ops`` holds the operands level by
+level: for the gates of a level, all their ``a`` rows, then all their
+``b`` rows, so one gather fetches both operands of a whole level.
 
 ``union`` merges netlists into one that evaluates them side by side: its
 rows are every part's inputs, part after part, then one shared ONE, then
@@ -46,7 +49,8 @@ from .arith import FixedFormat, FixedWord, encode_int
 from .errors import UsageError
 from .gates import fold
 
-OPS = ("add", "sub", "mul_const")
+# the word operations, and the operand words each takes
+OPS = {"add": 2, "sub": 2, "mul_const": 1, "butterfly_sums": 6}
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +183,12 @@ class _Recorder:
 # plan for the same key, so sharing them across the process changes no
 # result.  Neither is bounded.  ``CACHE`` holds netlists (the key's format
 # sits at index 1): an M-point transform adds about one per distinct
-# twiddle component, and its stages a few unions of them.  ``PLANS`` holds
+# twiddle component, one ``butterfly_sums`` per pattern of constant
+# products, and its stages a few unions of them.  ``PLANS`` holds
 # ``fft``'s transform plans (``plan.Plan``), one per key of
 # ``fft._transform``: engine kind, format, dims and input pattern.  For
-# M = 8..128 at 32.16 and 100 lanes: 71 netlists, 0.49 MB, 13 unions,
-# 0.88 MB, and 5 plans, 0.12 MB; ten 16x16 images add a plan of 0.14 MB.
+# M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.50 MB, 12 unions,
+# 0.89 MB, and 5 plans, 0.11 MB; ten 16x16 images add a plan of 0.12 MB.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
 
@@ -191,9 +196,10 @@ PLANS: dict[tuple, object] = {}
 def word_op(op: str, fmt: FixedFormat, pattern: np.ndarray, c: float | None = None) -> Netlist:
     """The netlist of ``op`` on operands whose bits have the given constants.
 
-    ``pattern`` holds one int8 per input bit (x, then y for add and sub):
-    -1 for a wire, 0 or 1 for a public constant.  ``c`` is the
-    ``mul_const`` multiplier.
+    ``pattern`` holds one int8 per input bit of the ``OPS[op]`` operand
+    words, in argument order: -1 for a wire, 0 or 1 for a public constant.
+    ``c`` is the ``mul_const`` multiplier.  The outputs are the result
+    words' bits, in order (the four sums of ``butterfly_sums``).
     """
     if op not in OPS:
         raise UsageError(f"unknown word operation {op!r}")
@@ -266,14 +272,12 @@ def _merge(nets) -> Netlist:
 
 def _record(op, fmt, c, pattern, key) -> Netlist:
     width = fmt.total_bits
-    if len(pattern) != (width if op == "mul_const" else 2 * width):
+    if len(pattern) != OPS[op] * width:
         raise UsageError(f"{len(pattern)} operand bits for {op} at {width} bits")
     rec = _Recorder(len(pattern))
     bits = [rec.constant(int(p)) if p >= 0 else _Wire(rec, i, None)
             for i, p in enumerate(pattern)]
-    x = FixedWord(tuple(bits[:width]), fmt)
-    if op == "mul_const":
-        out = arith.mul_const(x, c)
-    else:
-        out = getattr(arith, op)(x, FixedWord(tuple(bits[width:]), fmt))
-    return rec.compile(out.bits, key)
+    args = [FixedWord(tuple(bits[at:at + width]), fmt) for at in range(0, len(bits), width)]
+    out = arith.mul_const(*args, c) if op == "mul_const" else getattr(arith, op)(*args)
+    words = out if isinstance(out, tuple) else (out,)
+    return rec.compile([bit for word in words for bit in word.bits], key)

@@ -346,9 +346,10 @@ class Compiler:
         self.max_depth = max(self.max_depth, top)
         return out
 
-    def word_ops(self, op: str, fmt, x: np.ndarray, y: np.ndarray | None = None,
-                 consts=None) -> np.ndarray:
-        """``op`` on every row of words x (and y): the output words.
+    def word_ops(self, op: str, fmt, operands: np.ndarray, consts=None) -> np.ndarray:
+        """``op`` on every row of operand words (rows, words in), with the
+        multiplier ``consts[row]`` for ``mul_const``: the output words
+        (rows, words out).
 
         Rows that share a netlist (same constant multiplier and pattern of
         constant bits) form a group.  Groups with the same row count run
@@ -356,7 +357,6 @@ class Compiler:
         ``work_rows`` fit ``fits``.  The cut does not depend on the row
         count, so every transform size that runs a stage shares its unions.
         """
-        operands = x[:, None] if y is None else np.stack([x, y], axis=1)
         pattern = np.ascontiguousarray(operands["c"]).reshape(len(operands), -1)
         keys = pattern if consts is None else np.concatenate(  # the multiplier's bytes first
             [np.asarray(consts, dtype=np.float64)[:, None].view(np.int8), pattern], axis=1)
@@ -368,13 +368,14 @@ class Compiler:
             c = None if consts is None else consts[rows[0]]
             net = word_op(op, fmt, pattern[rows[0]], c)
             by_count.setdefault(len(rows), []).append((rows, net))
-        out = np.empty(len(operands), self.dtype)
+        # every netlist of one op has as many output words as the last group's
+        out = np.empty((len(operands), len(net.outputs) // self.width), self.dtype)
         for count, groups in by_count.items():
             for piece in _pieces(groups, self.fits):
                 rows = np.stack([r for r, _ in piece])  # (parts, count)
                 res = self.piece(union(net for _, net in piece),
                                  operands[rows.T].reshape(count, -1))
-                out[rows] = res.T
+                out[rows] = res.reshape(count, len(piece), -1).swapaxes(0, 1)
         return out
 
     def stage(self, size: int = 0):

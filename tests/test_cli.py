@@ -68,6 +68,23 @@ def test_pipeline_m4_matches_in_process_circuit(tmp_path, keys_file, capsys):
     assert run_cli("verify", plain, spec) == 0
 
 
+def test_parses_in_one_process_are_independent(tmp_path, keys_file, capsys):
+    """The parser is built once per process; an option given to one
+    ``main`` call does not carry over to the next."""
+    plain, ct = tmp_path / "signal.txt", tmp_path / "sig.eft"
+    fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j])
+    assert run_cli("encrypt", plain, "--keys", keys_file, "--bits", 16,
+                   "--frac", 8, "--seed", 7, "--out", ct) == 0
+    capsys.readouterr()
+    assert run_cli("fft", ct, "--out", tmp_path / "a.eft", "--stats") == 0
+    with_stats = capsys.readouterr().out.splitlines()
+    assert run_cli("fft", ct, "--out", tmp_path / "b.eft") == 0
+    without = capsys.readouterr().out.splitlines()
+    assert len(with_stats) == 2 and json.loads(with_stats[1])["nand_count"] > 0
+    assert len(without) == 1 and without[0] == with_stats[0].replace("a.eft", "b.eft")
+    assert (tmp_path / "a.eft").read_bytes() == (tmp_path / "b.eft").read_bytes()
+
+
 def test_pipeline_ciphertexts_golden(tmp_path):
     """Fixed seeds give the same input ciphertexts, the same output
     ciphertexts and levels, bit for bit, whatever order the server
@@ -232,6 +249,7 @@ MALFORMED = {
     "bound-xb-nan": lambda d, keys: ["bound", "--points", 8, "--xb", "nan"],
     "bound-xb-inf": lambda d, keys: ["bound", "--points", 8, "--xb", "inf"],
     "bound-total-zero": lambda d, keys: ["bound", "--points", 8, "--total", 0],
+    "bound-total-below-points": lambda d, keys: ["bound", "--points", 8, "--total", 4],
     "encrypt-bits-past-float64": lambda d, keys: [
         "encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--bits", 1100, "--frac", 8,
         "--out", d / "x.eft"],

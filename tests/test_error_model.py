@@ -113,6 +113,13 @@ def test_nand_cost_fft_composition():
     assert nand_cost(MODEL32, "fft") == 4 * 3 * per_fly
 
 
+def test_total_points_must_cover_the_transform():
+    """L counts every stored point, so it is at least the transform's M."""
+    assert space_cost(GateCostModel(32, 64, 8, 16)) == 2 * space_cost(MODEL32)
+    with pytest.raises(ParameterError, match="fewer than"):
+        GateCostModel(fixed_width=32, ct_side=64, signal_len=8, signal_total=4)
+
+
 def test_nand_cost_unknown_op():
     with pytest.raises(ParameterError):
         nand_cost(MODEL32, "div")

@@ -552,7 +552,7 @@ def test_netlist_cache_stays_small():
 
 def test_transform_plans_stay_small(monkeypatch):
     """The plans of the Table 1 transforms (M = 8..128 at 32.16, 100 lanes)
-    and of ten 16x16 images hold at most 320 KiB (258,288 bytes measured)."""
+    and of ten 16x16 images hold at most 320 KiB (229,680 bytes measured)."""
     monkeypatch.setattr(fft, "PLANS", {})
     for m in (8, 16, 32, 64, 128):
         eng = CleartextEngine(batch_size=100)
@@ -561,6 +561,35 @@ def test_transform_plans_stay_small(monkeypatch):
     fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
     assert len(fft.PLANS) == 6
     assert 0 < sum(plan.nbytes for plan in fft.PLANS.values()) <= 320 * 2**10
+
+
+def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
+    """Each stage compiles its constant products, then its butterfly sums;
+    the sums netlist is shallower than ``sub`` then ``add``, so the Table 1
+    plans (M = 8..128 at 32.16, 100 lanes) walk at most 6,489 levels and
+    the 16x16 plan at most 1,860."""
+    monkeypatch.setattr(fft, "PLANS", {})
+    for m in (8, 16, 32, 64, 128):
+        eng = CleartextEngine(batch_size=100)
+        fft_1d(input_signal(eng, np.full((100, m), 0.5), F32))
+    table1 = list(fft.PLANS.values())
+    eng = CleartextEngine(batch_size=10)
+    fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
+    (image,) = [p for p in fft.PLANS.values() if all(p is not q for q in table1)]
+    for plan in table1 + [image]:
+        for stage in plan.stages:
+            ops = [piece.net.members[0].key[0] for piece in stage.pieces]
+            assert ops == sorted(ops, key=["mul_const", "butterfly_sums"].index), stage.size
+            assert set(ops) == {"mul_const", "butterfly_sums"}, stage.size
+
+    def level_steps(plans):
+        return sum(len(p.net.levels) for plan in plans for s in plan.stages for p in s.pieces)
+
+    assert level_steps(table1) <= 6489 and level_steps([image]) <= 1860
+    wires = np.full(2 * F32.total_bits, -1, dtype=np.int8)
+    sums = netlist.word_op("butterfly_sums", F32, np.tile(wires, 3))
+    chained = [netlist.word_op(op, F32, wires) for op in ("sub", "add")]
+    assert len(sums.levels) < sum(len(net.levels) for net in chained)
 
 
 def test_fhe_plan_past_the_depth_budget_raises_before_any_nand(default_scheme, default_keys):

@@ -5,6 +5,7 @@ from fhefft import arith, gates, netlist, plan
 from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import ClearBit, CleartextEngine, FheEngine
 from fhefft.errors import UsageError
+from fhefft.fhe import Ciphertext
 from fhefft.netlist import union, word_op
 
 F8 = FixedFormat(8, 4)
@@ -21,25 +22,44 @@ def _operands(eng, pattern, rng):
 
 def _gate_by_gate(op, handles, c):
     width = F8.total_bits
-    x = FixedWord(tuple(handles[:width]), F8)
+    words = [FixedWord(tuple(handles[at:at + width]), F8) for at in range(0, len(handles), width)]
     if op == "mul_const":
-        return arith.mul_const(x, c).bits
-    return getattr(arith, op)(x, FixedWord(tuple(handles[width:]), F8)).bits
+        return arith.mul_const(*words, c).bits
+    if op == "butterfly_sums":  # as the chained sub and add calls
+        x_re, x_im, p0, p1, p2, p3 = words
+        t_re, t_im = arith.sub(p0, p1), arith.add(p2, p3)
+        return [bit for word in (arith.add(x_re, t_re), arith.add(x_im, t_im),
+                                 arith.sub(x_re, t_re), arith.sub(x_im, t_im))
+                for bit in word.bits]
+    return getattr(arith, op)(*words).bits
+
+
+def _patterns(op, rng):
+    """Random patterns of constant bits for ``op``, with none, about a third
+    and about two thirds of them constant; for ``butterfly_sums`` also the products of W = 1
+    (p1 and p2 constant 0) and of W = -i (p0 and p3 constant 0)."""
+    n_in = F8.total_bits * netlist.OPS[op]
+    patterns = [np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in), -1)
+                for constants in (0.0, 0.3, 0.7)]
+    if op == "butterfly_sums":
+        for zero in ((3, 4), (2, 5)):
+            words = np.full((6, F8.total_bits), -1)
+            words[list(zero)] = 0
+            patterns.append(words.ravel())
+    return [pattern.astype(np.int8) for pattern in patterns]
 
 
 @pytest.mark.parametrize("op, c", [("add", None), ("sub", None), ("mul_const", 0.6875),
                                    ("mul_const", -0.9375), ("mul_const", 1.0),
-                                   ("mul_const", 0.0)])
+                                   ("mul_const", 0.0), ("butterfly_sums", None)])
 def test_run_equals_gate_by_gate(op, c):
     """One netlist run over several operand sets gives the bits, depths,
     constants and gate counts of the word operation run gate by gate."""
     rng = np.random.default_rng(3)
-    n_in = F8.total_bits * (1 if op == "mul_const" else 2)
-    for constants in (0.0, 0.3, 0.7):
-        pattern = np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in), -1)
+    for pattern in _patterns(op, rng):
         batched, serial = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
         sets = [_operands(batched, pattern, rng) for _ in range(5)]
-        net = word_op(op, F8, pattern.astype(np.int8), c)
+        net = word_op(op, F8, pattern, c)
         wires = np.stack([batched.wires(hs) for hs in sets])
         out = batched.run(net, wires)
         for row, hs in zip(out, sets):
@@ -49,6 +69,33 @@ def test_run_equals_gate_by_gate(op, c):
                 [(h.value, h.depth, h.const) for h in want]
         assert (batched.nand_count, batched.max_depth) == (serial.nand_count, serial.max_depth)
         assert net.nand_count * len(sets) == serial.nand_count
+
+
+def test_fhe_butterfly_sums_equal_the_chained_calls(exact_scheme, exact_keys):
+    """On the exact preset the sums netlist gives the ciphertext words,
+    levels, noise estimates and counts of chained ``sub`` and ``add`` run
+    gate by gate, from inputs of mixed levels and noise estimates."""
+    rng = np.random.default_rng(5)
+    pattern = _patterns("butterfly_sums", rng)[-2]  # W = 1
+    fresh = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(2))
+    cts = [[Ciphertext(fresh.export_ct(fresh.input_bit(int(bit))).words,
+                       int(rng.integers(0, 6)), int(rng.integers(0, 40)))
+            for bit in rng.integers(0, 2, len(pattern))] for _ in range(2)]
+    net = word_op("butterfly_sums", F8, pattern)
+    results = []
+    for batched in (True, False):
+        eng = FheEngine(exact_scheme)
+        rows = [[eng.constant(int(p)) if p >= 0 else eng.import_ct(ct)
+                 for p, ct in zip(pattern, row)] for row in cts]
+        if batched:
+            outs = eng.handles(eng.run(net, np.stack([eng.wires(hs) for hs in rows])).ravel())
+        else:
+            outs = [h for hs in rows for h in _gate_by_gate("butterfly_sums", hs, None)]
+        results.append(([(h.const,) if h.ct is None else
+                         (h.ct.level, h.ct.noise_est, h.ct.words.tobytes()) for h in outs],
+                        eng.stats))
+    assert results[0] == results[1]
+    assert len({out[1] for out in results[0][0] if len(out) > 1}) > 2
 
 
 def test_netlists_are_recorded_once():
