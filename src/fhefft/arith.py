@@ -122,6 +122,10 @@ def encode_bits(values, fmt: FixedFormat) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, count=width, bitorder="little")
 
 
+# bound on the copied bits of one block that ``decode_bits`` packs
+_DECODE_BYTES = 1 << 17
+
+
 def decode_bits(bits, fmt: FixedFormat) -> np.ndarray:
     """Values of two's-complement bits, LSB first on the last axis (the
     inverse of ``encode_bits``).
@@ -131,12 +135,19 @@ def decode_bits(bits, fmt: FixedFormat) -> np.ndarray:
     wider words are rounded twice, so a value can differ in the last place.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    width = bits.shape[-1]
-    # sign-extended to whole 32-bit limbs
-    ext = np.empty((*bits.shape[:-1], 32 * -(-width // 32)), dtype=np.uint8)
-    ext[..., :width] = bits
-    ext[..., width:] = bits[..., -1:]
-    limbs = np.packbits(ext, axis=-1, bitorder="little").view("<u4")
+    width, n_limbs = bits.shape[-1], -(-bits.shape[-1] // 32)
+    rows = bits.reshape(1, width) if bits.ndim == 1 else bits  # a view either way
+    packed = np.empty((*rows.shape[:-1], 4 * n_limbs), dtype=np.uint8)
+    # sign-extended to whole 32-bit limbs, in blocks of rows: the bits are often
+    # a transposed view (lanes first), and one copy of them all would double them
+    step = max(1, _DECODE_BYTES // max(1, 8 * packed[:1].size))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        ext = np.empty((*block.shape[:-1], 32 * n_limbs), dtype=np.uint8)
+        ext[..., :width] = block
+        ext[..., width:] = block[..., -1:]
+        packed[lo:lo + step] = np.packbits(ext, axis=-1, bitorder="little")
+    limbs = packed.reshape(*bits.shape[:-1], 4 * n_limbs).view("<u4")
     value = limbs[..., -1].view("<i4").astype(float)
     for k in range(limbs.shape[-1] - 2, -1, -1):
         value = value * 2.0**32 + limbs[..., k]

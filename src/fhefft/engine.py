@@ -18,10 +18,13 @@ plan piece on it (one gather of its operand bits, one evaluation, one
 scatter of its results), and ``unload`` makes a wire array of slots with
 the plan's constants and depths (or levels and noise estimates), which
 ``wire_meta`` reads from wire arrays; one ``load``, ``unload`` and
-``wire_meta`` serve both engines.  The cleartext engine evaluates a
-piece level by level as numpy bit-planes, in chunks of operand sets that
-fit ``CHUNK_BYTES``.  The FHE engine evaluates it level by level on a
-scratch register of the piece's slot plan: each level's NANDs for every
+``wire_meta`` serve both engines.  Both evaluate a piece level by level
+on the slots of its netlist's layout (``netlist.Layout``), which are
+reused once their rows are dead.  The cleartext engine holds the slots
+as numpy bit-planes, in chunks of operand sets whose workspace fits
+``CHUNK_BYTES``, and writes each level's results to its run of slots.
+The FHE engine holds them on a scratch register, one slot per operand
+set, as the piece's slot plan lays out: each level's NANDs for every
 operand set are one batched ``GswScheme.nand_words`` product per
 ``CHUNK_BYTES`` of decomposed bits, its folded NOTs one ``not_words``
 call, and an FHE plan deeper than the depth budget is refused before any
@@ -255,8 +258,8 @@ class CleartextEngine(_Engine):
         sets whose workspace fits ``CHUNK_BYTES``."""
         net, count = piece.net, piece.count
         ins, outs = slots(piece.ins, piece.width), slots(piece.outs, piece.width)
-        step = max(1, self.CHUNK_BYTES // (self.wire_bytes * net.work_rows))
-        work = np.empty(net.work_rows * self.wire_bytes * min(step, count), dtype=np.uint8)
+        step = max(1, self.CHUNK_BYTES // (self.wire_bytes * net.layout.work_slots))
+        work = np.empty(net.layout.work_slots * self.wire_bytes * min(step, count), np.uint8)
         # numpy scatters whole records far faster than rows of bytes
         records = register.view(self._record).reshape(-1)
         for lo in range(0, count, step):
@@ -403,13 +406,14 @@ class FheEngine(_Engine):
 
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece: its operands go to a
-        scratch register, each level's NANDs are one ``nand_words`` call per
-        ``CHUNK_BYTES`` of decomposed bits and its folded NOTs one
-        ``not_words`` call, and the wired outputs go back."""
-        scheme, plan = self.scheme, piece.scratch
-        scratch = np.empty((plan.size, *register.shape[1:]), np.int64)
-        ins = slots(piece.ins, piece.width)[plan.read].ravel()
-        scratch[:len(ins)] = register[ins]
+        scratch register laid out by its slot plan, each level's NANDs are
+        one ``nand_words`` call per ``CHUNK_BYTES`` of decomposed bits and
+        its folded NOTs one ``not_words`` call, and the wired outputs go
+        back."""
+        scheme, layout, plan = self.scheme, piece.net.layout, piece.scratch
+        scratch = np.empty((layout.n_slots * piece.count, *register.shape[1:]), np.int64)
+        by_slot = scratch.reshape(layout.n_slots, piece.count, *register.shape[1:])
+        by_slot[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
         step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)
         for left, right, dst, src, not_dst in plan.levels:
             for lo in range(0, len(left), step):
@@ -417,7 +421,8 @@ class FheEngine(_Engine):
                                                                scratch[right[lo:lo + step]])
             if len(src):
                 scratch[not_dst] = scheme.not_words(scratch[src])
-        register[slots(piece.outs, piece.width)[plan.wired].ravel()] = scratch[plan.outs]
+        register[slots(piece.outs, piece.width)[plan.wired]] = \
+            by_slot[layout.outputs[plan.wired]]
 
 
 def _check_owner(engine, handles):
@@ -427,20 +432,22 @@ def _check_owner(engine, handles):
 
 def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Output lane bytes (outputs, count, lane bytes) of a netlist whose
-    operand bits are the register rows ``gather`` (inputs, count).
+    operand bits are the register rows ``gather`` (inputs, count), evaluated
+    on its layout's slots.
 
-    ``work`` holds at least ``net.work_rows`` * count * lane bytes bytes;
-    the result is a view into it.
+    ``work`` holds at least ``net.layout.work_slots`` * count * lane bytes
+    bytes; the result is a view into it.
     """
+    layout = net.layout
     n_in, count = gather.shape
     width = register.shape[1]
     cols = count * width
-    end = net.n_rows * cols
-    values = work[:end].reshape(net.n_rows, cols)
-    spare = work[end:net.work_rows * cols].reshape(-1, cols)
+    end = layout.n_slots * cols
+    values = work[:end].reshape(layout.n_slots, cols)
+    spare = work[end:layout.work_slots * cols].reshape(-1, cols)
     register.take(gather, axis=0, out=values[:n_in].reshape(n_in, count, width), mode="clip")
     values[net.one] = 0xFF
-    for lo, ops in net.levels:
+    for lo, ops in layout.levels:
         gates = len(ops) // 2
         pair = spare[:2 * gates]
         # mode="clip" skips numpy's copy of ``out`` (indices are in range)
@@ -448,8 +455,8 @@ def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -
         rows = values[lo:lo + gates]
         np.bitwise_and(pair[:gates], pair[gates:], out=rows)
         np.invert(rows, out=rows)
-    res = spare[:len(net.outputs)]
-    values.take(net.outputs, axis=0, out=res, mode="clip")
+    res = spare[:len(layout.outputs)]
+    values.take(layout.outputs, axis=0, out=res, mode="clip")
     res[net.out_const == 0] = 0
     res[net.out_const == 1] = 0xFF
     return res.reshape(-1, count, width)

@@ -31,9 +31,16 @@ the parts' gates level by level (level k holds each part's level-k gates,
 part after part), so one gather and one NAND step evaluate a level of
 every part.  It keeps its parts, in order, as ``parts`` (``members``).
 
-Depths, which are also FHE levels, are not stored: the plan compiler
-(``plan.out_depths``) walks a netlist's levels with the rule the engines
-apply gate by gate.
+Nothing walks the rows themselves: a netlist is evaluated on its
+``Layout``, which gives each row a slot of a workspace and reuses a slot
+once its row is dead (``_layout``), so a workspace holds the rows live
+at once, not every row.  Each level reads its operands' slots and writes
+its results to one run of consecutive slots.  A recorded netlist keeps
+its rows, which ``union`` merges, and lays them out on first use; a union
+is laid out as it is merged and keeps only its layout.  Both engines
+evaluate on the layout, and the plan compiler walks it for depths, which
+are also FHE levels (``plan.out_depths``), and for the FHE engine's
+scratch slots (``plan.FheRules``).
 """
 
 from __future__ import annotations
@@ -53,24 +60,87 @@ from .gates import fold
 OPS = {"add": 2, "sub": 2, "mul_const": 1, "butterfly_sums": 6}
 
 
+def narrow(ids) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned type holding them,
+    read-only (``ids`` itself if it has that type)."""
+    ids = np.asarray(ids)
+    top = int(ids.max(initial=0))
+    out = ids.astype(np.uint16 if top < 1 << 16 else np.uint32, copy=False)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Where an evaluation keeps a netlist's rows: one slot each of a
+    workspace of ``n_slots``, reused once the row is dead (see ``_layout``).
+    The k-th level after level 0 (the inputs and ONE) has the gates
+    ``gates[k] .. gates[k+1]-1``: it reads the slots
+    ``ops[2 * gates[k]:2 * gates[k+1]]``, its gates' ``a`` slots and then
+    their ``b`` slots, and writes the consecutive slots from ``starts[k]``.
+    Arrays are read-only.
+    """
+
+    ops: np.ndarray
+    gates: np.ndarray
+    starts: np.ndarray
+    outputs: np.ndarray  # slot of each output bit (0 where the output is constant)
+    read: np.ndarray  # the inputs whose values are read or output
+    n_slots: int
+    widest: int  # most gates in one level
+
+    @property
+    def work_slots(self) -> int:
+        """Slots of an evaluation workspace: every slot, plus room to gather
+        both operands of the widest level or the outputs."""
+        return self.n_slots + max(2 * self.widest, len(self.outputs))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in (self.ops, self.gates, self.starts, self.outputs,
+                                          self.read))
+
+    @cached_property
+    def levels(self) -> tuple:
+        """(first result slot, operand slots) of each level after level 0,
+        made once (an engine walks them on every evaluation)."""
+        gates = self.gates.tolist()
+        return tuple((start, self.ops[2 * lo:2 * hi])
+                     for start, lo, hi in zip(self.starts.tolist(), gates[:-1], gates[1:]))
+
+    def gate_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``a`` slot, ``b`` slot and result slot of each gate, level
+        after level (intp arrays)."""
+        gates = self.gates.astype(np.intp)
+        widths = np.diff(gates)
+        level = np.repeat(np.arange(len(widths)), widths)
+        seat = np.arange(len(level)) - gates[level]
+        a_at = 2 * gates[level] + seat
+        ops = self.ops.astype(np.intp)
+        return ops[a_at], ops[a_at + widths[level]], self.starts.astype(np.intp)[level] + seat
+
+
 @dataclass(frozen=True, eq=False)
 class Netlist:
-    """One recorded word operation (arrays are read-only)."""
+    """One recorded word operation, or a union of them (arrays are
+    read-only).  A recorded netlist keeps its level-sorted rows and builds
+    its ``layout`` on first use; a union keeps only its layout."""
 
     n_inputs: int
-    ops: np.ndarray  # operand rows of the gates, blocked by level (see above)
-    bounds: np.ndarray  # level k holds rows bounds[k] .. bounds[k+1]-1;
-    # level 0 holds the inputs and ONE
-    widest: int  # most gates in one level
-    outputs: np.ndarray  # row of each output bit (0 where the output is constant)
     out_const: np.ndarray  # int8: -1 for a wire, else the output's constant bit
     nand_count: int
+    work_rows: int  # every row, plus room to gather both operands of the widest
+    # level or the outputs: the plan compiler cuts pieces by this measure
+    ops: np.ndarray | None = None  # operand rows of the gates, blocked by level (see above)
+    bounds: np.ndarray | None = None  # level k holds rows bounds[k] .. bounds[k+1]-1;
+    # level 0 holds the inputs and ONE
+    outputs: np.ndarray | None = None  # row of each output bit (0 where the output is constant)
     key: tuple | None = None  # the ``CACHE`` key it was recorded under
     parts: tuple = ()  # a union's netlists, in the order of its inputs and outputs
 
     @property
     def one(self) -> int:
-        """Row of the constant 1."""
+        """Row, and slot, of the constant 1."""
         return self.n_inputs
 
     @property
@@ -78,32 +148,104 @@ class Netlist:
         return self.n_inputs + 1 + len(self.ops) // 2
 
     @property
-    def work_rows(self) -> int:
-        """Rows of an evaluation workspace: every row, plus room to gather
-        both operands of the widest level or the outputs."""
-        return self.n_rows + max(2 * self.widest, len(self.outputs))
-
-    @property
     def members(self) -> tuple:
         """The netlists it evaluates: a union's parts, else itself."""
         return self.parts or (self,)
 
+    @cached_property
+    def layout(self) -> Layout:
+        """Its slot layout, built once from its rows."""
+        return _layout(self.n_inputs, self.ops.copy(), self.bounds, self.outputs.copy(),
+                       self.out_const)
+
     @property
     def nbytes(self) -> int:
-        """Bytes of its own arrays."""
-        return sum(arr.nbytes for arr in (self.ops, self.bounds, self.outputs, self.out_const))
+        """Bytes of its own arrays, its layout's included once built."""
+        layout = self.__dict__.get("layout")
+        return (layout.nbytes if layout else 0) + sum(arr.nbytes for arr in (
+            self.ops, self.bounds, self.outputs, self.out_const) if arr is not None)
 
-    @cached_property
-    def levels(self) -> tuple:
-        """(first row, operand rows) of each level after level 0, made once
-        (an engine walks them on every evaluation).
 
-        The operand rows of a level of w gates are its w ``a`` rows, then
-        its w ``b`` rows.
-        """
-        bounds, first = self.bounds.tolist(), self.one + 1
-        return tuple((lo, self.ops[2 * (lo - first):2 * (hi - first)])
-                     for lo, hi in zip(bounds[1:-1], bounds[2:]))
+def _netlist(n_inputs, ops, bounds, outputs, out_const, **fields) -> Netlist:
+    """The netlist of level-sorted rows; a union (``parts`` given) is laid
+    out at once, over its rows, and keeps only its layout."""
+    widest = int(np.diff(bounds.astype(np.intp))[1:].max(initial=0))
+    work_rows = int(bounds[-1]) + max(2 * widest, len(outputs))
+    out_const.flags.writeable = False
+    if fields.get("parts"):
+        net = Netlist(n_inputs=n_inputs, out_const=out_const, work_rows=work_rows, **fields)
+        # as ``cached_property`` stores it
+        net.__dict__["layout"] = _layout(n_inputs, ops, bounds, outputs, out_const)
+        return net
+    for arr in (ops, bounds, outputs):
+        arr.flags.writeable = False
+    return Netlist(n_inputs=n_inputs, out_const=out_const, work_rows=work_rows, ops=ops,
+                   bounds=bounds, outputs=outputs, **fields)
+
+
+def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
+    """The slot layout of level-sorted rows (linear-scan allocation by live
+    range), made level by level with no array longer than the rows'; it
+    takes over ``ops`` and ``outputs``, which become its operand and output
+    slots.
+
+    The inputs take slots 0 .. n_in-1 and ONE slot n_in.  A row dies after
+    the last level that reads it, or after its own level if none does; ONE
+    and the wired outputs never die.  A dead row's slot is free from the
+    next level on, so no level writes a slot it reads.  Each level's
+    results take one run of consecutive free slots, the first long enough
+    (first fit, past the last slot in use if none is), ordered by the
+    level at which they die: the first to die sit at the end of the run
+    whose neighbour dies sooner, so that freed slots join free neighbours.
+    """
+    first = n_in + 1  # the first gate row
+    bounds = bounds.tolist()
+    spans = [(2 * (lo - first), 2 * (hi - first)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    never = len(spans) + 1
+    dies = np.zeros(bounds[-1], np.int16 if never < 1 << 15 else np.int32)
+    for k, (lo, hi) in enumerate(spans, 1):  # a later level's write wins
+        dies[bounds[k]:bounds[k + 1]] = k
+        dies[ops[lo:hi]] = k
+    dies[n_in] = never
+    dies[outputs[out_const < 0]] = never
+    # allocated before the level loop, whose scratch arrays then come and go
+    # above them on the heap instead of leaving holes under them
+    starts, read = np.empty(len(spans), ops.dtype), narrow(np.flatnonzero(dies[:n_in] > 0))
+    slot = np.arange(len(dies), dtype=ops.dtype)  # the inputs' and ONE's; gates' are set below
+    held = np.full(len(dies), -1, dies.dtype)  # per slot, the level its row dies at; -1 if free
+    held[:first] = np.where(dies[:first] > 0, dies[:first], -1)  # inputs nothing reads are free
+    top = first
+    for k, (lo, hi) in enumerate(spans, 1):
+        width = (hi - lo) // 2
+        start = starts[k - 1] = _first_fit(held[:top] < 0, width)
+        order = np.argsort(-dies[bounds[k]:bounds[k + 1]], kind="stable")  # the last to die first
+        if (held[start - 1] if start else never) < \
+                (held[start + width] if start + width < top else never):
+            order = order[::-1]  # the first to die next to the left neighbour
+        slot[bounds[k] + order] = np.arange(start, start + width)
+        held[start:start + width] = dies[bounds[k] + order]
+        top = max(top, start + width)
+        # each level reads only its own operand rows, so they turn into slots
+        ops[lo:lo + width], ops[lo + width:hi] = \
+            slot[ops[lo:lo + width][order]], slot[ops[lo + width:hi][order]]
+        used = held[:top]
+        used[used == k] = -1  # the rows that die at this level
+    wired = out_const < 0
+    outputs[wired] = slot[outputs[wired]]
+    outputs[~wired] = 0
+    return Layout(narrow(ops), narrow(np.array(bounds[1:]) - first), narrow(starts),
+                  narrow(outputs), read, top,
+                  max((hi - lo) // 2 for lo, hi in spans) if spans else 0)
+
+
+def _first_fit(free: np.ndarray, width: int) -> int:
+    """Start of the first run of ``width`` free slots, where every slot
+    past ``free`` is free."""
+    flags = np.zeros(len(free) + width + 2, np.int8)
+    flags[1:len(free) + 1] = free
+    flags[len(free) + 1:-1] = 1
+    edges = np.flatnonzero(np.diff(flags))  # run starts and ends, alternately
+    return int(edges[::2][np.argmax(edges[1::2] - edges[::2] >= width)])
 
 
 class _Wire:
@@ -171,12 +313,9 @@ class _Recorder:
                             dtype=index)
         out_const = np.array([-1 if w.const is None else w.const for w in outputs],
                              dtype=np.int8)
-        arrays = dict(ops=ops, bounds=bounds.astype(index), outputs=out_rows, out_const=out_const)
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        return Netlist(n_inputs=n_in, widest=max(self.width[1:], default=0),
-                       nand_count=int((np.frombuffer(self.b, dtype=np.int32) != n_in).sum()),
-                       key=key, **arrays)
+        return _netlist(n_in, ops, bounds.astype(index), out_rows, out_const,
+                        nand_count=int((np.frombuffer(self.b, dtype=np.int32) != n_in).sum()),
+                        key=key)
 
 
 # Memos of pure functions of the key: every caller gets the same netlist or
@@ -187,8 +326,9 @@ class _Recorder:
 # products, and its stages a few unions of them.  ``PLANS`` holds
 # ``fft``'s transform plans (``plan.Plan``), one per key of
 # ``fft._transform``: engine kind, format, dims and input pattern.  For
-# M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.50 MB, 12 unions,
-# 0.89 MB, and 5 plans, 0.11 MB; ten 16x16 images add a plan of 0.12 MB.
+# M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.53 MB (4 of them laid
+# out, 0.03 MB of it), 12 unions, 0.91 MB, and 5 plans, 0.11 MB; ten
+# 16x16 images add a plan of 0.12 MB.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
 
@@ -261,13 +401,9 @@ def _merge(nets) -> Netlist:
         ops[a_union + width[level]] = to_union[net.ops[a_part + gates[k, level]]]
         outputs.append(np.where(net.out_const < 0, to_union[net.outputs], 0))
         at_input += net.n_inputs
-    arrays = dict(ops=ops, bounds=bounds.astype(index),
-                  outputs=np.concatenate(outputs).astype(index),
-                  out_const=np.concatenate([net.out_const for net in nets]))
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return Netlist(n_inputs=n_in, widest=int(width[1:].max(initial=0)),
-                   nand_count=sum(net.nand_count for net in nets), parts=nets, **arrays)
+    return _netlist(n_in, ops, bounds.astype(index), np.concatenate(outputs).astype(index),
+                    np.concatenate([net.out_const for net in nets]),
+                    nand_count=sum(net.nand_count for net in nets), parts=nets)
 
 
 def _record(op, fmt, c, pattern, key) -> Netlist:

@@ -17,23 +17,26 @@ the netlists and rules that depend only on the engine kind:
 
 * its public constant, from the netlists' ``out_const``;
 * its depth, which is also its FHE level: ``out_depths`` walks the
-  netlist's levels by the rule both engines apply gate by gate (a NAND is
-  one deeper than its deeper operand, a folded NOT is free), once per
-  distinct row of input depths, and the deepest NAND bounds the engine's
-  ``max_depth``;
+  netlist's layout (``netlist.Layout``) level by level, by the rule both
+  engines apply gate by gate (a NAND is one deeper than its deeper
+  operand, a folded NOT is free), once per distinct row of input depths,
+  and the deepest NAND bounds the engine's ``max_depth``;
 * under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
   ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), and each
-  piece's slot plan: its gates' results go to slots of a scratch register
-  that are reused once dead, and each NAND's noisier operand is gathered
-  on the left.
+  piece's slot plan: the piece's scratch register is the netlist's
+  layout with one slot per operand set, and each NAND's noisier operand
+  is gathered on the left.
 
 It also groups word operations (``word_ops``): operand sets that share a
 netlist (same operation, multiplier and pattern of constant bits) form a
 group, and groups of the same size run side by side as one union, cut
-into pieces whose workspace row (``work_rows`` wires) fits the engine's
-``CHUNK_BYTES``.  So a plan holds, per stage, its pieces, NAND count and
-deepest gate, and every output wire's constant, depth and noise; an FHE
-plan deeper than the depth budget raises before a gate runs.  ``replay``
+into pieces whose recorded rows (``work_rows`` wires) fit the engine's
+``CHUNK_BYTES``.  The cut counts rows, not the fewer slots of a layout:
+a cut on slots would put more NANDs in each level of a piece, and so in
+each of the FHE engine's batches.  So a plan holds, per stage, its
+pieces, NAND count and deepest gate, and every output wire's constant,
+depth and noise; an FHE plan deeper than the depth budget raises before
+a gate runs.  ``replay``
 runs a plan on an engine; ``fft`` keys and memoizes its plans in
 ``netlist.PLANS``.
 """
@@ -45,19 +48,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UsageError
-from .netlist import union, word_op
+from .netlist import narrow, union, word_op
 
-# bound on the depth workspace of one walk over a netlist's levels
-_PATH_BYTES = 1 << 20
-
-
-def _narrow(ids) -> np.ndarray:
-    """Non-negative integers in the narrowest unsigned type holding them."""
-    ids = np.asarray(ids)
-    top = int(ids.max(initial=0))
-    out = ids.astype(np.uint16 if top < 1 << 16 else np.uint32)
-    out.flags.writeable = False
-    return out
+# bound on the workspace of one depth walk over a netlist's layout; a cold
+# compile's peak memory is set in the walks of its largest unions
+_DEPTH_BYTES = 1 << 19
 
 
 class _Blocks:
@@ -86,23 +81,19 @@ def slots(blocks, width: int) -> np.ndarray:
 
 
 class SlotPlan(NamedTuple):
-    """Where an FHE piece keeps its wires on a scratch register of ``size``
-    ciphertexts.  The operand sets of the input bit columns ``read`` are
-    gathered to slots 0, 1, ...; each of ``levels`` is the flat slots of
-    its NANDs' left and right operands and results, then of its folded
-    NOTs' sources and results; ``outs`` holds the slot of each output bit
-    column in ``wired`` (its wires), per column and operand set."""
+    """Where an FHE piece keeps its wires on a scratch register of
+    ``n_slots * count`` ciphertexts: operand set j of its layout's slot s
+    sits in slot s * count + j.  Each of ``levels`` is the flat slots of its
+    NANDs' left and right operands and results, then of its folded NOTs'
+    sources and results; ``wired`` holds the output bit columns that are
+    wires."""
 
-    read: np.ndarray
     levels: tuple
     wired: np.ndarray
-    outs: np.ndarray
-    size: int
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.read, self.wired, self.outs)) + \
-            sum(a.nbytes for level in self.levels for a in level)
+        return self.wired.nbytes + sum(a.nbytes for level in self.levels for a in level)
 
 
 class Piece(NamedTuple):
@@ -163,43 +154,45 @@ def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
     non-negative input depths (count, inputs), and its deepest gate (0
     without rows).
 
-    Depths follow the NAND rule, level by level over ``net.levels``: a
-    NAND is one deeper than its deeper operand, a folded NOT
+    Depths follow the NAND rule, level by level over the netlist's layout:
+    a NAND is one deeper than its deeper operand, a folded NOT
     (``NAND(src, ONE)``, with ONE at depth 0) keeps its source's depth, and
-    a constant output is 0.  The deepest gate is the deepest NAND.  Depths
-    are a function of the row of input depths, so they are taken once per
-    distinct row, in chunks of rows whose workspace fits ``_PATH_BYTES``
-    (one row at least).
+    a constant output is 0.  The deepest gate is the running maximum of
+    each level's NANDs.  Depths are a function of the row of input depths,
+    so they are taken once per distinct row, in chunks of rows whose
+    workspace fits ``_DEPTH_BYTES`` (one row at least).
     """
     depths = np.ascontiguousarray(depths, dtype=np.int64)
     keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     depths = depths[first]
-    start = net.one + 1  # the first gate row
-    ops = net.ops.astype(np.intp)  # take converts narrower indices on every call
-    # per gate row, 1 for a NAND and 0 for a folded NOT (whose b row is ONE)
-    step = (np.concatenate([level[len(level) // 2:] for _, level in net.levels] + [ops[:0]])
-            != net.one).astype(np.int64)[:, None]
-    out = np.empty((len(depths), len(net.outputs)), np.int64)
-    chunk = max(1, _PATH_BYTES // (8 * net.work_rows))
-    work = np.empty(net.work_rows * min(chunk, len(depths)), np.int64)
+    layout = net.layout
+    # per gate, True for a NAND, False for a folded NOT (whose b slot is ONE's)
+    nand = (np.concatenate([level[len(level) // 2:] for _, level in layout.levels]
+                           + [layout.ops[:0]]) != net.one)[:, None]
+    gates = layout.gates.tolist()
+    out = np.empty((len(depths), len(net.out_const)), np.int64)
+    chunk = max(1, _DEPTH_BYTES // (8 * layout.work_slots))
+    work = np.empty(layout.work_slots * min(chunk, len(depths)), np.int64)
     top = 0
     for lo in range(0, len(depths), chunk):
         rows = depths[lo:lo + chunk]
-        values = work[:net.n_rows * len(rows)].reshape(net.n_rows, len(rows))
-        spare = work[net.n_rows * len(rows):net.work_rows * len(rows)].reshape(-1, len(rows))
+        end = layout.n_slots * len(rows)
+        values = work[:end].reshape(layout.n_slots, len(rows))
+        spare = work[end:layout.work_slots * len(rows)].reshape(-1, len(rows))
         values[:net.n_inputs] = rows.T
         values[net.one] = 0
-        for row, level in net.levels:
-            at, gates = 2 * (row - start), len(level) // 2
-            values.take(ops[at:at + 2 * gates], axis=0, out=spare[:2 * gates], mode="clip")
-            res = values[row:row + gates]
-            np.maximum(spare[:gates], spare[gates:2 * gates], out=res)
-            res += step[row - start:row - start + gates]
-        top = max(top, int(values[start:].max(where=step == 1, initial=0)))
-        out[lo:lo + chunk] = values[net.outputs].T
+        # narrow operand slots: an intp copy would be the walk's largest array
+        for (start, ops), g0 in zip(layout.levels, gates):
+            n = len(ops) // 2
+            values.take(ops, axis=0, out=spare[:2 * n], mode="clip")
+            res = values[start:start + n]
+            np.maximum(spare[:n], spare[n:2 * n], out=res)
+            res += nand[g0:g0 + n]
+            top = res.max(where=nand[g0:g0 + n], initial=top)
+        out[lo:lo + chunk] = values[layout.outputs].T
     out[:, net.out_const >= 0] = 0
-    return out[inverse.ravel()], top
+    return out[inverse.ravel()], int(top)
 
 
 class ClearRules:
@@ -212,7 +205,7 @@ class ClearRules:
         pass
 
     def piece(self, net, width, words, out) -> Piece:
-        return Piece(net, width, _narrow(words["block"].T), _narrow(out["block"].T))
+        return Piece(net, width, narrow(words["block"].T), narrow(out["block"].T))
 
 
 CLEAR = ClearRules()
@@ -233,74 +226,47 @@ class FheRules:
         """The slot plan of a netlist over the operand sets of ``words``,
         and the noise estimates of its outputs, written to ``out``.
 
-        A row's block of ``count`` slots (one per operand set) is reused
-        once the last level that reads the row has run, or right after its
-        own level if nothing reads it; output rows keep theirs.  So a level
-        never writes a slot it reads.  Noise estimates are followed level
-        by level only if some input's is not 0: a NAND of two estimates of
-        0 has an estimate of 0, so nothing swaps.
+        The scratch slots are the netlist's layout, ``count`` wide, so a
+        level never writes a slot it reads.  Noise estimates are followed
+        level by level only if some input's is not 0: a NAND of two
+        estimates of 0 has an estimate of 0, so nothing swaps.
         """
-        count, one, first = len(words), net.one, net.one + 1
-        bounds = net.bounds.astype(np.intp)
-        spans = list(zip(bounds[1:-1].tolist(), bounds[2:].tolist()))  # levels after 0
-        widths = np.diff(bounds)[1:]
-        level = np.repeat(np.arange(len(spans)), widths)  # of each gate row
-        a_at = (bounds[1:-1] - first)[level] + np.arange(len(level))  # see ``Netlist.ops``
-        a, b = net.ops[a_at].astype(np.intp), net.ops[a_at + widths[level]].astype(np.intp)
-        gate = b != one  # a NAND, else a folded NOT of a
-        last = np.full(net.n_rows, -1)  # the last level that reads each row
-        np.maximum.at(last, np.concatenate([a, b[gate]]), np.concatenate([level, level[gate]]))
-        wired = np.flatnonzero(net.out_const < 0)
-        out_rows = net.outputs[wired].astype(np.intp)
-        kept = np.zeros(net.n_rows, bool)
-        kept[out_rows] = True
-        read = np.flatnonzero((last[:net.n_inputs] >= 0) | kept[:net.n_inputs])
+        layout, count = net.layout, len(words)
+        read = layout.read.astype(np.intp)
         if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
             raise UsageError("a constant operand where the netlist reads a wire")
-        # the inputs read take the first blocks; a gate row takes one at its
-        # level and gives it back after the level that reads it last (its own
-        # if none does), unless it is an output
-        block = np.full(net.n_rows, -1)
-        block[read] = np.arange(len(read))
-        placed = np.concatenate([read, np.arange(first, net.n_rows)])
-        placed = placed[~kept[placed]]
-        dies = np.where(last[placed] >= 0, last[placed], level[np.maximum(placed - first, 0)])
-        order = np.argsort(dies, kind="stable")
-        placed, ends = placed[order], np.searchsorted(dies[order], np.arange(len(spans)), "right")
-        blocks = _Blocks(len(read))
-        for k, (lo, hi) in enumerate(spans):
-            block[lo:hi] = blocks.take(hi - lo)
-            blocks.release(block[placed[ends[k - 1] if k else 0:ends[k]]].tolist())
-        sets = np.arange(count)
-        a_slots, b_slots = block[a][:, None] * count + sets, block[b][:, None] * count + sets
-        dst = block[first:][:, None] * count + sets
-        noise = np.zeros((net.n_rows, count), np.int64)
+        a, b, dst = layout.gate_slots()
+        gate = b != net.one  # a NAND, else a folded NOT of a
+        noise = np.zeros((layout.n_slots, count), np.int64)
         noise[read] = words["noise"].reshape(count, net.n_inputs)[:, read].T
-        swap = np.zeros(a_slots.shape, bool)
+        swap = np.zeros((len(a), count), bool)
         if noise.any():  # else every estimate stays 0 and nothing swaps
-            for lo, hi in spans:
-                at = np.arange(lo - first, hi - first)
-                nand, free = at[gate[at]], at[~gate[at]]
-                swap[nand], noise[first + nand] = self.params.nand_noise(noise[a[nand]],
-                                                                         noise[b[nand]])
-                noise[first + free] = noise[a[free]]
-        noise_out = np.zeros((count, len(net.outputs)), np.int64)
-        noise_out[:, wired] = noise[out_rows].T
+            gates = layout.gates.tolist()
+            for lo, hi in zip(gates[:-1], gates[1:]):
+                at = np.arange(lo, hi)
+                nands, nots = at[gate[at]], at[~gate[at]]
+                swap[nands], noise[dst[nands]] = self.params.nand_noise(noise[a[nands]],
+                                                                        noise[b[nands]])
+                noise[dst[nots]] = noise[a[nots]]
+        wired = np.flatnonzero(net.out_const < 0)
+        noise_out = np.zeros((count, len(net.out_const)), np.int64)
+        noise_out[:, wired] = noise[layout.outputs[wired]].T
         out["noise"] = noise_out.reshape(out["noise"].shape)
+        sets = np.arange(count)
+        a_slots, b_slots, dst = (x[:, None] * count + sets for x in (a, b, dst))
         # each level's slots are views of one narrow array per kind
-        left, right, results = (_narrow(x[gate].ravel()) for x in (
+        left, right, results = (narrow(x[gate].ravel()) for x in (
             np.where(swap, b_slots, a_slots), np.where(swap, a_slots, b_slots), dst))
-        sources, not_results = (_narrow(x[~gate].ravel()) for x in (a_slots, dst))
-        nands = np.concatenate([[0], np.cumsum(gate)[bounds[2:] - first - 1] * count])
-        nots = np.concatenate([[0], np.cumsum(~gate)[bounds[2:] - first - 1] * count])
+        sources, not_results = (narrow(x[~gate].ravel()) for x in (a_slots, dst))
+        ends = layout.gates[1:].astype(np.intp) - 1
+        nands = np.concatenate([[0], np.cumsum(gate)[ends] * count])
+        nots = np.concatenate([[0], np.cumsum(~gate)[ends] * count])
         steps = tuple((left[n0:n1], right[n0:n1], results[n0:n1], sources[f0:f1],
                        not_results[f0:f1])
                       for n0, n1, f0, f1 in zip(nands[:-1].tolist(), nands[1:].tolist(),
                                                 nots[:-1].tolist(), nots[1:].tolist()))
-        scratch = SlotPlan(_narrow(read), steps, _narrow(wired),
-                           _narrow((block[out_rows][:, None] * count + sets).ravel()),
-                           blocks.n * count)
-        return Piece(net, width, _narrow(words["block"].T), _narrow(out["block"].T), scratch)
+        return Piece(net, width, narrow(words["block"].T), narrow(out["block"].T),
+                     SlotPlan(steps, narrow(wired)))
 
 
 class Compiler:
@@ -336,7 +302,7 @@ class Compiler:
         """Compile ``net`` over each row of operand words (count, words);
         returns its output words (count, words)."""
         count, width = len(words), self.width
-        out = np.empty((count, len(net.outputs) // width), self.dtype)
+        out = np.empty((count, len(net.out_const) // width), self.dtype)
         out["block"] = np.reshape(self.blocks.take(out.size), out.shape)
         out["c"] = net.out_const.reshape(-1, width)
         depths, top = out_depths(net, words["d"].reshape(count, net.n_inputs))
@@ -369,7 +335,7 @@ class Compiler:
             net = word_op(op, fmt, pattern[rows[0]], c)
             by_count.setdefault(len(rows), []).append((rows, net))
         # every netlist of one op has as many output words as the last group's
-        out = np.empty((len(operands), len(net.outputs) // self.width), self.dtype)
+        out = np.empty((len(operands), len(net.out_const) // self.width), self.dtype)
         for count, groups in by_count.items():
             for piece in _pieces(groups, self.fits):
                 rows = np.stack([r for r, _ in piece])  # (parts, count)
@@ -391,8 +357,8 @@ class Compiler:
         for name in meta.dtype.names:
             meta[name] = bits[name].reshape(-1)
         meta.flags.writeable = False
-        return Plan(self.width, self.blocks.n * self.width, _narrow(self.inputs["block"]),
-                    _narrow(bits["block"]), meta, tuple(self.stages))
+        return Plan(self.width, self.blocks.n * self.width, narrow(self.inputs["block"]),
+                    narrow(bits["block"]), meta, tuple(self.stages))
 
 
 def _pieces(groups, fits):

@@ -10,7 +10,7 @@ from circuit_util import (
     signal_from_bits,
     signal_of,
 )
-from fhefft import fft, fileio, netlist
+from fhefft import engine, fft, fileio, netlist
 from fhefft.arith import FixedFormat, constant_word, encode_int, input_word, read_word
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, butterfly_error, fft_error_bound
@@ -583,13 +583,46 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
             assert set(ops) == {"mul_const", "butterfly_sums"}, stage.size
 
     def level_steps(plans):
-        return sum(len(p.net.levels) for plan in plans for s in plan.stages for p in s.pieces)
+        return sum(len(p.net.layout.levels)
+                   for plan in plans for s in plan.stages for p in s.pieces)
 
     assert level_steps(table1) <= 6489 and level_steps([image]) <= 1860
     wires = np.full(2 * F32.total_bits, -1, dtype=np.int8)
     sums = netlist.word_op("butterfly_sums", F32, np.tile(wires, 3))
     chained = [netlist.word_op(op, F32, wires) for op in ("sub", "add")]
-    assert len(sums.levels) < sum(len(net.levels) for net in chained)
+    assert len(sums.layout.levels) < sum(len(net.layout.levels) for net in chained)
+
+
+def test_layouts_cut_the_chunked_level_steps(monkeypatch):
+    """On their layouts the Table 1 plans (M = 8..128 at 32.16, 100 lanes)
+    run at most 7,339 level steps, counted once per chunk of operand sets
+    (10,754 on every row), and the 16x16 plan (10 lanes) at most 1,860
+    (2,276); the largest M = 128 unions (67,310 and 70,429 rows of
+    workspace) need at most 28,207 slots, so two operand sets share a
+    chunk."""
+    steps = []
+    evaluate = engine._evaluate
+
+    def counted(net, *args):
+        steps.append(len(net.layout.levels))
+        return evaluate(net, *args)
+
+    monkeypatch.setattr(engine, "_evaluate", counted)
+    monkeypatch.setattr(fft, "PLANS", {})
+    for m in (8, 16, 32, 64, 128):
+        eng = CleartextEngine(batch_size=100)
+        fft_1d(input_signal(eng, np.full((100, m), 0.5), F32))
+    assert sum(steps) <= 7339
+    pieces = [p for s in fft.PLANS[max(fft.PLANS, key=lambda k: k[4])].stages for p in s.pieces]
+    largest = sorted(pieces, key=lambda p: p.net.work_rows)[-2:]
+    assert [p.net.work_rows for p in largest] == [67310, 70429]
+    for piece in largest:
+        assert piece.net.layout.work_slots <= 28207
+        assert 2 * piece.net.layout.work_slots * eng.wire_bytes <= eng.CHUNK_BYTES
+    steps.clear()
+    eng = CleartextEngine(batch_size=10)
+    fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
+    assert sum(steps) <= 1860
 
 
 def test_fhe_plan_past_the_depth_budget_raises_before_any_nand(default_scheme, default_keys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fhefft import arith, gates, netlist, plan
 from fhefft.arith import FixedFormat, FixedWord
@@ -20,9 +22,9 @@ def _operands(eng, pattern, rng):
             for p in pattern]
 
 
-def _gate_by_gate(op, handles, c):
-    width = F8.total_bits
-    words = [FixedWord(tuple(handles[at:at + width]), F8) for at in range(0, len(handles), width)]
+def _gate_by_gate(op, handles, c, fmt=F8):
+    width = fmt.total_bits
+    words = [FixedWord(tuple(handles[at:at + width]), fmt) for at in range(0, len(handles), width)]
     if op == "mul_const":
         return arith.mul_const(*words, c).bits
     if op == "butterfly_sums":  # as the chained sub and add calls
@@ -107,13 +109,16 @@ def test_netlists_are_recorded_once():
 
 
 def test_row_indices_hold_the_row_count():
-    """Level bounds end at the row count, so 2**16 rows need uint32."""
+    """Level bounds end at the row count, so 2**16 rows need uint32.  Every
+    gate is an output, so its layout gives each row a slot of its own."""
     for n_rows in (2**16 - 1, 2**16):
         rec = netlist._Recorder(2)
         x, y = netlist._Wire(rec, 0, None), netlist._Wire(rec, 1, None)
         net = rec.compile([rec.nand(x, y) for _ in range(n_rows - 3)])
         assert int(net.bounds[-1]) == net.n_rows == n_rows
         assert net.ops.dtype == (np.uint16 if n_rows < 2**16 else np.uint32)
+        assert net.layout.n_slots == n_rows
+        assert sorted(net.layout.outputs.tolist()) == list(range(3, n_rows))
 
 
 def test_word_op_rejects_bad_requests():
@@ -159,7 +164,7 @@ def test_union_equals_its_parts_run_alone():
     merged = union(parts)
     assert union(parts) is merged and merged.members == tuple(parts)
     assert netlist.CACHE[("union", F8, tuple(parts))] is merged  # the format at index 1
-    assert len(merged.bounds) == max(len(part.bounds) for part in parts)
+    assert len(merged.layout.levels) == max(len(part.layout.levels) for part in parts)
     together, alone = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
     wires = np.stack([together.wires([h for pattern in patterns
                                       for h in _operands(together, pattern, rng)])
@@ -211,7 +216,7 @@ def test_union_depths_from_distinct_rows_equal_gate_by_gate():
     assert together.stats == alone.stats
     assert together.nand_count == len(rows) * merged.nand_count
     empty = together.run(merged, wires[:0])
-    assert empty.shape == (0, len(merged.outputs)) and together.stats == alone.stats
+    assert empty.shape == (0, len(merged.out_const)) and together.stats == alone.stats
 
 
 @pytest.mark.parametrize("base", [0, 2**15, 2**31, 2**62 - 2**10])
@@ -287,3 +292,130 @@ def test_fhe_union_equals_its_parts_at_noisy_preset(default_scheme, default_keys
                 noise.add(got_h.ct.noise_est)
     assert together.stats == alone.stats and together.stats.max_depth == 3
     assert len(noise) > 2
+
+
+@st.composite
+def _laid_out(draw):
+    """One to four recorded netlists at a format of 4 to 8 bits, each on a
+    random pattern of constant bits: (format, [(op, c, pattern)], and the
+    netlist that evaluates them, their union when there are several)."""
+    total = draw(st.integers(4, 8))
+    fmt = FixedFormat(total, draw(st.integers(1, total - 1)))
+    half = 1 << (total - 1)
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(sorted(netlist.OPS)))
+        c = draw(st.integers(-half, half - 1)) / fmt.scale if op == "mul_const" else None
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n_in = total * netlist.OPS[op]
+        constants = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        specs.append((op, c, np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in),
+                                      -1).astype(np.int8)))
+    return fmt, specs, union(word_op(op, fmt, pattern, c) for op, c, pattern in specs)
+
+
+def _check_slots(net):
+    """Replay ``net``'s layout on expression numbers, against its parts' rows:
+    each level computes its rows' expressions, writes no slot it reads and
+    overwrites no value a later level reads; the output slots hold the
+    outputs at the end."""
+    numbers = {}
+
+    def number(expr):
+        return numbers.setdefault(expr, len(numbers))
+
+    want_levels, want_out, last_read, at = {}, [], {}, 0
+    for part in net.members:  # the rows, numbered as the union's inputs and ONE
+        rows = [number(("in", at + r)) for r in range(part.n_inputs)] + [number("one")]
+        bounds = part.bounds.tolist()
+        for k, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
+            ops = part.ops[2 * (lo - part.one - 1):2 * (hi - part.one - 1)]
+            for a, b in zip(ops[:hi - lo].tolist(), ops[hi - lo:].tolist()):
+                rows.append(number(("nand", rows[a], rows[b])))
+                want_levels.setdefault(k, []).append(rows[-1])
+                for operand in (rows[a], rows[b]):
+                    last_read[operand] = max(last_read.get(operand, 0), k)
+        want_out += [rows[r] if c < 0 else None
+                     for r, c in zip(part.outputs.tolist(), part.out_const.tolist())]
+        at += part.n_inputs
+    for expr in want_out + [number("one")]:
+        last_read[expr] = len(net.layout.levels) + 1  # kept to the end
+    held = [number(("in", i)) for i in range(net.n_inputs)] + [number("one")]
+    held += [None] * (net.layout.n_slots - len(held))
+    for k, (start, ops) in enumerate(net.layout.levels, 1):
+        n = len(ops) // 2
+        reads, writes = set(ops.tolist()), set(range(start, start + n))
+        assert not reads & writes, k
+        got = [number(("nand", held[a], held[b]))
+               for a, b in zip(ops[:n].tolist(), ops[n:].tolist())]
+        assert sorted(got) == sorted(want_levels[k]), k
+        for s in writes:
+            lost = held[s]
+            assert lost is None or lost in held[:s] + held[s + 1:] or \
+                last_read.get(lost, 0) < k, (k, s)
+        held[start:start + n] = got
+    assert [held[s] if c < 0 else None for s, c in
+            zip(net.layout.outputs.tolist(), net.out_const.tolist())] == want_out
+    assert len(net.layout.levels) == len(want_levels)
+
+
+def _gate_by_gate_parts(fmt, specs, handles):
+    """Outputs of the netlists of ``specs`` run gate by gate on one operand
+    set of ``handles`` (their inputs, part after part)."""
+    out, at = [], 0
+    for op, c, pattern in specs:
+        out += _gate_by_gate(op, handles[at:at + len(pattern)], c, fmt)
+        at += len(pattern)
+    return out
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_laid_out(), st.integers(0, 2**32 - 1))
+def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
+    """A netlist's layout holds every value until its last reader and every
+    output to the end, and cleartext evaluation and ``out_depths`` on it
+    give the lane bits, depths, constants, NAND count and deepest NAND of
+    gate-by-gate ``nand``."""
+    fmt, specs, net = case
+    _check_slots(net)
+    assert net.layout.n_slots <= net.n_inputs + 1 + sum(len(p.ops) // 2 for p in net.members)
+    rng = np.random.default_rng(seed)
+    every = np.concatenate([pattern for _, _, pattern in specs])
+    batched, serial = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
+    sets = [_operands(batched, every, rng) for _ in range(3)]
+    sets.append(sets[0])  # a repeated row of input depths
+    out = batched.run(net, np.stack([batched.wires(hs) for hs in sets]))
+    for row, hs in zip(out, sets):
+        want = _gate_by_gate_parts(fmt, specs, [ClearBit(serial, h.value, h.depth, h.const)
+                                                for h in hs])
+        assert [(h.value, h.depth, h.const) for h in batched.handles(row)] == \
+            [(h.value, h.depth, h.const) for h in want]
+    assert batched.stats == serial.stats
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_laid_out(), seed=st.integers(0, 2**32 - 1))
+def test_fhe_layouts_evaluate_gate_by_gate(exact_scheme, exact_keys, case, seed):
+    """On the exact preset a netlist's slot plan gives the ciphertext words,
+    levels, noise estimates and counts of gate-by-gate ``nand``, from inputs
+    of mixed levels and noise estimates."""
+    fmt, specs, net = case
+    rng = np.random.default_rng(seed)
+    every = np.concatenate([pattern for _, _, pattern in specs])
+    fresh = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(seed))
+    cts = [[Ciphertext(fresh.export_ct(fresh.input_bit(int(bit))).words,
+                       int(rng.integers(0, 6)), int(rng.integers(0, 40)))
+            for bit in rng.integers(0, 2, len(every))] for _ in range(2)]
+    results = []
+    for batched in (True, False):
+        eng = FheEngine(exact_scheme)
+        rows = [[eng.constant(int(p)) if p >= 0 else eng.import_ct(ct)
+                 for p, ct in zip(every, row)] for row in cts]
+        if batched:
+            outs = eng.handles(eng.run(net, np.stack([eng.wires(hs) for hs in rows])).ravel())
+        else:
+            outs = [h for hs in rows for h in _gate_by_gate_parts(fmt, specs, hs)]
+        results.append(([(h.const,) if h.ct is None else
+                         (h.ct.level, h.ct.noise_est, h.ct.words.tobytes()) for h in outs],
+                        eng.stats))
+    assert results[0] == results[1]
