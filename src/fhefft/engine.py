@@ -23,10 +23,11 @@ on the slots of its netlist's layout (``netlist.Layout``), which are
 reused once their rows are dead.  The cleartext engine holds the slots
 as numpy bit-planes, in chunks of operand sets whose workspace fits
 ``CHUNK_BYTES``, and writes each level's results to its run of slots.
-The FHE engine holds them on a scratch register, one slot per operand
-set, as the piece's slot plan lays out: each level's NANDs for every
-operand set are one batched ``GswScheme.nand_words`` product per
-``CHUNK_BYTES`` of decomposed bits, its folded NOTs one ``not_words``
+The FHE engine holds them on a scratch of (slot, operand set, words),
+walking the netlist's FHE levels (``netlist.Netlist.fhe_levels``): each
+level's NANDs, for every operand set, are batched ``GswScheme.nand_words``
+products of at most ``CHUNK_BYTES`` of decomposed bits, with the operands
+the piece's swap masks mark exchanged, its folded NOTs one ``not_words``
 call, and an FHE plan deeper than the depth budget is refused before any
 of them.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
 over many operand sets through a one-piece plan.  The ciphertexts,
@@ -277,9 +278,10 @@ class FheEngine(_Engine):
     """
 
     batch_size = 1
-    # bound on the largest array of one stacked kernel call (decomposed bits
-    # of a NAND or a decryption, masks of an encryption, container bits), and
-    # on the words of one operand set of the netlists a plan merges into one piece
+    # bound on the largest array of one stacked kernel call (decomposed bits of
+    # max(1, CHUNK_BYTES // nand_bytes) NANDs or of a decryption, masks of an
+    # encryption, container bits), and on the words of one operand set of the
+    # netlists a plan merges into one piece
     CHUNK_BYTES = 1 << 20
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
@@ -405,24 +407,38 @@ class FheEngine(_Engine):
                                           wires["c"].tolist())]
 
     def evaluate(self, piece, register: np.ndarray):
-        """Gather, evaluate and scatter one plan piece: its operands go to a
-        scratch register laid out by its slot plan, each level's NANDs are
-        one ``nand_words`` call per ``CHUNK_BYTES`` of decomposed bits and
-        its folded NOTs one ``not_words`` call, and the wired outputs go
-        back."""
-        scheme, layout, plan = self.scheme, piece.net.layout, piece.scratch
-        scratch = np.empty((layout.n_slots * piece.count, *register.shape[1:]), np.int64)
-        by_slot = scratch.reshape(layout.n_slots, piece.count, *register.shape[1:])
-        by_slot[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
-        step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)
-        for left, right, dst, src, not_dst in plan.levels:
-            for lo in range(0, len(left), step):
-                scratch[dst[lo:lo + step]] = scheme.nand_words(scratch[left[lo:lo + step]],
-                                                               scratch[right[lo:lo + step]])
+        """Gather, evaluate and scatter one plan piece on a scratch of
+        (layout slot, operand set, words): each level's NANDs are
+        ``nand_words`` calls of at most ``CHUNK_BYTES`` of decomposed bits,
+        on runs of whole gates over every operand set, or over runs of sets
+        when one gate's sets alone exceed the bound, and its folded NOTs one
+        ``not_words`` call."""
+        scheme, net, count = self.scheme, piece.net, piece.count
+        layout, words = net.layout, register.shape[1:]
+        flat, pairs = (-1, *words), (2, -1, *words)  # the stacked words the kernels take
+        scratch = np.empty((layout.n_slots, count, *words), np.int64)
+        scratch[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
+        step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)  # NANDs per call
+        sets = min(step, max(count, 1))  # every set, unless one gate's exceed ``step``
+        per = step // sets  # whole gates per call
+        # runs of operand sets as views, so that their gathers stay plain
+        parts = [(s0, scratch[:, s0:s0 + sets]) for s0 in range(0, count, sets)]
+        for k, (ab, dst, src, not_dst) in enumerate(net.fhe_levels):
+            for s0, part in parts:
+                for lo in range(0, len(dst), per):
+                    at = slice(lo, lo + per)
+                    pair = part[ab[:, at]]  # (2, gates, sets, words)
+                    both = pair.reshape(pairs)  # indexed, not unpacked: an array iterates slowly
+                    left, right = both[0], both[1]
+                    if piece.swaps:
+                        swap = piece.swaps[k][at, s0:s0 + sets].reshape(-1, 1, 1)
+                        left, right = np.where(swap, right, left), np.where(swap, left, right)
+                    part[dst[at]] = scheme.nand_words(left, right).reshape(pair.shape[1:])
             if len(src):
-                scratch[not_dst] = scheme.not_words(scratch[src])
-        register[slots(piece.outs, piece.width)[plan.wired]] = \
-            by_slot[layout.outputs[plan.wired]]
+                scratch[not_dst] = scheme.not_words(
+                    scratch[src].reshape(flat)).reshape(len(src), count, *words)
+        wired = net.out_const < 0
+        register[slots(piece.outs, piece.width)[wired]] = scratch[layout.outputs[wired]]
 
 
 def _check_owner(engine, handles):

@@ -39,8 +39,10 @@ its results to one run of consecutive slots.  A recorded netlist keeps
 its rows, which ``union`` merges, and lays them out on first use; a union
 is laid out as it is merged and keeps only its layout.  Both engines
 evaluate on the layout, and the plan compiler walks it for depths, which
-are also FHE levels (``plan.out_depths``), and for the FHE engine's
-scratch slots (``plan.FheRules``).
+are also FHE levels (``plan.out_depths``).  A netlist that runs under FHE
+also holds its layout's levels split by gate kind (``fhe_levels``): the
+slots of each level's NANDs and of its folded NOTs, which the FHE engine
+and the noise walk (``plan.FheRules``) read for every operand set at once.
 """
 
 from __future__ import annotations
@@ -108,17 +110,6 @@ class Layout:
         return tuple((start, self.ops[2 * lo:2 * hi])
                      for start, lo, hi in zip(self.starts.tolist(), gates[:-1], gates[1:]))
 
-    def gate_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``a`` slot, ``b`` slot and result slot of each gate, level
-        after level (intp arrays)."""
-        gates = self.gates.astype(np.intp)
-        widths = np.diff(gates)
-        level = np.repeat(np.arange(len(widths)), widths)
-        seat = np.arange(len(level)) - gates[level]
-        a_at = 2 * gates[level] + seat
-        ops = self.ops.astype(np.intp)
-        return ops[a_at], ops[a_at + widths[level]], self.starts.astype(np.intp)[level] + seat
-
 
 @dataclass(frozen=True, eq=False)
 class Netlist:
@@ -158,12 +149,33 @@ class Netlist:
         return _layout(self.n_inputs, self.ops.copy(), self.bounds, self.outputs.copy(),
                        self.out_const)
 
+    @cached_property
+    def fhe_levels(self) -> tuple:
+        """Each layout level's NANDs' ``a`` and ``b`` slots (2, NANDs) and
+        result slots, then its folded NOTs' (``b`` slot ONE's) source and
+        result slots, as views of one narrow array per kind, built on first
+        use (for the FHE engine and its noise walk)."""
+        layout = self.layout
+        gates = layout.gates.astype(np.intp)
+        level = np.repeat(np.arange(len(gates) - 1), np.diff(gates))
+        at = np.arange(len(level))  # each gate, level after level
+        a, b = layout.ops[gates[level] + at], layout.ops[gates[level + 1] + at]
+        dst = layout.starts.astype(np.intp)[level] - gates[level] + at
+        nand = b != self.one
+        cuts = np.cumsum(nand)[gates[1:-1] - 1]  # NANDs before each level but the first
+        levels = zip(np.split(narrow(np.stack([a[nand], b[nand]])), cuts, axis=1),
+                     np.split(narrow(dst[nand]), cuts),
+                     *(np.split(narrow(x[~nand]), gates[1:-1] - cuts) for x in (a, dst)))
+        return tuple(levels)[:len(gates) - 1]  # none without gates
+
     @property
     def nbytes(self) -> int:
-        """Bytes of its own arrays, its layout's included once built."""
-        layout = self.__dict__.get("layout")
-        return (layout.nbytes if layout else 0) + sum(arr.nbytes for arr in (
-            self.ops, self.bounds, self.outputs, self.out_const) if arr is not None)
+        """Bytes of its own arrays, its layout's and FHE levels' included
+        once built."""
+        layout, levels = self.__dict__.get("layout"), self.__dict__.get("fhe_levels", ())
+        return (layout.nbytes if layout else 0) + \
+            sum(arr.nbytes for level in levels for arr in level) + sum(arr.nbytes for arr in (
+                self.ops, self.bounds, self.outputs, self.out_const) if arr is not None)
 
 
 def _netlist(n_inputs, ops, bounds, outputs, out_const, **fields) -> Netlist:
@@ -328,7 +340,9 @@ class _Recorder:
 # ``fft._transform``: engine kind, format, dims and input pattern.  For
 # M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.53 MB (4 of them laid
 # out, 0.03 MB of it), 12 unions, 0.91 MB, and 5 plans, 0.11 MB; ten
-# 16x16 images add a plan of 0.12 MB.
+# 16x16 images add a plan of 0.12 MB.  An encrypted M = 8 transform at
+# 16.8 adds 10 netlists, 0.06 MB with their FHE levels (0.03 MB), and a
+# plan of 4,848 bytes: an FHE plan holds no slot per gate and operand set.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
 

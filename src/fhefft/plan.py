@@ -22,10 +22,11 @@ the netlists and rules that depend only on the engine kind:
   operand, a folded NOT is free), once per distinct row of input depths,
   and the deepest NAND bounds the engine's ``max_depth``;
 * under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
-  ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), and each
-  piece's slot plan: the piece's scratch register is the netlist's
-  layout with one slot per operand set, and each NAND's noisier operand
-  is gathered on the left.
+  ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), walked on
+  the netlist's FHE levels (``netlist.Netlist.fhe_levels``), and each
+  level's swap masks, set where a NAND takes its noisier operand on the
+  left: the engine runs a piece on its netlist's layout, so a plan holds
+  no slot per gate and operand set.
 
 It also groups word operations (``word_ops``): operand sets that share a
 netlist (same operation, multiplier and pattern of constant bits) form a
@@ -80,32 +81,16 @@ def slots(blocks, width: int) -> np.ndarray:
     return (blocks[:, None] * width + bit).reshape(len(blocks) * width, *blocks.shape[1:])
 
 
-class SlotPlan(NamedTuple):
-    """Where an FHE piece keeps its wires on a scratch register of
-    ``n_slots * count`` ciphertexts: operand set j of its layout's slot s
-    sits in slot s * count + j.  Each of ``levels`` is the flat slots of its
-    NANDs' left and right operands and results, then of its folded NOTs'
-    sources and results; ``wired`` holds the output bit columns that are
-    wires."""
-
-    levels: tuple
-    wired: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.wired.nbytes + sum(a.nbytes for level in self.levels for a in level)
-
-
 class Piece(NamedTuple):
     """One netlist over ``count`` operand sets: the blocks of its input and
-    output words, each of shape (words, count), and under FHE its slot
-    plan."""
+    output words, each of shape (words, count), and under FHE its NANDs'
+    swap masks (``FheRules.swaps``)."""
 
     net: object
     width: int
     ins: np.ndarray
     outs: np.ndarray
-    scratch: SlotPlan | None = None
+    swaps: tuple | None = None
 
     @property
     def count(self) -> int:
@@ -113,7 +98,7 @@ class Piece(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        return self.ins.nbytes + self.outs.nbytes + (self.scratch.nbytes if self.scratch else 0)
+        return self.ins.nbytes + self.outs.nbytes + sum(s.nbytes for s in self.swaps or ())
 
 
 class Stage(NamedTuple):
@@ -204,8 +189,8 @@ class ClearRules:
     def check(self, depth: int):
         pass
 
-    def piece(self, net, width, words, out) -> Piece:
-        return Piece(net, width, narrow(words["block"].T), narrow(out["block"].T))
+    def swaps(self, net, words, out):
+        return None
 
 
 CLEAR = ClearRules()
@@ -222,51 +207,31 @@ class FheRules:
         self.key, self.params = ("fhe", params), params
         self.check = params.check_nand_level
 
-    def piece(self, net, width, words, out) -> Piece:
-        """The slot plan of a netlist over the operand sets of ``words``,
-        and the noise estimates of its outputs, written to ``out``.
-
-        The scratch slots are the netlist's layout, ``count`` wide, so a
-        level never writes a slot it reads.  Noise estimates are followed
-        level by level only if some input's is not 0: a NAND of two
-        estimates of 0 has an estimate of 0, so nothing swaps.
-        """
+    def swaps(self, net, words, out) -> tuple | None:
+        """Each level's swap masks (NANDs, count) of a netlist over the
+        operand sets of ``words``, set where a NAND takes its ``b`` operand
+        on the left, and the noise estimates of its outputs, written to
+        ``out``.  Noise is followed on ``net.fhe_levels`` only if some
+        input's estimate is not 0; else nothing swaps, and this is None."""
         layout, count = net.layout, len(words)
         read = layout.read.astype(np.intp)
         if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
             raise UsageError("a constant operand where the netlist reads a wire")
-        a, b, dst = layout.gate_slots()
-        gate = b != net.one  # a NAND, else a folded NOT of a
         noise = np.zeros((layout.n_slots, count), np.int64)
         noise[read] = words["noise"].reshape(count, net.n_inputs)[:, read].T
-        swap = np.zeros((len(a), count), bool)
-        if noise.any():  # else every estimate stays 0 and nothing swaps
-            gates = layout.gates.tolist()
-            for lo, hi in zip(gates[:-1], gates[1:]):
-                at = np.arange(lo, hi)
-                nands, nots = at[gate[at]], at[~gate[at]]
-                swap[nands], noise[dst[nands]] = self.params.nand_noise(noise[a[nands]],
-                                                                        noise[b[nands]])
-                noise[dst[nots]] = noise[a[nots]]
-        wired = np.flatnonzero(net.out_const < 0)
+        if not noise.any():  # every estimate stays 0 and nothing swaps
+            out["noise"] = 0
+            return None
+        swaps = []
+        for ab, dst, src, not_dst in net.fhe_levels:
+            swap, noise[dst] = self.params.nand_noise(*noise[ab])
+            swaps.append(swap)
+            noise[not_dst] = noise[src]
+        wired = net.out_const < 0
         noise_out = np.zeros((count, len(net.out_const)), np.int64)
         noise_out[:, wired] = noise[layout.outputs[wired]].T
         out["noise"] = noise_out.reshape(out["noise"].shape)
-        sets = np.arange(count)
-        a_slots, b_slots, dst = (x[:, None] * count + sets for x in (a, b, dst))
-        # each level's slots are views of one narrow array per kind
-        left, right, results = (narrow(x[gate].ravel()) for x in (
-            np.where(swap, b_slots, a_slots), np.where(swap, a_slots, b_slots), dst))
-        sources, not_results = (narrow(x[~gate].ravel()) for x in (a_slots, dst))
-        ends = layout.gates[1:].astype(np.intp) - 1
-        nands = np.concatenate([[0], np.cumsum(gate)[ends] * count])
-        nots = np.concatenate([[0], np.cumsum(~gate)[ends] * count])
-        steps = tuple((left[n0:n1], right[n0:n1], results[n0:n1], sources[f0:f1],
-                       not_results[f0:f1])
-                      for n0, n1, f0, f1 in zip(nands[:-1].tolist(), nands[1:].tolist(),
-                                                nots[:-1].tolist(), nots[1:].tolist()))
-        return Piece(net, width, narrow(words["block"].T), narrow(out["block"].T),
-                     SlotPlan(steps, narrow(wired)))
+        return tuple(swaps)
 
 
 class Compiler:
@@ -307,7 +272,9 @@ class Compiler:
         out["c"] = net.out_const.reshape(-1, width)
         depths, top = out_depths(net, words["d"].reshape(count, net.n_inputs))
         out["d"] = depths.reshape(out["d"].shape)
-        self.pieces.append(self.rules.piece(net, width, words, out))
+        swaps = self.rules.swaps(net, words, out)
+        self.pieces.append(Piece(net, width, narrow(words["block"].T), narrow(out["block"].T),
+                                 swaps))
         self.nand_count += net.nand_count * count
         self.max_depth = max(self.max_depth, top)
         return out

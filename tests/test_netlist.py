@@ -121,6 +121,29 @@ def test_row_indices_hold_the_row_count():
         assert sorted(net.layout.outputs.tolist()) == list(range(3, n_rows))
 
 
+def test_fhe_levels_split_the_layout_by_gate_kind(monkeypatch):
+    """A netlist's FHE level arrays, built on first use and counted by its
+    ``nbytes`` from then on, hold each layout level's gates once, in narrow
+    arrays: its NANDs' ``a``, ``b`` and result slots, then its folded NOTs'
+    (whose ``b`` slot is ONE's) source and result slots."""
+    monkeypatch.setattr(netlist, "CACHE", {})
+    net = word_op("sub", F8, np.full(16, -1, dtype=np.int8))
+    assert net.layout  # built first, so that ``nbytes`` counts it before and after
+    before = net.nbytes
+    levels = net.fhe_levels
+    assert net.nbytes == before + sum(arr.nbytes for level in levels for arr in level) > before
+    assert len(levels) == len(net.layout.levels)
+    for (start, ops), (ab, dst, src, not_dst) in zip(net.layout.levels, levels):
+        n = len(ops) // 2
+        assert sorted([*zip(*ab.tolist(), dst.tolist()),
+                       *zip(src.tolist(), [net.one] * len(src), not_dst.tolist())]) == \
+            sorted(zip(ops[:n].tolist(), ops[n:].tolist(), range(start, start + n)))
+        assert net.one not in ab[1].tolist()
+        assert {arr.dtype for arr in (ab, dst, src, not_dst)} == {np.dtype(np.uint16)}
+    assert sum(len(dst) for _, dst, *_ in levels) == net.nand_count
+    assert any(len(src) for *_, src, _ in levels)
+
+
 def test_word_op_rejects_bad_requests():
     with pytest.raises(UsageError):
         word_op("mul", F8, np.full(16, -1, dtype=np.int8))
@@ -396,7 +419,7 @@ def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_laid_out(), seed=st.integers(0, 2**32 - 1))
 def test_fhe_layouts_evaluate_gate_by_gate(exact_scheme, exact_keys, case, seed):
-    """On the exact preset a netlist's slot plan gives the ciphertext words,
+    """On the exact preset a netlist's FHE levels give the ciphertext words,
     levels, noise estimates and counts of gate-by-gate ``nand``, from inputs
     of mixed levels and noise estimates."""
     fmt, specs, net = case

@@ -111,6 +111,57 @@ def test_fft_of_fhe_output_matches_gate_by_gate(compiles, exact_scheme, exact_ke
     assert np.array_equal(words, want[2])
 
 
+def test_encrypted_plans_hold_no_slot_per_gate_and_set(compiles, exact_scheme, exact_keys):
+    """The plan of an encrypted M = 8 transform at 16.8 on the exact preset
+    holds at most 8 KiB (4,848 bytes measured): its pieces hold their
+    blocks, and no swap masks, since every noise estimate there is 0."""
+    eng = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(3))
+    fft_1d(input_signal(eng, np.linspace(-1, 1, 8) + 0.5j, F16))
+    (plan,) = fft.PLANS.values()
+    assert all(p.swaps is None for stage in plan.stages for p in stage.pieces)
+    assert 0 < plan.nbytes <= 8 * 2**10
+
+
+@pytest.mark.parametrize("nands_per_call", [1, 3])
+def test_fhe_batches_keep_the_chunk_bound_with_swaps(nands_per_call, compiles, exact_scheme,
+                                                     exact_keys, monkeypatch):
+    """With noise estimates that swap some NANDs' operands, and a chunk
+    bound of one or three NANDs' decomposed bits, so that some levels split
+    one gate's operand sets across calls, a transform makes the words,
+    levels, noise estimates and counts of gate-by-gate ``nand``, and no
+    ``nand_words`` call takes more operand pairs than the bound."""
+    first = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(6))
+    cts = [first.export_ct(h) for h in fft_1d(input_signal(first, VALUES, F16)).bits()]
+    noise = np.random.default_rng(7).integers(0, 40, len(cts))
+    cts = [Ciphertext(ct.words, ct.level, int(n)) for ct, n in zip(cts, noise)]
+    pairs = []
+
+    class Counting(type(exact_scheme)):
+        def nand_words(self, left, right):
+            pairs.append(len(left))
+            return super().nand_words(left, right)
+
+    scheme = Counting(exact_scheme.params)
+    monkeypatch.setattr(FheEngine, "CHUNK_BYTES", nands_per_call * scheme.nand_bytes)
+    results = []
+    for batched in (True, False):
+        eng = FheEngine(scheme, keys=exact_keys)
+        signal = signal_from_bits([eng.import_ct(ct) for ct in cts], F16, 4)
+        pts = fft_1d(signal).points if batched else \
+            gate_by_gate_fft(list(signal.points), TwiddleTable(4, F16))
+        out = [eng.export_ct(h) for pt in pts for w in (pt.re, pt.im) for h in w.bits]
+        results.append(([ct.level for ct in out], [ct.noise_est for ct in out],
+                         np.array([ct.words for ct in out]).tobytes(), eng.stats))
+        if batched:
+            batches, pairs[:] = list(pairs), []
+    assert results[0] == results[1]
+    assert max(batches) == nands_per_call and sum(batches) == results[0][3].nand_count
+    plan = list(fft.PLANS.values())[-1]  # the first is the transform that made ``cts``
+    pieces = [p for stage in plan.stages for p in stage.pieces]
+    assert any(p.swaps and any(s.any() for s in p.swaps) for p in pieces)
+    assert max(p.count for p in pieces) > nands_per_call
+
+
 def test_replayed_wires_clear_the_bits_past_the_batch():
     """A replay leaves no lane bit past ``batch_size`` set, constant-1
     wires included, so its output equals the same wires rebuilt from
