@@ -23,11 +23,11 @@ import numpy as np
 from . import fileio
 from .arith import FixedFormat
 from .engine import FheEngine, GateStats
-from .error_model import ErrorParams, GateCostModel, fft2d_error_bound, fft_error_bound, nand_cost, space_cost
+from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost, space_cost
 from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
 from .fft import fft_1d, fft_2d, input_signal, read_signal
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
-from .harness import error_stats, format_report_table, reference_fft, reference_fft2d, run_1d_experiment, run_2d_experiment
+from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
 _PRESETS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS}
 
@@ -109,22 +109,12 @@ def cmd_verify(args) -> int:
     frac = meta.frac_bits if meta.frac_bits is not None else args.frac
     if frac < 1:
         raise UsageError(f"--frac must be positive, got {frac}")
-    delta = 2.0 ** -frac
     dims = meta.dims if meta.dims is not None else plain_dims
     points = dims[0] * dims[1] if isinstance(dims, tuple) else dims
     if not len(plain) == len(spectrum) == points:
         raise UsageError(f"{len(plain)} plain points, {len(spectrum)} spectrum "
                          f"points and dims {dims} do not agree")
-    if isinstance(dims, tuple):
-        rows, cols = dims
-        oracle = reference_fft2d(plain.reshape(rows, cols)).ravel()
-        x_bound = args.xb if args.xb is not None else float(np.abs(plain).max())
-        bound = fft2d_error_bound(rows, cols, delta, x_bound)
-    else:
-        oracle = np.array(reference_fft(plain))
-        x_bound = args.xb if args.xb is not None else float(
-            max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
-        bound = fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
+    oracle, _, bound = reference(plain, dims, frac, args.xb)
     if not (np.isfinite(oracle).all() and math.isfinite(bound)):
         raise UsageError(f"{args.plain_file}: the reference transform or its error bound "
                          f"overflows double precision; the plain signal is too large "

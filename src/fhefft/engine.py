@@ -18,18 +18,18 @@ plan piece on it (one gather of its operand bits, one evaluation, one
 scatter of its results), and ``unload`` makes a wire array of slots with
 the plan's constants and depths (or levels and noise estimates), which
 ``wire_meta`` reads from wire arrays; one ``load``, ``unload`` and
-``wire_meta`` serve both engines.  Both evaluate a piece level by level
-on the slots of its netlist's layout (``netlist.Layout``), which are
-reused once their rows are dead.  The cleartext engine holds the slots
-as numpy bit-planes, in chunks of operand sets whose workspace fits
-``CHUNK_BYTES``, and writes each level's results to its run of slots.
-The FHE engine holds them on a scratch of (slot, operand set, words),
-walking the netlist's FHE levels (``netlist.Netlist.fhe_levels``): each
-level's NANDs, for every operand set, are batched ``GswScheme.nand_words``
-products of at most ``CHUNK_BYTES`` of decomposed bits, with the operands
-the piece's swap masks mark exchanged, its folded NOTs one ``not_words``
-call, and an FHE plan deeper than the depth budget is refused before any
-of them.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
+``wire_meta`` serve both engines.  Both walk a piece's netlist layout
+(``netlist.Layout.levels``) level by level, on slots reused once their
+rows are dead, writing each level's folded NOTs and then its NANDs to
+its run of slots.  The cleartext engine holds the slots as numpy
+bit-planes, in chunks of operand sets whose workspace fits
+``CHUNK_BYTES``, and takes a NOT as the NAND with ONE it is stored as.
+The FHE engine holds them on a scratch of (slot, operand set, words): a
+level's folded NOTs are one ``not_words`` call and its NANDs, for every
+operand set, batched ``GswScheme.nand_words`` products of at most
+``CHUNK_BYTES`` of decomposed bits, with the operands the piece's swap
+masks mark exchanged; an FHE plan past the depth budget is refused as
+it compiles.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
 over many operand sets through a one-piece plan.  The ciphertexts,
 operation counts, levels and noise estimates are those of the
 gate-by-gate circuit.
@@ -408,11 +408,10 @@ class FheEngine(_Engine):
 
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece on a scratch of
-        (layout slot, operand set, words): each level's NANDs are
-        ``nand_words`` calls of at most ``CHUNK_BYTES`` of decomposed bits,
-        on runs of whole gates over every operand set, or over runs of sets
-        when one gate's sets alone exceed the bound, and its folded NOTs one
-        ``not_words`` call."""
+        (layout slot, operand set, words): per level, one ``not_words`` call
+        for its folded NOTs, then ``nand_words`` calls of at most
+        ``CHUNK_BYTES`` of decomposed bits on runs of its whole NANDs over
+        every operand set (or of sets, when one gate's exceed the bound)."""
         scheme, net, count = self.scheme, piece.net, piece.count
         layout, words = net.layout, register.shape[1:]
         flat, pairs = (-1, *words), (2, -1, *words)  # the stacked words the kernels take
@@ -423,9 +422,14 @@ class FheEngine(_Engine):
         per = step // sets  # whole gates per call
         # runs of operand sets as views, so that their gathers stay plain
         parts = [(s0, scratch[:, s0:s0 + sets]) for s0 in range(0, count, sets)]
-        for k, (ab, dst, src, not_dst) in enumerate(net.fhe_levels):
+        for k, (start, ops, nots) in enumerate(layout.levels):
+            if nots:
+                scratch[start:start + nots] = scheme.not_words(
+                    scratch[ops[:nots]].reshape(flat)).reshape(nots, count, *words)
+            ab = ops.reshape(2, -1)[:, nots:]  # the NANDs' a and b slots
             for s0, part in parts:
-                for lo in range(0, len(dst), per):
+                nands = part[start + nots:start + len(ops) // 2]  # their results
+                for lo in range(0, ab.shape[1], per):
                     at = slice(lo, lo + per)
                     pair = part[ab[:, at]]  # (2, gates, sets, words)
                     both = pair.reshape(pairs)  # indexed, not unpacked: an array iterates slowly
@@ -433,10 +437,7 @@ class FheEngine(_Engine):
                     if piece.swaps:
                         swap = piece.swaps[k][at, s0:s0 + sets].reshape(-1, 1, 1)
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
-                    part[dst[at]] = scheme.nand_words(left, right).reshape(pair.shape[1:])
-            if len(src):
-                scratch[not_dst] = scheme.not_words(
-                    scratch[src].reshape(flat)).reshape(len(src), count, *words)
+                    nands[at] = scheme.nand_words(left, right).reshape(pair.shape[1:])
         wired = net.out_const < 0
         register[slots(piece.outs, piece.width)[wired]] = scratch[layout.outputs[wired]]
 
@@ -463,7 +464,7 @@ def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -
     spare = work[end:layout.work_slots * cols].reshape(-1, cols)
     register.take(gather, axis=0, out=values[:n_in].reshape(n_in, count, width), mode="clip")
     values[net.one] = 0xFF
-    for lo, ops in layout.levels:
+    for lo, ops, _ in layout.levels:
         gates = len(ops) // 2
         pair = spare[:2 * gates]
         # mode="clip" skips numpy's copy of ``out`` (indices are in range)

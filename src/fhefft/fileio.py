@@ -30,6 +30,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -158,23 +159,23 @@ class _ContainerHeader:
     noise: tuple[int, ...]
 
 
-def _read_container(path) -> tuple[_ContainerHeader, bytes]:
-    """Validated header and payload of an encrypted-signal container."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
+def _read_header(fh, path) -> _ContainerHeader:
+    """Validated preamble and header of an encrypted-signal container, read
+    from the start of the open file ``fh``, which is left at the payload."""
+    preamble = fh.read(12)
+    if preamble[:4] != MAGIC:
         raise ParseError("not an encrypted-signal container (bad magic)",
                          path=path, offset=0)
-    if len(blob) < 12:
-        raise ParseError("container ends inside its preamble", path=path, offset=len(blob))
-    version, head_len = struct.unpack("<II", blob[4:12])
+    if len(preamble) < 12:
+        raise ParseError("container ends inside its preamble", path=path, offset=len(preamble))
+    version, head_len = struct.unpack("<II", preamble[4:12])
     if version != CONTAINER_VERSION:
         raise ParseError(f"unsupported container version {version}", path=path, offset=4)
-    if len(blob) < 12 + head_len:
+    if (size := os.fstat(fh.fileno()).st_size) < 12 + head_len:
         raise ParseError(f"container ends inside its {head_len}-byte header",
-                         path=path, offset=len(blob))
+                         path=path, offset=size)
     try:
-        header = json.loads(blob[12:12 + head_len])
+        header = json.loads(fh.read(head_len))
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad container header: {exc}", path=path, offset=12) from exc
     try:
@@ -210,17 +211,26 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
     if not all(0 <= v < _LEVEL_LIMIT for v in levels):
         raise ParseError("levels must lie in [0, 2^62)", path=path)
-    payload = blob[12 + head_len:]
-    expected = count * math.ceil(ct_side * ct_side / 8)
+    return _ContainerHeader(params, fmt, dims, points, levels, noise)
+
+
+def _read_container(path) -> tuple[_ContainerHeader, bytes]:
+    """Validated header and payload of an encrypted-signal container."""
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        payload = fh.read()
+    expected = len(header.levels) * math.ceil(header.params.n_ct ** 2 / 8)
     if len(payload) != expected:
         raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}",
                          path=path)
-    return _ContainerHeader(params, fmt, dims, points, levels, noise), payload
+    return header, payload
 
 
 def read_ciphertext_params(path) -> SchemeParams:
-    """Scheme parameters recorded in a container, without loading matrices."""
-    return _read_container(path)[0].params
+    """Scheme parameters recorded in a container, from its checked header
+    alone: the payload is not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path).params
 
 
 def read_ciphertext_signal(path, engine) -> SignalBuffer:

@@ -29,7 +29,7 @@ from .arith import FixedFormat
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
 from .errors import UsageError
-from .fft import TwiddleTable, fft_1d, fft_2d, input_signal, read_signal
+from .fft import fft_1d, fft_2d, input_signal, read_signal
 from .fhe import EXACT_PARAMS, GswScheme
 
 DEFAULT_FORMAT = FixedFormat(32, 16)
@@ -107,6 +107,25 @@ def reference_fft2d(image) -> np.ndarray:
     return reference_fft(rows.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
+def reference(plain, dims, frac_bits: int, x_bound: float | None = None) -> tuple:
+    """(oracle spectra, signal bound, error bound) of signals ``plain``
+    (..., points) of ``dims`` (2D row major) transformed at ``frac_bits``.
+    Unless ``x_bound`` is given, a 1D signal is bounded by its largest |Re|
+    or |Im|, a 2D one by its largest modulus: the 2D bound hands
+    ``cols * x_bound`` to its column pass, sound for complex input only
+    with the modulus."""
+    plain = np.asarray(plain, dtype=complex)
+    delta = 2.0 ** -frac_bits
+    if isinstance(dims, tuple):
+        rows, cols = dims
+        x_bound = float(np.abs(plain).max()) if x_bound is None else x_bound
+        oracle = reference_fft2d(plain.reshape(*plain.shape[:-1], rows, cols))
+        return oracle.reshape(plain.shape), x_bound, fft2d_error_bound(rows, cols, delta, x_bound)
+    if x_bound is None:
+        x_bound = float(max(np.abs(plain.real).max(), np.abs(plain.imag).max()))
+    return reference_fft(plain), x_bound, fft_error_bound(ErrorParams(delta, x_bound, int(dims)))
+
+
 # -- experiments --------------------------------------------------------------
 
 def error_stats(spectra: np.ndarray, oracle: np.ndarray) -> dict:
@@ -150,9 +169,8 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
-    x_bound = float(max(np.abs(signals.real).max(), np.abs(signals.imag).max()))
+    oracle, x_bound, bound = reference(signals, m_points, fmt.frac_bits)
     _warn_on_headroom(fmt, m_points, x_bound)
-    oracle = reference_fft(signals)
 
     start = time.perf_counter()
     if backend == "clear":
@@ -166,12 +184,11 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
                 f"is infeasible at desk scale (limit {MAX_FHE_POINTS})")
         scheme = GswScheme(EXACT_PARAMS)
         keys = scheme.keygen(seed=seed)
-        table = TwiddleTable(m_points, fmt)
         rows = []
         nand_count = 0
         for sig in signals:
             engine = FheEngine(scheme, keys=keys, rng=rng)
-            out = fft_1d(input_signal(engine, sig, fmt), table)
+            out = fft_1d(input_signal(engine, sig, fmt))
             rows.append(read_signal(engine, out)[0])
             nand_count = engine.nand_count
         spectra = np.array(rows)
@@ -179,7 +196,6 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
         raise UsageError(f"unknown backend {backend!r}")
     elapsed = time.perf_counter() - start
 
-    bound = fft_error_bound(ErrorParams(2.0**-fmt.frac_bits, x_bound, m_points))
     return ErrorReport(size=m_points, trials=trials, error_bound=bound,
                        nand_count=nand_count, wall_time=elapsed,
                        backend=backend, **error_stats(spectra, oracle))
@@ -206,18 +222,15 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
             raise UsageError(f"images of shapes {sorted({img.shape for img in stack})}, "
                              f"expected all {rows}x{cols}")
         stack = np.array(stack)
-    x_bound = float(np.abs(stack).max())
+    flat = stack.reshape(len(stack), rows * cols).astype(complex)
+    oracle, x_bound, bound = reference(flat, (rows, cols), fmt.frac_bits)
     _warn_on_headroom(fmt, rows * cols, x_bound)
-    oracle = reference_fft2d(stack)
 
     start = time.perf_counter()
     engine = CleartextEngine(batch_size=len(stack))
-    flat = stack.reshape(len(stack), rows * cols).astype(complex)
-    spec = read_signal(engine, fft_2d(input_signal(engine, flat, fmt, dims=shape)))
+    spectra = read_signal(engine, fft_2d(input_signal(engine, flat, fmt, dims=shape)))
     elapsed = time.perf_counter() - start
 
-    spectra = spec.reshape(len(stack), rows, cols)
-    bound = fft2d_error_bound(rows, cols, 2.0**-fmt.frac_bits, x_bound)
     return ErrorReport(size=(rows, cols), trials=len(stack), error_bound=bound,
                        nand_count=engine.nand_count, wall_time=elapsed,
                        backend="clear", **error_stats(spectra, oracle))

@@ -35,14 +35,13 @@ Nothing walks the rows themselves: a netlist is evaluated on its
 ``Layout``, which gives each row a slot of a workspace and reuses a slot
 once its row is dead (``_layout``), so a workspace holds the rows live
 at once, not every row.  Each level reads its operands' slots and writes
-its results to one run of consecutive slots.  A recorded netlist keeps
-its rows, which ``union`` merges, and lays them out on first use; a union
-is laid out as it is merged and keeps only its layout.  Both engines
-evaluate on the layout, and the plan compiler walks it for depths, which
-are also FHE levels (``plan.out_depths``).  A netlist that runs under FHE
-also holds its layout's levels split by gate kind (``fhe_levels``): the
-slots of each level's NANDs and of its folded NOTs, which the FHE engine
-and the noise walk (``plan.FheRules``) read for every operand set at once.
+its results to one run of consecutive slots, its folded NOTs first, so
+a level's NOTs and NANDs are slices of its operand slots and of its run.
+A recorded netlist keeps its rows, which ``union`` merges, and lays them
+out on first use; a union is laid out as it is merged and keeps only its
+layout.  Both engines evaluate on ``Layout.levels``, and the plan
+compiler walks them for depths, which are also FHE levels
+(``plan.out_depths``), and for noise (``plan.FheRules``).
 """
 
 from __future__ import annotations
@@ -80,12 +79,14 @@ class Layout:
     ``gates[k] .. gates[k+1]-1``: it reads the slots
     ``ops[2 * gates[k]:2 * gates[k+1]]``, its gates' ``a`` slots and then
     their ``b`` slots, and writes the consecutive slots from ``starts[k]``.
-    Arrays are read-only.
+    Its first ``nots[k]`` gates are its folded NOTs (whose ``b`` slot is
+    ONE's), the rest its NANDs.  Arrays are read-only.
     """
 
     ops: np.ndarray
     gates: np.ndarray
     starts: np.ndarray
+    nots: np.ndarray  # folded NOTs per level
     outputs: np.ndarray  # slot of each output bit (0 where the output is constant)
     read: np.ndarray  # the inputs whose values are read or output
     n_slots: int
@@ -99,16 +100,18 @@ class Layout:
 
     @property
     def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in (self.ops, self.gates, self.starts, self.outputs,
-                                          self.read))
+        return sum(arr.nbytes for arr in (self.ops, self.gates, self.starts, self.nots,
+                                          self.outputs, self.read))
 
     @cached_property
     def levels(self) -> tuple:
-        """(first result slot, operand slots) of each level after level 0,
-        made once (an engine walks them on every evaluation)."""
+        """(first result slot, operand slots, folded NOTs) of each level
+        after level 0, made once (every walker reads them on every
+        evaluation): a level's NOTs are the slices ``[:nots]`` of its ``a``
+        slots and of its run, its NANDs the rest."""
         gates = self.gates.tolist()
-        return tuple((start, self.ops[2 * lo:2 * hi])
-                     for start, lo, hi in zip(self.starts.tolist(), gates[:-1], gates[1:]))
+        return tuple((start, self.ops[2 * lo:2 * hi], nots) for start, lo, hi, nots in
+                     zip(self.starts.tolist(), gates[:-1], gates[1:], self.nots.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,33 +152,12 @@ class Netlist:
         return _layout(self.n_inputs, self.ops.copy(), self.bounds, self.outputs.copy(),
                        self.out_const)
 
-    @cached_property
-    def fhe_levels(self) -> tuple:
-        """Each layout level's NANDs' ``a`` and ``b`` slots (2, NANDs) and
-        result slots, then its folded NOTs' (``b`` slot ONE's) source and
-        result slots, as views of one narrow array per kind, built on first
-        use (for the FHE engine and its noise walk)."""
-        layout = self.layout
-        gates = layout.gates.astype(np.intp)
-        level = np.repeat(np.arange(len(gates) - 1), np.diff(gates))
-        at = np.arange(len(level))  # each gate, level after level
-        a, b = layout.ops[gates[level] + at], layout.ops[gates[level + 1] + at]
-        dst = layout.starts.astype(np.intp)[level] - gates[level] + at
-        nand = b != self.one
-        cuts = np.cumsum(nand)[gates[1:-1] - 1]  # NANDs before each level but the first
-        levels = zip(np.split(narrow(np.stack([a[nand], b[nand]])), cuts, axis=1),
-                     np.split(narrow(dst[nand]), cuts),
-                     *(np.split(narrow(x[~nand]), gates[1:-1] - cuts) for x in (a, dst)))
-        return tuple(levels)[:len(gates) - 1]  # none without gates
-
     @property
     def nbytes(self) -> int:
-        """Bytes of its own arrays, its layout's and FHE levels' included
-        once built."""
-        layout, levels = self.__dict__.get("layout"), self.__dict__.get("fhe_levels", ())
-        return (layout.nbytes if layout else 0) + \
-            sum(arr.nbytes for level in levels for arr in level) + sum(arr.nbytes for arr in (
-                self.ops, self.bounds, self.outputs, self.out_const) if arr is not None)
+        """Bytes of its own arrays, its layout's included once built."""
+        layout = self.__dict__.get("layout")
+        return (layout.nbytes if layout else 0) + sum(arr.nbytes for arr in (
+            self.ops, self.bounds, self.outputs, self.out_const) if arr is not None)
 
 
 def _netlist(n_inputs, ops, bounds, outputs, out_const, **fields) -> Netlist:
@@ -206,9 +188,10 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     and the wired outputs never die.  A dead row's slot is free from the
     next level on, so no level writes a slot it reads.  Each level's
     results take one run of consecutive free slots, the first long enough
-    (first fit, past the last slot in use if none is), ordered by the
-    level at which they die: the first to die sit at the end of the run
-    whose neighbour dies sooner, so that freed slots join free neighbours.
+    (first fit, past the last slot in use if none is): its folded NOTs
+    (``b`` row ONE) first, then its NANDs, each kind ordered by the level
+    at which they die: the first to die sit at the end of the run whose
+    neighbour dies sooner, so that freed slots join free neighbours.
     """
     first = n_in + 1  # the first gate row
     bounds = bounds.tolist()
@@ -222,7 +205,8 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     dies[outputs[out_const < 0]] = never
     # allocated before the level loop, whose scratch arrays then come and go
     # above them on the heap instead of leaving holes under them
-    starts, read = np.empty(len(spans), ops.dtype), narrow(np.flatnonzero(dies[:n_in] > 0))
+    starts, nots = np.empty(len(spans), ops.dtype), np.empty(len(spans), ops.dtype)
+    read = narrow(np.flatnonzero(dies[:n_in] > 0))
     slot = np.arange(len(dies), dtype=ops.dtype)  # the inputs' and ONE's; gates' are set below
     held = np.full(len(dies), -1, dies.dtype)  # per slot, the level its row dies at; -1 if free
     held[:first] = np.where(dies[:first] > 0, dies[:first], -1)  # inputs nothing reads are free
@@ -234,6 +218,9 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
         if (held[start - 1] if start else never) < \
                 (held[start + width] if start + width < top else never):
             order = order[::-1]  # the first to die next to the left neighbour
+        nand = ops[lo + width:hi][order] != n_in
+        order = order[np.argsort(nand, kind="stable")]  # the folded NOTs first
+        nots[k - 1] = width - np.count_nonzero(nand)
         slot[bounds[k] + order] = np.arange(start, start + width)
         held[start:start + width] = dies[bounds[k] + order]
         top = max(top, start + width)
@@ -246,7 +233,7 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     outputs[wired] = slot[outputs[wired]]
     outputs[~wired] = 0
     return Layout(narrow(ops), narrow(np.array(bounds[1:]) - first), narrow(starts),
-                  narrow(outputs), read, top,
+                  narrow(nots), narrow(outputs), read, top,
                   max((hi - lo) // 2 for lo, hi in spans) if spans else 0)
 
 
@@ -341,8 +328,8 @@ class _Recorder:
 # M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.53 MB (4 of them laid
 # out, 0.03 MB of it), 12 unions, 0.91 MB, and 5 plans, 0.11 MB; ten
 # 16x16 images add a plan of 0.12 MB.  An encrypted M = 8 transform at
-# 16.8 adds 10 netlists, 0.06 MB with their FHE levels (0.03 MB), and a
-# plan of 4,848 bytes: an FHE plan holds no slot per gate and operand set.
+# 16.8 adds 10 netlists, 0.04 MB with their layouts, and a plan of 4,848
+# bytes: an FHE plan holds no slot per gate and operand set.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
 

@@ -17,16 +17,17 @@ the netlists and rules that depend only on the engine kind:
 
 * its public constant, from the netlists' ``out_const``;
 * its depth, which is also its FHE level: ``out_depths`` walks the
-  netlist's layout (``netlist.Layout``) level by level, by the rule both
-  engines apply gate by gate (a NAND is one deeper than its deeper
-  operand, a folded NOT is free), once per distinct row of input depths,
-  and the deepest NAND bounds the engine's ``max_depth``;
+  levels the engines walk (``netlist.Layout.levels``, each listing its
+  folded NOTs before its NANDs) by the rule both engines apply gate by
+  gate (a NAND is one deeper than its deeper operand, a folded NOT is
+  free), once per distinct row of input depths, and the deepest NAND
+  bounds the engine's ``max_depth``; an FHE piece past the depth budget
+  is refused as it compiles, so no such plan is kept;
 * under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
   ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), walked on
-  the netlist's FHE levels (``netlist.Netlist.fhe_levels``), and each
-  level's swap masks, set where a NAND takes its noisier operand on the
-  left: the engine runs a piece on its netlist's layout, so a plan holds
-  no slot per gate and operand set.
+  the same levels, and each level's swap masks, set where a NAND takes
+  its noisier operand on the left: the engine runs a piece on its
+  netlist's layout, so a plan holds no slot per gate and operand set.
 
 It also groups word operations (``word_ops``): operand sets that share a
 netlist (same operation, multiplier and pattern of constant bits) form a
@@ -36,10 +37,8 @@ into pieces whose recorded rows (``work_rows`` wires) fit the engine's
 a cut on slots would put more NANDs in each level of a piece, and so in
 each of the FHE engine's batches.  So a plan holds, per stage, its
 pieces, NAND count and deepest gate, and every output wire's constant,
-depth and noise; an FHE plan deeper than the depth budget raises before
-a gate runs.  ``replay``
-runs a plan on an engine; ``fft`` keys and memoizes its plans in
-``netlist.PLANS``.
+depth and noise.  ``replay`` runs a plan on an engine; ``fft`` keys and
+memoizes its plans in ``netlist.PLANS``.
 """
 
 from __future__ import annotations
@@ -124,10 +123,6 @@ class Plan(NamedTuple):
     stages: tuple
 
     @property
-    def max_depth(self) -> int:
-        return max((s.max_depth for s in self.stages), default=0)
-
-    @property
     def nbytes(self) -> int:
         """Bytes of its own arrays (the netlists are ``netlist.CACHE``'s)."""
         return self.inputs.nbytes + self.outputs.nbytes + self.meta.nbytes + \
@@ -141,21 +136,18 @@ def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
 
     Depths follow the NAND rule, level by level over the netlist's layout:
     a NAND is one deeper than its deeper operand, a folded NOT
-    (``NAND(src, ONE)``, with ONE at depth 0) keeps its source's depth, and
-    a constant output is 0.  The deepest gate is the running maximum of
-    each level's NANDs.  Depths are a function of the row of input depths,
-    so they are taken once per distinct row, in chunks of rows whose
-    workspace fits ``_DEPTH_BYTES`` (one row at least).
+    (``NAND(src, ONE)``, with ONE at depth 0, one of its level's first
+    ``nots`` gates) keeps its source's depth, and a constant output is 0.
+    The deepest gate is the running maximum of each level's NANDs.  Depths
+    are a function of the row of input depths, so they are taken once per
+    distinct row, in chunks of rows whose workspace fits ``_DEPTH_BYTES``
+    (one row at least).
     """
     depths = np.ascontiguousarray(depths, dtype=np.int64)
     keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     depths = depths[first]
     layout = net.layout
-    # per gate, True for a NAND, False for a folded NOT (whose b slot is ONE's)
-    nand = (np.concatenate([level[len(level) // 2:] for _, level in layout.levels]
-                           + [layout.ops[:0]]) != net.one)[:, None]
-    gates = layout.gates.tolist()
     out = np.empty((len(depths), len(net.out_const)), np.int64)
     chunk = max(1, _DEPTH_BYTES // (8 * layout.work_slots))
     work = np.empty(layout.work_slots * min(chunk, len(depths)), np.int64)
@@ -168,13 +160,13 @@ def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
         values[:net.n_inputs] = rows.T
         values[net.one] = 0
         # narrow operand slots: an intp copy would be the walk's largest array
-        for (start, ops), g0 in zip(layout.levels, gates):
+        for start, ops, nots in layout.levels:
             n = len(ops) // 2
             values.take(ops, axis=0, out=spare[:2 * n], mode="clip")
-            res = values[start:start + n]
-            np.maximum(spare[:n], spare[n:2 * n], out=res)
-            res += nand[g0:g0 + n]
-            top = res.max(where=nand[g0:g0 + n], initial=top)
+            np.maximum(spare[:n], spare[n:2 * n], out=values[start:start + n])
+            nands = values[start + nots:start + n]
+            nands += 1
+            top = nands.max(initial=top)
         out[lo:lo + chunk] = values[layout.outputs].T
     out[:, net.out_const >= 0] = 0
     return out[inverse.ravel()], int(top)
@@ -211,8 +203,9 @@ class FheRules:
         """Each level's swap masks (NANDs, count) of a netlist over the
         operand sets of ``words``, set where a NAND takes its ``b`` operand
         on the left, and the noise estimates of its outputs, written to
-        ``out``.  Noise is followed on ``net.fhe_levels`` only if some
-        input's estimate is not 0; else nothing swaps, and this is None."""
+        ``out``.  Noise is followed on ``Layout.levels``, a folded NOT
+        keeping its source's estimate, only if some input's estimate is not
+        0; this is None if no mask has a bit set."""
         layout, count = net.layout, len(words)
         read = layout.read.astype(np.intp)
         if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
@@ -223,15 +216,17 @@ class FheRules:
             out["noise"] = 0
             return None
         swaps = []
-        for ab, dst, src, not_dst in net.fhe_levels:
-            swap, noise[dst] = self.params.nand_noise(*noise[ab])
+        for start, ops, nots in layout.levels:
+            n = len(ops) // 2
+            noise[start:start + nots] = noise[ops[:nots]]
+            swap, noise[start + nots:start + n] = self.params.nand_noise(noise[ops[nots:n]],
+                                                                         noise[ops[n + nots:]])
             swaps.append(swap)
-            noise[not_dst] = noise[src]
         wired = net.out_const < 0
         noise_out = np.zeros((count, len(net.out_const)), np.int64)
         noise_out[:, wired] = noise[layout.outputs[wired]].T
         out["noise"] = noise_out.reshape(out["noise"].shape)
-        return tuple(swaps)
+        return tuple(swaps) if any(swap.any() for swap in swaps) else None
 
 
 class Compiler:
@@ -242,7 +237,8 @@ class Compiler:
 
     ``inputs`` is the input signal as compiled words: records of a
     ``block`` and each bit's constant, depth (and noise).  ``word_ops`` and
-    ``piece`` compile evaluations and return their output words;
+    ``piece`` compile evaluations and return their output words (refusing,
+    by ``rules.check``, a piece deeper than an FHE depth budget);
     ``release`` hands back the blocks of words nothing reads any more;
     ``stage`` closes a stage and ``finish`` the plan.
     """
@@ -271,6 +267,7 @@ class Compiler:
         out["block"] = np.reshape(self.blocks.take(out.size), out.shape)
         out["c"] = net.out_const.reshape(-1, width)
         depths, top = out_depths(net, words["d"].reshape(count, net.n_inputs))
+        self.rules.check(top)
         out["d"] = depths.reshape(out["d"].shape)
         swaps = self.rules.swaps(net, words, out)
         self.pieces.append(Piece(net, width, narrow(words["block"].T), narrow(out["block"].T),
@@ -345,11 +342,9 @@ def replay(engine, plan: Plan, wires: np.ndarray, on_stage=None) -> np.ndarray:
     """Run a plan on an engine from a wire array of its inputs; returns the
     flat wire array of its outputs.
 
-    The depth is checked first (an FHE budget), then each stage's pieces
-    run and its NANDs and depth are added to the engine's, before
-    ``on_stage(stage)`` is called.
+    Each stage's pieces run and its NANDs and depth are added to the
+    engine's, before ``on_stage(stage)`` is called.
     """
-    engine.rules.check(plan.max_depth)
     register = engine.load(wires.reshape(-1), slots(plan.inputs, plan.width), plan.n_slots)
     for stage in plan.stages:
         for piece in stage.pieces:

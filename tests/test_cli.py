@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from fhefft import fileio
+from fhefft import fileio, netlist
 from fhefft.arith import FixedFormat
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine
@@ -309,14 +309,17 @@ def test_container_levels_past_the_budget_exit_3(tmp_path, keys_file):
 
 def test_fft_past_the_depth_budget_exits_3(tmp_path):
     """On the default preset a transform far deeper than the depth budget
-    is refused by the server with exit 3."""
+    is refused by the server with exit 3, while its plan compiles: no plan
+    of it is kept."""
     keys, plain, ct = tmp_path / "keys.json", tmp_path / "p.txt", tmp_path / "a.eft"
     assert run_cli("keygen", "--preset", "default", "--seed", 1, "--out", keys) == 0
     fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j])
     assert run_cli("encrypt", plain, "--keys", keys, "--bits", 16, "--frac", 8,
                    "--seed", 5, "--out", ct) == 0
+    plans = set(netlist.PLANS)
     assert run_cli("fft", ct, "--out", tmp_path / "b.eft") == 3
     assert not (tmp_path / "b.eft").exists()
+    assert set(netlist.PLANS) == plans
 
 
 _HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)

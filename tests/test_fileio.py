@@ -78,11 +78,14 @@ def test_ciphertext_container_bad_magic(tmp_path, exact_scheme, exact_keys):
 
 
 def test_ciphertext_truncated_payload(tmp_path, exact_scheme, exact_keys, rng):
+    """A payload cut short fails the signal reader; the parameter reader
+    reads the header alone, so it still returns the file's parameters."""
     engine = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     sig = input_signal(engine, [0.5, 0.5], F16)
     path = tmp_path / "sig.eft"
     fileio.write_ciphertext_signal(path, sig)
     path.write_bytes(path.read_bytes()[:-10])
+    assert fileio.read_ciphertext_params(path) == EXACT_PARAMS
     with pytest.raises(ParseError):
         fileio.read_ciphertext_signal(path, FheEngine(exact_scheme, keys=exact_keys))
 

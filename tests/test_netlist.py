@@ -3,10 +3,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fhefft import arith, gates, netlist, plan
+from fhefft import arith, fft, gates, netlist, plan
 from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import ClearBit, CleartextEngine, FheEngine
 from fhefft.errors import UsageError
+from fhefft.fft import fft_1d, input_signal
 from fhefft.fhe import Ciphertext
 from fhefft.netlist import union, word_op
 
@@ -121,27 +122,39 @@ def test_row_indices_hold_the_row_count():
         assert sorted(net.layout.outputs.tolist()) == list(range(3, n_rows))
 
 
-def test_fhe_levels_split_the_layout_by_gate_kind(monkeypatch):
-    """A netlist's FHE level arrays, built on first use and counted by its
-    ``nbytes`` from then on, hold each layout level's gates once, in narrow
-    arrays: its NANDs' ``a``, ``b`` and result slots, then its folded NOTs'
-    (whose ``b`` slot is ONE's) source and result slots."""
+def test_layout_levels_list_their_folded_nots_first(exact_scheme, exact_keys, monkeypatch):
+    """Each layout level's first ``nots`` gates, and no later one, read
+    ONE's slot as ``b``: its folded NOTs come before its NANDs, in recorded
+    netlists and in their union.  An FHE transform walks those levels as
+    they are, so replaying its plan leaves the ``nbytes`` of the netlists
+    its compile laid out unchanged."""
     monkeypatch.setattr(netlist, "CACHE", {})
-    net = word_op("sub", F8, np.full(16, -1, dtype=np.int8))
-    assert net.layout  # built first, so that ``nbytes`` counts it before and after
-    before = net.nbytes
-    levels = net.fhe_levels
-    assert net.nbytes == before + sum(arr.nbytes for level in levels for arr in level) > before
-    assert len(levels) == len(net.layout.levels)
-    for (start, ops), (ab, dst, src, not_dst) in zip(net.layout.levels, levels):
-        n = len(ops) // 2
-        assert sorted([*zip(*ab.tolist(), dst.tolist()),
-                       *zip(src.tolist(), [net.one] * len(src), not_dst.tolist())]) == \
-            sorted(zip(ops[:n].tolist(), ops[n:].tolist(), range(start, start + n)))
-        assert net.one not in ab[1].tolist()
-        assert {arr.dtype for arr in (ab, dst, src, not_dst)} == {np.dtype(np.uint16)}
-    assert sum(len(dst) for _, dst, *_ in levels) == net.nand_count
-    assert any(len(src) for *_, src, _ in levels)
+    rng = np.random.default_rng(5)
+    nets = [word_op(op, F8, pattern, c) for op, c in [("sub", None), ("mul_const", -0.9375),
+                                                      ("butterfly_sums", None)]
+            for pattern in _patterns(op, rng)]
+    nets.append(union(nets))
+    for net in nets:
+        for _, ops, nots in net.layout.levels:
+            n = len(ops) // 2
+            assert (ops[n:n + nots] == net.one).all() and (ops[n + nots:] != net.one).all()
+        assert sum(len(ops) // 2 - nots for _, ops, nots in net.layout.levels) == net.nand_count
+    assert all(any(nots for *_, nots in net.layout.levels) for net in nets[-2:])
+    sizes, replay = [], fft.replay
+
+    def measured(engine, plan, *args):
+        held = list({id(p.net): p.net for s in plan.stages for p in s.pieces}.values())
+        before = [net.nbytes for net in held]
+        out = replay(engine, plan, *args)
+        sizes.append((before, [net.nbytes for net in held]))
+        return out
+
+    monkeypatch.setattr(fft, "replay", measured)
+    monkeypatch.setattr(fft, "PLANS", {})
+    eng = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(2))
+    fft_1d(input_signal(eng, [0.5, -0.25 + 0.5j, 0.75j, -1], FixedFormat(16, 8)))
+    ((before, after),) = sizes
+    assert before == after and all(before)
 
 
 def test_word_op_rejects_bad_requests():
@@ -365,7 +378,7 @@ def _check_slots(net):
         last_read[expr] = len(net.layout.levels) + 1  # kept to the end
     held = [number(("in", i)) for i in range(net.n_inputs)] + [number("one")]
     held += [None] * (net.layout.n_slots - len(held))
-    for k, (start, ops) in enumerate(net.layout.levels, 1):
+    for k, (start, ops, _) in enumerate(net.layout.levels, 1):
         n = len(ops) // 2
         reads, writes = set(ops.tolist()), set(range(start, start + n))
         assert not reads & writes, k

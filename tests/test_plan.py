@@ -159,6 +159,7 @@ def test_fhe_batches_keep_the_chunk_bound_with_swaps(nands_per_call, compiles, e
     plan = list(fft.PLANS.values())[-1]  # the first is the transform that made ``cts``
     pieces = [p for stage in plan.stages for p in stage.pieces]
     assert any(p.swaps and any(s.any() for s in p.swaps) for p in pieces)
+    assert all(p.swaps is None or any(s.any() for s in p.swaps) for p in pieces)
     assert max(p.count for p in pieces) > nands_per_call
 
 
