@@ -28,7 +28,8 @@ The FHE engine holds them on a scratch of (slot, operand set, words): a
 level's folded NOTs are one ``not_words`` call and its NANDs, for every
 operand set, batched ``GswScheme.nand_words`` products of at most
 ``CHUNK_BYTES`` of decomposed bits, with the operands the piece's swap
-masks mark exchanged; an FHE plan past the depth budget is refused as
+masks mark exchanged; both kernels take the (gates, sets, N, n+1) words
+as gathered, with no reshape.  An FHE plan past the depth budget is refused as
 it compiles.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
 over many operand sets through a one-piece plan.  The ciphertexts,
 operation counts, levels and noise estimates are those of the
@@ -411,11 +412,11 @@ class FheEngine(_Engine):
         (layout slot, operand set, words): per level, one ``not_words`` call
         for its folded NOTs, then ``nand_words`` calls of at most
         ``CHUNK_BYTES`` of decomposed bits on runs of its whole NANDs over
-        every operand set (or of sets, when one gate's exceed the bound)."""
+        every operand set (or of sets, when one gate's exceed the bound),
+        each on its operands' words as gathered, (gates, sets, N, n+1)."""
         scheme, net, count = self.scheme, piece.net, piece.count
-        layout, words = net.layout, register.shape[1:]
-        flat, pairs = (-1, *words), (2, -1, *words)  # the stacked words the kernels take
-        scratch = np.empty((layout.n_slots, count, *words), np.int64)
+        layout = net.layout
+        scratch = np.empty((layout.n_slots, count, *register.shape[1:]), np.int64)
         scratch[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
         step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)  # NANDs per call
         sets = min(step, max(count, 1))  # every set, unless one gate's exceed ``step``
@@ -424,20 +425,18 @@ class FheEngine(_Engine):
         parts = [(s0, scratch[:, s0:s0 + sets]) for s0 in range(0, count, sets)]
         for k, (start, ops, nots) in enumerate(layout.levels):
             if nots:
-                scratch[start:start + nots] = scheme.not_words(
-                    scratch[ops[:nots]].reshape(flat)).reshape(nots, count, *words)
+                scratch[start:start + nots] = scheme.not_words(scratch[ops[:nots]])
             ab = ops.reshape(2, -1)[:, nots:]  # the NANDs' a and b slots
             for s0, part in parts:
                 nands = part[start + nots:start + len(ops) // 2]  # their results
                 for lo in range(0, ab.shape[1], per):
                     at = slice(lo, lo + per)
-                    pair = part[ab[:, at]]  # (2, gates, sets, words)
-                    both = pair.reshape(pairs)  # indexed, not unpacked: an array iterates slowly
-                    left, right = both[0], both[1]
+                    pair = part[ab[:, at]]  # (2, gates, sets, N, n+1)
+                    left, right = pair[0], pair[1]  # indexed: an array unpacks slowly
                     if piece.swaps:
-                        swap = piece.swaps[k][at, s0:s0 + sets].reshape(-1, 1, 1)
+                        swap = piece.swaps[k][at, s0:s0 + sets, None, None]
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
-                    nands[at] = scheme.nand_words(left, right).reshape(pair.shape[1:])
+                    nands[at] = scheme.nand_words(left, right)
         wired = net.out_const < 0
         register[slots(piece.outs, piece.width)[wired]] = scratch[layout.outputs[wired]]
 

@@ -385,7 +385,8 @@ class GswScheme:
     # -- homomorphic evaluation ------------------------------------------
 
     def nand_words(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Words of Flatten(I - C1 @ C2) for stacked (k, N, n+1) operand words.
+        """Words of Flatten(I - C1 @ C2) for (..., N, n+1) operand words of
+        any leading shape, which the result keeps.
 
         Only the left operand is decomposed, to bits of ``dtype``; the
         product C1 @ W2 and G - C1 @ W2 are exact in it (see the module
@@ -395,20 +396,21 @@ class GswScheme:
         C1 with a zero column for each bit at or above ell, which meets a
         zero row spread into W2.
         """
-        k, rows, cols = left.shape
+        *lead, rows, cols = left.shape
         low = np.ascontiguousarray(left, "<i8").view(self._low_bytes)["low"]  # a strided view
         bits = np.unpackbits(np.ascontiguousarray(low).view(np.uint8), bitorder="little")
-        bits = bits.reshape(k, rows, cols * self._byte_bits).astype(self.dtype)
-        spread = np.zeros((k, cols, self._byte_bits, cols), self.dtype)
-        spread[:, :, :self.ell] = right.reshape(k, cols, self.ell, cols)
-        prod = bits @ spread.reshape(k, cols * self._byte_bits, cols)
+        bits = bits.reshape(*lead, rows, cols * self._byte_bits).astype(self.dtype)
+        spread = np.zeros((*lead, cols, self._byte_bits, cols), self.dtype)
+        spread[..., :self.ell, :] = right.reshape(*lead, cols, self.ell, cols)
+        prod = bits @ spread.reshape(*lead, cols * self._byte_bits, cols)
         words = np.subtract(self._gadget_f, prod, out=prod).astype(np.int64)
         q = self.params.q
         words -= words // q * q  # mod q: numpy divides an int64 by a scalar faster than %
         return words
 
     def not_words(self, words: np.ndarray) -> np.ndarray:
-        """Words of Flatten(I - C) for stacked (k, N, n+1) words: (G - W) mod q."""
+        """Words of Flatten(I - C) for (..., N, n+1) words of any leading
+        shape: (G - W) mod q."""
         return (self._gadget - words) % self.params.q
 
     def hom_nand(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
@@ -419,8 +421,7 @@ class GswScheme:
         swap, est = self.params.nand_noise(ct1.noise_est, ct2.noise_est)
         if swap:
             ct1, ct2 = ct2, ct1
-        words = self.nand_words(ct1.words[None], ct2.words[None])[0]
-        return Ciphertext(words, level=level, noise_est=est)
+        return Ciphertext(self.nand_words(ct1.words, ct2.words), level=level, noise_est=est)
 
     def hom_not(self, ct: Ciphertext) -> Ciphertext:
         """Complement without a ciphertext product: Flatten(I - C), words (G - W) mod q.
@@ -428,5 +429,4 @@ class GswScheme:
         Linear, so noise magnitude and level are unchanged.  This backs the
         engine's free simplification of NAND against a known constant 1.
         """
-        return Ciphertext(self.not_words(ct.words[None])[0], level=ct.level,
-                          noise_est=ct.noise_est)
+        return Ciphertext(self.not_words(ct.words), level=ct.level, noise_est=ct.noise_est)

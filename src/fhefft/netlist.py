@@ -20,16 +20,18 @@ every later row is ``NAND(row a, row b)``.  A folded NOT is stored as
 that folds constants takes it as the free NOT it is, so it adds no gate
 and no depth.  Rows are sorted by evaluation level (a folded NOT sits
 one level after its source), so each level is a contiguous slice whose
-operands are all in earlier levels.  The sort is stable: within a level,
-rows keep their recording order.  ``ops`` holds the operands level by
-level: for the gates of a level, all their ``a`` rows, then all their
-``b`` rows, so one gather fetches both operands of a whole level.
+operands are all in earlier levels.  ``ops`` holds the gates' operand
+rows as one (2, gates) array, its ``a`` rows over its ``b`` rows.  One
+function orders rows (``_sorted``): a stable sort by level, so each
+level keeps its gates in the order given, for a recorded netlist the
+order they were recorded in.
 
 ``union`` merges netlists into one that evaluates them side by side: its
 rows are every part's inputs, part after part, then one shared ONE, then
-the parts' gates level by level (level k holds each part's level-k gates,
-part after part), so one gather and one NAND step evaluate a level of
-every part.  It keeps its parts, in order, as ``parts`` (``members``).
+the parts' gates, which it hands to the same sort part after part, so
+level k holds each part's level-k gates, part after part, and one gather
+and one NAND step evaluate a level of every part.  It keeps its parts,
+in order, as ``parts`` (``members``).
 
 Nothing walks the rows themselves: a netlist is evaluated on its
 ``Layout``, which gives each row a slot of a workspace and reuses a slot
@@ -61,12 +63,17 @@ from .gates import fold
 OPS = {"add": 2, "sub": 2, "mul_const": 1, "butterfly_sums": 6}
 
 
+def _index(top: int) -> type:
+    """The narrowest unsigned type of indices up to ``top`` (level bounds
+    hold the row count)."""
+    return np.uint16 if top < 1 << 16 else np.uint32
+
+
 def narrow(ids) -> np.ndarray:
     """Non-negative integers in the narrowest unsigned type holding them,
     read-only (``ids`` itself if it has that type)."""
     ids = np.asarray(ids)
-    top = int(ids.max(initial=0))
-    out = ids.astype(np.uint16 if top < 1 << 16 else np.uint32, copy=False)
+    out = ids.astype(_index(int(ids.max(initial=0))), copy=False)
     out.flags.writeable = False
     return out
 
@@ -125,7 +132,7 @@ class Netlist:
     nand_count: int
     work_rows: int  # every row, plus room to gather both operands of the widest
     # level or the outputs: the plan compiler cuts pieces by this measure
-    ops: np.ndarray | None = None  # operand rows of the gates, blocked by level (see above)
+    ops: np.ndarray | None = None  # (2, gates): the gates' a rows over their b rows
     bounds: np.ndarray | None = None  # level k holds rows bounds[k] .. bounds[k+1]-1;
     # level 0 holds the inputs and ONE
     outputs: np.ndarray | None = None  # row of each output bit (0 where the output is constant)
@@ -139,7 +146,7 @@ class Netlist:
 
     @property
     def n_rows(self) -> int:
-        return self.n_inputs + 1 + len(self.ops) // 2
+        return self.n_inputs + 1 + self.ops.shape[1]
 
     @property
     def members(self) -> tuple:
@@ -149,8 +156,7 @@ class Netlist:
     @cached_property
     def layout(self) -> Layout:
         """Its slot layout, built once from its rows."""
-        return _layout(self.n_inputs, self.ops.copy(), self.bounds, self.outputs.copy(),
-                       self.out_const)
+        return _layout(self.n_inputs, self.ops, self.bounds, self.outputs, self.out_const)
 
     @property
     def nbytes(self) -> int:
@@ -177,11 +183,27 @@ def _netlist(n_inputs, ops, bounds, outputs, out_const, **fields) -> Netlist:
                    bounds=bounds, outputs=outputs, **fields)
 
 
+def _sorted(n_in, ops, level, outputs) -> tuple:
+    """(operand rows, level bounds, output rows) of gates sorted by level,
+    given their (2, gates) operand rows ``ops``, their levels (from 1) and
+    the output rows, in rows that number gate i ``n_in + 1 + i``.  The sort
+    is stable: each level keeps its gates in the order given."""
+    first, n_rows = n_in + 1, n_in + 1 + len(level)
+    index = _index(n_rows)
+    # sorted gate -> given gate, narrowed at once: the sort's intp result is
+    # the largest array of a union's merge
+    order = np.argsort(level, kind="stable").astype(index)
+    rank = np.arange(n_rows, dtype=index)  # given row -> sorted row
+    rank[first:][order] = np.arange(first, n_rows, dtype=index)
+    bounds = first + np.cumsum(np.bincount(level, minlength=1))  # no gate at level 0
+    return rank[ops[:, order]], np.concatenate([[0], bounds]).astype(index), rank[outputs]
+
+
 def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     """The slot layout of level-sorted rows (linear-scan allocation by live
-    range), made level by level with no array longer than the rows'; it
-    takes over ``ops`` and ``outputs``, which become its operand and output
-    slots.
+    range), made level by level with no array longer than the rows': level
+    k's gates are ``ops[:, lo:hi]``, ``lo, hi`` its bounds less the first
+    gate row.
 
     The inputs take slots 0 .. n_in-1 and ONE slot n_in.  A row dies after
     the last level that reads it, or after its own level if none does; ONE
@@ -195,16 +217,17 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     """
     first = n_in + 1  # the first gate row
     bounds = bounds.tolist()
-    spans = [(2 * (lo - first), 2 * (hi - first)) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    spans = [(lo - first, hi - first) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     never = len(spans) + 1
     dies = np.zeros(bounds[-1], np.int16 if never < 1 << 15 else np.int32)
     for k, (lo, hi) in enumerate(spans, 1):  # a later level's write wins
-        dies[bounds[k]:bounds[k + 1]] = k
-        dies[ops[lo:hi]] = k
+        dies[first + lo:first + hi] = k
+        dies[ops[:, lo:hi]] = k
     dies[n_in] = never
     dies[outputs[out_const < 0]] = never
     # allocated before the level loop, whose scratch arrays then come and go
     # above them on the heap instead of leaving holes under them
+    level_ops = np.empty(2 * ops.shape[1], ops.dtype)
     starts, nots = np.empty(len(spans), ops.dtype), np.empty(len(spans), ops.dtype)
     read = narrow(np.flatnonzero(dies[:n_in] > 0))
     slot = np.arange(len(dies), dtype=ops.dtype)  # the inputs' and ONE's; gates' are set below
@@ -212,29 +235,26 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     held[:first] = np.where(dies[:first] > 0, dies[:first], -1)  # inputs nothing reads are free
     top = first
     for k, (lo, hi) in enumerate(spans, 1):
-        width = (hi - lo) // 2
+        width = hi - lo
         start = starts[k - 1] = _first_fit(held[:top] < 0, width)
-        order = np.argsort(-dies[bounds[k]:bounds[k + 1]], kind="stable")  # the last to die first
+        order = np.argsort(-dies[first + lo:first + hi], kind="stable")  # the last to die first
         if (held[start - 1] if start else never) < \
                 (held[start + width] if start + width < top else never):
             order = order[::-1]  # the first to die next to the left neighbour
-        nand = ops[lo + width:hi][order] != n_in
+        nand = ops[1, lo:hi][order] != n_in
         order = order[np.argsort(nand, kind="stable")]  # the folded NOTs first
         nots[k - 1] = width - np.count_nonzero(nand)
-        slot[bounds[k] + order] = np.arange(start, start + width)
-        held[start:start + width] = dies[bounds[k] + order]
+        slot[first + lo + order] = np.arange(start, start + width)
+        held[start:start + width] = dies[first + lo + order]
         top = max(top, start + width)
-        # each level reads only its own operand rows, so they turn into slots
-        ops[lo:lo + width], ops[lo + width:hi] = \
-            slot[ops[lo:lo + width][order]], slot[ops[lo + width:hi][order]]
+        # each level reads only its own operand rows, so they turn into slots:
+        # its a slots, then its b slots
+        level_ops[2 * lo:2 * hi] = slot[ops[:, lo + order]].reshape(-1)
         used = held[:top]
         used[used == k] = -1  # the rows that die at this level
-    wired = out_const < 0
-    outputs[wired] = slot[outputs[wired]]
-    outputs[~wired] = 0
-    return Layout(narrow(ops), narrow(np.array(bounds[1:]) - first), narrow(starts),
-                  narrow(nots), narrow(outputs), read, top,
-                  max((hi - lo) // 2 for lo, hi in spans) if spans else 0)
+    return Layout(narrow(level_ops), narrow(np.array(bounds[1:]) - first), narrow(starts),
+                  narrow(nots), narrow(np.where(out_const < 0, slot[outputs], 0)), read, top,
+                  max(hi - lo for lo, hi in spans) if spans else 0)
 
 
 def _first_fit(free: np.ndarray, width: int) -> int:
@@ -257,18 +277,13 @@ class _Wire:
 
 
 class _Recorder:
-    """Symbolic bit engine: folds constants with ``fold``, records gates.
-
-    Each row's level and its seat among the rows of that level are kept as
-    it is recorded, so the level sort is a counting sort done on the way.
-    """
+    """Symbolic bit engine: folds constants with ``fold``, records gates
+    (their operand rows and levels) in the order they are made."""
 
     def __init__(self, n_inputs: int):
         self.n_inputs = n_inputs
         self.a, self.b = array("i"), array("i")
         self.level = array("i", bytes(4 * (n_inputs + 1)))  # inputs and ONE
-        self.seat = array("i", range(n_inputs + 1))
-        self.width = [n_inputs + 1]  # rows per level
 
     def constant(self, bit: int) -> _Wire:
         return _Wire(self, 0, bit)
@@ -284,37 +299,19 @@ class _Recorder:
     def _row(self, a, b) -> _Wire:
         self.a.append(a)
         self.b.append(b)
-        level, width = self.level, self.width
-        lvl = (level[a] if level[a] >= level[b] else level[b]) + 1
-        level.append(lvl)
-        if lvl == len(width):
-            width.append(0)
-        self.seat.append(width[lvl])
-        width[lvl] += 1
+        level = self.level
+        level.append((level[a] if level[a] >= level[b] else level[b]) + 1)
         return _Wire(self, len(level) - 1, None)
 
     def compile(self, outputs, key=None) -> Netlist:
-        n_in, n_rows = self.n_inputs, len(self.level)
-        first = n_in + 1  # the first gate row
-        index = np.uint16 if n_rows < 1 << 16 else np.uint32  # bounds hold n_rows
-        bounds = np.concatenate([[0], np.cumsum(self.width)])
-        level = np.frombuffer(self.level, dtype=np.int32)
-        seat = np.frombuffer(self.seat, dtype=np.int32)
-        rank = bounds[level] + seat  # recorded row -> sorted row
-        # a gate's a row sits at its level's block start plus its seat, its
-        # b row one level-width further on
-        gate_level = level[first:]
-        pos = 2 * (bounds[gate_level] - first) + seat[first:]
-        ops = np.empty(2 * (n_rows - first), dtype=index)
-        ops[pos] = rank[np.frombuffer(self.a, dtype=np.int32)]
-        ops[pos + np.asarray(self.width)[gate_level]] = rank[np.frombuffer(self.b, dtype=np.int32)]
-        out_rows = np.array([0 if w.const is not None else rank[w.row] for w in outputs],
-                            dtype=index)
+        n_in = self.n_inputs
+        ops = np.array([np.frombuffer(self.a, np.int32), np.frombuffer(self.b, np.int32)])
+        level = np.frombuffer(self.level, np.int32)[n_in + 1:]  # the gates'
+        out_rows = np.array([w.row for w in outputs], np.intp)  # a constant's row is 0
         out_const = np.array([-1 if w.const is None else w.const for w in outputs],
                              dtype=np.int8)
-        return _netlist(n_in, ops, bounds.astype(index), out_rows, out_const,
-                        nand_count=int((np.frombuffer(self.b, dtype=np.int32) != n_in).sum()),
-                        key=key)
+        return _netlist(n_in, *_sorted(n_in, ops, level, out_rows), out_const,
+                        nand_count=int((ops[1] != n_in).sum()), key=key)
 
 
 # Memos of pure functions of the key: every caller gets the same netlist or
@@ -374,36 +371,24 @@ def union(nets) -> Netlist:
 def _merge(nets) -> Netlist:
     n_in = sum(net.n_inputs for net in nets)
     first = n_in + 1  # the first gate row
-    levels = max(len(net.bounds) for net in nets) - 1  # level 0 included
-    gates = np.zeros((len(nets), levels), dtype=np.int64)  # per part and level
-    for k, net in enumerate(nets):
-        gates[k, 1:len(net.bounds) - 1] = np.diff(net.bounds.astype(np.int64))[1:]
-    width = gates.sum(axis=0)
-    width[0] = first
-    bounds = np.concatenate([[0], np.cumsum(width)])
-    n_rows = int(bounds[-1])
-    index = np.uint16 if n_rows < 1 << 16 else np.uint32  # bounds hold n_rows
-    # a level holds each part's gates of that level, part after part
-    starts = bounds[:-1] + np.cumsum(gates, axis=0) - gates
-    ops = np.empty(2 * (n_rows - first), dtype=index)
-    outputs, at_input = [], 0
-    for k, net in enumerate(nets):
-        # each row of the part and its row in the union; a gate at sorted row r
-        # of level L has its a operand at r + bounds[L] - 2 * first (see above)
-        part_bounds = net.bounds.astype(np.int64)
-        level = np.repeat(np.arange(1, len(part_bounds) - 1), np.diff(part_bounds)[1:])
-        row = np.arange(net.one + 1, net.n_rows)
-        shift = starts[k, :len(part_bounds) - 1] - part_bounds[:-1]
+    n_gates = sum(net.ops.shape[1] for net in nets)
+    index = _index(first + n_gates)
+    # every part's gates, part after part, renumbered, and their levels: the
+    # level sort then gives level k each part's level-k gates in turn
+    ops, level = np.empty((2, n_gates), index), np.empty(n_gates, index)
+    outputs, at_input, at = [], 0, 0
+    for net in nets:
+        gates = net.ops.shape[1]
         to_union = np.concatenate([np.arange(at_input, at_input + net.n_inputs), [n_in],
-                                   row + shift[level]])
-        a_part = row + part_bounds[level] - 2 * (net.one + 1)
-        a_union = to_union[row] + bounds[level] - 2 * first
-        ops[a_union] = to_union[net.ops[a_part]]
-        ops[a_union + width[level]] = to_union[net.ops[a_part + gates[k, level]]]
-        outputs.append(np.where(net.out_const < 0, to_union[net.outputs], 0))
-        at_input += net.n_inputs
-    return _netlist(n_in, ops, bounds.astype(index), np.concatenate(outputs).astype(index),
-                    np.concatenate([net.out_const for net in nets]),
+                                   np.arange(first + at, first + at + gates)]).astype(index)
+        ops[:, at:at + gates] = to_union[net.ops]
+        level[at:at + gates] = np.repeat(np.arange(1, len(net.bounds) - 1),
+                                         np.diff(net.bounds)[1:])
+        outputs.append(to_union[net.outputs])
+        at_input, at = at_input + net.n_inputs, at + gates
+    rows = _sorted(n_in, ops, level, np.concatenate(outputs))
+    del ops, level  # freed before the union is laid out
+    return _netlist(n_in, *rows, np.concatenate([net.out_const for net in nets]),
                     nand_count=sum(net.nand_count for net in nets), parts=nets)
 
 

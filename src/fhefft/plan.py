@@ -203,9 +203,10 @@ class FheRules:
         """Each level's swap masks (NANDs, count) of a netlist over the
         operand sets of ``words``, set where a NAND takes its ``b`` operand
         on the left, and the noise estimates of its outputs, written to
-        ``out``.  Noise is followed on ``Layout.levels``, a folded NOT
-        keeping its source's estimate, only if some input's estimate is not
-        0; this is None if no mask has a bit set."""
+        ``out``.  Noise is followed on ``Layout.levels``, one ``nand_noise``
+        over each level's gates, only if some input's estimate is not 0: a
+        folded NOT reads ONE, whose estimate is 0, so it keeps its source's
+        estimate and never swaps.  This is None if no mask has a bit set."""
         layout, count = net.layout, len(words)
         read = layout.read.astype(np.intp)
         if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
@@ -218,10 +219,8 @@ class FheRules:
         swaps = []
         for start, ops, nots in layout.levels:
             n = len(ops) // 2
-            noise[start:start + nots] = noise[ops[:nots]]
-            swap, noise[start + nots:start + n] = self.params.nand_noise(noise[ops[nots:n]],
-                                                                         noise[ops[n + nots:]])
-            swaps.append(swap)
+            swap, noise[start:start + n] = self.params.nand_noise(noise[ops[:n]], noise[ops[n:]])
+            swaps.append(swap[nots:])
         wired = net.out_const < 0
         noise_out = np.zeros((count, len(net.out_const)), np.int64)
         noise_out[:, wired] = noise[layout.outputs[wired]].T

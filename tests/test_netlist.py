@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -365,7 +367,7 @@ def _check_slots(net):
         rows = [number(("in", at + r)) for r in range(part.n_inputs)] + [number("one")]
         bounds = part.bounds.tolist()
         for k, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
-            ops = part.ops[2 * (lo - part.one - 1):2 * (hi - part.one - 1)]
+            ops = part.ops[:, lo - part.one - 1:hi - part.one - 1].reshape(-1)
             for a, b in zip(ops[:hi - lo].tolist(), ops[hi - lo:].tolist()):
                 rows.append(number(("nand", rows[a], rows[b])))
                 want_levels.setdefault(k, []).append(rows[-1])
@@ -414,7 +416,7 @@ def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
     gate-by-gate ``nand``."""
     fmt, specs, net = case
     _check_slots(net)
-    assert net.layout.n_slots <= net.n_inputs + 1 + sum(len(p.ops) // 2 for p in net.members)
+    assert net.layout.n_slots <= net.n_inputs + 1 + sum(p.ops.shape[1] for p in net.members)
     rng = np.random.default_rng(seed)
     every = np.concatenate([pattern for _, _, pattern in specs])
     batched, serial = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
@@ -427,6 +429,74 @@ def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
         assert [(h.value, h.depth, h.const) for h in batched.handles(row)] == \
             [(h.value, h.depth, h.const) for h in want]
     assert batched.stats == serial.stats
+
+
+def _interleaved_layout(parts):
+    """``netlist._layout`` of the union of ``parts`` from rows built here:
+    the inputs part after part, one ONE, then for each level every part's
+    gates of that level, part after part, renumbered."""
+    n_in = sum(p.n_inputs for p in parts)
+    rows, at = [], 0  # per part, the union row of each of its rows
+    for p in parts:
+        rows.append(list(range(at, at + p.n_inputs)) + [n_in])
+        at += p.n_inputs
+    a, b, bounds = [], [], [0, n_in + 1]
+    for k in range(1, max(len(p.bounds) for p in parts) - 1):
+        for p, row in zip(parts, rows):
+            if k < len(p.bounds) - 1:
+                lo, hi = (int(r) - p.one - 1 for r in p.bounds[k:k + 2])
+                for ga, gb in p.ops[:, lo:hi].T.tolist():
+                    a.append(row[ga])
+                    b.append(row[gb])
+                    row.append(n_in + len(a))
+        bounds.append(n_in + 1 + len(a))
+    outputs = [row[r] if c < 0 else 0 for p, row in zip(parts, rows)
+               for r, c in zip(p.outputs.tolist(), p.out_const.tolist())]
+    return netlist._layout(n_in, np.array([a, b], np.intp).reshape(2, -1), np.array(bounds),
+                           np.array(outputs, np.intp),
+                           np.concatenate([p.out_const for p in parts]))
+
+
+def _check_interleave(parts):
+    """``union(parts)`` is laid out as ``_interleaved_layout``, array by array."""
+    got, want = union(parts).layout, _interleaved_layout(parts)
+    for field in dataclasses.fields(netlist.Layout):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), field.name
+        else:
+            assert g == w, field.name
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_laid_out())
+def test_union_interleaves_its_parts_level_by_level(case):
+    """A union's level k holds each part's level-k gates, part after part,
+    each part's in its own order: its layout is that of those rows."""
+    _check_interleave(case[2].members)
+
+
+def _recorded(rng, n_rows):
+    """A netlist of ``n_rows`` rows recorded from NANDs and folded NOTs of
+    random recent wires, with some of them and a constant as outputs."""
+    rec = netlist._Recorder(6)
+    wires = [netlist._Wire(rec, i, None) for i in range(6)]
+    while len(rec.level) < n_rows:
+        x, y = (wires[-1 - int(rng.integers(min(len(wires), 200)))] for _ in range(2))
+        wires.append(rec.free_not(x) if rng.random() < 0.2 else rec.nand(x, y))
+    outputs = [wires[i] for i in rng.choice(len(wires), 50, replace=False)]
+    return rec.compile(outputs + [rec.constant(1)])
+
+
+def test_union_past_2_16_rows_interleaves_its_parts(monkeypatch):
+    """Parts below 2**16 rows whose union passes it: the union's rows need
+    uint32, and it still interleaves its parts level by level."""
+    monkeypatch.setattr(netlist, "CACHE", {})
+    rng = np.random.default_rng(41)
+    parts = [_recorded(rng, n_rows) for n_rows in (36_000, 30_000, 900)]
+    assert all(p.ops.dtype == np.uint16 for p in parts)
+    assert sum(p.n_rows for p in parts) - len(parts) + 1 > 2**16
+    _check_interleave(parts)
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
