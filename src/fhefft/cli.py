@@ -25,7 +25,7 @@ from .arith import FixedFormat
 from .engine import FheEngine, GateStats
 from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost, space_cost
 from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
-from .fft import fft_1d, fft_2d, input_signal, read_signal
+from .fft import fft_1d, fft_2d, input_signal, read_signal, transform_plan
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
@@ -74,7 +74,10 @@ def cmd_encrypt(args) -> int:
 
 def cmd_fft(args) -> int:
     # evaluation needs no key material: ciphertexts in, ciphertexts out
-    engine = FheEngine(GswScheme(fileio.read_ciphertext_params(args.ciphertext)))
+    header = fileio.read_ciphertext_header(args.ciphertext)
+    engine = FheEngine(GswScheme(header.params))
+    # a plan past the depth budget is refused before the payload is read
+    transform_plan(engine, header.fmt, header.dims, header.meta())
     signal = fileio.read_ciphertext_signal(args.ciphertext, engine)
     out = fft_2d(signal) if isinstance(signal.dims, tuple) else fft_1d(signal)
     fileio.write_ciphertext_signal(args.out, out)

@@ -39,7 +39,7 @@ Operands and results are the engine's wire arrays (``wires`` turns
 handles into one, ``handles`` turns it back): record arrays of
 ``wire_dtype`` holding each wire's value ``v`` (its packed lane bytes in
 cleartext, its ciphertext's N x (n+1) gadget words under FHE) beside the
-fields of the engine's ``rules.meta_dtype``: its public constant ``c``
+fields of the engine's ``meta_dtype``: its public constant ``c``
 (-1 for a variable wire), its depth ``d`` (under FHE its level) and,
 under FHE, its noise estimate ``noise``.  A constant wire's value is its
 bit in every lane, or the words of its trivial ciphertext at level 0 and
@@ -78,7 +78,10 @@ import numpy as np
 from .errors import CapabilityError, UsageError
 from .fhe import Ciphertext, GswScheme, KeyPair
 from .gates import fold
-from .plan import CLEAR, FheRules, run_netlist, slots
+from .plan import run_netlist, slots
+
+CLEAR_META = np.dtype([("c", np.int8), ("d", np.int32)])
+FHE_META = np.dtype([("c", np.int8), ("d", np.int64), ("noise", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,14 @@ class FheBit:
 
 class _Engine:
     """What both engines share: gate accounting and wire-array plumbing.
-    An engine sets ``rules`` (its plan compiler rules) and ``const_values``,
-    the value ``v`` of a constant 0 and of a constant 1, whose dtype and
-    shape are a wire's."""
+    An engine sets ``params`` (None in cleartext), ``meta_dtype`` and
+    ``const_values``, the value ``v`` of a constant 0 and of a constant 1,
+    whose dtype and shape are a wire's."""
 
-    def _init_wires(self, rules, const_values: np.ndarray):
-        self.rules, self.const_values = rules, const_values
+    def _init_wires(self, params, meta_dtype, const_values: np.ndarray):
+        self.params, self.meta_dtype, self.const_values = params, meta_dtype, const_values
         self.wire_dtype = np.dtype([("v", const_values.dtype, const_values.shape[1:]),
-                                    *rules.meta_dtype.descr], align=True)
+                                    *meta_dtype.descr], align=True)
 
     @property
     def stats(self) -> GateStats:
@@ -135,11 +138,8 @@ class _Engine:
         return run_netlist(self, net, operands)
 
     def wire_meta(self, wires: np.ndarray) -> np.ndarray:
-        """Packed copy of the ``rules.meta_dtype`` fields of a wire array."""
-        meta = np.empty(wires.shape, self.rules.meta_dtype)
-        for name in meta.dtype.names:
-            meta[name] = wires[name]
-        return meta
+        """Packed copy of the ``meta_dtype`` fields of a wire array."""
+        return wires[list(self.meta_dtype.names)].astype(self.meta_dtype)
 
     def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
         """A register of ``n_slots`` wire values, with ``wires`` in ``slots``."""
@@ -154,8 +154,7 @@ class _Engine:
         out["v"] = register[slots]
         for bit in (0, 1):
             out["v"][meta["c"] == bit] = self.const_values[bit]
-        for name in meta.dtype.names:
-            out[name] = meta[name]
+        out[list(meta.dtype.names)] = meta
         return out
 
 
@@ -173,7 +172,7 @@ class CleartextEngine(_Engine):
         self.max_depth = 0
         self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
         lanes = np.packbits(np.ones(batch_size, np.uint8), bitorder="little")
-        self._init_wires(CLEAR, np.stack([np.zeros_like(lanes), lanes]))
+        self._init_wires(None, CLEAR_META, np.stack([np.zeros_like(lanes), lanes]))
         self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
 
     def constant(self, bit: int) -> ClearBit:
@@ -296,8 +295,8 @@ class FheEngine(_Engine):
         self.nand_count = 0
         self.max_depth = 0
         self.wire_bytes = 8 * scheme.n_ct * (scheme.params.n + 1)  # a ciphertext's words
-        self._init_wires(FheRules(scheme.params),
-                             np.stack([scheme.trivial_encrypt_bit(b).words for b in (0, 1)]))
+        self._init_wires(scheme.params, FHE_META,
+                         np.stack([scheme.trivial_encrypt_bit(b).words for b in (0, 1)]))
 
     def constant(self, bit: int) -> FheBit:
         if bit not in (0, 1):

@@ -12,7 +12,7 @@ as one netlist, whose second ripples start as soon as the first ones'
 low bits are ready).
 
 A transform runs as a compiled plan (``plan``).  The first transform of
-a key (engine kind and wire size, piece bound, format, dims, and the
+a key (engine parameters, wire size, piece bound, format, dims, and the
 constants and depths, or levels and noise estimates, of the input wires)
 compiles it: the bit reversal, and each stage's butterflies as word
 operations on compiled words, which the plan compiler groups by netlist
@@ -201,24 +201,26 @@ def fft_2d(image: SignalBuffer) -> SignalBuffer:
 
 
 def _transform(signal, table=None, on_stage=None) -> SignalBuffer:
-    """The transform of a signal, from its plan in ``netlist.PLANS``.
-
-    A plan is a pure function of its key: the engine kind and wire size,
-    the piece bound, the format and dims, and the constants and depths (or
-    levels and noise estimates) of the input wires, which one digest
-    stands for.  The first transform of a key compiles it.
-    """
+    """The transform of a signal, by its plan (``transform_plan``)."""
     engine, fmt, dims = signal.engine, signal.fmt, signal.dims
-    meta = engine.wire_meta(signal.wires)
+    plan = transform_plan(engine, fmt, dims, engine.wire_meta(signal.wires), table)
+    out = replay(engine, plan, signal.wires, on_stage)
+    return SignalBuffer(engine, fmt, dims, out.reshape(signal.wires.shape))
+
+
+def transform_plan(engine, fmt, dims, meta, table=None):
+    """The plan in ``netlist.PLANS`` of a transform on ``engine`` of input
+    wires of ``meta`` records, a pure function of its key: the engine's
+    parameters and wire size, the piece bound, the format and dims, and a
+    digest of ``meta``.  The first transform of a key compiles it."""
     fits = engine.CHUNK_BYTES // engine.wire_bytes
-    key = (engine.rules.key, engine.wire_bytes, fits, fmt, dims,
+    key = (engine.params, engine.wire_bytes, fits, fmt, dims,
            hashlib.blake2b(meta.tobytes(), digest_size=16).digest())
     plan = PLANS.get(key)
     if plan is None:
-        plan = PLANS[key] = _compile(Compiler(engine.rules, fmt.total_bits, fits, meta),
+        plan = PLANS[key] = _compile(Compiler(engine.params, fmt.total_bits, fits, meta),
                                      fmt, dims, table)
-    out = replay(engine, plan, signal.wires, on_stage)
-    return SignalBuffer(engine, fmt, dims, out.reshape(signal.wires.shape))
+    return plan
 
 
 def _compile(comp, fmt, dims, table):

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FixedFormat
+from .engine import FHE_META
 from .errors import ParseError, UsageError
 from .fft import SignalBuffer
 from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
@@ -44,7 +45,7 @@ from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 MAGIC = b"EFT1"
 CONTAINER_VERSION = 1
 # levels are int64, and a plan adds a circuit's NAND depth to them
-# (``plan.out_depths``): below this, any circuit's depth fits
+# (``plan.walk``): below this, any circuit's depth fits
 _LEVEL_LIMIT = 1 << 62
 
 
@@ -58,8 +59,8 @@ def params_from_dict(d: dict, path=None) -> SchemeParams:
         return SchemeParams(n=int(d["n"]), q=int(d["q"]), m=int(d["m"]),
                             noise_bound=int(d["noise_bound"]),
                             depth_budget=int(d["depth_budget"]))
-    except KeyError as exc:
-        raise ParseError(f"missing parameter field {exc}", path=path) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad parameter field: {exc!r}", path=path) from exc
 
 
 def write_params(path, params: SchemeParams):
@@ -114,10 +115,24 @@ def read_keys(path) -> tuple[SchemeParams, KeyPair]:
         raise ParseError(f"not a key file (format={kind!r})", path=path)
     try:
         params = params_from_dict(data["params"], path=path)
-        return params, KeyPair(public_key=_decode_matrix(data["public_key"], path),
-                               secret_key=_decode_matrix(data["secret_key"], path))
+        keys = KeyPair(public_key=_decode_matrix(data["public_key"], path),
+                       secret_key=_decode_matrix(data["secret_key"], path))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad key file field: {exc!r}", path=path) from exc
+    _check_keys(params, keys, path)
+    return params, keys
+
+
+def _check_keys(params: SchemeParams, keys: KeyPair, path):
+    """Refuse keys that break ``KeyPair``'s invariant under their parameters."""
+    a, s, q = keys.public_key, keys.secret_key, params.q
+    if a.shape != (params.m, params.n + 1) or s.shape != (params.n + 1,) or \
+            min(a.min(), s.min()) < 0 or max(a.max(), s.max()) >= q or s[-1] != 1:
+        raise ParseError(f"keys do not fit {params}: need an m x (n+1) public key and an "
+                         f"(n+1)-entry secret key ending in 1, over [0, q)", path=path)
+    errors = [int(e) % q for e in a.astype(object) @ s.astype(object)]  # exact in ints
+    if max(min(e, q - e) for e in errors) > params.noise_bound:
+        raise ParseError(f"A @ s mod q exceeds noise_bound {params.noise_bound}", path=path)
 
 
 # -- encrypted signal container ----------------------------------------------
@@ -150,7 +165,7 @@ def write_ciphertext_signal(path, signal: SignalBuffer):
 
 
 @dataclass(frozen=True)
-class _ContainerHeader:
+class ContainerHeader:
     params: SchemeParams
     fmt: FixedFormat
     dims: int | tuple[int, int]
@@ -158,8 +173,14 @@ class _ContainerHeader:
     levels: tuple[int, ...]
     noise: tuple[int, ...]
 
+    def meta(self) -> np.ndarray:
+        """Meta records (``FHE_META``) of the signal's variable wires."""
+        meta = np.empty(len(self.levels), FHE_META)
+        meta["c"], meta["d"], meta["noise"] = -1, self.levels, self.noise
+        return meta
 
-def _read_header(fh, path) -> _ContainerHeader:
+
+def _read_header(fh, path) -> ContainerHeader:
     """Validated preamble and header of an encrypted-signal container, read
     from the start of the open file ``fh``, which is left at the payload."""
     preamble = fh.read(12)
@@ -211,10 +232,10 @@ def _read_header(fh, path) -> _ContainerHeader:
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
     if not all(0 <= v < _LEVEL_LIMIT for v in levels):
         raise ParseError("levels must lie in [0, 2^62)", path=path)
-    return _ContainerHeader(params, fmt, dims, points, levels, noise)
+    return ContainerHeader(params, fmt, dims, points, levels, noise)
 
 
-def _read_container(path) -> tuple[_ContainerHeader, bytes]:
+def _read_container(path) -> tuple[ContainerHeader, bytes]:
     """Validated header and payload of an encrypted-signal container."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -226,11 +247,10 @@ def _read_container(path) -> tuple[_ContainerHeader, bytes]:
     return header, payload
 
 
-def read_ciphertext_params(path) -> SchemeParams:
-    """Scheme parameters recorded in a container, from its checked header
-    alone: the payload is not read."""
+def read_ciphertext_header(path) -> ContainerHeader:
+    """The checked header of a container alone: the payload is not read."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path).params
+        return _read_header(fh, path)
 
 
 def read_ciphertext_signal(path, engine) -> SignalBuffer:
@@ -242,7 +262,7 @@ def read_ciphertext_signal(path, engine) -> SignalBuffer:
             f"engine parameters {engine.scheme.params} do not match the file's {params}")
     n_ct = params.n_ct
     wires = np.empty(len(header.levels), engine.wire_dtype)
-    wires["c"], wires["d"], wires["noise"] = -1, header.levels, header.noise
+    wires[list(FHE_META.names)] = header.meta()
     packed = np.frombuffer(payload, dtype=np.uint8).reshape(len(wires), -1)
     step = max(1, engine.CHUNK_BYTES // (WORD_BITS_BYTES * n_ct * (params.n + 1)))
     for lo in range(0, len(wires), step):

@@ -42,8 +42,8 @@ a level's NOTs and NANDs are slices of its operand slots and of its run.
 A recorded netlist keeps its rows, which ``union`` merges, and lays them
 out on first use; a union is laid out as it is merged and keeps only its
 layout.  Both engines evaluate on ``Layout.levels``, and the plan
-compiler walks them for depths, which are also FHE levels
-(``plan.out_depths``), and for noise (``plan.FheRules``).
+compiler walks them once per piece (``plan.walk``) for depths, which are
+also FHE levels, and for noise.
 """
 
 from __future__ import annotations

@@ -13,21 +13,21 @@ and one scatter of its results (``evaluate``).  A block is reused once
 the word in it is dead.
 
 The ``Compiler`` works out everything about a wire but its value, from
-the netlists and rules that depend only on the engine kind:
+the netlists and, under FHE, the scheme's parameters:
 
 * its public constant, from the netlists' ``out_const``;
-* its depth, which is also its FHE level: ``out_depths`` walks the
-  levels the engines walk (``netlist.Layout.levels``, each listing its
-  folded NOTs before its NANDs) by the rule both engines apply gate by
-  gate (a NAND is one deeper than its deeper operand, a folded NOT is
-  free), once per distinct row of input depths, and the deepest NAND
-  bounds the engine's ``max_depth``; an FHE piece past the depth budget
-  is refused as it compiles, so no such plan is kept;
-* under FHE (``FheRules``), its noise estimate, NAND by NAND by the rule
-  ``GswScheme.hom_nand`` applies (``SchemeParams.nand_noise``), walked on
-  the same levels, and each level's swap masks, set where a NAND takes
-  its noisier operand on the left: the engine runs a piece on its
-  netlist's layout, so a plan holds no slot per gate and operand set.
+* its depth, which is also its FHE level, and under FHE its noise
+  estimate: one ``walk`` per piece follows the levels the engines walk
+  (``netlist.Layout.levels``, each listing its folded NOTs before its
+  NANDs) by the rules the engines apply gate by gate (a NAND is one
+  deeper than its deeper operand, a folded NOT is free, and noise grows
+  by ``SchemeParams.nand_noise``, the rule of ``GswScheme.hom_nand``),
+  once per distinct row of input records; the deepest NAND bounds the
+  engine's ``max_depth``, and an FHE piece past the depth budget is
+  refused as it compiles, so no such plan is kept;
+* under FHE, each level's swap masks, from the same walk, set where a
+  NAND takes its noisier operand on the left: the engine runs a piece on
+  its netlist's layout, so a plan holds no slot per gate and operand set.
 
 It also groups word operations (``word_ops``): operand sets that share a
 netlist (same operation, multiplier and pattern of constant bits) form a
@@ -50,8 +50,8 @@ import numpy as np
 from .errors import UsageError
 from .netlist import narrow, union, word_op
 
-# bound on the workspace of one depth walk over a netlist's layout; a cold
-# compile's peak memory is set in the walks of its largest unions
+# bound on the workspace of one walk over a netlist's layout; a cold compile's
+# peak memory is set in the walks of its largest unions
 _DEPTH_BYTES = 1 << 19
 
 
@@ -83,7 +83,7 @@ def slots(blocks, width: int) -> np.ndarray:
 class Piece(NamedTuple):
     """One netlist over ``count`` operand sets: the blocks of its input and
     output words, each of shape (words, count), and under FHE its NANDs'
-    swap masks (``FheRules.swaps``)."""
+    swap masks (``walk``)."""
 
     net: object
     width: int
@@ -129,130 +129,99 @@ class Plan(NamedTuple):
             sum(p.nbytes for s in self.stages for p in s.pieces)
 
 
-def out_depths(net, depths: np.ndarray) -> tuple[np.ndarray, int]:
-    """Output depths (count, outputs) of a netlist for each row of
-    non-negative input depths (count, inputs), and its deepest gate (0
-    without rows).
+def walk(net, words, out, params=None) -> tuple[int, tuple | None]:
+    """Write the output depths, and under FHE (``params``) noise estimates,
+    of a netlist over each row of operand words (count, words) to ``out``
+    (count, words); return its deepest NAND (0 without rows) and each
+    level's swap masks (NANDs, count), set where a NAND takes its ``b``
+    operand on the left, or None if no mask has a bit set.
 
-    Depths follow the NAND rule, level by level over the netlist's layout:
-    a NAND is one deeper than its deeper operand, a folded NOT
-    (``NAND(src, ONE)``, with ONE at depth 0, one of its level's first
-    ``nots`` gates) keeps its source's depth, and a constant output is 0.
-    The deepest gate is the running maximum of each level's NANDs.  Depths
-    are a function of the row of input depths, so they are taken once per
-    distinct row, in chunks of rows whose workspace fits ``_DEPTH_BYTES``
-    (one row at least).
+    One walk over ``Layout.levels`` follows the NAND rule (a NAND is one
+    deeper than its deeper operand, a folded NOT, ``NAND(src, ONE)`` among
+    a level's first ``nots`` gates, keeps its source's depth, a constant
+    output is 0) and, on the same gathers, ``SchemeParams.nand_noise`` if
+    some read input's estimate is not 0 (ONE's is 0, so a folded NOT keeps
+    its source's estimate and never swaps).  An FHE piece past the depth
+    budget is refused (``SchemeParams.check_nand_level``).  The walk takes
+    each distinct row of input records once, in chunks whose workspace
+    fits ``_DEPTH_BYTES`` (one row at least).
     """
-    depths = np.ascontiguousarray(depths, dtype=np.int64)
-    keys = depths.view(np.dtype((np.void, depths.itemsize * depths.shape[1]))).ravel()
+    layout, count, n_in = net.layout, len(words), net.n_inputs
+    rows = np.ascontiguousarray(words["d"].reshape(count, n_in), dtype=np.int64)
+    noisy = False
+    if params is not None:
+        read = layout.read.astype(np.intp)
+        if (words["c"].reshape(count, n_in)[:, read] >= 0).any():
+            raise UsageError("a constant operand where the netlist reads a wire")
+        noise = np.zeros_like(rows)
+        noise[:, read] = words["noise"].reshape(count, n_in)[:, read]
+        if noisy := bool(noise.any()):
+            rows = np.concatenate([rows, noise], axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    depths = depths[first]
-    layout = net.layout
-    out = np.empty((len(depths), len(net.out_const)), np.int64)
-    chunk = max(1, _DEPTH_BYTES // (8 * layout.work_slots))
-    work = np.empty(layout.work_slots * min(chunk, len(depths)), np.int64)
+    rows, inverse = rows[first], inverse.ravel()
+    planes = 1 + noisy  # depths, then noise estimates
+    res = np.empty((planes, len(rows), len(net.out_const)), np.int64)
+    masks = [np.empty((len(ops) // 2 - nots, len(rows)), bool)
+             for _, ops, nots in layout.levels] if noisy else []
+    chunk = max(1, _DEPTH_BYTES // (8 * planes * layout.work_slots))
+    work = np.empty((planes, layout.work_slots * min(chunk, len(rows))), np.int64)
     top = 0
-    for lo in range(0, len(depths), chunk):
-        rows = depths[lo:lo + chunk]
-        end = layout.n_slots * len(rows)
-        values = work[:end].reshape(layout.n_slots, len(rows))
-        spare = work[end:layout.work_slots * len(rows)].reshape(-1, len(rows))
-        values[:net.n_inputs] = rows.T
-        values[net.one] = 0
+    for lo in range(0, len(rows), chunk):
+        part = rows[lo:lo + chunk]
+        end = layout.n_slots * len(part)
+        values = work[:, :end].reshape(planes, layout.n_slots, len(part))
+        spare = work[:, end:layout.work_slots * len(part)].reshape(planes, -1, len(part))
+        values[:, :n_in] = part.reshape(len(part), planes, n_in).transpose(1, 2, 0)
+        values[:, net.one] = 0
+        depth, gather = values[0], spare[0]
         # narrow operand slots: an intp copy would be the walk's largest array
-        for start, ops, nots in layout.levels:
+        for k, (start, ops, nots) in enumerate(layout.levels):
             n = len(ops) // 2
-            values.take(ops, axis=0, out=spare[:2 * n], mode="clip")
-            np.maximum(spare[:n], spare[n:2 * n], out=values[start:start + n])
-            nands = values[start + nots:start + n]
+            depth.take(ops, axis=0, out=gather[:2 * n], mode="clip")
+            np.maximum(gather[:n], gather[n:2 * n], out=depth[start:start + n])
+            nands = depth[start + nots:start + n]
             nands += 1
             top = nands.max(initial=top)
-        out[lo:lo + chunk] = values[layout.outputs].T
-    out[:, net.out_const >= 0] = 0
-    return out[inverse.ravel()], int(top)
-
-
-class ClearRules:
-    """Compile rules of the cleartext engine: constants and depths."""
-
-    key = "clear"
-    meta_dtype = np.dtype([("c", np.int8), ("d", np.int32)])  # of a wire
-
-    def check(self, depth: int):
-        pass
-
-    def swaps(self, net, words, out):
-        return None
-
-
-CLEAR = ClearRules()
-
-
-class FheRules:
-    """Compile rules of an FHE engine over one parameter set: levels are
-    depths, noise estimates grow NAND by NAND, and a plan deeper than the
-    depth budget is refused (``check``), by the rules of ``SchemeParams``."""
-
-    meta_dtype = np.dtype([("c", np.int8), ("d", np.int64), ("noise", np.int64)])
-
-    def __init__(self, params):
-        self.key, self.params = ("fhe", params), params
-        self.check = params.check_nand_level
-
-    def swaps(self, net, words, out) -> tuple | None:
-        """Each level's swap masks (NANDs, count) of a netlist over the
-        operand sets of ``words``, set where a NAND takes its ``b`` operand
-        on the left, and the noise estimates of its outputs, written to
-        ``out``.  Noise is followed on ``Layout.levels``, one ``nand_noise``
-        over each level's gates, only if some input's estimate is not 0: a
-        folded NOT reads ONE, whose estimate is 0, so it keeps its source's
-        estimate and never swaps.  This is None if no mask has a bit set."""
-        layout, count = net.layout, len(words)
-        read = layout.read.astype(np.intp)
-        if (words["c"].reshape(count, net.n_inputs)[:, read] >= 0).any():
-            raise UsageError("a constant operand where the netlist reads a wire")
-        noise = np.zeros((layout.n_slots, count), np.int64)
-        noise[read] = words["noise"].reshape(count, net.n_inputs)[:, read].T
-        if not noise.any():  # every estimate stays 0 and nothing swaps
-            out["noise"] = 0
-            return None
-        swaps = []
-        for start, ops, nots in layout.levels:
-            n = len(ops) // 2
-            swap, noise[start:start + n] = self.params.nand_noise(noise[ops[:n]], noise[ops[n:]])
-            swaps.append(swap[nots:])
-        wired = net.out_const < 0
-        noise_out = np.zeros((count, len(net.out_const)), np.int64)
-        noise_out[:, wired] = noise[layout.outputs[wired]].T
-        out["noise"] = noise_out.reshape(out["noise"].shape)
-        return tuple(swaps) if any(swap.any() for swap in swaps) else None
+            if noisy:
+                values[1].take(ops, axis=0, out=spare[1, :2 * n], mode="clip")
+                swap, values[1, start:start + n] = params.nand_noise(spare[1, :n],
+                                                                     spare[1, n:2 * n])
+                masks[k][:, lo:lo + len(part)] = swap[nots:]
+        res[:, lo:lo + len(part)] = values[:, layout.outputs].swapaxes(1, 2)
+    res[:, :, net.out_const >= 0] = 0
+    out["d"] = res[0, inverse].reshape(out["d"].shape)
+    if params is not None:
+        params.check_nand_level(int(top))
+        out["noise"] = res[1, inverse].reshape(out["noise"].shape) if noisy else 0
+    swapped = any(mask.any() for mask in masks)
+    return int(top), tuple(mask[:, inverse] for mask in masks) if swapped else None
 
 
 class Compiler:
     """Builds a plan from the constants, depths (and noise) of its input
     wires, given as ``meta`` records in wire-array layout (words of
-    ``width`` bits), for an engine of the given rules whose pieces hold at
-    most ``fits`` workspace rows.
+    ``width`` bits), for an engine of the given FHE parameters (None in
+    cleartext) whose pieces hold at most ``fits`` workspace rows.
 
     ``inputs`` is the input signal as compiled words: records of a
     ``block`` and each bit's constant, depth (and noise).  ``word_ops`` and
     ``piece`` compile evaluations and return their output words (refusing,
-    by ``rules.check``, a piece deeper than an FHE depth budget);
-    ``release`` hands back the blocks of words nothing reads any more;
-    ``stage`` closes a stage and ``finish`` the plan.
+    in ``walk``, a piece deeper than an FHE depth budget); ``release``
+    hands back the blocks of words nothing reads any more; ``stage``
+    closes a stage and ``finish`` the plan.
     """
 
-    def __init__(self, rules, width: int, fits: int, meta: np.ndarray):
-        self.rules, self.width, self.fits = rules, width, fits
-        kinds = rules.meta_dtype
+    def __init__(self, params, width: int, fits: int, meta: np.ndarray):
+        self.params, self.width, self.fits, self.meta_dtype = params, width, fits, meta.dtype
         self.dtype = np.dtype([("block", np.int64),
-                               *((name, kinds[name], (width,)) for name in kinds.names)])
+                               *((name, meta.dtype[name], (width,)) for name in meta.dtype.names)])
         self.blocks = _Blocks()
         self.pieces, self.stages, self.nand_count, self.max_depth = [], [], 0, 0
         bits = meta.reshape(-1, width)
         self.inputs = np.empty(len(bits), self.dtype)
         self.inputs["block"] = self.blocks.take(len(bits))
-        for name in kinds.names:
+        for name in meta.dtype.names:
             self.inputs[name] = bits[name]
 
     def release(self, words: np.ndarray):
@@ -265,10 +234,7 @@ class Compiler:
         out = np.empty((count, len(net.out_const) // width), self.dtype)
         out["block"] = np.reshape(self.blocks.take(out.size), out.shape)
         out["c"] = net.out_const.reshape(-1, width)
-        depths, top = out_depths(net, words["d"].reshape(count, net.n_inputs))
-        self.rules.check(top)
-        out["d"] = depths.reshape(out["d"].shape)
-        swaps = self.rules.swaps(net, words, out)
+        top, swaps = walk(net, words, out, self.params)
         self.pieces.append(Piece(net, width, narrow(words["block"].T), narrow(out["block"].T),
                                  swaps))
         self.nand_count += net.nand_count * count
@@ -316,7 +282,7 @@ class Compiler:
         if self.pieces:
             self.stage()
         bits = outputs.reshape(-1)
-        meta = np.empty(bits.size * self.width, self.rules.meta_dtype)
+        meta = np.empty(bits.size * self.width, self.meta_dtype)
         for name in meta.dtype.names:
             meta[name] = bits[name].reshape(-1)
         meta.flags.writeable = False
@@ -358,6 +324,6 @@ def replay(engine, plan: Plan, wires: np.ndarray, on_stage=None) -> np.ndarray:
 def run_netlist(engine, net, operands: np.ndarray) -> np.ndarray:
     """``engine.run``: a netlist on each row of a (count, inputs) wire array,
     compiled as a one-piece plan of single-bit words and replayed."""
-    comp = Compiler(engine.rules, 1, 0, engine.wire_meta(operands))
+    comp = Compiler(engine.params, 1, 0, engine.wire_meta(operands))
     out = comp.piece(net, comp.inputs.reshape(operands.shape))
     return replay(engine, comp.finish(out), operands).reshape(out.shape)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from fhefft import fileio, netlist
+from fhefft import fft, fileio, netlist
 from fhefft.arith import FixedFormat
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine
@@ -180,6 +181,36 @@ def _pgm(path, cols, rows):
 NOT_UTF8 = b"\xff\xfe\x00"
 
 
+def _params_with_n(d, n: str):
+    """A copy of the exact preset's parameter file whose ``n`` is the JSON text ``n``."""
+    body = json.dumps({**fileio.params_to_dict(EXACT_PARAMS), "n": "@"}).replace('"@"', n)
+    return _file(d / "bad-params.json", body.encode())
+
+
+def _keys_with(d, keys, **edits):
+    """A copy of the key file ``keys`` with ``edit(matrix)`` in place of
+    each matrix named in ``edits``."""
+    params, pair = fileio.read_keys(keys)
+    path = d / "bad-keys.json"
+    fileio.write_keys(path, params, dataclasses.replace(
+        pair, **{name: edit(getattr(pair, name)) for name, edit in edits.items()}))
+    return path
+
+
+def _encrypt_with(d, keys):
+    """argv of ``encrypt`` of one point with the key file ``keys``."""
+    return ["encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--out", d / "x.eft"]
+
+
+def _decrypt_with(d, keys, other_keys):
+    """argv of ``decrypt`` with the key file ``other_keys`` of one point
+    encrypted with ``keys``."""
+    ct = d / "ct.eft"
+    assert run_cli("encrypt", _signal(d, "0.5,0\n"), "--keys", keys, "--bits", 16,
+                   "--frac", 8, "--seed", 1, "--out", ct) == 0
+    return ["decrypt", ct, "--keys", other_keys, "--out", d / "x.txt"]
+
+
 _HEADER = {"params": fileio.params_to_dict(EXACT_PARAMS),
            "params_digest": EXACT_PARAMS.digest(),
            "fixed_format": {"total_bits": 16, "frac_bits": 8},
@@ -216,6 +247,30 @@ MALFORMED = {
     "keys-without-params": lambda d, keys: [
         "decrypt", d / "x.eft", "--out", d / "x.txt",
         "--keys", _file(d / "bad.json", b'{"format": "fhefft-keys-v1"}')],
+    "params-a-list": lambda d, keys: [
+        "keygen", "--params", _file(d / "bad.json", b"[1,2]"), "--out", d / "k.json"],
+    "params-a-string": lambda d, keys: [
+        "keygen", "--params", _file(d / "bad.json", b'"str"'), "--out", d / "k.json"],
+    "params-n-a-string": lambda d, keys: [
+        "keygen", "--params", _params_with_n(d, '"x"'), "--out", d / "k.json"],
+    "params-n-null": lambda d, keys: [
+        "keygen", "--params", _params_with_n(d, "null"), "--out", d / "k.json"],
+    "params-n-overflows-float": lambda d, keys: [
+        "keygen", "--params", _params_with_n(d, "2.5e400"), "--out", d / "k.json"],
+    "keys-public-key-3x3": lambda d, keys: _encrypt_with(
+        d, _keys_with(d, keys, public_key=lambda a: a[:3])),
+    "keys-public-entries-2^62": lambda d, keys: _encrypt_with(
+        d, _keys_with(d, keys, public_key=lambda a: np.full_like(a, 2**62))),
+    # A @ s gains s[-1] = 1 in its first entry, past the exact preset's noise_bound 0
+    "keys-public-errors-past-noise-bound": lambda d, keys: _encrypt_with(
+        d, _keys_with(d, keys, public_key=lambda a: (a + np.eye(
+            *a.shape, k=a.shape[1] - 1, dtype=np.int64)) % EXACT_PARAMS.q)),
+    "keys-secret-key-5-entries": lambda d, keys: _decrypt_with(
+        d, keys, _keys_with(d, keys, secret_key=lambda s: np.resize(s, 5))),
+    "keys-secret-negative-entry": lambda d, keys: _decrypt_with(
+        d, keys, _keys_with(d, keys, secret_key=lambda s: np.append(-1, s[1:]))),
+    "keys-secret-last-entry-not-1": lambda d, keys: _decrypt_with(
+        d, keys, _keys_with(d, keys, secret_key=lambda s: np.append(s[:-1], 2))),
     "keys-not-an-object": lambda d, keys: [
         "decrypt", d / "x.eft", "--out", d / "x.txt", "--keys", _file(d / "bad.json", b"[1]")],
     "truncated-container": lambda d, keys: [
@@ -322,6 +377,30 @@ def test_fft_past_the_depth_budget_exits_3(tmp_path):
     assert set(netlist.PLANS) == plans
 
 
+def test_fft_compiles_from_the_header_before_the_payload(tmp_path, keys_file, monkeypatch):
+    """``fhefft fft`` compiles the plan from the container's header: on the
+    default preset it refuses the transform with exit 3 without reading the
+    payload, and on the exact preset the transform replays that plan."""
+    keys, plain, ct = tmp_path / "default-keys.json", tmp_path / "p.txt", tmp_path / "a.eft"
+    assert run_cli("keygen", "--preset", "default", "--seed", 1, "--out", keys) == 0
+    fileio.write_signal_text(plain, [0.5 + 0.25j, -0.75 + 0.5j])
+    assert run_cli("encrypt", plain, "--keys", keys, "--bits", 16, "--frac", 8,
+                   "--seed", 5, "--out", ct) == 0
+    read = fileio.read_ciphertext_signal
+
+    def unread(*args):
+        raise AssertionError("the payload was read")
+
+    monkeypatch.setattr(fileio, "read_ciphertext_signal", unread)
+    assert run_cli("fft", ct, "--out", tmp_path / "b.eft") == 3
+    monkeypatch.setattr(fileio, "read_ciphertext_signal", read)
+    assert run_cli("encrypt", plain, "--keys", keys_file, "--bits", 16, "--frac", 8,
+                   "--seed", 5, "--out", ct) == 0
+    monkeypatch.setattr(fft, "PLANS", {})
+    assert run_cli("fft", ct, "--out", tmp_path / "b.eft") == 0
+    assert len(fft.PLANS) == 1
+
+
 _HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)
 
 
@@ -335,7 +414,7 @@ def test_container_dims_must_hold_points(header, cts, tmp_path):
     """The header's points must be positive and match dims, before any scheme is built."""
     path = _file(tmp_path / "bad.eft", _container(header, cts))
     with pytest.raises(ParseError):
-        fileio.read_ciphertext_params(path)
+        fileio.read_ciphertext_header(path)
     assert run_cli("fft", path, "--out", tmp_path / "x.eft") == 2
 
 

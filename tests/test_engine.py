@@ -4,7 +4,7 @@ import pytest
 from fhefft.engine import CleartextEngine, FheBit, FheEngine
 from fhefft.errors import CapabilityError, NoiseOverflowError, UsageError
 from fhefft.fhe import Ciphertext
-from fhefft import gates, netlist
+from fhefft import gates, netlist, plan
 
 
 def clear_engine():
@@ -150,9 +150,13 @@ def _gate_mix(w):
     return [gates.xor_(a, b), gates.and_(b, c), gates.or_(a, c), gates.not_(c)]
 
 
-def test_fhe_run_equals_gate_by_gate_at_noisy_preset(default_scheme, default_keys):
+def test_fhe_run_equals_gate_by_gate_at_noisy_preset(default_scheme, default_keys,
+                                                    monkeypatch):
     """At the default preset, where noise estimates differ, a batched run
-    swaps operands, grows noise and counts gates as gate-by-gate NANDs do."""
+    swaps operands, grows noise and counts gates as gate-by-gate NANDs do,
+    with operand sets of equal levels and different noise and a repeated
+    noisy set, also when each chunk of the compile walk holds one distinct
+    set: the swap masks gathered chunk by chunk reach every set."""
     rng = np.random.default_rng(8)
     pk = default_keys.public_key
     rows = []
@@ -161,24 +165,36 @@ def test_fhe_run_equals_gate_by_gate_at_noisy_preset(default_scheme, default_key
         if r:  # a pre-NANDed c: one level deeper and far noisier than a fresh bit
             cts[2] = default_scheme.hom_nand(cts[2], cts[r - 1])
         rows.append(cts)
+    # the levels of the last two sets, with less noise: c NANDed with a trivial 1
+    rows.append(rows[0][:2] + [default_scheme.hom_nand(
+        rows[0][2], default_scheme.trivial_encrypt_bit(1))])
+    rows.append(rows[2])  # a repeated noisy operand set
     net = _record(3, _gate_mix)
-    batched, serial = FheEngine(default_scheme), FheEngine(default_scheme)
-    wires = np.stack([batched.wires([batched.import_ct(ct) for ct in cts]) for cts in rows])
-    got = [batched.handles(row) for row in batched.run(net, wires)]
+    serial = FheEngine(default_scheme)
     want = [_gate_mix([serial.import_ct(ct) for ct in cts]) for cts in rows]
-    assert batched.stats == serial.stats
-    assert serial.stats.nand_count == 30 and serial.stats.max_depth == 3
+    assert serial.stats.nand_count == 50 and serial.stats.max_depth == 3
     noise = [h.ct.noise_est for hs in want for h in hs]
     assert len(set(noise)) > 2
-    for hs_got, hs_want in zip(got, want):
-        for g, w in zip(hs_got, hs_want):
-            assert (g.ct.level, g.ct.noise_est) == (w.ct.level, w.ct.noise_est)
-            assert np.array_equal(g.ct.words, w.ct.words)
     bits = [[default_scheme.decrypt_bit(default_keys.secret_key, ct) for ct in cts]
             for cts in rows]
-    for (a, b, c), hs in zip(bits, got):
-        assert [default_scheme.decrypt_bit(default_keys.secret_key, h.ct) for h in hs] == \
-            [a ^ b, b & c, a | c, 1 - c]
+    for depth_bytes in (plan._DEPTH_BYTES, 1):  # 1: one operand set per walk chunk
+        monkeypatch.setattr(plan, "_DEPTH_BYTES", depth_bytes)
+        batched = FheEngine(default_scheme)
+        wires = np.stack([batched.wires([batched.import_ct(ct) for ct in cts]) for cts in rows])
+        meta = batched.wire_meta(wires)
+        out = np.empty((len(rows), len(net.out_const)), meta.dtype)
+        _, swaps = plan.walk(net, meta, out, default_scheme.params)
+        assert swaps is not None and any(s.any() for s in swaps)
+        assert all(np.array_equal(s[:, 4], s[:, 2]) for s in swaps)
+        got = [batched.handles(row) for row in batched.run(net, wires)]
+        assert batched.stats == serial.stats
+        for hs_got, hs_want in zip(got, want):
+            for g, w in zip(hs_got, hs_want):
+                assert (g.ct.level, g.ct.noise_est) == (w.ct.level, w.ct.noise_est)
+                assert np.array_equal(g.ct.words, w.ct.words)
+        for (a, b, c), hs in zip(bits, got):
+            assert [default_scheme.decrypt_bit(default_keys.secret_key, h.ct) for h in hs] == \
+                [a ^ b, b & c, a | c, 1 - c]
 
 
 def test_fhe_run_past_depth_budget_raises(default_scheme, default_keys):
@@ -231,7 +247,7 @@ def test_fhe_wire_dtype_follows_the_parameters(preset, shape, request):
     engine = FheEngine(request.getfixturevalue(f"{preset}_scheme"))
     dtype = engine.wire_dtype
     assert dtype["v"].shape == shape and dtype["v"].base == np.int64
-    assert set(dtype.names) == {"v", *engine.rules.meta_dtype.names} == {"v", "c", "d", "noise"}
+    assert set(dtype.names) == {"v", *engine.meta_dtype.names} == {"v", "c", "d", "noise"}
     assert not dtype.hasobject and engine.wire_bytes == dtype["v"].itemsize
 
 

@@ -53,7 +53,7 @@ def test_ciphertext_signal_round_trip(tmp_path, exact_scheme, exact_keys, rng):
     path = tmp_path / "sig.eft"
     fileio.write_ciphertext_signal(path, sig)
 
-    assert fileio.read_ciphertext_params(path) == EXACT_PARAMS
+    assert fileio.read_ciphertext_header(path).params == EXACT_PARAMS
     engine2 = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     loaded = fileio.read_ciphertext_signal(path, engine2)
     assert loaded.fmt == F16
@@ -85,7 +85,7 @@ def test_ciphertext_truncated_payload(tmp_path, exact_scheme, exact_keys, rng):
     path = tmp_path / "sig.eft"
     fileio.write_ciphertext_signal(path, sig)
     path.write_bytes(path.read_bytes()[:-10])
-    assert fileio.read_ciphertext_params(path) == EXACT_PARAMS
+    assert fileio.read_ciphertext_header(path).params == EXACT_PARAMS
     with pytest.raises(ParseError):
         fileio.read_ciphertext_signal(path, FheEngine(exact_scheme, keys=exact_keys))
 
@@ -136,7 +136,7 @@ def valid_container(tmp_path_factory, exact_scheme, exact_keys):
 def _load_or_typed_error(path, scheme):
     """The reader's contract: a signal, or an FhefftError."""
     try:
-        fileio.read_ciphertext_params(path)
+        fileio.read_ciphertext_header(path)
         fileio.read_ciphertext_signal(path, FheEngine(scheme))
     except FhefftError:
         pass
@@ -370,7 +370,8 @@ def test_signal_text_reader_fuzzed(tmp_path, lines):
 @given(data=st.data())
 def test_key_reader_fuzzed(tmp_path, exact_keys, data):
     """A key file with a field (or a params field) deleted or replaced by any
-    JSON value, or cut short, loads or raises."""
+    JSON value, or cut short, raises, or loads keys that encrypt a bit and
+    decrypt it back."""
     path = tmp_path / "keys.json"
     fileio.write_keys(path, EXACT_PARAMS, exact_keys)
     doc = json.loads(path.read_text())
@@ -385,6 +386,9 @@ def test_key_reader_fuzzed(tmp_path, exact_keys, data):
     cut = data.draw(st.just(len(text)) | st.integers(min_value=0, max_value=len(text)))
     path.write_text(text[:cut])
     try:
-        fileio.read_keys(path)
+        params, keys = fileio.read_keys(path)
     except FhefftError:
-        pass
+        return
+    scheme = GswScheme(params)  # keys that load work
+    ct = scheme.encrypt_bit(keys.public_key, 1, np.random.default_rng(0))
+    assert scheme.decrypt_bit(keys.secret_key, ct) == 1

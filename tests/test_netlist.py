@@ -259,9 +259,9 @@ def test_union_depths_from_distinct_rows_equal_gate_by_gate():
 
 @pytest.mark.parametrize("base", [0, 2**15, 2**31, 2**62 - 2**10])
 def test_out_depths_follow_the_nand_rule_at_any_depth(base):
-    """``plan.out_depths`` of recorded netlists and of their union, on
-    input depths from ``base`` up, gives the output depths and deepest
-    gate of gate-by-gate ``nand`` on Python-int depths."""
+    """``plan.walk`` of recorded netlists and of their union, on input
+    depths from ``base`` up, gives the output depths and deepest gate of
+    gate-by-gate ``nand`` on Python-int depths."""
     rng = np.random.default_rng(31)
     specs = [("add", None, 0.0), ("sub", None, 0.5), ("mul_const", 0.6875, 0.0),
              ("mul_const", -0.9375, 0.25)]
@@ -278,7 +278,11 @@ def test_out_depths_follow_the_nand_rule_at_any_depth(base):
         rows = [np.where(every < 0, base + rng.integers(0, 40, len(every)), 0)
                 for _ in range(3)]
         rows.append(rows[0])  # a repeated row
-        got, top = plan.out_depths(net, np.array(rows, dtype=np.int64))
+        words = np.array(rows, dtype=np.int64).view([("d", np.int64)])
+        out = np.empty((len(rows), len(net.out_const)), words.dtype)
+        top, swaps = plan.walk(net, words, out)
+        got = out["d"]
+        assert swaps is None
         eng = CleartextEngine(batch_size=1)
         for depths, got_row in zip(rows, got.tolist()):
             handles = [eng.constant(int(p)) if p >= 0 else ClearBit(eng, 1, int(d), None)
@@ -411,7 +415,7 @@ def _gate_by_gate_parts(fmt, specs, handles):
 @given(_laid_out(), st.integers(0, 2**32 - 1))
 def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
     """A netlist's layout holds every value until its last reader and every
-    output to the end, and cleartext evaluation and ``out_depths`` on it
+    output to the end, and cleartext evaluation and ``plan.walk`` on it
     give the lane bits, depths, constants, NAND count and deepest NAND of
     gate-by-gate ``nand``."""
     fmt, specs, net = case
