@@ -75,8 +75,10 @@ def cmd_encrypt(args) -> int:
 def cmd_fft(args) -> int:
     # evaluation needs no key material: ciphertexts in, ciphertexts out
     header = fileio.read_ciphertext_header(args.ciphertext)
+    # a short payload is refused before the plan compiles, and a plan past
+    # the depth budget before the payload is read
+    header.check_payload(args.ciphertext)
     engine = FheEngine(GswScheme(header.params))
-    # a plan past the depth budget is refused before the payload is read
     transform_plan(engine, header.fmt, header.dims, header.meta())
     signal = fileio.read_ciphertext_signal(args.ciphertext, engine)
     out = fft_2d(signal) if isinstance(signal.dims, tuple) else fft_1d(signal)

@@ -18,22 +18,24 @@ plan piece on it (one gather of its operand bits, one evaluation, one
 scatter of its results), and ``unload`` makes a wire array of slots with
 the plan's constants and depths (or levels and noise estimates), which
 ``wire_meta`` reads from wire arrays; one ``load``, ``unload`` and
-``wire_meta`` serve both engines.  Both walk a piece's netlist layout
-(``netlist.Layout.levels``) level by level, on slots reused once their
-rows are dead, writing each level's folded NOTs and then its NANDs to
-its run of slots.  The cleartext engine holds the slots as numpy
-bit-planes, in chunks of operand sets whose workspace fits
-``CHUNK_BYTES``, and takes a NOT as the NAND with ONE it is stored as.
-The FHE engine holds them on a scratch of (slot, operand set, words): a
-level's folded NOTs are one ``not_words`` call and its NANDs, for every
-operand set, batched ``GswScheme.nand_words`` products of at most
-``CHUNK_BYTES`` of decomposed bits, with the operands the piece's swap
-masks mark exchanged; both kernels take the (gates, sets, N, n+1) words
-as gathered, with no reshape.  An FHE plan past the depth budget is refused as
-it compiles.  ``run`` evaluates one recorded ``netlist.Netlist`` (or union)
-over many operand sets through a one-piece plan.  The ciphertexts,
-operation counts, levels and noise estimates are those of the
-gate-by-gate circuit.
+``wire_meta`` serve both engines; ``unload`` alone writes a constant
+wire's value (no piece reads a constant output's slot, since
+``netlist.word_op`` keys netlists by their constant bits).  Both walk a
+piece's netlist layout (``netlist.Layout.levels``) level by level, on
+slots reused once their rows are dead, writing each level's folded NOTs
+and then its NANDs to its run of slots.  The cleartext engine holds the
+slots as numpy bit-planes, in chunks of operand sets whose workspace
+fits ``CHUNK_BYTES``, and takes a NOT as the NAND with ONE it is stored
+as.  The FHE engine holds them on a scratch of (slot, operand set,
+words): a level's folded NOTs are one ``not_words`` call and its NANDs,
+for every operand set, batched ``GswScheme.nand_words`` products of at
+most ``CHUNK_BYTES`` of decomposed bits, with the operands the piece's
+swap masks mark exchanged; both kernels take the (gates, sets, N, n+1)
+words as gathered, with no reshape.  An FHE plan past the depth budget
+is refused as it compiles.  ``run`` evaluates one recorded
+``netlist.Netlist`` (or union) over many operand sets through a
+one-piece plan.  The ciphertexts, operation counts, levels and noise
+estimates are those of the gate-by-gate circuit.
 
 Operands and results are the engine's wire arrays (``wires`` turns
 handles into one, ``handles`` turns it back): record arrays of
@@ -121,6 +123,11 @@ class _Engine:
     ``const_values``, the value ``v`` of a constant 0 and of a constant 1,
     whose dtype and shape are a wire's."""
 
+    # bound on the working arrays of one piece's evaluation, on the words of
+    # one operand set of a plan's merged pieces and, under FHE, on the largest
+    # array of one stacked kernel call or container read or write
+    CHUNK_BYTES = 1 << 20
+
     def _init_wires(self, params, meta_dtype, const_values: np.ndarray):
         self.params, self.meta_dtype, self.const_values = params, meta_dtype, const_values
         self.wire_dtype = np.dtype([("v", const_values.dtype, const_values.shape[1:]),
@@ -160,8 +167,6 @@ class _Engine:
 
 class CleartextEngine(_Engine):
     """Exact plaintext bit engine with lane packing and gate counting."""
-
-    CHUNK_BYTES = 1 << 20  # bound on the working arrays of one piece's evaluation
 
     def __init__(self, batch_size: int = 1):
         if batch_size < 1:
@@ -278,11 +283,6 @@ class FheEngine(_Engine):
     """
 
     batch_size = 1
-    # bound on the largest array of one stacked kernel call (decomposed bits of
-    # max(1, CHUNK_BYTES // nand_bytes) NANDs or of a decryption, masks of an
-    # encryption, container bits), and on the words of one operand set of the
-    # netlists a plan merges into one piece
-    CHUNK_BYTES = 1 << 20
 
     def __init__(self, scheme: GswScheme, keys: KeyPair | None = None,
                  public_key=None, rng=None):
@@ -436,8 +436,7 @@ class FheEngine(_Engine):
                         swap = piece.swaps[k][at, s0:s0 + sets, None, None]
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
                     nands[at] = scheme.nand_words(left, right)
-        wired = net.out_const < 0
-        register[slots(piece.outs, piece.width)[wired]] = scratch[layout.outputs[wired]]
+        register[slots(piece.outs, piece.width)] = scratch[layout.outputs]
 
 
 def _check_owner(engine, handles):
@@ -448,7 +447,7 @@ def _check_owner(engine, handles):
 def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Output lane bytes (outputs, count, lane bytes) of a netlist whose
     operand bits are the register rows ``gather`` (inputs, count), evaluated
-    on its layout's slots.
+    on its layout's slots; a constant output's bytes are left undefined.
 
     ``work`` holds at least ``net.layout.work_slots`` * count * lane bytes
     bytes; the result is a view into it.
@@ -472,6 +471,4 @@ def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -
         np.invert(rows, out=rows)
     res = spare[:len(layout.outputs)]
     values.take(layout.outputs, axis=0, out=res, mode="clip")
-    res[net.out_const == 0] = 0
-    res[net.out_const == 1] = 0xFF
     return res.reshape(-1, count, width)

@@ -14,8 +14,9 @@ low bits are ready).
 A transform runs as a compiled plan (``plan``).  The first transform of
 a key (engine parameters, wire size, piece bound, format, dims, and the
 constants and depths, or levels and noise estimates, of the input wires)
-compiles it: the bit reversal, and each stage's butterflies as word
-operations on compiled words, which the plan compiler groups by netlist
+compiles it: the bit reversal, and each stage's butterflies, with the
+``TwiddleTable`` of the key's size and format, as word operations on
+compiled words, which the plan compiler groups by netlist
 (``netlist.word_op``), runs side by side as ``netlist.union`` pieces
 within the engine's workspace bound, and places in a register whose
 slots are reused once dead.  The plan is kept in ``netlist.PLANS``.
@@ -172,10 +173,10 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    ``table`` must be the signal's size and format; by default the plan's
-    own is used.  ``on_butterfly(size, i, j)`` is invoked for each
-    butterfly, in stage order, once its stage has run and its NANDs are
-    counted (instrumentation hook).
+    ``table``, if given, must be the signal's size and format; the plan
+    always uses its key's own.  ``on_butterfly(size, i, j)`` is invoked for
+    each butterfly, in stage order, once its stage has run and its NANDs
+    are counted (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
@@ -190,7 +191,7 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
             for base in range(0, m, stage.size):
                 for k in range(half):
                     on_butterfly(stage.size, base + k, base + k + half)
-    return _transform(signal, table, on_stage)
+    return _transform(signal, on_stage)
 
 
 def fft_2d(image: SignalBuffer) -> SignalBuffer:
@@ -200,15 +201,15 @@ def fft_2d(image: SignalBuffer) -> SignalBuffer:
     return _transform(image)
 
 
-def _transform(signal, table=None, on_stage=None) -> SignalBuffer:
+def _transform(signal, on_stage=None) -> SignalBuffer:
     """The transform of a signal, by its plan (``transform_plan``)."""
     engine, fmt, dims = signal.engine, signal.fmt, signal.dims
-    plan = transform_plan(engine, fmt, dims, engine.wire_meta(signal.wires), table)
+    plan = transform_plan(engine, fmt, dims, engine.wire_meta(signal.wires))
     out = replay(engine, plan, signal.wires, on_stage)
     return SignalBuffer(engine, fmt, dims, out.reshape(signal.wires.shape))
 
 
-def transform_plan(engine, fmt, dims, meta, table=None):
+def transform_plan(engine, fmt, dims, meta):
     """The plan in ``netlist.PLANS`` of a transform on ``engine`` of input
     wires of ``meta`` records, a pure function of its key: the engine's
     parameters and wire size, the piece bound, the format and dims, and a
@@ -219,16 +220,16 @@ def transform_plan(engine, fmt, dims, meta, table=None):
     plan = PLANS.get(key)
     if plan is None:
         plan = PLANS[key] = _compile(Compiler(engine.params, fmt.total_bits, fits, meta),
-                                     fmt, dims, table)
+                                     fmt, dims)
     return plan
 
 
-def _compile(comp, fmt, dims, table):
-    """The plan of ``fft_1d`` (``table`` or the signal's own) or ``fft_2d``:
+def _compile(comp, fmt, dims):
+    """The plan of ``fft_1d`` or ``fft_2d``, with the twiddles of its key:
     every row's stages, then (2D) every column's."""
     words = comp.inputs.reshape(-1, 2)  # (points, 2): real and imaginary words
     if isinstance(dims, int):
-        out = _stages(comp, fmt, words[None], table or TwiddleTable(dims, fmt))
+        out = _stages(comp, fmt, words[None], TwiddleTable(dims, fmt))
     else:
         rows, cols = dims
         grid = _stages(comp, fmt, words.reshape(rows, cols, 2), TwiddleTable(cols, fmt))

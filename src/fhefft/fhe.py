@@ -17,7 +17,9 @@ any float type that holds those integers: ``GswScheme.dtype`` is float32
 when (N+1) * 2^ell < 2^24 (the ``exact`` preset: 52 * 2^17 < 2^24), else
 float64 (the ``default`` preset), decided from the parameters alone.
 Decryption's product, decomposed bits times powers of the secret below
-q < 2^ell, is bounded by the same rule.
+q < 2^ell, is bounded by the same rule; ``_decode`` reads bits and noise
+from it, for a stack (``decrypt_rows``) or for one ciphertext
+(``decrypt_bit_with_noise``, which raises where it rejects).
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -314,12 +316,6 @@ class GswScheme:
 
     # -- decryption ------------------------------------------------------
 
-    def _check_level(self, ct: Ciphertext):
-        if ct.level > self.params.depth_budget:
-            raise NoiseOverflowError(
-                f"ciphertext level {ct.level} exceeds depth budget "
-                f"{self.params.depth_budget}")
-
     def _gadget_values(self, secret_key: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(decomposed rows) @ v mod q for (..., n+1) words of ciphertext rows:
         row n*ell + j, paired with s[-1] = 1, gives x_j = mu * 2^j + e_j (mod q)."""
@@ -328,13 +324,20 @@ class GswScheme:
 
     def decrypt_bit(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
         """Recover an encrypted bit; raises once noise reaches q/8."""
-        bit, _ = self.decrypt_bit_with_noise(secret_key, ct)
-        return bit
+        return self.decrypt_bit_with_noise(secret_key, ct)[0]
 
     def decrypt_bit_with_noise(self, secret_key, ct) -> tuple[int, int]:
-        """Decrypt a bit and report the measured noise magnitude."""
-        self._check_level(ct)
-        return self._decode_one(int(self._gadget_values(secret_key, ct.words[self.mu_index])))
+        """Decrypt a bit and report the measured noise magnitude of its row
+        ``mu_index``; raises past the depth budget or once noise reaches q/8."""
+        if ct.level > self.params.depth_budget:
+            raise NoiseOverflowError(f"ciphertext level {ct.level} exceeds depth budget "
+                                     f"{self.params.depth_budget}")
+        x = self._gadget_values(secret_key, ct.words[self.mu_index])
+        mu, noise, valid = self._decode(int(x))
+        if not valid:
+            raise NoiseOverflowError(f"noise {noise} at or above decryption threshold "
+                                     f"q/8={self.params.q / 8:.0f}")
+        return mu, noise
 
     def decrypt_rows(self, secret_key: np.ndarray, rows: np.ndarray, levels) -> np.ndarray:
         """Bits of k ciphertexts from the (k, n+1) words of their row
@@ -355,32 +358,14 @@ class GswScheme:
         noise = abs(x - mu * scale)
         return mu, noise, ((mu == 0) | (mu == 1)) & (noise < (q + 7) // 8)
 
-    def _decode_one(self, x: int) -> tuple[int, int]:
-        """(mu, noise) of one gadget row ``_mu_row`` value; raises once noise
-        reaches q/8."""
-        mu, noise, valid = self._decode(x)
-        if not valid:
-            raise NoiseOverflowError(f"noise {noise} at or above decryption threshold "
-                                     f"q/8={self.params.q / 8:.0f}")
-        return mu, noise
-
-    def _max_residual(self, xs: list[int], mu: int) -> int:
-        p = self.params
-        worst = 0
-        for j, x in enumerate(xs):
-            e = (x - ((mu << j) % p.q)) % p.q
-            if e > p.q // 2:
-                e -= p.q
-            worst = max(worst, abs(e))
-        return worst
-
     def measure_noise(self, secret_key: np.ndarray, ct: Ciphertext) -> int:
-        """Measured max error magnitude across the gadget rows (diagnostic)."""
-        self._check_level(ct)
-        n, ell, j = self.params.n, self.ell, self._mu_row
-        xs = self._gadget_values(secret_key, ct.words[n * ell:(n + 1) * ell]).tolist()
-        mu, _ = self._decode_one(xs[j])
-        return self._max_residual(xs, mu)
+        """Measured max error magnitude across the gadget rows paired with
+        s[-1] = 1, the centred (x_j - mu * 2^j) mod q (diagnostic)."""
+        mu, _ = self.decrypt_bit_with_noise(secret_key, ct)
+        n, ell, q = self.params.n, self.ell, self.params.q
+        xs = self._gadget_values(secret_key, ct.words[n * ell:(n + 1) * ell])
+        err = (xs - (mu << np.arange(ell, dtype=np.int64)) % q) % q
+        return int(np.abs(err - q * (err > q // 2)).max())
 
     # -- homomorphic evaluation ------------------------------------------
 

@@ -172,6 +172,14 @@ class ContainerHeader:
     points: int
     levels: tuple[int, ...]
     noise: tuple[int, ...]
+    payload: int  # bytes that follow the header in the file
+
+    def check_payload(self, path):
+        """Refuse a payload that is not one packed bit matrix per ciphertext."""
+        expected = len(self.levels) * math.ceil(self.params.n_ct ** 2 / 8)
+        if self.payload != expected:
+            raise ParseError(f"payload holds {self.payload} bytes, expected {expected}",
+                             path=path)
 
     def meta(self) -> np.ndarray:
         """Meta records (``FHE_META``) of the signal's variable wires."""
@@ -232,23 +240,19 @@ def _read_header(fh, path) -> ContainerHeader:
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
     if not all(0 <= v < _LEVEL_LIMIT for v in levels):
         raise ParseError("levels must lie in [0, 2^62)", path=path)
-    return ContainerHeader(params, fmt, dims, points, levels, noise)
+    return ContainerHeader(params, fmt, dims, points, levels, noise, size - 12 - head_len)
 
 
 def _read_container(path) -> tuple[ContainerHeader, bytes]:
     """Validated header and payload of an encrypted-signal container."""
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        payload = fh.read()
-    expected = len(header.levels) * math.ceil(header.params.n_ct ** 2 / 8)
-    if len(payload) != expected:
-        raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}",
-                         path=path)
-    return header, payload
+        header.check_payload(path)
+        return header, fh.read()
 
 
 def read_ciphertext_header(path) -> ContainerHeader:
-    """The checked header of a container alone: the payload is not read."""
+    """The checked header of a container alone (``check_payload`` checks the rest)."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
 

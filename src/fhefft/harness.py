@@ -9,10 +9,11 @@ butterfly stage as whole-array arithmetic over all trials.
 Reports aggregate absolute per-component errors over all trials together
 with the analytical bound for the run.
 
-On the cleartext backend all trials of one experiment ride the engine's
-batch lanes, so the circuit is built and counted exactly once.  FHE runs
-are size-guarded: gate costs grow with M * log M * F^2 * log F times an
-(N x N) by (N x (n+1)) matrix product per NAND, so only small
+Both experiments run one body (``_experiment``) on the signals they
+draw.  On the cleartext backend all trials of one experiment ride the
+engine's batch lanes, so the circuit is built and counted exactly once.
+FHE runs are size-guarded: gate costs grow with M * log M * F^2 * log F
+times an (N x N) by (N x (n+1)) matrix product per NAND, so only small
 fully-encrypted transforms are sensible on a desk machine.
 """
 
@@ -141,15 +142,6 @@ def error_stats(spectra: np.ndarray, oracle: np.ndarray) -> dict:
     }
 
 
-def _warn_on_headroom(fmt, m_points, x_bound):
-    ratio = signal_headroom(fmt.total_bits, fmt.frac_bits, m_points, x_bound)
-    if ratio >= 0.5:
-        warnings.warn(
-            f"signal may overflow the {fmt.total_bits}.{fmt.frac_bits} format: "
-            f"worst-case magnitude uses {ratio:.0%} of the integer range",
-            stacklevel=3)
-
-
 def _check_count(name, n):
     if n < 1:
         raise UsageError(f"{name} must be >= 1, got {n}")
@@ -169,36 +161,7 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
-    oracle, x_bound, bound = reference(signals, m_points, fmt.frac_bits)
-    _warn_on_headroom(fmt, m_points, x_bound)
-
-    start = time.perf_counter()
-    if backend == "clear":
-        engine = CleartextEngine(batch_size=trials)
-        spectra = read_signal(engine, fft_1d(input_signal(engine, signals, fmt)))
-        nand_count = engine.nand_count
-    elif backend == "fhe":
-        if m_points > MAX_FHE_POINTS:
-            raise UsageError(
-                f"encrypted transform of {m_points} points refused: gate cost "
-                f"is infeasible at desk scale (limit {MAX_FHE_POINTS})")
-        scheme = GswScheme(EXACT_PARAMS)
-        keys = scheme.keygen(seed=seed)
-        rows = []
-        nand_count = 0
-        for sig in signals:
-            engine = FheEngine(scheme, keys=keys, rng=rng)
-            out = fft_1d(input_signal(engine, sig, fmt))
-            rows.append(read_signal(engine, out)[0])
-            nand_count = engine.nand_count
-        spectra = np.array(rows)
-    else:
-        raise UsageError(f"unknown backend {backend!r}")
-    elapsed = time.perf_counter() - start
-
-    return ErrorReport(size=m_points, trials=trials, error_bound=bound,
-                       nand_count=nand_count, wall_time=elapsed,
-                       backend=backend, **error_stats(spectra, oracle))
+    return _experiment(signals, m_points, fmt, backend, seed, rng)
 
 
 def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORMAT,
@@ -211,9 +174,9 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     rows, cols = shape
     for side in shape:
         _check_pow2("image side", side)
+    rng = np.random.default_rng(seed)
     if isinstance(images, int):
         _check_count("images", images)
-        rng = np.random.default_rng(seed)
         stack = rng.uniform(0, 1, (images, *shape))
     else:
         stack = [np.asarray(img, dtype=float) for img in images]
@@ -222,18 +185,47 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
             raise UsageError(f"images of shapes {sorted({img.shape for img in stack})}, "
                              f"expected all {rows}x{cols}")
         stack = np.array(stack)
-    flat = stack.reshape(len(stack), rows * cols).astype(complex)
-    oracle, x_bound, bound = reference(flat, (rows, cols), fmt.frac_bits)
-    _warn_on_headroom(fmt, rows * cols, x_bound)
+    signals = stack.reshape(len(stack), rows * cols).astype(complex)
+    return _experiment(signals, (rows, cols), fmt, "clear", seed, rng)
+
+
+def _experiment(signals, dims, fmt, backend, seed, rng) -> ErrorReport:
+    """The report of each row of ``signals`` (trials, points) transformed
+    as ``dims`` on ``backend``; under FHE each is encrypted with ``rng``,
+    under the ``exact`` keys of ``seed``, on an engine of its own."""
+    oracle, x_bound, bound = reference(signals, dims, fmt.frac_bits)
+    points = signals.shape[1]
+    ratio = signal_headroom(fmt.total_bits, fmt.frac_bits, points, x_bound)
+    if ratio >= 0.5:
+        warnings.warn(
+            f"signal may overflow the {fmt.total_bits}.{fmt.frac_bits} format: "
+            f"worst-case magnitude uses {ratio:.0%} of the integer range",
+            stacklevel=3)  # the caller of run_1d_experiment or run_2d_experiment
+    transform = fft_2d if isinstance(dims, tuple) else fft_1d
 
     start = time.perf_counter()
-    engine = CleartextEngine(batch_size=len(stack))
-    spectra = read_signal(engine, fft_2d(input_signal(engine, flat, fmt, dims=shape)))
+    if backend == "clear":
+        engine = CleartextEngine(batch_size=len(signals))
+        spectra = read_signal(engine, transform(input_signal(engine, signals, fmt, dims)))
+    elif backend == "fhe":
+        if points > MAX_FHE_POINTS:
+            raise UsageError(
+                f"encrypted transform of {points} points refused: gate cost "
+                f"is infeasible at desk scale (limit {MAX_FHE_POINTS})")
+        scheme = GswScheme(EXACT_PARAMS)
+        keys = scheme.keygen(seed=seed)
+        rows = []
+        for sig in signals:
+            engine = FheEngine(scheme, keys=keys, rng=rng)
+            rows.append(read_signal(engine, transform(input_signal(engine, sig, fmt, dims)))[0])
+        spectra = np.array(rows)
+    else:
+        raise UsageError(f"unknown backend {backend!r}")
     elapsed = time.perf_counter() - start
 
-    return ErrorReport(size=(rows, cols), trials=len(stack), error_bound=bound,
+    return ErrorReport(size=dims, trials=len(signals), error_bound=bound,
                        nand_count=engine.nand_count, wall_time=elapsed,
-                       backend="clear", **error_stats(spectra, oracle))
+                       backend=backend, **error_stats(spectra, oracle))
 
 
 def format_report_table(reports) -> str:

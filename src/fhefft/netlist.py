@@ -41,9 +41,10 @@ its results to one run of consecutive slots, its folded NOTs first, so
 a level's NOTs and NANDs are slices of its operand slots and of its run.
 A recorded netlist keeps its rows, which ``union`` merges, and lays them
 out on first use; a union is laid out as it is merged and keeps only its
-layout.  Both engines evaluate on ``Layout.levels``, and the plan
-compiler walks them once per piece (``plan.walk``) for depths, which are
-also FHE levels, and for noise.
+layout.  ``Layout.levels`` is the one record of its levels (each one's
+first slot, its operand slots as a view of ``ops``, and its NOT count):
+both engines evaluate on it, and the plan compiler walks it once per
+piece (``plan.walk``) for depths, which are also FHE levels, and noise.
 """
 
 from __future__ import annotations
@@ -82,18 +83,15 @@ def narrow(ids) -> np.ndarray:
 class Layout:
     """Where an evaluation keeps a netlist's rows: one slot each of a
     workspace of ``n_slots``, reused once the row is dead (see ``_layout``).
-    The k-th level after level 0 (the inputs and ONE) has the gates
-    ``gates[k] .. gates[k+1]-1``: it reads the slots
-    ``ops[2 * gates[k]:2 * gates[k+1]]``, its gates' ``a`` slots and then
-    their ``b`` slots, and writes the consecutive slots from ``starts[k]``.
-    Its first ``nots[k]`` gates are its folded NOTs (whose ``b`` slot is
-    ONE's), the rest its NANDs.  Arrays are read-only.
+    ``levels`` holds, for each level after level 0 (the inputs and ONE),
+    the first of the consecutive slots it writes, the slots it reads (a
+    view of ``ops``: its gates' ``a`` slots, then their ``b`` slots) and
+    its count ``nots`` of folded NOTs: its first ``nots`` gates, whose
+    ``b`` slot is ONE's; the rest are its NANDs.  Arrays are read-only.
     """
 
     ops: np.ndarray
-    gates: np.ndarray
-    starts: np.ndarray
-    nots: np.ndarray  # folded NOTs per level
+    levels: tuple
     outputs: np.ndarray  # slot of each output bit (0 where the output is constant)
     read: np.ndarray  # the inputs whose values are read or output
     n_slots: int
@@ -107,18 +105,7 @@ class Layout:
 
     @property
     def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in (self.ops, self.gates, self.starts, self.nots,
-                                          self.outputs, self.read))
-
-    @cached_property
-    def levels(self) -> tuple:
-        """(first result slot, operand slots, folded NOTs) of each level
-        after level 0, made once (every walker reads them on every
-        evaluation): a level's NOTs are the slices ``[:nots]`` of its ``a``
-        slots and of its run, its NANDs the rest."""
-        gates = self.gates.tolist()
-        return tuple((start, self.ops[2 * lo:2 * hi], nots) for start, lo, hi, nots in
-                     zip(self.starts.tolist(), gates[:-1], gates[1:], self.nots.tolist()))
+        return self.ops.nbytes + self.outputs.nbytes + self.read.nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +213,9 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     dies[n_in] = never
     dies[outputs[out_const < 0]] = never
     # allocated before the level loop, whose scratch arrays then come and go
-    # above them on the heap instead of leaving holes under them
+    # above it on the heap instead of leaving holes under it
     level_ops = np.empty(2 * ops.shape[1], ops.dtype)
-    starts, nots = np.empty(len(spans), ops.dtype), np.empty(len(spans), ops.dtype)
+    starts, nots = [], []
     read = narrow(np.flatnonzero(dies[:n_in] > 0))
     slot = np.arange(len(dies), dtype=ops.dtype)  # the inputs' and ONE's; gates' are set below
     held = np.full(len(dies), -1, dies.dtype)  # per slot, the level its row dies at; -1 if free
@@ -236,14 +223,15 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     top = first
     for k, (lo, hi) in enumerate(spans, 1):
         width = hi - lo
-        start = starts[k - 1] = _first_fit(held[:top] < 0, width)
+        start = _first_fit(held[:top] < 0, width)
+        starts.append(start)
         order = np.argsort(-dies[first + lo:first + hi], kind="stable")  # the last to die first
         if (held[start - 1] if start else never) < \
                 (held[start + width] if start + width < top else never):
             order = order[::-1]  # the first to die next to the left neighbour
         nand = ops[1, lo:hi][order] != n_in
         order = order[np.argsort(nand, kind="stable")]  # the folded NOTs first
-        nots[k - 1] = width - np.count_nonzero(nand)
+        nots.append(width - int(np.count_nonzero(nand)))
         slot[first + lo + order] = np.arange(start, start + width)
         held[start:start + width] = dies[first + lo + order]
         top = max(top, start + width)
@@ -252,8 +240,10 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
         level_ops[2 * lo:2 * hi] = slot[ops[:, lo + order]].reshape(-1)
         used = held[:top]
         used[used == k] = -1  # the rows that die at this level
-    return Layout(narrow(level_ops), narrow(np.array(bounds[1:]) - first), narrow(starts),
-                  narrow(nots), narrow(np.where(out_const < 0, slot[outputs], 0)), read, top,
+    level_ops = narrow(level_ops)
+    return Layout(level_ops, tuple((start, level_ops[2 * lo:2 * hi], n)
+                                   for start, (lo, hi), n in zip(starts, spans, nots)),
+                  narrow(np.where(out_const < 0, slot[outputs], 0)), read, top,
                   max(hi - lo for lo, hi in spans) if spans else 0)
 
 

@@ -401,6 +401,23 @@ def test_fft_compiles_from_the_header_before_the_payload(tmp_path, keys_file, mo
     assert len(fft.PLANS) == 1
 
 
+def test_fft_refuses_a_short_payload_before_it_compiles(tmp_path, monkeypatch):
+    """A container cut to its header (here 256 points at 32.16 on the exact
+    preset, whose plan takes seconds to compile) exits 2 from the file's
+    size, before ``fhefft fft`` compiles any plan."""
+    wires = 256 * 2 * 32
+    header = {**_HEADER, "fixed_format": {"total_bits": 32, "frac_bits": 16},
+              "dims": 256, "points": 256, "levels": [0] * wires, "noise": [0] * wires}
+    path = _file(tmp_path / "short.eft", _container(header, 0))
+
+    def uncompiled(*args):
+        raise AssertionError("a plan was compiled")
+
+    monkeypatch.setattr(fft, "PLANS", {})
+    monkeypatch.setattr(fft, "_compile", uncompiled)
+    assert run_cli("fft", path, "--out", tmp_path / "x.eft") == 2
+
+
 _HUGE = SchemeParams(n=300, q=9, m=8, noise_bound=0, depth_budget=1)
 
 

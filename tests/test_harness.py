@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,3 +144,14 @@ def test_format_report_table_lines_up():
 def test_headroom_warning_on_tight_format():
     with pytest.warns(UserWarning):
         run_1d_experiment(128, fmt=FixedFormat(16, 8), trials=1, seed=0)
+
+
+def test_fhe_report_equals_the_clear_report():
+    """The encrypted backend reports what the cleartext one does, field for
+    field, but for its timing and name."""
+    fhe, clear = (dataclasses.asdict(run_1d_experiment(4, fmt=FixedFormat(16, 8), trials=2,
+                                                       backend=backend))
+                  for backend in ("fhe", "clear"))
+    assert fhe.pop("backend") == "fhe" and clear.pop("backend") == "clear"
+    del fhe["wall_time"], clear["wall_time"]
+    assert fhe == clear

@@ -468,6 +468,11 @@ def _check_interleave(parts):
         g, w = getattr(got, field.name), getattr(want, field.name)
         if isinstance(g, np.ndarray):
             assert g.dtype == w.dtype and np.array_equal(g, w), field.name
+        elif field.name == "levels":
+            assert len(g) == len(w), field.name
+            for k, ((gs, go, gn), (ws, wo, wn)) in enumerate(zip(g, w)):
+                assert gs == ws and gn == wn and go.dtype == wo.dtype, (field.name, k)
+                assert np.array_equal(go, wo), (field.name, k)
         else:
             assert g == w, field.name
 

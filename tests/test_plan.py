@@ -7,7 +7,7 @@ from circuit_util import gate_by_gate_fft, signal_from_bits, signal_of
 from fhefft import fft
 from fhefft.arith import FixedFormat, constant_word
 from fhefft.engine import CleartextEngine, FheEngine
-from fhefft.fft import ComplexFixed, TwiddleTable, fft_1d, fft_2d, input_signal
+from fhefft.fft import ComplexFixed, TwiddleTable, fft_1d, fft_2d, input_signal, read_signal
 from fhefft.fhe import Ciphertext
 
 F16 = FixedFormat(16, 8)
@@ -20,9 +20,9 @@ def compiles(monkeypatch):
     seen = []
     compile_plan = fft._compile
 
-    def counted(comp, fmt, dims, table):
+    def counted(comp, fmt, dims):
         seen.append(dims)
-        return compile_plan(comp, fmt, dims, table)
+        return compile_plan(comp, fmt, dims)
 
     monkeypatch.setattr(fft, "PLANS", {})
     monkeypatch.setattr(fft, "_compile", counted)
@@ -85,6 +85,26 @@ def test_piece_bound_and_constants_key_their_own_plans(compiles, monkeypatch):
         fft_1d(signal_of(pts, 4))
     _clear(CleartextEngine, 4)
     assert len(compiles) == 3
+
+
+def test_a_passed_table_does_not_enter_the_plan(compiles):
+    """A table with an altered twiddle, passed to the first ``fft_1d`` of a
+    key, leaves the plan kept for that key its own twiddles: a later
+    table-less transform of the key gives the gate-by-gate output of
+    ``TwiddleTable``, whose X[1] is the DFT's 0.875 + 0.75j."""
+
+    class Altered(TwiddleTable):
+        def twiddle(self, size, k):
+            return (0.5, 0.5) if (size, k) == (4, 1) else super().twiddle(size, k)
+
+    values = [0.5, 0.25j, -0.125, 0.75]
+    eng = CleartextEngine()
+    fft_1d(input_signal(eng, values, F16), Altered(4, F16))
+    out = fft_1d(input_signal(eng, values, F16))
+    want = gate_by_gate_fft(list(input_signal(eng, values, F16).points), TwiddleTable(4, F16))
+    assert compiles == [4]
+    assert out == signal_of(want, 4)
+    assert read_signal(eng, out)[0][1] == 0.875 + 0.75j
 
 
 def test_fft_of_fhe_output_matches_gate_by_gate(compiles, exact_scheme, exact_keys):
