@@ -20,10 +20,10 @@ same either way, so the result is bit-identical to multiplying by an
 encryption of the same constant.
 
 The lane codec is ``encode_bits`` (real values of any shape to
-two's-complement bits on a new last axis, rounded half to even and
-range-checked like ``encode_int``) and ``decode_bits`` (its inverse, in
-32-bit limbs).  ``fft.input_signal`` and ``fft.read_signal`` run a whole
-signal through it; ``input_word`` and ``read_word`` are the one-word case.
+two's-complement bits, rounded by ``_grid``, the one rounding rule, whose
+scalar case is ``encode_int``) and ``decode_bits`` (its inverse, in 32-bit
+limbs).  ``fft.input_signal`` and ``fft.read_signal`` run a whole signal
+through it; ``input_word`` and ``read_word`` are the one-word case.
 """
 
 from __future__ import annotations
@@ -77,42 +77,41 @@ class FixedWord:
 
 def encode_int(x: float, fmt: FixedFormat) -> int:
     """Nearest fixed-point integer round(x * 2^f); raises when out of range."""
-    try:
-        ix = round(float(x) * fmt.scale)  # a Python float overflows to inf silently
-    except (OverflowError, ValueError) as exc:  # x * 2^f is inf or NaN
-        raise _range_error(x, fmt) from exc
-    half = 1 << (fmt.total_bits - 1)
-    if not -half <= ix < half:
-        raise _range_error(x, fmt, ix)
-    return ix
+    return int(_grid(x, fmt))
 
 
-def _range_error(x, fmt: FixedFormat, ix: int | None = None) -> RangeError:
-    at = "" if ix is None else f" (integer {ix})"
-    return RangeError(f"{x} does not fit {fmt.total_bits}.{fmt.frac_bits} fixed point{at}")
+def _grid(values, fmt: FixedFormat) -> np.ndarray:
+    """round(x * 2^f), half to even, of real values of any shape, as integral
+    floats; the first value out of range, in C order, raises its ``RangeError``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufO":  # a cast would parse text or drop imaginary parts
+        raise UsageError(f"fixed-point values must be real numbers, got dtype {arr.dtype}")
+    half = 2.0 ** (fmt.total_bits - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            real = arr.astype(float)
+        except OverflowError:  # an int past float64's range: clipped, still out of range
+            real = np.asarray(np.clip(arr, -half, half), float)
+        ints = np.rint(real * fmt.scale)
+        bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        ix = f" (integer {int(ints[at])})" if np.isfinite(ints[at]) else ""
+        raise RangeError(f"{arr[at]} does not fit {fmt.total_bits}.{fmt.frac_bits} "
+                         f"fixed point{ix}")
+    return ints
 
 
 # -- lane codec -------------------------------------------------------------
 
 def encode_bits(values, fmt: FixedFormat) -> np.ndarray:
-    """Two's-complement bits, LSB first on a new last axis, of real values of
-    any shape (uint8, ``values.shape + (total_bits,)``).
-
-    Every value is rounded and range-checked exactly as ``encode_int`` does
-    it; the first value out of range, in C order, raises its ``RangeError``.
-    """
-    arr = np.asarray(values)
+    """Two's-complement bits, LSB first on a new last axis, of the ``_grid``
+    integers of real values of any shape (uint8, ``values.shape + (total_bits,)``)."""
+    ints = _grid(values, fmt)
     width = fmt.total_bits
-    half = 2.0 ** (width - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ints = np.rint(arr.astype(float) * fmt.scale)  # round half to even, as round()
-        bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
-    if bad.any():
-        at = np.unravel_index(bad.argmax(), bad.shape)
-        raise _range_error(arr[at], fmt, int(ints[at]) if np.isfinite(ints[at]) else None)
     # two's complement in 32-bit limbs, LSB first: every split is exact on
     # integer-valued floats, and the signed top limb wraps into its pattern
-    limbs = np.empty((*arr.shape, -(-width // 32)), dtype=np.int64)
+    limbs = np.empty((*ints.shape, -(-width // 32)), dtype=np.int64)
     for k in range(limbs.shape[-1] - 1):
         high = np.floor(ints / 2.0**32)
         limbs[..., k] = ints - high * 2.0**32

@@ -33,9 +33,9 @@ most ``CHUNK_BYTES`` of decomposed bits, with the operands the piece's
 swap masks mark exchanged; both kernels take the (gates, sets, N, n+1)
 words as gathered, with no reshape.  An FHE plan past the depth budget
 is refused as it compiles.  ``run`` evaluates one recorded
-``netlist.Netlist`` (or union) over many operand sets through a
-one-piece plan.  The ciphertexts, operation counts, levels and noise
-estimates are those of the gate-by-gate circuit.
+``netlist.Netlist`` (or union) over many operand sets: it compiles and
+replays a one-piece plan.  The ciphertexts, operation counts, levels and
+noise estimates are those of the gate-by-gate circuit.
 
 Operands and results are the engine's wire arrays (``wires`` turns
 handles into one, ``handles`` turns it back): record arrays of
@@ -55,10 +55,12 @@ ciphertexts of one ``encrypt_bit`` per bit in C order, the bits of one
 ciphertext's words) and ``CHUNK_BYTES`` bound how large a netlist fits one
 evaluation workspace.
 
-A handle's ``const`` is ``None`` for a variable wire, else its public
-bit, which a wire array's ``c`` holds as -1, 0 or 1.  A NAND with a
-constant operand is folded by ``gates.fold``, the one rule every engine
-(and ``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
+``_Engine._own`` is the one check that handles are the engine's, made by
+``nand``, ``read_back``, ``export_ct`` and ``wires``.  A handle's
+``const`` is ``None`` for a variable wire, else its public bit, which a
+wire array's ``c`` holds as -1, 0 or 1.  A NAND with a constant operand
+is folded by ``gates.fold``, the one rule every engine (and
+``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
 without a gate (each engine's ``free_not``: a bit flip in cleartext, the
 linear ciphertext complement under FHE), and two constants give a
 constant.  Folded gates do not increment the NAND counter.  Because
@@ -80,7 +82,7 @@ import numpy as np
 from .errors import CapabilityError, UsageError
 from .fhe import Ciphertext, GswScheme, KeyPair
 from .gates import fold
-from .plan import run_netlist, slots
+from .plan import Compiler, replay, slots
 
 CLEAR_META = np.dtype([("c", np.int8), ("d", np.int32)])
 FHE_META = np.dtype([("c", np.int8), ("d", np.int64), ("noise", np.int64)])
@@ -139,10 +141,18 @@ class _Engine:
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
         """Evaluate a netlist on each row of a (count, n_inputs) wire array,
-        with the counts, depths (FHE: ciphertexts, levels and noise
-        estimates) and constants of gate-by-gate ``nand``; an FHE netlist
-        past the depth budget raises before any gate runs."""
-        return run_netlist(self, net, operands)
+        as a one-piece plan of single-bit words, with the counts, depths
+        (FHE: ciphertexts, levels and noise estimates) and constants of
+        gate-by-gate ``nand``; an FHE netlist too deep raises as it compiles."""
+        comp = Compiler(self.params, 1, 0, self.wire_meta(operands))
+        out = comp.piece(net, comp.inputs.reshape(operands.shape))
+        return replay(self, comp.finish(out), operands).reshape(out.shape)
+
+    def _own(self, *handles):
+        """Refuse a handle of another engine."""
+        for h in handles:
+            if h.engine is not self:
+                raise UsageError("cannot mix handles from different engines")
 
     def wire_meta(self, wires: np.ndarray) -> np.ndarray:
         """Packed copy of the ``meta_dtype`` fields of a wire array."""
@@ -193,8 +203,7 @@ class CleartextEngine(_Engine):
         return ClearBit(self, lanes, 0, None)
 
     def nand(self, a: ClearBit, b: ClearBit) -> ClearBit:
-        if a.engine is not self or b.engine is not self:
-            raise UsageError("cannot mix handles from different engines")
+        self._own(a, b)
         if a.const is not None or b.const is not None:
             return fold(self, a, b)
         self.nand_count += 1
@@ -208,8 +217,7 @@ class CleartextEngine(_Engine):
 
     def read_back(self, h: ClearBit) -> int:
         """Packed lane values of a wire (an int in [0, 2**batch_size))."""
-        if h.engine is not self:
-            raise UsageError("handle belongs to a different engine")
+        self._own(h)
         return h.value
 
     def input_wires(self, lane_bits) -> np.ndarray:
@@ -235,7 +243,7 @@ class CleartextEngine(_Engine):
 
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles."""
-        _check_owner(self, handles)
+        self._own(*handles)
         n, size = len(handles), self.wire_bytes
         out = np.empty(n, self.wire_dtype)
         out["v"] = np.frombuffer(b"".join(h.value.to_bytes(size, "little") for h in handles),
@@ -312,8 +320,7 @@ class FheEngine(_Engine):
         return FheBit(self, ct, None)
 
     def nand(self, a: FheBit, b: FheBit) -> FheBit:
-        if a.engine is not self or b.engine is not self:
-            raise UsageError("cannot mix handles from different engines")
+        self._own(a, b)
         if a.const is not None or b.const is not None:
             return fold(self, a, b)
         out = self.scheme.hom_nand(a.ct, b.ct)
@@ -326,8 +333,7 @@ class FheEngine(_Engine):
         return FheBit(self, self.scheme.hom_not(h.ct), None)
 
     def read_back(self, h: FheBit) -> int:
-        if h.engine is not self:
-            raise UsageError("handle belongs to a different engine")
+        self._own(h)
         if h.const is not None:
             return h.const
         if self.secret_key is None:
@@ -336,8 +342,7 @@ class FheEngine(_Engine):
 
     def export_ct(self, h: FheBit) -> Ciphertext:
         """Ciphertext of a wire (constants become trivial ciphertexts)."""
-        if h.engine is not self:
-            raise UsageError("handle belongs to a different engine")
+        self._own(h)
         if h.const is not None:
             return self.scheme.trivial_encrypt_bit(h.const)
         return h.ct
@@ -389,7 +394,7 @@ class FheEngine(_Engine):
 
     def wires(self, handles) -> np.ndarray:
         """Wire array of handles (a constant's value is its ``export_ct``)."""
-        _check_owner(self, handles)
+        self._own(*handles)
         cts = [self.export_ct(h) for h in handles]
         out = np.empty(len(handles), self.wire_dtype)
         out["v"] = np.reshape([ct.words for ct in cts], out["v"].shape)  # also for no handles
@@ -437,11 +442,6 @@ class FheEngine(_Engine):
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
                     nands[at] = scheme.nand_words(left, right)
         register[slots(piece.outs, piece.width)] = scratch[layout.outputs]
-
-
-def _check_owner(engine, handles):
-    if any(h.engine is not engine for h in handles):
-        raise UsageError("cannot mix handles from different engines")
 
 
 def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ import numpy as np
 from .arith import FixedFormat, FixedWord, decode_bits, encode_bits, encode_int
 # not called here, but bench/tracing.py wraps these names in this module
 from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
-from .errors import UsageError
+from .errors import RangeError, UsageError
 from .netlist import PLANS
 from .plan import Compiler, replay
 
@@ -173,17 +173,16 @@ def fft_1d(signal: SignalBuffer, table: TwiddleTable | None = None,
            on_butterfly=None) -> SignalBuffer:
     """Forward transform of a 1D buffer; log2(M) stages of M/2 butterflies.
 
-    ``table``, if given, must be the signal's size and format; the plan
-    always uses its key's own.  ``on_butterfly(size, i, j)`` is invoked for
-    each butterfly, in stage order, once its stage has run and its NANDs
-    are counted (instrumentation hook).
+    ``table`` must be None: the plan always uses its key's own twiddles.
+    ``on_butterfly(size, i, j)`` is invoked for each butterfly, in stage
+    order, once its stage has run and its NANDs are counted
+    (instrumentation hook).
     """
     if not isinstance(signal.dims, int):
         raise UsageError("fft_1d expects a 1D signal")
+    if table is not None:
+        raise UsageError("fft_1d takes no twiddle table: its plan uses its own")
     m = signal.dims
-    if table is not None and (table.m_points, table.fmt) != (m, signal.fmt):
-        raise UsageError(f"twiddle table for {table.m_points} points at {table.fmt} "
-                         f"used on {m} at {signal.fmt}")
     on_stage = None
     if on_butterfly is not None:
         def on_stage(stage):
@@ -289,9 +288,14 @@ def input_signal(engine, values, fmt: FixedFormat,
     all lanes, or (batch, M) with one signal per lane.  The whole signal
     goes through ``encode_bits`` and ``engine.input_wires`` at once, with
     the bits, range errors and encryptions of ``input_word`` on each word
-    in layout order.
+    in layout order (and ``RangeError`` for an int past float64's range).
     """
-    arr = np.atleast_2d(np.asarray(values, dtype=complex))
+    try:
+        arr = np.atleast_2d(np.asarray(values, dtype=complex))
+    except OverflowError as exc:
+        raise RangeError(f"a signal value is past the float64 range: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # e.g. text or ragged nesting
+        raise UsageError(f"signal values must be complex numbers: {exc}") from exc
     if arr.shape[0] == 1 and engine.batch_size > 1:
         arr = np.repeat(arr, engine.batch_size, axis=0)
     if arr.ndim != 2 or arr.shape[0] != engine.batch_size:

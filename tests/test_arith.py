@@ -55,6 +55,36 @@ def test_encode_out_of_range():
             encode_bits(x, F32)
 
 
+@pytest.mark.parametrize("fmt", [F8, F32, FixedFormat(1024, 16), FixedFormat(1024, 1000)],
+                         ids=lambda f: f"{f.total_bits}.{f.frac_bits}")
+def test_encode_int_is_round_of_the_scaled_value(fmt):
+    """At both ends of the range and at half-grid ties, ``encode_int`` is
+    Python's ``round(x * 2**f)``; one step past either end is refused."""
+    step, top = 2.0**-fmt.frac_bits, 2.0 ** (fmt.total_bits - 1 - fmt.frac_bits)
+    # past 53 bits, top - step rounds to top: take the float next to it
+    most_positive = min(top - step, float(np.nextafter(top, 0)))
+    ties = [(k + 0.5) * step for k in range(-4, 4)]
+    for x in [-top, most_positive, -top + 0.5 * step, 0.0, -0.0] + ties:
+        assert encode_int(x, fmt) == round(x * 2**fmt.frac_bits)
+    for x in (top, min(-top - step, float(np.nextafter(-top, -np.inf)))):
+        with pytest.raises(RangeError):
+            encode_int(x, fmt)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400,
+                                 -10**400], ids=repr)
+def test_encode_int_refuses_what_has_no_word(bad):
+    with pytest.raises(RangeError):
+        encode_int(bad, F32)
+
+
+@pytest.mark.parametrize("value", [1 + 2j, "0.5"], ids=repr)
+def test_codec_refuses_values_that_are_not_real_numbers(value):
+    for encode in (encode_int, encode_bits):
+        with pytest.raises(UsageError):
+            encode(value, F32)
+
+
 def test_format_validation():
     with pytest.raises(UsageError):
         FixedFormat(8, 8)

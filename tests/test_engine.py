@@ -33,6 +33,25 @@ def test_cross_engine_mixing_rejected():
         e1.nand(e1.input_bit(0), e2.input_bit(1))
 
 
+def test_every_entry_refuses_another_engines_handle_with_one_message(exact_scheme,
+                                                                     exact_keys):
+    """``nand``, ``read_back``, ``export_ct`` and ``wires`` of both engines
+    refuse a handle of another engine with one ``UsageError`` message."""
+    messages = set()
+    for make in (CleartextEngine, lambda: FheEngine(exact_scheme, keys=exact_keys)):
+        eng, other = make(), make()
+        mine, foreign = eng.input_bit(1), other.input_bit(0)
+        calls = [lambda: eng.nand(mine, foreign), lambda: eng.nand(foreign, mine),
+                 lambda: eng.read_back(foreign), lambda: eng.wires([mine, foreign])]
+        if isinstance(eng, FheEngine):
+            calls.append(lambda: eng.export_ct(foreign))
+        for call in calls:
+            with pytest.raises(UsageError) as err:
+                call()
+            messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 def test_lane_packing_evaluates_lanes_independently():
     eng = CleartextEngine(batch_size=4)
     a = eng.input_bit(0b0011)

@@ -220,6 +220,17 @@ def _range_message(bad):
     return err.value
 
 
+def test_input_signal_refuses_an_int_past_the_float64_range():
+    with pytest.raises(RangeError):
+        input_signal(CleartextEngine(), [10**400], F32)
+
+
+@pytest.mark.parametrize("values", [["a"], [[1, 2], [3]]], ids=repr)
+def test_input_signal_refuses_values_that_are_not_numbers(values):
+    with pytest.raises(UsageError):
+        input_signal(CleartextEngine(), values, F32)
+
+
 def test_read_signal_rejects_another_engines_signal():
     sig = input_signal(CleartextEngine(batch_size=2), [0.5, 0.25], F16)
     with pytest.raises(UsageError):
@@ -235,8 +246,7 @@ def test_wire_backed_signal_keeps_the_tracer_interface():
     sig = input_signal(eng, np.full((3, 8), 0.5 - 0.25j), F32)
     assert sig.points[0].re.engine is eng
     seen = []
-    out = fft_1d(sig, TwiddleTable(8, F32),
-                 lambda size, i, j: seen.append((size, i, j, eng.nand_count)))
+    out = fft_1d(sig, None, lambda size, i, j: seen.append((size, i, j, eng.nand_count)))
     assert [s[:3] for s in seen] == [(size, start + k, start + k + size // 2)
                                      for size in (2, 4, 8) for start in range(0, 8, size)
                                      for k in range(size // 2)]
@@ -420,9 +430,8 @@ def _transforms(dims, fmt):
     """(the batched transform, its gate-by-gate reference) for a signal
     shape, each from a list of handle points to a sequence of them."""
     if isinstance(dims, int):
-        table = TwiddleTable(dims, fmt)
-        return ((lambda pts: fft_1d(signal_of(pts, dims), table).points),
-                (lambda pts: gate_by_gate_fft(pts, table)))
+        return ((lambda pts: fft_1d(signal_of(pts, dims)).points),
+                (lambda pts: gate_by_gate_fft(pts, TwiddleTable(dims, fmt))))
     return (lambda pts: fft_2d(signal_of(pts, dims)).points), \
         (lambda pts: _gate_by_gate_fft2d(pts, dims))
 

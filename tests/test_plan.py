@@ -7,6 +7,7 @@ from circuit_util import gate_by_gate_fft, signal_from_bits, signal_of
 from fhefft import fft
 from fhefft.arith import FixedFormat, constant_word
 from fhefft.engine import CleartextEngine, FheEngine
+from fhefft.errors import UsageError
 from fhefft.fft import ComplexFixed, TwiddleTable, fft_1d, fft_2d, input_signal, read_signal
 from fhefft.fhe import Ciphertext
 
@@ -88,10 +89,10 @@ def test_piece_bound_and_constants_key_their_own_plans(compiles, monkeypatch):
 
 
 def test_a_passed_table_does_not_enter_the_plan(compiles):
-    """A table with an altered twiddle, passed to the first ``fft_1d`` of a
-    key, leaves the plan kept for that key its own twiddles: a later
-    table-less transform of the key gives the gate-by-gate output of
-    ``TwiddleTable``, whose X[1] is the DFT's 0.875 + 0.75j."""
+    """``fft_1d`` refuses a table, here one with an altered twiddle, before
+    it compiles: the plan of the key holds its own twiddles, and a
+    transform of the key gives the gate-by-gate output of ``TwiddleTable``,
+    whose X[1] is the DFT's 0.875 + 0.75j."""
 
     class Altered(TwiddleTable):
         def twiddle(self, size, k):
@@ -99,7 +100,9 @@ def test_a_passed_table_does_not_enter_the_plan(compiles):
 
     values = [0.5, 0.25j, -0.125, 0.75]
     eng = CleartextEngine()
-    fft_1d(input_signal(eng, values, F16), Altered(4, F16))
+    with pytest.raises(UsageError):
+        fft_1d(input_signal(eng, values, F16), Altered(4, F16))
+    assert compiles == []
     out = fft_1d(input_signal(eng, values, F16))
     want = gate_by_gate_fft(list(input_signal(eng, values, F16).points), TwiddleTable(4, F16))
     assert compiles == [4]
