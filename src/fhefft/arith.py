@@ -20,15 +20,19 @@ same either way, so the result is bit-identical to multiplying by an
 encryption of the same constant.
 
 The lane codec is ``encode_bits`` (real values of any shape to
-two's-complement bits, rounded by ``_grid``, the one rounding rule, whose
-scalar case is ``encode_int``) and ``decode_bits`` (its inverse, in 32-bit
-limbs).  ``fft.input_signal`` and ``fft.read_signal`` run a whole signal
-through it; ``input_word`` and ``read_word`` are the one-word case.
+two's-complement bits) and ``decode_bits`` (its inverse, in 32-bit limbs).
+``fft.input_signal`` and ``fft.read_signal`` run a whole signal through it;
+``input_word`` and ``read_word`` are the one-word case.  ``_grid`` owns the
+value rule of ``encode_int``, ``encode_bits``, ``constant_word``,
+``input_word`` and ``fft.input_signal`` (which splits complex values after
+``_numbers``, the rule's typing step): what is not a real number raises
+``UsageError``, a value off the format ``RangeError``; the rest is rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -80,19 +84,34 @@ def encode_int(x: float, fmt: FixedFormat) -> int:
     return int(_grid(x, fmt))
 
 
+def _not_real(detail) -> UsageError:
+    return UsageError(f"fixed-point values must be real numbers: {detail}")
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array of numbers, complex ones included; ragged
+    nesting, text and objects that are not numbers raise ``UsageError``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise _not_real(exc) from None
+    if arr.dtype.kind not in "biufcO" or arr.dtype == object and not all(
+            isinstance(v, (Number, np.bool_)) for v in arr.flat):
+        raise _not_real(f"got {arr.dtype} values")  # a cast would parse text
+    return arr
+
+
 def _grid(values, fmt: FixedFormat) -> np.ndarray:
     """round(x * 2^f), half to even, of real values of any shape, as integral
     floats; the first value out of range, in C order, raises its ``RangeError``."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biufO":  # a cast would parse text or drop imaginary parts
-        raise UsageError(f"fixed-point values must be real numbers, got dtype {arr.dtype}")
-    half = 2.0 ** (fmt.total_bits - 1)
+    arr = _numbers(values)
+    if np.iscomplexobj(arr) or arr.dtype == object and any(map(np.iscomplexobj, arr.flat)):
+        raise _not_real("got complex values")
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            real = arr.astype(float)
-        except OverflowError:  # an int past float64's range: clipped, still out of range
-            real = np.asarray(np.clip(arr, -half, half), float)
+        # objects are clipped first: an int past float64's range still scales to inf
+        real = np.asarray(np.clip(arr, -1e308, 1e308) if arr.dtype == object else arr, float)
         ints = np.rint(real * fmt.scale)
+        half = 2.0 ** (fmt.total_bits - 1)
         bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
     if bad.any():
         at = np.unravel_index(bad.argmax(), bad.shape)
@@ -161,19 +180,12 @@ def input_word(engine, values, fmt: FixedFormat) -> FixedWord:
     ``values`` holds one real number per lane, or one real scalar for all
     lanes; they go through ``encode_bits`` and ``engine.input_wires``.
     """
-    lanes = engine.batch_size
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError) as exc:  # e.g. ragged nesting
-        raise UsageError(f"word values must be real numbers: {exc}") from exc
-    if arr.dtype.kind not in "biuf":
-        raise UsageError(f"word values must be real numbers, got dtype {arr.dtype}")
-    if arr.ndim == 0:
-        arr = np.broadcast_to(arr, (lanes,))
-    if arr.shape != (lanes,):
-        raise UsageError(f"got values of shape {arr.shape} for {lanes} lanes")
-    wires = engine.input_wires(encode_bits(arr, fmt).T)  # one wire per bit
-    return FixedWord(tuple(engine.handles(wires)), fmt)
+    lanes, bits = engine.batch_size, encode_bits(values, fmt)
+    if bits.ndim == 1:  # one value for every lane
+        bits = np.broadcast_to(bits, (lanes, fmt.total_bits))
+    if bits.shape[:-1] != (lanes,):
+        raise UsageError(f"got values of shape {bits.shape[:-1]} for {lanes} lanes")
+    return FixedWord(tuple(engine.handles(engine.input_wires(bits.T))), fmt)  # a wire per bit
 
 
 def constant_word(engine, x: float, fmt: FixedFormat) -> FixedWord:

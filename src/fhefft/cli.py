@@ -25,7 +25,7 @@ from .arith import FixedFormat
 from .engine import FheEngine, GateStats
 from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost, space_cost
 from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
-from .fft import fft_1d, fft_2d, input_signal, read_signal, transform_plan
+from .fft import _is_pow2, fft_1d, fft_2d, input_signal, read_signal, transform_plan
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
@@ -172,7 +172,7 @@ def cmd_bench(args) -> int:
     elif args.dims == 2:
         sides = [math.isqrt(max(m, 0)) for m in sizes]
         for m, side in zip(sizes, sides):
-            if side < 1 or side * side != m or side & (side - 1):
+            if side * side != m or not _is_pow2(side):
                 raise UsageError(f"2D size {m} is not the square of a power of two")
         reports = [run_2d_experiment(images=args.trials, shape=(side, side), fmt=fmt,
                                      seed=seed) for side in sides]

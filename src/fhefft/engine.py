@@ -56,13 +56,14 @@ ciphertext's words) and ``CHUNK_BYTES`` bound how large a netlist fits one
 evaluation workspace.
 
 ``_Engine._own`` is the one check that handles are the engine's, made by
-``nand``, ``read_back``, ``export_ct`` and ``wires``.  A handle's
-``const`` is ``None`` for a variable wire, else its public bit, which a
-wire array's ``c`` holds as -1, 0 or 1.  A NAND with a constant operand
-is folded by ``gates.fold``, the one rule every engine (and
-``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) = NOT x
-without a gate (each engine's ``free_not``: a bit flip in cleartext, the
-linear ciphertext complement under FHE), and two constants give a
+``nand``, ``read_back``, ``export_ct``, ``wires`` and ``fft.read_signal``.
+A handle's ``const`` is ``None`` for a variable wire, else its public bit,
+which a wire array's ``c`` holds as -1, 0 or 1; ``_Engine.constant`` makes
+one, from fields each engine sets, after ``fhe.check_bit``.  A NAND
+with a constant operand is folded by ``gates.fold``, the one rule every
+engine (and ``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) =
+NOT x without a gate (each engine's ``free_not``: a bit flip in cleartext,
+the linear ciphertext complement under FHE), and two constants give a
 constant.  Folded gates do not increment the NAND counter.  Because
 constants are public circuit structure (e.g. twiddle bits), this mirrors
 the cost treatment of constant multiplication, at the price of leaking
@@ -80,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, UsageError
-from .fhe import Ciphertext, GswScheme, KeyPair
+from .fhe import Ciphertext, GswScheme, KeyPair, check_bit
 from .gates import fold
 from .plan import Compiler, replay, slots
 
@@ -121,23 +122,28 @@ class FheBit:
 
 class _Engine:
     """What both engines share: gate accounting and wire-array plumbing.
-    An engine sets ``params`` (None in cleartext), ``meta_dtype`` and
-    ``const_values``, the value ``v`` of a constant 0 and of a constant 1,
-    whose dtype and shape are a wire's."""
+    An engine sets ``params`` (None in cleartext), ``meta_dtype``, its handle
+    class, and the ``const_values`` (wire values ``v``) and handle fields of
+    a constant 0 and of a constant 1."""
 
     # bound on the working arrays of one piece's evaluation, on the words of
     # one operand set of a plan's merged pieces and, under FHE, on the largest
     # array of one stacked kernel call or container read or write
     CHUNK_BYTES = 1 << 20
 
-    def _init_wires(self, params, meta_dtype, const_values: np.ndarray):
+    def _init_wires(self, params, meta_dtype, const_values: np.ndarray, handle, const_fields):
         self.params, self.meta_dtype, self.const_values = params, meta_dtype, const_values
+        self._handle, self._const_fields = handle, const_fields
         self.wire_dtype = np.dtype([("v", const_values.dtype, const_values.shape[1:]),
                                     *meta_dtype.descr], align=True)
 
     @property
     def stats(self) -> GateStats:
         return GateStats(self.nand_count, self.max_depth)
+
+    def constant(self, bit: int):
+        """A new handle of a public bit (kept ones would tie the engine in a cycle)."""
+        return self._handle(self, *self._const_fields[check_bit(bit)])
 
     def run(self, net, operands: np.ndarray) -> np.ndarray:
         """Evaluate a netlist on each row of a (count, n_inputs) wire array,
@@ -149,7 +155,7 @@ class _Engine:
         return replay(self, comp.finish(out), operands).reshape(out.shape)
 
     def _own(self, *handles):
-        """Refuse a handle of another engine."""
+        """Refuse a handle (or signal) of another engine."""
         for h in handles:
             if h.engine is not self:
                 raise UsageError("cannot mix handles from different engines")
@@ -187,13 +193,9 @@ class CleartextEngine(_Engine):
         self.max_depth = 0
         self.wire_bytes = -(-batch_size // 8)  # lane bits of a wire, packed LSB first
         lanes = np.packbits(np.ones(batch_size, np.uint8), bitorder="little")
-        self._init_wires(None, CLEAR_META, np.stack([np.zeros_like(lanes), lanes]))
+        self._init_wires(None, CLEAR_META, np.stack([np.zeros_like(lanes), lanes]),
+                         ClearBit, ((0, 0, 0), (self.mask, 0, 1)))
         self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
-
-    def constant(self, bit: int) -> ClearBit:
-        if bit not in (0, 1):
-            raise UsageError(f"constant must be 0 or 1, got {bit!r}")
-        return ClearBit(self, self.mask if bit else 0, 0, bit)
 
     def input_bit(self, lanes: int) -> ClearBit:
         """New variable wire; ``lanes`` packs one bit per lane (0/1 if batch 1)."""
@@ -304,16 +306,11 @@ class FheEngine(_Engine):
         self.max_depth = 0
         self.wire_bytes = 8 * scheme.n_ct * (scheme.params.n + 1)  # a ciphertext's words
         self._init_wires(scheme.params, FHE_META,
-                         np.stack([scheme.trivial_encrypt_bit(b).words for b in (0, 1)]))
-
-    def constant(self, bit: int) -> FheBit:
-        if bit not in (0, 1):
-            raise UsageError(f"constant must be 0 or 1, got {bit!r}")
-        return FheBit(self, None, bit)
+                         np.stack([scheme.trivial_encrypt_bit(b).words for b in (0, 1)]),
+                         FheBit, ((None, 0), (None, 1)))
 
     def input_bit(self, bit: int) -> FheBit:
-        if bit not in (0, 1):
-            raise UsageError(f"input bit must be 0 or 1, got {bit!r}")
+        check_bit(bit)  # before the key: the bit is refused first
         if self.public_key is None:
             raise CapabilityError("encrypting inputs needs the public key")
         ct = self.scheme.encrypt_bit(self.public_key, bit, self.rng)

@@ -34,14 +34,16 @@ in one plan.
 
 A ``SignalBuffer`` is one wire array of shape (points, 2, bits) from
 encoding to decoding: ``input_signal`` encodes every word of every lane in
-one ``arith.encode_bits`` call and makes its wires in one
-``engine.input_wires`` call, the transforms replay their plan on the
-array and wrap its result, and ``read_signal`` reads it back through
-``engine.read_wires`` and ``arith.decode_bits``.  The array holds each
-engine's wire records (lane bytes and depths in cleartext, ciphertext
-words, levels and noise estimates under FHE), which the EFT1 containers
-(``fileio``) write and read as they are.  Bit handles
-(``SignalBuffer.points`` and ``bits``) are made only when asked for.
+one ``arith.encode_bits`` call (``arith._grid``'s value rule) and makes its
+wires in one ``engine.input_wires`` call, the transforms replay their plan
+on the array and wrap its result, and ``read_signal`` reads it back, once
+``_Engine._own`` finds it the engine's, through ``engine.read_wires`` and
+``arith.decode_bits``.  The array holds each engine's wire records (lane
+bytes and depths in cleartext, ciphertext words, levels and noise
+estimates under FHE), which the EFT1 containers (``fileio``) write and
+read as they are.  Bit handles (``SignalBuffer.points`` and ``bits``) are
+made only when asked for.  ``_is_pow2`` is the one power-of-two predicate,
+also of ``harness`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import FixedFormat, FixedWord, decode_bits, encode_bits, encode_int
+from .arith import FixedFormat, FixedWord, _numbers, decode_bits, encode_bits, encode_int
 # not called here, but bench/tracing.py wraps these names in this module
 from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
-from .errors import RangeError, UsageError
+from .errors import UsageError
 from .netlist import PLANS
 from .plan import Compiler, replay
 
@@ -98,16 +100,10 @@ class SignalBuffer:
     wires: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.dims, int):
-            total = self.dims
-            if not _is_pow2(total):
-                raise UsageError(f"signal length {total} is not a power of two")
-        else:
-            rows, cols = self.dims
-            if not (_is_pow2(rows) and _is_pow2(cols)):
-                raise UsageError(f"image dims {self.dims} must be powers of two")
-            total = rows * cols
-        if self.wires.shape != (total, 2, self.fmt.total_bits):
+        rows, cols = (1, self.dims) if isinstance(self.dims, int) else self.dims
+        if not (_is_pow2(rows) and _is_pow2(cols)):
+            raise UsageError(f"signal dims {self.dims} are not powers of two")
+        if self.wires.shape != (rows * cols, 2, self.fmt.total_bits):
             raise UsageError(f"wires of shape {self.wires.shape} for dims {self.dims} "
                              f"at {self.fmt.total_bits} bits")
 
@@ -290,17 +286,15 @@ def input_signal(engine, values, fmt: FixedFormat,
     the bits, range errors and encryptions of ``input_word`` on each word
     in layout order (and ``RangeError`` for an int past float64's range).
     """
-    try:
-        arr = np.atleast_2d(np.asarray(values, dtype=complex))
-    except OverflowError as exc:
-        raise RangeError(f"a signal value is past the float64 range: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # e.g. text or ragged nesting
-        raise UsageError(f"signal values must be complex numbers: {exc}") from exc
+    arr = np.atleast_2d(_numbers(values))
     if arr.shape[0] == 1 and engine.batch_size > 1:
         arr = np.repeat(arr, engine.batch_size, axis=0)
     if arr.ndim != 2 or arr.shape[0] != engine.batch_size:
         raise UsageError(f"signals of shape {arr.shape} for {engine.batch_size} lanes")
-    parts = np.stack([arr.real.T, arr.imag.T], axis=1)  # (points, 2, lanes)
+    # an object array's numbers (e.g. ints past float64's range) split one by one
+    re, im = np.frompyfunc(lambda v: (v.real, v.imag), 1, 2)(arr) if arr.dtype == object \
+        else (arr.real, arr.imag)
+    parts = np.stack([re.T, im.T], axis=1)  # (points, 2, lanes)
     wires = engine.input_wires(encode_bits(parts, fmt).swapaxes(-1, -2))
     return SignalBuffer(engine, fmt, dims if dims is not None else arr.shape[1], wires)
 
@@ -308,8 +302,7 @@ def input_signal(engine, values, fmt: FixedFormat,
 def read_signal(engine, signal: SignalBuffer) -> np.ndarray:
     """Decoded complex array of shape (batch, M) (needs key material on FHE),
     equal to ``read_word`` of each word."""
-    if signal.engine is not engine:
-        raise UsageError("signal belongs to a different engine")
+    engine._own(signal)
     bits = engine.read_wires(signal.wires)  # (points, 2, bits, lanes)
     parts = decode_bits(np.moveaxis(bits, -1, 0), signal.fmt)  # (lanes, points, 2)
     out = np.empty(parts.shape[:2], dtype=complex)

@@ -19,7 +19,9 @@ float64 (the ``default`` preset), decided from the parameters alone.
 Decryption's product, decomposed bits times powers of the secret below
 q < 2^ell, is bounded by the same rule; ``_decode`` reads bits and noise
 from it, for a stack (``decrypt_rows``) or for one ciphertext
-(``decrypt_bit_with_noise``, which raises where it rejects).
+(``decrypt_bit_with_noise``, which raises where it rejects).  ``check_bit``
+is the public-bit rule of ``encrypt_bit``, ``trivial_encrypt_bit`` and the
+engines' ``constant`` and ``input_bit``.
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoiseOverflowError, ParameterError
+from .errors import NoiseOverflowError, ParameterError, UsageError
 
 # float64 arithmetic stays exact only while every intermediate integer is
 # below 2**52.  The largest is C1 @ W2 in nand_words, at most N * (2^ell - 1)
@@ -54,6 +56,13 @@ _EXACT_BITS = 52
 # float32 holds every integer below 2**24 exactly; parameters with
 # (N+1) * 2^ell below it multiply in float32
 _EXACT_BITS_FLOAT32 = 24
+
+
+def check_bit(bit) -> int:
+    """``bit`` as an int: the public-bit rule, which refuses all but 0 and 1."""
+    if bit not in (0, 1):
+        raise UsageError(f"bit must be 0 or 1, got {bit!r}")
+    return int(bit)
 
 
 def _ceil_log2(q: int) -> int:
@@ -289,9 +298,7 @@ class GswScheme:
         return KeyPair(public_key=public, secret_key=secret)
 
     def encrypt_bit(self, public_key: np.ndarray, bit: int, rng) -> Ciphertext:
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        words = self.encrypt_words(public_key, np.array([bit]), rng)[0]
+        words = self.encrypt_words(public_key, np.array([check_bit(bit)]), rng)[0]
         return Ciphertext(words, level=0, noise_est=self.fresh_noise)
 
     def encrypt_words(self, public_key: np.ndarray, bits: np.ndarray, rng) -> np.ndarray:
@@ -310,9 +317,7 @@ class GswScheme:
 
     def trivial_encrypt_bit(self, bit: int) -> Ciphertext:
         """Noiseless deterministic encoding of a public constant."""
-        if bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        return Ciphertext(bit * self._gadget, level=0, noise_est=0)
+        return Ciphertext(check_bit(bit) * self._gadget, level=0, noise_est=0)
 
     # -- decryption ------------------------------------------------------
 

@@ -31,6 +31,7 @@ import base64
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -377,21 +378,12 @@ def read_pgm(path) -> np.ndarray:
     """Grayscale image as floats in [0, 1] (P2 ascii or P5 binary)."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    # a token after whitespace and comments, each comment ending at a newline or \Z
+    token = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
     tokens, pos = [], 0
-    while len(tokens) < 4 and pos < len(blob):
-        # comments run to end of line; whitespace separates header tokens
-        if blob[pos:pos + 1] == b"#":
-            newline = blob.find(b"\n", pos)
-            pos = len(blob) if newline < 0 else newline + 1
-            continue
-        if blob[pos:pos + 1].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(blob) and not blob[end:end + 1].isspace():
-            end += 1
-        tokens.append(blob[pos:end])
-        pos = end
+    while len(tokens) < 4 and (match := token.match(blob, pos)):
+        tokens.append(match[1])
+        pos = match.end()
     if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
         raise ParseError("not a P2/P5 PGM image", path=path, offset=0)
     try:

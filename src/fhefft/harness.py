@@ -30,7 +30,7 @@ from .arith import FixedFormat
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
 from .errors import UsageError
-from .fft import fft_1d, fft_2d, input_signal, read_signal
+from .fft import _is_pow2, fft_1d, fft_2d, input_signal, read_signal
 from .fhe import EXACT_PARAMS, GswScheme
 
 DEFAULT_FORMAT = FixedFormat(32, 16)
@@ -148,7 +148,7 @@ def _check_count(name, n):
 
 
 def _check_pow2(name, n):
-    if n < 1 or n & (n - 1):
+    if not _is_pow2(n):
         raise UsageError(f"{name} {n} is not a power of two")
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fhefft.errors import NoiseOverflowError, ParameterError
+from fhefft.errors import NoiseOverflowError, ParameterError, UsageError
 from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme, SchemeParams
 
 
@@ -67,7 +67,7 @@ def test_bit_round_trip_randomized(default_scheme, default_keys, rng):
 
 
 def test_encrypt_rejects_non_bit(default_scheme, default_keys, rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         default_scheme.encrypt_bit(default_keys.public_key, 2, rng)
 
 
