@@ -80,8 +80,11 @@ class FixedWord:
 # -- plaintext codec -----------------------------------------------------
 
 def encode_int(x: float, fmt: FixedFormat) -> int:
-    """Nearest fixed-point integer round(x * 2^f); raises when out of range."""
-    return int(_grid(x, fmt))
+    """Nearest fixed-point integer round(x * 2^f) of one value (a 0-d array
+    too); raises when out of range."""
+    if (ints := _grid(x, fmt)).ndim:
+        raise UsageError(f"encode_int takes one value, got an array of shape {ints.shape}")
+    return int(ints)
 
 
 def _not_real(detail) -> UsageError:

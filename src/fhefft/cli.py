@@ -25,7 +25,7 @@ from .arith import FixedFormat
 from .engine import FheEngine, GateStats
 from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost, space_cost
 from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
-from .fft import _is_pow2, fft_1d, fft_2d, input_signal, read_signal, transform_plan
+from .fft import _is_pow2, _sides, fft_1d, fft_2d, input_signal, read_signal, transform_plan
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
@@ -115,8 +115,8 @@ def cmd_verify(args) -> int:
     if frac < 1:
         raise UsageError(f"--frac must be positive, got {frac}")
     dims = meta.dims if meta.dims is not None else plain_dims
-    points = dims[0] * dims[1] if isinstance(dims, tuple) else dims
-    if not len(plain) == len(spectrum) == points:
+    rows, cols = _sides(dims)
+    if not len(plain) == len(spectrum) == rows * cols:
         raise UsageError(f"{len(plain)} plain points, {len(spectrum)} spectrum "
                          f"points and dims {dims} do not agree")
     oracle, _, bound = reference(plain, dims, frac, args.xb)
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
                          f"overflows double precision; the plain signal is too large "
                          f"to verify")
     report = {
-        "size": list(dims) if isinstance(dims, tuple) else dims,
+        "size": dims,
         **error_stats(spectrum, oracle),
         "error_bound": bound,
     }

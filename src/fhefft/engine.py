@@ -199,10 +199,12 @@ class CleartextEngine(_Engine):
 
     def input_bit(self, lanes: int) -> ClearBit:
         """New variable wire; ``lanes`` packs one bit per lane (0/1 if batch 1)."""
+        if not isinstance(lanes, (int, np.integer)):
+            raise UsageError(f"lane value must be an integer, got {lanes!r}")
         if not 0 <= lanes <= self.mask:
             raise UsageError(f"lane value {lanes:#x} out of range for "
                              f"batch_size={self.batch_size}")
-        return ClearBit(self, lanes, 0, None)
+        return ClearBit(self, int(lanes), 0, None)
 
     def nand(self, a: ClearBit, b: ClearBit) -> ClearBit:
         self._own(a, b)
@@ -225,12 +227,15 @@ class CleartextEngine(_Engine):
     def input_wires(self, lane_bits) -> np.ndarray:
         """New variable wires of a (..., batch_size) array of lane bits (0/1),
         each wire's lanes packed LSB first; the result has shape ``...``."""
-        lane_bits = np.asarray(lane_bits, dtype=np.uint8)
+        lane_bits = np.asarray(lane_bits)
         if lane_bits.shape[-1:] != (self.batch_size,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for "
                              f"batch_size={self.batch_size}")
+        if lane_bits.dtype != np.uint8 or lane_bits.max(initial=0) > 1:  # 0/1 bytes need no mask
+            if (bad := (lane_bits != 0) & (lane_bits != 1)).any():
+                check_bit(lane_bits.item(bad.argmax()))  # the first, as a Python scalar
         out = np.empty(lane_bits.shape[:-1], self.wire_dtype)
-        out["v"] = np.packbits(lane_bits, axis=-1, bitorder="little")
+        out["v"] = np.packbits(lane_bits.astype(np.uint8, copy=False), -1, bitorder="little")
         out["d"] = 0
         out["c"] = -1
         return out
@@ -354,12 +359,11 @@ class FheEngine(_Engine):
         lane_bits = np.asarray(lane_bits)
         if lane_bits.shape[-1:] != (1,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
-        bits = lane_bits.reshape(-1).astype(np.int64)
-        bad = (bits != 0) & (bits != 1)
-        if len(bits) and (self.public_key is None or bad.any()):
+        bits = lane_bits.reshape(-1)
+        if len(bits) and (self.public_key is None or (bad := (bits != 0) & (bits != 1)).any()):
             # input_bit raises for the first bit the per-bit loop rejects: the
             # first bit when there is no public key, else the first non-0/1 one
-            self.input_bit(int(bits[0 if self.public_key is None else np.argmax(bad)]))
+            self.input_bit(bits.item(0 if self.public_key is None else bad.argmax()))
         scheme = self.scheme
         step = max(1, self.CHUNK_BYTES // (8 * scheme.n_ct * scheme.params.m))
         out = np.empty(len(bits), self.wire_dtype)

@@ -43,7 +43,9 @@ bytes and depths in cleartext, ciphertext words, levels and noise
 estimates under FHE), which the EFT1 containers (``fileio``) write and
 read as they are.  Bit handles (``SignalBuffer.points`` and ``bits``) are
 made only when asked for.  ``_is_pow2`` is the one power-of-two predicate,
-also of ``harness`` and ``cli``.
+also of ``cli``, and ``_sides`` the one shape rule, also of ``fileio``,
+``harness`` and ``cli``: a 1D signal of M points is the one-row image
+(1, M), whose column pass compiles no stage.
 """
 
 from __future__ import annotations
@@ -63,8 +65,18 @@ from .netlist import PLANS
 from .plan import Compiler, replay
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_pow2(n) -> bool:
+    """Whether ``n`` is an integer power of two (a bool is not)."""
+    return isinstance(n, (int, np.integer)) and n is not True and n >= 1 and not n & (n - 1)
+
+
+def _sides(dims) -> tuple[int, int]:
+    """(rows, cols) of signal dims: an int M is (1, M), a pair is itself,
+    and each side must be ``_is_pow2``; anything else raises ``UsageError``."""
+    sides = (1, dims) if isinstance(dims, (int, np.integer)) else dims
+    if not (isinstance(sides, tuple) and len(sides) == 2 and all(map(_is_pow2, sides))):
+        raise UsageError(f"signal dims {dims!r} must be a power of two M or a pair of them")
+    return int(sides[0]), int(sides[1])
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,7 @@ class ComplexFixed:
 
 @dataclass(frozen=True, eq=False)
 class SignalBuffer:
-    """A 1D signal (dims = M) or row-major 2D image (dims = (rows, cols)).
+    """A 1D signal (dims = M) or row-major 2D image (dims = (rows, cols)), as Python ints.
 
     The signal is one wire array of ``engine`` of shape (points, 2, bits):
     points in order, each point's real word before its imaginary word, each
@@ -100,9 +112,8 @@ class SignalBuffer:
     wires: np.ndarray
 
     def __post_init__(self):
-        rows, cols = (1, self.dims) if isinstance(self.dims, int) else self.dims
-        if not (_is_pow2(rows) and _is_pow2(cols)):
-            raise UsageError(f"signal dims {self.dims} are not powers of two")
+        rows, cols = _sides(self.dims)
+        object.__setattr__(self, "dims", (rows, cols) if isinstance(self.dims, tuple) else cols)
         if self.wires.shape != (rows * cols, 2, self.fmt.total_bits):
             raise UsageError(f"wires of shape {self.wires.shape} for dims {self.dims} "
                              f"at {self.fmt.total_bits} bits")
@@ -138,8 +149,7 @@ class TwiddleTable:
     """
 
     def __init__(self, m_points: int, fmt: FixedFormat):
-        if not _is_pow2(m_points):
-            raise UsageError(f"signal length {m_points} is not a power of two")
+        _sides(m_points)
         self.m_points = m_points
         self.fmt = fmt
         self._entries: dict[tuple[int, int], tuple[float, float]] = {}
@@ -221,14 +231,12 @@ def transform_plan(engine, fmt, dims, meta):
 
 def _compile(comp, fmt, dims):
     """The plan of ``fft_1d`` or ``fft_2d``, with the twiddles of its key:
-    every row's stages, then (2D) every column's."""
-    words = comp.inputs.reshape(-1, 2)  # (points, 2): real and imaginary words
-    if isinstance(dims, int):
-        out = _stages(comp, fmt, words[None], TwiddleTable(dims, fmt))
-    else:
-        rows, cols = dims
-        grid = _stages(comp, fmt, words.reshape(rows, cols, 2), TwiddleTable(cols, fmt))
-        out = _stages(comp, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt)).swapaxes(0, 1)
+    every row's stages, then every column's (none for a 1D signal, the
+    one-row image)."""
+    rows, cols = _sides(dims)
+    words = comp.inputs.reshape(rows, cols, 2)  # real and imaginary words
+    grid = _stages(comp, fmt, words, TwiddleTable(cols, fmt))
+    out = _stages(comp, fmt, grid.swapaxes(0, 1), TwiddleTable(rows, fmt)).swapaxes(0, 1)
     return comp.finish(out.reshape(-1))
 
 

@@ -20,8 +20,9 @@ Decryption's product, decomposed bits times powers of the secret below
 q < 2^ell, is bounded by the same rule; ``_decode`` reads bits and noise
 from it, for a stack (``decrypt_rows``) or for one ciphertext
 (``decrypt_bit_with_noise``, which raises where it rejects).  ``check_bit``
-is the public-bit rule of ``encrypt_bit``, ``trivial_encrypt_bit`` and the
-engines' ``constant`` and ``input_bit``.
+is the public-bit rule of ``encrypt_bit``, ``trivial_encrypt_bit``,
+``FheEngine.input_bit``, and both engines' ``constant`` and ``input_wires``
+(each lane bit, the first refused in C order raising, as a Python scalar).
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -60,7 +61,7 @@ _EXACT_BITS_FLOAT32 = 24
 
 def check_bit(bit) -> int:
     """``bit`` as an int: the public-bit rule, which refuses all but 0 and 1."""
-    if bit not in (0, 1):
+    if isinstance(bit, np.ndarray) or bit not in (0, 1):
         raise UsageError(f"bit must be 0 or 1, got {bit!r}")
     return int(bit)
 

@@ -40,7 +40,7 @@ import numpy as np
 from .arith import FixedFormat
 from .engine import FHE_META
 from .errors import ParseError, UsageError
-from .fft import SignalBuffer
+from .fft import SignalBuffer, _sides
 from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 
 MAGIC = b"EFT1"
@@ -148,7 +148,7 @@ def write_ciphertext_signal(path, signal: SignalBuffer):
         "params": params_to_dict(params),
         "params_digest": params.digest(),
         "fixed_format": {"total_bits": fmt.total_bits, "frac_bits": fmt.frac_bits},
-        "dims": list(signal.dims) if isinstance(signal.dims, tuple) else signal.dims,
+        "dims": signal.dims,  # a pair as a JSON list
         "points": len(signal.wires),
         "ct_side": params.n_ct,
         "levels": wires["d"].tolist(),
@@ -170,7 +170,6 @@ class ContainerHeader:
     params: SchemeParams
     fmt: FixedFormat
     dims: int | tuple[int, int]
-    points: int
     levels: tuple[int, ...]
     noise: tuple[int, ...]
     payload: int  # bytes that follow the header in the file
@@ -214,20 +213,17 @@ def _read_header(fh, path) -> ContainerHeader:
         fmt = FixedFormat(int(header["fixed_format"]["total_bits"]),
                           int(header["fixed_format"]["frac_bits"]))
         dims = header["dims"]
-        if isinstance(dims, list) and len(dims) == 2:
-            dims = (int(dims[0]), int(dims[1]))
-        else:
-            dims = int(dims)
+        dims = int(dims) if np.ndim(dims) == 0 else tuple(int(d) for d in dims)
+        rows, cols = _sides(dims)
         points = int(header["points"])
         ct_side = int(header["ct_side"])
         levels = tuple(int(v) for v in header["levels"])
         noise = tuple(int(v) for v in header["noise"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise ParseError(f"bad container header field: {exc!r}", path=path, offset=12) from exc
     if params.digest() != digest:
         raise ParseError("parameter digest mismatch", path=path)
-    sides = dims if isinstance(dims, tuple) else (dims,)
-    if points < 1 or min(sides) < 1 or math.prod(sides) != points:
+    if rows * cols != points:
         raise ParseError(f"dims {dims} do not hold {points} points", path=path)
     if ct_side != params.n_ct:
         raise ParseError(f"ct_side {ct_side} does not match the parameters' {params.n_ct}",
@@ -241,7 +237,7 @@ def _read_header(fh, path) -> ContainerHeader:
         raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
     if not all(0 <= v < _LEVEL_LIMIT for v in levels):
         raise ParseError("levels must lie in [0, 2^62)", path=path)
-    return ContainerHeader(params, fmt, dims, points, levels, noise, size - 12 - head_len)
+    return ContainerHeader(params, fmt, dims, levels, noise, size - 12 - head_len)
 
 
 def _read_container(path) -> tuple[ContainerHeader, bytes]:
@@ -291,8 +287,7 @@ def write_signal_text(path, values, dims=None, fmt: FixedFormat | None = None):
     with open(path, "w") as fh:
         meta = []
         if dims is not None:
-            meta.append("dims=" + ("x".join(str(d) for d in dims)
-                                   if isinstance(dims, tuple) else str(dims)))
+            meta.append("dims=" + "x".join(map(str, np.atleast_1d(dims))))
         if fmt is not None:
             meta.append(f"bits={fmt.total_bits}")
             meta.append(f"frac={fmt.frac_bits}")
@@ -341,14 +336,13 @@ def _parse_meta(text, path, lineno) -> SignalMeta:
         try:
             if key == "dims":
                 dims = tuple(int(d) for d in val.split("x"))
-                if len(dims) > 2 or min(dims) < 1:
-                    raise ValueError(val)
                 dims = dims[0] if len(dims) == 1 else dims
+                _sides(dims)
             elif key == "bits":
                 bits = int(val)
             elif key == "frac":
                 frac = int(val)
-        except ValueError as exc:
+        except (ValueError, UsageError) as exc:
             raise ParseError(f"bad metadata token {token!r}",
                              path=path, line=lineno) from exc
     if (bits is None) != (frac is None):

@@ -30,7 +30,7 @@ from .arith import FixedFormat
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
 from .errors import UsageError
-from .fft import _is_pow2, fft_1d, fft_2d, input_signal, read_signal
+from .fft import _sides, fft_1d, fft_2d, input_signal, read_signal
 from .fhe import EXACT_PARAMS, GswScheme
 
 DEFAULT_FORMAT = FixedFormat(32, 16)
@@ -61,10 +61,7 @@ class ErrorReport:
     backend: str
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        if isinstance(d["size"], tuple):
-            d["size"] = list(d["size"])
-        return d
+        return asdict(self)
 
 
 # -- independent oracle ------------------------------------------------------
@@ -147,17 +144,12 @@ def _check_count(name, n):
         raise UsageError(f"{name} must be >= 1, got {n}")
 
 
-def _check_pow2(name, n):
-    if not _is_pow2(n):
-        raise UsageError(f"{name} {n} is not a power of two")
-
-
 def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
                       trials: int = 100, seed: int = 0,
                       backend: str = "clear") -> ErrorReport:
     """Transform `trials` random signals of length m_points and report errors."""
     _check_count("trials", trials)
-    _check_pow2("signal length", m_points)
+    _, m_points = _sides((1, m_points))  # a one-row image
     rng = np.random.default_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
@@ -171,13 +163,11 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     ``images`` is a count of random images to draw, or an iterable of 2D
     arrays; all must share ``shape``, whose sides are powers of two.
     """
-    rows, cols = shape
-    for side in shape:
-        _check_pow2("image side", side)
+    rows, cols = _sides(tuple(shape) if np.iterable(shape) else shape)
     rng = np.random.default_rng(seed)
     if isinstance(images, int):
         _check_count("images", images)
-        stack = rng.uniform(0, 1, (images, *shape))
+        stack = rng.uniform(0, 1, (images, rows, cols))
     else:
         stack = [np.asarray(img, dtype=float) for img in images]
         _check_count("images", len(stack))

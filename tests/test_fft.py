@@ -457,6 +457,26 @@ class _ConversionCounting(CleartextEngine):
         return super().handles(wires)
 
 
+@pytest.mark.parametrize("m", [1, 2, 16])
+def test_one_row_and_one_column_images_are_the_1d_transform(m, rng):
+    """A 1D signal compiles as the one-row image: (1, M) and (M, 1) images
+    have the M-point transform's stage sizes and NANDs, and its output bits
+    along their row or column."""
+    values = rng.uniform(-1, 1, (5, m)) + 1j * rng.uniform(-1, 1, (5, m))
+    runs = {}
+    for dims in (m, (1, m), (m, 1)):
+        eng = CleartextEngine(batch_size=5)
+        sig = input_signal(eng, values, F16, dims=dims)
+        plan = fft.transform_plan(eng, F16, dims, eng.wire_meta(sig.wires))
+        out = fft_1d(sig) if dims == m else fft_2d(sig)
+        runs[dims] = ([(s.size, s.nand_count) for s in plan.stages], eng.stats,
+                      eng.read_wires(out.wires).tolist())
+    assert runs[m] == runs[(1, m)] == runs[(m, 1)]
+    stages, stats, _ = runs[m]
+    assert [size for size, _ in stages] == [2 ** k for k in range(1, m.bit_length())]
+    assert stats.nand_count == sum(n for _, n in stages) and (stats.nand_count > 0) == (m > 1)
+
+
 # 1D cases at M = 8 (ids "<lanes>-<format>"), and 2D cases whose sides
 # differ, so swapped row and column tables cannot pass
 _BATCHED_CASES = [

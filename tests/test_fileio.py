@@ -214,11 +214,11 @@ def test_container_rejects_negative_levels(valid_container, exact_scheme, levels
 
 def test_signal_text_round_trip(tmp_path):
     path = tmp_path / "sig.txt"
-    values = np.array([1 + 2j, -0.5 + 0.25j, 0j])
-    fileio.write_signal_text(path, values, dims=3, fmt=F16)
+    values = np.array([1 + 2j, -0.5 + 0.25j, 0j, 0.125j])
+    fileio.write_signal_text(path, values, dims=4, fmt=F16)
     loaded, meta = fileio.read_signal_text(path)
     assert np.array_equal(loaded, values)
-    assert meta.dims == 3
+    assert meta.dims == 4
     assert (meta.total_bits, meta.frac_bits) == (16, 8)
 
 

@@ -7,19 +7,30 @@ input with the rule's exception type and message:
   ``wires`` and ``fft.read_signal``);
 * public bits: ``fhe.check_bit`` (``constant`` of both engines,
   ``FheEngine.input_bit``, ``GswScheme.encrypt_bit`` and
-  ``trivial_encrypt_bit``).
+  ``trivial_encrypt_bit``, and every lane bit of both engines'
+  ``input_wires``);
+* signal shapes: ``fft._sides`` (``SignalBuffer``, the plan compiler, both
+  harness experiments, the EFT1 header and text metadata readers, and
+  ``verify``'s point count).
 """
 
+import json
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fhefft import fft, fileio
 from fhefft.arith import FixedFormat, constant_word, encode_bits, encode_int, input_word, read_word
+from fhefft.cli import main
 from fhefft.engine import CleartextEngine, FheEngine
-from fhefft.errors import RangeError, UsageError
+from fhefft.errors import ParseError, RangeError, UsageError
 from fhefft.fft import input_signal, read_signal
+from fhefft.fhe import EXACT_PARAMS
+from fhefft.harness import run_1d_experiment, run_2d_experiment
+from fhefft.plan import Compiler
 
 F16 = FixedFormat(16, 8)
 
@@ -75,6 +86,17 @@ def test_value_entries_accept_real_numbers_of_any_type(value):
     assert read_signal(eng, input_signal(eng, value, F16)).tolist() == [[want]]
 
 
+@pytest.mark.parametrize("value", [np.array([1.5]), [1.5], np.zeros((2, 2)), np.array([])],
+                         ids=repr)
+def test_encode_int_refuses_anything_but_one_value(value):
+    with pytest.raises(UsageError, match="^encode_int takes one value, got an array of shape"):
+        encode_int(value, F16)
+
+
+def test_encode_int_takes_a_0d_array():
+    assert encode_int(np.array(1.5), F16) == encode_int(np.float32(1.5), F16) == 384
+
+
 def test_input_signal_splits_complex_numbers_of_an_object_array():
     eng = CleartextEngine()
     values = np.array([Fraction(1, 2), 0.25j, Decimal("-1.5"), 3], dtype=object)
@@ -112,12 +134,46 @@ BIT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bit", [2, -1, 0.5, "1"], ids=repr)
-@pytest.mark.parametrize("entry", list(BIT_ENTRIES))
+# each lane bit of an array, which holds no arrays
+LANE_BIT_ENTRIES = {
+    "CleartextEngine.input_wires": lambda s, k, b: CleartextEngine().input_wires([[1], [b]]),
+    "FheEngine.input_wires": lambda s, k, b: FheEngine(s, keys=k).input_wires([[1], [b]]),
+}
+
+
+@pytest.mark.parametrize("entry, bit", [
+    pytest.param(entry, bit, id=f"{entry}-{bit!r}")
+    for bit in (2, -1, 0.5, "1", np.array([1, 0]))
+    for entry in [*BIT_ENTRIES, *(LANE_BIT_ENTRIES if np.ndim(bit) == 0 else ())]])
 def test_bit_entries_refuse_a_non_bit_with_one_message(entry, bit, exact_scheme, exact_keys):
     with pytest.raises(UsageError) as got:
-        BIT_ENTRIES[entry](exact_scheme, exact_keys, bit)
+        {**BIT_ENTRIES, **LANE_BIT_ENTRIES}[entry](exact_scheme, exact_keys, bit)
     assert str(got.value) == f"bit must be 0 or 1, got {bit!r}"
+
+
+def test_input_wires_name_the_first_bad_lane_bit_as_a_python_scalar(exact_scheme, exact_keys):
+    """An array's entry is named as ``check_bit`` names the Python scalar,
+    and a keyless engine refuses a bad first bit before the missing key."""
+    bits = np.array([[1], [0], [2], [3]], dtype=np.int64)
+    for eng in (CleartextEngine(), FheEngine(exact_scheme, keys=exact_keys)):
+        with pytest.raises(UsageError, match=r"^bit must be 0 or 1, got 2$"):
+            eng.input_wires(bits)
+    with pytest.raises(UsageError, match=r"^bit must be 0 or 1, got 0\.5$"):
+        FheEngine(exact_scheme).input_wires([[0.5], [1]])
+
+
+@pytest.mark.parametrize("lanes", [0.5, "1", np.array([1, 0]), np.array(1)], ids=repr)
+def test_cleartext_input_bit_refuses_a_lane_value_that_is_not_an_integer(lanes):
+    with pytest.raises(UsageError, match="^lane value must be an integer, got "):
+        CleartextEngine().input_bit(lanes)
+
+
+def test_cleartext_input_bit_keeps_its_lane_mask_rule():
+    with pytest.raises(UsageError, match=r"^lane value 0x2 out of range for batch_size=1$"):
+        CleartextEngine().input_bit(2)
+    eng = CleartextEngine(batch_size=3)
+    x = eng.input_bit(np.int64(5))
+    assert type(x.value) is int and eng.read_back(eng.nand(x, eng.input_bit(7))) == 2
 
 
 def test_constant_takes_a_bit_of_any_number_type(exact_scheme, exact_keys):
@@ -129,3 +185,85 @@ def test_constant_takes_a_bit_of_any_number_type(exact_scheme, exact_keys):
         assert eng.read_back(eng.nand(x, one)) == 0
         assert eng.read_back(eng.nand(one, eng.constant(True))) == 0
         assert eng.nand_count == 0
+
+
+SHAPE_RULE = r"signal dims .* must be a power of two M or a pair of them"
+BAD_DIMS = [(2, 2, 2), (8,), [4, 4], 6, (4, 3), (2.0, 2), True, 0]
+
+
+def _plan(dims):
+    eng = CleartextEngine()
+    meta = eng.wire_meta(input_signal(eng, np.zeros(16), F16).wires)
+    return fft._compile(Compiler(eng.params, F16.total_bits, 1 << 20, meta), F16, dims)
+
+
+# entries of dims held in memory, each with 16 points where it takes values
+SHAPE_ENTRIES = {
+    "SignalBuffer": lambda dims: input_signal(CleartextEngine(), np.zeros(16), F16, dims=dims),
+    "fft._compile": _plan,
+    # a length M is the one-row image (1, M): no pair is a length
+    "run_1d_experiment": lambda dims: run_1d_experiment(dims, F16, trials=1),
+    "run_2d_experiment": lambda dims: run_2d_experiment(1, dims, F16),
+}
+
+
+# an image shape may be any sequence, as numpy's are: run_2d_experiment
+# takes [4, 4] (test_shape_entries_take_numpy_integers)
+@pytest.mark.parametrize("entry, dims", [
+    pytest.param(entry, dims, id=f"{entry}-{dims!r}") for dims in BAD_DIMS
+    for entry in SHAPE_ENTRIES if (entry, dims) != ("run_2d_experiment", [4, 4])])
+def test_shape_entries_refuse_bad_dims_with_the_rules_error(entry, dims):
+    with pytest.raises(UsageError, match=SHAPE_RULE):
+        SHAPE_ENTRIES[entry](dims)
+
+
+def test_shape_entries_take_numpy_integers():
+    dims = (np.int64(4), 4)
+    assert SHAPE_ENTRIES["SignalBuffer"](dims).dims == (4, 4)
+    assert all(type(d) is int for d in SHAPE_ENTRIES["SignalBuffer"](dims).dims)
+    assert SHAPE_ENTRIES["SignalBuffer"](np.int64(16)).dims == 16
+    assert [s[::2] for s in _plan(dims).stages] == [s[::2] for s in _plan((4, 4)).stages]
+    assert run_2d_experiment(1, dims, F16).size == (4, 4)
+    assert run_2d_experiment(1, [4, 4], F16).size == (4, 4)
+    assert run_1d_experiment(np.int64(4), F16, trials=1).size == 4
+
+
+def _header(path, dims, points):
+    wires = points * 2 * 16
+    header = {"params": fileio.params_to_dict(EXACT_PARAMS),
+              "params_digest": EXACT_PARAMS.digest(),
+              "fixed_format": {"total_bits": 16, "frac_bits": 8},
+              "dims": dims, "points": points, "ct_side": EXACT_PARAMS.n_ct,
+              "levels": [0] * wires, "noise": [0] * wires}
+    head = json.dumps(header).encode()
+    path.write_bytes(fileio.MAGIC + struct.pack("<II", fileio.CONTAINER_VERSION, len(head)) + head)
+    return fileio.read_ciphertext_header(path)
+
+
+@pytest.mark.parametrize("dims, points", [([2, 2, 2], 8), ([8], 8), (6, 6), ([4, 3], 12),
+                                          (0, 0)], ids=repr)
+def test_container_header_refuses_bad_dims_as_a_parse_error(dims, points, tmp_path):
+    with pytest.raises(ParseError, match=SHAPE_RULE):
+        _header(tmp_path / "x.eft", dims, points)
+
+
+def test_container_header_converts_dims_with_int_before_the_rule(tmp_path):
+    assert _header(tmp_path / "x.eft", [2.0, 2], 4).dims == (2, 2)
+    assert _header(tmp_path / "x.eft", True, 1).dims == 1
+    assert _header(tmp_path / "x.eft", 8, 8).dims == 8
+
+
+@pytest.mark.parametrize("text", ["2x2x2", "6", "4x3", "0", "2x0"])
+def test_text_metadata_refuses_bad_dims_as_a_parse_error(text, tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(f"# fhefft dims={text}\n0,0\n")
+    with pytest.raises(ParseError, match=f"bad metadata token 'dims={text}'"):
+        fileio.read_signal_text(path)
+
+
+def test_verify_refuses_a_plain_length_that_is_not_a_power_of_two(tmp_path, capsys):
+    plain, spec = tmp_path / "p.txt", tmp_path / "s.txt"
+    fileio.write_signal_text(plain, np.zeros(6))
+    fileio.write_signal_text(spec, np.zeros(6))
+    assert main(["verify", str(plain), str(spec)]) == 2
+    assert "signal dims 6 must be a power of two M" in capsys.readouterr().err
