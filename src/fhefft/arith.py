@@ -3,13 +3,22 @@
 Numbers are two's-complement words of ``total_bits`` bits, LSB first,
 carrying an implicit scale of ``2**frac_bits``; both operands of any
 binary operation must share one format.  Addition is a ripple of full
-adders (9F - 5 NANDs at width F: a shared-NAND half adder starts the
-chain and the top stage skips its carry).  Subtraction inverts the
-second operand and feeds a carry-in of 1.  Multiplication sign-extends
-to twice the width, reduces partial products through carry-save adder
-layers, and finishes with one ripple add; the fixed-point variant keeps
-bits [f, f + F) of the double-width product, an implicit division by
-the scale.  High-order bits beyond the kept window are never computed.
+adders (9F - 6 NANDs at width F: a half adder whose carry is a free NOT
+starts the chain and the top stage skips its carry).  Subtraction
+ripples the free NOTs of the second operand with a carry-in of 1, whose
+first stage is a 3-NAND adder (9F - 7 NANDs).  Multiplication
+sign-extends to twice the width, reduces partial products through
+carry-save adder layers, and finishes with one ripple add; the
+fixed-point variant keeps bits [f, f + F) of the double-width product,
+an implicit division by the scale.  High-order bits beyond the kept
+window are never computed, and the final ripple makes only the carries
+of the bits below it.
+
+Each word op (``add``, ``sub``, ``mul_const``, ``mul_integer``,
+``mul_fixed``) makes its gates through one ``_Builder``: constant
+operands fold, each NAND of an operand pair is made once, and every NOT
+is the engine's free complement.  Plans record the word ops, so they
+make the gates the gate-by-gate engines make.
 
 Multiplying by a plaintext constant adds one partial-product row per
 nonzero digit of the constant's canonical signed-digit (CSD) recoding
@@ -37,7 +46,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import RangeError, UsageError
-from .gates import and_, not_, xor_
+from .gates import and_, fold, xor_
 
 
 @dataclass(frozen=True)
@@ -202,50 +211,136 @@ def read_word(engine, word: FixedWord) -> list[float]:
     return decode_bits(engine.read_wires(engine.wires(word.bits)).T, word.fmt).tolist()
 
 
+# -- gate builder ------------------------------------------------------------
+
+class _Builder:
+    """The gates of one word-op call, made through its engine's ``nand``,
+    ``free_not`` and ``constant`` with the rewrites of and-inverter graphs
+    (structural hashing and complement folding; Mishchenko, Chatterjee &
+    Brayton, DAC 2006):
+
+    * a NAND with a constant operand folds by ``gates.fold`` with the
+      builder as its engine, so that a folded NOT is the builder's own;
+    * a NAND of an operand pair is made once, in either order, keyed by the
+      handles' identity; the builder holds every handle it keys on until
+      the call ends, so no id is reused;
+    * every NOT is the free complement (``engine.free_not``), made once per
+      handle: NAND(x, x) = NOT x, NOT NOT x = x and NAND(x, NOT x) = 1.
+
+    The recorder (``netlist._record``) and the gate-by-gate engines both
+    run the word ops, so a plan makes the gates a gate-by-gate run makes.
+
+    Each public call has its own builder: ``butterfly_sums`` is a
+    composition of public ``sub`` and ``add`` calls, as the gate-by-gate
+    butterfly is, and a builder spanning all of them would fold NOTs across
+    the calls that separate calls make anew.  The builder folds constants
+    itself: the NOTs an engine's own folding makes are new handles it cannot
+    see, and with them Table 1 at 32.16 keeps 3,944,778 NANDs where the
+    builder's folding leaves 3,783,162.  Since keys are identities, an op
+    on aliased operands (``add(x, x)``) can make fewer gates gate by gate
+    than its recorded netlist, whose operands are distinct rows; the values
+    are the same.  No backward liveness pass is made: only the sums below a
+    product's kept bits are skipped, in its final ripple (``_ripple``'s
+    ``lo``).
+    """
+
+    def __init__(self, handles: tuple):
+        self.engine = engine = handles[0].engine
+        own = getattr(engine, "_own", None)  # the engines' rule; a recorder owns its wires
+        if own is not None:
+            own(*handles)
+        self._nands = {}  # (id, id) -> (a, b, NAND(a, b))
+        self._nots = {}  # id(x) -> (x, NOT x), for x and for NOT x
+
+    def constant(self, bit: int):
+        return self.engine.constant(bit)
+
+    def free_not(self, x):
+        """NOT of a variable handle, made once."""
+        pair = self._nots.get(id(x))
+        if pair is None:
+            nx = self.engine.free_not(x)
+            pair = self._nots[id(x)] = (x, nx)
+            self._nots[id(nx)] = (nx, x)
+        return pair[1]
+
+    def nand(self, a, b):
+        if a.const is not None or b.const is not None:
+            return fold(self, a, b)
+        if a is b:
+            return self.free_not(a)
+        pair = self._nots.get(id(a))
+        if pair is not None and pair[1] is b:
+            return self.constant(1)
+        key = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+        hit = self._nands.get(key)
+        if hit is None:
+            hit = self._nands[key] = (a, b, self.engine.nand(a, b))
+        return hit[2]
+
+    def not_(self, x):
+        return self.nand(x, x)
+
+    def and_(self, a, b):
+        return self.not_(self.nand(a, b))
+
+    def xor(self, a, b):
+        n1 = self.nand(a, b)
+        return self.nand(self.nand(a, n1), self.nand(b, n1))
+
+
 # -- adders ---------------------------------------------------------------
 
 def half_adder(a, b):
-    """sum = a XOR b, carry = a AND b (6 NANDs)."""
+    """sum = a XOR b, carry = a AND b, from ``gates`` (6 NANDs)."""
     return xor_(a, b), and_(a, b)
 
 
 def full_adder(a, b, cin):
-    """sum = a XOR b XOR cin, carry = majority; 9 NANDs.
-
-    Two half adders plus the OR of their carries, sharing the carry NANDs:
-    the OR collapses to one gate on the available complements.
-    """
-    eng = a.engine
-    n1 = eng.nand(a, b)
-    s1 = eng.nand(eng.nand(a, n1), eng.nand(b, n1))
-    n4 = eng.nand(s1, cin)
-    total = eng.nand(eng.nand(s1, n4), eng.nand(cin, n4))
-    return total, eng.nand(n4, n1)
+    """sum = a XOR b XOR cin, carry = majority; 9 NANDs on three wires."""
+    return _full_adder(_Builder((a, b, cin)), a, b, cin)
 
 
-def _ha_shared(a, b):
-    """Half adder reusing its NAND between the XOR and the carry (5 gates)."""
-    eng = a.engine
-    n1 = eng.nand(a, b)
-    s = eng.nand(eng.nand(a, n1), eng.nand(b, n1))
-    return s, eng.nand(n1, n1)
+def _full_adder(g, a, b, cin, with_sum=True):
+    """Two half adders plus the OR of their carries, sharing the carry NANDs:
+    the OR collapses to one gate on the available complements (9 NANDs, 6
+    without the sum).  A carry-in of constant 1 gives carry = OR(a, b) =
+    NAND(NOT a, NOT b) and sum = XNOR(a, b) = NAND(NAND(a, b), carry): 3
+    NANDs, where folding the 9 leaves 5 with the carry at depth 4."""
+    if cin.const == 1:
+        carry = g.nand(g.not_(a), g.not_(b))
+        return (g.nand(g.nand(a, b), carry) if with_sum else None), carry
+    n1 = g.nand(a, b)
+    s1 = g.nand(g.nand(a, n1), g.nand(b, n1))
+    n4 = g.nand(s1, cin)
+    total = g.nand(g.nand(s1, n4), g.nand(cin, n4)) if with_sum else None
+    return total, g.nand(n4, n1)
 
 
-def _ripple(abits, bbits, cin=None) -> list:
-    """Width-preserving ripple add; the carry out of the top bit is dropped."""
+def _ha_shared(g, a, b, with_sum=True):
+    """Half adder whose carry is the free NOT of its XOR's first NAND
+    (4 NANDs, 1 without the sum)."""
+    n1 = g.nand(a, b)
+    s = g.nand(g.nand(a, n1), g.nand(b, n1)) if with_sum else None
+    return s, g.not_(n1)
+
+
+def _ripple(g, abits, bbits, cin=None, lo=0) -> list:
+    """Width-preserving ripple add, its bits lo..: the carry out of the top
+    bit is dropped, and the sums below bit ``lo`` are not made."""
     width = len(abits)
     out = []
     carry = cin
     for i in range(width):
         a, b = abits[i], bbits[i]
         if i == width - 1:
-            s = xor_(a, b)
-            out.append(xor_(s, carry) if carry is not None else s)
+            s = g.xor(a, b)
+            s = g.xor(s, carry) if carry is not None else s
         elif carry is None:
-            s, carry = _ha_shared(a, b)
-            out.append(s)
+            s, carry = _ha_shared(g, a, b, i >= lo)
         else:
-            s, carry = full_adder(a, b, carry)
+            s, carry = _full_adder(g, a, b, carry, i >= lo)
+        if i >= lo:
             out.append(s)
     return out
 
@@ -256,24 +351,25 @@ def _check_formats(x: FixedWord, y: FixedWord):
 
 
 def add(x: FixedWord, y: FixedWord) -> FixedWord:
-    """Two's-complement sum, wrapping on overflow; 9F - 5 NANDs."""
+    """Two's-complement sum, wrapping on overflow; 9F - 6 NANDs."""
     _check_formats(x, y)
-    return FixedWord(tuple(_ripple(x.bits, y.bits)), x.fmt)
+    return FixedWord(tuple(_ripple(_Builder(x.bits + y.bits), x.bits, y.bits)), x.fmt)
 
 
 def sub(x: FixedWord, y: FixedWord) -> FixedWord:
-    """x - y by inverting y and rippling with carry-in 1; 10F - 3 NANDs."""
+    """x - y by rippling x, the free NOTs of y and a carry-in of 1;
+    9F - 7 NANDs."""
     _check_formats(x, y)
-    inverted = [not_(b) for b in y.bits]
-    one = x.engine.constant(1)
-    return FixedWord(tuple(_ripple(x.bits, inverted, cin=one)), x.fmt)
+    g = _Builder(x.bits + y.bits)
+    inverted = [g.not_(b) for b in y.bits]
+    return FixedWord(tuple(_ripple(g, x.bits, inverted, cin=g.constant(1))), x.fmt)
 
 
 def butterfly_sums(x_re: FixedWord, x_im: FixedWord, p0: FixedWord, p1: FixedWord,
                    p2: FixedWord, p3: FixedWord) -> tuple[FixedWord, ...]:
     """The sums of a radix-2 butterfly from the four twiddle products of x_j:
     t = (p0 - p1, p2 + p3), then (x_re + t_re, x_im + t_im, x_re - t_re,
-    x_im - t_im); the gates of those ``sub`` and ``add`` calls, 57F - 24
+    x_im - t_im); the gates of those ``sub`` and ``add`` calls, 54F - 39
     NANDs."""
     t_re, t_im = sub(p0, p1), add(p2, p3)
     return add(x_re, t_re), add(x_im, t_im), sub(x_re, t_re), sub(x_im, t_im)
@@ -281,20 +377,20 @@ def butterfly_sums(x_re: FixedWord, x_im: FixedWord, p0: FixedWord, p1: FixedWor
 
 # -- multipliers -----------------------------------------------------------
 
-def _reduce_columns(cols):
+def _reduce_columns(g, cols):
     """Carry-save 3->2 layers until every column holds at most two bits."""
     while any(len(col) > 2 for col in cols):
         nxt = [[] for _ in cols]
         for ci, col in enumerate(cols):
             i = 0
             while len(col) - i >= 3:
-                s, cy = full_adder(col[i], col[i + 1], col[i + 2])
+                s, cy = _full_adder(g, col[i], col[i + 1], col[i + 2])
                 i += 3
                 nxt[ci].append(s)
                 if ci + 1 < len(cols):
                     nxt[ci + 1].append(cy)
             if len(col) - i == 2:
-                s, cy = _ha_shared(col[i], col[i + 1])
+                s, cy = _ha_shared(g, col[i], col[i + 1])
                 i += 2
                 nxt[ci].append(s)
                 if ci + 1 < len(cols):
@@ -304,11 +400,12 @@ def _reduce_columns(cols):
     return cols
 
 
-def _final_add(engine, cols) -> list:
-    zero = engine.constant(0)
+def _final_add(g, cols, lo: int) -> list:
+    """Bits lo.. of the sum of the (at most two) bits of each column."""
+    zero = g.constant(0)
     arow = [col[0] if len(col) > 0 else zero for col in cols]
     brow = [col[1] if len(col) > 1 else zero for col in cols]
-    return _ripple(arow, brow)
+    return _ripple(g, arow, brow, lo=lo)
 
 
 def _sign_extend(bits, width):
@@ -316,15 +413,15 @@ def _sign_extend(bits, width):
     return bits + [bits[-1]] * (width - len(bits))
 
 
-def _product_bits(x: FixedWord, y: FixedWord, hi: int) -> list:
-    """Bits 0..hi-1 of the sign-extended product of two words."""
+def _product_bits(g, x: FixedWord, y: FixedWord, lo: int, hi: int) -> list:
+    """Bits lo..hi-1 of the sign-extended product of two words."""
     xb = _sign_extend(x.bits, hi)
     yb = _sign_extend(y.bits, hi)
     cols = [[] for _ in range(hi)]
     for i in range(hi):
         for j in range(hi - i):
-            cols[i + j].append(and_(xb[i], yb[j]))
-    return _final_add(x.engine, _reduce_columns(cols))
+            cols[i + j].append(g.and_(xb[i], yb[j]))
+    return _final_add(g, _reduce_columns(g, cols), lo)
 
 
 def csd_digits(v: int, width: int) -> list[int]:
@@ -345,19 +442,17 @@ def csd_digits(v: int, width: int) -> list[int]:
     return digits
 
 
-def _product_bits_const(x: FixedWord, c_int: int, hi: int) -> list:
+def _product_bits_const(g, x: FixedWord, c_int: int, lo: int, hi: int) -> list:
     """Like _product_bits with one operand known: one row per CSD digit.
 
     A digit +1 at j adds x << j.  A digit -1 adds -x << j = (~x << j) + 2**j
-    (mod 2**hi): the row of complemented bits, each a folded NAND(x_i, 1)
-    made once, and all the 2**j go into one constant of ``constant(1)`` bits.
+    (mod 2**hi): the row of the free NOTs of x's bits, and all the 2**j go
+    into one constant of ``constant(1)`` bits.
     """
-    eng = x.engine
     digits = csd_digits(c_int, hi)
     rows = {1: _sign_extend(x.bits, hi)}
     if -1 in digits:
-        one = eng.constant(1)
-        rows[-1] = _sign_extend([eng.nand(b, one) for b in x.bits], hi)
+        rows[-1] = _sign_extend([g.not_(b) for b in x.bits], hi)
     cols = [[] for _ in range(hi)]
     for j, d in enumerate(digits):
         if d:
@@ -367,14 +462,15 @@ def _product_bits_const(x: FixedWord, c_int: int, hi: int) -> list:
     correction = sum(1 << j for j, d in enumerate(digits) if d < 0) % (1 << hi)
     for j in range(hi):
         if (correction >> j) & 1:
-            cols[j].append(eng.constant(1))
-    return _final_add(eng, _reduce_columns(cols))
+            cols[j].append(g.constant(1))
+    return _final_add(g, _reduce_columns(g, cols), lo)
 
 
 def mul_integer(x: FixedWord, y: FixedWord) -> FixedWord:
     """Integer product of the raw words, high bits dropped (wraps mod 2^F)."""
     _check_formats(x, y)
-    return FixedWord(tuple(_product_bits(x, y, x.fmt.total_bits)), x.fmt)
+    g = _Builder(x.bits + y.bits)
+    return FixedWord(tuple(_product_bits(g, x, y, 0, x.fmt.total_bits)), x.fmt)
 
 
 def mul_fixed(x: FixedWord, y: FixedWord) -> FixedWord:
@@ -386,8 +482,9 @@ def mul_fixed(x: FixedWord, y: FixedWord) -> FixedWord:
     """
     _check_formats(x, y)
     fmt = x.fmt
-    bits = _product_bits(x, y, fmt.frac_bits + fmt.total_bits)
-    return FixedWord(tuple(bits[fmt.frac_bits:]), fmt)
+    g = _Builder(x.bits + y.bits)
+    return FixedWord(tuple(_product_bits(g, x, y, fmt.frac_bits,
+                                         fmt.frac_bits + fmt.total_bits)), fmt)
 
 
 def mul_const(x: FixedWord, c: float) -> FixedWord:
@@ -399,5 +496,6 @@ def mul_const(x: FixedWord, c: float) -> FixedWord:
     which is the accepted cost/secrecy trade of constant multiplication).
     """
     fmt = x.fmt
-    bits = _product_bits_const(x, encode_int(c, fmt), fmt.frac_bits + fmt.total_bits)
-    return FixedWord(tuple(bits[fmt.frac_bits:]), fmt)
+    bits = _product_bits_const(_Builder(x.bits), x, encode_int(c, fmt), fmt.frac_bits,
+                               fmt.frac_bits + fmt.total_bits)
+    return FixedWord(tuple(bits), fmt)

@@ -56,18 +56,21 @@ ciphertext's words) and ``CHUNK_BYTES`` bound how large a netlist fits one
 evaluation workspace.
 
 ``_Engine._own`` is the one check that handles are the engine's, made by
-``nand``, ``read_back``, ``export_ct``, ``wires`` and ``fft.read_signal``.
+``nand``, ``read_back``, ``export_ct``, ``wires``, ``fft.read_signal`` and
+``arith``'s gate builder (on a word op's operands, since it folds
+constants without ``nand``).
 A handle's ``const`` is ``None`` for a variable wire, else its public bit,
 which a wire array's ``c`` holds as -1, 0 or 1; ``_Engine.constant`` makes
 one, from fields each engine sets, after ``fhe.check_bit``.  A NAND
 with a constant operand is folded by ``gates.fold``, the one rule every
-engine (and ``netlist``'s recorder) applies: NAND(x, 0) = 1, NAND(x, 1) =
-NOT x without a gate (each engine's ``free_not``: a bit flip in cleartext,
-the linear ciphertext complement under FHE), and two constants give a
-constant.  Folded gates do not increment the NAND counter.  Because
-constants are public circuit structure (e.g. twiddle bits), this mirrors
-the cost treatment of constant multiplication, at the price of leaking
-which result bits are forced; see README.
+engine (and ``netlist``'s recorder and ``arith``'s gate builder) applies:
+NAND(x, 0) = 1, NAND(x, 1) = NOT x without a gate (each engine's
+``free_not``: a bit flip in cleartext, the linear ciphertext complement
+under FHE, which the word ops also take for every NOT they make), and
+two constants give a constant.  Folded gates do not increment the NAND
+counter.  Because constants are public circuit structure (e.g. twiddle
+bits), this mirrors the cost treatment of constant multiplication, at
+the price of leaking which result bits are forced; see README.
 
 Decryption below the noise threshold is exact, so any circuit evaluated
 on both engines yields identical bits; the cleartext engine is the
@@ -227,7 +230,7 @@ class CleartextEngine(_Engine):
     def input_wires(self, lane_bits) -> np.ndarray:
         """New variable wires of a (..., batch_size) array of lane bits (0/1),
         each wire's lanes packed LSB first; the result has shape ``...``."""
-        lane_bits = np.asarray(lane_bits)
+        lane_bits = _lane_array(lane_bits)
         if lane_bits.shape[-1:] != (self.batch_size,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for "
                              f"batch_size={self.batch_size}")
@@ -356,7 +359,7 @@ class FheEngine(_Engine):
         """Fresh encryptions of a (..., 1) array of bits, the ciphertexts of
         one ``input_bit`` per bit in C order, made by one ``encrypt_words``
         call per ``CHUNK_BYTES`` of masks; the result has shape ``...``."""
-        lane_bits = np.asarray(lane_bits)
+        lane_bits = _lane_array(lane_bits)
         if lane_bits.shape[-1:] != (1,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
         bits = lane_bits.reshape(-1)
@@ -443,6 +446,20 @@ class FheEngine(_Engine):
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
                     nands[at] = scheme.nand_words(left, right)
         register[slots(piece.outs, piece.width)] = scratch[layout.outputs]
+
+
+def _lane_array(lane_bits) -> np.ndarray:
+    """Lane bits as an array.  ``check_bit`` refuses ragged nesting (no array
+    of bits) and complex values, which compare equal to 0 and 1: the first
+    lane bit of a complex array is the first bit the rule refuses."""
+    try:
+        arr = np.asarray(lane_bits)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        check_bit(lane_bits)  # a nested sequence is not a bit: raises
+        raise
+    if arr.dtype.kind == "c" and arr.size:
+        check_bit(arr.item(0))
+    return arr
 
 
 def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -217,8 +217,10 @@ def _transform(signal, on_stage=None) -> SignalBuffer:
 def transform_plan(engine, fmt, dims, meta):
     """The plan in ``netlist.PLANS`` of a transform on ``engine`` of input
     wires of ``meta`` records, a pure function of its key: the engine's
-    parameters and wire size, the piece bound, the format and dims, and a
-    digest of ``meta``.  The first transform of a key compiles it."""
+    parameters and wire size, the piece bound, the format and dims (which
+    ``_sides`` checks before the key is made), and a digest of ``meta``.
+    The first transform of a key compiles it."""
+    _sides(dims)  # the shape rule, before dims go into a key
     fits = engine.CHUNK_BYTES // engine.wire_bytes
     key = (engine.params, engine.wire_bytes, fits, fmt, dims,
            hashlib.blake2b(meta.tobytes(), digest_size=16).digest())

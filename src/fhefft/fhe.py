@@ -22,7 +22,8 @@ from it, for a stack (``decrypt_rows``) or for one ciphertext
 (``decrypt_bit_with_noise``, which raises where it rejects).  ``check_bit``
 is the public-bit rule of ``encrypt_bit``, ``trivial_encrypt_bit``,
 ``FheEngine.input_bit``, and both engines' ``constant`` and ``input_wires``
-(each lane bit, the first refused in C order raising, as a Python scalar).
+(each lane bit, the first refused in C order raising, as a Python scalar;
+ragged lane bits raise its error too).
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +62,10 @@ _EXACT_BITS_FLOAT32 = 24
 
 
 def check_bit(bit) -> int:
-    """``bit`` as an int: the public-bit rule, which refuses all but 0 and 1."""
-    if isinstance(bit, np.ndarray) or bit not in (0, 1):
+    """``bit`` as an int: the public-bit rule, which refuses all but the
+    real numbers 0 and 1 (an array, or a complex number, is no bit)."""
+    if isinstance(bit, np.ndarray) or isinstance(bit, numbers.Complex) and \
+            not isinstance(bit, numbers.Real) or bit not in (0, 1):
         raise UsageError(f"bit must be 0 or 1, got {bit!r}")
     return int(bit)
 

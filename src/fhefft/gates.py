@@ -5,7 +5,10 @@ NOT 1, AND 2, OR 3, XOR 4, NOR 4, XNOR 5.  NOR and XNOR are unused by the
 FFT circuits but included for completeness.
 
 ``fold`` is the one rule for a NAND with a public constant operand, which
-both engines and ``netlist``'s recorder apply (see ``engine``).
+both engines, ``netlist``'s recorder and ``arith``'s gate builder apply
+(see ``engine``).  The word ops of ``arith`` make their NOTs, ANDs and
+XORs through that builder, where a NOT is a free complement; the gates
+here keep the counts above.
 """
 
 

@@ -99,9 +99,9 @@ def test_pipeline_ciphertexts_golden(tmp_path):
     assert hashlib.sha256(fileio._read_container(ct)[1]).hexdigest()[:16] == "dac634c6420b5b5b"
     assert run_cli("fft", ct, "--out", out) == 0
     header, payload = fileio._read_container(out)
-    assert hashlib.sha256(payload).hexdigest()[:16] == "36d7a54d9912502d"
+    assert hashlib.sha256(payload).hexdigest()[:16] == "27a4a9d03dd78384"
     assert hashlib.sha256(json.dumps(list(header.levels)).encode()).hexdigest()[:16] == \
-        "7566c19dbb6bdcef"
+        "cdd0d44bb5b23788"
     assert run_cli("decrypt", out, "--keys", keys, "--out", spec) == 0
     assert list(fileio.read_signal_text(spec)[0]) == \
         [0.875 - 0.25j, 0.875 + 3.0j, 0.375 - 1.25j, -0.125 - 0.5j]

@@ -359,10 +359,10 @@ def test_fft_backend_equivalence_m2(exact_scheme, exact_keys, rng):
 # (nand_count, max_depth) of each transform circuit; a change to these is a
 # change to the circuit itself, not to how it is evaluated
 @pytest.mark.parametrize("bits,frac,m,golden", [
-    (16, 8, 2, (701, 41)), (16, 8, 4, (2_897, 52)),
-    (16, 8, 8, (15_439, 102)), (16, 8, 16, (52_319, 152)),
-    (32, 16, 2, (1_421, 73)), (32, 16, 4, (5_873, 84)),
-    (32, 16, 8, (37_201, 156)), (32, 16, 16, (132_049, 225)),
+    (16, 8, 2, (550, 34)), (16, 8, 4, (2_380, 46)),
+    (16, 8, 8, (13_112, 95)), (16, 8, 16, (44_374, 144)),
+    (32, 16, 2, (1_126, 66)), (32, 16, 4, (4_876, 78)),
+    (32, 16, 8, (31_828, 149)), (32, 16, 16, (113_404, 217)),
 ])
 def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
     eng = CleartextEngine()
@@ -373,7 +373,7 @@ def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
 def test_fft2d_gate_count_and_depth_golden():
     eng = CleartextEngine()
     fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
-    assert (eng.nand_count, eng.max_depth) == (23_176, 75)
+    assert (eng.nand_count, eng.max_depth) == (19_040, 61)
 
 
 # sha256 (first 16 hex digits) of the decoded spectra of fixed-seed signals
@@ -401,7 +401,7 @@ def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
 # above at the benchmark's sizes; how the engine takes depths may change, but
 # never these
 @pytest.mark.parametrize("dims,lanes,digest", [
-    (128, 100, "d48847a207723e95"), ((16, 16), 10, "f4174779231c8afb"),
+    (128, 100, "69bff20d4a1eff7e"), ((16, 16), 10, "ea59f89584f90399"),
 ])
 def test_fft_output_depths_golden(dims, lanes, digest):
     m = dims if isinstance(dims, int) else dims[0] * dims[1]
@@ -626,7 +626,7 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     """On their layouts the Table 1 plans (M = 8..128 at 32.16, 100 lanes)
     run at most 7,339 level steps, counted once per chunk of operand sets
     (10,754 on every row), and the 16x16 plan (10 lanes) at most 1,860
-    (2,276); the largest M = 128 unions (67,310 and 70,429 rows of
+    (2,276); the largest M = 128 unions (56,417 and 59,912 rows of
     workspace) need at most 28,207 slots, so two operand sets share a
     chunk."""
     steps = []
@@ -644,7 +644,7 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     assert sum(steps) <= 7339
     pieces = [p for s in fft.PLANS[max(fft.PLANS, key=lambda k: k[4])].stages for p in s.pieces]
     largest = sorted(pieces, key=lambda p: p.net.work_rows)[-2:]
-    assert [p.net.work_rows for p in largest] == [67310, 70429]
+    assert [p.net.work_rows for p in largest] == [56417, 59912]
     for piece in largest:
         assert piece.net.layout.work_slots <= 28207
         assert 2 * piece.net.layout.work_slots * eng.wire_bytes <= eng.CHUNK_BYTES

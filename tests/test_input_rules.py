@@ -4,14 +4,15 @@ input with the rule's exception type and message:
 * values: ``arith._grid`` (the entries ``encode_int``, ``encode_bits``,
   ``constant_word``, ``input_word`` and ``fft.input_signal``);
 * ownership: ``_Engine._own`` (``nand``, ``read_back``, ``export_ct``,
-  ``wires`` and ``fft.read_signal``);
+  ``wires``, ``fft.read_signal`` and the word ops' gate builder, which
+  folds constants without ``nand``);
 * public bits: ``fhe.check_bit`` (``constant`` of both engines,
   ``FheEngine.input_bit``, ``GswScheme.encrypt_bit`` and
   ``trivial_encrypt_bit``, and every lane bit of both engines'
-  ``input_wires``);
-* signal shapes: ``fft._sides`` (``SignalBuffer``, the plan compiler, both
-  harness experiments, the EFT1 header and text metadata readers, and
-  ``verify``'s point count).
+  ``input_wires``, ragged nesting included);
+* signal shapes: ``fft._sides`` (``SignalBuffer``, the plan compiler and
+  ``fft.transform_plan``, both harness experiments, the EFT1 header and
+  text metadata readers, and ``verify``'s point count).
 """
 
 import json
@@ -23,7 +24,8 @@ import numpy as np
 import pytest
 
 from fhefft import fft, fileio
-from fhefft.arith import FixedFormat, constant_word, encode_bits, encode_int, input_word, read_word
+from fhefft.arith import (FixedFormat, add, constant_word, encode_bits, encode_int, input_word,
+                          read_word)
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.errors import ParseError, RangeError, UsageError
@@ -110,7 +112,7 @@ def _engine(kind, scheme, keys):
 
 @pytest.mark.parametrize("kind, entry", [
     (kind, entry) for kind in ("clear", "fhe")
-    for entry in ("nand", "read_back", "export_ct", "wires", "read_signal")
+    for entry in ("nand", "read_back", "export_ct", "wires", "read_signal", "add")
     if (kind, entry) != ("clear", "export_ct")])  # the cleartext engine exports no ciphertexts
 def test_ownership_entries_refuse_another_engines_input(kind, entry, exact_scheme, exact_keys):
     eng, other = (_engine(kind, exact_scheme, exact_keys) for _ in range(2))
@@ -119,7 +121,9 @@ def test_ownership_entries_refuse_another_engines_input(kind, entry, exact_schem
              "read_back": lambda: eng.read_back(foreign),
              "export_ct": lambda: eng.export_ct(foreign),
              "wires": lambda: eng.wires([mine, foreign]),
-             "read_signal": lambda: read_signal(eng, input_signal(other, [0.5], F16))}
+             "read_signal": lambda: read_signal(eng, input_signal(other, [0.5], F16)),
+             # a foreign constant operand, which the gate builder folds
+             "add": lambda: add(input_word(eng, 0.5, F16), constant_word(other, 0.25, F16))}
     with pytest.raises(UsageError, match="^cannot mix handles from different engines$"):
         calls[entry]()
 
@@ -162,6 +166,30 @@ def test_input_wires_name_the_first_bad_lane_bit_as_a_python_scalar(exact_scheme
         FheEngine(exact_scheme).input_wires([[0.5], [1]])
 
 
+@pytest.mark.parametrize("bit", [1 + 0j, 0j, np.complex128(1), np.complex64(0)], ids=repr)
+def test_bit_entries_refuse_complex_bits(bit, exact_scheme, exact_keys):
+    """A complex bit may equal 0 or 1 but is no bit (unchecked, ``int`` would
+    raise an untyped ``TypeError``); a lane array of them names its first
+    entry."""
+    for entry in BIT_ENTRIES.values():
+        with pytest.raises(UsageError, match=r"^bit must be 0 or 1, got ") as got:
+            entry(exact_scheme, exact_keys, bit)
+        assert str(got.value) == f"bit must be 0 or 1, got {bit!r}"
+    for entry in LANE_BIT_ENTRIES.values():
+        with pytest.raises(UsageError, match=r"^bit must be 0 or 1, got \(1\+0j\)$"):
+            entry(exact_scheme, exact_keys, bit)
+
+
+def test_input_wires_refuse_ragged_lane_bits(exact_scheme, exact_keys):
+    """Ragged nesting is no array of bits (unchecked, numpy raises an untyped
+    ``ValueError``), refused before a keyless engine's missing key."""
+    ragged = [[1], [1, 0]]
+    for eng in (CleartextEngine(), FheEngine(exact_scheme, keys=exact_keys),
+                FheEngine(exact_scheme)):
+        with pytest.raises(UsageError, match=r"^bit must be 0 or 1, got \[\[1\], \[1, 0\]\]$"):
+            eng.input_wires(ragged)
+
+
 @pytest.mark.parametrize("lanes", [0.5, "1", np.array([1, 0]), np.array(1)], ids=repr)
 def test_cleartext_input_bit_refuses_a_lane_value_that_is_not_an_integer(lanes):
     with pytest.raises(UsageError, match="^lane value must be an integer, got "):
@@ -191,16 +219,26 @@ SHAPE_RULE = r"signal dims .* must be a power of two M or a pair of them"
 BAD_DIMS = [(2, 2, 2), (8,), [4, 4], 6, (4, 3), (2.0, 2), True, 0]
 
 
+def _meta(eng):
+    return eng.wire_meta(input_signal(eng, np.zeros(16), F16).wires)
+
+
 def _plan(dims):
     eng = CleartextEngine()
-    meta = eng.wire_meta(input_signal(eng, np.zeros(16), F16).wires)
-    return fft._compile(Compiler(eng.params, F16.total_bits, 1 << 20, meta), F16, dims)
+    return fft._compile(Compiler(eng.params, F16.total_bits, 1 << 20, _meta(eng)), F16, dims)
+
+
+def _transform_plan(dims):
+    eng = CleartextEngine()
+    return fft.transform_plan(eng, F16, dims, _meta(eng))
 
 
 # entries of dims held in memory, each with 16 points where it takes values
 SHAPE_ENTRIES = {
     "SignalBuffer": lambda dims: input_signal(CleartextEngine(), np.zeros(16), F16, dims=dims),
     "fft._compile": _plan,
+    # the rule runs before dims go into the plan key, where [4, 4] is unhashable
+    "fft.transform_plan": _transform_plan,
     # a length M is the one-row image (1, M): no pair is a length
     "run_1d_experiment": lambda dims: run_1d_experiment(dims, F16, trials=1),
     "run_2d_experiment": lambda dims: run_2d_experiment(1, dims, F16),
@@ -223,6 +261,7 @@ def test_shape_entries_take_numpy_integers():
     assert all(type(d) is int for d in SHAPE_ENTRIES["SignalBuffer"](dims).dims)
     assert SHAPE_ENTRIES["SignalBuffer"](np.int64(16)).dims == 16
     assert [s[::2] for s in _plan(dims).stages] == [s[::2] for s in _plan((4, 4)).stages]
+    assert _transform_plan(dims) is _transform_plan((4, 4))
     assert run_2d_experiment(1, dims, F16).size == (4, 4)
     assert run_2d_experiment(1, [4, 4], F16).size == (4, 4)
     assert run_1d_experiment(np.int64(4), F16, trials=1).size == 4
