@@ -17,8 +17,10 @@ of the bits below it.
 Each word op (``add``, ``sub``, ``mul_const``, ``mul_integer``,
 ``mul_fixed``) makes its gates through one ``_Builder``: constant
 operands fold, each NAND of an operand pair is made once, and every NOT
-is the engine's free complement.  Plans record the word ops, so they
-make the gates the gate-by-gate engines make.
+is the engine's free complement.  The adders compose the builder's XOR,
+whose first NAND their carries read again: the builder's hashing makes
+it once.  Plans record the word ops, so they make the gates the
+gate-by-gate engines make.
 
 Multiplying by a plaintext constant adds one partial-product row per
 nonzero digit of the constant's canonical signed-digit (CSD) recoding
@@ -40,12 +42,12 @@ value rule of ``encode_int``, ``encode_bits``, ``constant_word``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Number
 
 import numpy as np
 
-from .errors import RangeError, UsageError
+from .errors import RangeError, UsageError, _is_count
 from .gates import and_, fold, xor_
 
 
@@ -61,12 +63,12 @@ class FixedFormat:
         return 1 << self.frac_bits
 
     def __post_init__(self):
-        if not 0 < self.frac_bits < self.total_bits:
-            raise UsageError(
-                f"need 0 < frac_bits < total_bits, got {self.frac_bits}/{self.total_bits}")
-        if self.total_bits > 1024:  # the range of wider words is past float64's
-            raise UsageError(f"words of {self.total_bits} bits are wider than the "
-                             f"float64 range (at most 1024 bits)")
+        if not (_is_count(self.frac_bits) and _is_count(self.total_bits, self.frac_bits + 1)
+                and self.total_bits <= 1024):  # the range of wider words is past float64's
+            raise UsageError(f"need integers 0 < frac_bits < total_bits <= 1024 (the float64 "
+                             f"range), got {self.frac_bits!r}/{self.total_bits!r}")
+        for field in fields(self):  # as Python ints: a numpy integer's shifts wrap
+            object.__setattr__(self, field.name, int(getattr(self, field.name)))
 
 
 @dataclass(frozen=True)
@@ -302,27 +304,23 @@ def full_adder(a, b, cin):
 
 
 def _full_adder(g, a, b, cin, with_sum=True):
-    """Two half adders plus the OR of their carries, sharing the carry NANDs:
-    the OR collapses to one gate on the available complements (9 NANDs, 6
+    """Two half adders plus the OR of their carries, which collapses to
+    NAND(NAND(s1, cin), NAND(a, b)) on the XORs' first NANDs (9 NANDs, 6
     without the sum).  A carry-in of constant 1 gives carry = OR(a, b) =
     NAND(NOT a, NOT b) and sum = XNOR(a, b) = NAND(NAND(a, b), carry): 3
     NANDs, where folding the 9 leaves 5 with the carry at depth 4."""
     if cin.const == 1:
         carry = g.nand(g.not_(a), g.not_(b))
         return (g.nand(g.nand(a, b), carry) if with_sum else None), carry
-    n1 = g.nand(a, b)
-    s1 = g.nand(g.nand(a, n1), g.nand(b, n1))
-    n4 = g.nand(s1, cin)
-    total = g.nand(g.nand(s1, n4), g.nand(cin, n4)) if with_sum else None
-    return total, g.nand(n4, n1)
+    s1 = g.xor(a, b)
+    total = g.xor(s1, cin) if with_sum else None
+    return total, g.nand(g.nand(s1, cin), g.nand(a, b))
 
 
 def _ha_shared(g, a, b, with_sum=True):
     """Half adder whose carry is the free NOT of its XOR's first NAND
     (4 NANDs, 1 without the sum)."""
-    n1 = g.nand(a, b)
-    s = g.nand(g.nand(a, n1), g.nand(b, n1)) if with_sum else None
-    return s, g.not_(n1)
+    return (g.xor(a, b) if with_sum else None), g.not_(g.nand(a, b))
 
 
 def _ripple(g, abits, bbits, cin=None, lo=0) -> list:
@@ -334,8 +332,7 @@ def _ripple(g, abits, bbits, cin=None, lo=0) -> list:
     for i in range(width):
         a, b = abits[i], bbits[i]
         if i == width - 1:
-            s = g.xor(a, b)
-            s = g.xor(s, carry) if carry is not None else s
+            s = g.xor(a, b) if carry is None else g.xor(g.xor(a, b), carry)
         elif carry is None:
             s, carry = _ha_shared(g, a, b, i >= lo)
         else:
@@ -383,15 +380,10 @@ def _reduce_columns(g, cols):
         nxt = [[] for _ in cols]
         for ci, col in enumerate(cols):
             i = 0
-            while len(col) - i >= 3:
-                s, cy = _full_adder(g, col[i], col[i + 1], col[i + 2])
-                i += 3
-                nxt[ci].append(s)
-                if ci + 1 < len(cols):
-                    nxt[ci + 1].append(cy)
-            if len(col) - i == 2:
-                s, cy = _ha_shared(g, col[i], col[i + 1])
-                i += 2
+            while len(col) - i >= 2:  # full adders, then one half adder on a pair left
+                k = min(3, len(col) - i)
+                s, cy = (_full_adder if k == 3 else _ha_shared)(g, *col[i:i + k])
+                i += k
                 nxt[ci].append(s)
                 if ci + 1 < len(cols):
                     nxt[ci + 1].append(cy)

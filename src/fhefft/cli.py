@@ -24,18 +24,13 @@ from . import fileio
 from .arith import FixedFormat
 from .engine import FheEngine, GateStats
 from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost, space_cost
-from .errors import FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError, UsageError
-from .fft import _is_pow2, _sides, fft_1d, fft_2d, input_signal, read_signal, transform_plan
+from .errors import (FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError,
+                     UsageError, _is_pow2)
+from .fft import _sides, fft_1d, fft_2d, input_signal, read_signal, transform_plan
 from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
 from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
 _PRESETS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS}
-
-
-def _load_params(args):
-    if getattr(args, "params", None):
-        return fileio.read_params(args.params)
-    return _PRESETS[getattr(args, "preset", "default")]
 
 
 def _seed(args):
@@ -47,7 +42,7 @@ def _seed(args):
 
 def cmd_keygen(args) -> int:
     seed = _seed(args)
-    params = _load_params(args)
+    params = fileio.read_params(args.params) if args.params else _PRESETS[args.preset]
     scheme = GswScheme(params)
     keys = scheme.keygen(seed=seed)
     fileio.write_keys(args.out, params, keys)

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, UsageError, _is_count
 from .fhe import Ciphertext, GswScheme, KeyPair, check_bit
 from .gates import fold
 from .plan import Compiler, replay, slots
@@ -188,9 +188,9 @@ class CleartextEngine(_Engine):
     """Exact plaintext bit engine with lane packing and gate counting."""
 
     def __init__(self, batch_size: int = 1):
-        if batch_size < 1:
-            raise UsageError("batch_size must be >= 1")
-        self.batch_size = batch_size
+        if not _is_count(batch_size):
+            raise UsageError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+        self.batch_size = batch_size = int(batch_size)  # a numpy integer would shift modulo 64
         self.mask = (1 << batch_size) - 1
         self.nand_count = 0
         self.max_depth = 0
@@ -359,7 +359,7 @@ class FheEngine(_Engine):
         """Fresh encryptions of a (..., 1) array of bits, the ciphertexts of
         one ``input_bit`` per bit in C order, made by one ``encrypt_words``
         call per ``CHUNK_BYTES`` of masks; the result has shape ``...``."""
-        lane_bits = _lane_array(lane_bits)
+        lane_bits = _lane_array(lane_bits, self.input_bit if self.public_key is None else check_bit)
         if lane_bits.shape[-1:] != (1,):
             raise UsageError(f"lane bits of shape {lane_bits.shape} for batch_size=1")
         bits = lane_bits.reshape(-1)
@@ -448,17 +448,21 @@ class FheEngine(_Engine):
         register[slots(piece.outs, piece.width)] = scratch[layout.outputs]
 
 
-def _lane_array(lane_bits) -> np.ndarray:
+def _lane_array(lane_bits, check=check_bit) -> np.ndarray:
     """Lane bits as an array.  ``check_bit`` refuses ragged nesting (no array
-    of bits) and complex values, which compare equal to 0 and 1: the first
-    lane bit of a complex array is the first bit the rule refuses."""
+    of bits).  A complex or object array's entries may equal 0 or 1 without
+    being bits: each goes through ``check``, the engine's per-bit rule, as a
+    Python scalar in C order, and the array becomes its ints, so the first
+    entry it refuses raises (a complex array's first).  A keyless FHE
+    engine's rule is ``input_bit``, which raises at the first bit."""
     try:
         arr = np.asarray(lane_bits)
     except ValueError:  # numpy's "inhomogeneous shape"
         check_bit(lane_bits)  # a nested sequence is not a bit: raises
         raise
-    if arr.dtype.kind == "c" and arr.size:
-        check_bit(arr.item(0))
+    if arr.dtype.kind in "cO":
+        arr = np.array([check(b.item() if isinstance(b, np.generic) else b)
+                        for b in arr.flat], np.uint8).reshape(arr.shape)
     return arr
 
 

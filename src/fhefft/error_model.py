@@ -14,9 +14,9 @@ ceilings that the shipped circuits stay under, asserted by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ParameterError
+from .errors import ParameterError, _is_count, _is_pow2
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ErrorParams:
             raise ParameterError("delta must lie in [0, 1)")
         if not 0 <= self.x_bound < math.inf:  # NaN fails too
             raise ParameterError(f"x_bound must be finite and >= 0, got {self.x_bound}")
-        if self.m_points < 1 or self.m_points & (self.m_points - 1):
+        if not _is_pow2(self.m_points):
             raise ParameterError(f"m_points must be a power of two, got {self.m_points}")
 
 
@@ -55,9 +55,9 @@ class GateCostModel:
     signal_total: int
 
     def __post_init__(self):
-        for name in ("fixed_width", "ct_side", "signal_len", "signal_total"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive")
+        for field in fields(self):
+            if not _is_count(getattr(self, field.name)):
+                raise ParameterError(f"{field.name} must be a positive integer")
         if self.signal_total < self.signal_len:
             raise ParameterError(f"total stored points {self.signal_total} are fewer than "
                                  f"the transform's {self.signal_len}")

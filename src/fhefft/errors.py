@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rules it
+owns, here because every module imports this one: ``_is_count`` for an
+integer parameter and ``_is_pow2``, the one power-of-two predicate.  A
+Python or numpy integer passes them, a bool, float or text does not;
+each caller raises its own error type."""
+
+import numbers
+
+
+def _is_count(n, low=1) -> bool:
+    """Whether ``n`` is an integer that is not a bool, at least ``low``."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low
+
+
+def _is_pow2(n) -> bool:
+    """Whether ``n`` is an integer power of two (a bool is not)."""
+    return _is_count(n) and not n & (n - 1)
 
 
 class FhefftError(Exception):

@@ -42,9 +42,9 @@ on the array and wrap its result, and ``read_signal`` reads it back, once
 bytes and depths in cleartext, ciphertext words, levels and noise
 estimates under FHE), which the EFT1 containers (``fileio``) write and
 read as they are.  Bit handles (``SignalBuffer.points`` and ``bits``) are
-made only when asked for.  ``_is_pow2`` is the one power-of-two predicate,
-also of ``cli``, and ``_sides`` the one shape rule, also of ``fileio``,
-``harness`` and ``cli``: a 1D signal of M points is the one-row image
+made only when asked for.  ``_sides`` is the one shape rule, also of
+``fileio``, ``harness`` and ``cli``, on ``errors._is_pow2``, the one
+power-of-two predicate: a 1D signal of M points is the one-row image
 (1, M), whose column pass compiles no stage.
 """
 
@@ -60,14 +60,9 @@ import numpy as np
 from .arith import FixedFormat, FixedWord, _numbers, decode_bits, encode_bits, encode_int
 # not called here, but bench/tracing.py wraps these names in this module
 from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
-from .errors import UsageError
+from .errors import UsageError, _is_pow2
 from .netlist import PLANS
 from .plan import Compiler, replay
-
-
-def _is_pow2(n) -> bool:
-    """Whether ``n`` is an integer power of two (a bool is not)."""
-    return isinstance(n, (int, np.integer)) and n is not True and n >= 1 and not n & (n - 1)
 
 
 def _sides(dims) -> tuple[int, int]:

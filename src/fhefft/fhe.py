@@ -46,11 +46,11 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import NoiseOverflowError, ParameterError, UsageError
+from .errors import NoiseOverflowError, ParameterError, UsageError, _is_count
 
 # float64 arithmetic stays exact only while every intermediate integer is
 # below 2**52.  The largest is C1 @ W2 in nand_words, at most N * (2^ell - 1)
@@ -68,10 +68,6 @@ def check_bit(bit) -> int:
             not isinstance(bit, numbers.Real) or bit not in (0, 1):
         raise UsageError(f"bit must be 0 or 1, got {bit!r}")
     return int(bit)
-
-
-def _ceil_log2(q: int) -> int:
-    return int(q - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class SchemeParams:
     @property
     def ell(self) -> int:
         """Bits per Z_q value, ceil(log2 q)."""
-        return _ceil_log2(self.q)
+        return (self.q - 1).bit_length()
 
     @property
     def n_ct(self) -> int:
@@ -102,12 +98,14 @@ class SchemeParams:
         return (self.n + 1) * self.ell
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ParameterError("n and m must be positive")
-        if self.q < 8 or self.q % 2 == 0:
+        if not (_is_count(self.n) and _is_count(self.m)):
+            raise ParameterError("n and m must be positive integers")
+        if not _is_count(self.q, 8) or self.q % 2 == 0:
             raise ParameterError("q must be an odd integer >= 8")
-        if self.noise_bound < 0 or self.depth_budget < 0:
-            raise ParameterError("noise_bound and depth_budget must be >= 0")
+        if not (_is_count(self.noise_bound, 0) and _is_count(self.depth_budget, 0)):
+            raise ParameterError("noise_bound and depth_budget must be integers >= 0")
+        for field in fields(self):  # as Python ints: numpy's would wrap in the limits below
+            object.__setattr__(self, field.name, int(getattr(self, field.name)))
         # exactness limits of the float64 arithmetic backing this implementation
         if (self.n_ct + 1) << self.ell >= 1 << _EXACT_BITS:
             raise ParameterError(
@@ -143,7 +141,7 @@ class SchemeParams:
 
     def digest(self) -> str:
         """Stable short hash identifying this parameter set."""
-        text = f"{self.n},{self.q},{self.m},{self.noise_bound},{self.depth_budget}"
+        text = ",".join(map(str, astuple(self)))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

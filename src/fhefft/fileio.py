@@ -33,7 +33,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,15 +51,12 @@ _LEVEL_LIMIT = 1 << 62
 
 
 def params_to_dict(params: SchemeParams) -> dict:
-    return {"n": params.n, "q": params.q, "m": params.m,
-            "noise_bound": params.noise_bound, "depth_budget": params.depth_budget}
+    return asdict(params)
 
 
 def params_from_dict(d: dict, path=None) -> SchemeParams:
     try:
-        return SchemeParams(n=int(d["n"]), q=int(d["q"]), m=int(d["m"]),
-                            noise_bound=int(d["noise_bound"]),
-                            depth_budget=int(d["depth_budget"]))
+        return SchemeParams(**{f.name: int(d[f.name]) for f in fields(SchemeParams)})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad parameter field: {exc!r}", path=path) from exc
 

@@ -29,7 +29,7 @@ import numpy as np
 from .arith import FixedFormat
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
-from .errors import UsageError
+from .errors import UsageError, _is_count, _is_pow2
 from .fft import _sides, fft_1d, fft_2d, input_signal, read_signal
 from .fhe import EXACT_PARAMS, GswScheme
 
@@ -75,7 +75,7 @@ def reference_fft(values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=complex)
     m = x.shape[-1]
-    if m & (m - 1):
+    if not _is_pow2(m):
         raise UsageError(f"oracle needs a power-of-two length, got {m}")
     width = m.bit_length() - 1
     out = np.empty(x.shape, dtype=complex)  # C order: the reshape below is a view
@@ -140,8 +140,8 @@ def error_stats(spectra: np.ndarray, oracle: np.ndarray) -> dict:
 
 
 def _check_count(name, n):
-    if n < 1:
-        raise UsageError(f"{name} must be >= 1, got {n}")
+    if not _is_count(n):
+        raise UsageError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
@@ -165,7 +165,7 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     """
     rows, cols = _sides(tuple(shape) if np.iterable(shape) else shape)
     rng = np.random.default_rng(seed)
-    if isinstance(images, int):
+    if not np.iterable(images):  # a count of random images
         _check_count("images", images)
         stack = rng.uniform(0, 1, (images, rows, cols))
     else:

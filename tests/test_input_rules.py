@@ -12,7 +12,11 @@ input with the rule's exception type and message:
   ``input_wires``, ragged nesting included);
 * signal shapes: ``fft._sides`` (``SignalBuffer``, the plan compiler and
   ``fft.transform_plan``, both harness experiments, the EFT1 header and
-  text metadata readers, and ``verify``'s point count).
+  text metadata readers, and ``verify``'s point count);
+* integer parameters: ``errors._is_count`` and ``errors._is_pow2``
+  (``FixedFormat``, ``CleartextEngine``'s batch size, ``SchemeParams``,
+  ``ErrorParams``, ``GateCostModel``, the harness counts and
+  ``reference_fft``), each entry with its own error type.
 """
 
 import json
@@ -28,10 +32,11 @@ from fhefft.arith import (FixedFormat, add, constant_word, encode_bits, encode_i
                           read_word)
 from fhefft.cli import main
 from fhefft.engine import CleartextEngine, FheEngine
-from fhefft.errors import ParseError, RangeError, UsageError
+from fhefft.error_model import ErrorParams, GateCostModel
+from fhefft.errors import CapabilityError, ParameterError, ParseError, RangeError, UsageError
 from fhefft.fft import input_signal, read_signal
-from fhefft.fhe import EXACT_PARAMS
-from fhefft.harness import run_1d_experiment, run_2d_experiment
+from fhefft.fhe import EXACT_PARAMS, SchemeParams
+from fhefft.harness import reference_fft, run_1d_experiment, run_2d_experiment
 from fhefft.plan import Compiler
 
 F16 = FixedFormat(16, 8)
@@ -180,6 +185,33 @@ def test_bit_entries_refuse_complex_bits(bit, exact_scheme, exact_keys):
             entry(exact_scheme, exact_keys, bit)
 
 
+@pytest.mark.parametrize("bit", [1 + 0j, np.complex128(0), np.array(1), np.int64(2), 0.5],
+                         ids=repr)
+def test_input_wires_refuse_each_entry_of_an_object_array(bit, exact_scheme, exact_keys):
+    """An object array's entries are refused one by one, the first in C order
+    raising as a Python scalar (unchecked, a complex entry equal to 1 raised
+    an untyped ``TypeError``).  A keyless engine raises for its missing key,
+    as its per-bit loop does at the first bit, which is a bit."""
+    bits = np.array([[1], [0], [None], [1]], dtype=object)
+    bits[2, 0] = bit
+    name = repr(bit.item() if isinstance(bit, np.generic) else bit)
+    for eng in (CleartextEngine(), FheEngine(exact_scheme, keys=exact_keys)):
+        with pytest.raises(UsageError) as got:
+            eng.input_wires(bits)
+        assert str(got.value) == f"bit must be 0 or 1, got {name}"
+    with pytest.raises(CapabilityError, match="^encrypting inputs needs the public key$"):
+        FheEngine(exact_scheme).input_wires(bits)
+
+
+def test_input_wires_take_an_object_array_of_bits(exact_scheme, exact_keys):
+    """An object array of bits of any number type gives the wires of its int bits."""
+    bits = np.array([[True], [np.int64(0)], [1.0], [Fraction(1)], [Decimal(0)]], dtype=object)
+    ints = np.array([[1], [0], [1], [1], [0]], dtype=np.uint8)
+    assert np.array_equal(CleartextEngine().input_wires(bits), CleartextEngine().input_wires(ints))
+    eng = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(1))
+    assert eng.read_wires(eng.input_wires(bits)).tolist() == ints.tolist()
+
+
 def test_input_wires_refuse_ragged_lane_bits(exact_scheme, exact_keys):
     """Ragged nesting is no array of bits (unchecked, numpy raises an untyped
     ``ValueError``), refused before a keyless engine's missing key."""
@@ -306,3 +338,69 @@ def test_verify_refuses_a_plain_length_that_is_not_a_power_of_two(tmp_path, caps
     fileio.write_signal_text(spec, np.zeros(6))
     assert main(["verify", str(plain), str(spec)]) == 2
     assert "signal dims 6 must be a power of two M" in capsys.readouterr().err
+
+
+# (id, entry, error type, message pattern): one cell per value the count rule refuses
+_PARAMS = dict(n=2, q=65537, m=8, noise_bound=0, depth_budget=10)
+WIDTHS = r"^need integers 0 < frac_bits < total_bits <= 1024 \(the float64 range\), got "
+BAD_COUNTS = [
+    ("FixedFormat-total-16.5", lambda: FixedFormat(16.5, 8), UsageError,
+     WIDTHS + r"8/16\.5$"),
+    ("FixedFormat-frac-8.0", lambda: FixedFormat(16, 8.0), UsageError,
+     WIDTHS + r"8\.0/16$"),
+    ("FixedFormat-total-text", lambda: FixedFormat("16", 8), UsageError,
+     WIDTHS + "8/'16'$"),
+    ("CleartextEngine-2.5", lambda: CleartextEngine(2.5), UsageError,
+     r"^batch_size must be an integer >= 1, got 2\.5$"),
+    ("CleartextEngine-text", lambda: CleartextEngine("4"), UsageError,
+     r"^batch_size must be an integer >= 1, got '4'$"),
+    ("SchemeParams-n-2.5", lambda: SchemeParams(**{**_PARAMS, "n": 2.5}), ParameterError,
+     "^n and m must be positive integers$"),
+    ("SchemeParams-q-float", lambda: SchemeParams(**{**_PARAMS, "q": 65537.0}), ParameterError,
+     "^q must be an odd integer >= 8$"),
+    ("SchemeParams-n-text", lambda: SchemeParams(**{**_PARAMS, "n": "2"}), ParameterError,
+     "^n and m must be positive integers$"),
+    ("run_1d_experiment-trials-2.5", lambda: run_1d_experiment(8, trials=2.5), UsageError,
+     r"^trials must be an integer >= 1, got 2\.5$"),
+    ("run_1d_experiment-trials-True", lambda: run_1d_experiment(8, trials=True), UsageError,
+     "^trials must be an integer >= 1, got True$"),
+    ("run_2d_experiment-2.5", lambda: run_2d_experiment(2.5), UsageError,
+     r"^images must be an integer >= 1, got 2\.5$"),
+    ("ErrorParams-m-8.0", lambda: ErrorParams(0.1, 1.0, 8.0), ParameterError,
+     r"^m_points must be a power of two, got 8\.0$"),
+    ("GateCostModel-width-2.5", lambda: GateCostModel(2.5, 51, 8, 8), ParameterError,
+     "^fixed_width must be a positive integer$"),
+    ("reference_fft-empty", lambda: reference_fft([]), UsageError,
+     "^oracle needs a power-of-two length, got 0$"),
+]
+
+
+@pytest.mark.parametrize("entry, error, pattern",
+                         [pytest.param(*case[1:], id=case[0]) for case in BAD_COUNTS])
+def test_count_entries_refuse_a_value_that_is_not_a_count(entry, error, pattern):
+    """Each entry refuses a float, text or bool with its own typed error
+    (unchecked, each raised an untyped error, or ``FixedFormat(16.5, 8)``
+    constructed)."""
+    with pytest.raises(error, match=pattern):
+        entry()
+
+
+def test_count_entries_take_numpy_integers(tmp_path):
+    """A numpy integer is a count everywhere.  The formats, scheme parameters
+    and cleartext engines hold it as a Python int, so no shift or limit
+    wraps at 64 bits and the parameter files write it."""
+    i64 = np.int64
+    fmt = FixedFormat(i64(128), i64(100))
+    assert type(fmt.total_bits) is type(fmt.frac_bits) is int and fmt.scale == 1 << 100
+    assert CleartextEngine(i64(100)).mask == (1 << 100) - 1
+    params = SchemeParams(**{name: i64(v) for name, v in fileio.params_to_dict(
+        EXACT_PARAMS).items()})
+    assert params == EXACT_PARAMS and params.digest() == EXACT_PARAMS.digest()
+    fileio.write_params(tmp_path / "p.json", params)
+    assert fileio.read_params(tmp_path / "p.json") == EXACT_PARAMS
+    with pytest.raises(ParameterError, match="exceeds the exact-arithmetic limit"):
+        SchemeParams(n=i64(2), q=i64(2**61 + 1), m=8, noise_bound=0, depth_budget=1)
+    assert ErrorParams(0.1, 1.0, i64(8)).m_points == 8
+    assert GateCostModel(i64(32), 51, 8, 8).fixed_width == 32
+    assert run_1d_experiment(4, F16, trials=i64(2)).trials == 2
+    assert run_2d_experiment(i64(2), (2, 2), F16).trials == 2
