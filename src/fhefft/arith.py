@@ -38,6 +38,7 @@ value rule of ``encode_int``, ``encode_bits``, ``constant_word``,
 ``input_word`` and ``fft.input_signal`` (which splits complex values after
 ``_numbers``, the rule's typing step): what is not a real number raises
 ``UsageError``, a value off the format ``RangeError``; the rest is rounded.
+``_reals``, its real-number step, also reads ``run_2d_experiment``'s images.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import RangeError, UsageError, _is_count
-from .gates import and_, fold, xor_
+from .gates import fold
 
 
 @dataclass(frozen=True)
@@ -115,23 +116,29 @@ def _numbers(values) -> np.ndarray:
     return arr
 
 
-def _grid(values, fmt: FixedFormat) -> np.ndarray:
-    """round(x * 2^f), half to even, of real values of any shape, as integral
-    floats; the first value out of range, in C order, raises its ``RangeError``."""
+def _reals(values) -> np.ndarray:
+    """Real ``values`` of any shape as floats, complex ones raising ``UsageError``
+    too; an integer object past float64's range reads as +-1e308."""
     arr = _numbers(values)
     if np.iscomplexobj(arr) or arr.dtype == object and any(map(np.iscomplexobj, arr.flat)):
         raise _not_real("got complex values")
+    with np.errstate(over="ignore"):  # a long double past float64's range casts to inf
+        return np.asarray(np.clip(arr, -1e308, 1e308) if arr.dtype == object else arr, float)
+
+
+def _grid(values, fmt: FixedFormat) -> np.ndarray:
+    """round(x * 2^f), half to even, of ``_reals`` of any shape, as integral
+    floats; the first value out of range, in C order, raises its ``RangeError``."""
+    real = _reals(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        # objects are clipped first: an int past float64's range still scales to inf
-        real = np.asarray(np.clip(arr, -1e308, 1e308) if arr.dtype == object else arr, float)
         ints = np.rint(real * fmt.scale)
         half = 2.0 ** (fmt.total_bits - 1)
         bad = ~((ints >= -half) & (ints < half))  # NaN and +-inf fail too
     if bad.any():
         at = np.unravel_index(bad.argmax(), bad.shape)
         ix = f" (integer {int(ints[at])})" if np.isfinite(ints[at]) else ""
-        raise RangeError(f"{arr[at]} does not fit {fmt.total_bits}.{fmt.frac_bits} "
-                         f"fixed point{ix}")
+        raise RangeError(f"{np.asarray(values)[at]} does not fit "
+                         f"{fmt.total_bits}.{fmt.frac_bits} fixed point{ix}")
     return ints
 
 
@@ -292,11 +299,6 @@ class _Builder:
 
 
 # -- adders ---------------------------------------------------------------
-
-def half_adder(a, b):
-    """sum = a XOR b, carry = a AND b, from ``gates`` (6 NANDs)."""
-    return xor_(a, b), and_(a, b)
-
 
 def full_adder(a, b, cin):
     """sum = a XOR b XOR cin, carry = majority; 9 NANDs on three wires."""

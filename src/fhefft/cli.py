@@ -27,24 +27,15 @@ from .error_model import ErrorParams, GateCostModel, fft_error_bound, nand_cost,
 from .errors import (FhefftError, NoiseOverflowError, ParameterError, ParseError, RangeError,
                      UsageError, _is_pow2)
 from .fft import _sides, fft_1d, fft_2d, input_signal, read_signal, transform_plan
-from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme
+from .fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme, seeded_rng
 from .harness import error_stats, format_report_table, reference, run_1d_experiment, run_2d_experiment
 
 _PRESETS = {"default": DEFAULT_PARAMS, "exact": EXACT_PARAMS}
 
 
-def _seed(args):
-    """The ``--seed`` option, which numpy's generators need non-negative."""
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
-
-
 def cmd_keygen(args) -> int:
-    seed = _seed(args)
     params = fileio.read_params(args.params) if args.params else _PRESETS[args.preset]
-    scheme = GswScheme(params)
-    keys = scheme.keygen(seed=seed)
+    keys = GswScheme(params).keygen(seed=args.seed)
     fileio.write_keys(args.out, params, keys)
     print(f"wrote key pair for n={params.n}, q={params.q} to {args.out}")
     if params.noise_bound == 0:
@@ -53,13 +44,10 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    seed = _seed(args)
     params, keys = fileio.read_keys(args.keys)
-    scheme = GswScheme(params)
     fmt = FixedFormat(args.bits, args.frac)
     values, dims = fileio.plain_input(args.signal)
-    engine = FheEngine(scheme, public_key=keys.public_key,
-                       rng=np.random.default_rng(seed))
+    engine = FheEngine(GswScheme(params), public_key=keys.public_key, rng=seeded_rng(args.seed))
     signal = input_signal(engine, values, fmt, dims=dims)
     fileio.write_ciphertext_signal(args.out, signal)
     print(f"encrypted {len(signal.wires)} points ({dims}) at {fmt.total_bits}.{fmt.frac_bits} "
@@ -151,7 +139,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = _seed(args)
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
@@ -163,16 +150,16 @@ def cmd_bench(args) -> int:
         if args.dims != 2:
             raise UsageError("PGM images are transformed with --dims 2 only")
         stack = [fileio.read_pgm(path) for path in args.images]
-        reports = [run_2d_experiment(images=stack, shape=stack[0].shape, fmt=fmt)]
+        reports = [run_2d_experiment(stack, stack[0].shape, fmt, args.seed)]
     elif args.dims == 2:
         sides = [math.isqrt(max(m, 0)) for m in sizes]
         for m, side in zip(sizes, sides):
             if side * side != m or not _is_pow2(side):
                 raise UsageError(f"2D size {m} is not the square of a power of two")
-        reports = [run_2d_experiment(images=args.trials, shape=(side, side), fmt=fmt,
-                                     seed=seed) for side in sides]
+        reports = [run_2d_experiment(args.trials, (side, side), fmt, args.seed)
+                   for side in sides]
     else:
-        reports = [run_1d_experiment(m, fmt=fmt, trials=args.trials, seed=seed,
+        reports = [run_1d_experiment(m, fmt=fmt, trials=args.trials, seed=args.seed,
                                      backend=args.backend) for m in sizes]
     print(format_report_table(reports))
     if args.json:

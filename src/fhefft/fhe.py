@@ -23,7 +23,7 @@ from it, for a stack (``decrypt_rows``) or for one ciphertext
 is the public-bit rule of ``encrypt_bit``, ``trivial_encrypt_bit``,
 ``FheEngine.input_bit``, and both engines' ``constant`` and ``input_wires``
 (each lane bit, the first refused in C order raising, as a Python scalar;
-ragged lane bits raise its error too).
+ragged lane bits raise its error too).  ``seeded_rng`` is the seed rule.
 
 Homomorphic operations, on bits only, as word arithmetic:
 
@@ -68,6 +68,15 @@ def check_bit(bit) -> int:
             not isinstance(bit, numbers.Real) or bit not in (0, 1):
         raise UsageError(f"bit must be 0 or 1, got {bit!r}")
     return int(bit)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, the seed rule of ``keygen``, the harness
+    and ``fhefft encrypt``: what numpy refuses raises ``UsageError``."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad seed {seed!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,7 @@ class GswScheme:
     def keygen(self, seed) -> KeyPair:
         """Generate a key pair; deterministic for a fixed seed."""
         p = self.params
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         t = rng.integers(0, p.q, p.n, dtype=np.int64)
         b_mat = rng.integers(0, p.q, (p.m, p.n), dtype=np.int64)
         err = rng.integers(-p.noise_bound, p.noise_bound + 1, p.m, dtype=np.int64)

@@ -21,6 +21,8 @@ ciphertext.  Both directions move the FHE engine's wire records (words,
 level, noise) with no object per ciphertext, converting whole stacks at
 once, with at most ``FheEngine.CHUNK_BYTES`` in the largest array of one
 piece.
+Every integer field goes unconverted to the rule of the record it fills:
+``SchemeParams``, ``FixedFormat``, ``fft._sides`` or ``errors._is_count``.
 Plain signals are text, one ``re,im`` pair per line, with an optional
 ``# fhefft`` metadata comment carrying dims and format.
 """
@@ -39,7 +41,7 @@ import numpy as np
 
 from .arith import FixedFormat
 from .engine import FHE_META
-from .errors import ParseError, UsageError
+from .errors import ParseError, UsageError, _is_count
 from .fft import SignalBuffer, _sides
 from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 
@@ -56,8 +58,8 @@ def params_to_dict(params: SchemeParams) -> dict:
 
 def params_from_dict(d: dict, path=None) -> SchemeParams:
     try:
-        return SchemeParams(**{f.name: int(d[f.name]) for f in fields(SchemeParams)})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return SchemeParams(**{f.name: d[f.name] for f in fields(SchemeParams)})
+    except (KeyError, TypeError) as exc:  # a missing field, or no JSON object
         raise ParseError(f"bad parameter field: {exc!r}", path=path) from exc
 
 
@@ -207,33 +209,30 @@ def _read_header(fh, path) -> ContainerHeader:
     try:
         params = params_from_dict(header["params"], path=path)
         digest = header["params_digest"]
-        fmt = FixedFormat(int(header["fixed_format"]["total_bits"]),
-                          int(header["fixed_format"]["frac_bits"]))
+        fmt = FixedFormat(**header["fixed_format"])
         dims = header["dims"]
-        dims = int(dims) if np.ndim(dims) == 0 else tuple(int(d) for d in dims)
+        dims = tuple(dims) if isinstance(dims, list) else dims  # a pair as a JSON list
         rows, cols = _sides(dims)
-        points = int(header["points"])
-        ct_side = int(header["ct_side"])
-        levels = tuple(int(v) for v in header["levels"])
-        noise = tuple(int(v) for v in header["noise"])
-    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
+        points, ct_side = header["points"], header["ct_side"]
+        levels, noise = tuple(header["levels"]), tuple(header["noise"])
+    except (KeyError, TypeError, UsageError) as exc:
         raise ParseError(f"bad container header field: {exc!r}", path=path, offset=12) from exc
     if params.digest() != digest:
         raise ParseError("parameter digest mismatch", path=path)
-    if rows * cols != points:
-        raise ParseError(f"dims {dims} do not hold {points} points", path=path)
-    if ct_side != params.n_ct:
-        raise ParseError(f"ct_side {ct_side} does not match the parameters' {params.n_ct}",
+    if not _is_count(points) or rows * cols != points:
+        raise ParseError(f"dims {dims} do not hold {points!r} points", path=path)
+    if not _is_count(ct_side) or ct_side != params.n_ct:
+        raise ParseError(f"ct_side {ct_side!r} does not match the parameters' {params.n_ct}",
                          path=path)
     count = points * 2 * fmt.total_bits
     for name, values in (("levels", levels), ("noise", noise)):
         if len(values) != count:
             raise ParseError(f"{len(values)} {name} entries for {points} points of "
                              f"{fmt.total_bits}-bit words", path=path)
-    if not all(0 <= v <= params.q for v in noise):
-        raise ParseError(f"noise estimates must lie in [0, q = {params.q}]", path=path)
-    if not all(0 <= v < _LEVEL_LIMIT for v in levels):
-        raise ParseError("levels must lie in [0, 2^62)", path=path)
+    if not all(_is_count(v, 0) and v <= params.q for v in noise):
+        raise ParseError(f"noise estimates must be integers in [0, q = {params.q}]", path=path)
+    if not all(_is_count(v, 0) and v < _LEVEL_LIMIT for v in levels):
+        raise ParseError("levels must be integers in [0, 2^62)", path=path)
     return ContainerHeader(params, fmt, dims, levels, noise, size - 12 - head_len)
 
 

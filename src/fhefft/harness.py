@@ -26,12 +26,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import FixedFormat
+from .arith import FixedFormat, _reals
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
 from .errors import UsageError, _is_count, _is_pow2
 from .fft import _sides, fft_1d, fft_2d, input_signal, read_signal
-from .fhe import EXACT_PARAMS, GswScheme
+from .fhe import EXACT_PARAMS, GswScheme, seeded_rng
 
 DEFAULT_FORMAT = FixedFormat(32, 16)
 MAX_FHE_POINTS = 8  # size guard on encrypted runs, see the module docstring
@@ -150,7 +150,7 @@ def run_1d_experiment(m_points: int, fmt: FixedFormat = DEFAULT_FORMAT,
     """Transform `trials` random signals of length m_points and report errors."""
     _check_count("trials", trials)
     _, m_points = _sides((1, m_points))  # a one-row image
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     signals = rng.uniform(0, 1, (trials, m_points)) + \
         1j * rng.uniform(0, 1, (trials, m_points))
     return _experiment(signals, m_points, fmt, backend, seed, rng)
@@ -161,15 +161,16 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
     """Transform grayscale images (values in [0, 1], zero imaginary part).
 
     ``images`` is a count of random images to draw, or an iterable of 2D
-    arrays; all must share ``shape``, whose sides are powers of two.
+    arrays of real numbers (``_reals``); all must share ``shape``, whose
+    sides are powers of two.
     """
     rows, cols = _sides(tuple(shape) if np.iterable(shape) else shape)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if not np.iterable(images):  # a count of random images
         _check_count("images", images)
         stack = rng.uniform(0, 1, (images, rows, cols))
     else:
-        stack = [np.asarray(img, dtype=float) for img in images]
+        stack = [_reals(img) for img in images]
         _check_count("images", len(stack))
         if any(img.shape != (rows, cols) for img in stack):
             raise UsageError(f"images of shapes {sorted({img.shape for img in stack})}, "

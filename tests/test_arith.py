@@ -16,7 +16,6 @@ from fhefft.arith import (
     encode_bits,
     encode_int,
     full_adder,
-    half_adder,
     input_word,
     mul_const,
     mul_fixed,
@@ -108,15 +107,6 @@ def test_decode_encode_identity_on_grid(ix):
 
 
 # -- adders -------------------------------------------------------------------
-
-def test_half_adder_truth_table_and_cost():
-    for a in (0, 1):
-        for b in (0, 1):
-            eng = CleartextEngine()
-            s, c = half_adder(eng.input_bit(a), eng.input_bit(b))
-            assert (eng.read_back(s), eng.read_back(c)) == ((a + b) % 2, (a + b) // 2)
-            assert eng.nand_count == 6
-
 
 def test_full_adder_truth_table_and_cost():
     for a in (0, 1):

@@ -16,7 +16,13 @@ input with the rule's exception type and message:
 * integer parameters: ``errors._is_count`` and ``errors._is_pow2``
   (``FixedFormat``, ``CleartextEngine``'s batch size, ``SchemeParams``,
   ``ErrorParams``, ``GateCostModel``, the harness counts and
-  ``reference_fft``), each entry with its own error type.
+  ``reference_fft``), each entry with its own error type;
+* file fields: parameter files, key files and EFT1 headers hand each
+  field to the rule of its record, with no ``int()`` first;
+* seeds: ``fhe.seeded_rng`` (``GswScheme.keygen``, both harness
+  experiments and ``fhefft encrypt``);
+* 2D images: ``arith._reals``, the real-number step of the value rule
+  (``run_2d_experiment``'s images).
 """
 
 import json
@@ -35,7 +41,7 @@ from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.error_model import ErrorParams, GateCostModel
 from fhefft.errors import CapabilityError, ParameterError, ParseError, RangeError, UsageError
 from fhefft.fft import input_signal, read_signal
-from fhefft.fhe import EXACT_PARAMS, SchemeParams
+from fhefft.fhe import DEFAULT_PARAMS, EXACT_PARAMS, GswScheme, SchemeParams
 from fhefft.harness import reference_fft, run_1d_experiment, run_2d_experiment
 from fhefft.plan import Compiler
 
@@ -299,16 +305,26 @@ def test_shape_entries_take_numpy_integers():
     assert run_1d_experiment(np.int64(4), F16, trials=1).size == 4
 
 
-def _header(path, dims, points):
-    wires = points * 2 * 16
+def _container(path, **fields):
+    """An EFT1 file on the exact preset whose header holds ``fields`` over a
+    valid 16.8 one of two points, and whose payload is zero ciphertexts.
+    Unless given, the levels and noise hold a 0 per wire of the points and
+    width that ``int()`` reads from the fields."""
     header = {"params": fileio.params_to_dict(EXACT_PARAMS),
               "params_digest": EXACT_PARAMS.digest(),
               "fixed_format": {"total_bits": 16, "frac_bits": 8},
-              "dims": dims, "points": points, "ct_side": EXACT_PARAMS.n_ct,
-              "levels": [0] * wires, "noise": [0] * wires}
+              "dims": 2, "points": 2, "ct_side": EXACT_PARAMS.n_ct, **fields}
+    wires = int(header["points"]) * 2 * int(header["fixed_format"]["total_bits"])
+    header = {"levels": [0] * wires, "noise": [0] * wires, **header}
     head = json.dumps(header).encode()
-    path.write_bytes(fileio.MAGIC + struct.pack("<II", fileio.CONTAINER_VERSION, len(head)) + head)
-    return fileio.read_ciphertext_header(path)
+    payload = bytes(wires * -(-EXACT_PARAMS.n_ct ** 2 // 8))
+    path.write_bytes(fileio.MAGIC + struct.pack("<II", fileio.CONTAINER_VERSION, len(head))
+                     + head + payload)
+    return path
+
+
+def _header(path, dims, points):
+    return fileio.read_ciphertext_header(_container(path, dims=dims, points=points))
 
 
 @pytest.mark.parametrize("dims, points", [([2, 2, 2], 8), ([8], 8), (6, 6), ([4, 3], 12),
@@ -318,9 +334,11 @@ def test_container_header_refuses_bad_dims_as_a_parse_error(dims, points, tmp_pa
         _header(tmp_path / "x.eft", dims, points)
 
 
-def test_container_header_converts_dims_with_int_before_the_rule(tmp_path):
-    assert _header(tmp_path / "x.eft", [2.0, 2], 4).dims == (2, 2)
-    assert _header(tmp_path / "x.eft", True, 1).dims == 1
+def test_container_header_reads_dims_through_the_shape_rule_alone(tmp_path):
+    """No ``int()`` runs first: a float side or a bool is refused."""
+    for dims, points in (([2.0, 2], 4), (True, 1)):
+        with pytest.raises(ParseError, match=SHAPE_RULE):
+            _header(tmp_path / "x.eft", dims, points)
     assert _header(tmp_path / "x.eft", 8, 8).dims == 8
 
 
@@ -404,3 +422,177 @@ def test_count_entries_take_numpy_integers(tmp_path):
     assert GateCostModel(i64(32), 51, 8, 8).fixed_width == 32
     assert run_1d_experiment(4, F16, trials=i64(2)).trials == 2
     assert run_2d_experiment(i64(2), (2, 2), F16).trials == 2
+
+
+# -- file fields: each goes unconverted to the rule of the record it fills ----
+
+# valid with 1 in any field but q, so that int() reads True as a valid field
+FILE_PARAMS = SchemeParams(n=2, q=65537, m=8, noise_bound=1, depth_budget=1)
+FIELD_RULES = {
+    "n": "^n and m must be positive integers$",
+    "q": "^q must be an odd integer >= 8$",
+    "m": "^n and m must be positive integers$",
+    "noise_bound": "^noise_bound and depth_budget must be integers >= 0$",
+    "depth_budget": "^noise_bound and depth_budget must be integers >= 0$",
+}
+
+
+def _not_counts(v):
+    """Values that ``int()`` reads as the count ``v`` (or as 1)."""
+    return {"plus-half": v + 0.5, "float": float(v), "true": True, "text": str(v)}
+
+
+def _params_file(path, field, value):
+    fileio.write_params(path, FILE_PARAMS)
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    return path
+
+
+def _keys_file(path, field, value):
+    fileio.write_keys(path, FILE_PARAMS, GswScheme(FILE_PARAMS).keygen(1))
+    data = json.loads(path.read_text())
+    data["params"][field] = value
+    path.write_text(json.dumps(data))
+    return path
+
+
+PARAM_FILE_ENTRIES = {
+    "read_params": lambda path, field, value: fileio.read_params(
+        _params_file(path, field, value)),
+    "read_keys": lambda path, field, value: fileio.read_keys(_keys_file(path, field, value)),
+}
+
+
+@pytest.mark.parametrize("kind", ["plus-half", "float", "true", "text"])
+@pytest.mark.parametrize("field", list(FIELD_RULES))
+@pytest.mark.parametrize("entry", list(PARAM_FILE_ENTRIES))
+def test_parameter_files_refuse_a_field_that_is_not_a_count(entry, field, kind, tmp_path):
+    value = _not_counts(getattr(FILE_PARAMS, field))[kind]
+    with pytest.raises(ParameterError, match=FIELD_RULES[field]):
+        PARAM_FILE_ENTRIES[entry](tmp_path / "f.json", field, value)
+
+
+@pytest.mark.parametrize("kind", ["plus-half", "float", "true", "text"])
+@pytest.mark.parametrize("field", list(FIELD_RULES))
+def test_keygen_refuses_a_parameter_file_field_that_is_not_a_count(field, kind, tmp_path,
+                                                                    capsys):
+    path = _params_file(tmp_path / "p.json", field, _not_counts(getattr(FILE_PARAMS, field))[kind])
+    capsys.readouterr()
+    assert main(["keygen", "--params", str(path), "--out", str(tmp_path / "k.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "k.json").exists()
+
+
+# (id, header fields): int() reads each as a valid header
+BAD_HEADER_FIELDS = [
+    ("total_bits-8.9", {"fixed_format": {"total_bits": 8.9, "frac_bits": 4}}),
+    ("total_bits-text", {"fixed_format": {"total_bits": "8", "frac_bits": 4}}),
+    ("fixed_format-extra-field", {"fixed_format": {"total_bits": 16, "frac_bits": 8, "x": 0}}),
+    ("dims-2.0", {"dims": 2.0}),
+    ("dims-text", {"dims": "2"}),
+    ("dims-[1, 2.0]", {"dims": [1, 2.0]}),
+    ("dims-true", {"dims": True, "points": 1}),
+    ("points-2.7", {"points": 2.7}),
+    ("points-2.0", {"points": 2.0}),
+    ("ct_side-text", {"ct_side": str(EXACT_PARAMS.n_ct)}),
+    ("ct_side-float", {"ct_side": float(EXACT_PARAMS.n_ct)}),
+    ("levels-0.9", {"levels": [0.9] + [0] * 63}),
+    ("levels-text", {"levels": ["3"] + [0] * 63}),
+    ("levels-true", {"levels": [True] + [0] * 63}),
+    ("noise-0.5", {"noise": [0.5] + [0] * 63}),
+]
+
+
+@pytest.mark.parametrize("fields", [pytest.param(f, id=i) for i, f in BAD_HEADER_FIELDS])
+def test_container_header_refuses_a_field_that_int_would_read(fields, tmp_path, capsys):
+    path = _container(tmp_path / "x.eft", **fields)
+    with pytest.raises(ParseError, match=r"x\.eft"):
+        fileio.read_ciphertext_header(path)
+    capsys.readouterr()
+    assert main(["fft", str(path), "--out", str(tmp_path / "y.eft")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "y.eft").exists()
+
+
+@pytest.mark.parametrize("params", [EXACT_PARAMS, DEFAULT_PARAMS], ids=["exact", "default"])
+def test_files_the_package_writes_read_back(params, tmp_path):
+    scheme = GswScheme(params)
+    keys = scheme.keygen(1)
+    fileio.write_params(tmp_path / "p.json", params)
+    assert fileio.read_params(tmp_path / "p.json") == params
+    fileio.write_keys(tmp_path / "k.json", params, keys)
+    got_params, got_keys = fileio.read_keys(tmp_path / "k.json")
+    assert got_params == params
+    assert np.array_equal(got_keys.public_key, keys.public_key)
+    assert np.array_equal(got_keys.secret_key, keys.secret_key)
+    fmt, values = FixedFormat(8, 4), np.array([0.5, -0.25j, 1 + 0.75j, 0])
+    for dims in (4, (2, 2)):
+        engine = FheEngine(scheme, keys=keys, rng=np.random.default_rng(2))
+        signal = input_signal(engine, values, fmt, dims=dims)
+        fileio.write_ciphertext_signal(tmp_path / "s.eft", signal)
+        header = fileio.read_ciphertext_header(tmp_path / "s.eft")
+        assert (header.params, header.fmt, header.dims) == (params, fmt, dims)
+        assert header.meta().tolist() == engine.wire_meta(signal.wires).reshape(-1).tolist()
+        back = fileio.read_ciphertext_signal(tmp_path / "s.eft", engine)
+        assert np.array_equal(back.wires, signal.wires.reshape(back.wires.shape))
+        assert read_signal(engine, back).tolist() == [values.tolist()]
+        fileio.write_signal_text(tmp_path / "s.txt", values, dims=dims, fmt=fmt)
+        text, meta = fileio.read_signal_text(tmp_path / "s.txt")
+        assert text.tolist() == values.tolist()
+        assert meta == fileio.SignalMeta(dims=dims, total_bits=8, frac_bits=4)
+
+
+# -- seeds: fhe.seeded_rng ----------------------------------------------------
+
+SEED_ENTRIES = {
+    "GswScheme.keygen": lambda seed: GswScheme(EXACT_PARAMS).keygen(seed),
+    "run_1d_experiment": lambda seed: run_1d_experiment(2, F16, trials=1, seed=seed),
+    "run_2d_experiment": lambda seed: run_2d_experiment(1, (1, 2), F16, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5], ids=repr)
+@pytest.mark.parametrize("entry", list(SEED_ENTRIES))
+def test_seed_entries_refuse_a_seed_numpy_refuses(entry, seed):
+    with pytest.raises(UsageError, match=f"^bad seed {seed!r}: "):
+        SEED_ENTRIES[entry](seed)
+
+
+def test_seed_entries_take_numpy_seeds(exact_scheme, exact_keys):
+    for seed in (np.random.SeedSequence(1), np.int64(1)):
+        keys = exact_scheme.keygen(seed)
+        assert np.array_equal(keys.public_key, exact_keys.public_key)
+        assert np.array_equal(keys.secret_key, exact_keys.secret_key)
+    reports = [run_1d_experiment(4, F16, trials=2, seed=seed).as_dict()
+               for seed in (3, np.int64(3))]
+    for report in reports:
+        del report["wall_time"]
+    assert reports[0] == reports[1]
+
+
+# -- 2D images: arith._reals --------------------------------------------------
+
+@pytest.mark.parametrize("images", ["ab", [[["0.5"]]], [[[0.5 + 1j]]],
+                                    [np.array([[0.5j]], dtype=object)]],
+                         ids=["text", "numeric-text", "complex", "object-complex"])
+def test_2d_images_refuse_values_that_are_not_real_numbers(images):
+    with pytest.raises(UsageError, match=NOT_REAL):
+        run_2d_experiment(images, (1, 1), F16)
+
+
+def test_2d_images_refuse_an_int_past_float64s_range():
+    with pytest.warns(UserWarning, match="may overflow"), \
+            pytest.raises(RangeError, match=OUT_OF_RANGE):
+        run_2d_experiment([np.array([[10**400]], dtype=object)], (1, 1), F16)
+
+
+@pytest.mark.parametrize("image, floats", [
+    ([[Fraction(1, 2), Decimal("0.25")]], [[0.5, 0.25]]),
+    (np.array([[0.5, 0.25]], np.float32), [[0.5, 0.25]]),
+    (np.array([[True, False]]), [[1.0, 0.0]]),
+    ([[1, np.int64(0)]], [[1.0, 0.0]]),
+], ids=["fraction-decimal", "float32", "bool", "int"])
+def test_2d_images_take_real_numbers_of_any_type(image, floats):
+    got, want = (run_2d_experiment([img], (1, 2), F16).as_dict() for img in (image, floats))
+    del got["wall_time"], want["wall_time"]
+    assert got == want
