@@ -30,6 +30,12 @@ folded into one correction word.  The product modulo 2**(f + F) is the
 same either way, so the result is bit-identical to multiplying by an
 encryption of the same constant.
 
+``product_rule`` says which twiddle products a radix-2 butterfly makes,
+from the twiddle's quantized integers, and which ``butterfly_sums`` kind
+combines them: two products where the components are equal or negated,
+none for W = -j, bit-identical to the four products.  ``fft``'s plans
+and the tests' gate-by-gate butterfly both follow it.
+
 The lane codec is ``encode_bits`` (real values of any shape to
 two's-complement bits) and ``decode_bits`` (its inverse, in 32-bit limbs).
 ``fft.input_signal`` and ``fft.read_signal`` run a whole signal through it;
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Number
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,12 +247,13 @@ class _Builder:
     run the word ops, so a plan makes the gates a gate-by-gate run makes.
 
     Each public call has its own builder: ``butterfly_sums`` is a
-    composition of public ``sub`` and ``add`` calls, as the gate-by-gate
-    butterfly is, and a builder spanning all of them would fold NOTs across
-    the calls that separate calls make anew.  The builder folds constants
-    itself: the NOTs an engine's own folding makes are new handles it cannot
-    see, and with them Table 1 at 32.16 keeps 3,944,778 NANDs where the
-    builder's folding leaves 3,783,162.  Since keys are identities, an op
+    composition of public ``sub`` and ``add`` calls and carry-in ripples,
+    each with its own, and a builder spanning all of them would fold NOTs
+    across the calls that separate calls make anew.  The builder folds
+    constants itself: the NOTs an engine's own folding makes are new handles
+    it cannot see, and with them Table 1 at 32.16 kept 3,944,778 NANDs where
+    the builder's folding left 3,783,162 (with four products per
+    butterfly, before ``product_rule``).  Since keys are identities, an op
     on aliased operands (``add(x, x)``) can make fewer gates gate by gate
     than its recorded netlist, whose operands are distinct rows; the values
     are the same.  No backward liveness pass is made: only the sums below a
@@ -364,14 +372,68 @@ def sub(x: FixedWord, y: FixedWord) -> FixedWord:
     return FixedWord(tuple(_ripple(g, x.bits, inverted, cin=g.constant(1))), x.fmt)
 
 
-def butterfly_sums(x_re: FixedWord, x_im: FixedWord, p0: FixedWord, p1: FixedWord,
-                   p2: FixedWord, p3: FixedWord) -> tuple[FixedWord, ...]:
-    """The sums of a radix-2 butterfly from the four twiddle products of x_j:
-    t = (p0 - p1, p2 + p3), then (x_re + t_re, x_im + t_im, x_re - t_re,
-    x_im - t_im); the gates of those ``sub`` and ``add`` calls, 54F - 39
-    NANDs."""
-    t_re, t_im = sub(p0, p1), add(p2, p3)
+def _carry_add(x: FixedWord, y: FixedWord, low: tuple, flip: bool) -> FixedWord:
+    """x + y + OR(``low``), or with ``flip`` x + NOT y + NOR(``low``): one
+    ripple whose carry-in is a balanced tree of ORs (a NAND of free NOTs).
+
+    The tree reads input bits, so the carry-in comes early: bit 0 makes
+    n = NAND(a, b) and o = OR(a, b), then a XOR b = NOT NAND(n, o) and the
+    carry NAND(n, NAND(cin, o)), two levels past a and b where a full
+    adder's is four, in a full adder's 9 NANDs."""
+    _check_formats(x, y)
+    g = _Builder(x.bits + y.bits + low)
+    level = list(low)
+    while len(level) > 1:
+        pairs = [g.nand(g.not_(a), g.not_(b)) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[2 * len(pairs):]
+    carry = level[0] if level else g.constant(0)
+    ybits = y.bits
+    if flip:
+        ybits, carry = [g.not_(b) for b in y.bits], g.not_(carry)
+    if carry.const is not None:
+        return FixedWord(tuple(_ripple(g, x.bits, ybits, cin=carry)), x.fmt)
+    a, b = x.bits[0], ybits[0]
+    n, o = g.nand(a, b), g.nand(g.not_(a), g.not_(b))
+    low_sum = g.xor(g.not_(g.nand(n, o)), carry)
+    carry = g.nand(n, g.nand(carry, o))
+    return FixedWord((low_sum, *_ripple(g, x.bits[1:], ybits[1:], cin=carry)), x.fmt)
+
+
+def butterfly_sums(x_re: FixedWord, x_im: FixedWord, a: FixedWord, b: FixedWord,
+                   c: FixedWord, d: FixedWord, kind: int | None = None) -> tuple[FixedWord, ...]:
+    """The sums (x_re + t_re, x_im + t_im, x_re - t_re, x_im - t_im) of a
+    radix-2 butterfly, t = W * x_j, from the words ``product_rule`` gives
+    for its ``kind``:
+
+    * None: the four products, t = (a - b, c + d) by ``sub`` and ``add``;
+      54F - 39 NANDs;
+    * -1 (W = -j): a, b are x_j, t = (b, -a), so the sums are x_re + b,
+      x_im - a, x_re - b and x_im + a (c and d are not read);
+    * k >= 0 (wim = -wre): a, b are x_j's products by wre and c, d are x_j;
+      t = (a + b + OR(low k bits of d), b + NOT a + NOR(low k bits of c)).
+
+    Each step is the gates of its own ``add``, ``sub`` or carry-in ripple.
+    """
+    kind = _sums_kind(kind, x_re.fmt)
+    if kind is None:
+        t_re, t_im = sub(a, b), add(c, d)
+    elif kind == -1:
+        return add(x_re, b), sub(x_im, a), sub(x_re, b), add(x_im, a)
+    else:
+        t_re = _carry_add(a, b, d.bits[:kind], False)
+        t_im = _carry_add(b, a, c.bits[:kind], True)
     return add(x_re, t_re), add(x_im, t_im), sub(x_re, t_re), sub(x_im, t_im)
+
+
+def _sums_kind(kind, fmt: FixedFormat) -> int | None:
+    """``kind`` as a ``butterfly_sums`` kind of ``fmt`` (None, or an integer
+    from -1 to the width); anything else raises ``UsageError``."""
+    if kind is None:
+        return None
+    if not (_is_count(kind, -1) and kind <= fmt.total_bits):
+        raise UsageError(f"butterfly_sums kind must be None, -1 or a low-bit count up to "
+                         f"{fmt.total_bits}, got {kind!r}")
+    return int(kind)
 
 
 # -- multipliers -----------------------------------------------------------
@@ -493,3 +555,43 @@ def mul_const(x: FixedWord, c: float) -> FixedWord:
     bits = _product_bits_const(_Builder(x.bits), x, encode_int(c, fmt), fmt.frac_bits,
                                fmt.frac_bits + fmt.total_bits)
     return FixedWord(tuple(bits), fmt)
+
+
+# -- butterfly product rule -------------------------------------------------
+
+class ProductRule(NamedTuple):
+    """How a butterfly makes t = W * x_j: its constant products, each
+    (part of x_j, 0 real or 1 imaginary; multiplier integer), the four words
+    after x_i of its ``butterfly_sums`` row, as indices into its products
+    followed by x_j's real and imaginary words, and its sums ``kind``."""
+
+    products: tuple
+    words: tuple
+    kind: int | None
+
+
+def product_rule(wre: int, wim: int, fmt: FixedFormat) -> ProductRule:
+    """The product rule of a butterfly whose twiddle quantizes to the
+    integers (wre, wim) of ``fmt`` (``encode_int``), bit-identical to the
+    four products (x_j.re * wre, x_j.im * wim, x_j.re * wim, x_j.im * wre):
+
+    * (0, -2^f), W = -j: no product; the sums take x_j itself;
+    * wre = wim (W(s, 3s/8)): p = x_j.re * wre and q = x_j.im * wre, each
+      read twice, as (p, q, p, q);
+    * wim = -wre, wre > 0 (W(s, s/8)): the same two products q_re, q_im.  In
+      F-bit two's complement floor(-y) = NOT floor(y) + [y is an integer],
+      so x * -wre is NOT (x * wre) plus 1 where the low k = max(0, f -
+      v2(wre)) bits of x are 0; the sums (kind k) fold that into carry-ins;
+    * any other: the four products (W = 1's fold).  So does wim = -wre
+      with wre < 0, which no forward transform has: its products by wim
+      can fold where those by wre cannot (x * 2^e costs no gate, x * -2^e
+      a ripple).
+    """
+    if (wre, wim) == (0, -fmt.scale):
+        return ProductRule((), (0, 1, 0, 1), -1)
+    if wre == wim:
+        return ProductRule(((0, wre), (1, wre)), (0, 1, 0, 1), None)
+    if wim == -wre and wre > 0:
+        v2 = (wre & -wre).bit_length() - 1
+        return ProductRule(((0, wre), (1, wre)), (0, 1, 2, 3), max(0, fmt.frac_bits - v2))
+    return ProductRule(((0, wre), (1, wim), (0, wim), (1, wre)), (0, 1, 2, 3), None)

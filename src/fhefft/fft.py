@@ -3,13 +3,19 @@
 A forward, unnormalized transform of a power-of-two signal as log2(M)
 stages of M/2 butterflies after an index bit-reversal.  Twiddle factors
 are public constants quantized to the word format (round to nearest), so
-each butterfly is four constant multiplications plus one subtraction and
-one addition for t = W * x_j, followed by x_i + t and x_i - t: six real
-sequences of word arithmetic per butterfly.  A stage compiles them as two
-word-op phases: the products (``arith.mul_const``), then the sums
-(``arith.butterfly_sums``, the two steps of adds and subtracts recorded
-as one netlist, whose second ripples start as soon as the first ones'
-low bits are ready).
+t = W * x_j takes constant multiplications, as many as the butterfly's
+product rule (``arith.product_rule``, a function of the twiddle's
+quantized integers) asks for: four in general, two where wre = wim or
+wim = -wre (the W(s, 3s/8) and W(s, s/8) twiddles), none for W = -j;
+then come x_i + t and x_i - t.  At 32.16 that is 5,719, 5,714 and 1,126
+NANDs per butterfly where four products took 9,749, 9,703 and 1,498;
+Table 1 (M = 8..128) falls from 3,783,162 NANDs to 3,281,811 and the
+16x16 image from 3,628,928 to 2,775,776.  A stage compiles its
+butterflies as two word-op phases: one call for all its products
+(``arith.mul_const``), then one for all its sums
+(``arith.butterfly_sums``, keyed by the rule's kind: the two steps of
+adds and subtracts recorded as one netlist, whose second ripples start
+as soon as the first ones' low bits are ready).
 
 A transform runs as a compiled plan (``plan``).  The first transform of
 a key (engine parameters, wire size, piece bound, format, dims, and the
@@ -23,9 +29,9 @@ slots are reused once dead.  The plan is kept in ``netlist.PLANS``.
 Every transform, the first included, then replays it: one gather,
 evaluation and scatter per piece, with each stage's NANDs and depth added
 to the engine's after it runs.  The gates, counts, depths and output bits
-are those of the butterflies built gate by gate from ``arith.add``,
-``arith.sub`` and ``arith.mul_const``, one butterfly at a time (the
-reference the tests hold the plans to).
+are those of the butterflies built gate by gate, one at a time, from
+``arith.mul_const`` and ``arith.butterfly_sums`` by the same product rule
+(the reference the tests hold the plans to).
 
 The index permutation touches no gates; only butterflies cost NANDs.
 ``fft_1d`` transforms one signal.  ``fft_2d`` transforms all rows of an
@@ -57,7 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import FixedFormat, FixedWord, _numbers, decode_bits, encode_bits, encode_int
+from .arith import (FixedFormat, FixedWord, _numbers, decode_bits, encode_bits, encode_int,
+                    product_rule)
 # not called here, but bench/tracing.py wraps these names in this module
 from .arith import add, input_word, mul_const, read_word, sub  # noqa: F401
 from .errors import UsageError, _is_pow2
@@ -246,7 +253,9 @@ def _stages(comp, fmt, words, table):
     size = 2
     while size <= m:
         half = size // 2
-        flies = [(base + k, base + k + half, table.twiddle(size, k))
+        rules = [product_rule(*(encode_int(w, fmt) for w in table.twiddle(size, k)), fmt)
+                 for k in range(half)]
+        flies = [(base + k, base + k + half, rules[k])
                  for base in range(0, count * m, size) for k in range(half)]
         _butterflies(comp, fmt, flat, flies)
         comp.stage(size)
@@ -255,27 +264,33 @@ def _stages(comp, fmt, words, table):
 
 
 def _butterflies(comp, fmt, words, flies):
-    """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, W) of one
-    stage, in place on the compiled words of shape (points, 2) (real and
-    imaginary words), as two word-op phases: the four constant products
-    of W * x_j, then ``butterfly_sums`` of x_i and the products.  Each
-    word's block is released once nothing reads it."""
-    i = [f[0] for f in flies]
-    j = [f[1] for f in flies]
-    wre = [f[2][0] for f in flies]
-    wim = [f[2][1] for f in flies]
+    """The butterfly (x_i + W*x_j, x_i - W*x_j) of each (i, j, product rule
+    of W) of one stage, in place on the compiled words of shape (points, 2)
+    (real and imaginary words), as two word-op phases: one ``mul_const``
+    call for every product the rules ask for, then one ``butterfly_sums``
+    call, keyed by each rule's kind, on x_i and the words the rules name.
+    Each block is released once, when nothing reads it: x_j after the
+    products, unless its rule's sums read it too."""
+    i, j, rules = ([f[n] for f in flies] for n in range(3))
     xj = words[j]
-    # p = (xj.re*wre, xj.im*wim, xj.re*wim, xj.im*wre), so that
-    # W * x_j = (p0 - p1, p2 + p3)
-    prods = comp.word_ops("mul_const", fmt,
-                          np.concatenate([xj[:, 0], xj[:, 1], xj[:, 0], xj[:, 1]])[:, None],
-                          consts=wre + wim + wim + wre)
-    comp.release(xj)
+    # product slot after slot, so each slot's rows stay in butterfly order
+    made = [(fly, slot) for slot in range(4)
+            for fly, r in enumerate(rules) if slot < len(r.products)]
+    at = {key: row for row, key in enumerate(made)}  # (butterfly, slot) -> product row
+    part, c = zip(*(rules[fly].products[slot] for fly, slot in made))
+    prods = comp.word_ops("mul_const", fmt, xj[[fly for fly, _ in made], list(part)][:, None],
+                          consts=[v / fmt.scale for v in c])
+    reads = np.array([max(r.words) >= len(r.products) for r in rules])
+    comp.release(xj[~reads])
+    pool = np.concatenate([prods[:, 0], xj.reshape(-1)])  # products, then x_j's words
+    take = [[at[fly, w] if w < len(r.products) else len(at) + 2 * fly + w - len(r.products)
+             for w in r.words] for fly, r in enumerate(rules)]
     xi = words[i]
-    sums = comp.word_ops("butterfly_sums", fmt,
-                         np.concatenate([xi, prods.reshape(4, len(flies)).T], axis=1))
+    sums = comp.word_ops("butterfly_sums", fmt, np.concatenate([xi, pool[take]], axis=1),
+                         consts=[r.kind for r in rules])
     comp.release(prods)
     comp.release(xi)
+    comp.release(xj[reads])
     words[i], words[j] = sums[:, :2], sums[:, 2:]
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .arith import FixedFormat
 from .engine import FHE_META
-from .errors import ParseError, UsageError, _is_count
+from .errors import ParameterError, ParseError, UsageError, _is_count
 from .fft import SignalBuffer, _sides
 from .fhe import WORD_BITS_BYTES, KeyPair, SchemeParams, bit_words, word_bits
 
@@ -57,10 +57,16 @@ def params_to_dict(params: SchemeParams) -> dict:
 
 
 def params_from_dict(d: dict, path=None) -> SchemeParams:
+    """The ``SchemeParams`` of a parameter record; a field they refuse raises
+    their ``ParameterError``, naming ``path`` when given."""
     try:
         return SchemeParams(**{f.name: d[f.name] for f in fields(SchemeParams)})
     except (KeyError, TypeError) as exc:  # a missing field, or no JSON object
         raise ParseError(f"bad parameter field: {exc!r}", path=path) from exc
+    except ParameterError as exc:
+        if path is None:
+            raise
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def write_params(path, params: SchemeParams):

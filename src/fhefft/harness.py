@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arith import FixedFormat, _reals
+from .arith import FixedFormat, _grid, _reals
 from .engine import CleartextEngine, FheEngine
 from .error_model import ErrorParams, fft2d_error_bound, fft_error_bound, signal_headroom
 from .errors import UsageError, _is_count, _is_pow2
@@ -183,7 +183,10 @@ def run_2d_experiment(images=10, shape=(16, 16), fmt: FixedFormat = DEFAULT_FORM
 def _experiment(signals, dims, fmt, backend, seed, rng) -> ErrorReport:
     """The report of each row of ``signals`` (trials, points) transformed
     as ``dims`` on ``backend``; under FHE each is encrypted with ``rng``,
-    under the ``exact`` keys of ``seed``, on an engine of its own."""
+    under the ``exact`` keys of ``seed``, on an engine of its own.  The
+    format's range check (``_grid``, in ``input_signal``'s order) comes
+    first, before the oracle, the bound and the headroom see the values."""
+    _grid(np.stack([signals.real.T, signals.imag.T], axis=1), fmt)
     oracle, x_bound, bound = reference(signals, dims, fmt.frac_bits)
     points = signals.shape[1]
     ratio = signal_headroom(fmt.total_bits, fmt.frac_bits, points, x_bound)

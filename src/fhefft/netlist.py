@@ -4,9 +4,10 @@
 ``arith.butterfly_sums`` build the same gates for every operand whose
 bits share one pattern of public constants, so each (operation, format,
 constant, pattern) is traced once on a symbolic engine and kept in
-memory.  ``butterfly_sums`` records a butterfly's two steps of adds and
-subtracts as one netlist, so each second ripple follows the carries it
-reads instead of the first ripple's last level.  The recording folds
+memory; the constant is ``mul_const``'s multiplier or ``butterfly_sums``'
+kind (``arith.product_rule``).  ``butterfly_sums`` records a butterfly's
+two steps of adds and subtracts as one netlist, so each second ripple
+follows the carries it reads instead of the first ripple's last level.  The recording folds
 constants with ``gates.fold``, the rule the bit engines apply
 (NAND(x, 0) = 1, NAND(x, 1) = NOT x with no gate), so an engine that
 evaluates the netlist makes the same gates, folded NOTs and constant
@@ -308,15 +309,15 @@ class _Recorder:
 # plan for the same key, so sharing them across the process changes no
 # result.  Neither is bounded.  ``CACHE`` holds netlists (the key's format
 # sits at index 1): an M-point transform adds about one per distinct
-# twiddle component, one ``butterfly_sums`` per pattern of constant
-# products, and its stages a few unions of them.  ``PLANS`` holds
-# ``fft``'s transform plans (``plan.Plan``), one per key of
-# ``fft._transform``: engine kind, format, dims and input pattern.  For
-# M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.45 MB (4 of them laid
-# out, 0.02 MB of it), 12 unions, 0.77 MB, and 5 plans, 0.11 MB; ten
-# 16x16 images add a plan of 0.12 MB.  An encrypted M = 8 transform at
-# 16.8 adds 10 netlists, 0.03 MB with their layouts, and a plan of 4,848
-# bytes: an FHE plan holds no slot per gate and operand set.
+# twiddle component its product rules ask for, one ``butterfly_sums`` per
+# rule kind and pattern of constant words, and its stages a few unions of
+# them.  ``PLANS`` holds ``fft``'s transform plans (``plan.Plan``), one
+# per key of ``fft._transform``: engine kind, format, dims and input
+# pattern.  For M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.45 MB
+# (2 of them laid out, 0.01 MB of it), 13 unions, 0.82 MB, and 5 plans,
+# 0.11 MB; ten 16x16 images add a plan of 0.12 MB.  An encrypted M = 8
+# transform at 16.8 adds 9 netlists, 0.04 MB with their layouts, and a
+# plan of 4,784 bytes: an FHE plan holds no slot per gate and operand set.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}
 
@@ -326,12 +327,17 @@ def word_op(op: str, fmt: FixedFormat, pattern: np.ndarray, c: float | None = No
 
     ``pattern`` holds one int8 per input bit of the ``OPS[op]`` operand
     words, in argument order: -1 for a wire, 0 or 1 for a public constant.
-    ``c`` is the ``mul_const`` multiplier.  The outputs are the result
-    words' bits, in order (the four sums of ``butterfly_sums``).
+    ``c`` is the ``mul_const`` multiplier or the ``butterfly_sums`` kind
+    (``arith.product_rule``).  The outputs are the result words' bits, in
+    order (the four sums of ``butterfly_sums``).
     """
     if op not in OPS:
         raise UsageError(f"unknown word operation {op!r}")
-    c_int = encode_int(c, fmt) if op == "mul_const" else None
+    c_int = None  # add and sub take no ``c``
+    if op == "mul_const":
+        c_int = encode_int(c, fmt)
+    elif op == "butterfly_sums":
+        c_int = c = arith._sums_kind(c, fmt)
     pattern = np.asarray(pattern, dtype=np.int8)
     key = (op, fmt, c_int, pattern.tobytes())
     net = CACHE.get(key)
@@ -390,6 +396,7 @@ def _record(op, fmt, c, pattern, key) -> Netlist:
     bits = [rec.constant(int(p)) if p >= 0 else _Wire(rec, i, None)
             for i, p in enumerate(pattern)]
     args = [FixedWord(tuple(bits[at:at + width]), fmt) for at in range(0, len(bits), width)]
-    out = arith.mul_const(*args, c) if op == "mul_const" else getattr(arith, op)(*args)
+    # the multiplier of mul_const, the kind of butterfly_sums
+    out = getattr(arith, op)(*args, *((c,) if op in ("mul_const", "butterfly_sums") else ()))
     words = out if isinstance(out, tuple) else (out,)
     return rec.compile([bit for word in words for bit in word.bits], key)

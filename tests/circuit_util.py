@@ -4,7 +4,16 @@ the batched stage driver is checked against."""
 
 from dataclasses import replace
 
-from fhefft.arith import FixedFormat, FixedWord, add, mul_const, sub
+from fhefft.arith import (
+    FixedFormat,
+    FixedWord,
+    add,
+    butterfly_sums,
+    encode_int,
+    mul_const,
+    product_rule,
+    sub,
+)
 from fhefft.errors import UsageError
 from fhefft.fft import ComplexFixed, SignalBuffer, _bit_reversal
 
@@ -80,7 +89,21 @@ def signal_of(points, dims) -> SignalBuffer:
 
 def butterfly(xi: ComplexFixed, xj: ComplexFixed,
               w: tuple[float, float]) -> tuple[ComplexFixed, ComplexFixed]:
-    """(x_i + W*x_j, x_i - W*x_j) for a plaintext twiddle W, gate by gate."""
+    """(x_i + W*x_j, x_i - W*x_j) for a plaintext twiddle W, gate by gate:
+    the products its product rule asks for, then ``butterfly_sums``, as the
+    plans make them."""
+    fmt = xj.fmt
+    rule = product_rule(*(encode_int(c, fmt) for c in w), fmt)
+    words = [mul_const((xj.re, xj.im)[part], c / fmt.scale) for part, c in rule.products]
+    words += [xj.re, xj.im]
+    s = butterfly_sums(xi.re, xi.im, *(words[k] for k in rule.words), rule.kind)
+    return ComplexFixed(*s[:2]), ComplexFixed(*s[2:])
+
+
+def four_product_butterfly(xi: ComplexFixed, xj: ComplexFixed,
+                           w: tuple[float, float]) -> tuple[ComplexFixed, ComplexFixed]:
+    """``butterfly`` with all four products of W * x_j, by ``add``, ``sub``
+    and ``mul_const``: the reference the product rule is checked against."""
     wre, wim = w
     t_re = sub(mul_const(xj.re, wre), mul_const(xj.im, wim))
     t_im = add(mul_const(xj.re, wim), mul_const(xj.im, wre))

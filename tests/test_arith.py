@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuit_util import bits_to_int, decode, pack_int_word, unpack_int_word, wrap_signed
+from circuit_util import (
+    bits_to_int,
+    butterfly,
+    decode,
+    four_product_butterfly,
+    pack_int_word,
+    unpack_int_word,
+    wrap_signed,
+)
 from fhefft.arith import (
     FixedFormat,
     FixedWord,
@@ -20,12 +28,13 @@ from fhefft.arith import (
     mul_const,
     mul_fixed,
     mul_integer,
+    product_rule,
     read_word,
     sub,
 )
 from fhefft.engine import CleartextEngine, FheEngine
 from fhefft.errors import RangeError, UsageError
-from fhefft.fft import TwiddleTable
+from fhefft.fft import ComplexFixed, TwiddleTable
 
 F32 = FixedFormat(32, 16)
 F8 = FixedFormat(8, 4)
@@ -416,3 +425,71 @@ def test_word_io_on_fhe_backend(exact_scheme, exact_keys, rng):
     eng = FheEngine(exact_scheme, keys=exact_keys, rng=rng)
     for x in (-8.0, -0.0625, 0.0, 7.9375):
         assert read_word(eng, input_word(eng, x, F8)) == [x]
+
+
+# -- butterfly product rule ---------------------------------------------------
+
+def _multiplier(draw, fmt):
+    """A multiplier integer of ``fmt``: an odd number times 2**e, its float
+    over the scale exact (at most 53 significant bits)."""
+    e = draw(st.integers(0, fmt.total_bits - 2))
+    top = min(((1 << (fmt.total_bits - 1)) - 1) >> e, (1 << 53) - 1)
+    return (2 * draw(st.integers(-((top + 1) // 2), (top - 1) // 2)) + 1) << e
+
+
+@st.composite
+def _rule_cases(draw):
+    """(format, (wre, wim), seed): formats of 4 to 64 bits and twiddle
+    integers of each kind of product rule, low-bit counts k = 0 among them
+    (v2(wre) >= f), and wim = -wre with wre < 0."""
+    total = draw(st.integers(4, 64))
+    fmt = FixedFormat(total, draw(st.integers(1, total - 1)))
+    wre = _multiplier(draw, fmt)
+    wim = draw(st.sampled_from([wre, -wre, -abs(wre), _multiplier(draw, fmt)]))
+    if draw(st.booleans()) and wim == -wre:  # the -j kind
+        wre, wim = 0, -fmt.scale
+    return fmt, (wre, wim), draw(st.integers(0, 2**32 - 1))
+
+
+def _kind(wre, wim, fmt):
+    """The products and sums kind a twiddle's rule should have."""
+    if (wre, wim) == (0, -fmt.scale):
+        return 0, -1
+    if wre == wim or wim == -wre and wre > 0:
+        return 2, None if wre == wim else max(0, fmt.frac_bits - (wre & -wre).bit_length() + 1)
+    return 4, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rule_cases())
+def test_product_rule_butterflies_are_the_four_product_butterfly(case):
+    """Each kind of product rule gives the four-product butterfly's output
+    bits, with no more NANDs and no output word deeper, on random words,
+    words whose low k bits are 0 and the extreme words.  (A bit can be
+    deeper: for W = -j, bit 0 of x_im + x_j.re is an XOR, 3 deep, where
+    x_im - (-x_j.re) makes it in 2.)"""
+    fmt, (wre, wim), seed = case
+    rule = product_rule(wre, wim, fmt)
+    assert (len(rule.products), rule.kind) == _kind(wre, wim, fmt)
+    width, half = fmt.total_bits, 1 << (fmt.total_bits - 1)
+    k = rule.kind if rule.kind is not None and rule.kind >= 0 else 0
+    rng = np.random.default_rng(seed)
+    ints = [[int(v) for v in rng.integers(-half, half, 12, dtype=np.int64)] for _ in range(4)]
+    for word in ints[2:]:  # x_j: low k bits cleared in four lanes, then the extremes
+        word[:4] = [v >> k << k for v in word[:4]]
+        word += [-half, half - 1, 0, 1 << min(k, width - 2)]
+    for word in ints[:2]:
+        word += [0, 1, -1, half - 1]
+    runs = []
+    for make in (butterfly, four_product_butterfly):
+        eng = CleartextEngine(batch_size=16)
+        xi, xj = (ComplexFixed(*(pack_int_word(eng, w, width, fmt.frac_bits) for w in pair))
+                  for pair in (ints[:2], ints[2:]))
+        out = [w for pt in make(xi, xj, (wre / fmt.scale, wim / fmt.scale))
+               for w in (pt.re, pt.im)]
+        runs.append(([unpack_int_word(eng, w) for w in out], eng.nand_count,
+                     [max(b.depth for b in w.bits) for w in out]))
+    (got, nands, depths), (want, ref_nands, ref_depths) = runs
+    assert got == want
+    assert nands <= ref_nands
+    assert all(d <= r for d, r in zip(depths, ref_depths))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fhefft import arith, fft, netlist
 from fhefft.arith import FixedFormat, FixedWord
 from fhefft.engine import ClearBit, CleartextEngine
+from fhefft.errors import UsageError
 from fhefft.fft import fft_1d, fft_2d, input_signal
 
 F32 = FixedFormat(32, 16)
@@ -54,15 +55,18 @@ def _twiddle(size, k, part):
 
 @st.composite
 def _cases(draw):
-    """(op, format, multiplier, pattern of constant bits, seed): formats whose
-    range holds 1, twiddle components of up to 64 points, and patterns with
-    none to all of their bits constant."""
+    """(op, format, multiplier or sums kind, pattern of constant bits, seed):
+    formats whose range holds 1, twiddle components of up to 64 points,
+    every ``butterfly_sums`` kind (low-bit counts up to the width), and
+    patterns with none to all of their bits constant."""
     total = draw(st.integers(4, 20))
     fmt = FixedFormat(total, draw(st.integers(1, total - 2)))
     op = draw(st.sampled_from(sorted(netlist.OPS)))
     size = 2 ** draw(st.integers(1, 6))
     c = _twiddle(size, draw(st.integers(0, size // 2 - 1)), draw(st.integers(0, 1))) \
         if op == "mul_const" else None
+    if op == "butterfly_sums":
+        c = draw(st.one_of(st.none(), st.just(-1), st.integers(0, total)))
     n_in = total * netlist.OPS[op]
     share = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -74,8 +78,9 @@ def _cases(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cases())
 def test_word_ops_gate_by_gate_equal_their_netlists(case):
-    """``add``, ``sub``, ``mul_const`` and ``butterfly_sums`` run gate by gate
-    make the NAND count, output depths and bits of their recorded netlist."""
+    """``add``, ``sub``, ``mul_const`` and ``butterfly_sums`` (of each kind)
+    run gate by gate make the NAND count, output depths and bits of their
+    recorded netlist."""
     op, fmt, c, pattern, seed = case
     rng = np.random.default_rng(seed)
     batched, serial = CleartextEngine(batch_size=8), CleartextEngine(batch_size=8)
@@ -85,7 +90,7 @@ def test_word_ops_gate_by_gate_equal_their_netlists(case):
     width = fmt.total_bits
     words = [FixedWord(tuple(handles[at:at + width]), fmt)
              for at in range(0, len(handles), width)]
-    out = arith.mul_const(*words, c) if op == "mul_const" else getattr(arith, op)(*words)
+    out = getattr(arith, op)(*words, *(() if c is None else (c,)))
     want = [h for word in (out if isinstance(out, tuple) else (out,)) for h in word.bits]
     got = batched.handles(batched.run(netlist.word_op(op, fmt, pattern, c),
                                       serial.wires(handles)[None].copy()).ravel())
@@ -110,3 +115,24 @@ def test_sum_netlist_costs(op, cost):
     for fmt in (FixedFormat(8, 4), FixedFormat(16, 8), F32):
         pattern = np.full(fmt.total_bits * netlist.OPS[op], -1, np.int8)
         assert netlist.word_op(op, fmt, pattern).nand_count == cost(fmt.total_bits)
+
+
+@pytest.mark.parametrize("kind, cost", [
+    (-1, lambda f, k: 36 * f - 26),  # W = -j: two adds and two subs
+    (0, lambda f, k: 54 * f - 39),  # t = (a + b, b - a) by an add and a sub
+    # two OR trees of k - 1 NANDs and two carry-in ripples of 9F - 1
+    ("frac", lambda f, k: 54 * f + 2 * k - 30),
+])
+def test_sums_kind_costs(kind, cost):
+    for fmt in (FixedFormat(8, 4), FixedFormat(16, 8), F32):
+        k = fmt.frac_bits if kind == "frac" else kind
+        pattern = np.full(6 * fmt.total_bits, -1, np.int8)
+        assert netlist.word_op("butterfly_sums", fmt, pattern, k).nand_count == \
+            cost(fmt.total_bits, k)
+
+
+@pytest.mark.parametrize("kind", [-2, 33, -1.0, True, False, "1"])
+def test_sums_refuse_an_unknown_kind(kind):
+    pattern = np.full(6 * F32.total_bits, -1, np.int8)
+    with pytest.raises(UsageError, match="kind"):
+        netlist.word_op("butterfly_sums", F32, pattern, kind)

@@ -44,6 +44,16 @@ def test_keygen_with_preset(tmp_path):
     assert params == EXACT_PARAMS
 
 
+def test_keygen_names_the_parameter_file_whose_field_is_refused(tmp_path, capsys):
+    """A parameter file with n = 2.5 exits 2 with the rule's message and the
+    file's path."""
+    path = _params_with_n(tmp_path, "2.5")
+    capsys.readouterr()
+    assert run_cli("keygen", "--params", path, "--out", tmp_path / "k.json") == 2
+    assert capsys.readouterr().err == f"error: {path}: n and m must be positive integers\n"
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_pipeline_m4_matches_in_process_circuit(tmp_path, keys_file, capsys):
     """keygen -> encrypt -> fft -> decrypt -> verify, against the engine path."""
     fmt = FixedFormat(16, 8)
@@ -99,9 +109,9 @@ def test_pipeline_ciphertexts_golden(tmp_path):
     assert hashlib.sha256(fileio._read_container(ct)[1]).hexdigest()[:16] == "dac634c6420b5b5b"
     assert run_cli("fft", ct, "--out", out) == 0
     header, payload = fileio._read_container(out)
-    assert hashlib.sha256(payload).hexdigest()[:16] == "27a4a9d03dd78384"
+    assert hashlib.sha256(payload).hexdigest()[:16] == "a4766cb3f39fa1a6"
     assert hashlib.sha256(json.dumps(list(header.levels)).encode()).hexdigest()[:16] == \
-        "cdd0d44bb5b23788"
+        "add43b219a35afb4"
     assert run_cli("decrypt", out, "--keys", keys, "--out", spec) == 0
     assert list(fileio.read_signal_text(spec)[0]) == \
         [0.875 - 0.25j, 0.875 + 3.0j, 0.375 - 1.25j, -0.125 - 0.5j]

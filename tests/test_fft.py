@@ -359,10 +359,10 @@ def test_fft_backend_equivalence_m2(exact_scheme, exact_keys, rng):
 # (nand_count, max_depth) of each transform circuit; a change to these is a
 # change to the circuit itself, not to how it is evaluated
 @pytest.mark.parametrize("bits,frac,m,golden", [
-    (16, 8, 2, (550, 34)), (16, 8, 4, (2_380, 46)),
-    (16, 8, 8, (13_112, 95)), (16, 8, 16, (44_374, 144)),
-    (32, 16, 2, (1_126, 66)), (32, 16, 4, (4_876, 78)),
-    (32, 16, 8, (31_828, 149)), (32, 16, 16, (113_404, 217)),
+    (16, 8, 2, (550, 34)), (16, 8, 4, (2_200, 40)),
+    (16, 8, 8, (9_877, 89)), (16, 8, 16, (35_029, 138)),
+    (32, 16, 2, (1_126, 66)), (32, 16, 4, (4_504, 72)),
+    (32, 16, 8, (22_693, 143)), (32, 16, 16, (86_743, 211)),
 ])
 def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
     eng = CleartextEngine()
@@ -373,7 +373,7 @@ def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
 def test_fft2d_gate_count_and_depth_golden():
     eng = CleartextEngine()
     fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
-    assert (eng.nand_count, eng.max_depth) == (19_040, 61)
+    assert (eng.nand_count, eng.max_depth) == (17_600, 52)
 
 
 # sha256 (first 16 hex digits) of the decoded spectra of fixed-seed signals
@@ -401,7 +401,7 @@ def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
 # above at the benchmark's sizes; how the engine takes depths may change, but
 # never these
 @pytest.mark.parametrize("dims,lanes,digest", [
-    (128, 100, "69bff20d4a1eff7e"), ((16, 16), 10, "ea59f89584f90399"),
+    (128, 100, "bcafdde1e333c28e"), ((16, 16), 10, "27c249fffdd06220"),
 ])
 def test_fft_output_depths_golden(dims, lanes, digest):
     m = dims if isinstance(dims, int) else dims[0] * dims[1]
@@ -593,10 +593,10 @@ def test_transform_plans_stay_small(monkeypatch):
 
 
 def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
-    """Each stage compiles its constant products, then its butterfly sums;
-    the sums netlist is shallower than ``sub`` then ``add``, so the Table 1
-    plans (M = 8..128 at 32.16, 100 lanes) walk at most 6,489 levels and
-    the 16x16 plan at most 1,860."""
+    """Each stage compiles its constant products, then its butterfly sums,
+    every kind of product rule in one call; the sums netlist is shallower
+    than ``sub`` then ``add``, so the Table 1 plans (M = 8..128 at 32.16,
+    100 lanes) walk at most 5,218 levels and the 16x16 plan at most 1,352."""
     monkeypatch.setattr(fft, "PLANS", {})
     for m in (8, 16, 32, 64, 128):
         eng = CleartextEngine(batch_size=100)
@@ -615,7 +615,7 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
         return sum(len(p.net.layout.levels)
                    for plan in plans for s in plan.stages for p in s.pieces)
 
-    assert level_steps(table1) <= 6489 and level_steps([image]) <= 1860
+    assert level_steps(table1) <= 5218 and level_steps([image]) <= 1352
     wires = np.full(2 * F32.total_bits, -1, dtype=np.int8)
     sums = netlist.word_op("butterfly_sums", F32, np.tile(wires, 3))
     chained = [netlist.word_op(op, F32, wires) for op in ("sub", "add")]
@@ -624,11 +624,10 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
 
 def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     """On their layouts the Table 1 plans (M = 8..128 at 32.16, 100 lanes)
-    run at most 7,339 level steps, counted once per chunk of operand sets
-    (10,754 on every row), and the 16x16 plan (10 lanes) at most 1,860
-    (2,276); the largest M = 128 unions (56,417 and 59,912 rows of
-    workspace) need at most 28,207 slots, so two operand sets share a
-    chunk."""
+    run at most 5,536 level steps, counted once per chunk of operand sets,
+    and the 16x16 plan (10 lanes) at most 1,352; the largest M = 128 unions
+    (57,388 and 58,751 rows of workspace) need at most 25,753 slots, so two
+    operand sets share a chunk."""
     steps = []
     evaluate = engine._evaluate
 
@@ -641,17 +640,17 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     for m in (8, 16, 32, 64, 128):
         eng = CleartextEngine(batch_size=100)
         fft_1d(input_signal(eng, np.full((100, m), 0.5), F32))
-    assert sum(steps) <= 7339
+    assert sum(steps) <= 5536
     pieces = [p for s in fft.PLANS[max(fft.PLANS, key=lambda k: k[4])].stages for p in s.pieces]
     largest = sorted(pieces, key=lambda p: p.net.work_rows)[-2:]
-    assert [p.net.work_rows for p in largest] == [56417, 59912]
+    assert [p.net.work_rows for p in largest] == [57388, 58751]
     for piece in largest:
-        assert piece.net.layout.work_slots <= 28207
+        assert piece.net.layout.work_slots <= 25753
         assert 2 * piece.net.layout.work_slots * eng.wire_bytes <= eng.CHUNK_BYTES
     steps.clear()
     eng = CleartextEngine(batch_size=10)
     fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
-    assert sum(steps) <= 1860
+    assert sum(steps) <= 1352
 
 
 def test_fhe_plan_past_the_depth_budget_raises_before_any_nand(default_scheme, default_keys):

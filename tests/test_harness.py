@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fhefft.arith import FixedFormat
-from fhefft.errors import UsageError
+from fhefft.errors import RangeError, UsageError
 from fhefft.harness import (
     format_report_table,
     reference_fft,
@@ -144,6 +145,19 @@ def test_format_report_table_lines_up():
 def test_headroom_warning_on_tight_format():
     with pytest.warns(UserWarning):
         run_1d_experiment(128, fmt=FixedFormat(16, 8), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_1d_experiment(8, fmt=FixedFormat(2, 1), trials=4, seed=0),
+    lambda: run_2d_experiment([[[10**400, 0], [0, 0]]], shape=(2, 2)),
+], ids=["1d-values-past-2.1", "2d-int-past-float64"])
+def test_values_off_the_format_raise_its_range_error_first(run):
+    """Signals the format cannot hold raise its ``RangeError`` before the
+    headroom warns or the error model refuses their bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="does not fit"):
+            run()
 
 
 def test_fhe_report_equals_the_clear_report():

@@ -26,7 +26,9 @@ input with the rule's exception type and message:
 """
 
 import json
+import re
 import struct
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -467,9 +469,11 @@ PARAM_FILE_ENTRIES = {
 @pytest.mark.parametrize("field", list(FIELD_RULES))
 @pytest.mark.parametrize("entry", list(PARAM_FILE_ENTRIES))
 def test_parameter_files_refuse_a_field_that_is_not_a_count(entry, field, kind, tmp_path):
+    """The record's rule refuses the field, and its message names the file."""
     value = _not_counts(getattr(FILE_PARAMS, field))[kind]
-    with pytest.raises(ParameterError, match=FIELD_RULES[field]):
-        PARAM_FILE_ENTRIES[entry](tmp_path / "f.json", field, value)
+    path = tmp_path / "f.json"
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: {FIELD_RULES[field][1:]}"):
+        PARAM_FILE_ENTRIES[entry](path, field, value)
 
 
 @pytest.mark.parametrize("kind", ["plus-half", "float", "true", "text"])
@@ -581,9 +585,11 @@ def test_2d_images_refuse_values_that_are_not_real_numbers(images):
 
 
 def test_2d_images_refuse_an_int_past_float64s_range():
-    with pytest.warns(UserWarning, match="may overflow"), \
-            pytest.raises(RangeError, match=OUT_OF_RANGE):
-        run_2d_experiment([np.array([[10**400]], dtype=object)], (1, 1), F16)
+    """The format's range check comes first: no headroom warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=OUT_OF_RANGE):
+            run_2d_experiment([np.array([[10**400]], dtype=object)], (1, 1), F16)
 
 
 @pytest.mark.parametrize("image, floats", [
