@@ -22,16 +22,18 @@ the plan's constants and depths (or levels and noise estimates), which
 wire's value (no piece reads a constant output's slot, since
 ``netlist.word_op`` keys netlists by their constant bits).  Both walk a
 piece's netlist layout (``netlist.Layout.levels``) level by level, on
-slots reused once their rows are dead, writing each level's folded NOTs
-and then its NANDs to its run of slots.  The cleartext engine holds the
-slots as numpy bit-planes, in chunks of operand sets whose workspace
-fits ``CHUNK_BYTES``, and takes a NOT as the NAND with ONE it is stored
-as.  The FHE engine holds them on a scratch of (slot, operand set,
-words): a level's folded NOTs are one ``not_words`` call and its NANDs,
-for every operand set, batched ``GswScheme.nand_words`` products of at
-most ``CHUNK_BYTES`` of decomposed bits, with the operands the piece's
-swap masks mark exchanged; both kernels take the (gates, sets, N, n+1)
-words as gathered, with no reshape.  An FHE plan past the depth budget
+slots reused once their values are dead, writing each level's NANDs to
+its run of slots and the complements a later level or output reads to
+theirs.  The cleartext engine holds the slots as numpy bit-planes, in
+chunks of operand sets whose workspace fits ``CHUNK_BYTES``, and computes
+a level as one gather, one AND and one inversion, keeping the ANDs where
+complements are read.  The FHE engine holds them on a scratch of (slot,
+operand set, words): a level's NANDs, for every operand set, are batched
+``GswScheme.nand_words`` products of at most ``CHUNK_BYTES`` of decomposed
+bits, with the operands the piece's swap masks mark exchanged, and its
+kept complements one ``not_words`` call (the inputs' one more, before the
+first level); both kernels take the (gates, sets, N, n+1) words as
+gathered, with no reshape.  An FHE plan past the depth budget
 is refused as it compiles.  ``run`` evaluates one recorded
 ``netlist.Netlist`` (or union) over many operand sets: it compiles and
 replays a one-piece plan.  The ciphertexts, operation counts, levels and
@@ -199,6 +201,7 @@ class CleartextEngine(_Engine):
         self._init_wires(None, CLEAR_META, np.stack([np.zeros_like(lanes), lanes]),
                          ClearBit, ((0, 0, 0), (self.mask, 0, 1)))
         self._record = np.dtype((np.void, self.wire_bytes))  # a wire's lane bytes, whole
+        self._work = np.empty(0, np.uint8)
 
     def input_bit(self, lanes: int) -> ClearBit:
         """New variable wire; ``lanes`` packs one bit per lane (0/1 if batch 1)."""
@@ -270,9 +273,19 @@ class CleartextEngine(_Engine):
                          None if c < 0 else c)
                 for v, d, c in zip(lanes, wires["d"].tolist(), wires["c"].tolist())]
 
+    def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
+        """``_Engine.load``, and the workspace of ``CHUNK_BYTES`` that every
+        piece ``evaluate`` runs until ``unload`` uses, where a new array per
+        piece made the allocator map fresh pages for some plans: their
+        faults cost the 16x16 image's replay about 8%."""
+        self._work = np.empty(self.CHUNK_BYTES, np.uint8)
+        return super().load(wires, slots, n_slots)
+
     def unload(self, register: np.ndarray, slots: np.ndarray, meta: np.ndarray) -> np.ndarray:
         """``_Engine.unload`` with the bits past ``batch_size`` cleared, as
-        ``input_wires`` leaves them (``evaluate`` inverts whole bytes)."""
+        ``input_wires`` leaves them (``evaluate`` inverts whole bytes); it
+        releases the workspace."""
+        self._work = np.empty(0, np.uint8)
         out = super().unload(register, slots, meta)
         out["v"] &= self.const_values[1]
         return out
@@ -283,7 +296,10 @@ class CleartextEngine(_Engine):
         net, count = piece.net, piece.count
         ins, outs = slots(piece.ins, piece.width), slots(piece.outs, piece.width)
         step = max(1, self.CHUNK_BYTES // (self.wire_bytes * net.layout.work_slots))
-        work = np.empty(net.layout.work_slots * self.wire_bytes * min(step, count), np.uint8)
+        size = net.layout.work_slots * self.wire_bytes * min(step, count)
+        if len(self._work) < size:  # one operand set past ``CHUNK_BYTES``
+            self._work = np.empty(size, np.uint8)
+        work = self._work
         # numpy scatters whole records far faster than rows of bytes
         records = register.view(self._record).reshape(-1)
         for lo in range(0, count, step):
@@ -417,26 +433,27 @@ class FheEngine(_Engine):
 
     def evaluate(self, piece, register: np.ndarray):
         """Gather, evaluate and scatter one plan piece on a scratch of
-        (layout slot, operand set, words): per level, one ``not_words`` call
-        for its folded NOTs, then ``nand_words`` calls of at most
+        (layout slot, operand set, words): the inputs' complements in one
+        ``not_words`` call, then per level ``nand_words`` calls of at most
         ``CHUNK_BYTES`` of decomposed bits on runs of its whole NANDs over
         every operand set (or of sets, when one gate's exceed the bound),
-        each on its operands' words as gathered, (gates, sets, N, n+1)."""
+        each on its operands' words as gathered, (gates, sets, N, n+1), and
+        one ``not_words`` call for the complements it keeps."""
         scheme, net, count = self.scheme, piece.net, piece.count
         layout = net.layout
         scratch = np.empty((layout.n_slots, count, *register.shape[1:]), np.int64)
         scratch[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
+        flips = layout.flips
+        scratch[net.n_inputs:net.n_inputs + len(flips)] = scheme.not_words(scratch[flips])
         step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)  # NANDs per call
         sets = min(step, max(count, 1))  # every set, unless one gate's exceed ``step``
         per = step // sets  # whole gates per call
         # runs of operand sets as views, so that their gathers stay plain
         parts = [(s0, scratch[:, s0:s0 + sets]) for s0 in range(0, count, sets)]
-        for k, (start, ops, nots) in enumerate(layout.levels):
-            if nots:
-                scratch[start:start + nots] = scheme.not_words(scratch[ops[:nots]])
-            ab = ops.reshape(2, -1)[:, nots:]  # the NANDs' a and b slots
+        for k, (start, ops, kept, ands) in enumerate(layout.levels):
+            ab = ops.reshape(2, -1)
             for s0, part in parts:
-                nands = part[start + nots:start + len(ops) // 2]  # their results
+                nands = []
                 for lo in range(0, ab.shape[1], per):
                     at = slice(lo, lo + per)
                     pair = part[ab[:, at]]  # (2, gates, sets, N, n+1)
@@ -444,7 +461,13 @@ class FheEngine(_Engine):
                     if piece.swaps:
                         swap = piece.swaps[k][at, s0:s0 + sets, None, None]
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
-                    nands[at] = scheme.nand_words(left, right)
+                    nands.append(scheme.nand_words(left, right))
+                # written once the level is read: its results may take the
+                # slots of the values it reads last
+                part[start:start + ab.shape[1]] = nands[0] if len(nands) == 1 else \
+                    np.concatenate(nands)
+            if kept:
+                scratch[ands:ands + kept] = scheme.not_words(scratch[start:start + kept])
         register[slots(piece.outs, piece.width)] = scratch[layout.outputs]
 
 
@@ -478,19 +501,28 @@ def _evaluate(net, register: np.ndarray, gather: np.ndarray, work: np.ndarray) -
     n_in, count = gather.shape
     width = register.shape[1]
     cols = count * width
-    end = layout.n_slots * cols
-    values = work[:end].reshape(layout.n_slots, cols)
-    spare = work[end:layout.work_slots * cols].reshape(-1, cols)
+    every = work[:layout.work_slots * cols].reshape(-1, cols)
+    # disjoint views, so that numpy copies nothing to gather
+    values, spare = every[:layout.n_slots], every[layout.n_slots:]
     register.take(gather, axis=0, out=values[:n_in].reshape(n_in, count, width), mode="clip")
-    values[net.one] = 0xFF
-    for lo, ops, _ in layout.levels:
+    flips = layout.flips
+    np.invert(values[flips], out=values[n_in:n_in + len(flips)])
+    # positional arguments, and in-place NANDs on one view: the calls are
+    # most of a level's time
+    take, conj, invert = values.take, np.bitwise_and, np.invert
+    for start, ops, kept, ands in layout.levels:
         gates = len(ops) // 2
         pair = spare[:2 * gates]
-        # mode="clip" skips numpy's copy of ``out`` (indices are in range)
-        values.take(ops, axis=0, out=pair, mode="clip")
-        rows = values[lo:lo + gates]
-        np.bitwise_and(pair[:gates], pair[gates:], out=rows)
-        np.invert(rows, out=rows)
+        take(ops, 0, pair, "clip")  # "clip" skips numpy's copy of ``out``
+        rows = values[start:start + gates]
+        if kept:  # the ANDs in their own run; past the last slot, numpy
+            # copies the gathered operands they overwrite before it reads them
+            run = every[ands:ands + gates]
+            conj(pair[:gates], pair[gates:], run)
+            invert(run, rows)
+        else:
+            conj(pair[:gates], pair[gates:], rows)
+            invert(rows, rows)
     res = spare[:len(layout.outputs)]
     values.take(layout.outputs, axis=0, out=res, mode="clip")
     return res.reshape(-1, count, width)

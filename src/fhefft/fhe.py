@@ -412,8 +412,11 @@ class GswScheme:
 
     def not_words(self, words: np.ndarray) -> np.ndarray:
         """Words of Flatten(I - C) for (..., N, n+1) words of any leading
-        shape: (G - W) mod q."""
-        return (self._gadget - words) % self.params.q
+        shape: (G - W) mod q, by ``nand_words``' floor division, which is
+        exact for any int64 words (a container's unreduced ones too)."""
+        out = self._gadget - words
+        out -= out // self.params.q * self.params.q
+        return out
 
     def hom_nand(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """NOT(b1 AND b2) as Flatten(I - C1 @ C2); level = max + 1, and the

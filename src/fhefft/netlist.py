@@ -7,45 +7,50 @@ constant, pattern) is traced once on a symbolic engine and kept in
 memory; the constant is ``mul_const``'s multiplier or ``butterfly_sums``'
 kind (``arith.product_rule``).  ``butterfly_sums`` records a butterfly's
 two steps of adds and subtracts as one netlist, so each second ripple
-follows the carries it reads instead of the first ripple's last level.  The recording folds
-constants with ``gates.fold``, the rule the bit engines apply
-(NAND(x, 0) = 1, NAND(x, 1) = NOT x with no gate), so an engine that
-evaluates the netlist makes the same gates, folded NOTs and constant
+follows the carries it reads instead of the first ripple's last level.
+The recording folds constants with ``gates.fold``, the rule the bit
+engines apply (NAND(x, 0) = 1, NAND(x, 1) = NOT x with no gate), so an
+engine that evaluates the netlist makes the same gates, NOTs and constant
 outputs as one that runs the word operation gate by gate.
 
-A netlist has one row per wire: rows ``0 .. n_inputs-1`` are the operand
-bits (word after word in argument order, each LSB first; rows of
-constant bits are never read), row ``n_inputs`` is the constant 1, and
-every later row is ``NAND(row a, row b)``.  A folded NOT is stored as
-``NAND(src, ONE)``: on bit-planes that is the complement, and an engine
-that folds constants takes it as the free NOT it is, so it adds no gate
-and no depth.  Rows are sorted by evaluation level (a folded NOT sits
-one level after its source), so each level is a contiguous slice whose
-operands are all in earlier levels.  ``ops`` holds the gates' operand
-rows as one (2, gates) array, its ``a`` rows over its ``b`` rows.  One
-function orders rows (``_sorted``): a stable sort by level, so each
-level keeps its gates in the order given, for a recorded netlist the
-order they were recorded in.
+A netlist has one row per input bit and per gate: rows ``0 .. n_inputs-1``
+are the operand bits (word after word in argument order, each LSB first;
+rows of constant bits are never read), and every later row is the NAND of
+two literals.  A literal is ``2 * row``, or ``2 * row + 1`` for the row's
+complement: a NOT is a complemented read of its source, as in and-inverter
+graphs (Mishchenko, Chatterjee & Brayton, DAC 2006), and costs no row,
+gate or depth, since each engine's complement is free.  The outputs are
+literals too.  Rows are sorted by evaluation level, so each level is a
+contiguous slice whose operands are all in earlier levels.  ``ops`` holds
+the gates' operand literals as one (2, gates) array, its ``a`` literals
+over its ``b`` literals.  One function orders rows (``_sorted``): a
+stable sort by level, so each level keeps its gates in the order given,
+for a recorded netlist the order they were recorded in.
 
 ``union`` merges netlists into one that evaluates them side by side: its
-rows are every part's inputs, part after part, then one shared ONE, then
-the parts' gates, which it hands to the same sort part after part, so
-level k holds each part's level-k gates, part after part, and one gather
-and one NAND step evaluate a level of every part.  It keeps its parts,
-in order, as ``parts`` (``members``).
+rows are every part's inputs, part after part, then the parts' gates,
+which it hands to the same sort part after part, so level k holds each
+part's level-k gates, part after part, and one gather and one NAND step
+evaluate a level of every part.  It keeps its parts, in order, as
+``parts`` (``members``).
 
 Nothing walks the rows themselves: a netlist is evaluated on its
-``Layout``, which gives each row a slot of a workspace and reuses a slot
-once its row is dead (``_layout``), so a workspace holds the rows live
-at once, not every row.  Each level reads its operands' slots and writes
-its results to one run of consecutive slots, its folded NOTs first, so
-a level's NOTs and NANDs are slices of its operand slots and of its run.
-A recorded netlist keeps its rows, which ``union`` merges, and lays them
+``Layout``, which gives each value (a row, or the complement of one that a
+gate or output reads) a slot of a workspace and reuses a slot once its
+value is dead (``_layout``), so a workspace holds the values live at once,
+not every row.  The inputs' read complements take the slots after the
+inputs'.  Each level reads its operands' slots and writes its NANDs to one
+run of consecutive slots, and the complements that a later level or an
+output reads, of its first gates, to the start of a second run: the
+cleartext engine writes a level's ANDs there and inverts them into its
+NANDs, and the FHE engine takes them in one ``not_words`` call.  A
+recorded netlist keeps its rows, which ``union`` merges, and lays them
 out on first use; a union is laid out as it is merged and keeps only its
 layout.  ``Layout.levels`` is the one record of its levels (each one's
-first slot, its operand slots as a view of ``ops``, and its NOT count):
-both engines evaluate on it, and the plan compiler walks it once per
-piece (``plan.walk``) for depths, which are also FHE levels, and noise.
+first slot, its operand slots as a view of ``ops``, its count of kept
+complements and their first slot): both engines evaluate on it, and the
+plan compiler walks it once per piece (``plan.walk``) for depths, which
+are also FHE levels, and noise.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ OPS = {"add": 2, "sub": 2, "mul_const": 1, "butterfly_sums": 6}
 
 def _index(top: int) -> type:
     """The narrowest unsigned type of indices up to ``top`` (level bounds
-    hold the row count)."""
+    hold the row count, literals twice it)."""
     return np.uint16 if top < 1 << 16 else np.uint32
 
 
@@ -80,19 +85,32 @@ def narrow(ids) -> np.ndarray:
     return out
 
 
+def _literals(rows: np.ndarray) -> np.ndarray:
+    """The map of literals that a map of rows gives: 2r + c -> 2 rows[r] + c."""
+    out = np.empty(2 * len(rows), rows.dtype)
+    out[0::2] = 2 * rows
+    out[1::2] = out[0::2] + 1
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
-    """Where an evaluation keeps a netlist's rows: one slot each of a
-    workspace of ``n_slots``, reused once the row is dead (see ``_layout``).
-    ``levels`` holds, for each level after level 0 (the inputs and ONE),
-    the first of the consecutive slots it writes, the slots it reads (a
-    view of ``ops``: its gates' ``a`` slots, then their ``b`` slots) and
-    its count ``nots`` of folded NOTs: its first ``nots`` gates, whose
-    ``b`` slot is ONE's; the rest are its NANDs.  Arrays are read-only.
+    """Where an evaluation keeps a netlist's values: one slot each of a
+    workspace of ``n_slots``, reused once the value is dead (see
+    ``_layout``).  A value is a row, or the complement of one that some gate
+    or output reads.  The inputs take slots 0 .. n_in-1, and the complements
+    of the inputs ``flips`` the next ones, in order.  ``levels`` holds, for
+    each level after level 0 (the inputs), the first of the consecutive
+    slots its NANDs write, the slots it reads (a view of ``ops``: its gates'
+    ``a`` slots, then their ``b`` slots), its count ``kept`` of gates whose
+    complement is read (its first ones) and the first of the consecutive
+    slots their complements take (its first slot if none is).  Arrays are
+    read-only.
     """
 
     ops: np.ndarray
     levels: tuple
+    flips: np.ndarray
     outputs: np.ndarray  # slot of each output bit (0 where the output is constant)
     read: np.ndarray  # the inputs whose values are read or output
     n_slots: int
@@ -106,7 +124,7 @@ class Layout:
 
     @property
     def nbytes(self) -> int:
-        return self.ops.nbytes + self.outputs.nbytes + self.read.nbytes
+        return self.ops.nbytes + self.flips.nbytes + self.outputs.nbytes + self.read.nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,21 +138,16 @@ class Netlist:
     nand_count: int
     work_rows: int  # every row, plus room to gather both operands of the widest
     # level or the outputs: the plan compiler cuts pieces by this measure
-    ops: np.ndarray | None = None  # (2, gates): the gates' a rows over their b rows
+    ops: np.ndarray | None = None  # (2, gates): the gates' a literals over their b literals
     bounds: np.ndarray | None = None  # level k holds rows bounds[k] .. bounds[k+1]-1;
-    # level 0 holds the inputs and ONE
-    outputs: np.ndarray | None = None  # row of each output bit (0 where the output is constant)
+    # level 0 holds the inputs
+    outputs: np.ndarray | None = None  # literal of each output bit (0 where it is constant)
     key: tuple | None = None  # the ``CACHE`` key it was recorded under
     parts: tuple = ()  # a union's netlists, in the order of its inputs and outputs
 
     @property
-    def one(self) -> int:
-        """Row, and slot, of the constant 1."""
-        return self.n_inputs
-
-    @property
     def n_rows(self) -> int:
-        return self.n_inputs + 1 + self.ops.shape[1]
+        return self.n_inputs + self.ops.shape[1]
 
     @property
     def members(self) -> tuple:
@@ -161,91 +174,121 @@ def _netlist(n_inputs, ops, bounds, outputs, out_const, **fields) -> Netlist:
     work_rows = int(bounds[-1]) + max(2 * widest, len(outputs))
     out_const.flags.writeable = False
     if fields.get("parts"):
-        net = Netlist(n_inputs=n_inputs, out_const=out_const, work_rows=work_rows, **fields)
+        net = Netlist(n_inputs=n_inputs, out_const=out_const, nand_count=ops.shape[1],
+                      work_rows=work_rows, **fields)
         # as ``cached_property`` stores it
         net.__dict__["layout"] = _layout(n_inputs, ops, bounds, outputs, out_const)
         return net
     for arr in (ops, bounds, outputs):
         arr.flags.writeable = False
-    return Netlist(n_inputs=n_inputs, out_const=out_const, work_rows=work_rows, ops=ops,
-                   bounds=bounds, outputs=outputs, **fields)
+    return Netlist(n_inputs=n_inputs, out_const=out_const, nand_count=ops.shape[1],
+                   work_rows=work_rows, ops=ops, bounds=bounds, outputs=outputs, **fields)
 
 
 def _sorted(n_in, ops, level, outputs) -> tuple:
-    """(operand rows, level bounds, output rows) of gates sorted by level,
-    given their (2, gates) operand rows ``ops``, their levels (from 1) and
-    the output rows, in rows that number gate i ``n_in + 1 + i``.  The sort
-    is stable: each level keeps its gates in the order given."""
-    first, n_rows = n_in + 1, n_in + 1 + len(level)
-    index = _index(n_rows)
+    """(operand literals, level bounds, output literals) of gates sorted by
+    level, given their (2, gates) operand literals ``ops``, their levels
+    (from 1) and the output literals, in rows that number gate i
+    ``n_in + i``.  The sort is stable: each level keeps its gates in the
+    order given."""
+    n_rows = n_in + len(level)
+    index = _index(2 * n_rows)
     # sorted gate -> given gate, narrowed at once: the sort's intp result is
     # the largest array of a union's merge
     order = np.argsort(level, kind="stable").astype(index)
     rank = np.arange(n_rows, dtype=index)  # given row -> sorted row
-    rank[first:][order] = np.arange(first, n_rows, dtype=index)
-    bounds = first + np.cumsum(np.bincount(level, minlength=1))  # no gate at level 0
+    rank[n_in:][order] = np.arange(n_in, n_rows, dtype=index)
+    rank = _literals(rank)
+    bounds = n_in + np.cumsum(np.bincount(level, minlength=1))  # no gate at level 0
     return rank[ops[:, order]], np.concatenate([[0], bounds]).astype(index), rank[outputs]
 
 
 def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     """The slot layout of level-sorted rows (linear-scan allocation by live
-    range), made level by level with no array longer than the rows': level
-    k's gates are ``ops[:, lo:hi]``, ``lo, hi`` its bounds less the first
-    gate row.
+    range), made level by level with no array longer than the literals':
+    level k's gates are ``ops[:, lo:hi]``, ``lo, hi`` its bounds less
+    ``n_in``.
 
-    The inputs take slots 0 .. n_in-1 and ONE slot n_in.  A row dies after
-    the last level that reads it, or after its own level if none does; ONE
-    and the wired outputs never die.  A dead row's slot is free from the
-    next level on, so no level writes a slot it reads.  Each level's
-    results take one run of consecutive free slots, the first long enough
-    (first fit, past the last slot in use if none is): its folded NOTs
-    (``b`` row ONE) first, then its NANDs, each kind ordered by the level
-    at which they die: the first to die sit at the end of the run whose
-    neighbour dies sooner, so that freed slots join free neighbours.
+    A value (a row, or its complement) dies at the last level that reads
+    it; a gate's own value dies at its own level if none does, and a
+    complement nothing reads takes no slot.  The wired outputs never die.
+    The inputs take slots 0 .. n_in-1 and their read complements the next
+    ones.  The engines gather a level's operands before they write its
+    results, so the slot of a value that dies at a level is free for that
+    level's results already.  Each level's NANDs take one run of consecutive
+    free slots, the first long enough (first fit, past the last slot in use
+    if none is), its gates whose complement is read first, each kind ordered
+    by the level at which they die: the first to die sit at the end of the
+    run whose neighbour dies sooner, so that freed slots join free
+    neighbours.  Their complements, the level's ANDs before the NANDs'
+    inversion, take the start of a second run as long as the level, where
+    the cleartext engine writes every gate's AND (``engine._evaluate``); its
+    rest may reach past the last slot in use, into the room to gather.
     """
-    first = n_in + 1  # the first gate row
     bounds = bounds.tolist()
-    spans = [(lo - first, hi - first) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    spans = [(lo - n_in, hi - n_in) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     never = len(spans) + 1
-    dies = np.zeros(bounds[-1], np.int16 if never < 1 << 15 else np.int32)
+    dtype = np.int16 if never < 1 << 15 else np.int32
+    dies = np.zeros(2 * bounds[-1], dtype)  # per literal
     for k, (lo, hi) in enumerate(spans, 1):  # a later level's write wins
-        dies[first + lo:first + hi] = k
+        dies[2 * (n_in + lo):2 * (n_in + hi):2] = k
         dies[ops[:, lo:hi]] = k
-    dies[n_in] = never
     dies[outputs[out_const < 0]] = never
+    widest = max((hi - lo for lo, hi in spans), default=0)
     # allocated before the level loop, whose scratch arrays then come and go
     # above it on the heap instead of leaving holes under it
-    level_ops = np.empty(2 * ops.shape[1], ops.dtype)
-    starts, nots = [], []
-    read = narrow(np.flatnonzero(dies[:n_in] > 0))
-    slot = np.arange(len(dies), dtype=ops.dtype)  # the inputs' and ONE's; gates' are set below
-    held = np.full(len(dies), -1, dies.dtype)  # per slot, the level its row dies at; -1 if free
-    held[:first] = np.where(dies[:first] > 0, dies[:first], -1)  # inputs nothing reads are free
+    level_ops = np.empty(2 * ops.shape[1], _index(len(dies) + widest))
+    levels = []
+    flips = narrow(np.flatnonzero(dies[1:2 * n_in:2]))
+    read = narrow(np.flatnonzero(dies[:2 * n_in].reshape(-1, 2).any(axis=1)))
+    first = n_in + len(flips)
+    # per literal; gates' are set below
+    slot = np.zeros(len(dies), _index(len(dies) + widest))
+    slot[0:2 * n_in:2] = np.arange(n_in)
+    flipped = 2 * flips.astype(np.intp) + 1  # the literals of their complements
+    slot[flipped] = np.arange(n_in, first)
+    # per slot, the level its value dies at; -1 if free
+    held = np.full(len(dies) + widest, -1, dtype)
+    held[:n_in] = np.where(dies[0:2 * n_in:2] > 0, dies[0:2 * n_in:2], -1)
+    held[n_in:first] = dies[flipped]
     top = first
     for k, (lo, hi) in enumerate(spans, 1):
-        width = hi - lo
-        start = _first_fit(held[:top] < 0, width)
-        starts.append(start)
-        order = np.argsort(-dies[first + lo:first + hi], kind="stable")  # the last to die first
+        width, at = hi - lo, 2 * (n_in + lo)
+        own, comp = dies[at:at + 2 * width:2], dies[at + 1:at + 2 * width:2]
+        start = _first_fit(_free(held[:top], k), width)
+        order = np.argsort(-own, kind="stable")  # the last to die first
         if (held[start - 1] if start else never) < \
                 (held[start + width] if start + width < top else never):
             order = order[::-1]  # the first to die next to the left neighbour
-        nand = ops[1, lo:hi][order] != n_in
-        order = order[np.argsort(nand, kind="stable")]  # the folded NOTs first
-        nots.append(width - int(np.count_nonzero(nand)))
-        slot[first + lo + order] = np.arange(start, start + width)
-        held[start:start + width] = dies[first + lo + order]
+        order = order[np.argsort(comp[order] == 0, kind="stable")]  # complements read first
+        kept = int(np.count_nonzero(comp))
+        slot[at + 2 * order] = np.arange(start, start + width)
+        held[start:start + width] = own[order]
         top = max(top, start + width)
-        # each level reads only its own operand rows, so they turn into slots:
-        # its a slots, then its b slots
+        ands = start
+        if kept:
+            free = _free(held[:top], k)
+            free[start:start + width] = False
+            ands = _first_fit(free, width)
+            slot[at + 2 * order[:kept] + 1] = np.arange(ands, ands + kept)
+            held[ands:ands + kept] = comp[order[:kept]]
+        top = max(top, ands + kept)
+        levels.append((start, kept, ands))
+        # each level reads only its own operand literals, so they turn into
+        # slots: its a slots, then its b slots
         level_ops[2 * lo:2 * hi] = slot[ops[:, lo + order]].reshape(-1)
         used = held[:top]
-        used[used == k] = -1  # the rows that die at this level
+        used[used == k] = -1  # the values that die at this level
     level_ops = narrow(level_ops)
-    return Layout(level_ops, tuple((start, level_ops[2 * lo:2 * hi], n)
-                                   for start, (lo, hi), n in zip(starts, spans, nots)),
-                  narrow(np.where(out_const < 0, slot[outputs], 0)), read, top,
-                  max(hi - lo for lo, hi in spans) if spans else 0)
+    return Layout(level_ops, tuple((start, level_ops[2 * lo:2 * hi], kept, ands)
+                                   for (start, kept, ands), (lo, hi) in zip(levels, spans)),
+                  flips, narrow(np.where(out_const < 0, slot[outputs], 0)), read, top, widest)
+
+
+def _free(held: np.ndarray, k: int) -> np.ndarray:
+    """Slots level ``k`` may write: free ones, and those of the values it
+    reads last."""
+    return (held < 0) | (held == k)
 
 
 def _first_fit(free: np.ndarray, width: int) -> int:
@@ -259,22 +302,28 @@ def _first_fit(free: np.ndarray, width: int) -> int:
 
 
 class _Wire:
-    __slots__ = ("engine", "row", "const")
+    __slots__ = ("engine", "row", "const", "neg")
 
-    def __init__(self, engine, row, const):
+    def __init__(self, engine, row, const, neg=0):
         self.engine = engine
         self.row = row
         self.const = const  # None for a wire, else the public bit
+        self.neg = neg  # 1 for the complement of the row
+
+    @property
+    def lit(self) -> int:
+        return 2 * self.row + self.neg
 
 
 class _Recorder:
-    """Symbolic bit engine: folds constants with ``fold``, records gates
-    (their operand rows and levels) in the order they are made."""
+    """Symbolic bit engine: folds constants with ``fold``, takes a NOT as
+    the complement of a row (no gate), records gates (their operand literals
+    and levels) in the order they are made."""
 
     def __init__(self, n_inputs: int):
         self.n_inputs = n_inputs
         self.a, self.b = array("i"), array("i")
-        self.level = array("i", bytes(4 * (n_inputs + 1)))  # inputs and ONE
+        self.level = array("i", bytes(4 * n_inputs))  # per row
 
     def constant(self, bit: int) -> _Wire:
         return _Wire(self, 0, bit)
@@ -282,27 +331,24 @@ class _Recorder:
     def nand(self, x: _Wire, y: _Wire) -> _Wire:
         if x.const is not None or y.const is not None:
             return fold(self, x, y)
-        return self._row(x.row, y.row)
+        self.a.append(x.lit)
+        self.b.append(y.lit)
+        level = self.level
+        a, b = level[x.row], level[y.row]
+        level.append((a if a >= b else b) + 1)
+        return _Wire(self, len(level) - 1, None)
 
     def free_not(self, x: _Wire) -> _Wire:
-        return self._row(x.row, self.n_inputs)  # NOT x = NAND(x, ONE)
-
-    def _row(self, a, b) -> _Wire:
-        self.a.append(a)
-        self.b.append(b)
-        level = self.level
-        level.append((level[a] if level[a] >= level[b] else level[b]) + 1)
-        return _Wire(self, len(level) - 1, None)
+        return _Wire(self, x.row, None, 1 - x.neg)
 
     def compile(self, outputs, key=None) -> Netlist:
         n_in = self.n_inputs
         ops = np.array([np.frombuffer(self.a, np.int32), np.frombuffer(self.b, np.int32)])
-        level = np.frombuffer(self.level, np.int32)[n_in + 1:]  # the gates'
-        out_rows = np.array([w.row for w in outputs], np.intp)  # a constant's row is 0
+        level = np.frombuffer(self.level, np.int32)[n_in:]  # the gates'
+        out_lits = np.array([w.lit for w in outputs], np.intp)  # a constant's is 0
         out_const = np.array([-1 if w.const is None else w.const for w in outputs],
                              dtype=np.int8)
-        return _netlist(n_in, *_sorted(n_in, ops, level, out_rows), out_const,
-                        nand_count=int((ops[1] != n_in).sum()), key=key)
+        return _netlist(n_in, *_sorted(n_in, ops, level, out_lits), out_const, key=key)
 
 
 # Memos of pure functions of the key: every caller gets the same netlist or
@@ -366,17 +412,17 @@ def union(nets) -> Netlist:
 
 def _merge(nets) -> Netlist:
     n_in = sum(net.n_inputs for net in nets)
-    first = n_in + 1  # the first gate row
     n_gates = sum(net.ops.shape[1] for net in nets)
-    index = _index(first + n_gates)
+    index = _index(2 * (n_in + n_gates))
     # every part's gates, part after part, renumbered, and their levels: the
     # level sort then gives level k each part's level-k gates in turn
     ops, level = np.empty((2, n_gates), index), np.empty(n_gates, index)
     outputs, at_input, at = [], 0, 0
     for net in nets:
         gates = net.ops.shape[1]
-        to_union = np.concatenate([np.arange(at_input, at_input + net.n_inputs), [n_in],
-                                   np.arange(first + at, first + at + gates)]).astype(index)
+        to_union = _literals(np.concatenate([np.arange(at_input, at_input + net.n_inputs),
+                                             np.arange(n_in + at, n_in + at + gates)]
+                                            ).astype(index))
         ops[:, at:at + gates] = to_union[net.ops]
         level[at:at + gates] = np.repeat(np.arange(1, len(net.bounds) - 1),
                                          np.diff(net.bounds)[1:])
@@ -384,8 +430,7 @@ def _merge(nets) -> Netlist:
         at_input, at = at_input + net.n_inputs, at + gates
     rows = _sorted(n_in, ops, level, np.concatenate(outputs))
     del ops, level  # freed before the union is laid out
-    return _netlist(n_in, *rows, np.concatenate([net.out_const for net in nets]),
-                    nand_count=sum(net.nand_count for net in nets), parts=nets)
+    return _netlist(n_in, *rows, np.concatenate([net.out_const for net in nets]), parts=nets)
 
 
 def _record(op, fmt, c, pattern, key) -> Netlist:

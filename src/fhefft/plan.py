@@ -18,10 +18,10 @@ the netlists and, under FHE, the scheme's parameters:
 * its public constant, from the netlists' ``out_const``;
 * its depth, which is also its FHE level, and under FHE its noise
   estimate: one ``walk`` per piece follows the levels the engines walk
-  (``netlist.Layout.levels``, each listing its folded NOTs before its
-  NANDs) by the rules the engines apply gate by gate (a NAND is one
-  deeper than its deeper operand, a folded NOT is free, and noise grows
-  by ``SchemeParams.nand_noise``, the rule of ``GswScheme.hom_nand``),
+  (``netlist.Layout.levels``) by the rules the engines apply gate by gate
+  (a NAND is one deeper than its deeper operand, a complement keeps its
+  row's depth and noise, and noise grows by ``SchemeParams.nand_noise``,
+  the rule of ``GswScheme.hom_nand``),
   once per distinct row of input records; the deepest NAND bounds the
   engine's ``max_depth``, and an FHE piece past the depth budget is
   refused as it compiles, so no such plan is kept;
@@ -140,11 +140,10 @@ def walk(net, words, out, params=None) -> tuple[int, tuple | None]:
     operand on the left, or None if no mask has a bit set.
 
     One walk over ``Layout.levels`` follows the NAND rule (a NAND is one
-    deeper than its deeper operand, a folded NOT, ``NAND(src, ONE)`` among
-    a level's first ``nots`` gates, keeps its source's depth, a constant
-    output is 0) and, on the same gathers, ``SchemeParams.nand_noise`` if
-    some read input's estimate is not 0 (ONE's is 0, so a folded NOT keeps
-    its source's estimate and never swaps).  An FHE piece past the depth
+    deeper than its deeper operand, a complement keeps its row's depth,
+    a constant output is 0) and, on the same gathers,
+    ``SchemeParams.nand_noise`` if some read input's estimate is not 0 (a
+    complement keeps its row's estimate).  An FHE piece past the depth
     budget is refused (``SchemeParams.check_nand_level``).  The walk takes
     each distinct row of input records once, in chunks whose workspace
     fits ``_DEPTH_BYTES`` (one row at least).
@@ -165,8 +164,9 @@ def walk(net, words, out, params=None) -> tuple[int, tuple | None]:
     rows, inverse = rows[first], inverse.ravel()
     planes = 1 + noisy  # depths, then noise estimates
     res = np.empty((planes, len(rows), len(net.out_const)), np.int64)
-    masks = [np.empty((len(ops) // 2 - nots, len(rows)), bool)
-             for _, ops, nots in layout.levels] if noisy else []
+    masks = [np.empty((len(ops) // 2, len(rows)), bool) for _, ops, _, _ in layout.levels] \
+        if noisy else []
+    flips = layout.flips.astype(np.intp)
     chunk = max(1, _DEPTH_BYTES // (8 * planes * layout.work_slots))
     work = np.empty((planes, layout.work_slots * min(chunk, len(rows))), np.int64)
     top = 0
@@ -176,21 +176,21 @@ def walk(net, words, out, params=None) -> tuple[int, tuple | None]:
         values = work[:, :end].reshape(planes, layout.n_slots, len(part))
         spare = work[:, end:layout.work_slots * len(part)].reshape(planes, -1, len(part))
         values[:, :n_in] = part.reshape(len(part), planes, n_in).transpose(1, 2, 0)
-        values[:, net.one] = 0
+        values[:, n_in:n_in + len(flips)] = values[:, flips]
         depth, gather = values[0], spare[0]
         # narrow operand slots: an intp copy would be the walk's largest array
-        for k, (start, ops, nots) in enumerate(layout.levels):
+        for k, (start, ops, kept, ands) in enumerate(layout.levels):
             n = len(ops) // 2
             depth.take(ops, axis=0, out=gather[:2 * n], mode="clip")
-            np.maximum(gather[:n], gather[n:2 * n], out=depth[start:start + n])
-            nands = depth[start + nots:start + n]
+            nands = depth[start:start + n]
+            np.maximum(gather[:n], gather[n:2 * n], out=nands)
             nands += 1
             top = nands.max(initial=top)
             if noisy:
                 values[1].take(ops, axis=0, out=spare[1, :2 * n], mode="clip")
-                swap, values[1, start:start + n] = params.nand_noise(spare[1, :n],
-                                                                     spare[1, n:2 * n])
-                masks[k][:, lo:lo + len(part)] = swap[nots:]
+                masks[k][:, lo:lo + len(part)], values[1, start:start + n] = \
+                    params.nand_noise(spare[1, :n], spare[1, n:2 * n])
+            values[:, ands:ands + kept] = values[:, start:start + kept]
         res[:, lo:lo + len(part)] = values[:, layout.outputs].swapaxes(1, 2)
     res[:, :, net.out_const >= 0] = 0
     out["d"] = res[0, inverse].reshape(out["d"].shape)

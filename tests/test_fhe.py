@@ -250,6 +250,23 @@ def test_decompose_round_trip(preset):
     assert np.array_equal(scheme._recompose(bits), words.astype(np.float64))
 
 
+@pytest.mark.parametrize("preset", ["default", "exact"])
+def test_not_words_equal_the_int64_remainder(preset):
+    """not_words equals (G - W) % q bit for bit on random words below q and
+    below 2^ell (a container's unreduced words), on the gadget itself and on
+    zero words."""
+    p = REFERENCE_PARAMS[preset]
+    scheme = GswScheme(p)
+    rng = np.random.default_rng(34)
+    shape = (p.n_ct, p.n + 1)
+    words = np.stack([rng.integers(0, p.q, shape), rng.integers(0, 1 << p.ell, shape),
+                      scheme._gadget, np.zeros(shape, np.int64),
+                      np.full(shape, (1 << p.ell) - 1)])
+    got = scheme.not_words(words)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (scheme._gadget - words) % p.q)
+
+
 # either side of (N+1) * 2^ell = 2^24, the float32 bound: N = 240 and 256 at ell = 16
 BELOW_FLOAT32 = SchemeParams(n=14, q=2**16 - 15, m=4, noise_bound=0, depth_budget=10**9)
 ABOVE_FLOAT32 = SchemeParams(n=15, q=2**16 - 15, m=4, noise_bound=0, depth_budget=10**9)

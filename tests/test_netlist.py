@@ -111,25 +111,37 @@ def test_netlists_are_recorded_once():
         word_op("mul_const", F8, pattern[:8], 0.5 + 2**-7)
 
 
-def test_row_indices_hold_the_row_count():
-    """Level bounds end at the row count, so 2**16 rows need uint32.  Every
-    gate is an output, so its layout gives each row a slot of its own."""
-    for n_rows in (2**16 - 1, 2**16):
+def test_literal_indices_hold_twice_the_row_count():
+    """Literals (2 * row, plus 1 for a complement) end at twice the row
+    count, so 2**15 rows need uint32.  Every gate is an output, so its layout
+    gives each gate a slot of its own, the first two the inputs', which the
+    gates read last."""
+    for n_rows in (2**15 - 1, 2**15):
         rec = netlist._Recorder(2)
         x, y = netlist._Wire(rec, 0, None), netlist._Wire(rec, 1, None)
-        net = rec.compile([rec.nand(x, y) for _ in range(n_rows - 3)])
+        net = rec.compile([rec.nand(x, y) for _ in range(n_rows - 2)])
         assert int(net.bounds[-1]) == net.n_rows == n_rows
-        assert net.ops.dtype == (np.uint16 if n_rows < 2**16 else np.uint32)
-        assert net.layout.n_slots == n_rows
-        assert sorted(net.layout.outputs.tolist()) == list(range(3, n_rows))
+        assert net.ops.dtype == (np.uint16 if n_rows < 2**15 else np.uint32)
+        assert net.layout.n_slots == n_rows - 2
+        assert sorted(net.layout.outputs.tolist()) == list(range(n_rows - 2))
 
 
-def test_layout_levels_list_their_folded_nots_first(exact_scheme, exact_keys, monkeypatch):
-    """Each layout level's first ``nots`` gates, and no later one, read
-    ONE's slot as ``b``: its folded NOTs come before its NANDs, in recorded
-    netlists and in their union.  An FHE transform walks those levels as
-    they are, so replaying its plan leaves the ``nbytes`` of the netlists
-    its compile laid out unchanged."""
+def _read_complements(net) -> int:
+    """How many gate rows of its parts have their complement read by a gate
+    or a wired output."""
+    count = 0
+    for part in net.members:
+        lits = np.concatenate([part.ops.ravel(), part.outputs[part.out_const < 0]])
+        count += len(np.unique(lits[(lits % 2 == 1) & (lits >= 2 * part.n_inputs)]))
+    return count
+
+
+def test_layout_levels_keep_the_complements_they_read(exact_scheme, exact_keys, monkeypatch):
+    """Every recorded gate is a NAND, and a layout level keeps the
+    complements a later level or an output reads, one run of slots apart
+    from its NANDs', in recorded netlists and in their union.  An FHE
+    transform walks those levels as they are, so replaying its plan leaves
+    the ``nbytes`` of the netlists its compile laid out unchanged."""
     monkeypatch.setattr(netlist, "CACHE", {})
     rng = np.random.default_rng(5)
     nets = [word_op(op, F8, pattern, c) for op, c in [("sub", None), ("mul_const", -0.9375),
@@ -137,11 +149,12 @@ def test_layout_levels_list_their_folded_nots_first(exact_scheme, exact_keys, mo
             for pattern in _patterns(op, rng)]
     nets.append(union(nets))
     for net in nets:
-        for _, ops, nots in net.layout.levels:
+        for start, ops, kept, ands in net.layout.levels:
             n = len(ops) // 2
-            assert (ops[n:n + nots] == net.one).all() and (ops[n + nots:] != net.one).all()
-        assert sum(len(ops) // 2 - nots for _, ops, nots in net.layout.levels) == net.nand_count
-    assert all(any(nots for *_, nots in net.layout.levels) for net in nets[-2:])
+            assert ands == start if not kept else ands + kept <= start or start + n <= ands
+        assert sum(len(ops) // 2 for _, ops, _, _ in net.layout.levels) == net.nand_count
+        assert sum(kept for *_, kept, _ in net.layout.levels) == _read_complements(net)
+    assert all(any(kept for *_, kept, _ in net.layout.levels) for net in nets[-2:])
     sizes, replay = [], fft.replay
 
     def measured(engine, plan, *args):
@@ -187,7 +200,7 @@ def _columns(parts):
 
 def test_union_equals_its_parts_run_alone():
     """A union of netlists with different row counts and constant bits,
-    multiplication by 0 and by 1 among them, gives the bits, depths,
+    multiplication by 0 and by 1 (no gate) among them, gives the bits, depths,
     constants and gate counts of each part run alone, in one level sweep."""
     rng = np.random.default_rng(11)
     parts, patterns = [], []
@@ -198,7 +211,8 @@ def test_union_equals_its_parts_run_alone():
         pattern = np.where(rng.random(n_in) < constants, rng.integers(0, 2, n_in), -1)
         patterns.append(pattern.astype(np.int8))
         parts.append(word_op(op, F8, patterns[-1], c))
-    assert len({part.n_rows for part in parts}) == len(parts)
+    # every row count differs but those of the gate-free products by 0 and by 1
+    assert len({part.n_rows for part in parts}) == len(parts) - 1
     merged = union(parts)
     assert union(parts) is merged and merged.members == tuple(parts)
     assert netlist.CACHE[("union", F8, tuple(parts))] is merged  # the format at index 1
@@ -358,47 +372,78 @@ def _laid_out(draw):
 
 def _check_slots(net):
     """Replay ``net``'s layout on expression numbers, against its parts' rows:
-    each level computes its rows' expressions, writes no slot it reads and
-    overwrites no value a later level reads; the output slots hold the
-    outputs at the end."""
+    each level computes its rows' expressions and the complements of its
+    first ``kept``, which a later level or an output reads, and neither its
+    NANDs, its ANDs nor the cleartext engine's run of ANDs past them
+    overwrites a value a later level reads; the output slots hold the outputs
+    at the end."""
     numbers = {}
 
     def number(expr):
         return numbers.setdefault(expr, len(numbers))
 
-    want_levels, want_out, last_read, at = {}, [], {}, 0
-    for part in net.members:  # the rows, numbered as the union's inputs and ONE
-        rows = [number(("in", at + r)) for r in range(part.n_inputs)] + [number("one")]
+    negs = {}
+
+    def complement(e):
+        if e not in negs:
+            negs[e] = number(("not", e))
+            negs[negs[e]] = e
+        return negs[e]
+
+    def literal(rows, lit):
+        return complement(rows[lit // 2]) if lit % 2 else rows[lit // 2]
+
+    want_levels, want_kept, want_out, last_read, at = {}, {}, [], {}, 0
+    for part in net.members:  # the rows, numbered as the union's inputs
+        rows = [number(("in", at + r)) for r in range(part.n_inputs)]
         bounds = part.bounds.tolist()
+        lits = part.ops.ravel().tolist() + part.outputs[part.out_const < 0].tolist()
+        flipped = {lit // 2 for lit in lits if lit % 2}  # rows whose complement is read
         for k, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
-            ops = part.ops[:, lo - part.one - 1:hi - part.one - 1].reshape(-1)
+            ops = part.ops[:, lo - part.n_inputs:hi - part.n_inputs].reshape(-1)
             for a, b in zip(ops[:hi - lo].tolist(), ops[hi - lo:].tolist()):
-                rows.append(number(("nand", rows[a], rows[b])))
+                x, y = literal(rows, a), literal(rows, b)
+                rows.append(number(("nand", min(x, y), max(x, y))))
                 want_levels.setdefault(k, []).append(rows[-1])
-                for operand in (rows[a], rows[b]):
+                want_kept[k] = want_kept.get(k, 0) + (len(rows) - 1 in flipped)
+                for operand in (x, y):
                     last_read[operand] = max(last_read.get(operand, 0), k)
-        want_out += [rows[r] if c < 0 else None
+        want_out += [literal(rows, r) if c < 0 else None
                      for r, c in zip(part.outputs.tolist(), part.out_const.tolist())]
         at += part.n_inputs
-    for expr in want_out + [number("one")]:
+    for expr in want_out:
         last_read[expr] = len(net.layout.levels) + 1  # kept to the end
-    held = [number(("in", i)) for i in range(net.n_inputs)] + [number("one")]
-    held += [None] * (net.layout.n_slots - len(held))
-    for k, (start, ops, _) in enumerate(net.layout.levels, 1):
+    layout = net.layout
+    held = [number(("in", i)) for i in range(net.n_inputs)]
+    held += [complement(held[i]) for i in layout.flips.tolist()]
+    held += [None] * (layout.n_slots - len(held))
+
+    def write(k, s, value):
+        lost = held[s]
+        assert lost is None or lost in held[:s] + held[s + 1:] or \
+            last_read.get(lost, 0) <= k, (k, s)
+        held[s] = value
+
+    for k, (start, ops, kept, ands) in enumerate(layout.levels, 1):
         n = len(ops) // 2
-        reads, writes = set(ops.tolist()), set(range(start, start + n))
-        assert not reads & writes, k
-        got = [number(("nand", held[a], held[b]))
-               for a, b in zip(ops[:n].tolist(), ops[n:].tolist())]
+        a, b = ([held[s] for s in half] for half in (ops[:n].tolist(), ops[n:].tolist()))
+        got = [number(("nand", min(x, y), max(x, y))) for x, y in zip(a, b)]
         assert sorted(got) == sorted(want_levels[k]), k
-        for s in writes:
-            lost = held[s]
-            assert lost is None or lost in held[:s] + held[s + 1:] or \
-                last_read.get(lost, 0) < k, (k, s)
-        held[start:start + n] = got
+        # a set: two rows of one expression (from separate builders) share
+        # its reads, so either may be the one whose complement is kept
+        assert kept == want_kept[k], k
+        assert set(got[:kept]) == {g for g in got if last_read.get(complement(g), 0) > k}, k
+        runs = [range(start, start + n)] + [range(ands, ands + n)] * bool(kept)
+        assert len(set(runs[0]) | set(runs[-1])) == n * len(runs), k
+        for s in range(ands + kept, min(ands + n, layout.n_slots)) if kept else ():
+            write(k, s, None)  # the rest of the cleartext engine's ANDs
+        for s, g in zip(runs[0], got):
+            write(k, s, g)
+        for s, g in zip(range(ands, ands + kept), got):
+            write(k, s, complement(g))
     assert [held[s] if c < 0 else None for s, c in
-            zip(net.layout.outputs.tolist(), net.out_const.tolist())] == want_out
-    assert len(net.layout.levels) == len(want_levels)
+            zip(layout.outputs.tolist(), net.out_const.tolist())] == want_out
+    assert len(layout.levels) == len(want_levels)
 
 
 def _gate_by_gate_parts(fmt, specs, handles):
@@ -420,16 +465,24 @@ def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
     gate-by-gate ``nand``."""
     fmt, specs, net = case
     _check_slots(net)
-    assert net.layout.n_slots <= net.n_inputs + 1 + sum(p.ops.shape[1] for p in net.members)
-    rng = np.random.default_rng(seed)
-    every = np.concatenate([pattern for _, _, pattern in specs])
+    values = net.n_inputs + len(net.layout.flips) + sum(len(ops) // 2 + kept for _, ops, kept, _
+                                                        in net.layout.levels)
+    assert net.layout.n_slots <= values
+    _check_clear_run(net, np.concatenate([pattern for _, _, pattern in specs]),
+                     lambda eng, hs: _gate_by_gate_parts(fmt, specs, hs),
+                     np.random.default_rng(seed))
+
+
+def _check_clear_run(net, pattern, gate_by_gate, rng):
+    """``net`` run on three random operand sets and a repeat of the first
+    (constants where ``pattern`` says so) gives the lane bits, depths,
+    constants and counts of ``gate_by_gate(engine, handles)`` on each set."""
     batched, serial = CleartextEngine(batch_size=70), CleartextEngine(batch_size=70)
-    sets = [_operands(batched, every, rng) for _ in range(3)]
+    sets = [_operands(batched, pattern, rng) for _ in range(3)]
     sets.append(sets[0])  # a repeated row of input depths
     out = batched.run(net, np.stack([batched.wires(hs) for hs in sets]))
     for row, hs in zip(out, sets):
-        want = _gate_by_gate_parts(fmt, specs, [ClearBit(serial, h.value, h.depth, h.const)
-                                                for h in hs])
+        want = gate_by_gate(serial, [ClearBit(serial, h.value, h.depth, h.const) for h in hs])
         assert [(h.value, h.depth, h.const) for h in batched.handles(row)] == \
             [(h.value, h.depth, h.const) for h in want]
     assert batched.stats == serial.stats
@@ -437,24 +490,28 @@ def test_layouts_reuse_slots_and_evaluate_gate_by_gate(case, seed):
 
 def _interleaved_layout(parts):
     """``netlist._layout`` of the union of ``parts`` from rows built here:
-    the inputs part after part, one ONE, then for each level every part's
-    gates of that level, part after part, renumbered."""
+    the inputs part after part, then for each level every part's gates of
+    that level, part after part, renumbered."""
     n_in = sum(p.n_inputs for p in parts)
     rows, at = [], 0  # per part, the union row of each of its rows
     for p in parts:
-        rows.append(list(range(at, at + p.n_inputs)) + [n_in])
+        rows.append(list(range(at, at + p.n_inputs)))
         at += p.n_inputs
-    a, b, bounds = [], [], [0, n_in + 1]
+    a, b, bounds = [], [], [0, n_in]
+
+    def literal(row, lit):
+        return 2 * row[lit // 2] + lit % 2
+
     for k in range(1, max(len(p.bounds) for p in parts) - 1):
         for p, row in zip(parts, rows):
             if k < len(p.bounds) - 1:
-                lo, hi = (int(r) - p.one - 1 for r in p.bounds[k:k + 2])
+                lo, hi = (int(r) - p.n_inputs for r in p.bounds[k:k + 2])
                 for ga, gb in p.ops[:, lo:hi].T.tolist():
-                    a.append(row[ga])
-                    b.append(row[gb])
-                    row.append(n_in + len(a))
-        bounds.append(n_in + 1 + len(a))
-    outputs = [row[r] if c < 0 else 0 for p, row in zip(parts, rows)
+                    a.append(literal(row, ga))
+                    b.append(literal(row, gb))
+                    row.append(n_in + len(a) - 1)
+        bounds.append(n_in + len(a))
+    outputs = [literal(row, r) if c < 0 else 0 for p, row in zip(parts, rows)
                for r, c in zip(p.outputs.tolist(), p.out_const.tolist())]
     return netlist._layout(n_in, np.array([a, b], np.intp).reshape(2, -1), np.array(bounds),
                            np.array(outputs, np.intp),
@@ -470,8 +527,8 @@ def _check_interleave(parts):
             assert g.dtype == w.dtype and np.array_equal(g, w), field.name
         elif field.name == "levels":
             assert len(g) == len(w), field.name
-            for k, ((gs, go, gn), (ws, wo, wn)) in enumerate(zip(g, w)):
-                assert gs == ws and gn == wn and go.dtype == wo.dtype, (field.name, k)
+            for k, ((gs, go, *gk), (ws, wo, *wk)) in enumerate(zip(g, w)):
+                assert gs == ws and gk == wk and go.dtype == wo.dtype, (field.name, k)
                 assert np.array_equal(go, wo), (field.name, k)
         else:
             assert g == w, field.name
@@ -486,7 +543,7 @@ def test_union_interleaves_its_parts_level_by_level(case):
 
 
 def _recorded(rng, n_rows):
-    """A netlist of ``n_rows`` rows recorded from NANDs and folded NOTs of
+    """A netlist of ``n_rows`` rows recorded from NANDs and complements of
     random recent wires, with some of them and a constant as outputs."""
     rec = netlist._Recorder(6)
     wires = [netlist._Wire(rec, i, None) for i in range(6)]
@@ -497,14 +554,14 @@ def _recorded(rng, n_rows):
     return rec.compile(outputs + [rec.constant(1)])
 
 
-def test_union_past_2_16_rows_interleaves_its_parts(monkeypatch):
-    """Parts below 2**16 rows whose union passes it: the union's rows need
-    uint32, and it still interleaves its parts level by level."""
+def test_union_past_2_15_rows_interleaves_its_parts(monkeypatch):
+    """Parts below 2**15 rows whose union passes it: the union's literals
+    need uint32, and it still interleaves its parts level by level."""
     monkeypatch.setattr(netlist, "CACHE", {})
     rng = np.random.default_rng(41)
-    parts = [_recorded(rng, n_rows) for n_rows in (36_000, 30_000, 900)]
+    parts = [_recorded(rng, n_rows) for n_rows in (18_000, 15_000, 900)]
     assert all(p.ops.dtype == np.uint16 for p in parts)
-    assert sum(p.n_rows for p in parts) - len(parts) + 1 > 2**16
+    assert sum(p.n_rows for p in parts) > 2**15
     _check_interleave(parts)
 
 
@@ -515,22 +572,95 @@ def test_fhe_layouts_evaluate_gate_by_gate(exact_scheme, exact_keys, case, seed)
     levels, noise estimates and counts of gate-by-gate ``nand``, from inputs
     of mixed levels and noise estimates."""
     fmt, specs, net = case
-    rng = np.random.default_rng(seed)
     every = np.concatenate([pattern for _, _, pattern in specs])
-    fresh = FheEngine(exact_scheme, keys=exact_keys, rng=np.random.default_rng(seed))
+    _check_fhe_run(exact_scheme, exact_keys, net, every,
+                   lambda eng, hs: _gate_by_gate_parts(fmt, specs, hs), seed,
+                   np.random.default_rng(seed))
+
+
+def _check_fhe_run(scheme, keys, net, pattern, gate_by_gate, seed, rng):
+    """``net`` run on two operand sets of fresh ciphertexts at random levels
+    and noise estimates (constants where ``pattern`` says so) gives the
+    ciphertext words, levels, noise estimates and counts of
+    ``gate_by_gate(engine, handles)`` on each set."""
+    fresh = FheEngine(scheme, keys=keys, rng=np.random.default_rng(seed))
     cts = [[Ciphertext(fresh.export_ct(fresh.input_bit(int(bit))).words,
                        int(rng.integers(0, 6)), int(rng.integers(0, 40)))
-            for bit in rng.integers(0, 2, len(every))] for _ in range(2)]
+            for bit in rng.integers(0, 2, len(pattern))] for _ in range(2)]
     results = []
     for batched in (True, False):
-        eng = FheEngine(exact_scheme)
+        eng = FheEngine(scheme)
         rows = [[eng.constant(int(p)) if p >= 0 else eng.import_ct(ct)
-                 for p, ct in zip(every, row)] for row in cts]
+                 for p, ct in zip(pattern, row)] for row in cts]
         if batched:
             outs = eng.handles(eng.run(net, np.stack([eng.wires(hs) for hs in rows])).ravel())
         else:
-            outs = [h for hs in rows for h in _gate_by_gate_parts(fmt, specs, hs)]
+            outs = [h for hs in rows for h in gate_by_gate(eng, hs)]
         results.append(([(h.const,) if h.ct is None else
                          (h.ct.level, h.ct.noise_est, h.ct.words.tobytes()) for h in outs],
                         eng.stats))
     assert results[0] == results[1]
+
+
+@st.composite
+def _programs(draw):
+    """One to three random programs of NANDs and NOTs: each a count of
+    inputs, its steps on earlier wires (("nand", i, j), ("not", i) or
+    ("const", bit)) and its output wires."""
+    programs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_in = draw(st.integers(1, 5))
+        steps = []
+        for w in range(n_in, n_in + draw(st.integers(0, 30))):
+            kind = draw(st.sampled_from(["nand", "nand", "not", "const"]))
+            wire = st.integers(0, w - 1)
+            steps.append(("nand", draw(wire), draw(wire)) if kind == "nand" else
+                         ("not", draw(wire)) if kind == "not" else ("const", draw(st.integers(0, 1))))
+        outputs = draw(st.lists(st.integers(0, n_in + len(steps) - 1), min_size=1, max_size=8))
+        programs.append((n_in, steps, outputs))
+    return programs
+
+
+def _run_program(eng, program, inputs):
+    """The output handles of a program run gate by gate on ``eng`` (the
+    recorder included): ``nand``, and ``free_not`` of a variable wire."""
+    _, steps, outputs = program
+    wires = list(inputs)
+    for step in steps:
+        if step[0] == "nand":
+            wires.append(eng.nand(wires[step[1]], wires[step[2]]))
+        elif step[0] == "not":
+            x = wires[step[1]]
+            wires.append(eng.constant(1 - x.const) if x.const is not None else eng.free_not(x))
+        else:
+            wires.append(eng.constant(step[1]))
+    return [wires[i] for i in outputs]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs=_programs(), seed=st.integers(0, 2**32 - 1))
+def test_complements_evaluate_as_free_nots(exact_scheme, exact_keys, programs, seed):
+    """Recorded netlists that read complements of inputs and of gates, and
+    output them, evaluated as one union give the lane bits, depths and
+    constants on the cleartext engine, and the ciphertext words, levels and
+    noise estimates on the exact preset, of gate-by-gate ``nand`` and
+    ``free_not``, with the same NAND counts and deepest NAND."""
+    nets = []
+    for program in programs:
+        rec = netlist._Recorder(program[0])
+        nets.append(rec.compile(_run_program(rec, program,
+                                             [netlist._Wire(rec, i, None)
+                                              for i in range(program[0])])))
+    net = union(nets)
+    rng = np.random.default_rng(seed)
+
+    def gate_by_gate(eng, row):
+        out, at = [], 0
+        for program in programs:
+            out += _run_program(eng, program, row[at:at + program[0]])
+            at += program[0]
+        return out
+
+    wires = np.full(net.n_inputs, -1)
+    _check_clear_run(net, wires, gate_by_gate, rng)
+    _check_fhe_run(exact_scheme, exact_keys, net, wires, gate_by_gate, seed, rng)
