@@ -3,10 +3,10 @@
 Numbers are two's-complement words of ``total_bits`` bits, LSB first,
 carrying an implicit scale of ``2**frac_bits``; both operands of any
 binary operation must share one format.  Addition is a ripple of full
-adders (9F - 6 NANDs at width F: a half adder whose carry is a free NOT
-starts the chain and the top stage skips its carry).  Subtraction
-ripples the free NOTs of the second operand with a carry-in of 1, whose
-first stage is a 3-NAND adder (9F - 7 NANDs).  Multiplication
+adders of 7 NANDs (7F - 5 NANDs at width F: a half adder of 3 whose carry
+is a free NOT starts the chain and the top stage skips its carry).
+Subtraction ripples the free NOTs of the second operand with a carry-in
+of 1, whose first stage is a 3-NAND adder (7F - 5 NANDs too).  Multiplication
 sign-extends to twice the width, reduces partial products through
 carry-save adder layers, and finishes with one ripple add; the
 fixed-point variant keeps bits [f, f + F) of the double-width product,
@@ -18,9 +18,10 @@ Each word op (``add``, ``sub``, ``mul_const``, ``mul_integer``,
 ``mul_fixed``) makes its gates through one ``_Builder``: constant
 operands fold, each NAND of an operand pair is made once, and every NOT
 is the engine's free complement.  The adders compose the builder's XOR,
-whose first NAND their carries read again: the builder's hashing makes
-it once.  Plans record the word ops, so they make the gates the
-gate-by-gate engines make.
+NOT NAND(NAND(a, b), NAND(NOT a, NOT b)) in 3 NANDs, whose first NAND
+their carries read again: the builder's hashing makes it once.  Plans
+record the word ops, so they make the gates the gate-by-gate engines
+make.
 
 Multiplying by a plaintext constant adds one partial-product row per
 nonzero digit of the constant's canonical signed-digit (CSD) recoding
@@ -302,26 +303,26 @@ class _Builder:
         return self.not_(self.nand(a, b))
 
     def xor(self, a, b):
-        n1 = self.nand(a, b)
-        return self.nand(self.nand(a, n1), self.nand(b, n1))
+        """NOT NAND(NAND(a, b), OR(a, b)), OR(a, b) = NAND(NOT a, NOT b): 3
+        NANDs, 2 deep."""
+        return self.not_(self.nand(self.nand(a, b), self.nand(self.not_(a), self.not_(b))))
 
 
 # -- adders ---------------------------------------------------------------
 
 def full_adder(a, b, cin):
-    """sum = a XOR b XOR cin, carry = majority; 9 NANDs on three wires."""
+    """sum = a XOR b XOR cin, carry = majority; 7 NANDs on three wires."""
     return _full_adder(_Builder((a, b, cin)), a, b, cin)
 
 
 def _full_adder(g, a, b, cin, with_sum=True):
     """Two half adders plus the OR of their carries, which collapses to
-    NAND(NAND(s1, cin), NAND(a, b)) on the XORs' first NANDs (9 NANDs, 6
+    NAND(NAND(s1, cin), NAND(a, b)) on the XORs' first NANDs (7 NANDs, 5
     without the sum).  A carry-in of constant 1 gives carry = OR(a, b) =
-    NAND(NOT a, NOT b) and sum = XNOR(a, b) = NAND(NAND(a, b), carry): 3
-    NANDs, where folding the 9 leaves 5 with the carry at depth 4."""
+    NAND(NOT a, NOT b), the XOR's second NAND, and sum = XNOR(a, b), its
+    last: 3 NANDs, with the carry one deep."""
     if cin.const == 1:
-        carry = g.nand(g.not_(a), g.not_(b))
-        return (g.nand(g.nand(a, b), carry) if with_sum else None), carry
+        return (g.not_(g.xor(a, b)) if with_sum else None), g.nand(g.not_(a), g.not_(b))
     s1 = g.xor(a, b)
     total = g.xor(s1, cin) if with_sum else None
     return total, g.nand(g.nand(s1, cin), g.nand(a, b))
@@ -329,7 +330,7 @@ def _full_adder(g, a, b, cin, with_sum=True):
 
 def _ha_shared(g, a, b, with_sum=True):
     """Half adder whose carry is the free NOT of its XOR's first NAND
-    (4 NANDs, 1 without the sum)."""
+    (3 NANDs, 1 without the sum)."""
     return (g.xor(a, b) if with_sum else None), g.not_(g.nand(a, b))
 
 
@@ -358,14 +359,14 @@ def _check_formats(x: FixedWord, y: FixedWord):
 
 
 def add(x: FixedWord, y: FixedWord) -> FixedWord:
-    """Two's-complement sum, wrapping on overflow; 9F - 6 NANDs."""
+    """Two's-complement sum, wrapping on overflow; 7F - 5 NANDs."""
     _check_formats(x, y)
     return FixedWord(tuple(_ripple(_Builder(x.bits + y.bits), x.bits, y.bits)), x.fmt)
 
 
 def sub(x: FixedWord, y: FixedWord) -> FixedWord:
     """x - y by rippling x, the free NOTs of y and a carry-in of 1;
-    9F - 7 NANDs."""
+    7F - 5 NANDs."""
     _check_formats(x, y)
     g = _Builder(x.bits + y.bits)
     inverted = [g.not_(b) for b in y.bits]
@@ -376,10 +377,10 @@ def _carry_add(x: FixedWord, y: FixedWord, low: tuple, flip: bool) -> FixedWord:
     """x + y + OR(``low``), or with ``flip`` x + NOT y + NOR(``low``): one
     ripple whose carry-in is a balanced tree of ORs (a NAND of free NOTs).
 
-    The tree reads input bits, so the carry-in comes early: bit 0 makes
-    n = NAND(a, b) and o = OR(a, b), then a XOR b = NOT NAND(n, o) and the
-    carry NAND(n, NAND(cin, o)), two levels past a and b where a full
-    adder's is four, in a full adder's 9 NANDs."""
+    The tree reads input bits, so the carry-in comes early: bit 0's carry
+    is NAND(n, NAND(cin, o)) on the NANDs n = NAND(a, b) and o = OR(a, b)
+    of a XOR b, three deep past a and b where a full adder's is four, in 8
+    NANDs (7F for the ripple)."""
     _check_formats(x, y)
     g = _Builder(x.bits + y.bits + low)
     level = list(low)
@@ -393,9 +394,8 @@ def _carry_add(x: FixedWord, y: FixedWord, low: tuple, flip: bool) -> FixedWord:
     if carry.const is not None:
         return FixedWord(tuple(_ripple(g, x.bits, ybits, cin=carry)), x.fmt)
     a, b = x.bits[0], ybits[0]
-    n, o = g.nand(a, b), g.nand(g.not_(a), g.not_(b))
-    low_sum = g.xor(g.not_(g.nand(n, o)), carry)
-    carry = g.nand(n, g.nand(carry, o))
+    low_sum = g.xor(g.xor(a, b), carry)
+    carry = g.nand(g.nand(a, b), g.nand(carry, g.nand(g.not_(a), g.not_(b))))
     return FixedWord((low_sum, *_ripple(g, x.bits[1:], ybits[1:], cin=carry)), x.fmt)
 
 
@@ -406,11 +406,12 @@ def butterfly_sums(x_re: FixedWord, x_im: FixedWord, a: FixedWord, b: FixedWord,
     for its ``kind``:
 
     * None: the four products, t = (a - b, c + d) by ``sub`` and ``add``;
-      54F - 39 NANDs;
+      42F - 30 NANDs;
     * -1 (W = -j): a, b are x_j, t = (b, -a), so the sums are x_re + b,
-      x_im - a, x_re - b and x_im + a (c and d are not read);
+      x_im - a, x_re - b and x_im + a (c and d are not read); 28F - 20;
     * k >= 0 (wim = -wre): a, b are x_j's products by wre and c, d are x_j;
-      t = (a + b + OR(low k bits of d), b + NOT a + NOR(low k bits of c)).
+      t = (a + b + OR(low k bits of d), b + NOT a + NOR(low k bits of c));
+      42F + 2k - 22 NANDs for k >= 1.
 
     Each step is the gates of its own ``add``, ``sub`` or carry-in ripple.
     """

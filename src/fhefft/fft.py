@@ -7,10 +7,10 @@ t = W * x_j takes constant multiplications, as many as the butterfly's
 product rule (``arith.product_rule``, a function of the twiddle's
 quantized integers) asks for: four in general, two where wre = wim or
 wim = -wre (the W(s, 3s/8) and W(s, s/8) twiddles), none for W = -j;
-then come x_i + t and x_i - t.  At 32.16 that is 5,719, 5,714 and 1,126
-NANDs per butterfly where four products took 9,749, 9,703 and 1,498;
-Table 1 (M = 8..128) falls from 3,783,162 NANDs to 3,281,811 and the
-16x16 image from 3,628,928 to 2,775,776.  A stage compiles its
+then come x_i + t and x_i - t.  At 32.16, on the gate builder's 3-NAND
+XOR, that is 4,444, 4,446 and 876 NANDs per butterfly (a general one
+takes 5,248 at W(16, 1)); Table 1 (M = 8..128) takes 2,528,228 NANDs,
+352 deep, and the 16x16 image 2,157,184, 304 deep.  A stage compiles its
 butterflies as two word-op phases: one call for all its products
 (``arith.mul_const``), then one for all its sums
 (``arith.butterfly_sums``, keyed by the rule's kind: the two steps of

@@ -359,10 +359,10 @@ class _Recorder:
 # rule kind and pattern of constant words, and its stages a few unions of
 # them.  ``PLANS`` holds ``fft``'s transform plans (``plan.Plan``), one
 # per key of ``fft._transform``: engine kind, format, dims and input
-# pattern.  For M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.45 MB
-# (2 of them laid out, 0.01 MB of it), 13 unions, 0.82 MB, and 5 plans,
+# pattern.  For M = 8..128 at 32.16 and 100 lanes: 68 netlists, 0.33 MB
+# (2 of them laid out, 0.01 MB of it), 13 unions, 0.61 MB, and 5 plans,
 # 0.11 MB; ten 16x16 images add a plan of 0.12 MB.  An encrypted M = 8
-# transform at 16.8 adds 9 netlists, 0.04 MB with their layouts, and a
+# transform at 16.8 adds 10 netlists, 0.03 MB with their layouts, and a
 # plan of 4,784 bytes: an FHE plan holds no slot per gate and operand set.
 CACHE: dict[tuple, Netlist] = {}
 PLANS: dict[tuple, object] = {}

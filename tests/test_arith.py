@@ -125,7 +125,7 @@ def test_full_adder_truth_table_and_cost():
                 s, c = full_adder(eng.input_bit(a), eng.input_bit(b), eng.input_bit(cin))
                 total = a + b + cin
                 assert (eng.read_back(s), eng.read_back(c)) == (total % 2, total // 2)
-                assert eng.nand_count == 9
+                assert eng.nand_count == 7
 
 
 def test_add_exhaustive_8bit_wraparound():
@@ -134,7 +134,7 @@ def test_add_exhaustive_8bit_wraparound():
     x = pack_int_word(eng, [p[0] for p in pairs], 8)
     y = pack_int_word(eng, [p[1] for p in pairs], 8)
     out = unpack_int_word(eng, add(x, y), signed=False)
-    assert eng.nand_count == 9 * 8 - 6
+    assert eng.nand_count == 7 * 8 - 5
     for (a, b), got in zip(pairs, out):
         assert got == (a + b) % 256
 
@@ -145,7 +145,7 @@ def test_sub_exhaustive_8bit_wraparound():
     x = pack_int_word(eng, [p[0] for p in pairs], 8)
     y = pack_int_word(eng, [p[1] for p in pairs], 8)
     out = unpack_int_word(eng, sub(x, y), signed=False)
-    assert eng.nand_count == 9 * 8 - 7
+    assert eng.nand_count == 7 * 8 - 5
     for (a, b), got in zip(pairs, out):
         assert got == (a - b) % 256
 
@@ -185,8 +185,8 @@ def test_add_format_mismatch_rejected():
 def test_add_cost_at_width_32_below_linear_bound():
     eng = CleartextEngine()
     add(input_word(eng, 1.5, F32), input_word(eng, 2.5, F32))
-    assert eng.nand_count == 9 * 32 - 6
-    assert eng.nand_count <= 36 * 32
+    assert eng.nand_count == 7 * 32 - 5
+    assert eng.nand_count <= 7 * 32
 
 
 # -- multipliers ----------------------------------------------------------------

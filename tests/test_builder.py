@@ -99,8 +99,8 @@ def test_aliased_operands_keep_their_values():
     assert unpack_int_word(eng, arith.sub(x, x)) == [0] * len(values)
 
 
-@pytest.mark.parametrize("op, cost", [("add", lambda f: 9 * f - 6), ("sub", lambda f: 9 * f - 7),
-                                      ("butterfly_sums", lambda f: 54 * f - 39)])
+@pytest.mark.parametrize("op, cost", [("add", lambda f: 7 * f - 5), ("sub", lambda f: 7 * f - 5),
+                                      ("butterfly_sums", lambda f: 42 * f - 30)])
 def test_sum_netlist_costs(op, cost):
     for fmt in (FixedFormat(8, 4), FixedFormat(16, 8), F32):
         pattern = np.full(fmt.total_bits * netlist.OPS[op], -1, np.int8)
@@ -108,10 +108,10 @@ def test_sum_netlist_costs(op, cost):
 
 
 @pytest.mark.parametrize("kind, cost", [
-    (-1, lambda f, k: 36 * f - 26),  # W = -j: two adds and two subs
-    (0, lambda f, k: 54 * f - 39),  # t = (a + b, b - a) by an add and a sub
-    # two OR trees of k - 1 NANDs and two carry-in ripples of 9F - 1
-    ("frac", lambda f, k: 54 * f + 2 * k - 30),
+    (-1, lambda f, k: 28 * f - 20),  # W = -j: two adds and two subs
+    (0, lambda f, k: 42 * f - 30),  # t = (a + b, b - a) by an add and a sub
+    # two OR trees of k - 1 NANDs and two carry-in ripples of 7F
+    ("frac", lambda f, k: 42 * f + 2 * k - 22),
 ])
 def test_sums_kind_costs(kind, cost):
     for fmt in (FixedFormat(8, 4), FixedFormat(16, 8), F32):

@@ -109,9 +109,9 @@ def test_pipeline_ciphertexts_golden(tmp_path):
     assert hashlib.sha256(fileio._read_container(ct)[1]).hexdigest()[:16] == "dac634c6420b5b5b"
     assert run_cli("fft", ct, "--out", out) == 0
     header, payload = fileio._read_container(out)
-    assert hashlib.sha256(payload).hexdigest()[:16] == "a4766cb3f39fa1a6"
+    assert hashlib.sha256(payload).hexdigest()[:16] == "55c3943937fcd0fe"
     assert hashlib.sha256(json.dumps(list(header.levels)).encode()).hexdigest()[:16] == \
-        "add43b219a35afb4"
+        "72c12974201cc6fc"
     assert run_cli("decrypt", out, "--keys", keys, "--out", spec) == 0
     assert list(fileio.read_signal_text(spec)[0]) == \
         [0.875 - 0.25j, 0.875 + 3.0j, 0.375 - 1.25j, -0.125 - 0.5j]

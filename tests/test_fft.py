@@ -359,10 +359,10 @@ def test_fft_backend_equivalence_m2(exact_scheme, exact_keys, rng):
 # (nand_count, max_depth) of each transform circuit; a change to these is a
 # change to the circuit itself, not to how it is evaluated
 @pytest.mark.parametrize("bits,frac,m,golden", [
-    (16, 8, 2, (550, 34)), (16, 8, 4, (2_200, 40)),
-    (16, 8, 8, (9_877, 89)), (16, 8, 16, (35_029, 138)),
-    (32, 16, 2, (1_126, 66)), (32, 16, 4, (4_504, 72)),
-    (32, 16, 8, (22_693, 143)), (32, 16, 16, (86_743, 211)),
+    (16, 8, 2, (428, 32)), (16, 8, 4, (1_712, 36)),
+    (16, 8, 8, (7_688, 74)), (16, 8, 16, (27_178, 112)),
+    (32, 16, 2, (876, 64)), (32, 16, 4, (3_504, 68)),
+    (32, 16, 8, (17_650, 126)), (32, 16, 16, (67_412, 182)),
 ])
 def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
     eng = CleartextEngine()
@@ -373,7 +373,7 @@ def test_fft_gate_count_and_depth_golden(bits, frac, m, golden):
 def test_fft2d_gate_count_and_depth_golden():
     eng = CleartextEngine()
     fft_2d(input_signal(eng, [0.5] * 16, F16, dims=(4, 4)))
-    assert (eng.nand_count, eng.max_depth) == (17_600, 52)
+    assert (eng.nand_count, eng.max_depth) == (13_696, 44)
 
 
 # sha256 (first 16 hex digits) of the decoded spectra of fixed-seed signals
@@ -401,7 +401,7 @@ def test_fft_output_bits_golden(bits, frac, dims, lanes, digest):
 # above at the benchmark's sizes; how the engine takes depths may change, but
 # never these
 @pytest.mark.parametrize("dims,lanes,digest", [
-    (128, 100, "bcafdde1e333c28e"), ((16, 16), 10, "27c249fffdd06220"),
+    (128, 100, "1e3d9dc5904a9cd7"), ((16, 16), 10, "e8087cbd391047a3"),
 ])
 def test_fft_output_depths_golden(dims, lanes, digest):
     m = dims if isinstance(dims, int) else dims[0] * dims[1]
@@ -598,7 +598,7 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
     """Each stage compiles its constant products, then its butterfly sums,
     every kind of product rule in one call; the sums netlist is shallower
     than ``sub`` then ``add``, so the Table 1 plans (M = 8..128 at 32.16,
-    100 lanes) walk at most 5,059 levels and the 16x16 plan at most 1,308."""
+    100 lanes) walk at most 4,786 levels and the 16x16 plan at most 1,244."""
     monkeypatch.setattr(fft, "PLANS", {})
     for m in (8, 16, 32, 64, 128):
         eng = CleartextEngine(batch_size=100)
@@ -617,7 +617,7 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
         return sum(len(p.net.layout.levels)
                    for plan in plans for s in plan.stages for p in s.pieces)
 
-    assert level_steps(table1) <= 5059 and level_steps([image]) <= 1308
+    assert level_steps(table1) <= 4786 and level_steps([image]) <= 1244
     wires = np.full(2 * F32.total_bits, -1, dtype=np.int8)
     sums = netlist.word_op("butterfly_sums", F32, np.tile(wires, 3))
     chained = [netlist.word_op(op, F32, wires) for op in ("sub", "add")]
@@ -626,9 +626,9 @@ def test_butterfly_stages_run_two_word_op_phases(monkeypatch):
 
 def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     """On their layouts the Table 1 plans (M = 8..128 at 32.16, 100 lanes)
-    run at most 5,374 level steps, counted once per chunk of operand sets,
-    and the 16x16 plan (10 lanes) at most 1,308; the largest M = 128 unions
-    (55,482 and 57,261 rows of workspace) need at most 27,284 slots, so two
+    run at most 5,078 level steps, counted once per chunk of operand sets,
+    and the 16x16 plan (10 lanes) at most 1,244; the largest M = 128 unions
+    (42,614 and 44,093 rows of workspace) need at most 26,510 slots, so two
     operand sets share a chunk."""
     steps = []
     evaluate = engine._evaluate
@@ -642,17 +642,17 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     for m in (8, 16, 32, 64, 128):
         eng = CleartextEngine(batch_size=100)
         fft_1d(input_signal(eng, np.full((100, m), 0.5), F32))
-    assert sum(steps) <= 5374
+    assert sum(steps) <= 5078
     pieces = [p for s in fft.PLANS[max(fft.PLANS, key=lambda k: k[4])].stages for p in s.pieces]
     largest = sorted(pieces, key=lambda p: p.net.work_rows)[-2:]
-    assert [p.net.work_rows for p in largest] == [55482, 57261]
+    assert [p.net.work_rows for p in largest] == [42614, 44093]
     for piece in largest:
-        assert piece.net.layout.work_slots <= 27284
+        assert piece.net.layout.work_slots <= 26510
         assert 2 * piece.net.layout.work_slots * eng.wire_bytes <= eng.CHUNK_BYTES
     steps.clear()
     eng = CleartextEngine(batch_size=10)
     fft_2d(input_signal(eng, np.full((10, 256), 0.5), F32, dims=(16, 16)))
-    assert sum(steps) <= 1308
+    assert sum(steps) <= 1244
 
 
 def test_fhe_plan_past_the_depth_budget_raises_before_any_nand(default_scheme, default_keys):

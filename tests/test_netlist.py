@@ -204,7 +204,7 @@ def test_union_equals_its_parts_run_alone():
     constants and gate counts of each part run alone, in one level sweep."""
     rng = np.random.default_rng(11)
     parts, patterns = [], []
-    for op, c, constants in [("add", None, 0.0), ("mul_const", 0.6875, 0.3),
+    for op, c, constants in [("add", None, 0.0), ("mul_const", 0.8125, 0.3),
                              ("mul_const", 0.0, 0.0), ("sub", None, 0.7),
                              ("mul_const", 1.0, 0.2), ("mul_const", -0.9375, 0.0)]:
         n_in = F8.total_bits * (1 if op == "mul_const" else 2)
