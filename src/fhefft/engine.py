@@ -276,8 +276,8 @@ class CleartextEngine(_Engine):
     def load(self, wires: np.ndarray, slots: np.ndarray, n_slots: int) -> np.ndarray:
         """``_Engine.load``, and the workspace of ``CHUNK_BYTES`` that every
         piece ``evaluate`` runs until ``unload`` uses, where a new array per
-        piece made the allocator map fresh pages for some plans: their
-        faults cost the 16x16 image's replay about 8%."""
+        piece made the allocator map fresh pages for some plans, and their
+        faults slowed the 16x16 image's replay."""
         self._work = np.empty(self.CHUNK_BYTES, np.uint8)
         return super().load(wires, slots, n_slots)
 
@@ -437,14 +437,16 @@ class FheEngine(_Engine):
         ``not_words`` call, then per level ``nand_words`` calls of at most
         ``CHUNK_BYTES`` of decomposed bits on runs of its whole NANDs over
         every operand set (or of sets, when one gate's exceed the bound),
-        each on its operands' words as gathered, (gates, sets, N, n+1), and
-        one ``not_words`` call for the complements it keeps."""
+        each on its operands' words as gathered, (gates, sets, N, n+1) and
+        written as it comes, and one ``not_words`` call for the complements
+        it keeps."""
         scheme, net, count = self.scheme, piece.net, piece.count
         layout = net.layout
         scratch = np.empty((layout.n_slots, count, *register.shape[1:]), np.int64)
         scratch[layout.read] = register[slots(piece.ins, piece.width)[layout.read]]
         flips = layout.flips
-        scratch[net.n_inputs:net.n_inputs + len(flips)] = scheme.not_words(scratch[flips])
+        if len(flips):
+            scratch[net.n_inputs:net.n_inputs + len(flips)] = scheme.not_words(scratch[flips])
         step = max(1, self.CHUNK_BYTES // scheme.nand_bytes)  # NANDs per call
         sets = min(step, max(count, 1))  # every set, unless one gate's exceed ``step``
         per = step // sets  # whole gates per call
@@ -453,7 +455,7 @@ class FheEngine(_Engine):
         for k, (start, ops, kept, ands) in enumerate(layout.levels):
             ab = ops.reshape(2, -1)
             for s0, part in parts:
-                nands = []
+                nands = part[start:start + ab.shape[1]]  # slots the level does not read
                 for lo in range(0, ab.shape[1], per):
                     at = slice(lo, lo + per)
                     pair = part[ab[:, at]]  # (2, gates, sets, N, n+1)
@@ -461,11 +463,7 @@ class FheEngine(_Engine):
                     if piece.swaps:
                         swap = piece.swaps[k][at, s0:s0 + sets, None, None]
                         left, right = np.where(swap, right, left), np.where(swap, left, right)
-                    nands.append(scheme.nand_words(left, right))
-                # written once the level is read: its results may take the
-                # slots of the values it reads last
-                part[start:start + ab.shape[1]] = nands[0] if len(nands) == 1 else \
-                    np.concatenate(nands)
+                    nands[at] = scheme.nand_words(left, right)
             if kept:
                 scratch[ands:ands + kept] = scheme.not_words(scratch[start:start + kept])
         register[slots(piece.outs, piece.width)] = scratch[layout.outputs]

@@ -213,17 +213,19 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     it; a gate's own value dies at its own level if none does, and a
     complement nothing reads takes no slot.  The wired outputs never die.
     The inputs take slots 0 .. n_in-1 and their read complements the next
-    ones.  The engines gather a level's operands before they write its
-    results, so the slot of a value that dies at a level is free for that
-    level's results already.  Each level's NANDs take one run of consecutive
-    free slots, the first long enough (first fit, past the last slot in use
-    if none is), its gates whose complement is read first, each kind ordered
-    by the level at which they die: the first to die sit at the end of the
-    run whose neighbour dies sooner, so that freed slots join free
-    neighbours.  Their complements, the level's ANDs before the NANDs'
-    inversion, take the start of a second run as long as the level, where
-    the cleartext engine writes every gate's AND (``engine._evaluate``); its
-    rest may reach past the last slot in use, into the room to gather.
+    ones.  Each level's NANDs take a run of consecutive free slots, the
+    shortest long enough (best fit, past the last slot in use if none is),
+    its gates whose complement is read first, each gate ordered by the level
+    at which the value it keeps dies (its complement if read, else itself):
+    the first to die sit at the end of the run whose neighbour dies sooner,
+    so that freed slots join free neighbours.  Their complements, the
+    level's ANDs before the NANDs' inversion, take the start of a second run
+    as long as the level, where the cleartext engine writes every gate's AND
+    (``engine._evaluate``); its rest may reach past the last slot in use,
+    into the room to gather.  No level writes its NANDs to a slot it reads,
+    so the FHE engine writes each ``nand_words`` call's results as they
+    come; the second run may also take the slots of the values the level
+    reads last, since both engines make the ANDs once the level is read.
     """
     bounds = bounds.tolist()
     spans = [(lo - n_in, hi - n_in) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -255,8 +257,8 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
     for k, (lo, hi) in enumerate(spans, 1):
         width, at = hi - lo, 2 * (n_in + lo)
         own, comp = dies[at:at + 2 * width:2], dies[at + 1:at + 2 * width:2]
-        start = _first_fit(_free(held[:top], k), width)
-        order = np.argsort(-own, kind="stable")  # the last to die first
+        start = _best_fit(held[:top] < 0, width)
+        order = np.argsort(-np.where(comp > 0, comp, own), kind="stable")  # the last to die first
         if (held[start - 1] if start else never) < \
                 (held[start + width] if start + width < top else never):
             order = order[::-1]  # the first to die next to the left neighbour
@@ -267,9 +269,10 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
         top = max(top, start + width)
         ands = start
         if kept:
-            free = _free(held[:top], k)
+            used = held[:top]
+            free = (used < 0) | (used == k)  # and the values this level reads last
             free[start:start + width] = False
-            ands = _first_fit(free, width)
+            ands = _best_fit(free, width)
             slot[at + 2 * order[:kept] + 1] = np.arange(ands, ands + kept)
             held[ands:ands + kept] = comp[order[:kept]]
         top = max(top, ands + kept)
@@ -285,20 +288,17 @@ def _layout(n_in, ops, bounds, outputs, out_const) -> Layout:
                   flips, narrow(np.where(out_const < 0, slot[outputs], 0)), read, top, widest)
 
 
-def _free(held: np.ndarray, k: int) -> np.ndarray:
-    """Slots level ``k`` may write: free ones, and those of the values it
-    reads last."""
-    return (held < 0) | (held == k)
-
-
-def _first_fit(free: np.ndarray, width: int) -> int:
-    """Start of the first run of ``width`` free slots, where every slot
-    past ``free`` is free."""
-    flags = np.zeros(len(free) + width + 2, np.int8)
-    flags[1:len(free) + 1] = free
-    flags[len(free) + 1:-1] = 1
+def _best_fit(free: np.ndarray, width: int) -> int:
+    """Start of the shortest run of at least ``width`` free slots (the first
+    of those), where every slot past ``free`` is free: the run that reaches
+    past it only if no other is long enough."""
+    flags = np.zeros(len(free) + 2, np.int8)
+    flags[1:-1] = free
     edges = np.flatnonzero(np.diff(flags))  # run starts and ends, alternately
-    return int(edges[::2][np.argmax(edges[1::2] - edges[::2] >= width)])
+    starts, ends = edges[::2], edges[1::2]
+    room = np.where(ends < len(free), ends - starts, len(free) + width)
+    fits = np.flatnonzero(room >= width)
+    return int(starts[fits[np.argmin(room[fits])]]) if len(fits) else len(free)
 
 
 class _Wire:

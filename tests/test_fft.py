@@ -628,7 +628,7 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     """On their layouts the Table 1 plans (M = 8..128 at 32.16, 100 lanes)
     run at most 5,078 level steps, counted once per chunk of operand sets,
     and the 16x16 plan (10 lanes) at most 1,244; the largest M = 128 unions
-    (42,614 and 44,093 rows of workspace) need at most 26,510 slots, so two
+    (42,614 and 44,093 rows of workspace) need at most 25,753 slots, so two
     operand sets share a chunk."""
     steps = []
     evaluate = engine._evaluate
@@ -647,7 +647,7 @@ def test_layouts_cut_the_chunked_level_steps(monkeypatch):
     largest = sorted(pieces, key=lambda p: p.net.work_rows)[-2:]
     assert [p.net.work_rows for p in largest] == [42614, 44093]
     for piece in largest:
-        assert piece.net.layout.work_slots <= 26510
+        assert piece.net.layout.work_slots <= 25753
         assert 2 * piece.net.layout.work_slots * eng.wire_bytes <= eng.CHUNK_BYTES
     steps.clear()
     eng = CleartextEngine(batch_size=10)

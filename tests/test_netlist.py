@@ -114,16 +114,15 @@ def test_netlists_are_recorded_once():
 def test_literal_indices_hold_twice_the_row_count():
     """Literals (2 * row, plus 1 for a complement) end at twice the row
     count, so 2**15 rows need uint32.  Every gate is an output, so its layout
-    gives each gate a slot of its own, the first two the inputs', which the
-    gates read last."""
+    gives each row a slot of its own."""
     for n_rows in (2**15 - 1, 2**15):
         rec = netlist._Recorder(2)
         x, y = netlist._Wire(rec, 0, None), netlist._Wire(rec, 1, None)
         net = rec.compile([rec.nand(x, y) for _ in range(n_rows - 2)])
         assert int(net.bounds[-1]) == net.n_rows == n_rows
         assert net.ops.dtype == (np.uint16 if n_rows < 2**15 else np.uint32)
-        assert net.layout.n_slots == n_rows - 2
-        assert sorted(net.layout.outputs.tolist()) == list(range(n_rows - 2))
+        assert net.layout.n_slots == n_rows
+        assert sorted(net.layout.outputs.tolist()) == list(range(2, n_rows))
 
 
 def _read_complements(net) -> int:
@@ -373,10 +372,11 @@ def _laid_out(draw):
 def _check_slots(net):
     """Replay ``net``'s layout on expression numbers, against its parts' rows:
     each level computes its rows' expressions and the complements of its
-    first ``kept``, which a later level or an output reads, and neither its
-    NANDs, its ANDs nor the cleartext engine's run of ANDs past them
-    overwrites a value a later level reads; the output slots hold the outputs
-    at the end."""
+    first ``kept``, which a later level or an output reads; its NANDs write
+    no slot it reads and overwrite no value a later level reads, and its
+    ANDs, the cleartext engine's run of them past the kept ones included,
+    overwrite no value that a level after it reads; the output slots hold
+    the outputs at the end."""
     numbers = {}
 
     def number(expr):
@@ -418,10 +418,10 @@ def _check_slots(net):
     held += [complement(held[i]) for i in layout.flips.tolist()]
     held += [None] * (layout.n_slots - len(held))
 
-    def write(k, s, value):
+    def write(s, value, last):  # no level after ``last`` reads what it overwrites
         lost = held[s]
         assert lost is None or lost in held[:s] + held[s + 1:] or \
-            last_read.get(lost, 0) <= k, (k, s)
+            last_read.get(lost, 0) <= last, (last, s)
         held[s] = value
 
     for k, (start, ops, kept, ands) in enumerate(layout.levels, 1):
@@ -433,14 +433,15 @@ def _check_slots(net):
         # its reads, so either may be the one whose complement is kept
         assert kept == want_kept[k], k
         assert set(got[:kept]) == {g for g in got if last_read.get(complement(g), 0) > k}, k
-        runs = [range(start, start + n)] + [range(ands, ands + n)] * bool(kept)
-        assert len(set(runs[0]) | set(runs[-1])) == n * len(runs), k
+        writes = range(start, start + n)
+        assert not set(ops.tolist()) & set(writes), k
+        assert not set(writes) & set(range(ands, ands + n)) if kept else ands == start, k
         for s in range(ands + kept, min(ands + n, layout.n_slots)) if kept else ():
-            write(k, s, None)  # the rest of the cleartext engine's ANDs
-        for s, g in zip(runs[0], got):
-            write(k, s, g)
+            write(s, None, k)  # the rest of the cleartext engine's ANDs
+        for s, g in zip(writes, got):
+            write(s, g, k - 1)
         for s, g in zip(range(ands, ands + kept), got):
-            write(k, s, complement(g))
+            write(s, complement(g), k)
     assert [held[s] if c < 0 else None for s, c in
             zip(layout.outputs.tolist(), net.out_const.tolist())] == want_out
     assert len(layout.levels) == len(want_levels)
